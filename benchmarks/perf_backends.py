@@ -67,9 +67,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pr9.json"
 SCHEMA = "seo-bench/2"
 PR = 10
+DEFAULT_OUTPUT = REPO_ROOT / f"BENCH_pr{PR}.json"
 
 #: Baseline batch size for the committed trajectory: large enough that the
 #: lockstep engine's fixed per-frame numpy overhead is amortized, matching

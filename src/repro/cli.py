@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.cli fig5 --episodes 5
     python -m repro.cli table2 --episodes 25 --seed 1 --jobs 4
-    python -m repro.cli table3 --jobs 4 --backend async
+    python -m repro.cli table3 --backend batch
     python -m repro.cli ablation-safety
     python -m repro.cli suite --family dense-traffic --family narrow-road
     python -m repro.cli all --jobs 8 --lookup-cache .cache/deadline
@@ -21,8 +21,9 @@ Examples::
 Each subcommand prints the reproduced table to stdout and optionally writes
 it to a file with ``--output``.  Every subcommand accepts ``--jobs N`` to
 spread episodes over N workers (``0`` = all CPU cores; results are identical
-to the serial run), ``--backend {process,thread,async,socket}`` to pick the
-worker-pool flavour (``socket`` also needs ``--workers HOST:PORT,...``), and
+to the serial run), ``--backend {process,socket,batch}`` to pick the
+execution backend (``socket`` also needs ``--workers HOST:PORT,...``;
+``batch`` steps each unit's episodes in numpy lockstep in-process), and
 ``--lookup-cache DIR`` to persist deadline lookup tables across
 invocations.  One :class:`repro.runtime.sweep.SweepRunner` is shared by
 every experiment of an invocation, so even ``all`` constructs at most one
@@ -57,7 +58,6 @@ from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.runtime.cache import LookupTableCache, set_default_cache
-from repro.runtime.executor import EXECUTOR_BACKENDS
 from repro.runtime.ledger import RunLedger
 from repro.runtime.shard import (
     ShardManifest,
@@ -65,7 +65,12 @@ from repro.runtime.shard import (
     ShardSpec,
     validate_merge,
 )
-from repro.runtime.sweep import SweepIncomplete, SweepRunner
+from repro.runtime.sweep import (
+    EXECUTOR_BACKENDS,
+    SweepIncomplete,
+    SweepRunner,
+    check_backend,
+)
 from repro.sim.scenario import DEFAULT_SUITE
 
 #: Manifest filename written into every ledger directory.
@@ -169,8 +174,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=EXECUTOR_BACKENDS, default="process",
-        help="worker-pool backend (async = persistent worker subprocesses; "
-             "socket = remote workers named by --workers)",
+        help="execution backend (process = local process pool over --jobs; "
+             "socket = remote workers named by --workers; batch = numpy "
+             "lockstep in-process)",
     )
     parser.add_argument(
         "--workers", type=str, default=None, metavar="HOST:PORT[,HOST:PORT...]",
@@ -405,12 +411,10 @@ def run(argv: Sequence[str] | None = None) -> str:
     if (args.shard is not None or args.resume) and args.ledger_dir is None:
         raise SystemExit("--shard and --resume require --ledger-dir")
     workers = _parse_worker_list(args.workers) if args.workers else None
-    if args.backend == "socket" and not workers:
-        raise SystemExit(
-            "--backend socket requires --workers HOST:PORT[,HOST:PORT...]"
-        )
-    if workers is not None and args.backend != "socket":
-        raise SystemExit("--workers requires --backend socket")
+    try:
+        check_backend(args.backend, workers)
+    except ValueError as error:
+        raise SystemExit(f"repro: {error}") from None
 
     previous_cache = None
     if args.lookup_cache is not None:

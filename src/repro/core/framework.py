@@ -60,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VAE_COMPUTE_PROFILE = ComputeProfile(name="vae@drive-px2", latency_s=0.004, power_w=4.0)
 
 
+#: Highest ``max_deadline_periods`` the offload strategy accepts: the batch
+#: engine tracks each ``(episode, model)``'s pending offload arrivals as an
+#: int64 bitmask with one bit per base period of the deadline.
+MAX_OFFLOAD_DEADLINE_PERIODS = 60
+
+
 @dataclass(frozen=True)
 class SEOConfig:
     """Configuration of one SEO experiment.
@@ -80,7 +86,8 @@ class SEOConfig:
             accounting of Fig. 5; Table III uses real sensor specs).
         payload_bytes: Offload payload per inference.
         channel_scale_mbps: Rayleigh scale of the Wi-Fi effective data rate.
-        max_deadline_periods: Saturation value of ``delta_max``.
+        max_deadline_periods: Saturation value of ``delta_max``: at least 1,
+            and at most :data:`MAX_OFFLOAD_DEADLINE_PERIODS` with offload.
         safety_aware: When False the deadline provider always reports the
             maximum deadline, i.e. optimizations are applied regardless of
             the perceived risk (the safety-oblivious ablation baseline).
@@ -127,6 +134,20 @@ class SEOConfig:
             raise ValueError(f"unknown optimization: {self.optimization!r}")
         if self.controller not in {"heuristic", "pure_pursuit"}:
             raise ValueError(f"unknown controller: {self.controller!r}")
+        if self.max_deadline_periods < 1:
+            raise ValueError(
+                "max_deadline_periods must be at least 1, got "
+                f"{self.max_deadline_periods}"
+            )
+        if (
+            self.optimization == "offload"
+            and self.max_deadline_periods > MAX_OFFLOAD_DEADLINE_PERIODS
+        ):
+            raise ValueError(
+                "max_deadline_periods must be at most "
+                f"{MAX_OFFLOAD_DEADLINE_PERIODS} with optimization='offload', "
+                f"got {self.max_deadline_periods}"
+            )
 
     def detector_name(self, multiple: int) -> str:
         """Canonical name of the detector running at ``multiple * tau``."""

@@ -18,8 +18,7 @@ from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.core.framework import EpisodeReport, SEOConfig
 from repro.platform.presets import ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
-from repro.runtime.executor import EXECUTOR_BACKENDS
-from repro.runtime.sweep import SweepRunner, sweep_jobs
+from repro.runtime.sweep import SweepRunner, check_backend, sweep_jobs
 from repro.sim.scenario import ScenarioConfig
 
 #: Number of obstacles in the "default" evaluation scenario used by Fig. 5 /
@@ -42,9 +41,11 @@ class ExperimentSettings:
         target_speed_mps: Controller cruise speed.
         jobs: Workers episodes are spread over (1 = in-process serial
             execution, 0 = all CPU cores; results are identical either way).
-        backend: Worker-pool backend: ``"process"``, ``"thread"``,
-            ``"async"``, ``"socket"`` or ``"batch"`` (in-process numpy
-            lockstep over each unit's episodes; ``jobs`` is ignored).
+        backend: Worker-pool backend: ``"process"``, ``"socket"`` or
+            ``"batch"`` (in-process numpy lockstep over each unit's
+            episodes; ``jobs`` is ignored).  Checked by
+            :func:`repro.runtime.sweep.check_backend`, the same rule the
+            :class:`~repro.runtime.sweep.SweepRunner` applies.
         workers: Remote worker addresses (``"host:port"`` strings), required
             by — and only valid with — the ``"socket"`` backend.
         runner: Optional shared :class:`~repro.runtime.sweep.SweepRunner`.
@@ -69,19 +70,7 @@ class ExperimentSettings:
             raise ValueError("max_steps must be positive")
         if self.jobs < 0:
             raise ValueError("jobs must be non-negative (0 = use all CPU cores)")
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown backend: {self.backend!r} (choose from {EXECUTOR_BACKENDS})"
-            )
-        if self.backend == "socket" and not self.workers:
-            raise ValueError(
-                "the socket backend requires worker addresses "
-                '(workers=("host:port", ...))'
-            )
-        if self.workers and self.backend != "socket":
-            raise ValueError(
-                "worker addresses are only valid with the socket backend"
-            )
+        check_backend(self.backend, self.workers)
 
 
 def default_detector_sensor(optimization: str) -> SensorPowerSpec:

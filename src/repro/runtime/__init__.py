@@ -5,10 +5,8 @@ experiment drivers:
 
 * :mod:`repro.runtime.executor` — :class:`EpisodeExecutor` strategies.
   :class:`SerialExecutor` preserves the original in-process loop;
-  :class:`ParallelExecutor` (process pool), :class:`ThreadExecutor`
-  (thread pool) and :class:`repro.runtime.remote.AsyncExecutor` (persistent
-  remote-worker subprocesses) fan episodes out and return bit-identical
-  reports in episode order.
+  :class:`ParallelExecutor` fans episodes out over a process pool and
+  returns bit-identical reports in episode order.
 * :mod:`repro.runtime.batch` — :class:`BatchExecutor`, the structure-of-
   arrays engine: all episodes of a unit step in numpy lockstep in one
   process, early-terminated episodes masked out, reports bit-identical to
@@ -17,20 +15,21 @@ experiment drivers:
   content-addressed ``(config, episode-range)`` description of sweep work
   that the distributed layer is keyed on.
 * :mod:`repro.runtime.sweep` — :class:`SweepRunner`, the batched
-  multi-config sweep engine: all episodes of all units of a batch share one
-  worker pool, and one runner (hence at most one pool) can serve every
-  batch of a CLI invocation.  With a ledger/shard attached it resumes and
-  partitions sweeps.
+  multi-config sweep engine and the one place a backend name
+  (:data:`EXECUTOR_BACKENDS`: ``process``, ``socket``, ``batch``) becomes a
+  pool: all episodes of all units of a batch share one worker pool, and one
+  runner (hence at most one pool) can serve every batch of a CLI
+  invocation.  With a ledger/shard attached it resumes and partitions
+  sweeps.
 * :mod:`repro.runtime.ledger` — :class:`RunLedger`, the append-only on-disk
   record of completed units (JSONL index + ``.npz`` report blobs) behind
   ``--resume`` and ``repro.cli merge``.
 * :mod:`repro.runtime.shard` — :class:`ShardSpec`/:class:`ShardManifest`,
   the deterministic hash partition behind ``--shard i/N`` and the merge
   validation.
-* :mod:`repro.runtime.remote` — the ``"async"`` and ``"socket"`` backends:
-  one transport-agnostic asyncio dispatcher feeding persistent workers over
-  a length-prefixed JSON protocol, either worker subprocesses (pipes) or
-  ``repro.cli worker --listen`` processes on other machines (TCP).
+* :mod:`repro.runtime.remote` — the ``"socket"`` backend: an asyncio
+  dispatcher feeding ``repro.cli worker --listen`` processes on other
+  machines over a length-prefixed JSON protocol on TCP.
 * :mod:`repro.runtime.cache` — :class:`LookupTableCache`, memoizing
   :meth:`repro.core.lookup.DeadlineLookupTable.build` per process and
   optionally persisting tables to ``.npz`` files, so parameter sweeps
@@ -48,17 +47,15 @@ from repro.runtime.cache import (
     set_default_cache,
 )
 from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
     EpisodeExecutor,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    make_executor,
     resolve_jobs,
 )
 from repro.runtime.ledger import LedgerSchemaError, RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.sweep import (
+    EXECUTOR_BACKENDS,
     SweepIncomplete,
     SweepJob,
     SweepRunner,
@@ -69,14 +66,11 @@ from repro.runtime.sweep import (
 from repro.runtime.workunit import WorkUnit
 
 #: Names served lazily from :mod:`repro.runtime.remote`.  Importing remote
-#: here eagerly would make ``python -m repro.runtime.remote`` (the pipe
-#: worker entry point) warn about the module being imported twice.
+#: here eagerly would put asyncio on the import path of every run, remote
+#: or not, and raise the set-up cost of building a framework.
 _REMOTE_EXPORTS = frozenset(
     {
-        "AsyncExecutor",
-        "AsyncWorkerPool",
         "RemoteWorkerError",
-        "SocketExecutor",
         "SocketWorkerPool",
         "WorkerServer",
         "parse_worker_address",
@@ -95,8 +89,6 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "AsyncExecutor",
-    "AsyncWorkerPool",
     "BatchExecutor",
     "EpisodeExecutor",
     "LedgerSchemaError",
@@ -107,17 +99,14 @@ __all__ = [
     "SerialExecutor",
     "ShardManifest",
     "ShardSpec",
-    "SocketExecutor",
     "SocketWorkerPool",
     "SweepIncomplete",
     "SweepJob",
     "SweepRunner",
-    "ThreadExecutor",
     "WorkUnit",
     "WorkerServer",
     "cache_key",
     "default_cache",
-    "make_executor",
     "parse_worker_address",
     "pool_constructions",
     "reset_pool_constructions",

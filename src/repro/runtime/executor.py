@@ -1,4 +1,4 @@
-"""Episode execution engines: serial, process-parallel and thread-parallel.
+"""Episode execution engines: serial and process-parallel.
 
 Every figure/table of the paper is regenerated by running ``N`` independent
 episodes of an :class:`repro.core.framework.SEOFramework`.  Episodes are
@@ -13,27 +13,20 @@ pickled :class:`~repro.core.framework.SEOConfig` plus an episode index,
 rebuilds the framework once per worker (memoized on the config), and streams
 back :class:`~repro.core.framework.EpisodeReport` objects which are then
 reordered by episode index — the returned list is bit-identical to the
-serial path.  :class:`ThreadExecutor` is the same fan-out over a
-:class:`concurrent.futures.ThreadPoolExecutor` (one framework per thread):
-on GIL builds it mostly overlaps the numpy-released sections, on
-free-threaded builds it parallelizes fully, and either way it avoids the
-process spawn and pickling cost.
+serial path.
 
 Multi-config sweeps that want to share one pool across many
 ``(config, episodes)`` batches should use
-:class:`repro.runtime.sweep.SweepRunner` instead of creating executors per
-config.
+:class:`repro.runtime.sweep.SweepRunner`, the one place that turns a
+backend name into a pool.
 """
 
 from __future__ import annotations
 
 import abc
 import os
-import threading
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from collections.abc import Sequence
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
@@ -42,19 +35,8 @@ __all__ = [
     "EpisodeExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "ThreadExecutor",
-    "EXECUTOR_BACKENDS",
-    "make_executor",
     "resolve_jobs",
 ]
-
-#: Names accepted by :func:`make_executor` (and the CLI ``--backend`` flag).
-#: ``"async"`` dispatches to persistent remote-worker subprocesses over
-#: length-prefixed JSON/stdio; ``"socket"`` drives the same protocol over
-#: TCP to workers on other machines (see :mod:`repro.runtime.remote`);
-#: ``"batch"`` steps all episodes of a unit in numpy lockstep in-process
-#: (see :mod:`repro.runtime.batch`).
-EXECUTOR_BACKENDS = ("process", "thread", "async", "socket", "batch")
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -160,111 +142,3 @@ class ParallelExecutor(EpisodeExecutor):
                 for episode in range(episodes)
             ]
             return [future.result() for future in futures]
-
-
-# ----------------------------------------------------------------------
-# Thread-pool backend
-# ----------------------------------------------------------------------
-
-#: Per-thread framework memo (threads must not share a framework: episode
-#: execution mutates detector state, so each thread keeps its own).
-_THREAD_STATE = threading.local()
-
-
-def _run_episode_task_threaded(config: SEOConfig, episode: int) -> EpisodeReport:
-    """Thread-safe worker entry point: one memoized framework per thread."""
-    memo = getattr(_THREAD_STATE, "memo", None)
-    if memo is None or memo[0] != config:
-        memo = (config, SEOFramework(config))
-        _THREAD_STATE.memo = memo
-    return memo[1].run_episode(episode)
-
-
-class ThreadExecutor(EpisodeExecutor):
-    """Run episodes on a thread pool, preserving serial results exactly.
-
-    Episodes are deterministic functions of ``(config, episode index)``, so
-    thread scheduling cannot change the reports.  Each thread builds (and
-    memoizes) its own framework — sharing one across threads would race on
-    detector state.  Threads share the parent's lookup-table cache, whose
-    internal lock makes concurrent table builds safe.
-
-    Args:
-        jobs: Number of worker threads; ``jobs <= 0`` selects
-            ``os.cpu_count()``; ``jobs == 1`` degrades to the serial path.
-    """
-
-    def __init__(self, jobs: int = 0) -> None:
-        self.jobs = resolve_jobs(jobs)
-
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
-        workers = min(self.jobs, episodes)
-        if workers <= 1:
-            return SerialExecutor().run(config, episodes)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_episode_task_threaded, config, episode)
-                for episode in range(episodes)
-            ]
-            return [future.result() for future in futures]
-
-
-def make_executor(
-    jobs: int = 1,
-    backend: str = "process",
-    workers: Sequence[str] | None = None,
-) -> EpisodeExecutor:
-    """Executor for the requested parallelism and backend.
-
-    ``jobs == 1`` always returns the serial executor; otherwise ``backend``
-    selects the process pool (default) or the thread pool (useful on
-    free-threaded builds, where it avoids process spawn and pickling).
-    ``jobs <= 0`` means "use all CPU cores".
-
-    The ``"socket"`` backend ignores ``jobs`` entirely: parallelism is the
-    number of ``workers`` addresses (``"host:port"`` strings, one per
-    remote worker started with ``repro.cli worker --listen``), and even a
-    single address means "run it over there", never the serial path.
-
-    The ``"batch"`` backend also ignores ``jobs``: it runs in-process and
-    gets its throughput from stepping all episodes of a call in numpy
-    lockstep rather than from worker parallelism.
-    """
-    if backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"unknown executor backend: {backend!r} (choose from {EXECUTOR_BACKENDS})"
-        )
-    if backend == "socket":
-        # Imported lazily: repro.runtime.remote imports this module.
-        from repro.runtime.remote import SocketExecutor
-
-        if not workers:
-            raise ValueError(
-                "the socket backend requires worker addresses "
-                '(workers=["host:port", ...])'
-            )
-        return SocketExecutor(workers)
-    if workers:
-        raise ValueError("worker addresses are only valid with the socket backend")
-    if backend == "batch":
-        # Imported lazily: repro.runtime.batch imports this module.
-        from repro.runtime.batch import BatchExecutor
-
-        if jobs != 1:
-            warnings.warn(
-                "the batch backend runs in-process and ignores jobs="
-                f"{jobs}; its throughput comes from numpy lockstep, not "
-                "worker parallelism",
-                stacklevel=2,
-            )
-        return BatchExecutor()
-    if jobs == 1:
-        return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(jobs=jobs)
-    if backend == "async":
-        from repro.runtime.remote import AsyncExecutor
-
-        return AsyncExecutor(jobs=jobs)
-    return ParallelExecutor(jobs=jobs)

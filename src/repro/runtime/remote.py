@@ -1,4 +1,4 @@
-"""Remote worker protocol: one dispatcher, two transports (pipe and socket).
+"""Remote worker protocol: episodes dispatched to persistent workers over TCP.
 
 Episodes are bit-deterministic functions of ``(config, episode)``, so any
 worker anywhere can run any episode and return the exact reports the serial
@@ -21,23 +21,17 @@ length followed by a UTF-8 JSON object:
 Configs travel in the canonical serialized form of
 :mod:`repro.runtime.workunit` and reports in the JSON form of
 :mod:`repro.runtime.ledger`, so nothing on the wire depends on pickling.
-The protocol is transport-agnostic, and both transports speak it verbatim:
-
-* **pipe** — the ``"async"`` backend: worker subprocesses
-  (``python -m repro.runtime.remote``) driven over stdin/stdout
-  (:class:`AsyncWorkerPool`).
-* **socket** — the ``"socket"`` backend: workers started on any machine
-  with ``python -m repro.cli worker --listen HOST:PORT``
-  (:func:`serve_worker`), driven over TCP (:class:`SocketWorkerPool`).
-
-Both pools share one dispatcher (:class:`_WorkerDispatcher`): a private
-asyncio loop on a daemon thread, a free-worker queue balancing load, and a
-``concurrent.futures``-compatible surface (``submit`` returning a future,
-``shutdown``), so :class:`repro.runtime.sweep.SweepRunner` can treat either
-like any other pool.  A worker that dies mid-exchange is retired and
-replaced (bounded respawn/reconnect budget per slot); its in-flight episode
-is re-dispatched to a healthy worker.  When every worker is gone the pool
-fails fast with a :class:`RemoteWorkerError` — submitted futures never hang.
+Workers are started on any machine with
+``python -m repro.cli worker --listen HOST:PORT`` (:func:`serve_worker`)
+and driven over TCP by the ``"socket"`` backend's dispatcher
+(:class:`SocketWorkerPool`): a private asyncio loop on a daemon thread, a
+free-worker queue balancing load, and a ``concurrent.futures``-compatible
+surface (``submit`` returning a future, ``shutdown``), so
+:class:`repro.runtime.sweep.SweepRunner` can treat it like any other pool.
+A worker that dies mid-exchange is retired and its address reconnected
+(bounded budget per slot); its in-flight episode is re-dispatched to a
+healthy worker.  When every worker is gone the pool fails fast with a
+:class:`RemoteWorkerError` — submitted futures never hang.
 """
 
 from __future__ import annotations
@@ -45,19 +39,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
 import struct
-import sys
 import threading
 import traceback
 from concurrent.futures import Future
 from pathlib import Path
 from collections.abc import Callable, Sequence
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
-from repro.runtime.executor import EpisodeExecutor, SerialExecutor, resolve_jobs
 from repro.runtime.ledger import report_from_jsonable, report_to_jsonable
 from repro.runtime.workunit import (
     WORKUNIT_SCHEMA_VERSION,
@@ -67,22 +58,16 @@ from repro.runtime.workunit import (
 )
 
 __all__ = [
-    "AsyncExecutor",
-    "AsyncWorkerPool",
     "HANDSHAKE_TIMEOUT_S",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "RemoteWorkerError",
-    "SocketExecutor",
     "SocketWorkerPool",
     "WorkerServer",
     "WorkerSession",
     "parse_worker_address",
-    "read_frame",
     "read_frame_async",
     "serve_worker",
-    "worker_main",
-    "write_frame",
     "write_frame_async",
 ]
 
@@ -114,47 +99,8 @@ class RemoteWorkerError(RuntimeError):
     frame, or a handshake/version mismatch (the message says which)."""
 
 
-def _check_frame_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise RemoteWorkerError(
-            f"frame header announces {length} bytes, over the "
-            f"{MAX_FRAME_BYTES}-byte cap — corrupt header or incompatible peer"
-        )
-
-
 # ----------------------------------------------------------------------
-# Framing (sync side: used by the stdio worker)
-# ----------------------------------------------------------------------
-
-def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:
-    """Write one length-prefixed JSON frame and flush."""
-    data = json.dumps(payload).encode("utf-8")
-    stream.write(_HEADER.pack(len(data)) + data)
-    stream.flush()
-
-
-def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary."""
-    header = stream.read(_HEADER.size)
-    if not header:
-        return None
-    if len(header) < _HEADER.size:
-        raise EOFError("truncated frame header")
-    (length,) = _HEADER.unpack(header)
-    _check_frame_length(length)
-    chunks = []
-    remaining = length
-    while remaining:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise EOFError("truncated frame payload")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return json.loads(b"".join(chunks).decode("utf-8"))
-
-
-# ----------------------------------------------------------------------
-# Framing (async side: dispatcher transports and the socket server)
+# Framing
 # ----------------------------------------------------------------------
 
 async def write_frame_async(writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
@@ -173,7 +119,11 @@ async def read_frame_async(reader: asyncio.StreamReader) -> dict[str, Any] | Non
             return None
         raise RemoteWorkerError("truncated frame header") from error
     (length,) = _HEADER.unpack(header)
-    _check_frame_length(length)
+    if length > MAX_FRAME_BYTES:
+        raise RemoteWorkerError(
+            f"frame header announces {length} bytes, over the "
+            f"{MAX_FRAME_BYTES}-byte cap — corrupt header or incompatible peer"
+        )
     try:
         data = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
@@ -197,15 +147,15 @@ def parse_worker_address(text: str) -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Worker side: one protocol handler, two front-ends (stdio and socket)
+# Worker side
 # ----------------------------------------------------------------------
 
 class WorkerSession:
     """Protocol state of one worker connection.
 
     One framework is memoized per config (keyed by canonical form), matching
-    the process-pool worker's behaviour.  The session is transport-blind:
-    the stdio loop and the socket server both feed it decoded frames.
+    the process-pool worker's behaviour.  The session never touches the
+    connection: the socket server feeds it decoded frames.
     """
 
     def __init__(self) -> None:
@@ -239,30 +189,6 @@ class WorkerSession:
             raise ValueError(f"unknown op: {op!r}")
         except Exception:
             return {"ok": False, "error": traceback.format_exc()}
-
-
-def worker_main(
-    stdin: BinaryIO | None = None, stdout: BinaryIO | None = None
-) -> None:
-    """Serve episode requests over stdio until shutdown/EOF."""
-    if stdin is None:
-        stdin = sys.stdin.buffer
-    if stdout is None:
-        stdout = sys.stdout.buffer
-        # Frames own the real stdout; reroute accidental prints (user
-        # configs, warnings rendered by print) to stderr so they cannot
-        # corrupt a frame.  Only done in real subprocess mode — tests drive
-        # worker_main in-process with explicit streams.
-        sys.stdout = sys.stderr
-    session = WorkerSession()
-    while True:
-        request = read_frame(stdin)
-        if request is None:
-            return
-        reply = session.handle(request)
-        if reply is None:
-            return
-        write_frame(stdout, reply)
 
 
 async def _serve_connection(
@@ -382,15 +308,15 @@ class WorkerServer:
 
 
 # ----------------------------------------------------------------------
-# Dispatcher side: transports
+# Dispatcher side
 # ----------------------------------------------------------------------
 
-class _StreamTransport:
-    """Frame I/O over one asyncio reader/writer pair.
+class _SocketTransport:
+    """Frame I/O over one TCP connection to a worker.
 
-    Normalizes every transport failure (dead pipe, reset connection,
-    truncated frame, oversized header) into :class:`RemoteWorkerError`, so
-    the dispatcher has exactly one "this worker is gone" signal.
+    Normalizes every transport failure (reset connection, truncated frame,
+    oversized header, undecodable payload) into :class:`RemoteWorkerError`,
+    so the dispatcher has exactly one "this worker is gone" signal.
     """
 
     def __init__(
@@ -421,9 +347,9 @@ class _StreamTransport:
         except ValueError as error:
             # json.JSONDecodeError / UnicodeDecodeError: the peer is not
             # speaking our protocol (corruption, or a wrong service on the
-            # port).  Framing is unrecoverable — same signal as a dead pipe,
-            # so the dispatcher retires the worker instead of leaking its
-            # slot.
+            # port).  Framing is unrecoverable — same signal as a dead
+            # connection, so the dispatcher retires the worker instead of
+            # leaking its slot.
             raise RemoteWorkerError(
                 f"{self.description} sent an undecodable frame: {error}"
             ) from error
@@ -433,37 +359,7 @@ class _StreamTransport:
             )
         return frame
 
-    async def close(self, kill: bool = False, timeout: float = 5.0) -> None:
-        raise NotImplementedError
-
-
-class _PipeTransport(_StreamTransport):
-    """A worker subprocess driven over its stdin/stdout pipes."""
-
-    def __init__(self, proc: asyncio.subprocess.Process) -> None:
-        super().__init__(
-            proc.stdout, proc.stdin, f"worker subprocess (pid {proc.pid})"
-        )
-        self.proc = proc
-
-    async def close(self, kill: bool = False, timeout: float = 5.0) -> None:
-        with contextlib.suppress(Exception):
-            self.writer.close()
-        if kill:
-            with contextlib.suppress(ProcessLookupError):
-                self.proc.kill()
-        try:
-            await asyncio.wait_for(self.proc.wait(), timeout=timeout)
-        except asyncio.TimeoutError:
-            with contextlib.suppress(ProcessLookupError):
-                self.proc.kill()
-            await self.proc.wait()
-
-
-class _SocketTransport(_StreamTransport):
-    """A remote worker driven over a TCP connection."""
-
-    async def close(self, kill: bool = False, timeout: float = 5.0) -> None:
+    async def close(self, timeout: float = 5.0) -> None:
         with contextlib.suppress(Exception):
             self.writer.close()
             await asyncio.wait_for(self.writer.wait_closed(), timeout=timeout)
@@ -486,68 +382,61 @@ def _validate_handshake(reply: dict[str, Any], description: str) -> None:
         )
 
 
-def _worker_env() -> dict[str, str]:
-    """Subprocess environment with the repro package importable."""
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    return env
-
-
-# ----------------------------------------------------------------------
-# Dispatcher
-# ----------------------------------------------------------------------
-
 #: Idle-queue sentinel: the pool is dead; wake every parked waiter.
 _POOL_FAILED = object()
 
 
-class _WorkerDispatcher:
-    """Transport-agnostic asyncio dispatcher feeding persistent workers.
+class SocketWorkerPool:
+    """Asyncio dispatcher feeding remote workers reached by TCP.
 
-    Workers occupy numbered *slots*.  Slots are connected lazily on the
-    first submission; a free-slot queue balances load; ``submit`` returns a
+    Backs the ``"socket"`` sweep backend: one *slot* per ``HOST:PORT``
+    address, served by ``python -m repro.cli worker --listen`` on that
+    machine.  Slots are connected lazily on the first submission; a
+    free-slot queue balances load; ``submit`` returns a
     :class:`concurrent.futures.Future`, so callers collect results exactly
-    as they would from a stdlib executor.  Subclasses define how a slot's
-    transport is (re)established (:meth:`_connect`).
+    as they would from a stdlib executor.
 
-    Fault tolerance: a worker that fails mid-exchange is retired and its
-    slot re-established at most ``max_respawns`` times; the interrupted
-    episode is re-dispatched to whichever worker frees up next (episodes
-    are deterministic and side-effect free, so re-running one is always
-    safe).  When the last worker dies the pool fails fast: every parked and
-    future submission raises :class:`RemoteWorkerError` instead of hanging
-    on an idle queue nobody will ever refill.
+    Fault tolerance: a slot whose connection fails mid-exchange is retired
+    and re-established by reconnecting to the *same* address (the worker
+    process may have merely restarted) at most ``max_respawns`` times; the
+    interrupted episode is re-dispatched to whichever worker frees up next
+    (episodes are deterministic and side-effect free, so re-running one is
+    always safe).  A slot whose budget is exhausted is dropped and the
+    sweep continues on the remaining workers.  When the last worker dies
+    the pool fails fast: every parked and future submission raises
+    :class:`RemoteWorkerError` instead of hanging on an idle queue nobody
+    will ever refill.
 
     Args:
-        slots: Number of worker slots.
-        cache_dir: Lookup-cache directory propagated to every worker.
-        max_respawns: Re-establish attempts per slot before it is retired
-            for good.
+        workers: Worker addresses (``"host:port"`` strings).
+        cache_dir: Lookup-cache directory propagated to every worker (only
+            meaningful when workers share the dispatcher's filesystem).
+        max_respawns: Reconnect attempts per address before retiring it.
     """
 
     def __init__(
-        self, slots: int, cache_dir: Path | None = None, max_respawns: int = 1
+        self,
+        workers: Sequence[str],
+        cache_dir: Path | None = None,
+        max_respawns: int = 1,
     ) -> None:
-        if slots < 1:
-            raise ValueError("workers must be at least 1")
+        addresses = tuple(workers)
+        if not addresses:
+            raise ValueError("socket pool needs at least one worker address")
         if max_respawns < 0:
             raise ValueError("max_respawns must be non-negative")
-        self.slots = slots
+        self.addresses = tuple(parse_worker_address(entry) for entry in addresses)
+        self.workers = len(addresses)
         self.cache_dir = cache_dir
         self.max_respawns = max_respawns
         self.respawns = 0
         self.lost_slots = 0
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="seo-async-dispatch", daemon=True
+            target=self._loop.run_forever, name="seo-socket-dispatch", daemon=True
         )
         self._thread.start()
-        self._transports: dict[int, _StreamTransport] = {}
+        self._transports: dict[int, _SocketTransport] = {}
         self._respawns_left: dict[int, int] = {}
         self._pending: set = set()
         self._idle: asyncio.Queue | None = None
@@ -555,11 +444,20 @@ class _WorkerDispatcher:
         self._fatal: RemoteWorkerError | None = None
         self._closed = False
 
-    # -- transport establishment (subclass responsibility) --------------
-    async def _connect(self, slot: int) -> _StreamTransport:
-        raise NotImplementedError
+    # -- connection establishment ---------------------------------------
+    async def _connect(self, slot: int) -> _SocketTransport:
+        host, port = self.addresses[slot]
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_FRAME_BYTES
+            )
+        except OSError as error:
+            raise RemoteWorkerError(
+                f"cannot connect to worker {host}:{port}: {error}"
+            ) from error
+        return _SocketTransport(reader, writer, f"socket worker {host}:{port}")
 
-    async def _handshake(self, transport: _StreamTransport) -> None:
+    async def _handshake(self, transport: _SocketTransport) -> None:
         await transport.send(
             {
                 "op": "hello",
@@ -581,7 +479,7 @@ class _WorkerDispatcher:
                 f"{reply.get('error')}"
             )
 
-    async def _start_worker(self, slot: int) -> _StreamTransport:
+    async def _start_worker(self, slot: int) -> _SocketTransport:
         """Connect a slot and run the handshake + init sequence."""
         transport = await self._connect(slot)
         try:
@@ -589,13 +487,13 @@ class _WorkerDispatcher:
                 self._handshake(transport), timeout=HANDSHAKE_TIMEOUT_S
             )
         except asyncio.TimeoutError:
-            await transport.close(kill=True, timeout=1.0)
+            await transport.close(timeout=1.0)
             raise RemoteWorkerError(
                 f"{transport.description} accepted the connection but did "
                 f"not complete the handshake within {HANDSHAKE_TIMEOUT_S}s"
             ) from None
         except BaseException:
-            await transport.close(kill=True, timeout=1.0)
+            await transport.close(timeout=1.0)
             raise
         self._transports[slot] = transport
         return transport
@@ -608,7 +506,7 @@ class _WorkerDispatcher:
             if self._idle is not None:
                 return
             idle: asyncio.Queue = asyncio.Queue()
-            for slot in range(self.slots):
+            for slot in range(self.workers):
                 self._respawns_left.setdefault(slot, self.max_respawns)
                 # A retried startup (first attempt failed partway) reuses
                 # slots that already connected instead of leaking them.
@@ -630,11 +528,11 @@ class _WorkerDispatcher:
             return slot
 
     async def _retire(
-        self, slot: int, transport: _StreamTransport, error: Exception
+        self, slot: int, transport: _SocketTransport, error: Exception
     ) -> None:
-        """Drop a dead worker; respawn its slot or declare the pool dead."""
+        """Drop a dead worker; reconnect its slot or declare the pool dead."""
         self._transports.pop(slot, None)
-        await transport.close(kill=True, timeout=1.0)
+        await transport.close(timeout=1.0)
         while self._respawns_left.get(slot, 0) > 0:
             self._respawns_left[slot] -= 1
             try:
@@ -651,7 +549,7 @@ class _WorkerDispatcher:
             # means capacity is zero forever.  Fail every parked waiter now
             # rather than letting the sweep hang on the idle queue.
             self._fatal = RemoteWorkerError(
-                f"all {self.slots} remote worker slot(s) are dead "
+                f"all {self.workers} remote worker slot(s) are dead "
                 f"(respawn budget {self.max_respawns}/slot exhausted); "
                 f"last failure on {transport.description}: {error}"
             )
@@ -731,152 +629,3 @@ class _WorkerDispatcher:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()
-
-
-class AsyncWorkerPool(_WorkerDispatcher):
-    """Dispatcher over persistent worker *subprocesses* (pipe transport).
-
-    Backs the ``"async"`` executor/sweep backend.  A slot's worker is
-    respawned as a fresh subprocess when it dies.
-
-    Args:
-        workers: Number of worker subprocesses.
-        cache_dir: Lookup-cache directory propagated to every worker.
-        max_respawns: Respawn attempts per slot before giving up on it.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        cache_dir: Path | None = None,
-        max_respawns: int = 1,
-    ) -> None:
-        super().__init__(
-            slots=workers, cache_dir=cache_dir, max_respawns=max_respawns
-        )
-        self.workers = workers
-
-    async def _connect(self, slot: int) -> _StreamTransport:
-        try:
-            proc = await asyncio.create_subprocess_exec(
-                sys.executable,
-                "-m",
-                "repro.runtime.remote",
-                stdin=asyncio.subprocess.PIPE,
-                stdout=asyncio.subprocess.PIPE,
-                limit=MAX_FRAME_BYTES,
-                env=_worker_env(),
-            )
-        except OSError as error:
-            raise RemoteWorkerError(
-                f"cannot spawn worker subprocess: {error}"
-            ) from error
-        return _PipeTransport(proc)
-
-
-class SocketWorkerPool(_WorkerDispatcher):
-    """Dispatcher over remote workers reached by TCP (socket transport).
-
-    Backs the ``"socket"`` executor/sweep backend: one slot per
-    ``HOST:PORT`` address, served by ``python -m repro.cli worker --listen``
-    on that machine.  A slot whose connection dies is re-established by
-    reconnecting to the *same* address (the worker process may have merely
-    restarted); when the reconnect budget is exhausted the slot is retired
-    and the sweep continues on the remaining workers.
-
-    Args:
-        workers: Worker addresses (``"host:port"`` strings).
-        cache_dir: Lookup-cache directory propagated to every worker (only
-            meaningful when workers share the dispatcher's filesystem).
-        max_respawns: Reconnect attempts per address before retiring it.
-    """
-
-    def __init__(
-        self,
-        workers: Sequence[str],
-        cache_dir: Path | None = None,
-        max_respawns: int = 1,
-    ) -> None:
-        addresses = tuple(workers)
-        if not addresses:
-            raise ValueError("socket pool needs at least one worker address")
-        self.addresses = tuple(parse_worker_address(entry) for entry in addresses)
-        super().__init__(
-            slots=len(addresses), cache_dir=cache_dir, max_respawns=max_respawns
-        )
-        self.workers = len(addresses)
-
-    async def _connect(self, slot: int) -> _StreamTransport:
-        host, port = self.addresses[slot]
-        try:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=MAX_FRAME_BYTES
-            )
-        except OSError as error:
-            raise RemoteWorkerError(
-                f"cannot connect to worker {host}:{port}: {error}"
-            ) from error
-        return _SocketTransport(reader, writer, f"socket worker {host}:{port}")
-
-
-# ----------------------------------------------------------------------
-# Single-config executors over the dispatchers
-# ----------------------------------------------------------------------
-
-class AsyncExecutor(EpisodeExecutor):
-    """Single-config executor over an :class:`AsyncWorkerPool`.
-
-    Registered as the ``"async"`` entry of
-    :data:`repro.runtime.executor.EXECUTOR_BACKENDS`; multi-config sweeps
-    share one pool through :class:`repro.runtime.sweep.SweepRunner` instead.
-
-    Args:
-        jobs: Number of worker subprocesses; ``jobs <= 0`` selects
-            ``os.cpu_count()``; ``jobs == 1`` degrades to the serial path.
-    """
-
-    def __init__(self, jobs: int = 0) -> None:
-        self.jobs = resolve_jobs(jobs)
-
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
-        workers = min(self.jobs, episodes)
-        if workers <= 1:
-            return SerialExecutor().run(config, episodes)
-        pool = AsyncWorkerPool(workers, cache_dir=default_cache().cache_dir)
-        try:
-            futures = [pool.submit(config, episode) for episode in range(episodes)]
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown()
-
-
-class SocketExecutor(EpisodeExecutor):
-    """Single-config executor over a :class:`SocketWorkerPool`.
-
-    Registered as the ``"socket"`` entry of
-    :data:`repro.runtime.executor.EXECUTOR_BACKENDS`.  Unlike the local
-    backends there is no serial degradation: even a single address means
-    "run it over there".
-
-    Args:
-        workers: Worker addresses (``"host:port"`` strings).
-    """
-
-    def __init__(self, workers: Sequence[str]) -> None:
-        self.addresses = tuple(workers)
-        if not self.addresses:
-            raise ValueError("socket backend requires at least one worker address")
-
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
-        pool = SocketWorkerPool(self.addresses, cache_dir=default_cache().cache_dir)
-        try:
-            futures = [pool.submit(config, episode) for episode in range(episodes)]
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    worker_main()

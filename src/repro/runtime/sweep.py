@@ -23,13 +23,16 @@ unit runs.  The runner exploits that in three ways:
   rest raise :class:`SweepIncomplete` after the local share is done, and
   ``repro.cli merge`` later reassembles the full artifact from the shard
   ledgers.
-* **Remote dispatch** — the ``"async"`` backend feeds the same units to
-  persistent worker subprocesses over JSON/stdio
+* **Remote dispatch** — the ``"socket"`` backend feeds the same units to
+  persistent workers on other machines over a JSON/TCP protocol
   (:mod:`repro.runtime.remote`).
 
-The pool is created lazily on the first parallel batch and reused by every
-subsequent :meth:`SweepRunner.run` call, so a CLI invocation that
-regenerates every artifact constructs at most one pool.
+The runner is the one place that turns a backend name into a pool, and
+:func:`check_backend` is the one statement of which backend names and
+worker-address pairings are valid.  The pool is created lazily on the first
+parallel batch and reused by every subsequent :meth:`SweepRunner.run` call,
+so a CLI invocation that regenerates every artifact constructs at most one
+pool.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import threading
 import warnings
 from collections.abc import Callable, Hashable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
@@ -46,11 +49,9 @@ from typing import Any
 from repro.core.framework import EpisodeReport, SEOConfig
 from repro.runtime.cache import default_cache
 from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
     SerialExecutor,
     _init_worker,
     _run_episode_task,
-    _run_episode_task_threaded,
     resolve_jobs,
 )
 from repro.runtime.ledger import RunLedger
@@ -58,13 +59,45 @@ from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.workunit import WorkUnit
 
 __all__ = [
+    "EXECUTOR_BACKENDS",
     "SweepIncomplete",
     "SweepJob",
     "SweepRunner",
+    "check_backend",
     "sweep_jobs",
     "pool_constructions",
     "reset_pool_constructions",
 ]
+
+#: Backend names accepted by :class:`SweepRunner` (and the CLI ``--backend``
+#: flag): ``"process"`` fans episodes out over a local process pool;
+#: ``"socket"`` dispatches them to ``repro.cli worker --listen`` processes
+#: over TCP (see :mod:`repro.runtime.remote`); ``"batch"`` steps all episodes
+#: of a unit in numpy lockstep in-process (see :mod:`repro.runtime.batch`).
+EXECUTOR_BACKENDS = ("process", "socket", "batch")
+
+
+def check_backend(backend: str, workers: Sequence[str] | None = None) -> None:
+    """Refuse an unknown backend name or a backend/worker-address mismatch.
+
+    Worker addresses (``"host:port"`` strings) are required by, and only
+    valid with, the ``"socket"`` backend.
+    """
+    if backend not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown backend: {backend!r} (choose from {EXECUTOR_BACKENDS})"
+        )
+    if backend == "socket" and not workers:
+        raise ValueError(
+            "the socket backend requires worker addresses "
+            '(workers=["host:port", ...]; on the CLI, --workers HOST:PORT,...)'
+        )
+    if workers and backend != "socket":
+        raise ValueError(
+            "worker addresses (--workers) are only valid with the socket "
+            "backend (--backend socket)"
+        )
+
 
 #: Process-wide count of worker pools constructed by sweep runners.  Tests
 #: (and the CLI acceptance criterion "one pool per invocation") assert on
@@ -185,9 +218,9 @@ class SweepRunner:
     Args:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
             ``jobs == 1`` keeps everything serial and in-process.
-        backend: ``"process"`` (default), ``"thread"``, ``"async"``,
-            ``"socket"`` or ``"batch"`` (in-process numpy lockstep over each
-            unit's episode range; ``jobs`` is ignored).
+        backend: One of :data:`EXECUTOR_BACKENDS`: ``"process"``
+            (default), ``"socket"`` or ``"batch"`` (in-process numpy
+            lockstep over each unit's episode range; ``jobs`` is ignored).
         ledger: Optional on-disk run ledger.  Every freshly executed unit is
             recorded in it (cross-run reuse); with ``resume=True`` recorded
             units are loaded instead of executed.
@@ -216,21 +249,9 @@ class SweepRunner:
         manifest_path: Path | None = None,
         workers: Sequence[str] | None = None,
     ) -> None:
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown sweep backend: {backend!r} (choose from {EXECUTOR_BACKENDS})"
-            )
+        check_backend(backend, workers)
         if resume and ledger is None:
             raise ValueError("resume=True requires a ledger")
-        if backend == "socket" and not workers:
-            raise ValueError(
-                "the socket backend requires worker addresses "
-                '(workers=["host:port", ...])'
-            )
-        if workers and backend != "socket":
-            raise ValueError(
-                "worker addresses are only valid with the socket backend"
-            )
         if backend == "batch" and jobs != 1:
             warnings.warn(
                 "the batch backend runs in-process and ignores jobs="
@@ -287,21 +308,14 @@ class SweepRunner:
                     initializer=_init_worker,
                     initargs=(default_cache().cache_dir,),
                 )
-            elif self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            elif self.backend == "socket":
-                # Imported lazily: repro.runtime.remote imports executor/ledger.
+            else:
+                # Imported lazily: keeps asyncio off the import path of
+                # every run that never dispatches remotely.
                 from repro.runtime.remote import SocketWorkerPool
 
                 assert self.worker_addresses is not None
                 self._pool = SocketWorkerPool(
                     self.worker_addresses, cache_dir=default_cache().cache_dir
-                )
-            else:
-                from repro.runtime.remote import AsyncWorkerPool
-
-                self._pool = AsyncWorkerPool(
-                    self.workers, cache_dir=default_cache().cache_dir
                 )
             self.pools_created += 1
             _count_pool_construction()
@@ -313,11 +327,7 @@ class SweepRunner:
             return lambda config, episode: pool.submit(
                 _run_episode_task, config, episode
             )
-        if self.backend == "thread":
-            return lambda config, episode: pool.submit(
-                _run_episode_task_threaded, config, episode
-            )
-        return pool.submit  # dispatcher pools: submit(config, episode)
+        return pool.submit  # SocketWorkerPool.submit(config, episode)
 
     # ------------------------------------------------------------------
     # Execution

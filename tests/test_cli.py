@@ -22,9 +22,16 @@ class TestParser:
     def test_every_subcommand_accepts_jobs(self):
         parser = build_parser()
         for name in list(EXPERIMENTS) + ["all", "suite"]:
-            args = parser.parse_args([name, "--jobs", "4", "--backend", "thread"])
+            args = parser.parse_args([name, "--jobs", "4", "--backend", "process"])
             assert args.jobs == 4
-            assert args.backend == "thread"
+            assert args.backend == "process"
+
+    @pytest.mark.parametrize("backend", ["thread", "async"])
+    def test_retired_backends_are_invalid_choices(self, backend, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fig5", "--backend", backend])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_jobs_zero_means_auto(self):
         # Regression: ParallelExecutor documents jobs <= 0 as "use all CPU
@@ -112,26 +119,20 @@ class TestRun:
         parallel = run(["table3", "--episodes", "2", "--max-steps", "400", "--jobs", "2"])
         assert parallel == serial
 
-    def test_run_with_thread_backend_matches_serial(self):
+    def test_run_with_batch_backend_matches_serial(self):
         serial = run(["table3", "--episodes", "2", "--max-steps", "400"])
-        threaded = run(
-            [
-                "table3",
-                "--episodes", "2",
-                "--max-steps", "400",
-                "--jobs", "2",
-                "--backend", "thread",
-            ]
+        batched = run(
+            ["table3", "--episodes", "2", "--max-steps", "400", "--backend", "batch"]
         )
-        assert threaded == serial
+        assert batched == serial
 
-    def test_suite_with_thread_backend_matches_serial(self):
-        """Execution-matrix coverage: `suite` through the thread backend."""
+    def test_suite_with_batch_backend_matches_serial(self):
+        """Execution-matrix coverage: `suite` through the batch backend."""
         base = ["suite", "--episodes", "2", "--max-steps", "300",
                 "--family", "narrow-road"]
         serial = run(base)
-        threaded = run(base + ["--jobs", "2", "--backend", "thread"])
-        assert threaded == serial
+        batched = run(base + ["--backend", "batch"])
+        assert batched == serial
 
     def test_suite_with_jobs_zero_matches_serial(self):
         """Execution-matrix coverage: `suite` with --jobs 0 (all CPU cores)."""

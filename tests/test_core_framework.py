@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.framework import SEOConfig, SEOFramework
+from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -24,6 +24,21 @@ class TestSEOConfig:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             SEOConfig(tau_s=0.0)
+
+    def test_rejects_deadline_below_one_period(self):
+        # Refused at construction, before a WorkUnit can hash or ship it.
+        with pytest.raises(ValueError, match="max_deadline_periods must be at least 1"):
+            SEOConfig(max_deadline_periods=0)
+
+    def test_offload_deadline_cap(self):
+        limit = MAX_OFFLOAD_DEADLINE_PERIODS
+        assert SEOConfig(max_deadline_periods=limit).max_deadline_periods == limit
+        with pytest.raises(ValueError, match=f"max_deadline_periods must be at most {limit}"):
+            SEOConfig(optimization="offload", max_deadline_periods=limit + 1)
+        # The cap is offload's alone: the gating strategies keep no bitmask.
+        for optimization in ("model_gating", "sensor_gating", "none"):
+            config = SEOConfig(optimization=optimization, max_deadline_periods=limit + 1)
+            assert config.max_deadline_periods == limit + 1
 
     def test_detector_name_is_stable(self):
         config = SEOConfig()

@@ -2,19 +2,20 @@
 
 The acceptance bar (see ISSUE 4/5): a suite run as 3 shards + merge is
 bit-identical to the unsharded serial run; a resumed ledger reproduces the
-same reports without executing a single episode; the async and socket
-remote-worker backends have report parity with the serial/process path on
-real experiment drivers; and killing a worker mid-sweep either completes
-via respawn or fails with a clear ``RemoteWorkerError`` — never a hang.
+same reports without executing a single episode; the socket remote-worker
+backend has report parity with the serial/process path on real experiment
+drivers; and killing a worker mid-sweep either completes via reconnect or
+fails with a clear ``RemoteWorkerError`` — never a hang.
 """
 
 import asyncio
 import dataclasses
-import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,18 +33,15 @@ from repro.runtime.remote import (
     _HEADER,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    AsyncWorkerPool,
     RemoteWorkerError,
     SocketWorkerPool,
     WorkerServer,
     WorkerSession,
+    _SocketTransport,
     _validate_handshake,
-    _worker_env,
     parse_worker_address,
-    read_frame,
     read_frame_async,
-    worker_main,
-    write_frame,
+    write_frame_async,
 )
 from repro.runtime.shard import (
     ShardManifest,
@@ -331,32 +329,64 @@ class TestShardedSweep:
 # ----------------------------------------------------------------------
 # Remote worker protocol
 # ----------------------------------------------------------------------
+class _BufferWriter:
+    """The slice of ``asyncio.StreamWriter`` that ``write_frame_async`` uses."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
+def _encode_frames(*payloads):
+    """Bytes of ``payloads`` framed by ``write_frame_async``."""
+    writer = _BufferWriter()
+
+    async def scenario():
+        for payload in payloads:
+            await write_frame_async(writer, payload)
+
+    asyncio.run(scenario())
+    return writer.data
+
+
+def _decode_frames(data, count):
+    """Read ``count`` frames (``None`` at clean EOF) back out of ``data``."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return [await read_frame_async(reader) for _ in range(count)]
+
+    return asyncio.run(scenario())
+
+
 class TestRemoteProtocol:
     def test_frame_round_trip(self):
-        stream = io.BytesIO()
         payload = {"op": "run", "episode": 3, "nested": {"x": [1.5, None, "s"]}}
-        write_frame(stream, payload)
-        stream.seek(0)
-        assert read_frame(stream) == payload
-        assert read_frame(stream) is None  # clean EOF
+        # The second read hits a clean EOF at a frame boundary.
+        assert _decode_frames(_encode_frames(payload), 2) == [payload, None]
 
     def test_truncated_frame_raises(self):
-        stream = io.BytesIO()
-        write_frame(stream, {"op": "run"})
-        data = stream.getvalue()
-        with pytest.raises(EOFError):
-            read_frame(io.BytesIO(data[:-2]))
+        data = _encode_frames({"op": "run"})
+        with pytest.raises(RemoteWorkerError, match="truncated frame payload"):
+            _decode_frames(data[:-2], 1)
+        with pytest.raises(RemoteWorkerError, match="truncated frame header"):
+            _decode_frames(data[:2], 1)
 
     def _serve(self, requests):
-        stdin = io.BytesIO()
-        for request in requests:
-            write_frame(stdin, request)
-        stdin.seek(0)
-        stdout = io.BytesIO()
-        worker_main(stdin=stdin, stdout=stdout)
-        stdout.seek(0)
+        """Replies of one worker session, up to the first shutdown."""
+        session = WorkerSession()
         replies = []
-        while (reply := read_frame(stdout)) is not None:
+        for request in requests:
+            reply = session.handle(request)
+            if reply is None:
+                break
             replies.append(reply)
         return replies
 
@@ -389,38 +419,8 @@ class TestRemoteProtocol:
         assert replies[2]["ok"] is False and "unknown op" in replies[2]["error"]
 
 
-class TestAsyncBackend:
-    def test_sweep_parity_with_serial(self, fast_seo_config):
-        configs = {
-            "offload": fast_seo_config,
-            "gating": dataclasses.replace(fast_seo_config, optimization="model_gating"),
-        }
-        with SweepRunner(jobs=1) as runner:
-            serial = runner.run(sweep_jobs(configs, episodes=2))
-        with SweepRunner(jobs=2, backend="async") as runner:
-            remote = runner.run(sweep_jobs(configs, episodes=2))
-            assert runner.pools_created == 1
-        assert remote == serial
-
-    def test_make_executor_registers_async(self):
-        from repro.runtime.executor import EXECUTOR_BACKENDS, make_executor
-        from repro.runtime.remote import AsyncExecutor
-
-        assert "async" in EXECUTOR_BACKENDS
-        assert isinstance(make_executor(4, backend="async"), AsyncExecutor)
-
-    def test_submit_after_shutdown_raises(self, fast_seo_config):
-        from repro.runtime.remote import AsyncWorkerPool
-
-        pool = AsyncWorkerPool(workers=1)
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-        with pytest.raises(RuntimeError):
-            pool.submit(fast_seo_config, 0)
-
-
 # ----------------------------------------------------------------------
-# CLI acceptance: shard + merge, resume, async parity on real drivers
+# CLI acceptance: shard + merge, resume
 # ----------------------------------------------------------------------
 SUITE_ARGS = ["suite", "--family", "narrow-road", "--episodes", "2", "--max-steps", "300"]
 
@@ -498,30 +498,11 @@ class TestDistributedCli:
         with pytest.raises(SystemExit, match="missing"):
             run(["merge", *lacking, "--into", str(tmp_path / "merged")])
 
-    def test_async_backend_parity_on_two_drivers(self, tmp_path):
-        """Acceptance: async backend == serial reports on table3 and suite."""
-        cache = ["--lookup-cache", str(tmp_path / "cache")]
-        table3_args = ["table3", "--episodes", "1", "--max-steps", "300"]
-        serial_table3 = run(table3_args + cache)
-        async_table3 = run(
-            table3_args + cache + ["--jobs", "2", "--backend", "async"]
-        )
-        assert async_table3 == serial_table3
-
-        serial_suite = run(SUITE_ARGS + cache)
-        async_suite = run(SUITE_ARGS + cache + ["--jobs", "2", "--backend", "async"])
-        assert async_suite == serial_suite
-
 
 # ----------------------------------------------------------------------
-# Frame hygiene: length cap on both framing stacks
+# Frame hygiene: length cap
 # ----------------------------------------------------------------------
 class TestFrameCap:
-    def test_sync_reader_rejects_oversized_header(self):
-        stream = io.BytesIO(_HEADER.pack(MAX_FRAME_BYTES + 1) + b"x")
-        with pytest.raises(RemoteWorkerError, match="cap"):
-            read_frame(stream)
-
     def test_async_reader_rejects_oversized_header(self):
         async def scenario():
             reader = asyncio.StreamReader()
@@ -533,22 +514,21 @@ class TestFrameCap:
             asyncio.run(scenario())
 
     def test_frame_at_the_cap_boundary_is_fine(self):
-        stream = io.BytesIO()
-        write_frame(stream, {"op": "run"})
-        stream.seek(0)
-        assert read_frame(stream) == {"op": "run"}
+        """A header announcing exactly MAX_FRAME_BYTES passes the cap check
+        (the read then fails only because the payload is not there)."""
+        assert _decode_frames(_encode_frames({"op": "run"}), 1) == [{"op": "run"}]
+        with pytest.raises(RemoteWorkerError, match="truncated frame payload"):
+            _decode_frames(_HEADER.pack(MAX_FRAME_BYTES) + b"{}", 1)
 
     def test_transport_normalizes_undecodable_frames(self):
         """A non-JSON reply must surface as RemoteWorkerError, the one
         signal the dispatcher retires workers on — a raw JSONDecodeError
         would leak the slot and hang the sweep."""
-        from repro.runtime.remote import _StreamTransport
-
         async def scenario():
             reader = asyncio.StreamReader()
             reader.feed_data(_HEADER.pack(9) + b"\xfe\xfd not js")
             reader.feed_eof()
-            transport = _StreamTransport(reader, writer=None, description="peer")
+            transport = _SocketTransport(reader, writer=None, description="peer")
             await transport.recv()
 
         with pytest.raises(RemoteWorkerError, match="undecodable"):
@@ -634,38 +614,57 @@ class TestReportSchema:
 
 
 # ----------------------------------------------------------------------
-# Crash paths: killed workers respawn or fail fast — never hang
+# Crash paths: killed workers reconnect or fail fast — never hang
 # ----------------------------------------------------------------------
+def _kill_connection(pool, slot=0):
+    """Abort a slot's TCP connection from the dispatcher's side, on its loop.
+
+    The worker behind it keeps listening, exactly as when a network blip
+    or a worker restart drops one connection.
+    """
+
+    async def abort():
+        pool._transports[slot].writer.transport.abort()
+
+    asyncio.run_coroutine_threadsafe(abort(), pool._loop).result(timeout=30)
+
+
 class TestWorkerCrash:
-    def test_killed_pipe_worker_is_respawned(self, fast_seo_config):
+    def test_killed_socket_connection_is_reconnected(self, fast_seo_config):
         expected = SerialExecutor().run(fast_seo_config, 2)
-        pool = AsyncWorkerPool(1, max_respawns=1)
+        server = WorkerServer()
+        pool = SocketWorkerPool([server.address], max_respawns=1)
         try:
             first = pool.submit(fast_seo_config, 0).result(timeout=300)
-            pool._transports[0].proc.kill()
-            # The run frame for episode 1 lands on the corpse; the dispatcher
-            # must retire it, respawn the slot and re-dispatch the episode.
+            _kill_connection(pool)
+            # The run frame for episode 1 hits the dead connection; the
+            # dispatcher must retire it, reconnect the slot to the still
+            # listening worker and re-dispatch the episode.
             second = pool.submit(fast_seo_config, 1).result(timeout=300)
         finally:
             pool.shutdown()
+            server.stop()
         assert [first, second] == expected
         assert pool.respawns == 1
 
     def test_exhausted_respawn_budget_fails_fast(self, fast_seo_config):
-        pool = AsyncWorkerPool(1, max_respawns=0)
+        server = WorkerServer()
+        pool = SocketWorkerPool([server.address], max_respawns=0)
         try:
             pool.submit(fast_seo_config, 0).result(timeout=300)
-            pool._transports[0].proc.kill()
-            # Several episodes queue onto the one (dead) worker: the first
-            # retires it, and the parked ones must be woken with the same
-            # error instead of waiting forever on the idle queue.
+            _kill_connection(pool)
+            # Several episodes queue onto the one (dead) connection: the
+            # first retires it, and the parked ones must be woken with the
+            # same error instead of waiting forever on the idle queue.
             futures = [pool.submit(fast_seo_config, episode) for episode in (1, 2, 3)]
             for future in futures:
                 with pytest.raises(RemoteWorkerError, match="dead"):
                     future.result(timeout=120)
             assert pool.lost_slots == 1
+            assert pool.respawns == 0
         finally:
             pool.shutdown()
+            server.stop()
 
     def test_killed_socket_worker_shifts_load_to_survivor(self, fast_seo_config):
         expected = SerialExecutor().run(fast_seo_config, 4)
@@ -738,13 +737,17 @@ class TestWorkerCrash:
         queue used to outlive the dispatch loop, so waiting on them after
         shutdown hung forever.
         """
-        pool = AsyncWorkerPool(1)
-        futures = [pool.submit(fast_seo_config, episode) for episode in range(4)]
-        time.sleep(0.2)  # let the pool spin up and start episode 0
-        started = time.monotonic()
-        pool.shutdown(cancel_futures=True)
-        assert time.monotonic() - started < 60.0
-        assert all(future.done() for future in futures)
+        server = WorkerServer()
+        pool = SocketWorkerPool([server.address])
+        try:
+            futures = [pool.submit(fast_seo_config, episode) for episode in range(4)]
+            time.sleep(0.2)  # let the pool connect and start episode 0
+            started = time.monotonic()
+            pool.shutdown(cancel_futures=True)
+            assert time.monotonic() - started < 60.0
+            assert all(future.done() for future in futures)
+        finally:
+            server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -788,17 +791,13 @@ class TestSocketBackend:
         with pytest.raises(ValueError, match="only valid"):
             SweepRunner(jobs=2, workers=["127.0.0.1:7070"])
 
-    def test_make_executor_registers_socket(self):
-        from repro.runtime.executor import EXECUTOR_BACKENDS, make_executor
-        from repro.runtime.remote import SocketExecutor
-
-        assert "socket" in EXECUTOR_BACKENDS
-        executor = make_executor(backend="socket", workers=["127.0.0.1:7070"])
-        assert isinstance(executor, SocketExecutor)
-        with pytest.raises(ValueError):
-            make_executor(backend="socket")
-        with pytest.raises(ValueError):
-            make_executor(jobs=2, workers=["127.0.0.1:7070"])
+    def test_submit_after_shutdown_raises(self, fast_seo_config):
+        # Connections open lazily, so no worker is needed at this address.
+        pool = SocketWorkerPool(["127.0.0.1:1"])
+        pool.shutdown()
+        pool.shutdown()  # idempotent
+        with pytest.raises(RuntimeError, match="shut down"):
+            pool.submit(fast_seo_config, 0)
 
     def test_settings_validate_socket_workers(self):
         from repro.experiments.common import ExperimentSettings
@@ -828,10 +827,17 @@ class TestSocketCli:
 
     def test_worker_subcommand_end_to_end(self):
         """`repro.cli worker --listen` subprocesses serve a real sweep."""
+        import repro
+
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            entry for entry in (src_dir, env.get("PYTHONPATH")) if entry
+        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
-            env=_worker_env(),
+            env=env,
             text=True,
         )
         try:

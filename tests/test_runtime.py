@@ -7,11 +7,7 @@ import pytest
 from repro.core.framework import SEOFramework
 from repro.core.intervals import SafeIntervalEstimator
 from repro.runtime.cache import LookupTableCache, cache_key, set_default_cache
-from repro.runtime.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.runtime.executor import ParallelExecutor, SerialExecutor
 
 
 @pytest.fixture
@@ -67,10 +63,6 @@ class TestParallelExecutor:
     def test_nonpositive_jobs_uses_cpu_count(self):
         assert ParallelExecutor(jobs=0).jobs >= 1
 
-    def test_make_executor(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), ParallelExecutor)
-        assert make_executor(4).jobs == 4
 
 
 class TestLookupTableCache:
@@ -202,3 +194,39 @@ class TestLookupTableCache:
             assert default_cache() is memo
         finally:
             set_default_cache(previous)
+
+
+class TestImportPath:
+    def test_framework_build_keeps_asyncio_and_remote_unimported(self):
+        """Building a framework (and importing the runtime and CLI) from a
+        fresh interpreter loads neither asyncio nor the remote-worker module:
+        only a socket sweep pays for them."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.runtime\n"
+            "from repro.core.framework import SEOConfig, SEOFramework\n"
+            "SEOFramework(SEOConfig())\n"
+            "loaded = sorted({'asyncio', 'repro.runtime.remote'} & set(sys.modules))\n"
+            "print(','.join(loaded))\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            entry for entry in (src_dir, env.get("PYTHONPATH")) if entry
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        assert proc.stdout.strip() == ""

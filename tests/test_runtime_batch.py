@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from repro.contracts import ContractViolationError
-from repro.core.framework import SEOConfig, SEOFramework
+from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
 from repro.dynamics.state import ControlAction
 from repro.runtime.batch import BatchExecutor, run_batch
-from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
-    SerialExecutor,
-    make_executor,
-)
-from repro.runtime.sweep import SweepJob, SweepRunner
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
 from repro.sim.scenario import DEFAULT_SUITE
 
 
@@ -51,6 +47,13 @@ def test_bit_exact_per_scenario_family(family_name):
         {"safety_aware": False},
         {"use_lookup_table": False, "max_steps": 120},
         {"detector_period_multiples": (1, 2, 4)},
+        # Deadline bounds: offload at its bitmask cap, gating beyond it.
+        {"max_deadline_periods": MAX_OFFLOAD_DEADLINE_PERIODS, "max_steps": 120},
+        {
+            "optimization": "model_gating",
+            "max_deadline_periods": MAX_OFFLOAD_DEADLINE_PERIODS + 1,
+            "max_steps": 120,
+        },
     ],
 )
 def test_bit_exact_across_modes(fast_seo_config, overrides):
@@ -112,24 +115,18 @@ class TestBackendWiring:
     def test_registered_backend(self):
         assert "batch" in EXECUTOR_BACKENDS
 
-    def test_make_executor(self):
-        assert isinstance(make_executor(backend="batch"), BatchExecutor)
-        # The batch backend ignores jobs (lockstep, not worker parallelism);
-        # the expected advisory warning is asserted by test_explicit_jobs_warns.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert isinstance(make_executor(jobs=8, backend="batch"), BatchExecutor)
-
     def test_explicit_jobs_warns(self):
-        """jobs != 1 with the batch backend is accepted but flagged."""
+        """jobs != 1 (here 0, "all cores") with the batch backend is
+        accepted but flagged."""
         with pytest.warns(UserWarning, match="ignores jobs"):
-            executor = make_executor(jobs=8, backend="batch")
-        assert isinstance(executor, BatchExecutor)
+            runner = SweepRunner(jobs=0, backend="batch")
+        assert runner.backend == "batch"
+        runner.close()
 
     def test_default_jobs_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_executor(jobs=1, backend="batch")
+            SweepRunner(jobs=1, backend="batch").close()
 
     def test_sweep_runner_explicit_jobs_warns(self):
         """The CLI routes through SweepRunner, so it must warn there too."""
@@ -138,9 +135,9 @@ class TestBackendWiring:
         ):
             pass
 
-    def test_make_executor_rejects_workers(self):
-        with pytest.raises(ValueError):
-            make_executor(backend="batch", workers=["host:1"])
+    def test_sweep_runner_rejects_workers(self):
+        with pytest.raises(ValueError, match="only valid with the socket"):
+            SweepRunner(backend="batch", workers=["host:1"])
 
     def test_sweep_runner_no_pool(self, fast_seo_config):
         """A batch-backend sweep is bit-identical and never builds a pool."""

@@ -5,14 +5,13 @@ import dataclasses
 import pytest
 
 from repro.experiments.common import ExperimentSettings, run_batch
-from repro.runtime.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-    resolve_jobs,
-)
-from repro.runtime.sweep import SweepJob, SweepRunner, sweep_jobs
+from repro.runtime.executor import SerialExecutor, resolve_jobs
+from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner, sweep_jobs
+
+
+def _exploding_task(config, episode):
+    """Stand-in pool task (module level, so a process pool can pickle it)."""
+    raise RuntimeError("boom")
 
 
 def _variants(fast_seo_config):
@@ -88,13 +87,6 @@ class TestSweepRunnerParallel:
             )
             assert runner.pools_created == 1
 
-    def test_thread_backend_bit_identical(self, fast_seo_config):
-        configs = _variants(fast_seo_config)
-        with SweepRunner(jobs=2, backend="thread") as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
-        for key, config in configs.items():
-            assert batch[key] == SerialExecutor().run(config, 2)
-
     def test_run_one_convenience(self, fast_seo_config):
         with SweepRunner(jobs=2) as runner:
             reports = runner.run_one(fast_seo_config, 2)
@@ -114,13 +106,8 @@ class TestSweepRunnerParallel:
         """A raising worker task surfaces immediately and tears the pool down."""
         from repro.runtime import sweep as sweep_module
 
-        def exploding_task(config, episode):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(
-            sweep_module, "_run_episode_task_threaded", exploding_task
-        )
-        runner = SweepRunner(jobs=2, backend="thread")
+        monkeypatch.setattr(sweep_module, "_run_episode_task", _exploding_task)
+        runner = SweepRunner(jobs=2, backend="process")
         with pytest.raises(RuntimeError, match="boom"):
             runner.run(sweep_jobs({"a": fast_seo_config}, episodes=3))
         assert runner._pool is None  # cancelled and shut down, not drained
@@ -128,16 +115,13 @@ class TestSweepRunnerParallel:
 
 
 class TestExecutorBackends:
-    def test_thread_executor_bit_identical(self, fast_seo_config):
-        serial = SerialExecutor().run(fast_seo_config, 3)
-        assert ThreadExecutor(jobs=2).run(fast_seo_config, 3) == serial
-
-    def test_make_executor_backends(self):
-        assert isinstance(make_executor(1, backend="thread"), SerialExecutor)
-        assert isinstance(make_executor(4, backend="process"), ParallelExecutor)
-        assert isinstance(make_executor(4, backend="thread"), ThreadExecutor)
-        with pytest.raises(ValueError):
-            make_executor(4, backend="fibers")
+    def test_retired_backends_refused(self):
+        assert EXECUTOR_BACKENDS == ("process", "socket", "batch")
+        for backend in ("thread", "async", "fibers"):
+            with pytest.raises(ValueError, match=r"choose from \('process', 'socket', 'batch'\)"):
+                SweepRunner(jobs=2, backend=backend)
+            with pytest.raises(ValueError, match=r"choose from \('process', 'socket', 'batch'\)"):
+                ExperimentSettings(backend=backend)
 
 
 class TestExperimentPlumbing:
@@ -158,7 +142,7 @@ class TestExperimentPlumbing:
 
     def test_settings_accept_auto_jobs_and_backends(self):
         assert ExperimentSettings(jobs=0).jobs == 0
-        assert ExperimentSettings(backend="thread").backend == "thread"
+        assert ExperimentSettings(backend="batch").backend == "batch"
         with pytest.raises(ValueError):
             ExperimentSettings(jobs=-1)
         with pytest.raises(ValueError):
@@ -197,7 +181,7 @@ class TestPoolConstructionCounter:
     def test_reset_returns_previous_value(self, fast_seo_config):
         from repro.runtime import sweep as sweep_module
 
-        with SweepRunner(jobs=2, backend="thread") as runner:
+        with SweepRunner(jobs=2, backend="process") as runner:
             runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
         before = sweep_module.pool_constructions()
         assert before >= 1
