@@ -35,6 +35,11 @@ class RayleighChannel:
         self._rng = np.random.default_rng(self.seed)
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The private generator used when no external one is supplied."""
+        return self._rng
+
+    @property
     def mean_rate_bps(self) -> float:
         """Mean of the Rayleigh rate distribution, in bit/s."""
         return float(self.scale_mbps * np.sqrt(np.pi / 2.0) * 1e6)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.comm.link import WirelessLink
 from repro.comm.server import EdgeServer
+from repro.contracts import kernel_contract
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,53 @@ class OffloadPlanner:
     # ------------------------------------------------------------------
     # Realized outcome
     # ------------------------------------------------------------------
+    @property
+    def draws_per_sample(self) -> int:
+        """Standard-exponential draws one offload consumes (rate, then jitter)."""
+        return 2 if self.server.queueing_jitter_s > 0 else 1
+
+    @kernel_contract(
+        exp_draws="(M, D) float64",
+        returns=("(M,) float64", "(M,) float64", "(M,) float64", "(M,) int64"),
+    )
+    def sample_batch(
+        self, tau_s: float, exp_draws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Offload outcomes from standard-exponential draws, one row each.
+
+        Column 0 of ``exp_draws`` drives the Rayleigh rate
+        (``Generator.rayleigh(s)`` is ``s * sqrt(2 * E)``); column 1, present
+        when the server has queueing jitter (:attr:`draws_per_sample`),
+        drives the exponential jitter (``Generator.exponential(s)`` is
+        ``s * E``).  Row ``m`` therefore equals the outcome of
+        :meth:`sample` on a generator whose next standard-exponential draws
+        are ``exp_draws[m]``, bit for bit.
+
+        Returns:
+            ``(transmission_time_s, round_trip_s, transmission_energy_j,
+            response_periods)`` arrays, the fields of :class:`OffloadOutcome`.
+        """
+        if tau_s <= 0:
+            raise ValueError("tau_s must be positive")
+        exp_draws = np.asarray(exp_draws, dtype=float)
+        channel = self.link.channel
+        server = self.server
+        rate_mbps = channel.scale_mbps * np.sqrt(2.0 * exp_draws[:, 0])
+        rate_bps = np.maximum(channel.min_rate_mbps, rate_mbps) * 1e6
+        transmission_time = self.link.overhead_s + (self.payload_bytes * 8.0) / rate_bps
+        if server.queueing_jitter_s > 0:
+            service = server.profile.latency_s + server.queueing_jitter_s * exp_draws[:, 1]
+        else:
+            service = np.full(exp_draws.shape[0], server.profile.latency_s)
+        round_trip = transmission_time + (service + server.downlink_time_s)
+        energy = transmission_time * self.link.tx_power_w
+        periods = np.maximum(1.0, np.ceil(round_trip / tau_s)).astype(np.int64)
+        return transmission_time, round_trip, energy, periods
+
     def sample(
         self, tau_s: float, rng: np.random.Generator | None = None
     ) -> OffloadOutcome:
-        """Sample one offload round trip.
+        """Sample one offload round trip (1-element view of :meth:`sample_batch`).
 
         Args:
             tau_s: Base period used to express the round trip in periods.
@@ -87,11 +131,17 @@ class OffloadPlanner:
         """
         if tau_s <= 0:
             raise ValueError("tau_s must be positive")
-        transmission_time = self.link.transmission_time_s(self.payload_bytes, rng)
-        round_trip = transmission_time + self.server.service_time_s(rng)
+        link_rng = rng if rng is not None else self.link.channel.rng
+        draws = [link_rng.standard_exponential()]
+        if self.draws_per_sample == 2:
+            server_rng = rng if rng is not None else self.server.rng
+            draws.append(server_rng.standard_exponential())
+        transmission_time, round_trip, energy, periods = self.sample_batch(
+            tau_s, np.array([draws], dtype=float)
+        )
         return OffloadOutcome(
-            transmission_time_s=transmission_time,
-            round_trip_s=round_trip,
-            transmission_energy_j=self.link.transmission_energy_j(transmission_time),
-            response_periods=max(1, math.ceil(round_trip / tau_s)),
+            transmission_time_s=float(transmission_time[0]),
+            round_trip_s=float(round_trip[0]),
+            transmission_energy_j=float(energy[0]),
+            response_periods=int(periods[0]),
         )

@@ -21,26 +21,39 @@ class EdgeServer:
         queueing_jitter_s: Scale of an exponential queueing delay added to
             the deterministic service time, modelling server load variation.
         downlink_time_s: Time to return the (small) prediction payload.
+        seed: Seed of the server's private random generator (ignored when an
+            external generator is supplied to :meth:`service_time_s`).
     """
 
     profile: ComputeProfile = EDGE_SERVER_RESNET152
     queueing_jitter_s: float = 0.002
     downlink_time_s: float = 0.001
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.queueing_jitter_s < 0:
             raise ValueError("queueing_jitter_s must be non-negative")
         if self.downlink_time_s < 0:
             raise ValueError("downlink_time_s must be non-negative")
+        self._rng = np.random.default_rng(self.seed)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The private generator used when no external one is supplied."""
+        return self._rng
 
     def service_time_s(self, rng: np.random.Generator | None = None) -> float:
         """Sampled time from request arrival to response departure."""
         jitter = 0.0
         if self.queueing_jitter_s > 0:
-            generator = rng if rng is not None else np.random.default_rng(0)
+            generator = rng if rng is not None else self._rng
             jitter = float(generator.exponential(self.queueing_jitter_s))
         return self.profile.latency_s + jitter + self.downlink_time_s
 
     def expected_service_time_s(self) -> float:
         """Planning estimate of the service time (mean queueing delay)."""
         return self.profile.latency_s + self.queueing_jitter_s + self.downlink_time_s
+
+    def reset(self) -> None:
+        """Re-seed the private generator (restores determinism across runs)."""
+        self._rng = np.random.default_rng(self.seed)

@@ -28,6 +28,7 @@ from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152
 from repro.sim.observation import RangeScanner
 from repro.sim.world import World
+from repro.streams import DrawStream
 
 
 @kernel_contract(
@@ -120,7 +121,7 @@ class DetectorModel:
             raise ValueError("miss_rate must be in [0, 1)")
         if self.range_noise_std_m < 0 or self.bearing_noise_std_rad < 0:
             raise ValueError("noise standard deviations must be non-negative")
-        self._rng = np.random.default_rng(self.seed)
+        self._noise = self.noise_source(1)
         self._angles_scanner: RangeScanner | None = None
         self._angles_cache: np.ndarray | None = None
 
@@ -142,8 +143,8 @@ class DetectorModel:
         return 1.0 / self.period_s
 
     def reset(self) -> None:
-        """Reset the private noise generator (e.g. between episodes)."""
-        self._rng = np.random.default_rng(self.seed)
+        """Rebuild the private noise source (e.g. between episodes)."""
+        self._noise = self.noise_source(1)
 
     # ------------------------------------------------------------------
     # Functional inference
@@ -162,14 +163,27 @@ class DetectorModel:
             stale=False,
         )
 
+    def noise_source(self, rows: int) -> DrawStream | list[np.random.Generator]:
+        """A fresh noise source of ``rows`` rows, each replaying ``seed``.
+
+        A standard-normal :class:`~repro.streams.DrawStream` (all rows share
+        one buffer, with independent cursors) when ``miss_rate`` is 0;
+        otherwise one private generator per row, because the miss filter
+        interleaves normal and uniform draws on one generator, which a
+        one-kind stream cannot serve.
+        """
+        if self.miss_rate > 0.0:
+            return [np.random.default_rng(self.seed) for _ in range(rows)]
+        return DrawStream([self.seed] * rows, "standard_normal")
+
     def detect(self, scan: np.ndarray) -> list[Detection]:
         """Detections extracted from one scan row.
 
         1-row view of :meth:`detect_batch` (the kernel), drawing noise from
-        the detector's private generator.
+        the detector's private noise source (rebuilt by :meth:`reset`).
         """
         counts, distances, bearings, spans = self.detect_batch(
-            np.asarray(scan, dtype=float)[None, :], (self._rng,)
+            np.asarray(scan, dtype=float)[None, :], self._noise
         )
         return [
             Detection(
@@ -187,23 +201,32 @@ class DetectorModel:
     def detect_batch(
         self,
         rows: np.ndarray,
-        rngs: Sequence[np.random.Generator],
+        noise: DrawStream | Sequence[np.random.Generator],
+        noise_rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized detection extraction over ``(R, num_beams)`` scan rows.
 
-        Grouping runs as one array pass (:func:`group_scan_rows`); the noise
-        and miss draws per row come from ``rngs[r]`` as *sized* draws that
-        consume the generator bitstream in exactly the order the serial
-        per-detection scalar draws would: one ``standard_normal`` call
-        covering the interleaved range/bearing pairs of all groups in the
-        row, then one ``random`` call for the per-detection miss filter
-        (``Generator.normal(0, std)`` is ``0.0 + std * standard_normal()``,
-        so the values are bit-identical too).
+        Grouping runs as one array pass (:func:`group_scan_rows`).  Scan row
+        ``r`` draws its noise from row ``noise_rows[r]`` of ``noise`` (an
+        identity map by default), in exactly the order the serial
+        per-detection scalar draws would: the interleaved range/bearing
+        pairs of all its groups (``Generator.normal(0, std)`` is
+        ``0.0 + std * standard_normal()``, so the values are bit-identical
+        too), then, when ``miss_rate > 0``, one uniform per group for the
+        miss filter.
+
+        When ``noise`` is a standard-normal :class:`~repro.streams.DrawStream`
+        every row's normals come from one ragged gather.  A stream cannot
+        serve ``miss_rate > 0``, where normals and uniforms interleave on
+        one generator; that case takes a sequence of generators and keeps a
+        per-row loop of sized draws.  No
+        :class:`~repro.core.framework.SEOConfig` builds such a detector.
 
         Args:
             rows: ``(R, num_beams)`` scan range matrix.
-            rngs: One generator per row (e.g. each episode's private
-                detector stream).
+            noise: Noise source from :meth:`noise_source` (one row per
+                episode in the batch engine).
+            noise_rows: Distinct noise-source row of each scan row.
 
         Returns:
             ``(counts, distances, bearings, spans)`` — ``counts`` holds the
@@ -211,6 +234,8 @@ class DetectorModel:
             flattened row-major.
         """
         rows = np.asarray(rows, dtype=float)
+        if noise_rows is None:
+            noise_rows = np.arange(rows.shape[0])
         angles = self._beam_angles()
         threshold = self.scanner.max_range_m - self.detection_threshold_m
         group_row, start, length, best_offset, distances = group_scan_rows(
@@ -218,18 +243,31 @@ class DetectorModel:
         )
         bearings = angles[start + best_offset].astype(float, copy=True)
         counts_raw = np.bincount(group_row, minlength=rows.shape[0])
-        keep = np.ones(group_row.size, dtype=bool)
         range_std = self.range_noise_std_m
         bearing_std = self.bearing_noise_std_rad
+        if isinstance(noise, DrawStream):
+            if self.miss_rate > 0.0:
+                raise ValueError("miss_rate > 0 needs per-row generators (see noise_source)")
+            per_group = int(range_std > 0.0) + int(bearing_std > 0.0)
+            if per_group and group_row.size:
+                draws = noise.take(noise_rows, per_group * counts_raw).reshape(
+                    group_row.size, per_group
+                )
+                if range_std > 0.0:
+                    distances = np.maximum(0.0, distances + (0.0 + range_std * draws[:, 0]))
+                if bearing_std > 0.0:
+                    bearings += 0.0 + bearing_std * draws[:, per_group - 1]
+            return counts_raw, distances, bearings, length
+
+        # Generator path: one sized call per draw kind per row.  Rows
+        # without groups consume no draws; each row draws from its own
+        # generator, so only the order *within* a row is the contract.
+        keep = np.ones(group_row.size, dtype=bool)
         bounds = np.concatenate(([0], np.cumsum(counts_raw))).tolist()
-        # Rows without groups consume no draws, so only looping the rows
-        # that have detections leaves every generator's stream untouched
-        # (each row draws from its own generator — order across rows is
-        # immaterial, the draw order *within* a row is the contract).
         for r in np.nonzero(counts_raw)[0].tolist():
             lo, hi = bounds[r], bounds[r + 1]
             groups = hi - lo
-            rng = rngs[r]
+            rng = noise[int(noise_rows[r])]
             if range_std > 0.0 and bearing_std > 0.0:
                 draws = rng.standard_normal(2 * groups)
                 distances[lo:hi] = np.maximum(

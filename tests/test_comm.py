@@ -74,6 +74,13 @@ class TestEdgeServer:
         rng = np.random.default_rng(0)
         assert server.service_time_s(rng) >= server.profile.latency_s
 
+    def test_unseeded_jitter_varies_and_reset_replays_it(self):
+        server = EdgeServer(seed=4)
+        first = [server.service_time_s() for _ in range(3)]
+        assert len(set(first)) == 3
+        server.reset()
+        assert [server.service_time_s() for _ in range(3)] == first
+
     def test_zero_jitter_is_deterministic(self):
         server = EdgeServer(queueing_jitter_s=0.0)
         assert server.service_time_s() == pytest.approx(

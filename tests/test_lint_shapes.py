@@ -217,14 +217,14 @@ def test_mutation_real_detector_rng_fires_505():
 
 
 # ----------------------------------------------------------------------
-# Real tree + pragma-span suppression (the run_batch exceptions)
+# Real tree + pragma-span suppression (the run_batch exception)
 # ----------------------------------------------------------------------
 
-def test_real_tree_presuppression_findings_are_exactly_the_pragmad_pair():
-    """Pre-suppression the checker flags only the two sanctioned batch.py sites."""
+def test_real_tree_presuppression_finding_is_exactly_the_pragmad_site():
+    """Pre-suppression the checker flags only the sanctioned run_batch site."""
     violations = shapes.check_shapes(in_scope_sources())
     flagged = sorted((Path(v.path).name, v.code) for v in violations)
-    assert flagged == [("batch.py", "REPRO503"), ("batch.py", "REPRO505")]
+    assert flagged == [("batch.py", "REPRO503")]
     for violation in violations:
         assert violation.path.endswith("runtime/batch.py")
 

@@ -12,6 +12,7 @@ from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.world import World
+from repro.streams import DrawStream
 from repro.dynamics.state import VehicleState
 
 
@@ -92,6 +93,13 @@ class TestDetectorModel:
         world = _world([Obstacle(x_m=12.0, y_m=0.0, radius_m=1.0)])
         dropped = sum(len(detector.infer(world)) == 0 for _ in range(20))
         assert dropped >= 15
+
+    def test_miss_rate_refuses_a_draw_stream(self):
+        detector = DetectorModel(name="det", miss_rate=0.3, seed=1)
+        scan = np.full((1, detector.scanner.num_beams), 5.0)
+        stream = DrawStream([1], "standard_normal")
+        with pytest.raises(ValueError, match="per-row generators"):
+            detector.detect_batch(scan, stream)
 
     def test_rate_and_energy_properties(self):
         detector = DetectorModel(name="det", period_s=0.02)

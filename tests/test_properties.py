@@ -7,12 +7,16 @@ models, and the bookkeeping invariants of the scheduler.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import streams
+from repro.comm.offload import OffloadPlanner
+from repro.comm.server import EdgeServer
 from repro.core.energy import (
     baseline_interval_energy_j,
     gating_interval_energy_j,
@@ -634,16 +638,21 @@ class TestKernelFacadeParity:
         miss_rate=st.sampled_from([0.0, 0.3]),
     )
     def test_detect_batch_matches_scalar_draw_reference(self, rows, seed, miss_rate):
-        """Sized RNG draws reproduce the legacy per-detection scalar draws —
-        same values bit for bit, and the generator streams end in the same
-        state (the serial/batch lockstep guarantee)."""
+        """Stream / sized RNG draws reproduce the legacy per-detection scalar
+        draws — same values bit for bit, and each row's noise source ends
+        exactly where the scalar draws leave its generator (the serial/batch
+        lockstep guarantee)."""
         detector = DetectorModel(name="hyp-det", miss_rate=miss_rate, seed=seed)
         matrix = np.array(rows, dtype=float)
         threshold = detector.scanner.max_range_m - detector.detection_threshold_m
         angles = detector.scanner.beam_angles()
-        batch_rngs = [np.random.default_rng(seed + r) for r in range(matrix.shape[0])]
-        serial_rngs = [np.random.default_rng(seed + r) for r in range(matrix.shape[0])]
-        counts, distances, bearings, spans = detector.detect_batch(matrix, batch_rngs)
+        row_seeds = [seed + r for r in range(matrix.shape[0])]
+        if miss_rate > 0.0:
+            noise = [np.random.default_rng(row_seed) for row_seed in row_seeds]
+        else:
+            noise = streams.DrawStream(row_seeds, "standard_normal")
+        serial_rngs = [np.random.default_rng(row_seed) for row_seed in row_seeds]
+        counts, distances, bearings, spans = detector.detect_batch(matrix, noise)
         cursor = 0
         for r in range(matrix.shape[0]):
             rng = serial_rngs[r]
@@ -671,8 +680,13 @@ class TestKernelFacadeParity:
                 assert spans[cursor] == span
                 cursor += 1
         assert cursor == distances.size
-        for batch_rng, serial_rng in zip(batch_rngs, serial_rngs, strict=True):
-            assert batch_rng.bit_generator.state == serial_rng.bit_generator.state
+        if miss_rate > 0.0:
+            for batch_rng, serial_rng in zip(noise, serial_rngs, strict=True):
+                assert batch_rng.bit_generator.state == serial_rng.bit_generator.state
+        else:
+            # The stream consumed exactly the scalar draw count per row.
+            following = noise.take(np.arange(len(row_seeds)), np.ones(len(row_seeds)))
+            assert following.tolist() == [rng.standard_normal() for rng in serial_rngs]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -724,3 +738,84 @@ class TestKernelFacadeParity:
         s_back, d_back = centerline.to_frenet(x, y)
         assert s_back == pytest.approx(s, abs=1e-6)
         assert d_back == pytest.approx(lateral, abs=1e-6)
+
+
+class TestDrawStreams:
+    """``DrawStream`` replays scalar draws of a fresh generator per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(streams.STREAM_KINDS),
+        chunk=st.integers(1, 3),
+        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        takes=st.lists(
+            st.lists(st.integers(0, 4), min_size=4, max_size=4), max_size=8
+        ),
+    )
+    def test_take_equals_scalar_draws_across_refills(self, kind, chunk, seeds, takes):
+        rows = np.arange(len(seeds))
+        references = [np.random.default_rng(seed) for seed in seeds]
+        with mock.patch.object(streams, "_CHUNK", chunk):
+            stream = streams.DrawStream(seeds, kind)
+            for counts in takes:
+                counts = np.array(counts[: len(seeds)], dtype=np.int64)
+                # Zero-count rows are left out half the time: either way
+                # they must consume nothing.
+                selected = rows if counts[0] % 2 else rows[counts > 0]
+                got = stream.take(selected, counts[selected])
+                expected = [
+                    getattr(references[r], kind)()
+                    for r in selected
+                    for _ in range(counts[r])
+                ]
+                assert got.tolist() == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        chunk=st.integers(1, 3),
+        first=st.integers(0, 6),
+        second=st.integers(0, 6),
+    )
+    def test_rows_sharing_a_seed_keep_independent_cursors(self, chunk, first, second):
+        with mock.patch.object(streams, "_CHUNK", chunk):
+            stream = streams.DrawStream([9, 9], "standard_normal")
+            ahead = stream.take(np.array([0]), np.array([first]))
+            both = stream.take(np.array([0, 1]), np.array([second, first + second]))
+        replay = np.random.default_rng(9).standard_normal(first + second)
+        assert ahead.tolist() == replay[:first].tolist()
+        assert both[:second].tolist() == replay[first:].tolist()
+        assert both[second:].tolist() == replay.tolist()
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            streams.DrawStream([0], "gamma")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        jitter=st.sampled_from([0.0, 0.002]),
+        tau=st.sampled_from([0.01, 0.02, 0.05]),
+    )
+    def test_offload_sample_batch_equals_scalar_samples(self, seed, size, jitter, tau):
+        planner = OffloadPlanner(server=EdgeServer(queueing_jitter_s=jitter))
+        per_sample = planner.draws_per_sample
+        exp_draws = np.random.default_rng(seed).standard_exponential(size * per_sample)
+        transmission, round_trip, energy, periods = planner.sample_batch(
+            tau, exp_draws.reshape(size, per_sample)
+        )
+        rng = np.random.default_rng(seed)
+        # Independent reference: the link / server scalar draws
+        # (``Generator.rayleigh`` and ``Generator.exponential``).
+        legacy_rng = np.random.default_rng(seed)
+        for m in range(size):
+            outcome = planner.sample(tau, rng)
+            assert outcome.transmission_time_s == transmission[m]
+            assert outcome.round_trip_s == round_trip[m]
+            assert outcome.transmission_energy_j == energy[m]
+            assert outcome.response_periods == periods[m]
+            legacy_tx = planner.link.transmission_time_s(planner.payload_bytes, legacy_rng)
+            legacy_rt = legacy_tx + planner.server.service_time_s(legacy_rng)
+            assert transmission[m] == legacy_tx
+            assert round_trip[m] == legacy_rt
+            assert periods[m] == max(1, math.ceil(legacy_rt / tau))

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import streams
 from repro.contracts import ContractViolationError
 from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
@@ -59,6 +60,30 @@ def test_bit_exact_per_scenario_family(family_name):
 def test_bit_exact_across_modes(fast_seo_config, overrides):
     config = dataclasses.replace(fast_seo_config, **overrides)
     assert BatchExecutor().run(config, 2) == SerialExecutor().run(config, 2)
+
+
+@pytest.mark.parametrize("case", ["offload", "sensor-dropout", "default-course"])
+def test_bit_exact_across_stream_refills(monkeypatch, fast_seo_config, case):
+    """Batch == serial when the draw streams refill every few draws.
+
+    The default chunk covers most of a short parity run, so this patches
+    it down to force refills every few draws on the offload, dropout and
+    detector-noise streams alike.
+    """
+    monkeypatch.setattr(streams, "_CHUNK", 3)
+    if case == "offload":
+        config = fast_seo_config
+    elif case == "sensor-dropout":
+        config = SEOConfig(
+            scenario=DEFAULT_SUITE.get("sensor-dropout").base, max_steps=400
+        )
+    else:
+        config = SEOConfig(max_steps=400)
+    serial = SerialExecutor().run(config, 3)
+    assert BatchExecutor().run(config, 3) == serial
+    assert sum(report.offloads_issued for report in serial) > 0
+    if case == "sensor-dropout":
+        assert sum(report.sensor_dropouts for report in serial) > 0
 
 
 def test_early_termination_masking():
