@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass
@@ -52,8 +53,16 @@ class RayleighChannel:
     def sample_rate_bps(self, rng: np.random.Generator | None = None) -> float:
         """Draw one effective data rate in bit/s."""
         generator = rng if rng is not None else self._rng
-        rate_mbps = float(generator.rayleigh(self.scale_mbps))
-        return max(self.min_rate_mbps, rate_mbps) * 1e6
+        return float(self.rate_bps_from_exponential(generator.standard_exponential()))
+
+    def rate_bps_from_exponential(self, draws: ArrayLike) -> np.ndarray:
+        """Effective data rates in bit/s from standard-exponential draws.
+
+        ``Generator.rayleigh(s)`` is ``s * sqrt(2 * standard_exponential())``,
+        so this equals a sampled rate bit for bit.
+        """
+        rate_mbps = self.scale_mbps * np.sqrt(2.0 * np.asarray(draws, dtype=float))
+        return np.maximum(self.min_rate_mbps, rate_mbps) * 1e6
 
     def reset(self) -> None:
         """Re-seed the private generator (restores determinism across runs)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.comm.channel import RayleighChannel
 from repro.platform.presets import WIFI_TX_POWER_W
@@ -38,7 +39,13 @@ class WirelessLink:
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
         rate_bps = self.channel.sample_rate_bps(rng)
-        return self.overhead_s + (payload_bytes * 8.0) / rate_bps
+        return float(self.transmission_time_at_rate_s(payload_bytes, rate_bps))
+
+    def transmission_time_at_rate_s(
+        self, payload_bytes: int, rate_bps: ArrayLike
+    ) -> np.ndarray:
+        """``T_tx`` of a ``payload_bytes`` payload at each given data rate."""
+        return self.overhead_s + (payload_bytes * 8.0) / np.asarray(rate_bps, dtype=float)
 
     def expected_transmission_time_s(self, payload_bytes: int) -> float:
         """Planning estimate of ``T_tx`` using the channel's expected rate."""
@@ -46,8 +53,9 @@ class WirelessLink:
             raise ValueError("payload_bytes must be positive")
         return self.overhead_s + (payload_bytes * 8.0) / self.channel.expected_rate_bps
 
-    def transmission_energy_j(self, transmission_time_s: float) -> float:
-        """Radio energy ``E_omega = T_tx * P_tx`` for a given transmission time."""
-        if transmission_time_s < 0:
+    def transmission_energy_j(self, transmission_time_s: ArrayLike) -> np.ndarray:
+        """Radio energy ``E_omega = T_tx * P_tx`` for each transmission time."""
+        transmission_time = np.asarray(transmission_time_s, dtype=float)
+        if (transmission_time < 0).any():
             raise ValueError("transmission_time_s must be non-negative")
-        return transmission_time_s * self.tx_power_w
+        return transmission_time * self.tx_power_w

@@ -90,13 +90,14 @@ class OffloadPlanner:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Offload outcomes from standard-exponential draws, one row each.
 
-        Column 0 of ``exp_draws`` drives the Rayleigh rate
-        (``Generator.rayleigh(s)`` is ``s * sqrt(2 * E)``); column 1, present
-        when the server has queueing jitter (:attr:`draws_per_sample`),
-        drives the exponential jitter (``Generator.exponential(s)`` is
-        ``s * E``).  Row ``m`` therefore equals the outcome of
-        :meth:`sample` on a generator whose next standard-exponential draws
-        are ``exp_draws[m]``, bit for bit.
+        Column 0 of ``exp_draws`` drives the channel rate
+        (:meth:`~repro.comm.channel.RayleighChannel.rate_bps_from_exponential`);
+        column 1, present when the server has queueing jitter
+        (:attr:`draws_per_sample`), drives the service time
+        (:meth:`~repro.comm.server.EdgeServer.service_time_from_exponential_s`).
+        Row ``m`` therefore equals the outcome of :meth:`sample` on a
+        generator whose next standard-exponential draws are
+        ``exp_draws[m]``, bit for bit.
 
         Returns:
             ``(transmission_time_s, round_trip_s, transmission_energy_j,
@@ -105,17 +106,17 @@ class OffloadPlanner:
         if tau_s <= 0:
             raise ValueError("tau_s must be positive")
         exp_draws = np.asarray(exp_draws, dtype=float)
-        channel = self.link.channel
-        server = self.server
-        rate_mbps = channel.scale_mbps * np.sqrt(2.0 * exp_draws[:, 0])
-        rate_bps = np.maximum(channel.min_rate_mbps, rate_mbps) * 1e6
-        transmission_time = self.link.overhead_s + (self.payload_bytes * 8.0) / rate_bps
-        if server.queueing_jitter_s > 0:
-            service = server.profile.latency_s + server.queueing_jitter_s * exp_draws[:, 1]
+        rate_bps = self.link.channel.rate_bps_from_exponential(exp_draws[:, 0])
+        transmission_time = self.link.transmission_time_at_rate_s(
+            self.payload_bytes, rate_bps
+        )
+        if self.draws_per_sample == 2:
+            wait_draws = exp_draws[:, 1]
         else:
-            service = np.full(exp_draws.shape[0], server.profile.latency_s)
-        round_trip = transmission_time + (service + server.downlink_time_s)
-        energy = transmission_time * self.link.tx_power_w
+            wait_draws = np.zeros(exp_draws.shape[0], dtype=float)
+        service = self.server.service_time_from_exponential_s(wait_draws)
+        round_trip = transmission_time + service
+        energy = self.link.transmission_energy_j(transmission_time)
         periods = np.maximum(1.0, np.ceil(round_trip / tau_s)).astype(np.int64)
         return transmission_time, round_trip, energy, periods
 

@@ -226,6 +226,13 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     max_range = scanner.max_range_m
     detectors = framework.detectors
     det_noise = {name: detector.noise_source(n) for name, detector in det_items}
+    # A finished episode retires from every stream, so it stops holding
+    # its seed group's draws.
+    draw_streams = [
+        stream
+        for stream in (sched_stream, drop_stream, *det_noise.values())
+        if isinstance(stream, DrawStream)
+    ]
 
     # ------------------------------------------------------------------
     # Model pipeline and deadline provider.
@@ -693,6 +700,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
             collided_f[ended_idx] = collided[ended]
             offroad_f[ended_idx] = off[ended]
             finished_f[ended_idx] = fin[ended]
+            for stream in draw_streams:
+                stream.retire(ended_idx)
             active = idx[~ended].tolist()
         t_dynamics += perf_counter() - stamp
 

@@ -28,14 +28,20 @@ STREAM_KINDS = ("standard_exponential", "standard_normal", "random")
 # Draws per refill of an exhausted buffer (rounded up to whole chunks).
 _CHUNK = 256
 
+# Cursor of a retired row: never the lowest cursor of its seed group.
+_RETIRED = np.iinfo(np.int64).max
+
 
 class DrawStream:
     """Per-row cursors over buffered draws of one kind.
 
     Each seed group's buffer row holds its generator's draws ``base`` to
-    ``end`` (absolute draw indices).  A refill first drops the draws no row
-    of the group can still read, so memory tracks the spread of the
-    cursors, not the length of the run.
+    ``end`` (absolute draw indices).  A refill drops the draws below the
+    lowest cursor of the group's live rows, so a group holds the draws
+    since its slowest live row: a live row that has not drawn yet keeps
+    its seed's first draw, and so every later one, until it draws or is
+    retired (:meth:`retire`).  The buffer widens geometrically and compacts only
+    when full, so refills cost amortized constant time per draw.
 
     Args:
         seeds: One generator seed per row.
@@ -60,7 +66,8 @@ class DrawStream:
     def take(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Each row's next ``counts[r]`` draws, flattened row-major.
 
-        ``rows`` must not repeat a row: its cursor advances once per call.
+        ``rows`` must not repeat a row (its cursor advances once per call)
+        nor name a retired row.
         """
         rows = np.asarray(rows, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
@@ -77,6 +84,10 @@ class DrawStream:
         first = groups * self._buffer.shape[1] + (start - self._base[groups]) - offsets
         return self._buffer.reshape(-1)[np.repeat(first, counts) + np.arange(int(counts.sum()))]
 
+    def retire(self, rows: np.ndarray) -> None:
+        """Mark ``rows`` as done: they no longer hold their group's draws."""
+        self._cursor[np.asarray(rows, dtype=np.int64)] = _RETIRED
+
     def _refill(self, groups: np.ndarray, stops: np.ndarray) -> None:
         """Append whole chunks to each short group until ``stops`` fit.
 
@@ -86,18 +97,23 @@ class DrawStream:
         need = np.zeros(self._end.size, dtype=np.int64)
         np.maximum.at(need, groups, stops)
         short = np.nonzero(need > self._end)[0]
-        keep = np.full(self._end.size, np.iinfo(np.int64).max, dtype=np.int64)
+        keep = np.full(self._end.size, _RETIRED, dtype=np.int64)
         np.minimum.at(keep, self._group, self._cursor)
         grow = -(-(need[short] - self._end[short]) // _CHUNK) * _CHUNK
-        width = int((self._end[short] + grow - keep[short]).max())
-        if width > self._buffer.shape[1]:
-            buffer = np.empty((self._end.size, width), dtype=float)
-            buffer[:, : self._buffer.shape[1]] = self._buffer
+        width = self._buffer.shape[1]
+        fit = int((self._end[short] + grow - keep[short]).max())
+        if fit > width:
+            buffer = np.empty((self._end.size, max(fit, 2 * width)), dtype=float)
+            buffer[:, :width] = self._buffer
             self._buffer = buffer
+            width = buffer.shape[1]
         for g, size in zip(short.tolist(), grow.tolist()):
             row = self._buffer[g]
-            held = int(self._end[g] - keep[g])
-            row[:held] = row[keep[g] - self._base[g] : self._end[g] - self._base[g]]
-            row[held : held + size] = self._draws[g](size)
-            self._base[g] = keep[g]
+            if self._end[g] + size - self._base[g] > width:
+                # Full: move the draws a live row can still read to the front.
+                held = int(self._end[g] - keep[g])
+                row[:held] = row[keep[g] - self._base[g] : self._end[g] - self._base[g]]
+                self._base[g] = keep[g]
+            at = int(self._end[g] - self._base[g])
+            row[at : at + size] = self._draws[g](size)
             self._end[g] += size

@@ -75,7 +75,7 @@ class TestEdgeServer:
         assert server.service_time_s(rng) >= server.profile.latency_s
 
     def test_unseeded_jitter_varies_and_reset_replays_it(self):
-        server = EdgeServer(seed=4)
+        server = EdgeServer()
         first = [server.service_time_s() for _ in range(3)]
         assert len(set(first)) == 3
         server.reset()

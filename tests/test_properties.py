@@ -786,6 +786,15 @@ class TestDrawStreams:
         assert both[:second].tolist() == replay[first:].tolist()
         assert both[second:].tolist() == replay.tolist()
 
+    def test_retired_row_releases_its_group_buffer(self):
+        with mock.patch.object(streams, "_CHUNK", 3):
+            stream = streams.DrawStream([9, 9], "random")
+            stream.retire(np.array([1]))
+            got = [stream.take(np.array([0]), np.array([1]))[0] for _ in range(500)]
+            # Only the live row's unread draws are held, not all 500.
+            assert stream._buffer.shape[1] <= 2 * 3
+        assert got == np.random.default_rng(9).random(500).tolist()
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             streams.DrawStream([0], "gamma")
@@ -805,17 +814,24 @@ class TestDrawStreams:
             tau, exp_draws.reshape(size, per_sample)
         )
         rng = np.random.default_rng(seed)
-        # Independent reference: the link / server scalar draws
-        # (``Generator.rayleigh`` and ``Generator.exponential``).
+        # Independent reference: eqs. (6)-(7) written out over
+        # ``Generator.rayleigh`` and ``Generator.exponential`` draws.
         legacy_rng = np.random.default_rng(seed)
+        link, server = planner.link, planner.server
         for m in range(size):
             outcome = planner.sample(tau, rng)
             assert outcome.transmission_time_s == transmission[m]
             assert outcome.round_trip_s == round_trip[m]
             assert outcome.transmission_energy_j == energy[m]
             assert outcome.response_periods == periods[m]
-            legacy_tx = planner.link.transmission_time_s(planner.payload_bytes, legacy_rng)
-            legacy_rt = legacy_tx + planner.server.service_time_s(legacy_rng)
+            rate_mbps = float(legacy_rng.rayleigh(link.channel.scale_mbps))
+            rate_bps = max(link.channel.min_rate_mbps, rate_mbps) * 1e6
+            legacy_tx = link.overhead_s + (planner.payload_bytes * 8.0) / rate_bps
+            wait = float(legacy_rng.exponential(jitter)) if jitter > 0 else 0.0
+            legacy_rt = legacy_tx + (
+                server.profile.latency_s + wait + server.downlink_time_s
+            )
             assert transmission[m] == legacy_tx
+            assert energy[m] == legacy_tx * link.tx_power_w
             assert round_trip[m] == legacy_rt
             assert periods[m] == max(1, math.ceil(legacy_rt / tau))
