@@ -3,8 +3,10 @@
 Pins the load-bearing structural invariants that ordinary linters cannot
 see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
 
-* **kernel-parity** (REPRO101): in the decision layers, public scalar
-  methods must be views of their ``*_batch`` kernels;
+* **kernel-parity** (REPRO101): in the decision and perception layers
+  (``core/``, ``control/``, ``perception/``, ``sim/road.py``,
+  ``sim/world.py``, ``sim/observation.py``), public scalar methods must
+  be views of their ``*_batch`` kernels;
 * **determinism** (REPRO201–204): no stdlib ``random``, unseeded or
   legacy numpy RNGs, or wall-clock reads in deterministic layers;
 * **workunit-closed-world** (REPRO301–304): the serialization registry
@@ -14,9 +16,11 @@ see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
   and consumed in ``runtime/remote.py`` agree with the documented
   schema;
 * **array-contracts** (REPRO501–505): every public ``*_batch`` kernel
-  declares its array shapes/dtypes via ``@kernel_contract``, a symbolic
-  dataflow pass confirms the body against the declaration, and scalar
-  facades are 1-element views of their kernels.
+  in the kernel layer (the kernel-parity scope plus ``dynamics/`` and
+  ``runtime/batch.py``) declares its array shapes/dtypes via
+  ``@kernel_contract``, a symbolic dataflow pass confirms the body
+  against the declaration, and scalar facades are 1-element views of
+  their kernels.
 
 See ``docs/static-analysis.md`` for the invariants and the
 ``# repro-lint: ignore[CODE]`` suppression pragma.
@@ -38,7 +42,8 @@ CHECKERS: tuple[Checker, ...] = (
         codes=parity.CODES,
         description=(
             "scalar decision methods must share an implementation with "
-            "their *_batch kernel (core/, control/, sim/road.py)"
+            "their *_batch kernel (core/, control/, perception/, "
+            "sim/road.py, sim/world.py, sim/observation.py)"
         ),
         file_check=parity.check_parity,
         scope=parity.in_scope,

@@ -122,20 +122,6 @@ class DetectorModel:
         if self.range_noise_std_m < 0 or self.bearing_noise_std_rad < 0:
             raise ValueError("noise standard deviations must be non-negative")
         self._noise = self.noise_source(1)
-        self._angles_scanner: RangeScanner | None = None
-        self._angles_cache: np.ndarray | None = None
-
-    def _beam_angles(self) -> np.ndarray:
-        """The scanner's beam angles, cached per scanner instance.
-
-        ``detect_batch`` runs once per frame in the batch engine; rebuilding
-        the linspace there is measurable, and the fan only changes when the
-        scanner itself is swapped out.
-        """
-        if self._angles_scanner is not self.scanner or self._angles_cache is None:
-            self._angles_scanner = self.scanner
-            self._angles_cache = self.scanner.beam_angles()
-        return self._angles_cache
 
     @property
     def rate_hz(self) -> float:
@@ -236,7 +222,7 @@ class DetectorModel:
         rows = np.asarray(rows, dtype=float)
         if noise_rows is None:
             noise_rows = np.arange(rows.shape[0])
-        angles = self._beam_angles()
+        angles = self.scanner.beam_angles()
         threshold = self.scanner.max_range_m - self.detection_threshold_m
         group_row, start, length, best_offset, distances = group_scan_rows(
             rows, threshold

@@ -20,18 +20,17 @@ oracle: for every registered scenario family the reports produced here are
 field-for-field identical to the serial ones.  Three disciplines make that
 possible:
 
-* **Same float ops.** Vectorized sections either call the shared kernels
-  (whose numpy ufuncs are size-independent) or replicate the serial
-  arithmetic expression by expression (operand order, association, clips
-  and ``-0.0`` normalization included).  The perception tail shares its
-  kernels the same way: the nearest-obstacle view, the range-scan
-  detection grouping/noise and the multi-segment Frenet lookups all run
-  through ``World.nearest_obstacle_view_batch``,
-  ``DetectorModel.detect_batch`` and the ``Centerline`` batch kernels that
-  the serial facades are 1-element views of.  The RK4 plant update runs
-  through :func:`repro.dynamics.bicycle.rk4_plant_batch`; both paths take
-  the steering tangent from ``np.tan`` (scalar in the serial step, array
-  here), so even that last transcendental agrees per element.
+* **Same float ops.** Vectorized sections either call a kernel that the
+  serial path also calls, as a 1-element view (numpy ufuncs are
+  size-independent), or replicate the serial arithmetic expression by
+  expression (operand order, association, clips and ``-0.0``
+  normalization included).  The shared kernels are the obstacle raycast
+  (``RangeScanner.scan_batch``), the nearest-obstacle view
+  (``World.nearest_obstacle_view_batch``), detection grouping and noise
+  (``DetectorModel.detect_batch``), the multi-segment Frenet lookups (the
+  ``Centerline`` batch kernels) and the RK4 plant update
+  (:func:`repro.dynamics.bicycle.rk4_plant_batch`, where both paths take
+  the steering tangent from ``np.tan``).
 * **Same RNG streams.**  World placement consumes its per-episode
   generator up front in ``build_world``.  Every per-frame consumer
   (scheduler/wireless, sensor dropout, per-detector noise) reads the
@@ -221,9 +220,6 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         raise NotImplementedError(
             "batch engine supports obstacle-only scanners (include_road_edges=False)"
         )
-    rel_angles = scanner.beam_angles()
-    num_beams = int(scanner.num_beams)
-    max_range = scanner.max_range_m
     detectors = framework.detectors
     det_noise = {name: detector.noise_source(n) for name, detector in det_items}
     # A finished episode retires from every stream, so it stops holding
@@ -608,30 +604,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                     scan_mask[rows] = True
             sel = np.nonzero(scan_mask)[0]
             scan_pos[sel] = np.arange(sel.size)
-            px = xs[sel]
-            py = ys[sel]
-            ph = hs[sel]
-            ang = rel_angles[None, :] + ph[:, None]
-            dxs = np.cos(ang)
-            dys = np.sin(ang)
-            best = np.full((sel.size, num_beams), max_range, dtype=float)
-            if K:
-                for k in range(K):
-                    fx = px - obs_x[sel, k]
-                    fy = py - obs_y[sel, k]
-                    rad = obs_r[sel, k]
-                    c = fx * fx + fy * fy - rad * rad
-                    b = 2.0 * (fx[:, None] * dxs + fy[:, None] * dys)
-                    disc = b * b - 4.0 * c[:, None]
-                    valid = disc >= 0.0
-                    sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-                    t1 = (-b - sqrt_disc) / 2.0
-                    t2 = (-b + sqrt_disc) / 2.0
-                    cand = np.where(
-                        t1 >= 0.0, t1, np.where(t2 >= 0.0, 0.0, np.inf)
-                    )
-                    cand = np.where(valid, cand, np.inf)
-                    best = np.where(cand < best, cand, best)
+            best = scanner.scan_batch(
+                xs[sel], ys[sel], hs[sel], obs_x[sel], obs_y[sel], obs_r[sel]
+            )
         now = perf_counter()
         t_scan_raycast += now - stamp
         stamp = now

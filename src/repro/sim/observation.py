@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 
 import numpy as np
 
+from repro.contracts import kernel_contract
 from repro.sim.world import World
+
+#: Element budget of one ``scan_batch`` pass (poses x obstacles x beams):
+#: 64 KiB per float64 temporary, where numpy's allocations stay cheap.
+_GRID_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,9 @@ class RangeScanner:
     fov_rad: float = math.radians(120.0)
     max_range_m: float = 40.0
     include_road_edges: bool = True
+    # The beam fan, built once in ``__post_init__`` and read-only.  Excluded
+    # from equality/hash/repr: it is a pure function of the fields above.
+    _angles: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_beams < 2:
@@ -45,72 +54,113 @@ class RangeScanner:
             raise ValueError("fov_rad must be in (0, 2*pi]")
         if self.max_range_m <= 0:
             raise ValueError("max_range_m must be positive")
+        # A full-circle field of view is endpoint-exclusive: ``-pi`` and
+        # ``+pi`` are the same direction, so including both would duplicate
+        # one beam and shrink the effective angular resolution.
+        half = 0.5 * self.fov_rad
+        full_circle = self.fov_rad >= 2.0 * math.pi - 1e-12
+        angles = np.linspace(-half, half, self.num_beams, endpoint=not full_circle)
+        angles.flags.writeable = False
+        object.__setattr__(self, "_angles", angles)
 
     def beam_angles(self) -> np.ndarray:
-        """Relative beam angles (radians) from rightmost to leftmost.
+        """Relative beam angles (radians) from rightmost to leftmost (read-only)."""
+        return self._angles
 
-        A full-circle field of view is endpoint-exclusive: ``-pi`` and
-        ``+pi`` are the same direction, so including both would duplicate
-        one beam and shrink the effective angular resolution.
+    @kernel_contract(
+        xs="(N,) float64",
+        ys="(N,) float64",
+        hs="(N,) float64",
+        obs_x="(N, K) float64",
+        obs_y="(N, K) float64",
+        obs_r="(N, K) float64",
+        returns="(N, B) float64",
+    )
+    def scan_batch(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        hs: np.ndarray,
+        obs_x: np.ndarray,
+        obs_y: np.ndarray,
+        obs_r: np.ndarray,
+    ) -> np.ndarray:
+        """Obstacle range scans of ``N`` vehicle poses against ``K`` circles each.
+
+        Every beam of every pose is intersected with a group of obstacle
+        circles in one ``(N, group, num_beams)`` pass; a group holds as many
+        obstacles as fit in ``_GRID_ELEMENTS`` elements, so a single vehicle
+        casts against all of its obstacles at once while a large batch
+        takes them one by one and keeps its temporaries small.  A ray that
+        starts inside a circle hits it at distance ``0.0``; circles behind
+        the origin or off the ray are misses.  Each beam keeps the first
+        strictly nearest hit in obstacle order, starting from
+        ``max_range_m``, exactly as a per-beam scalar walk over the
+        obstacle list.  Road edges are not cast here; see :meth:`scan`.
+
+        Args:
+            xs, ys, hs: ``(N,)`` vehicle poses.
+            obs_x, obs_y, obs_r: ``(N, K)`` obstacle centres and radii
+                (``K`` may be 0).
+
+        Returns:
+            ``(N, num_beams)`` hit distances, capped at ``max_range_m``.
         """
-        half = 0.5 * self.fov_rad
-        if self.fov_rad >= 2.0 * math.pi - 1e-12:
-            return np.linspace(-half, half, self.num_beams, endpoint=False)
-        return np.linspace(-half, half, self.num_beams)
+        angles = self._angles[None, :] + hs[:, None]
+        dxs = np.cos(angles)[:, None, :]
+        dys = np.sin(angles)[:, None, :]
+        fxs = (xs[:, None] - obs_x)[:, :, None]
+        fys = (ys[:, None] - obs_y)[:, :, None]
+        cs = fxs * fxs + fys * fys - (obs_r * obs_r)[:, :, None]
+        best = np.full((xs.shape[0], self.num_beams), self.max_range_m)
+        group = max(1, _GRID_ELEMENTS // max(1, xs.shape[0] * self.num_beams))
+        for lo in range(0, obs_x.shape[1], group):
+            fx = fxs[:, lo : lo + group]
+            fy = fys[:, lo : lo + group]
+            b = 2.0 * (fx * dxs + fy * dys)
+            disc = b * b - 4.0 * cs[:, lo : lo + group]
+            # A miss (negative discriminant) becomes NaN, which fails both
+            # ``>= 0.0`` tests below and so reads as no hit.
+            sqrt_disc = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+            t1 = (-b - sqrt_disc) / 2.0
+            t2 = (-b + sqrt_disc) / 2.0
+            hit = np.where(t1 >= 0.0, t1, np.where(t2 >= 0.0, 0.0, np.inf))
+            for k in range(hit.shape[1]):
+                best = np.where(hit[:, k] < best, hit[:, k], best)
+        return best
 
     def scan(self, world: World) -> np.ndarray:
         """Return the range scan for the current world state.
 
         Each entry is the distance (metres, capped at ``max_range_m``) to the
-        first obstacle surface intersected by the corresponding ray.  Road
-        edges are also reported so the scan encodes the drivable corridor.
+        first obstacle surface intersected by the corresponding ray.  When
+        ``include_road_edges`` is set, rays also stop at the road edges, so
+        the scan encodes the drivable corridor; the detectors' scanners
+        leave it unset and see obstacles only.
+
+        The obstacle part is a 1-element view of :meth:`scan_batch` (the
+        kernel).
         """
         state = world.state
-        angles = self.beam_angles() + state.heading_rad
-        ranges = np.full(self.num_beams, self.max_range_m, dtype=float)
-
-        for index, angle in enumerate(angles):
-            direction = (math.cos(angle), math.sin(angle))
-            best = self.max_range_m
-            for obstacle in world.obstacles:
-                hit = _ray_circle_distance(
-                    (state.x_m, state.y_m),
-                    direction,
-                    obstacle.position,
-                    obstacle.radius_m,
-                )
-                if hit is not None and hit < best:
-                    best = hit
-            if self.include_road_edges:
+        obstacles = world.obstacles
+        ranges = self.scan_batch(
+            np.array([state.x_m], dtype=float),
+            np.array([state.y_m], dtype=float),
+            np.array([state.heading_rad], dtype=float),
+            np.array([[obstacle.x_m for obstacle in obstacles]], dtype=float),
+            np.array([[obstacle.y_m for obstacle in obstacles]], dtype=float),
+            np.array([[obstacle.radius_m for obstacle in obstacles]], dtype=float),
+        )[0]
+        if self.include_road_edges:
+            origin = (state.x_m, state.y_m)
+            for index, angle in enumerate(self._angles + state.heading_rad):
                 edge = world.road.ray_edge_distance(
-                    (state.x_m, state.y_m), direction, self.max_range_m
+                    origin, (math.cos(angle), math.sin(angle)), self.max_range_m
                 )
-                if edge is not None and edge < best:
-                    best = edge
-            ranges[index] = best
+                if edge is not None and edge < ranges[index]:
+                    ranges[index] = edge
         return ranges
 
     def normalized_scan(self, world: World) -> np.ndarray:
         """Range scan scaled to [0, 1]; convenient input for neural models."""
         return self.scan(world) / self.max_range_m
-
-
-def _ray_circle_distance(origin, direction, centre, radius):
-    """Distance along a ray to a circle, or None if the ray misses it."""
-    ox, oy = origin
-    dx, dy = direction
-    cx, cy = centre
-    fx, fy = ox - cx, oy - cy
-    b = 2.0 * (fx * dx + fy * dy)
-    c = fx * fx + fy * fy - radius * radius
-    discriminant = b * b - 4.0 * c
-    if discriminant < 0.0:
-        return None
-    sqrt_disc = math.sqrt(discriminant)
-    t1 = (-b - sqrt_disc) / 2.0
-    t2 = (-b + sqrt_disc) / 2.0
-    if t1 >= 0.0:
-        return t1
-    if t2 >= 0.0:
-        return 0.0
-    return None

@@ -151,6 +151,12 @@ class _PlacedSegment:
         beyond ``length_m`` past its end) so callers can detect points
         outside the extent; ``d`` is the signed lateral offset measured at
         the clamped foot point.
+
+        The per-segment scalar reference of :meth:`Centerline.project_batch`.
+        It takes ``atan2`` and ``hypot`` from numpy, as the kernel does:
+        ``math.atan2``/``math.hypot`` differ from them in the last ulp on
+        some inputs, and the reference must agree with the kernel bit for
+        bit.
         """
         segment = self.segment
         if isinstance(segment, StraightSegment):
@@ -161,10 +167,10 @@ class _PlacedSegment:
             return s_raw, d
         sigma, cx, cy = self._arc_frame()
         vx, vy = x - cx, y - cy
-        r = math.hypot(vx, vy)
+        r = float(np.hypot(vx, vy))
         if r < 1e-12:
             return 0.0, sigma * segment.radius_m
-        heading_p = math.atan2(vy, vx) + sigma * 0.5 * math.pi
+        heading_p = float(np.arctan2(vy, vx)) + sigma * 0.5 * math.pi
         s_raw = sigma * wrap_angle(heading_p - self.heading0) * segment.radius_m
         d = sigma * (segment.radius_m - r)
         return s_raw, d
@@ -242,6 +248,11 @@ class Centerline:
         # ``s < s0 + length`` walk exactly, including the joint boundary
         # moving to the next segment.
         self._interior_ends = self._seg_s0[1:].copy()
+        # Interior clamps of ``project_batch`` as ``(S, 1)`` bounds: only
+        # the first segment may extend below its start and only the last
+        # past its end, so the chain ends carry ``-inf``/``+inf``.
+        self._clamp_lo = np.concatenate(([-np.inf], np.zeros(len(placed) - 1)))[:, None]
+        self._clamp_hi = np.concatenate((self._seg_len[:-1], [np.inf]))[:, None]
 
     def _segment_for(self, s: float) -> _PlacedSegment:
         return self._placed[
@@ -263,23 +274,6 @@ class Centerline:
         )
         return float(s_arr[0]), float(d_arr[0])
 
-    def _point_at_segment(
-        self, index: int, s_local: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``_PlacedSegment.point_at`` for one chain segment."""
-        if not self._seg_is_arc[index]:
-            return (
-                self._seg_x0[index] + s_local * self._seg_tx[index],
-                self._seg_y0[index] + s_local * self._seg_ty[index],
-            )
-        sigma = self._seg_sigma[index]
-        radius = self._seg_radius[index]
-        heading = wrap_angle(self._seg_h0[index] + sigma * s_local / radius)
-        return (
-            self._seg_cx[index] - sigma * radius * (-np.sin(heading)),
-            self._seg_cy[index] - sigma * radius * np.cos(heading),
-        )
-
     @kernel_contract(
         xs="(N,) float64",
         ys="(N,) float64",
@@ -291,11 +285,15 @@ class Centerline:
         """Vectorized :meth:`project` over ``(N,)`` point arrays.
 
         Returns ``(s_raw, d)`` arrays.  The single-straight-segment chain
-        (the paper's road) projects in one vectorized frame rotation;
-        multi-segment chains project every point against every placed
-        segment at once and pick the winner by gap argmin across the
-        segment axis (``np.argmin``'s first-occurrence tie-break matches
-        the scalar loop's strict ``<`` update).
+        (the paper's road) projects in one vectorized frame rotation.
+        Multi-segment chains project every point against every placed
+        segment in one pass over an ``(S, N)`` segment x point grid: both
+        the arc and the straight branch of ``_PlacedSegment.project`` are
+        evaluated for every segment and selected per segment with
+        ``np.where``, and the interior clamps use per-segment bounds that
+        are ``-inf``/``+inf`` at the chain ends.  The winner is the gap
+        argmin across the segment axis (``np.argmin``'s first-occurrence
+        tie-break matches the scalar walk's strict ``<`` update).
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -307,43 +305,46 @@ class Centerline:
             s_raw = dx * tx + dy * ty
             d = -dx * ty + dy * tx
             return anchored.s0 + s_raw, d
-        num_segments = len(self._placed)
-        s_all = np.empty((num_segments, xs.size), dtype=float)
-        d_all = np.empty((num_segments, xs.size), dtype=float)
-        gap_all = np.empty((num_segments, xs.size), dtype=float)
-        for index in range(num_segments):
-            if self._seg_is_arc[index]:
-                sigma = self._seg_sigma[index]
-                radius = self._seg_radius[index]
-                vx = xs - self._seg_cx[index]
-                vy = ys - self._seg_cy[index]
-                r = np.hypot(vx, vy)
-                heading_p = np.arctan2(vy, vx) + sigma * 0.5 * math.pi
-                s_raw = sigma * wrap_angle(heading_p - self._seg_h0[index]) * radius
-                d = sigma * (radius - r)
-                degenerate = r < 1e-12
-                if degenerate.any():
-                    s_raw = np.where(degenerate, 0.0, s_raw)
-                    d = np.where(degenerate, sigma * radius, d)
-            else:
-                tx = self._seg_tx[index]
-                ty = self._seg_ty[index]
-                dx = xs - self._seg_x0[index]
-                dy = ys - self._seg_y0[index]
-                s_raw = dx * tx + dy * ty
-                d = -dx * ty + dy * tx
-            if index > 0:
-                s_raw = np.maximum(s_raw, 0.0)
-            if index < num_segments - 1:
-                s_raw = np.minimum(s_raw, self._seg_len[index])
-            s_clamped = np.minimum(np.maximum(s_raw, 0.0), self._seg_len[index])
-            px, py = self._point_at_segment(index, s_clamped)
-            gap_all[index] = np.hypot(xs - px, ys - py)
-            s_all[index] = self._seg_s0[index] + s_raw
-            d_all[index] = d
-        winner = np.argmin(gap_all, axis=0)
+        # Per-segment constants as ``(S, 1)`` columns.
+        is_arc = self._seg_is_arc[:, None]
+        sigma = self._seg_sigma[:, None]
+        radius = self._seg_radius[:, None]
+        h0 = self._seg_h0[:, None]
+        tx = self._seg_tx[:, None]
+        ty = self._seg_ty[:, None]
+        length = self._seg_len[:, None]
+        # Arc branch (straight rows carry a unit radius and stay finite).
+        vx = xs - self._seg_cx[:, None]
+        vy = ys - self._seg_cy[:, None]
+        r = np.hypot(vx, vy)
+        heading_p = np.arctan2(vy, vx) + sigma * 0.5 * math.pi
+        degenerate = r < 1e-12
+        arc_s = np.where(
+            degenerate, 0.0, sigma * wrap_angle(heading_p - h0) * radius
+        )
+        arc_d = np.where(degenerate, sigma * radius, sigma * (radius - r))
+        # Straight branch.
+        dx = xs - self._seg_x0[:, None]
+        dy = ys - self._seg_y0[:, None]
+        s_raw = np.where(is_arc, arc_s, dx * tx + dy * ty)
+        d = np.where(is_arc, arc_d, -dx * ty + dy * tx)
+        s_raw = np.minimum(np.maximum(s_raw, self._clamp_lo), self._clamp_hi)
+        # Foot point at the clamped local arc length (``point_at``).
+        s_local = np.minimum(np.maximum(s_raw, 0.0), length)
+        foot_heading = wrap_angle(h0 + sigma * s_local / radius)
+        px = np.where(
+            is_arc,
+            self._seg_cx[:, None] - sigma * radius * (-np.sin(foot_heading)),
+            self._seg_x0[:, None] + s_local * tx,
+        )
+        py = np.where(
+            is_arc,
+            self._seg_cy[:, None] - sigma * radius * np.cos(foot_heading),
+            self._seg_y0[:, None] + s_local * ty,
+        )
+        winner = np.argmin(np.hypot(xs - px, ys - py), axis=0)
         cols = np.arange(xs.size)
-        return s_all[winner, cols], d_all[winner, cols]
+        return self._seg_s0[winner] + s_raw[winner, cols], d[winner, cols]
 
     def to_frenet(self, x: float, y: float) -> tuple[float, float]:
         """Frenet coordinates ``(s, d)`` of a point, with ``s`` clamped."""
@@ -505,17 +506,34 @@ class Road:
     def progress(self, state: VehicleState) -> float:
         """Fraction of the route completed by a vehicle state, in [0, 1]."""
         s, _ = self.to_frenet(state.x_m, state.y_m)
-        return float(min(1.0, max(0.0, s / self.length_m)))
+        return self.progress_at(s)
+
+    def progress_at(self, s_m: float) -> float:
+        """Route fraction of the clamped arc length ``s_m``."""
+        return float(min(1.0, max(0.0, s_m / self.length_m)))
 
     def finished(self, state: VehicleState) -> bool:
         """Return True once the vehicle has passed the end of the route."""
         s_raw, _ = self.centerline.project(state.x_m, state.y_m)
-        return s_raw >= self.length_m
+        return self.finished_at(s_raw)
+
+    def finished_at(self, s_m: float) -> bool:
+        """Route completion at arc length ``s_m``, raw or clamped.
+
+        Clamping to ``[0, length_m]`` does not change the answer: a raw
+        ``s >= length_m`` clamps to ``length_m`` itself, and anything below
+        stays below.
+        """
+        return s_m >= self.length_m
 
     def off_road(self, state: VehicleState, vehicle_half_width_m: float = 0.0) -> bool:
         """Return True if the vehicle has left the drivable surface laterally."""
         _, d = self.to_frenet(state.x_m, state.y_m)
-        return not abs(d) <= self.half_width_m - vehicle_half_width_m + 1e-9
+        return self.off_road_at(d, vehicle_half_width_m)
+
+    def off_road_at(self, d_m: float, vehicle_half_width_m: float = 0.0) -> bool:
+        """Off-road test for the lateral offset ``d_m``."""
+        return not abs(d_m) <= self.half_width_m - vehicle_half_width_m + 1e-9
 
     # ------------------------------------------------------------------
     # Ray casting against the road edges (used by the range scanner)

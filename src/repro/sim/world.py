@@ -63,6 +63,11 @@ class World:
         self._has_moving_obstacles = any(
             obstacle.motion is not None for obstacle in self.obstacles
         )
+        # Lane pose of ``_pose_state``: states are frozen, so a state's
+        # identity keys its one centreline projection (the reference held
+        # here keeps the identity from being reused).
+        self._pose_state: VehicleState | None = None
+        self._pose: LanePose | None = None
 
     @property
     def dynamics(self) -> KinematicBicycleModel:
@@ -106,8 +111,15 @@ class World:
         return None if view is None else view[2]
 
     def lane_pose(self) -> LanePose:
-        """Road-relative (Frenet) pose of the ego vehicle."""
-        return self.road.lane_pose(self.state)
+        """Road-relative (Frenet) pose of the ego vehicle.
+
+        Projected once per vehicle state: :meth:`status`, :meth:`progress`
+        and every caller in the same frame read the same pose.
+        """
+        if self._pose is None or self._pose_state is not self.state:
+            self._pose = self.road.lane_pose(self.state)
+            self._pose_state = self.state
+        return self._pose
 
     @staticmethod
     @kernel_contract(
@@ -191,12 +203,14 @@ class World:
         collided = (
             first_collision(self.state, self.obstacles, vehicle_radius) is not None
         )
-        off_road = self.road.off_road(
-            self.state, vehicle_half_width_m=0.5 * self.vehicle_params.width_m
+        pose = self.lane_pose()
+        off_road = self.road.off_road_at(
+            pose.lateral_offset_m,
+            vehicle_half_width_m=0.5 * self.vehicle_params.width_m,
         )
-        finished = self.road.finished(self.state)
+        finished = self.road.finished_at(pose.arc_length_m)
         return WorldStatus(collided=collided, off_road=off_road, finished=finished)
 
     def progress(self) -> float:
         """Fraction of the route completed, in [0, 1]."""
-        return self.road.progress(self.state)
+        return self.road.progress_at(self.lane_pose().arc_length_m)

@@ -106,8 +106,8 @@ def test_parity_scope_covers_decision_and_perception_layers_only():
     assert parity.in_scope("sim/world.py")
     assert parity.in_scope("perception/detector.py")
     assert parity.in_scope("perception/detections.py")
+    assert parity.in_scope("sim/observation.py")
     assert not parity.in_scope("sim/obstacles.py")
-    assert not parity.in_scope("sim/observation.py")
     assert not parity.in_scope("runtime/remote.py")
 
 

@@ -120,6 +120,7 @@ def test_shapes_scope_is_the_kernel_layer():
     assert shapes.in_scope("dynamics/bicycle.py")
     assert shapes.in_scope("sim/road.py")
     assert shapes.in_scope("sim/world.py")
+    assert shapes.in_scope("sim/observation.py")
     assert shapes.in_scope("runtime/batch.py")
     assert not shapes.in_scope("runtime/engine.py")
     assert not shapes.in_scope("sim/scenarios.py")

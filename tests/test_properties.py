@@ -47,6 +47,8 @@ from repro.perception.detector import DetectorModel, group_scan_rows
 from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
+from repro.sim import observation
+from repro.sim.observation import RangeScanner
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.world import World
@@ -738,6 +740,224 @@ class TestKernelFacadeParity:
         s_back, d_back = centerline.to_frenet(x, y)
         assert s_back == pytest.approx(s, abs=1e-6)
         assert d_back == pytest.approx(lateral, abs=1e-6)
+
+
+# Several arcs of both turn directions, including a half circle, with
+# straights between and around them.
+_MULTI_ARC_CENTERLINE = Centerline(
+    (
+        StraightSegment(12.0),
+        ArcSegment(20.0, math.radians(80.0)),
+        ArcSegment(9.0, -math.pi),
+        StraightSegment(6.0),
+        ArcSegment(15.0, math.radians(40.0)),
+        StraightSegment(10.0),
+    )
+)
+# Starts on an arc, so that arc wins the tie at its own centre (r == 0)
+# and the degenerate branch decides the result.
+_ARC_FIRST_CENTERLINE = Centerline(
+    (
+        ArcSegment(10.0, math.radians(135.0)),
+        StraightSegment(5.0),
+        ArcSegment(6.0, -math.radians(90.0)),
+    )
+)
+_REFERENCE_CENTERLINES = (_MULTI_ARC_CENTERLINE, _ARC_FIRST_CENTERLINE)
+
+
+def _scalar_project(centerline, x, y):
+    """Scalar walk over the placed segments: the reference of ``project_batch``.
+
+    Each segment projects through ``_PlacedSegment.project``; only the first
+    segment may extend below its start and only the last past its end; the
+    foot point comes from ``point_at`` and a strictly smaller gap wins.
+    """
+    placed = centerline._placed
+    best = None
+    for index, anchored in enumerate(placed):
+        s_local, d = anchored.project(x, y)
+        if index > 0:
+            s_local = max(s_local, 0.0)
+        if index < len(placed) - 1:
+            s_local = min(s_local, anchored.length_m)
+        px, py = anchored.point_at(min(max(s_local, 0.0), anchored.length_m))
+        gap = float(np.hypot(x - px, y - py))
+        if best is None or gap < best[0]:
+            best = (gap, anchored.s0 + s_local, d)
+    return best[1], best[2]
+
+
+def _special_points(centerline):
+    """Before the start, past the end, every joint and every arc centre."""
+    end_x, end_y = centerline.from_frenet(centerline.length_m, 0.0)
+    end_heading = centerline.heading_at(centerline.length_m)
+    points = [
+        (-4.0, 1.5),
+        (-0.5, -3.0),
+        (end_x + 3.0 * math.cos(end_heading), end_y + 3.0 * math.sin(end_heading)),
+        (end_x + 0.5 * math.cos(end_heading), end_y - 2.0),
+    ]
+    for anchored in centerline._placed:
+        points.append((anchored.x0, anchored.y0))
+        if isinstance(anchored.segment, ArcSegment):
+            _, cx, cy = anchored._arc_frame()
+            points.append((cx, cy))  # r == 0: the degenerate arc branch
+    return points
+
+
+def _ray_circle_distance(origin, direction, centre, radius):
+    """Distance along a ray to a circle, or None if the ray misses it."""
+    ox, oy = origin
+    dx, dy = direction
+    cx, cy = centre
+    fx, fy = ox - cx, oy - cy
+    b = 2.0 * (fx * dx + fy * dy)
+    c = fx * fx + fy * fy - radius * radius
+    discriminant = b * b - 4.0 * c
+    if discriminant < 0.0:
+        return None
+    sqrt_disc = math.sqrt(discriminant)
+    t1 = (-b - sqrt_disc) / 2.0
+    t2 = (-b + sqrt_disc) / 2.0
+    if t1 >= 0.0:
+        return t1
+    if t2 >= 0.0:
+        return 0.0
+    return None
+
+
+def _scalar_scan(scanner, x, y, heading, circles):
+    """Per-beam scalar raycast: the reference of ``RangeScanner.scan_batch``."""
+    ranges = []
+    for angle in scanner.beam_angles() + heading:
+        direction = (math.cos(angle), math.sin(angle))
+        best = scanner.max_range_m
+        for cx, cy, radius in circles:
+            hit = _ray_circle_distance((x, y), direction, (cx, cy), radius)
+            if hit is not None and hit < best:
+                best = hit
+        ranges.append(best)
+    return np.array(ranges, dtype=float)
+
+
+def _assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestVectorizedGeometryReferences:
+    """The segment-axis projection and the beam-fan raycast against scalar
+    walks that share no vectorized code with them, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        centerline=st.sampled_from(_REFERENCE_CENTERLINES),
+    )
+    def test_project_batch_matches_scalar_walk(self, seed, centerline):
+        rng = np.random.default_rng(seed)
+        anchors = np.array([(a.x0, a.y0) for a in centerline._placed])
+        low, high = anchors.min(axis=0) - 25.0, anchors.max(axis=0) + 25.0
+        points = rng.uniform(low, high, size=(200, 2)).tolist()
+        points += _special_points(centerline)
+        xs = np.array([p[0] for p in points], dtype=float)
+        ys = np.array([p[1] for p in points], dtype=float)
+        s_batch, d_batch = centerline.project_batch(xs, ys)
+        reference = [_scalar_project(centerline, x, y) for x, y in points]
+        _assert_bitwise_equal(s_batch, np.array([r[0] for r in reference]))
+        _assert_bitwise_equal(d_batch, np.array([r[1] for r in reference]))
+
+    @pytest.mark.parametrize("centerline", _REFERENCE_CENTERLINES)
+    def test_project_batch_covers_the_extent_cases(self, centerline):
+        points = _special_points(centerline)
+        s_batch, d_batch = centerline.project_batch(
+            np.array([p[0] for p in points]), np.array([p[1] for p in points])
+        )
+        assert s_batch[0] < 0.0 and s_batch[1] < 0.0
+        assert s_batch[2] > centerline.length_m
+        for index, (x, y) in enumerate(points):
+            assert (s_batch[index], d_batch[index]) == _scalar_project(centerline, x, y)
+        if centerline is _ARC_FIRST_CENTERLINE:
+            # Point 5 is the first arc's centre: it projects to the start.
+            assert s_batch[5] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_obstacles=st.integers(0, 5),
+        full_circle=st.booleans(),
+        group=st.sampled_from([None, 1, 2]),
+    )
+    def test_scan_batch_matches_scalar_raycast(
+        self, seed, num_obstacles, full_circle, group
+    ):
+        # ``group`` obstacles per pass (None: the default budget, which
+        # takes all of them at once here).
+        rows = 6
+        budget = observation._GRID_ELEMENTS if group is None else group * rows * 24
+        scanner = RangeScanner(
+            num_beams=24,
+            fov_rad=2.0 * math.pi if full_circle else math.radians(120.0),
+            max_range_m=30.0,
+            include_road_edges=False,
+        )
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-10.0, 10.0, rows)
+        ys = rng.uniform(-10.0, 10.0, rows)
+        hs = rng.uniform(-math.pi, math.pi, rows)
+        obs_x = xs[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
+        obs_y = ys[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
+        obs_r = rng.uniform(0.3, 4.0, (rows, num_obstacles))
+        with mock.patch.object(observation, "_GRID_ELEMENTS", budget):
+            result = scanner.scan_batch(xs, ys, hs, obs_x, obs_y, obs_r)
+        expected = np.array(
+            [
+                _scalar_scan(
+                    scanner, xs[i], ys[i], hs[i],
+                    list(zip(obs_x[i], obs_y[i], obs_r[i])),
+                )
+                for i in range(rows)
+            ]
+        )
+        _assert_bitwise_equal(result, expected)
+
+    def test_scan_batch_edge_cases(self):
+        scanner = RangeScanner(num_beams=33, max_range_m=40.0, include_road_edges=False)
+        angles = scanner.beam_angles()
+        # Grazing: a circle tangent to beam 5's ray, 12 m out.
+        dx, dy = math.cos(angles[5]), math.sin(angles[5])
+        radius = 1.5
+        grazing = (12.0 * dx - radius * dy, 12.0 * dy + radius * dx, radius)
+        cases = [
+            [(0.5, 0.2, 2.0)],  # origin inside: every beam reads 0.0
+            [(-8.0, 0.0, 1.0), (-3.0, 2.0, 0.5)],  # behind the vehicle
+            [grazing],
+            [grazing, (20.0, 0.0, 1.0), (20.0, 0.0, 1.0)],  # equal hits
+            [],  # K = 0
+        ]
+        for circles in cases:
+            expected = _scalar_scan(scanner, 0.0, 0.0, 0.0, circles)
+            columns = np.array(circles, dtype=float).reshape(1, len(circles), 3)
+            result = scanner.scan_batch(
+                np.zeros(1), np.zeros(1), np.zeros(1),
+                columns[..., 0], columns[..., 1], columns[..., 2],
+            )
+            _assert_bitwise_equal(result[0], expected)
+        inside = _scalar_scan(scanner, 0.0, 0.0, 0.0, cases[0])
+        assert (inside == 0.0).all()
+        behind = _scalar_scan(scanner, 0.0, 0.0, 0.0, cases[1])
+        assert (behind == scanner.max_range_m).all()
+        assert (_scalar_scan(scanner, 0.0, 0.0, 0.0, []) == scanner.max_range_m).all()
+
+    def test_beam_fan_is_built_once_and_read_only(self):
+        scanner = RangeScanner(num_beams=7)
+        assert scanner.beam_angles() is scanner.beam_angles()
+        with pytest.raises(ValueError):
+            scanner.beam_angles()[0] = 0.0
+        assert scanner == RangeScanner(num_beams=7)
+        assert hash(scanner) == hash(RangeScanner(num_beams=7))
 
 
 class TestDrawStreams:

@@ -8,7 +8,7 @@ import pytest
 from repro.dynamics.state import ControlAction, VehicleState
 from repro.sim.collision import circle_hit, first_collision
 from repro.sim.obstacles import Obstacle, place_obstacles
-from repro.sim.road import Road
+from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
 from repro.sim.world import World
 
@@ -166,6 +166,87 @@ class TestWorld:
     def test_status_detects_off_road(self, empty_world):
         empty_world.state = VehicleState(x_m=10.0, y_m=empty_world.road.half_width_m + 1.0)
         assert empty_world.status().off_road
+
+
+class TestLanePoseMemo:
+    """``World`` projects each vehicle state once; every query reads it."""
+
+    ROAD = Road(
+        width_m=8.0,
+        segments=(
+            StraightSegment(20.0),
+            ArcSegment(25.0, math.radians(70.0)),
+            StraightSegment(10.0),
+            ArcSegment(18.0, -math.radians(50.0)),
+        ),
+    )
+
+    @classmethod
+    def _assert_matches_road(cls, world):
+        road, state = world.road, world.state
+        half_width = 0.5 * world.vehicle_params.width_m
+        status = world.status()
+        assert world.lane_pose() == road.lane_pose(state)
+        assert status.off_road == road.off_road(state, vehicle_half_width_m=half_width)
+        assert status.finished == road.finished(state)
+        assert world.progress() == road.progress(state)
+
+    def _state_at(self, s_m, d_m, heading_offset=0.0):
+        x, y = self.ROAD.from_frenet(s_m, d_m)
+        heading = self.ROAD.heading_at(s_m) + heading_offset
+        return VehicleState(x_m=x, y_m=y, heading_rad=heading, speed_mps=6.0)
+
+    def test_queries_follow_step_reset_and_assignment(self):
+        world = World(road=self.ROAD, state=self._state_at(5.0, 0.5, 0.1))
+        self._assert_matches_road(world)
+        for _ in range(40):
+            world.step(ControlAction(steering=0.3, throttle=0.5), 0.05)
+            self._assert_matches_road(world)
+        world.reset()
+        self._assert_matches_road(world)
+        length = self.ROAD.length_m
+        for state, off_road, finished in (
+            (self._state_at(30.0, -1.0, -0.4), False, False),
+            (self._state_at(45.0, self.ROAD.half_width_m + 1.0), True, False),
+            (self._state_at(length, 0.0), False, True),
+            (VehicleState(x_m=-3.0, y_m=0.5), False, False),  # before the start
+        ):
+            world.state = state
+            self._assert_matches_road(world)
+            assert (world.status().off_road, world.status().finished) == (
+                off_road,
+                finished,
+            )
+        # Past the end: the projection's raw arc length exceeds the route.
+        end_x, end_y = self.ROAD.from_frenet(length, 0.0)
+        heading = self.ROAD.heading_at(length)
+        world.state = VehicleState(
+            x_m=end_x + 2.0 * math.cos(heading), y_m=end_y + 2.0 * math.sin(heading)
+        )
+        self._assert_matches_road(world)
+        assert world.status().finished
+
+    def test_one_projection_per_state(self, monkeypatch):
+        calls = []
+        project_batch = Centerline.project_batch
+
+        def counting(self, xs, ys):
+            calls.append(xs.size)
+            return project_batch(self, xs, ys)
+
+        monkeypatch.setattr(Centerline, "project_batch", counting)
+        world = World(road=self.ROAD, state=self._state_at(5.0, 0.0))
+        for _ in range(3):
+            world.step(ControlAction(throttle=0.5), 0.05)
+            world.status()
+            world.lane_pose()
+            world.lane_pose()
+            world.progress()
+        assert calls == [1, 1, 1]
+        world.state = self._state_at(12.0, 0.0)
+        world.status()
+        world.lane_pose()
+        assert calls == [1, 1, 1, 1]
 
 
 class TestScenario:
