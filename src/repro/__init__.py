@@ -16,11 +16,14 @@ Package map
     :class:`~repro.core.framework.SEOFramework` facade.
 ``repro.dynamics`` / ``repro.sim``
     The driving substrate standing in for CARLA: kinematic bicycle model,
-    100 m obstacle-course scenario, range-scan observations, episode runner.
-``repro.nn`` / ``repro.perception`` / ``repro.control``
-    NumPy neural substrate (VAE, MLP policy), the functional detectors of the
-    optimizable subset, and the controllers (heuristic expert, pure pursuit,
-    CEM-trained neural policy).
+    segment-based roads and scenario families around the paper's 100 m
+    obstacle course, obstacle-only range scans, episode runner.
+``repro.perception`` / ``repro.control``
+    The functional range-scan detectors of the optimizable subset Lambda',
+    and the controllers (heuristic expert, pure pursuit).  The critical
+    subset Lambda'' (the paper's VAE) is charged as an energy profile
+    (``VAE_COMPUTE_PROFILE`` in :mod:`repro.core.framework`), not run as a
+    network.
 ``repro.platform`` / ``repro.comm``
     Edge-platform compute/sensor power models (Drive PX2, ZED, Navtech,
     Velodyne) and the Rayleigh Wi-Fi offloading substrate.

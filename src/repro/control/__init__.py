@@ -1,16 +1,16 @@
 """Controllers (the downstream control task ``pi``).
 
 The paper's controller is an RL agent trained in CARLA to output steering and
-throttle.  The reproduction ships three controllers behind one interface:
+throttle.  The reproduction substitutes two hand-written controllers behind
+one interface (``SEOConfig.controller`` selects ``heuristic`` or
+``pure_pursuit``):
 
 * :class:`ObstacleAvoidanceController` — a heuristic expert combining lane
-  keeping, obstacle repulsion and speed control.  It is the default "trained
-  agent" used by the experiments (see DESIGN.md, substitution table).
+  keeping, obstacle repulsion and speed control.  It stands in for the
+  paper's trained RL agent and is the default in every experiment: SEO only
+  needs a controller that completes the course, not a learned one.
 * :class:`PurePursuitController` — a lane follower with no obstacle
   awareness; useful as a stress case for the safety filter.
-* :class:`NeuralController` — an MLP policy over controller features, trained
-  with the cross-entropy method in :mod:`repro.control.training` to imitate
-  and then improve on the expert (the learned-controller path).
 
 All controllers can act either from ground truth (``act(world)``) or from the
 aggregated perception outputs Theta (``act_from_inputs``), which is how the
@@ -20,17 +20,10 @@ SEO runtime loop drives them.
 from repro.control.base import ControlInputs, Controller
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
-from repro.control.neural import NeuralController, default_feature_vector
-from repro.control.training import CrossEntropyTrainer, TrainingResult, evaluate_policy
 
 __all__ = [
     "ControlInputs",
     "Controller",
-    "CrossEntropyTrainer",
-    "NeuralController",
     "ObstacleAvoidanceController",
     "PurePursuitController",
-    "TrainingResult",
-    "default_feature_vector",
-    "evaluate_policy",
 ]

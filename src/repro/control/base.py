@@ -2,16 +2,15 @@
 
 In the paper the controller ``pi`` consumes the aggregate predictions Theta
 from both model subsets (Fig. 2).  :class:`ControlInputs` is the concrete form
-of that aggregate in this reproduction: ego motion state, lane-relative pose,
-the nearest perceived obstacle, and (optionally) the VAE feature vector.
+of that aggregate in this reproduction: ego motion state, lane-relative pose
+and the nearest perceived obstacle.  The critical subset's feature vector
+Theta'' has no counterpart: the VAE is charged only as an energy profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable
-
-import numpy as np
 
 from repro.dynamics.state import ControlAction
 from repro.perception.detections import DetectionSet
@@ -38,7 +37,6 @@ class ControlInputs:
         road_curvature_per_m: Signed centreline curvature at the vehicle's
             position (positive for left turns, zero on straight roads);
             lets controllers feed the road shape forward into steering.
-        features: Optional Theta'' feature vector from the critical subset.
     """
 
     speed_mps: float
@@ -50,7 +48,6 @@ class ControlInputs:
     obstacle_stale: bool = False
     road_half_width_m: float = 4.0
     road_curvature_per_m: float = 0.0
-    features: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if (self.obstacle_distance_m is None) != (self.obstacle_bearing_rad is None):
@@ -64,10 +61,8 @@ class ControlInputs:
         return self.obstacle_distance_m is not None
 
     @classmethod
-    def from_world(
-        cls, world: World, target_speed_mps: float, features: np.ndarray | None = None
-    ) -> "ControlInputs":
-        """Build inputs from ground truth (used by training and plain episodes)."""
+    def from_world(cls, world: World, target_speed_mps: float) -> "ControlInputs":
+        """Build inputs from ground truth (used by :class:`~repro.sim.episode.EpisodeRunner`)."""
         view = world.nearest_obstacle_view()
         distance, bearing = (None, None)
         if view is not None:
@@ -83,7 +78,6 @@ class ControlInputs:
             obstacle_stale=False,
             road_half_width_m=world.road.half_width_m,
             road_curvature_per_m=pose.curvature_per_m,
-            features=features,
         )
 
     @classmethod
@@ -92,7 +86,6 @@ class ControlInputs:
         world: World,
         detection_sets: Iterable[DetectionSet],
         target_speed_mps: float,
-        features: np.ndarray | None = None,
     ) -> "ControlInputs":
         """Build inputs from perception outputs (used by the SEO runtime loop).
 
@@ -122,7 +115,6 @@ class ControlInputs:
             obstacle_stale=nearest_stale,
             road_half_width_m=world.road.half_width_m,
             road_curvature_per_m=pose.curvature_per_m,
-            features=features,
         )
 
 

@@ -12,7 +12,8 @@ throttle contribution:
 
 It completes the paper's 100 m obstacle course collision-free in both the
 filtered and unfiltered configurations, which is all the evaluation requires
-of the "RL agent" (see DESIGN.md).
+of the paper's RL agent; this reproduction substitutes it for that agent
+rather than training one.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@
 Fig. 2 of the paper:
 
 * the driving world (CARLA substitute) provides ground truth;
-* the critical subset Lambda'' (the VAE pipeline) provides the state estimate
-  ``x`` to the safety filter and features Theta'' to the controller — as in
-  the paper, the relative state itself is read from the simulator;
+* the critical subset Lambda'' (the paper's VAE) is never optimized, so it is
+  charged only as an energy profile (:data:`VAE_COMPUTE_PROFILE`) every base
+  period; as in the paper, the relative state ``x`` the safety filter reads
+  comes from the simulator;
 * the controller ``pi`` produces raw steering/throttle from the aggregated
   perception outputs Theta;
 * the safety filter ``Psi`` (a steering shield) optionally filters the raw
@@ -229,9 +230,9 @@ class SEOFramework:
     # ------------------------------------------------------------------
     def _build_detectors(self) -> dict[str, DetectorModel]:
         config = self.config
-        # Detectors report obstacles only; the drivable-corridor geometry is
-        # the VAE's concern, not theirs.
-        scanner = RangeScanner(include_road_edges=False)
+        # One obstacle-only scanner shared by every detector, as the batch
+        # engine requires.
+        scanner = RangeScanner()
         detectors: dict[str, DetectorModel] = {}
         for index, multiple in enumerate(config.detector_period_multiples):
             name = config.detector_name(multiple)

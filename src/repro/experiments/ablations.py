@@ -1,6 +1,6 @@
 """Ablation studies on SEO's design choices (not in the paper's evaluation).
 
-Two ablations motivated by DESIGN.md:
+Two ablations, each isolating one of SEO's design choices:
 
 * **Safety awareness** — compare the safety-aware scheduler against a
   safety-oblivious variant that always optimizes at the maximum deadline.

@@ -101,9 +101,7 @@ class DetectorModel:
 
     name: str
     period_s: float = 0.02
-    scanner: RangeScanner = field(
-        default_factory=lambda: RangeScanner(include_road_edges=False)
-    )
+    scanner: RangeScanner = field(default_factory=RangeScanner)
     compute: ComputeProfile = DRIVE_PX2_RESNET152
     payload_bytes: int = 28_000
     range_noise_std_m: float = 0.1

@@ -216,10 +216,6 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
             raise NotImplementedError(
                 "batch engine requires all detectors to share one scanner"
             )
-    if scanner.include_road_edges:
-        raise NotImplementedError(
-            "batch engine supports obstacle-only scanners (include_road_edges=False)"
-        )
     detectors = framework.detectors
     det_noise = {name: detector.noise_source(n) for name, detector in det_items}
     # A finished episode retires from every stream, so it stops holding

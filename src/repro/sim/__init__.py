@@ -17,12 +17,13 @@ generalizes it into a scenario-diversity subsystem (see ``docs/scenarios.md``):
 * :mod:`repro.sim.scenario` — scenario configuration, construction and the
   named scenario-family registry (obstacle count is the paper's "risk
   level" knob).
-* :mod:`repro.sim.observation` — range-scan observations used as inputs for
-  the perception models (detectors and VAE).
-* :mod:`repro.sim.sensors` — simulated multi-sensor front-ends with their own
-  sampling periods and an optional dropout/holdover degradation model.
-* :mod:`repro.sim.episode` — closed-loop episode runner used by controller
-  training and the safety-filter evaluation.
+* :mod:`repro.sim.observation` — obstacle-only range scans, the input of
+  the detectors (the critical VAE is an energy profile and reads no scan).
+* :mod:`repro.sim.episode` — ground-truth closed-loop episode runner used by
+  the safety-filter evaluation.
+
+Sensor dropout is a scenario knob (``ScenarioConfig.sensor_dropout_probability``)
+applied by the SEO runtime loop, not a separate sensor model.
 """
 
 from repro.sim.road import (
@@ -50,7 +51,6 @@ from repro.sim.scenario import (
     build_world,
 )
 from repro.sim.observation import RangeScanner
-from repro.sim.sensors import SimulatedSensor, SensorSuite
 from repro.sim.episode import EpisodeResult, EpisodeRunner
 
 __all__ = [
@@ -68,8 +68,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioFamily",
     "ScenarioSuite",
-    "SensorSuite",
-    "SimulatedSensor",
     "StraightSegment",
     "WaypointLoop",
     "World",

@@ -1,8 +1,8 @@
 """Closed-loop episode runner (controller + optional safety filter).
 
 This runner drives the plain control loop — perception-free, reading ground
-truth from the world — and is used for controller training/evaluation and for
-checking that the safety filter keeps episodes collision free.  The full SEO
+truth from the world — and is used to check that the safety filter keeps
+episodes collision free.  The full SEO
 runtime loop (Algorithm 1), which additionally schedules the perception
 models and accounts energy, lives in :mod:`repro.core.framework`.
 """

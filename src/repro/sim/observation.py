@@ -1,13 +1,13 @@
 """Range-scan observations of the world.
 
-The perception models of the paper (ResNet-152 detectors, the VAE of
-ShieldNN) consume camera frames.  Offline we cannot render camera images, so
-the functional observation this repository feeds to detectors and the VAE is
-a 1-D *range scan*: a fan of rays cast from the vehicle over a field of view,
-each returning the distance to the first obstacle or road edge it hits.  The
-scan preserves exactly the information the downstream controller needs
-(where the free space and the obstacles are) while remaining cheap to
-compute, and it gives the neural substrate a realistic input tensor.
+The perception models of the paper (ResNet-152 detectors) consume camera
+frames.  Offline we cannot render camera images, so the functional
+observation this repository feeds to the detectors is a 1-D *range scan*: a
+fan of rays cast from the vehicle over a field of view, each returning the
+distance to the first obstacle it hits.  The scan preserves exactly the
+information the downstream controller needs (where the obstacles are) while
+remaining cheap to compute.  The critical VAE of the paper is charged only
+as an energy profile and takes no observation here.
 """
 
 from __future__ import annotations
@@ -34,15 +34,11 @@ class RangeScanner:
         num_beams: Number of rays in the fan.
         fov_rad: Total field of view centred on the vehicle heading.
         max_range_m: Maximum sensing range; rays that hit nothing report it.
-        include_road_edges: Whether rays also terminate on the road edges.
-            The VAE state encoder wants the drivable-corridor geometry in its
-            input, while the object detectors should only report obstacles.
     """
 
     num_beams: int = 32
     fov_rad: float = math.radians(120.0)
     max_range_m: float = 40.0
-    include_road_edges: bool = True
     # The beam fan, built once in ``__post_init__`` and read-only.  Excluded
     # from equality/hash/repr: it is a pure function of the fields above.
     _angles: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -96,7 +92,7 @@ class RangeScanner:
         the origin or off the ray are misses.  Each beam keeps the first
         strictly nearest hit in obstacle order, starting from
         ``max_range_m``, exactly as a per-beam scalar walk over the
-        obstacle list.  Road edges are not cast here; see :meth:`scan`.
+        obstacle list.
 
         Args:
             xs, ys, hs: ``(N,)`` vehicle poses.
@@ -133,17 +129,12 @@ class RangeScanner:
         """Return the range scan for the current world state.
 
         Each entry is the distance (metres, capped at ``max_range_m``) to the
-        first obstacle surface intersected by the corresponding ray.  When
-        ``include_road_edges`` is set, rays also stop at the road edges, so
-        the scan encodes the drivable corridor; the detectors' scanners
-        leave it unset and see obstacles only.
-
-        The obstacle part is a 1-element view of :meth:`scan_batch` (the
-        kernel).
+        first obstacle surface intersected by the corresponding ray.  This is
+        the 1-element view of :meth:`scan_batch` (the kernel).
         """
         state = world.state
         obstacles = world.obstacles
-        ranges = self.scan_batch(
+        return self.scan_batch(
             np.array([state.x_m], dtype=float),
             np.array([state.y_m], dtype=float),
             np.array([state.heading_rad], dtype=float),
@@ -151,16 +142,3 @@ class RangeScanner:
             np.array([[obstacle.y_m for obstacle in obstacles]], dtype=float),
             np.array([[obstacle.radius_m for obstacle in obstacles]], dtype=float),
         )[0]
-        if self.include_road_edges:
-            origin = (state.x_m, state.y_m)
-            for index, angle in enumerate(self._angles + state.heading_rad):
-                edge = world.road.ray_edge_distance(
-                    origin, (math.cos(angle), math.sin(angle)), self.max_range_m
-                )
-                if edge is not None and edge < ranges[index]:
-                    ranges[index] = edge
-        return ranges
-
-    def normalized_scan(self, world: World) -> np.ndarray:
-        """Range scan scaled to [0, 1]; convenient input for neural models."""
-        return self.scan(world) / self.max_range_m

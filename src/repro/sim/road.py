@@ -534,132 +534,3 @@ class Road:
     def off_road_at(self, d_m: float, vehicle_half_width_m: float = 0.0) -> bool:
         """Off-road test for the lateral offset ``d_m``."""
         return not abs(d_m) <= self.half_width_m - vehicle_half_width_m + 1e-9
-
-    # ------------------------------------------------------------------
-    # Ray casting against the road edges (used by the range scanner)
-    # ------------------------------------------------------------------
-    def ray_edge_distance(
-        self,
-        origin: tuple[float, float],
-        direction: tuple[float, float],
-        max_range_m: float,
-    ) -> float | None:
-        """Distance along a ray to the nearest road edge, or None if no hit.
-
-        The edges are bounded by the route extent: a ray pointing past the
-        route ends sees free space, not an infinite edge line.  For the
-        straight single-segment road the intersection is analytic; curved
-        roads intersect the ray with every segment's offset edges (lines for
-        straights, circles for arcs) and take the first crossing that leaves
-        the union of segment strips.
-        """
-        if self.is_straight:
-            return self._straight_ray_edge_distance(origin, direction, max_range_m)
-        return self._segmented_ray_edge_distance(origin, direction, max_range_m)
-
-    def _straight_ray_edge_distance(
-        self,
-        origin: tuple[float, float],
-        direction: tuple[float, float],
-        max_range_m: float,
-    ) -> float | None:
-        ox, oy = origin
-        dx, dy = direction
-        if abs(dy) < 1e-9:
-            return None
-        best: float | None = None
-        for edge in (self.half_width_m, -self.half_width_m):
-            t = (edge - oy) / dy
-            if t < 0.0 or t > max_range_m:
-                continue
-            x_hit = ox + t * dx
-            if x_hit < -1e-9 or x_hit > self.length_m + 1e-9:
-                continue
-            if best is None or t < best:
-                best = t
-        return best
-
-    def _edge_free(self, x: float, y: float) -> bool:
-        """True if no road edge separates this point from the road interior."""
-        s_raw, d = self.centerline.project(x, y)
-        if s_raw < -1e-9 or s_raw > self.length_m + 1e-9:
-            return True
-        return abs(d) <= self.half_width_m + 1e-9
-
-    def _segment_edge_crossings(
-        self,
-        anchored: _PlacedSegment,
-        origin: tuple[float, float],
-        direction: tuple[float, float],
-        max_range_m: float,
-    ) -> list[float]:
-        """Ray parameters where the ray crosses one segment's offset edges.
-
-        Straight-segment edges are line pieces parallel to the centreline;
-        arc-segment edges are circles of radius ``R -/+ half_width`` around
-        the arc centre.  Crossings are clipped to the segment's own
-        arc-length extent.
-        """
-        ox, oy = origin
-        dx, dy = direction
-        segment = anchored.segment
-        hw = self.half_width_m
-        crossings: list[float] = []
-        if isinstance(segment, StraightSegment):
-            tx, ty = math.cos(anchored.heading0), math.sin(anchored.heading0)
-            denom = dx * ty - dy * tx
-            if abs(denom) < 1e-12:
-                return crossings
-            for side in (hw, -hw):
-                ex = anchored.x0 - side * ty
-                ey = anchored.y0 + side * tx
-                t = ((ex - ox) * ty - (ey - oy) * tx) / denom
-                u = ((ex - ox) * dy - (ey - oy) * dx) / denom
-                if 0.0 <= t <= max_range_m and -1e-9 <= u <= segment.length_m + 1e-9:
-                    crossings.append(t)
-            return crossings
-        sigma, cx, cy = anchored._arc_frame()
-        for side in (hw, -hw):
-            edge_radius = segment.radius_m - sigma * side
-            if edge_radius <= 1e-9:
-                continue
-            fx, fy = ox - cx, oy - cy
-            b = 2.0 * (fx * dx + fy * dy)
-            c = fx * fx + fy * fy - edge_radius * edge_radius
-            discriminant = b * b - 4.0 * c
-            if discriminant < 0.0:
-                continue
-            sqrt_disc = math.sqrt(discriminant)
-            for t in ((-b - sqrt_disc) / 2.0, (-b + sqrt_disc) / 2.0):
-                if not 0.0 <= t <= max_range_m:
-                    continue
-                vx, vy = ox + t * dx - cx, oy + t * dy - cy
-                heading_p = math.atan2(vy, vx) + sigma * 0.5 * math.pi
-                s_local = sigma * wrap_angle(heading_p - anchored.heading0) * segment.radius_m
-                if -1e-9 <= s_local <= segment.length_m + 1e-9:
-                    crossings.append(t)
-        return crossings
-
-    def _segmented_ray_edge_distance(
-        self,
-        origin: tuple[float, float],
-        direction: tuple[float, float],
-        max_range_m: float,
-    ) -> float | None:
-        ox, oy = origin
-        dx, dy = direction
-        if not self._edge_free(ox, oy):
-            return 0.0
-        candidates: list[float] = []
-        for anchored in self.centerline._placed:
-            candidates.extend(
-                self._segment_edge_crossings(anchored, origin, direction, max_range_m)
-            )
-        # A crossing of one segment's edge only counts if it actually exits
-        # the union of segment strips (near joints the strips overlap, so an
-        # interior edge crossing keeps the point on the road).
-        probe = 1e-6
-        for t in sorted(candidates):
-            if not self._edge_free(ox + (t + probe) * dx, oy + (t + probe) * dy):
-                return t
-        return None

@@ -4,7 +4,6 @@ import pytest
 
 from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
-from repro.control.neural import DEFAULT_FEATURE_DIM, NeuralController, default_feature_vector
 from repro.control.pure_pursuit import PurePursuitController
 from repro.dynamics.state import VehicleState
 from repro.perception.detections import Detection, DetectionSet
@@ -151,29 +150,3 @@ class TestPurePursuitController:
         )
         assert clear.steering == pytest.approx(blocked.steering)
         assert clear.throttle == pytest.approx(blocked.throttle)
-
-
-class TestNeuralController:
-    def test_feature_vector_dimension(self):
-        features = default_feature_vector(_inputs())
-        assert features.shape == (DEFAULT_FEATURE_DIM,)
-
-    def test_feature_vector_encodes_obstacle_presence(self):
-        clear = default_feature_vector(_inputs())
-        blocked = default_feature_vector(
-            _inputs(obstacle_distance_m=10.0, obstacle_bearing_rad=0.3)
-        )
-        assert clear[3] == 0.0
-        assert blocked[3] == 1.0
-        assert blocked[4] < clear[4]
-
-    def test_controller_produces_bounded_actions(self):
-        controller = NeuralController()
-        action = controller.act_from_inputs(_inputs())
-        assert -1.0 <= action.steering <= 1.0
-        assert -1.0 <= action.throttle <= 1.0
-
-    def test_act_from_world(self, small_world):
-        controller = NeuralController()
-        action = controller.act(small_world)
-        assert -1.0 <= action.steering <= 1.0

@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
+from repro.core.framework import (
+    MAX_OFFLOAD_DEADLINE_PERIODS,
+    VAE_COMPUTE_PROFILE,
+    SEOConfig,
+    SEOFramework,
+)
+from repro.runtime.batch import run_batch
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -80,6 +86,27 @@ class TestEpisodes:
         for name, baseline in report.baseline_by_model_j.items():
             assert baseline >= 0.0
             assert report.energy_by_model_j[name] >= 0.0
+
+    @pytest.mark.parametrize(
+        "optimization", ["none", "offload", "model_gating", "sensor_gating"]
+    )
+    def test_critical_vae_energy_is_never_optimized(
+        self, fast_seo_config, optimization
+    ):
+        # Lambda'' is an energy profile: 0.004 s x 4 W = 0.016 J per base
+        # period, identical to its baseline under every optimization.
+        assert VAE_COMPUTE_PROFILE.energy_per_inference_j == pytest.approx(0.004 * 4.0)
+        framework = SEOFramework(
+            dataclasses.replace(fast_seo_config, optimization=optimization)
+        )
+        serial = [framework.run_episode(episode) for episode in (0, 1)]
+        batch = run_batch(framework, [0, 1])
+        for report in serial + batch:
+            used = report.energy_by_model_j["vae-state-encoder"]
+            assert used == report.baseline_by_model_j["vae-state-encoder"]
+            assert used == pytest.approx(
+                report.steps * VAE_COMPUTE_PROFILE.energy_per_inference_j
+            )
 
     def test_offloading_yields_positive_gains(self, fast_seo_config):
         framework = SEOFramework(fast_seo_config)

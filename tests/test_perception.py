@@ -1,4 +1,4 @@
-"""Tests for the perception models (detector and VAE encoder)."""
+"""Tests for the perception models (the range-scan detector)."""
 
 
 import numpy as np
@@ -6,11 +6,8 @@ import pytest
 
 from repro.perception.detections import Detection, DetectionSet
 from repro.perception.detector import DetectorModel
-from repro.perception.encoder import VAEStateEncoder, collect_scan_dataset
-from repro.sim.observation import RangeScanner
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
-from repro.sim.scenario import ScenarioConfig
 from repro.sim.world import World
 from repro.streams import DrawStream
 from repro.dynamics.state import VehicleState
@@ -116,42 +113,3 @@ class TestDetectorModel:
         detector.reset()
         second = detector.infer(world).nearest().distance_m
         assert first == pytest.approx(second)
-
-
-class TestVAEStateEncoder:
-    def test_collect_scan_dataset_shape(self):
-        scanner = RangeScanner(num_beams=16)
-        data = collect_scan_dataset(
-            ScenarioConfig(num_obstacles=2, seed=0),
-            scanner,
-            num_worlds=2,
-            samples_per_world=5,
-            seed=0,
-        )
-        assert data.shape == (10, 16)
-        assert np.all((data >= 0.0) & (data <= 1.0))
-
-    def test_encode_returns_latent_vector(self):
-        scanner = RangeScanner(num_beams=16)
-        encoder = VAEStateEncoder(scanner=scanner, latent_dim=5)
-        world = _world([Obstacle(x_m=15.0, y_m=0.0)])
-        features = encoder.encode(world)
-        assert features.shape == (5,)
-
-    def test_fit_marks_trained(self):
-        scanner = RangeScanner(num_beams=8)
-        encoder = VAEStateEncoder(scanner=scanner, latent_dim=3)
-        data = np.random.default_rng(0).uniform(size=(32, 8))
-        assert not encoder.trained
-        encoder.fit(data, epochs=2, batch_size=16)
-        assert encoder.trained
-
-    def test_per_invocation_energy(self):
-        encoder = VAEStateEncoder()
-        assert encoder.per_invocation_energy_j() == pytest.approx(0.004 * 4.0)
-
-    def test_collect_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            collect_scan_dataset(
-                ScenarioConfig(num_obstacles=0, seed=0), RangeScanner(), num_worlds=0
-            )

@@ -901,7 +901,6 @@ class TestVectorizedGeometryReferences:
             num_beams=24,
             fov_rad=2.0 * math.pi if full_circle else math.radians(120.0),
             max_range_m=30.0,
-            include_road_edges=False,
         )
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-10.0, 10.0, rows)
@@ -924,7 +923,7 @@ class TestVectorizedGeometryReferences:
         _assert_bitwise_equal(result, expected)
 
     def test_scan_batch_edge_cases(self):
-        scanner = RangeScanner(num_beams=33, max_range_m=40.0, include_road_edges=False)
+        scanner = RangeScanner(num_beams=33, max_range_m=40.0)
         angles = scanner.beam_angles()
         # Grazing: a circle tangent to beam 5's ray, 12 m out.
         dx, dy = math.cos(angles[5]), math.sin(angles[5])

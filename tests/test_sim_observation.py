@@ -1,8 +1,7 @@
-"""Tests for range-scan observations, simulated sensors and the episode runner."""
+"""Tests for range-scan observations and the episode runner."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.control.heuristic import ObstacleAvoidanceController
@@ -14,7 +13,6 @@ from repro.sim.obstacles import Obstacle
 from repro.sim.observation import RangeScanner
 from repro.sim.road import Road
 from repro.sim.scenario import ScenarioConfig, build_world
-from repro.sim.sensors import SensorSuite, SimulatedSensor
 from repro.sim.world import World
 
 
@@ -39,21 +37,6 @@ class TestRangeScanner:
         central = scan[len(scan) // 2]
         assert central == pytest.approx(9.0, abs=0.2)
 
-    def test_no_obstacle_beams_report_road_edge_or_max_range(self):
-        scanner = RangeScanner(num_beams=11, max_range_m=40.0)
-        world = World(road=Road(width_m=8.0), obstacles=[], state=VehicleState())
-        scan = scanner.scan(world)
-        assert np.all(scan <= 40.0)
-        assert scan[len(scan) // 2] == pytest.approx(40.0)
-        # Off-axis beams hit the road edges before the maximum range.
-        assert scan[0] < 40.0
-
-    def test_normalized_scan_is_unit_interval(self):
-        scanner = RangeScanner()
-        world = _world_with_single_obstacle()
-        normalized = scanner.normalized_scan(world)
-        assert np.all(normalized >= 0.0) and np.all(normalized <= 1.0)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             RangeScanner(num_beams=1)
@@ -65,55 +48,6 @@ class TestRangeScanner:
         angles = scanner.beam_angles()
         assert angles[0] == pytest.approx(-math.radians(45))
         assert angles[-1] == pytest.approx(math.radians(45))
-
-
-class TestSimulatedSensor:
-    def test_due_respects_sampling_period(self):
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.04)
-        world = _world_with_single_obstacle()
-        assert sensor.due(0.0)
-        sensor.sample(world, 0.0)
-        assert not sensor.due(0.02)
-        assert sensor.due(0.04)
-
-    def test_noise_is_bounded_by_max_range(self):
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.02, noise_std_m=5.0)
-        world = _world_with_single_obstacle()
-        reading = sensor.sample(world, 0.0)
-        assert np.all(reading <= sensor.scanner.max_range_m)
-        assert np.all(reading >= 0.0)
-
-    def test_reset_clears_history(self):
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.02)
-        world = _world_with_single_obstacle()
-        sensor.sample(world, 0.0)
-        sensor.reset()
-        assert sensor.latest() is None
-        assert sensor.due(0.0)
-
-    def test_suite_rejects_duplicate_names(self):
-        with pytest.raises(ValueError):
-            SensorSuite(
-                sensors=[
-                    SimulatedSensor(name="cam", sampling_period_s=0.02),
-                    SimulatedSensor(name="cam", sampling_period_s=0.04),
-                ]
-            )
-
-    def test_suite_samples_only_due_sensors(self):
-        fast = SimulatedSensor(name="fast", sampling_period_s=0.02)
-        slow = SimulatedSensor(name="slow", sampling_period_s=0.04)
-        suite = SensorSuite(sensors=[fast, slow])
-        world = _world_with_single_obstacle()
-        first = suite.sample_due(world, 0.0)
-        assert set(first) == {"fast", "slow"}
-        second = suite.sample_due(world, 0.02)
-        assert set(second) == {"fast"}
-
-    def test_suite_get_unknown_raises(self):
-        suite = SensorSuite(sensors=[SimulatedSensor(name="cam", sampling_period_s=0.02)])
-        with pytest.raises(KeyError):
-            suite.get("lidar")
 
 
 class TestEpisodeRunner:

@@ -1,7 +1,7 @@
 """Tests for the scenario-diversity subsystem: segment roads, the Frenet
 frame, obstacle motion, sensor degradation, and the sim-layer bugfix
-regressions (sample-slot anchoring, unified nearest-threat queries, road
-extent clamping, full-circle beam grids)."""
+regressions (unified nearest-threat queries, road extent clamping,
+full-circle beam grids)."""
 
 import math
 
@@ -23,7 +23,6 @@ from repro.sim.obstacles import (
 from repro.sim.observation import RangeScanner
 from repro.sim.road import ArcSegment, Road, StraightSegment
 from repro.sim.scenario import DEFAULT_SUITE, ScenarioConfig, build_world
-from repro.sim.sensors import SimulatedSensor
 from repro.sim.world import World
 
 
@@ -197,33 +196,6 @@ class TestRoadExtent:
         assert not road.contains(101.0, 0.0)
         assert not road.contains(-1.0, 0.0)
 
-    def test_ray_edge_hits_clamped_to_route_extent(self):
-        road = Road(length_m=100.0, width_m=8.0)
-        # From mid-road, a diagonal ray hits the edge inside the extent.
-        inside = road.ray_edge_distance((50.0, 0.0), (math.cos(0.3), math.sin(0.3)), 40.0)
-        assert inside == pytest.approx(road.half_width_m / math.sin(0.3))
-        # From near the end, the same ray would only cross the edge line
-        # beyond x = 100 — that is open space, not a road edge.
-        beyond = road.ray_edge_distance((99.0, 0.0), (math.cos(0.3), math.sin(0.3)), 40.0)
-        assert beyond is None
-
-    def test_scan_reports_no_edges_beyond_route_end(self):
-        road = Road(length_m=100.0, width_m=8.0)
-        world = World(road=road, obstacles=[], state=VehicleState(x_m=99.5))
-        scan = RangeScanner(num_beams=9, max_range_m=30.0).scan(world)
-        # Every beam points forward out of the route: nothing to hit.
-        assert np.all(scan == 30.0)
-
-    def test_curved_road_edge_distance_matches_geometry(self):
-        road = Road(width_m=10.0, segments=(ArcSegment(radius_m=50.0, sweep_rad=1.0),))
-        # From the centreline pointing radially outward (to the left, +y at
-        # the arc start), the edge is half a width away.
-        x, y = road.from_frenet(20.0, 0.0)
-        heading = road.heading_at(20.0)
-        direction = (math.cos(heading + 0.5 * math.pi), math.sin(heading + 0.5 * math.pi))
-        hit = road.ray_edge_distance((x, y), direction, 40.0)
-        assert hit == pytest.approx(road.half_width_m, abs=1e-3)
-
     def test_off_road_and_progress_on_curve(self):
         road = _curved_road(width_m=10.0)
         x, y = road.from_frenet(40.0, 6.5)
@@ -256,75 +228,6 @@ class TestBeamAngles:
         angles = scanner.beam_angles()
         assert angles[0] == pytest.approx(-math.radians(45.0))
         assert angles[-1] == pytest.approx(math.radians(45.0))
-
-
-# ----------------------------------------------------------------------
-# Sensor sampling slots and the dropout model
-# ----------------------------------------------------------------------
-class TestSensorSlots:
-    def _world(self):
-        return World(road=Road(width_m=60.0), obstacles=[], state=VehicleState())
-
-    def test_sample_slots_do_not_drift(self):
-        # A 20 Hz sensor polled at 50 Hz must still average 20 Hz: the slot
-        # anchor advances by whole periods, not to the actual sample time.
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.05)
-        world = self._world()
-        sample_times = []
-        steps = 100  # 2 s at 50 Hz
-        for step in range(steps):
-            t = step * 0.02
-            if sensor.due(t):
-                sensor.sample(world, t)
-                sample_times.append(round(t, 4))
-        # 2 s of 20 Hz = 40 samples (the drifting version delivers ~34).
-        assert len(sample_times) == 40
-        assert sample_times[:4] == [0.0, 0.06, 0.1, 0.16]
-
-    def test_exact_polling_unchanged(self):
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.04)
-        world = self._world()
-        assert sensor.due(0.0)
-        sensor.sample(world, 0.0)
-        assert not sensor.due(0.02)
-        assert sensor.due(0.04)
-
-    def test_dropout_holds_stale_reading(self):
-        sensor = SimulatedSensor(
-            name="cam", sampling_period_s=0.02, dropout_probability=0.999
-        )
-        world = self._world()
-        first = sensor.sample(world, 0.0)
-        assert not sensor.last_sample_stale  # first sample always succeeds
-        world.state = VehicleState(x_m=5.0)
-        second = sensor.sample(world, 0.02)
-        assert sensor.last_sample_stale
-        assert sensor.dropped_samples == 1
-        np.testing.assert_array_equal(first, second)
-
-    def test_dropout_zero_probability_never_stale(self):
-        sensor = SimulatedSensor(name="cam", sampling_period_s=0.02)
-        world = self._world()
-        for step in range(5):
-            sensor.sample(world, 0.02 * step)
-            assert not sensor.last_sample_stale
-        assert sensor.dropped_samples == 0
-
-    def test_dropout_probability_validated(self):
-        with pytest.raises(ValueError):
-            SimulatedSensor(name="cam", sampling_period_s=0.02, dropout_probability=1.0)
-
-    def test_reset_clears_dropout_state(self):
-        sensor = SimulatedSensor(
-            name="cam", sampling_period_s=0.02, dropout_probability=0.999
-        )
-        world = self._world()
-        sensor.sample(world, 0.0)
-        sensor.sample(world, 0.02)
-        sensor.reset()
-        assert sensor.dropped_samples == 0
-        assert not sensor.last_sample_stale
-        assert sensor.latest() is None
 
 
 # ----------------------------------------------------------------------
