@@ -13,17 +13,14 @@ parameters and return values with the :func:`kernel_contract` decorator:
     )
     def query_batch(self, distances_m, bearings_rad): ...
 
-The declaration is the **single source of truth** for two independent
-enforcement mechanisms:
-
-* the static shape/dtype dataflow pass in :mod:`repro.lint.shapes`
-  (REPRO501–505) reads the decorator keywords straight off the AST and
-  checks kernel bodies and call sites without importing anything;
-* the runtime twin — enabled with ``repro.cli --runtime-contracts``, the
-  ``REPRO_RUNTIME_CONTRACTS=1`` environment variable, or
-  :func:`enforced_contracts` — binds the same symbols against the live
-  arrays at call time and raises :class:`ContractViolationError` on the
-  first mismatch.
+The declaration is enforced at call time: enabled with
+``repro.cli --runtime-contracts``, the ``REPRO_RUNTIME_CONTRACTS=1``
+environment variable, or :func:`enforced_contracts`, the decorator binds
+the declared symbols against the live arrays and raises
+:class:`ContractViolationError` on the first mismatch.  The
+``kernel-declarations`` check of :mod:`repro.lint` (REPRO502–503) makes
+sure every public kernel carries a declaration, so none escapes the
+runtime check.
 
 Spec grammar
 ------------

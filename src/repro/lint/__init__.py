@@ -15,12 +15,11 @@ see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
 * **protocol-schema** (REPRO401–406): the remote worker frames produced
   and consumed in ``runtime/remote.py`` agree with the documented
   schema;
-* **array-contracts** (REPRO501–505): every public ``*_batch`` kernel
-  in the kernel layer (the kernel-parity scope plus ``dynamics/`` and
-  ``runtime/batch.py``) declares its array shapes/dtypes via
-  ``@kernel_contract``, a symbolic dataflow pass confirms the body
-  against the declaration, and scalar facades are 1-element views of
-  their kernels.
+* **kernel-declarations** (REPRO502–503): in the kernel layer (the
+  kernel-parity scope plus ``dynamics/`` and ``runtime/batch.py``), no
+  narrowing dtype appears anywhere, and every public ``*_batch`` /
+  ``*_kernel`` function declares its array shapes/dtypes via
+  ``@kernel_contract`` (enforced at runtime by :mod:`repro.contracts`).
 
 See ``docs/static-analysis.md`` for the invariants and the
 ``# repro-lint: ignore[CODE]`` suppression pragma.
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.lint import closedworld, determinism, parity, protocol, shapes
+from repro.lint import closedworld, declarations, determinism, parity, protocol
 from repro.lint.framework import Checker, SourceFile, Violation
 from repro.lint.framework import main as _main
 
@@ -78,15 +77,14 @@ CHECKERS: tuple[Checker, ...] = (
         scope=protocol.in_scope,
     ),
     Checker(
-        name="array-contracts",
-        codes=shapes.CODES,
+        name="kernel-declarations",
+        codes=declarations.CODES,
         description=(
-            "batch kernels declare shapes/dtypes via @kernel_contract; a "
-            "symbolic dataflow pass checks bodies, returns, facades, and "
-            "loop RNG draws against the declarations"
+            "no narrowing dtypes in the kernel layer, and every public "
+            "*_batch/*_kernel function declares a @kernel_contract"
         ),
-        files_check=shapes.check_shapes,
-        scope=shapes.in_scope,
+        file_check=declarations.check_declarations,
+        scope=declarations.in_scope,
     ),
 )
 

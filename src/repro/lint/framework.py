@@ -1,16 +1,12 @@
 """Checker framework for :mod:`repro.lint`.
 
 The linter is a thin, dependency-free harness around repo-specific
-*checkers*.  Three kinds exist:
+*checkers*.  Two kinds exist:
 
 * **File checkers** parse one Python file into an :class:`ast.Module` and
   report :class:`Violation`\\ s against it.  Each carries a *scope*
   predicate over the package-relative path (``core/lookup.py``), so e.g.
   the kernel-parity rule only fires inside the decision-kernel layers.
-* **Multi-file checkers** receive every in-scope :class:`SourceFile` at
-  once and run a single pass with a project-wide symbol table (the
-  array-contracts rule resolves kernel calls across modules — one file
-  alone cannot say what ``query_batch`` returns).
 * **Project checkers** run once per invocation against the imported
   package (the work-unit closed-world rule cross-checks the live registry
   against the live config dataclasses — that relationship is not visible
@@ -106,22 +102,20 @@ class SourceFile:
 
 @dataclass(frozen=True)
 class Checker:
-    """A named lint rule: per-file, multi-file (with a scope), or per-project."""
+    """A named lint rule: per-file (with a scope) or per-project."""
 
     name: str
     codes: tuple[str, ...]
     description: str
     file_check: Callable[[SourceFile], list[Violation]] | None = None
     scope: Callable[[str], bool] | None = None
-    files_check: Callable[[Sequence[SourceFile]], list[Violation]] | None = None
     project_check: Callable[[], list[Violation]] | None = None
 
     def __post_init__(self) -> None:
-        kinds = [self.file_check, self.files_check, self.project_check]
-        if sum(kind is not None for kind in kinds) != 1:
+        if (self.file_check is None) == (self.project_check is None):
             raise ValueError(
                 f"checker {self.name!r} must define exactly one of "
-                "file_check/files_check/project_check"
+                "file_check/project_check"
             )
         if self.project_check is None and self.scope is None:
             raise ValueError(f"file checker {self.name!r} requires a scope")
@@ -220,11 +214,7 @@ def run_lint(
 
     violations: list[Violation] = []
     file_checkers = [checker for checker in enabled if checker.file_check is not None]
-    files_checkers = [checker for checker in enabled if checker.files_check is not None]
-    collected: dict[str, list[SourceFile]] = {
-        checker.name: [] for checker in files_checkers
-    }
-    if file_checkers or files_checkers:
+    if file_checkers:
         for path in walk_python_files(paths):
             relpath = package_relative(path)
             applicable = [
@@ -232,28 +222,14 @@ def run_lint(
                 for checker in file_checkers
                 if checker.scope is not None and checker.scope(relpath)
             ]
-            collecting = [
-                checker
-                for checker in files_checkers
-                if checker.scope is not None and checker.scope(relpath)
-            ]
-            if not applicable and not collecting:
+            if not applicable:
                 continue
             source_file = load_source_file(path, relpath)
-            for checker in collecting:
-                collected[checker.name].append(source_file)
             for checker in applicable:
                 assert checker.file_check is not None
                 for violation in checker.file_check(source_file):
                     if not is_suppressed(violation, source_file.lines):
                         violations.append(violation)
-    for checker in files_checkers:
-        assert checker.files_check is not None
-        scoped = collected[checker.name]
-        lines_by_path = {str(sf.path): sf.lines for sf in scoped}
-        for violation in checker.files_check(scoped):
-            if not is_suppressed(violation, lines_by_path.get(violation.path, [])):
-                violations.append(violation)
     for checker in enabled:
         if checker.project_check is not None:
             for violation in checker.project_check():
@@ -270,7 +246,8 @@ def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Repo-specific invariant linter (kernel parity, "
-        "determinism, serialization closed-worlds, protocol schemas).",
+        "determinism, serialization closed-worlds, protocol schemas, kernel "
+        "declarations).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, default=[Path("src")],

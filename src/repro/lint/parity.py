@@ -14,10 +14,10 @@ same-class method named ``<base>`` or ``<base>_*`` (not itself ending in
 ``_batch``) must share an implementation with it.  "Share" is checked
 structurally: the transitive same-class call/reference closures of the
 two methods must intersect.  That accepts both directions — a scalar
-that delegates to the batch kernel (``query`` → ``query_batch``) and a
-batch method whose irregular fallback loops over the scalar
-(``project_batch`` → ``project``) — as well as sharing through a common
-private helper (``estimate`` and ``estimate_batch`` both reaching
+that delegates to the batch kernel (``query`` → ``query_batch``,
+``Centerline.project`` → ``project_batch``) and a batch method whose
+irregular fallback loops over the scalar — as well as sharing through a
+common private helper (``estimate`` and ``estimate_batch`` both reaching
 ``_estimate_batch_scalar``).
 """
 

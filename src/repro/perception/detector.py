@@ -10,14 +10,13 @@ SEO treats a detector as two things at once:
 
 This class provides both: the footprint is carried as a
 :class:`repro.platform.compute.ComputeProfile`, and the function is a
-range-scan peak detector with optional range noise and false-negative drops,
-which preserves the property the evaluation relies on — the controller can
+range-scan peak detector with optional range and bearing noise, which
+preserves the property the evaluation relies on — the controller can
 still complete the obstacle course from the detections.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +92,6 @@ class DetectorModel:
         payload_bytes: Uplink payload when this model's input is offloaded.
         range_noise_std_m: Std-dev of additive noise on detected distances.
         bearing_noise_std_rad: Std-dev of additive noise on detected bearings.
-        miss_rate: Probability of dropping an individual detection.
         detection_threshold_m: Scan-range margin below the maximum range for
             a beam to count as a hit on an object.
         seed: Seed of the detector's private noise generator.
@@ -106,7 +104,6 @@ class DetectorModel:
     payload_bytes: int = 28_000
     range_noise_std_m: float = 0.1
     bearing_noise_std_rad: float = 0.01
-    miss_rate: float = 0.0
     detection_threshold_m: float = 0.5
     seed: int = 0
 
@@ -115,8 +112,6 @@ class DetectorModel:
             raise ValueError("period_s must be positive")
         if self.payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        if not 0.0 <= self.miss_rate < 1.0:
-            raise ValueError("miss_rate must be in [0, 1)")
         if self.range_noise_std_m < 0 or self.bearing_noise_std_rad < 0:
             raise ValueError("noise standard deviations must be non-negative")
         self._noise = self.noise_source(1)
@@ -147,17 +142,12 @@ class DetectorModel:
             stale=False,
         )
 
-    def noise_source(self, rows: int) -> DrawStream | list[np.random.Generator]:
+    def noise_source(self, rows: int) -> DrawStream:
         """A fresh noise source of ``rows`` rows, each replaying ``seed``.
 
-        A standard-normal :class:`~repro.streams.DrawStream` (all rows share
-        one buffer, with independent cursors) when ``miss_rate`` is 0;
-        otherwise one private generator per row, because the miss filter
-        interleaves normal and uniform draws on one generator, which a
-        one-kind stream cannot serve.
+        A standard-normal :class:`~repro.streams.DrawStream`: all rows
+        share one buffer, with independent cursors.
         """
-        if self.miss_rate > 0.0:
-            return [np.random.default_rng(self.seed) for _ in range(rows)]
         return DrawStream([self.seed] * rows, "standard_normal")
 
     def detect(self, scan: np.ndarray) -> list[Detection]:
@@ -185,26 +175,21 @@ class DetectorModel:
     def detect_batch(
         self,
         rows: np.ndarray,
-        noise: DrawStream | Sequence[np.random.Generator],
+        noise: DrawStream,
         noise_rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized detection extraction over ``(R, num_beams)`` scan rows.
 
         Grouping runs as one array pass (:func:`group_scan_rows`).  Scan row
-        ``r`` draws its noise from row ``noise_rows[r]`` of ``noise`` (an
-        identity map by default), in exactly the order the serial
-        per-detection scalar draws would: the interleaved range/bearing
-        pairs of all its groups (``Generator.normal(0, std)`` is
+        ``r`` draws its noise from row ``noise_rows[r]`` of the
+        standard-normal stream ``noise`` (an identity map by default), in
+        exactly the order the serial per-detection scalar draws would: the
+        interleaved range/bearing pairs of all its groups, every row's in
+        one ragged gather (``Generator.normal(0, std)`` is
         ``0.0 + std * standard_normal()``, so the values are bit-identical
-        too), then, when ``miss_rate > 0``, one uniform per group for the
-        miss filter.
-
-        When ``noise`` is a standard-normal :class:`~repro.streams.DrawStream`
-        every row's normals come from one ragged gather.  A stream cannot
-        serve ``miss_rate > 0``, where normals and uniforms interleave on
-        one generator; that case takes a sequence of generators and keeps a
-        per-row loop of sized draws.  No
-        :class:`~repro.core.framework.SEOConfig` builds such a detector.
+        too).  Every detection is kept: no
+        :class:`~repro.core.framework.SEOConfig` builds a detector that
+        drops detections at random.
 
         Args:
             rows: ``(R, num_beams)`` scan range matrix.
@@ -214,7 +199,7 @@ class DetectorModel:
 
         Returns:
             ``(counts, distances, bearings, spans)`` — ``counts`` holds the
-            surviving detections per row; the other arrays hold their fields
+            detections per row; the other arrays hold their fields
             flattened row-major.
         """
         rows = np.asarray(rows, dtype=float)
@@ -226,51 +211,19 @@ class DetectorModel:
             rows, threshold
         )
         bearings = angles[start + best_offset].astype(float, copy=True)
-        counts_raw = np.bincount(group_row, minlength=rows.shape[0])
+        counts = np.bincount(group_row, minlength=rows.shape[0])
         range_std = self.range_noise_std_m
         bearing_std = self.bearing_noise_std_rad
-        if isinstance(noise, DrawStream):
-            if self.miss_rate > 0.0:
-                raise ValueError("miss_rate > 0 needs per-row generators (see noise_source)")
-            per_group = int(range_std > 0.0) + int(bearing_std > 0.0)
-            if per_group and group_row.size:
-                draws = noise.take(noise_rows, per_group * counts_raw).reshape(
-                    group_row.size, per_group
-                )
-                if range_std > 0.0:
-                    distances = np.maximum(0.0, distances + (0.0 + range_std * draws[:, 0]))
-                if bearing_std > 0.0:
-                    bearings += 0.0 + bearing_std * draws[:, per_group - 1]
-            return counts_raw, distances, bearings, length
-
-        # Generator path: one sized call per draw kind per row.  Rows
-        # without groups consume no draws; each row draws from its own
-        # generator, so only the order *within* a row is the contract.
-        keep = np.ones(group_row.size, dtype=bool)
-        bounds = np.concatenate(([0], np.cumsum(counts_raw))).tolist()
-        for r in np.nonzero(counts_raw)[0].tolist():
-            lo, hi = bounds[r], bounds[r + 1]
-            groups = hi - lo
-            rng = noise[int(noise_rows[r])]
-            if range_std > 0.0 and bearing_std > 0.0:
-                draws = rng.standard_normal(2 * groups)
-                distances[lo:hi] = np.maximum(
-                    0.0, distances[lo:hi] + (0.0 + range_std * draws[0::2])
-                )
-                bearings[lo:hi] += 0.0 + bearing_std * draws[1::2]
-            elif range_std > 0.0:
-                draws = rng.standard_normal(groups)
-                distances[lo:hi] = np.maximum(
-                    0.0, distances[lo:hi] + (0.0 + range_std * draws)
-                )
-            elif bearing_std > 0.0:
-                bearings[lo:hi] += 0.0 + bearing_std * rng.standard_normal(groups)
-            if self.miss_rate > 0.0:
-                keep[lo:hi] = rng.random(groups) >= self.miss_rate
-        if not keep.all():
-            counts = np.bincount(group_row[keep], minlength=rows.shape[0])
-            return counts, distances[keep], bearings[keep], length[keep]
-        return counts_raw, distances, bearings, length
+        per_group = int(range_std > 0.0) + int(bearing_std > 0.0)
+        if per_group and group_row.size:
+            draws = noise.take(noise_rows, per_group * counts).reshape(
+                group_row.size, per_group
+            )
+            if range_std > 0.0:
+                distances = np.maximum(0.0, distances + (0.0 + range_std * draws[:, 0]))
+            if bearing_std > 0.0:
+                bearings += 0.0 + bearing_std * draws[:, per_group - 1]
+        return counts, distances, bearings, length
 
     # ------------------------------------------------------------------
     # Workload description

@@ -223,7 +223,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     draw_streams = [
         stream
         for stream in (sched_stream, drop_stream, *det_noise.values())
-        if isinstance(stream, DrawStream)
+        if stream is not None
     ]
 
     # ------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Tests for the runtime kernel-contract twin (:mod:`repro.contracts`).
 
-The spec grammar and decorator semantics get direct unit coverage; the
-end-to-end guarantee — every registered scenario family runs serial *and*
-batch under enforcement without a single violation, still bit-exact — is
-the runtime mirror of the REPRO5xx static pass over the same declarations.
+The spec grammar and decorator semantics get direct unit coverage.  The
+end-to-end guarantee — every registered scenario family, and on one
+family every optimization mode, both controllers, the exact-estimator
+and the safety-unaware deadline, runs serial *and* batch under
+enforcement without a single violation, still bit-exact — checks the
+declarations on the kernel paths those runs execute.
+The mutation tests replay, on the real kernels, the shape bugs a static
+dataflow pass used to look for, and show that they fail at run time.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +30,12 @@ from repro.contracts import (
     set_contracts_enabled,
 )
 from repro.core.framework import SEOConfig
+from repro.core.safety import SafetyInputs
+from repro.dynamics.state import ControlAction
 from repro.runtime.batch import BatchExecutor
 from repro.runtime.executor import SerialExecutor
 from repro.sim.scenario import DEFAULT_SUITE
+from repro.sim.world import World
 
 
 # ----------------------------------------------------------------------
@@ -218,3 +230,98 @@ def test_suite_families_run_clean_under_runtime_contracts(family_name):
         serial = SerialExecutor().run(config, 2)
         batch = BatchExecutor().run(config, 2)
     assert batch == serial
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"optimization": "none"},
+        {"optimization": "model_gating"},
+        {"optimization": "sensor_gating"},
+        {"controller": "pure_pursuit"},
+        {"use_lookup_table": False},
+        {"safety_aware": False},
+    ],
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_config_variants_run_clean_under_runtime_contracts(overrides):
+    """The kernels only the non-default modes reach are checked too."""
+    family = DEFAULT_SUITE.get("obstacle-course")
+    config = SEOConfig(scenario=family.base, max_steps=100, **overrides)
+    with enforced_contracts():
+        serial = SerialExecutor().run(config, 2)
+        batch = BatchExecutor().run(config, 2)
+    assert batch == serial
+
+
+# ----------------------------------------------------------------------
+# Real-tree mutations: each breaks one kernel's array interface in a
+# fresh copy of its module and must fail when the kernel runs.
+# ----------------------------------------------------------------------
+
+def mutant(monkeypatch, name: str, old: str, new: str) -> types.ModuleType:
+    """A fresh copy of module ``name`` with one textual mutation applied."""
+    spec = importlib.util.find_spec(name)
+    assert spec is not None and spec.origin is not None
+    source = Path(spec.origin).read_text()
+    mutated = source.replace(old, new, 1)
+    assert mutated != source, f"mutation pattern not found in {name}"
+    module = types.ModuleType(f"{name}_mutant")
+    # dataclasses resolve string annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(mutated, spec.origin, "exec"), module.__dict__)
+    return module
+
+
+def test_mutation_real_world_broadcast_breaks_the_batch_kernel(monkeypatch):
+    """Dropping ``[:, None]`` keeps N = 1 (serial) right and breaks N > 1."""
+    world = mutant(
+        monkeypatch, "repro.sim.world", "dx = obs_x - xs[:, None]", "dx = obs_x - xs"
+    )
+    rng = np.random.default_rng(0)
+    xs, ys, hs = rng.normal(size=(3, 3))
+    obs = rng.normal(size=(3, 3, 3)) + np.array([20.0, 0.0, 1.0])[:, None, None]
+    real = World.nearest_obstacle_view_batch(xs, ys, hs, *obs)
+    broken = world.World.nearest_obstacle_view_batch(xs, ys, hs, *obs)
+    assert not all(np.array_equal(a, b) for a, b in zip(real, broken, strict=True))
+    single = world.World.nearest_obstacle_view_batch(
+        xs[:1], ys[:1], hs[:1], *obs[:, :1]
+    )
+    assert all(np.array_equal(a[:1], b) for a, b in zip(real, single, strict=True))
+    with pytest.raises(ValueError, match="broadcast"):
+        world.World.nearest_obstacle_view_batch(xs[:2], ys[:2], hs[:2], *obs[:, :2])
+
+
+def test_mutation_real_safety_return_shape_fails_under_runtime_contracts(monkeypatch):
+    safety = mutant(
+        monkeypatch,
+        "repro.core.safety",
+        "return np.where(present, distances - required, distances)",
+        "return np.where(present, distances - required, distances)[:, None]",
+    )
+    barrier = safety.BrakingDistanceBarrier()
+    args = (np.full(3, 10.0), np.zeros(3), np.full(3, 8.0))
+    assert barrier.evaluate_batch(*args).shape == (3, 1)
+    with enforced_contracts(), pytest.raises(ContractViolationError, match="shape"):
+        barrier.evaluate_batch(*args)
+
+
+def test_mutation_real_lookup_facade_fails_under_runtime_contracts(monkeypatch):
+    lookup = mutant(
+        monkeypatch,
+        "repro.core.lookup",
+        "np.array([inputs.distance_m]",
+        "np.array([inputs.distance_m, 0.0]",
+    )
+    grid = lookup.LookupGrid()
+    shape = (
+        grid.distance_values().size,
+        grid.num_bearings,
+        grid.speed_values().size,
+        grid.steering_values().size,
+        grid.throttle_values().size,
+    )
+    table = lookup.DeadlineLookupTable(grid, np.ones(shape), horizon_s=1.0)
+    inputs = SafetyInputs(distance_m=10.0, bearing_rad=0.0, speed_mps=5.0)
+    with enforced_contracts(), pytest.raises(ContractViolationError, match="binds"):
+        table.query(inputs, ControlAction(steering=0.0, throttle=0.0))

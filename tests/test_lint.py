@@ -18,10 +18,18 @@ import pytest
 
 from repro import cli
 from repro import lint
-from repro.lint import CHECKERS, closedworld, determinism, parity, protocol
+from repro.lint import (
+    CHECKERS,
+    closedworld,
+    declarations,
+    determinism,
+    parity,
+    protocol,
+)
 from repro.lint.framework import (
     Checker,
     Violation,
+    is_suppressed,
     load_source_file,
     main as framework_main,
     package_relative,
@@ -59,6 +67,11 @@ def test_package_relative_strips_to_innermost_repro_package():
 def test_checker_definition_is_validated():
     with pytest.raises(ValueError, match="exactly one"):
         Checker(name="x", codes=("C1",), description="d")
+    with pytest.raises(ValueError, match="exactly one"):
+        Checker(
+            name="x", codes=("C1",), description="d",
+            file_check=lambda sf: [], project_check=list, scope=bool,
+        )
     with pytest.raises(ValueError, match="scope"):
         Checker(name="x", codes=("C1",), description="d", file_check=lambda sf: [])
 
@@ -407,6 +420,145 @@ def test_protocol_mutation_drifted_real_run_frame():
 
 
 # ----------------------------------------------------------------------
+# Kernel declarations (REPRO502–503)
+# ----------------------------------------------------------------------
+
+def mutate_declarations(relpath: str, old: str, new: str) -> list[Violation]:
+    """Apply a one-shot textual mutation to a real file and re-check it."""
+    import ast
+
+    from repro.lint.framework import SourceFile
+
+    path = SRC / relpath
+    source = path.read_text()
+    assert declarations.check_declarations(load_source_file(path)) == []
+    mutated = source.replace(old, new, 1)
+    assert mutated != source, f"mutation pattern not found in {relpath}"
+    return declarations.check_declarations(
+        SourceFile(path, relpath, mutated, ast.parse(mutated))
+    )
+
+
+def test_declarations_scope_is_the_kernel_layer():
+    assert declarations.in_scope("core/lookup.py")
+    assert declarations.in_scope("control/pure_pursuit.py")
+    assert declarations.in_scope("perception/detector.py")
+    assert declarations.in_scope("dynamics/bicycle.py")
+    assert declarations.in_scope("sim/road.py")
+    assert declarations.in_scope("sim/world.py")
+    assert declarations.in_scope("sim/observation.py")
+    assert declarations.in_scope("runtime/batch.py")
+    assert not declarations.in_scope("runtime/engine.py")
+    assert not declarations.in_scope("sim/scenario.py")
+    assert not declarations.in_scope("cli.py")
+
+
+def test_declarations_clean_fixture_passes():
+    fixture = load_fixture("declarations_ok.py", "core/declarations_ok.py")
+    assert declarations.check_declarations(fixture) == []
+
+
+def test_declarations_bad_fixture_fires_each_code():
+    violations = declarations.check_declarations(
+        load_fixture("declarations_bad.py", "core/declarations_bad.py")
+    )
+    assert codes_by_line(violations) == [
+        (13, "REPRO502"),
+        (18, "REPRO502"),
+        (21, "REPRO503"),
+        (26, "REPRO503"),
+    ]
+    messages = [v.message for v in sorted(violations)]
+    assert "np.uint8" in messages[0]
+    assert "'float32'" in messages[1]
+    assert "'unsigned_kernel' lacks a @kernel_contract" in messages[2]
+    assert "'double_batch' lacks a @kernel_contract" in messages[3]
+
+
+def test_declarations_out_of_scope_fixture_is_ignored_by_run_lint(tmp_path):
+    target = tmp_path / "repro" / "analysis"
+    target.mkdir(parents=True)
+    bad = (FIXTURES / "declarations_bad.py").read_text()
+    (target / "declarations_bad.py").write_text(bad)
+    assert run_lint([tmp_path], CHECKERS, select=["kernel-declarations"]) == []
+
+
+def test_declarations_mutation_real_heuristic_dtype_fires_502():
+    violations = mutate_declarations(
+        "control/heuristic.py", "dtype=float)", "dtype=np.float32)"
+    )
+    assert [v.code for v in violations] == ["REPRO502"]
+    assert "np.float32" in violations[0].message
+
+
+def test_declarations_mutation_real_safety_stripped_contract_fires_503():
+    decorator = (
+        "    @kernel_contract(\n"
+        '        distances_m="(N,) float64",\n'
+        '        bearings_rad="(N,) float64",\n'
+        '        speeds_mps="(N,) float64",\n'
+        '        returns="(N,) float64",\n'
+        "    )\n"
+        "    def evaluate_batch(\n"
+    )
+    violations = mutate_declarations(
+        "core/safety.py", decorator, "    def evaluate_batch(\n"
+    )
+    assert [v.code for v in violations] == ["REPRO503"]
+    assert "'evaluate_batch' lacks a @kernel_contract" in violations[0].message
+
+
+def test_declarations_real_tree_presuppression_finding_is_exactly_run_batch():
+    """Before pragmas apply, the only finding is the sanctioned run_batch."""
+    violations = []
+    for path in sorted(SRC.rglob("*.py")):
+        relpath = package_relative(path)
+        if declarations.in_scope(relpath):
+            violations += declarations.check_declarations(
+                load_source_file(path, relpath)
+            )
+    assert [(v.code, v.message) for v in violations] == [
+        ("REPRO503", "public batch kernel 'run_batch' lacks a @kernel_contract "
+         "declaration")
+    ]
+    assert violations[0].path.endswith("runtime/batch.py")
+
+
+def test_declarations_real_tree_is_clean_after_span_suppression():
+    assert run_lint([SRC], CHECKERS, select=["kernel-declarations"]) == []
+
+
+def test_span_suppression_scans_every_line_of_the_statement():
+    lines = [
+        "@kernel_contract(",
+        '    xs="(N,) float64",  # repro-lint: ignore[REPRO503]',
+        ")",
+        "def f():",
+        "    pass",
+    ]
+    spanning = Violation(
+        path="x.py", line=1, end_line=3, code="REPRO503", message="m"
+    )
+    assert is_suppressed(spanning, lines)
+    wrong_code = Violation(
+        path="x.py", line=1, end_line=3, code="REPRO502", message="m"
+    )
+    assert not is_suppressed(wrong_code, lines)
+
+
+def test_span_suppression_does_not_leak_past_the_statement():
+    """A pragma inside the def *body* must not silence a def-level finding."""
+    lines = [
+        "def f():",
+        "    return 1  # repro-lint: ignore[REPRO503]",
+    ]
+    def_level = Violation(
+        path="x.py", line=1, end_line=1, code="REPRO503", message="m"
+    )
+    assert not is_suppressed(def_level, lines)
+
+
+# ----------------------------------------------------------------------
 # End-to-end: module and CLI entry points on the real tree
 # ----------------------------------------------------------------------
 
@@ -447,3 +599,22 @@ def test_lint_main_select_runs_only_named_checker(tmp_path):
     (scoped / "drift.py").write_text((FIXTURES / "parity_bad.py").read_text())
     assert lint.main([str(tmp_path), "--select", "determinism"]) == 0
     assert lint.main([str(tmp_path), "--select", "kernel-parity"]) == 1
+
+
+def test_cli_lint_accepts_explicit_file_and_directory_args():
+    assert cli.run(["lint", str(SRC / "core" / "lookup.py")]) == ""
+    assert cli.run(["lint", str(SRC / "core"), str(SRC / "sim")]) == ""
+
+
+def test_cli_lint_reports_violations_in_explicit_path(tmp_path, capsys):
+    scoped = tmp_path / "repro" / "core"
+    scoped.mkdir(parents=True)
+    (scoped / "declarations_bad.py").write_text(
+        (FIXTURES / "declarations_bad.py").read_text()
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(["lint", str(tmp_path), "--select", "kernel-declarations"])
+    assert excinfo.value.code == 1
+    out = capsys.readouterr().out
+    assert "declarations_bad.py:13: REPRO502" in out
+    assert "declarations_bad.py:21: REPRO503" in out

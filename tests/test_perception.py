@@ -1,7 +1,6 @@
 """Tests for the perception models (the range-scan detector)."""
 
 
-import numpy as np
 import pytest
 
 from repro.perception.detections import Detection, DetectionSet
@@ -9,7 +8,6 @@ from repro.perception.detector import DetectorModel
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
 from repro.sim.world import World
-from repro.streams import DrawStream
 from repro.dynamics.state import VehicleState
 
 
@@ -80,23 +78,6 @@ class TestDetectorModel:
         detector = DetectorModel(name="det")
         world = _world([Obstacle(x_m=-10.0, y_m=0.0, radius_m=1.0)])
         assert len(detector.infer(world)) == 0
-
-    def test_miss_rate_one_would_be_invalid(self):
-        with pytest.raises(ValueError):
-            DetectorModel(name="det", miss_rate=1.0)
-
-    def test_high_miss_rate_drops_detections(self):
-        detector = DetectorModel(name="det", miss_rate=0.99, seed=1)
-        world = _world([Obstacle(x_m=12.0, y_m=0.0, radius_m=1.0)])
-        dropped = sum(len(detector.infer(world)) == 0 for _ in range(20))
-        assert dropped >= 15
-
-    def test_miss_rate_refuses_a_draw_stream(self):
-        detector = DetectorModel(name="det", miss_rate=0.3, seed=1)
-        scan = np.full((1, detector.scanner.num_beams), 5.0)
-        stream = DrawStream([1], "standard_normal")
-        with pytest.raises(ValueError, match="per-row generators"):
-            detector.detect_batch(scan, stream)
 
     def test_rate_and_energy_properties(self):
         detector = DetectorModel(name="det", period_s=0.02)

@@ -637,28 +637,24 @@ class TestKernelFacadeParity:
             st.lists(scan_ranges, min_size=32, max_size=32), min_size=1, max_size=3
         ),
         seed=st.integers(0, 2**32 - 1),
-        miss_rate=st.sampled_from([0.0, 0.3]),
     )
-    def test_detect_batch_matches_scalar_draw_reference(self, rows, seed, miss_rate):
-        """Stream / sized RNG draws reproduce the legacy per-detection scalar
-        draws — same values bit for bit, and each row's noise source ends
-        exactly where the scalar draws leave its generator (the serial/batch
+    def test_detect_batch_matches_scalar_draw_reference(self, rows, seed):
+        """Stream draws reproduce the legacy per-detection scalar draws —
+        same values bit for bit, and each row's stream cursor ends exactly
+        where the scalar draws leave its generator (the serial/batch
         lockstep guarantee)."""
-        detector = DetectorModel(name="hyp-det", miss_rate=miss_rate, seed=seed)
+        detector = DetectorModel(name="hyp-det", seed=seed)
         matrix = np.array(rows, dtype=float)
         threshold = detector.scanner.max_range_m - detector.detection_threshold_m
         angles = detector.scanner.beam_angles()
         row_seeds = [seed + r for r in range(matrix.shape[0])]
-        if miss_rate > 0.0:
-            noise = [np.random.default_rng(row_seed) for row_seed in row_seeds]
-        else:
-            noise = streams.DrawStream(row_seeds, "standard_normal")
+        noise = streams.DrawStream(row_seeds, "standard_normal")
         serial_rngs = [np.random.default_rng(row_seed) for row_seed in row_seeds]
         counts, distances, bearings, spans = detector.detect_batch(matrix, noise)
         cursor = 0
         for r in range(matrix.shape[0]):
             rng = serial_rngs[r]
-            kept = []
+            expected = []
             for g_start, g_length, g_offset, g_distance in self._serial_groups(
                 matrix[r], threshold
             ):
@@ -670,25 +666,17 @@ class TestKernelFacadeParity:
                     )
                 if detector.bearing_noise_std_rad > 0.0:
                     bearing += rng.normal(0.0, detector.bearing_noise_std_rad)
-                kept.append((distance, bearing, g_length))
-            if detector.miss_rate > 0.0:
-                kept = [
-                    det for det in kept if rng.random() >= detector.miss_rate
-                ]
-            assert int(counts[r]) == len(kept)
-            for distance, bearing, span in kept:
+                expected.append((distance, bearing, g_length))
+            assert int(counts[r]) == len(expected)
+            for distance, bearing, span in expected:
                 assert distances[cursor] == distance
                 assert bearings[cursor] == bearing
                 assert spans[cursor] == span
                 cursor += 1
         assert cursor == distances.size
-        if miss_rate > 0.0:
-            for batch_rng, serial_rng in zip(noise, serial_rngs, strict=True):
-                assert batch_rng.bit_generator.state == serial_rng.bit_generator.state
-        else:
-            # The stream consumed exactly the scalar draw count per row.
-            following = noise.take(np.arange(len(row_seeds)), np.ones(len(row_seeds)))
-            assert following.tolist() == [rng.standard_normal() for rng in serial_rngs]
+        # The stream consumed exactly the scalar draw count per row.
+        following = noise.take(np.arange(len(row_seeds)), np.ones(len(row_seeds)))
+        assert following.tolist() == [rng.standard_normal() for rng in serial_rngs]
 
     @settings(max_examples=50, deadline=None)
     @given(
