@@ -12,7 +12,7 @@ Package map
 ``repro.core``
     The paper's contribution: safety function/filter, safe-interval
     estimation and lookup table, model-subset partition, energy models,
-    optimization strategies, the Algorithm-1 scheduler and the
+    the optimization-method period kernel, the Algorithm-1 scheduler and the
     :class:`~repro.core.framework.SEOFramework` facade.
 ``repro.dynamics`` / ``repro.sim``
     The driving substrate standing in for CARLA: kinematic bicycle model,

@@ -12,7 +12,7 @@ This package implements Sections III-V of the paper:
 * :mod:`repro.core.models` — the Lambda' / Lambda'' model partition;
 * :mod:`repro.core.energy` — analytic energy models (eqs. 7 and 8);
 * :mod:`repro.core.optimizations` — the optimization methods Omega
-  (offloading and gating);
+  (offloading and gating) as one per-period kernel;
 * :mod:`repro.core.scheduler` — Algorithm 1, the safe runtime control and
   optimization loop;
 * :mod:`repro.core.framework` — the :class:`SEOFramework` facade tying the
@@ -41,15 +41,9 @@ from repro.core.energy import (
     local_inference_energy_j,
     offload_interval_energy_j,
 )
-from repro.core.optimizations import (
-    GatingStrategy,
-    LocalOnlyStrategy,
-    OffloadStrategy,
-    OptimizationStrategy,
-    make_strategy_factory,
-)
+from repro.core.optimizations import period_kernel
 from repro.core.scheduler import (
-    ModelDirective,
+    EnergyColumns,
     SafeRuntimeScheduler,
     SchedulerStepReport,
 )
@@ -58,14 +52,10 @@ from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 __all__ = [
     "BrakingDistanceBarrier",
     "DeadlineLookupTable",
+    "EnergyColumns",
     "EpisodeReport",
-    "GatingStrategy",
-    "LocalOnlyStrategy",
     "LookupGrid",
-    "ModelDirective",
     "ModelSet",
-    "OffloadStrategy",
-    "OptimizationStrategy",
     "SEOConfig",
     "SEOFramework",
     "SafeIntervalEstimator",
@@ -83,7 +73,7 @@ __all__ = [
     "expected_gating_gain",
     "gating_interval_energy_j",
     "local_inference_energy_j",
-    "make_strategy_factory",
     "offload_interval_energy_j",
+    "period_kernel",
     "safety_state",
 ]

@@ -40,7 +40,7 @@ from repro.control.pure_pursuit import PurePursuitController
 from repro.core.intervals import SafeIntervalEstimator
 from repro.core.lookup import DeadlineLookupTable, LookupGrid
 from repro.core.models import ModelSet, SensoryModel
-from repro.core.optimizations import ACTION_LOCAL, make_strategy_factory
+from repro.core.optimizations import MAX_OFFLOAD_DEADLINE_PERIODS, OPTIMIZATIONS
 from repro.core.safety import BrakingDistanceBarrier, SafetyInputs
 from repro.core.scheduler import SafeRuntimeScheduler
 from repro.core.shield import SteeringShield
@@ -59,12 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Compute profile charged for the critical VAE pipeline every base period.
 VAE_COMPUTE_PROFILE = ComputeProfile(name="vae@drive-px2", latency_s=0.004, power_w=4.0)
-
-
-#: Highest ``max_deadline_periods`` the offload strategy accepts: the batch
-#: engine tracks each ``(episode, model)``'s pending offload arrivals as an
-#: int64 bitmask with one bit per base period of the deadline.
-MAX_OFFLOAD_DEADLINE_PERIODS = 60
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,9 @@ class SEOConfig:
         payload_bytes: Offload payload per inference.
         channel_scale_mbps: Rayleigh scale of the Wi-Fi effective data rate.
         max_deadline_periods: Saturation value of ``delta_max``: at least 1,
-            and at most :data:`MAX_OFFLOAD_DEADLINE_PERIODS` with offload.
+            and at most
+            :data:`~repro.core.optimizations.MAX_OFFLOAD_DEADLINE_PERIODS`
+            with offload.
         safety_aware: When False the deadline provider always reports the
             maximum deadline, i.e. optimizations are applied regardless of
             the perceived risk (the safety-oblivious ablation baseline).
@@ -100,7 +96,7 @@ class SEOConfig:
         target_speed_mps: Controller cruise speed.
         shield_margin_m: Intervention margin of the safety filter.
         barrier_clearance_m: Hard clearance of the safety barrier.
-        max_steps: Cap on base periods per episode.
+        max_steps: Cap on base periods per episode (at least 1).
         seed: Base seed; episode ``k`` perturbs it deterministically.
     """
 
@@ -131,7 +127,12 @@ class SEOConfig:
             raise ValueError("at least one detector period is required")
         if any(multiple < 1 for multiple in self.detector_period_multiples):
             raise ValueError("detector periods must be at least one base period")
-        if self.optimization not in {"offload", "model_gating", "sensor_gating", "none"}:
+        if len(set(self.detector_period_multiples)) != len(self.detector_period_multiples):
+            raise ValueError(
+                "detector_period_multiples must not repeat a multiple (each names "
+                f"one detector), got {self.detector_period_multiples}"
+            )
+        if self.optimization not in OPTIMIZATIONS:
             raise ValueError(f"unknown optimization: {self.optimization!r}")
         if self.controller not in {"heuristic", "pure_pursuit"}:
             raise ValueError(f"unknown controller: {self.controller!r}")
@@ -149,6 +150,8 @@ class SEOConfig:
                 f"{MAX_OFFLOAD_DEADLINE_PERIODS} with optimization='offload', "
                 f"got {self.max_deadline_periods}"
             )
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
     def detector_name(self, multiple: int) -> str:
         """Canonical name of the detector running at ``multiple * tau``."""
@@ -218,12 +221,6 @@ class SEOFramework:
         self.detectors = self._build_detectors()
         self.model_set = self._build_model_set()
         self.offload_planner = self._build_offload_planner()
-        self._strategy_factory = make_strategy_factory(
-            config.optimization,
-            planner_factory=(lambda model: self.offload_planner)
-            if config.optimization == "offload"
-            else None,
-        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -334,7 +331,8 @@ class SEOFramework:
             model_set=self.model_set,
             tau_s=config.tau_s,
             deadline_provider=self._deadline_provider(),
-            strategy_factory=self._strategy_factory,
+            optimization=config.optimization,
+            planner=self.offload_planner,
             max_deadline_periods=config.max_deadline_periods,
             rng=np.random.default_rng((config.seed + 2) * 1000 + episode),
         )
@@ -360,6 +358,7 @@ class SEOFramework:
 
         report = EpisodeReport(episode=episode)
         latest_detections: dict[str, DetectionSet] = {}
+        optimizable = [model.name for model in self.model_set.optimizable]
 
         for _ in range(config.max_steps):
             safety_inputs = SafetyInputs.from_world(world)
@@ -380,29 +379,24 @@ class SEOFramework:
                 control = raw_control
 
             # Safety-aware scheduling of the Lambda' models (Algorithm 1).
-            scheduler_report = scheduler.step(safety_inputs, control)
-            for directive in scheduler_report.directives:
-                if directive.critical:
-                    continue
-                if directive.fresh_output:
+            period = scheduler.step(safety_inputs, control)
+            for name, fresh, local in zip(
+                optimizable, period.fresh.tolist(), period.local.tolist()
+            ):
+                if fresh:
                     dropped = (
                         dropout_rng is not None
-                        and directive.action == ACTION_LOCAL
-                        and directive.model_name in latest_detections
+                        and local
+                        and name in latest_detections
                         and dropout_rng.random() < dropout_probability
                     )
                     if dropped:
                         report.sensor_dropouts += 1
-                        latest_detections[directive.model_name] = latest_detections[
-                            directive.model_name
-                        ].aged()
+                        latest_detections[name] = latest_detections[name].aged()
                     else:
-                        detector = self.detectors[directive.model_name]
-                        latest_detections[directive.model_name] = detector.infer(world)
-                elif directive.model_name in latest_detections:
-                    latest_detections[directive.model_name] = latest_detections[
-                        directive.model_name
-                    ].aged()
+                        latest_detections[name] = self.detectors[name].infer(world)
+                elif name in latest_detections:
+                    latest_detections[name] = latest_detections[name].aged()
 
             # Plant update.
             world.step(control, config.tau_s)
@@ -414,16 +408,13 @@ class SEOFramework:
                 report.off_road = status.off_road
                 break
 
-        report.duration_s = report.steps * config.tau_s
-        report.shield_interventions = shield.interventions
-        report.delta_max_samples = list(scheduler.stats.delta_max_samples)
-        report.energy_by_model_j = scheduler.ledger.total_by_model()
-        report.baseline_by_model_j = scheduler.baseline_ledger.total_by_model()
-        report.gain_by_model = scheduler.energy_gain_by_model()
-        report.overall_gain = scheduler.overall_energy_gain()
-        report.offloads_issued = scheduler.stats.offloads_issued
-        report.offload_deadline_misses = scheduler.stats.offload_deadline_misses
-        return report
+        return replace(
+            report,
+            duration_s=report.steps * config.tau_s,
+            shield_interventions=shield.interventions,
+            delta_max_samples=scheduler.delta_max_samples,
+            **scheduler.energy.report_fields(0),
+        )
 
     def run(
         self,

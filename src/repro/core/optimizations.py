@@ -1,332 +1,170 @@
-"""Energy optimization methods Omega (paper Section V).
+"""Energy optimization methods Omega (paper Section V) as one period kernel.
 
-The scheduler (Algorithm 1) decides *when* a model in the optimizable subset
-may be optimized; the strategy classes in this module decide *what happens*
-during an optimized base period and how much energy each kind of period
-costs.  Three strategies mirror the paper:
+The scheduler (Algorithm 1) decides *when* a Lambda' model may be optimized
+(its natural and full slots); :func:`period_kernel` decides *what happens*
+in that base period and what it costs, for every ``(episode, model)`` pair
+at once.  Both frame loops call it: :class:`~repro.core.scheduler.SafeRuntimeScheduler`
+with one row, the lockstep engine (:mod:`repro.runtime.batch`) with one row
+per live episode.  Its branches are the paper's equations:
 
-* :class:`LocalOnlyStrategy` — no optimization; the model runs locally at its
-  natural period.  This is also the "local execution" baseline all gains are
-  reported against.
-* :class:`OffloadStrategy` — task offloading over a stochastic wireless link
-  with a response-time estimate ``delta_hat`` and a safety fallback
-  (Section V-A, eq. 7).
-* :class:`GatingStrategy` — model gating or sensor gating (Section V-B,
-  eq. 8); with ``gate_sensor=True`` the measurement electronics are gated as
-  well, leaving only the mechanical power.
+* **Full slot** (eq. 6, first branch: ``delta_i >= delta_max`` at a natural
+  slot, or ``n == delta_max - delta_i``): the model runs locally.
+* **Offloading** (``"offload"``, Section V-A, eqs. 6-7): at an optimizable
+  natural slot before the fallback slot the input is transmitted when the
+  expected response ``n + delta_hat`` lands no later than the fallback slot,
+  otherwise the model runs locally.  A response that arrives (a bit of the
+  pending-arrival bitmask) is a fresh output without compute; one that
+  lands exactly at the fallback slot supersedes the mandatory local run.
+  A natural slot with no optimization window (``delta_i >= delta_max``)
+  keeps running locally.
+* **Gating** (``"model_gating"``/``"sensor_gating"``, Section V-B, eq. 8):
+  only full slots run.  Sensor gating also switches the measurement off
+  until the window that feeds the mandatory run at the fallback slot.
+* **None** (``"none"``): local inference at every natural slot, the
+  local-always baseline every gain is reported against.
+
+The offload outcome is random, so it stays outside the kernel: the caller
+draws the issued rows' round trips in pipeline order from the episode's
+generator and :func:`offload_arrival_kernel` records their arrivals and
+deadline misses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.comm.offload import OffloadPlanner
-from repro.core.models import SensoryModel
+from repro.contracts import kernel_contract
 
-# Directive / action labels shared with the scheduler and analysis layers.
-ACTION_LOCAL = "local"
-ACTION_OFFLOAD = "offload"
-ACTION_RESPONSE = "offload_response"
-ACTION_GATED = "gated"
-ACTION_SENSOR_GATED = "sensor_gated"
-ACTION_IDLE = "idle"
+#: Optimization methods ``SEOConfig.optimization`` accepts.
+OPTIMIZATIONS = ("offload", "model_gating", "sensor_gating", "none")
+
+#: Highest ``max_deadline_periods`` offloading accepts: pending arrivals are
+#: an int64 bitmask with one bit per base period of the deadline.
+MAX_OFFLOAD_DEADLINE_PERIODS = 60
 
 
-@dataclass(frozen=True)
-class StepExecution:
-    """What one model did (and spent) during one base period.
+class PeriodOutcome(NamedTuple):
+    """What every ``(episode, model)`` pair did and spent in one period."""
 
-    Attributes:
-        action: One of the ``ACTION_*`` labels.
-        fresh_output: True if a new prediction is available at the end of the
-            period (local inference finished or a server response arrived).
-        compute_energy_j: Local inference energy charged this period.
-        transmission_energy_j: Radio energy charged this period.
-        sensor_measurement_energy_j: Sensor measurement energy this period.
-        sensor_mechanical_energy_j: Sensor mechanical energy this period.
-        offload_issued: True if an offload was transmitted this period.
-        offload_deadline_missed: True if an offload issued earlier is now
-            known to miss the safe deadline (the fallback local run covers it).
-    """
-
-    action: str
-    fresh_output: bool
-    compute_energy_j: float = 0.0
-    transmission_energy_j: float = 0.0
-    sensor_measurement_energy_j: float = 0.0
-    sensor_mechanical_energy_j: float = 0.0
-    offload_issued: bool = False
-    offload_deadline_missed: bool = False
-
-    @property
-    def total_energy_j(self) -> float:
-        """Total energy charged to the model for this period."""
-        return (
-            self.compute_energy_j
-            + self.transmission_energy_j
-            + self.sensor_measurement_energy_j
-            + self.sensor_mechanical_energy_j
-        )
+    fresh: np.ndarray  #: (N, M) bool — a new output exists after the period
+    local: np.ndarray  #: (N, M) bool — the model ran a local inference
+    issue: np.ndarray  #: (N, M) bool — an offload was transmitted
+    compute_j: np.ndarray  #: (N, M) float — local inference energy
+    measurement_j: np.ndarray  #: (N, M) float — sensor measurement energy
+    pending: np.ndarray  #: (N, M) int64 — bitmask with this period's arrival cleared
 
 
-@dataclass(frozen=True)
-class PeriodContext:
-    """Everything a strategy needs to know about the current base period.
-
-    Attributes:
-        interval_step: Index ``n`` within the current safe interval.
-        global_step: Index of the base period since the start of the run.
-        delta_i: Discretized period of the model (eq. 4).
-        delta_max: Discretized safety deadline of the current interval (eq. 5).
-        natural_slot: True if this period is one of the model's native
-            invocation slots (every ``delta_i`` periods).
-        full_slot: True if Algorithm 1 requires the full local model this
-            period (``delta_i >= delta_max`` at a natural slot, or
-            ``n == delta_max - delta_i``).
-        tau_s: Base period duration.
-    """
-
-    interval_step: int
-    global_step: int
-    delta_i: int
-    delta_max: int
-    natural_slot: bool
-    full_slot: bool
-    tau_s: float
-
-    @property
-    def optimization_applicable(self) -> bool:
-        """True when eq. (6)'s optimized branch applies (``delta_i < delta_max``)."""
-        return self.delta_i < self.delta_max
-
-    @property
-    def fallback_slot(self) -> int:
-        """The interval step at which the mandatory full run happens."""
-        return self.delta_max - self.delta_i
-
-
-class OptimizationStrategy:
-    """Base class for the per-model optimization strategies."""
-
-    name = "base"
-
-    def __init__(self, model: SensoryModel) -> None:
-        self.model = model
-
-    def begin_interval(
-        self, delta_i: int, delta_max: int, rng: np.random.Generator
-    ) -> None:
-        """Hook called at the start of every safe interval."""
-
-    def execute_period(
-        self, context: PeriodContext, rng: np.random.Generator
-    ) -> StepExecution:
-        """Run (and account) one base period for this model."""
-        raise NotImplementedError
-
-    # Helpers shared by the concrete strategies -------------------------
-    def _sensor_energies(
-        self, tau_s: float, measurement_on: bool
-    ) -> dict[str, float]:
-        """Sensor energy split for one base period."""
-        sensor = self.model.sensor
-        return {
-            "sensor_measurement_energy_j": (
-                sensor.measurement_power_w * tau_s if measurement_on else 0.0
-            ),
-            "sensor_mechanical_energy_j": sensor.mechanical_power_w * tau_s,
-        }
-
-    def _local_inference_energy_j(self) -> float:
-        return self.model.compute.energy_per_inference_j
-
-
-class LocalOnlyStrategy(OptimizationStrategy):
-    """No optimization: local inference at every natural slot (the baseline)."""
-
-    name = "local"
-
-    def execute_period(
-        self, context: PeriodContext, rng: np.random.Generator
-    ) -> StepExecution:
-        sensor = self._sensor_energies(context.tau_s, measurement_on=True)
-        if context.natural_slot:
-            return StepExecution(
-                action=ACTION_LOCAL,
-                fresh_output=True,
-                compute_energy_j=self._local_inference_energy_j(),
-                **sensor,
-            )
-        return StepExecution(action=ACTION_IDLE, fresh_output=False, **sensor)
-
-
-class GatingStrategy(OptimizationStrategy):
-    """Model gating (and optionally sensor gating) per eq. (8)."""
-
-    name = "gating"
-
-    def __init__(self, model: SensoryModel, gate_sensor: bool = False) -> None:
-        super().__init__(model)
-        self.gate_sensor = gate_sensor
-        if gate_sensor:
-            self.name = "sensor_gating"
-
-    def execute_period(
-        self, context: PeriodContext, rng: np.random.Generator
-    ) -> StepExecution:
-        if context.full_slot:
-            sensor = self._sensor_energies(context.tau_s, measurement_on=True)
-            return StepExecution(
-                action=ACTION_LOCAL,
-                fresh_output=True,
-                compute_energy_j=self._local_inference_energy_j(),
-                **sensor,
-            )
-
-        if not context.optimization_applicable:
-            # No surplus optimization periods: behave exactly like local-only.
-            sensor = self._sensor_energies(context.tau_s, measurement_on=True)
-            return StepExecution(action=ACTION_IDLE, fresh_output=False, **sensor)
-
-        if self.gate_sensor:
-            # The measurement stays gated until the window feeding the
-            # mandatory full run at the end of the interval.
-            measurement_on = context.interval_step >= context.fallback_slot
-            sensor = self._sensor_energies(context.tau_s, measurement_on=measurement_on)
-            action = ACTION_GATED if measurement_on else ACTION_SENSOR_GATED
-            return StepExecution(action=action, fresh_output=False, **sensor)
-
-        sensor = self._sensor_energies(context.tau_s, measurement_on=True)
-        return StepExecution(action=ACTION_GATED, fresh_output=False, **sensor)
-
-
-class OffloadStrategy(OptimizationStrategy):
-    """Task offloading with deadline-aware planning and a safety fallback."""
-
-    name = "offload"
-
-    def __init__(
-        self, model: SensoryModel, planner: OffloadPlanner | None = None
-    ) -> None:
-        super().__init__(model)
-        self.planner = planner if planner is not None else OffloadPlanner(
-            payload_bytes=model.payload_bytes
-        )
-        self._pending_arrivals: list[int] = []
-
-    def begin_interval(
-        self, delta_i: int, delta_max: int, rng: np.random.Generator
-    ) -> None:
-        # Responses that did not make it before the interval ended are
-        # superseded by the mandatory full run; drop them.
-        self._pending_arrivals = []
-
-    def execute_period(
-        self, context: PeriodContext, rng: np.random.Generator
-    ) -> StepExecution:
-        sensor = self._sensor_energies(context.tau_s, measurement_on=True)
-
-        response_arrived = context.interval_step in self._pending_arrivals
-        if response_arrived:
-            self._pending_arrivals = [
-                arrival
-                for arrival in self._pending_arrivals
-                if arrival != context.interval_step
-            ]
-
-        if context.full_slot:
-            if response_arrived:
-                # Exact-boundary case: the response lands at the fallback slot
-                # itself.  It meets the deadline (arrival <= fallback slot is
-                # exactly what issuance and the miss test require), so it
-                # supersedes the mandatory local run of eq. (6)'s fallback
-                # branch — re-running locally would double-pay for an output
-                # the server just delivered.
-                return StepExecution(
-                    action=ACTION_RESPONSE, fresh_output=True, **sensor
-                )
-            return StepExecution(
-                action=ACTION_LOCAL,
-                fresh_output=True,
-                compute_energy_j=self._local_inference_energy_j(),
-                **sensor,
-            )
-
-        can_offload = (
-            context.optimization_applicable
-            and context.natural_slot
-            and context.interval_step < context.fallback_slot
-        )
-        if not can_offload:
-            action = ACTION_RESPONSE if response_arrived else ACTION_IDLE
-            # A natural slot outside the optimized region (delta_i >= delta_max)
-            # still runs the full local model, per eq. (6)'s fallback branch.
-            if context.natural_slot and not context.optimization_applicable:
-                return StepExecution(
-                    action=ACTION_LOCAL,
-                    fresh_output=True,
-                    compute_energy_j=self._local_inference_energy_j(),
-                    **sensor,
-                )
-            return StepExecution(action=action, fresh_output=response_arrived, **sensor)
-
-        # Deadline-aware feasibility check (the delta_hat comparison of V-A):
-        # offload only when the expected response lands no later than the
-        # fallback slot — arriving exactly there still meets the deadline,
-        # because the full-slot branch above consumes it in place of the
-        # mandatory local run.
-        delta_hat = self.planner.estimated_response_periods(context.tau_s)
-        if context.interval_step + delta_hat > context.fallback_slot:
-            return StepExecution(
-                action=ACTION_LOCAL,
-                fresh_output=True,
-                compute_energy_j=self._local_inference_energy_j(),
-                **sensor,
-            )
-
-        outcome = self.planner.sample(context.tau_s, rng)
-        arrival = context.interval_step + outcome.response_periods
-        missed = arrival > context.fallback_slot
-        if not missed:
-            self._pending_arrivals.append(arrival)
-        return StepExecution(
-            action=ACTION_OFFLOAD,
-            fresh_output=response_arrived,
-            transmission_energy_j=outcome.transmission_energy_j,
-            offload_issued=True,
-            offload_deadline_missed=missed,
-            **sensor,
-        )
-
-
-def make_strategy_factory(
+@kernel_contract(
+    natural="(M,) bool",
+    full="(N, M) bool",
+    interval_step="(N,) int64",
+    delta_max="(N,) int64",
+    delta_i="(M,) int64",
+    pending="(N, M) int64",
+    compute_j="(M,) float64",
+    measurement_j="(M,) float64",
+    returns=(
+        "(N, M) bool",
+        "(N, M) bool",
+        "(N, M) bool",
+        "(N, M) float64",
+        "(N, M) float64",
+        "(N, M) int64",
+    ),
+)
+def period_kernel(
     optimization: str,
-    planner_factory: Callable[[SensoryModel], OffloadPlanner] | None = None,
-) -> Callable[[SensoryModel], "OptimizationStrategy"]:
-    """Return a ``model -> OptimizationStrategy`` factory for a method name.
+    natural: np.ndarray,
+    full: np.ndarray,
+    interval_step: np.ndarray,
+    delta_max: np.ndarray,
+    delta_i: np.ndarray,
+    delta_hat: int,
+    pending: np.ndarray,
+    compute_j: np.ndarray,
+    measurement_j: np.ndarray,
+) -> PeriodOutcome:
+    """One base period of eq. (6)-(8) for every ``(episode, model)`` pair.
 
     Args:
-        optimization: One of ``"none"``, ``"offload"``, ``"model_gating"``,
-            ``"sensor_gating"``.
-        planner_factory: Optional ``model -> OffloadPlanner`` callable used by
-            the offloading strategy (lets callers share a channel/server model
-            across detectors).
+        optimization: One of :data:`OPTIMIZATIONS`.
+        natural: Models at a natural slot this period.
+        full: Full-slot mask of :func:`~repro.core.scheduler.full_slot_kernel`.
+        interval_step: Period index ``n`` inside each episode's interval.
+        delta_max: Discretized deadline of each episode's interval.
+        delta_i: Discretized model periods.
+        delta_hat: Expected offload response in base periods.
+        pending: Pending offload arrivals, bit ``n`` set for an arrival at
+            interval step ``n``.
+        compute_j: Energy of one local inference per model.
+        measurement_j: Sensor measurement energy per model and period.
     """
-    optimization = optimization.lower()
-
-    def factory(model: SensoryModel) -> OptimizationStrategy:
-        if optimization == "none":
-            return LocalOnlyStrategy(model)
-        if optimization == "offload":
-            planner = planner_factory(model) if planner_factory is not None else None
-            return OffloadStrategy(model, planner=planner)
-        if optimization == "model_gating":
-            return GatingStrategy(model, gate_sensor=False)
+    step = interval_step[:, None]
+    applicable = delta_i[None, :] < delta_max[:, None]
+    before_fallback = step < delta_max[:, None] - delta_i[None, :]
+    no_issue = np.zeros(full.shape, dtype=bool)
+    measured = np.ones(full.shape, dtype=bool)
+    if optimization == "none":
+        local = fresh = np.broadcast_to(natural, full.shape).copy()
+        issue = no_issue
+    elif optimization == "offload":
+        bit = np.int64(1) << step
+        arrived = (pending & bit) != 0
+        pending = pending & ~bit
+        tried = natural & ~full & applicable & before_fallback
+        issue = tried & (step + delta_hat <= delta_max[:, None] - delta_i[None, :])
+        local = (full & ~arrived) | (tried & ~issue) | (natural & ~full & ~applicable)
+        fresh = full | local | arrived
+    elif optimization in ("model_gating", "sensor_gating"):
+        local = fresh = full
+        issue = no_issue
         if optimization == "sensor_gating":
-            return GatingStrategy(model, gate_sensor=True)
+            measured = full | ~(applicable & before_fallback)
+    else:
         raise ValueError(f"unknown optimization method: {optimization!r}")
+    return PeriodOutcome(
+        fresh=fresh,
+        local=local,
+        issue=issue,
+        compute_j=np.where(local, compute_j[None, :], 0.0),
+        measurement_j=np.where(measured, measurement_j[None, :], 0.0),
+        pending=pending,
+    )
 
-    return factory
+
+@kernel_contract(
+    pending="(N, M) int64",
+    issue="(N, M) bool",
+    interval_step="(N,) int64",
+    delta_max="(N,) int64",
+    delta_i="(M,) int64",
+    response_periods="(I,) int64",
+    returns=("(N, M) int64", "(N, M) bool"),
+)
+def offload_arrival_kernel(
+    pending: np.ndarray,
+    issue: np.ndarray,
+    interval_step: np.ndarray,
+    delta_max: np.ndarray,
+    delta_i: np.ndarray,
+    response_periods: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record the arrivals of the offloads :func:`period_kernel` issued.
+
+    ``response_periods`` holds the sampled round trip of every issued pair
+    in row-major order of ``issue`` (episode by episode, models in pipeline
+    order).  A response arriving after the fallback slot is a deadline
+    miss, covered by the mandatory local run there (eq. 7); every other
+    arrival sets its bit of ``pending``.  Returns the updated bitmask and the
+    ``(N, M)`` miss mask.
+    """
+    rows, cols = np.nonzero(issue)
+    arrival = interval_step[rows] + response_periods
+    late = arrival > delta_max[rows] - delta_i[cols]
+    pending = pending.copy()
+    pending[rows[~late], cols[~late]] |= np.int64(1) << arrival[~late]
+    missed = np.zeros(issue.shape, dtype=bool)
+    missed[rows, cols] = late
+    return pending, missed

@@ -1,54 +1,50 @@
 """Safe runtime control and optimization loop (paper Algorithm 1).
 
-:class:`SafeRuntimeScheduler` owns the unified timing axis of base periods
-``tau`` and, for every base period:
+Algorithm 1 is written once, as batch-first kernels over ``(N,)`` episode
+and ``(N, M)`` episode x model arrays; :class:`SafeRuntimeScheduler` drives
+them with one row and the lockstep engine (:mod:`repro.runtime.batch`)
+with one row per live episode.  Every base period:
 
-1. when a new safe interval starts, samples a fresh safety expiration time
+1. when a new safe interval starts, a fresh safety expiration time
    ``Delta_max`` from the deadline provider (the lookup table ``T(x, u)`` or
-   the exact estimator), discretizes it to ``delta_max`` and resets the
-   per-model ``done`` flags (Algorithm 1 lines 7-11);
-2. for every model in the optimizable subset Lambda', decides whether the
-   period is a *full* slot (the model must run locally: ``delta_i >=
-   delta_max``, or ``n == delta_max - delta_i``) or an *optimized* slot, and
-   delegates execution/energy accounting to the model's optimization
-   strategy (lines 13-21);
-3. runs the critical subset Lambda'' at full capacity every one of its
-   natural slots;
-4. tracks, in parallel, the energy a local-always baseline would have spent,
-   so energy gains can be reported per model and per run;
-5. ends the interval once every optimizable model has met its deadline and
-   arms the sampling of a new ``Delta_max`` (lines 22-23).
+   the exact estimator) is discretized to ``delta_max`` and the per-model
+   ``done`` flags and pending offload arrivals reset
+   (:func:`begin_interval_kernel`, lines 7-11);
+2. every Lambda' model gets its natural and full slots
+   (:func:`natural_slot_kernel`, :func:`full_slot_kernel`, lines 13-15) and
+   :func:`~repro.core.optimizations.period_kernel` runs eq. (6)-(8) under
+   the configured optimization (lines 16-21);
+3. :func:`charge_period_kernel` charges the period to
+   :class:`EnergyColumns`: the critical subset Lambda'' at every natural
+   slot, Lambda' as the period kernel decided, and both against a
+   local-always baseline;
+4. the interval ends once every optimizable model has met its deadline,
+   arming a new ``Delta_max`` (:func:`deadline_done_kernel`,
+   :func:`finish_period_kernel`, lines 18-24).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
+from repro.comm.offload import OffloadPlanner
 from repro.contracts import kernel_contract
 from repro.core.intervals import _MULTIPLE_TOLERANCE
-from repro.core.models import ModelSet, SensoryModel
+from repro.core.models import ModelSet
 from repro.core.optimizations import (
-    ACTION_IDLE,
-    ACTION_LOCAL,
-    OptimizationStrategy,
-    PeriodContext,
-    StepExecution,
+    MAX_OFFLOAD_DEADLINE_PERIODS,
+    OPTIMIZATIONS,
+    offload_arrival_kernel,
+    period_kernel,
 )
 from repro.core.safety import SafetyInputs
 from repro.dynamics.state import ControlAction
-from repro.platform.energy_ledger import (
-    CATEGORY_COMPUTE,
-    CATEGORY_SENSOR_MEASUREMENT,
-    CATEGORY_SENSOR_MECHANICAL,
-    CATEGORY_TRANSMISSION,
-    EnergyLedger,
-)
 
 DeadlineProvider = Callable[[SafetyInputs, ControlAction], float]
-StrategyFactory = Callable[[SensoryModel], OptimizationStrategy]
 
 
 # ----------------------------------------------------------------------
@@ -56,10 +52,10 @@ StrategyFactory = Callable[[SensoryModel], OptimizationStrategy]
 # ----------------------------------------------------------------------
 #
 # The per-period decision math of Algorithm 1 (deadline discretization,
-# natural/full-slot selection, per-model done flags, interval-end arming) is
-# implemented once, as vectorized kernels over ``(N,)`` episode arrays, with
-# :class:`SafeRuntimeScheduler` operating on a 1-element
-# :class:`SchedulerState`.  The lockstep batch engine
+# natural/full-slot selection, per-model done flags, interval-end arming,
+# energy accounting) is implemented once, as vectorized kernels over ``(N,)``
+# episode arrays, with :class:`SafeRuntimeScheduler` operating on a
+# 1-element :class:`SchedulerState`.  The lockstep batch engine
 # (:mod:`repro.runtime.batch`) drives the same kernels over the full active
 # index set, so the serial and batch paths cannot drift.
 
@@ -68,8 +64,9 @@ StrategyFactory = Callable[[SensoryModel], OptimizationStrategy]
 class SchedulerState:
     """Structure-of-arrays per-episode interval state of Algorithm 1.
 
-    All arrays are indexed by episode; ``done`` has one column per
-    optimizable (Lambda') model, in ``model_set.optimizable`` order.
+    All arrays are indexed by episode; ``done`` and ``pending`` have one
+    column per optimizable (Lambda') model, in ``model_set.optimizable``
+    order.
     """
 
     interval_index: np.ndarray  #: (N,) int64 — index of the current interval
@@ -78,6 +75,7 @@ class SchedulerState:
     delta_max_s: np.ndarray  #: (N,) float — raw sampled deadline (seconds)
     new_delta: np.ndarray  #: (N,) bool — a new deadline must be sampled
     done: np.ndarray  #: (N, M) bool — per-model deadline-met flags
+    pending: np.ndarray  #: (N, M) int64 — offload arrival bitmask (bit = step)
 
     @classmethod
     def create(cls, count: int, optimizable_count: int) -> "SchedulerState":
@@ -89,6 +87,7 @@ class SchedulerState:
             delta_max_s=np.zeros(count, dtype=float),
             new_delta=np.ones(count, dtype=bool),
             done=np.zeros((count, optimizable_count), dtype=bool),
+            pending=np.zeros((count, optimizable_count), dtype=np.int64),
         )
 
 
@@ -133,7 +132,9 @@ def begin_interval_kernel(
     in ``indices``; ``delta_i_opt`` the ``(M,)`` discretized periods of the
     optimizable models.  Models with no viable optimization window
     (``delta_i >= delta_max``) are done immediately; they simply keep
-    running at their natural period.  Returns the discretized deadlines.
+    running at their natural period.  Offload responses still pending are
+    superseded by the previous interval's mandatory full run and dropped.
+    Returns the discretized deadlines.
     """
     deadlines_s = np.asarray(deadlines_s, dtype=float)
     periods = discretized_deadline_kernel(deadlines_s, tau_s, max_deadline_periods)
@@ -143,6 +144,7 @@ def begin_interval_kernel(
     state.interval_step[indices] = 0
     state.new_delta[indices] = False
     state.done[indices] = delta_i_opt[None, :] >= periods[:, None]
+    state.pending[indices] = 0
     return periods
 
 
@@ -203,21 +205,168 @@ def finish_period_kernel(state: SchedulerState, indices: np.ndarray) -> None:
     state.interval_step[indices] += 1
 
 
-@dataclass(frozen=True)
-class ModelDirective:
-    """The scheduler's decision (and accounting) for one model, one period."""
 
-    model_name: str
-    action: str
-    fresh_output: bool
-    full_slot: bool
-    energy_j: float
-    critical: bool = False
+
+# ----------------------------------------------------------------------
+# Columnar energy ledger
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class EnergyColumns:
+    """Per-``(episode, model)`` energy spent and its local-always baseline.
+
+    Columns follow ``names``: the critical (Lambda'') models, then the
+    optimizable (Lambda') ones, each in pipeline order.  The profile arrays
+    are per-model constants; everything else accumulates one row per
+    episode.
+    """
+
+    names: tuple[str, ...]
+    critical_count: int
+    compute_j: np.ndarray  #: (K,) float — energy of one local inference
+    measurement_j: np.ndarray  #: (K,) float — sensor measurement per period
+    mechanical_j: np.ndarray  #: (K,) float — sensor mechanics per period
+    used: np.ndarray  #: (N, K) float — energy spent
+    baseline: np.ndarray  #: (N, K) float — energy of local-always execution
+    transmission: np.ndarray  #: (N, M) float — offload radio energy (in ``used``)
+    used_total: np.ndarray  #: (N,) float — Lambda' energy spent
+    baseline_total: np.ndarray  #: (N,) float — Lambda' baseline energy
+    offloads: np.ndarray  #: (N,) int64 — offloads issued
+    misses: np.ndarray  #: (N,) int64 — offloads that missed their deadline
+
+    @classmethod
+    def create(cls, count: int, model_set: ModelSet, tau_s: float) -> "EnergyColumns":
+        """Empty accounts for ``count`` episodes of ``model_set``."""
+        models = model_set.critical + model_set.optimizable
+        width = len(models)
+        return cls(
+            names=tuple(model.name for model in models),
+            critical_count=len(model_set.critical),
+            compute_j=np.array([model.compute.energy_per_inference_j for model in models]),
+            measurement_j=np.array(
+                [model.sensor.measurement_power_w * tau_s for model in models]
+            ),
+            mechanical_j=np.array(
+                [model.sensor.mechanical_power_w * tau_s for model in models]
+            ),
+            used=np.zeros((count, width), dtype=float),
+            baseline=np.zeros((count, width), dtype=float),
+            transmission=np.zeros(
+                (count, width - len(model_set.critical)), dtype=float
+            ),
+            used_total=np.zeros(count, dtype=float),
+            baseline_total=np.zeros(count, dtype=float),
+            offloads=np.zeros(count, dtype=np.int64),
+            misses=np.zeros(count, dtype=np.int64),
+        )
+
+    def report_fields(self, row: int) -> dict[str, Any]:
+        """The :class:`~repro.core.framework.EpisodeReport` energy fields of one row.
+
+        A model appears in the energy dicts once it has been charged
+        anything; gains are ``1 - used / baseline`` per Lambda' model and
+        over Lambda' as a whole (0 without a baseline).
+        """
+        first = self.critical_count
+        used = self.used[row].tolist()
+        baseline = self.baseline[row].tolist()
+        used_total = float(self.used_total[row])
+        baseline_total = float(self.baseline_total[row])
+        return {
+            "energy_by_model_j": {
+                name: energy for name, energy in zip(self.names, used) if energy != 0.0
+            },
+            "baseline_by_model_j": {
+                name: energy
+                for name, energy in zip(self.names, baseline)
+                if energy != 0.0
+            },
+            "gain_by_model": {
+                name: 0.0 if base <= 0 else 1.0 - spent / base
+                for name, spent, base in zip(
+                    self.names[first:], used[first:], baseline[first:]
+                )
+            },
+            "overall_gain": (
+                0.0 if baseline_total <= 0 else 1.0 - used_total / baseline_total
+            ),
+            "offloads_issued": int(self.offloads[row]),
+            "offload_deadline_misses": int(self.misses[row]),
+        }
+
+
+@kernel_contract(
+    indices="(I,) int64",
+    natural="(K,) bool",
+    compute_j="(I, M) float64",
+    transmission_j="(I, M) float64",
+    measurement_j="(I, M) float64",
+    issue="(I, M) bool",
+    missed="(I, M) bool",
+)
+def charge_period_kernel(
+    energy: EnergyColumns,
+    indices: np.ndarray,
+    natural: np.ndarray,
+    compute_j: np.ndarray,
+    transmission_j: np.ndarray,
+    measurement_j: np.ndarray,
+    issue: np.ndarray,
+    missed: np.ndarray,
+) -> None:
+    """Charge one base period of ``indices`` to ``energy``.
+
+    Critical models run locally at every ``natural`` slot; the Lambda'
+    columns take the period kernel's compute and measurement energies and
+    the transmission energy of the offloads issued.  The baseline charges
+    local execution at every natural slot.  Additions keep one fixed
+    order, so every float is reproducible: per column compute,
+    transmission, measurement, mechanical into ``used`` and measurement,
+    mechanical, compute into ``baseline``; the Lambda' totals add model
+    by model.
+    """
+    first = energy.critical_count
+    natural_compute = np.where(natural, energy.compute_j, 0.0)
+    used = energy.used[indices]
+    used[:, :first] += natural_compute[:first]
+    used[:, first:] += compute_j
+    used[:, first:] += transmission_j
+    used[:, :first] += energy.measurement_j[:first]
+    used[:, first:] += measurement_j
+    used += energy.mechanical_j
+    energy.used[indices] = used
+    baseline = energy.baseline[indices]
+    baseline += energy.measurement_j
+    baseline += energy.mechanical_j
+    baseline += natural_compute
+    energy.baseline[indices] = baseline
+    energy.transmission[indices] += transmission_j
+
+    used_total = energy.used_total[indices]
+    baseline_total = energy.baseline_total[indices]
+    for j in range(compute_j.shape[1]):
+        used_total += compute_j[:, j]
+        used_total += transmission_j[:, j]
+        used_total += measurement_j[:, j]
+        used_total += energy.mechanical_j[first + j]
+        baseline_total += energy.measurement_j[first + j]
+        baseline_total += energy.mechanical_j[first + j]
+        baseline_total += natural_compute[first + j]
+    energy.used_total[indices] = used_total
+    energy.baseline_total[indices] = baseline_total
+    energy.offloads[indices] += issue.sum(axis=1)
+    energy.misses[indices] += missed.sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Serial driver
+# ----------------------------------------------------------------------
 
 
 @dataclass
 class SchedulerStepReport:
-    """Everything that happened during one base period."""
+    """What one base period decided; the masks have one entry per Lambda' model."""
 
     global_step: int
     interval_index: int
@@ -225,44 +374,21 @@ class SchedulerStepReport:
     new_interval: bool
     delta_max_periods: int
     delta_max_s: float
-    directives: list[ModelDirective] = field(default_factory=list)
-
-    def directive_for(self, model_name: str) -> ModelDirective:
-        """Return the directive issued to ``model_name`` this period."""
-        for directive in self.directives:
-            if directive.model_name == model_name:
-                return directive
-        raise KeyError(model_name)
-
-
-@dataclass
-class SchedulerStatistics:
-    """Aggregate counters maintained across a run."""
-
-    delta_max_samples: list[int] = field(default_factory=list)
-    delta_max_seconds: list[float] = field(default_factory=list)
-    offloads_issued: int = 0
-    offload_deadline_misses: int = 0
-    local_runs: dict[str, int] = field(default_factory=dict)
-    fresh_outputs: dict[str, int] = field(default_factory=dict)
-    gated_periods: dict[str, int] = field(default_factory=dict)
-
-    def mean_delta_max(self) -> float:
-        """Average sampled ``delta_max`` (0.0 when nothing was sampled)."""
-        if not self.delta_max_samples:
-            return 0.0
-        return float(np.mean(self.delta_max_samples))
+    full: np.ndarray  #: (M,) bool — Algorithm 1 required the full model
+    fresh: np.ndarray  #: (M,) bool — a new output exists after the period
+    local: np.ndarray  #: (M,) bool — the output came from a local inference
 
 
 class SafeRuntimeScheduler:
-    """Algorithm 1: safe runtime control and safety-aware optimization."""
+    """Algorithm 1 for one episode: a 1-row driver of the batch kernels."""
 
     def __init__(
         self,
         model_set: ModelSet,
         tau_s: float,
         deadline_provider: DeadlineProvider,
-        strategy_factory: StrategyFactory,
+        optimization: str = "none",
+        planner: OffloadPlanner | None = None,
         max_deadline_periods: int = 4,
         rng: np.random.Generator | None = None,
     ) -> None:
@@ -273,72 +399,120 @@ class SafeRuntimeScheduler:
             tau_s: Base period ``tau`` (the unified timing axis).
             deadline_provider: ``T(x, u)``: maps the current safety inputs and
                 control to a safety expiration time ``Delta_max`` in seconds.
-            strategy_factory: Builds the per-model optimization strategy
-                (offloading, gating, or local-only) for Lambda' members.
+            optimization: The method applied to Lambda', one of
+                :data:`~repro.core.optimizations.OPTIMIZATIONS`.
+            planner: Offload round-trip model (``delta_hat`` and the sampled
+                outcomes); a default planner when omitted.
             max_deadline_periods: Upper clamp on ``delta_max``; the paper's
                 evaluation saturates at four base periods.
-            rng: Random generator driving stochastic strategy behaviour
-                (wireless outcomes).
+            rng: Random generator driving the wireless outcomes.
         """
         if tau_s <= 0:
             raise ValueError("tau_s must be positive")
         if max_deadline_periods < 1:
             raise ValueError("max_deadline_periods must be at least 1")
+        if optimization not in OPTIMIZATIONS:
+            raise ValueError(f"unknown optimization method: {optimization!r}")
+        if optimization == "offload" and max_deadline_periods > MAX_OFFLOAD_DEADLINE_PERIODS:
+            raise ValueError(
+                f"max_deadline_periods must be at most {MAX_OFFLOAD_DEADLINE_PERIODS} "
+                f"with optimization='offload', got {max_deadline_periods}"
+            )
         model_set.validate()
 
         self.model_set = model_set
         self.tau_s = tau_s
         self.deadline_provider = deadline_provider
+        self.optimization = optimization
+        self.planner = planner if planner is not None else OffloadPlanner()
         self.max_deadline_periods = max_deadline_periods
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-        self._strategies: dict[str, OptimizationStrategy] = {
-            model.name: strategy_factory(model) for model in model_set.optimizable
-        }
-        self._delta_i: dict[str, int] = model_set.discretized_periods(tau_s)
-        self._delta_i_opt = np.array(
-            [self._delta_i[model.name] for model in model_set.optimizable],
-            dtype=np.int64,
+        self._delta_hat = (
+            self.planner.estimated_response_periods(tau_s)
+            if optimization == "offload"
+            else 0
         )
-        self._delta_i_crit = np.array(
-            [self._delta_i[model.name] for model in model_set.critical],
-            dtype=np.int64,
+        models = model_set.critical + model_set.optimizable
+        self._first = len(model_set.critical)
+        self._delta_i = np.array(
+            [model.discretized_period(tau_s) for model in models], dtype=np.int64
         )
-        #: The scheduler is a 1-element view of the batch kernels: all
-        #: interval state lives in a single-episode SchedulerState and every
-        #: per-period decision goes through the same vectorized code the
-        #: lockstep batch engine runs over full episode sets.
+        self._delta_i_opt = self._delta_i[self._first:]
         self._indices = np.array([0])
-
-        self.ledger = EnergyLedger()
-        self.baseline_ledger = EnergyLedger()
-        self.stats = SchedulerStatistics()
         self.reset()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Reset all run state (ledgers, statistics, interval bookkeeping)."""
-        self.ledger = EnergyLedger()
-        self.baseline_ledger = EnergyLedger()
-        self.stats = SchedulerStatistics()
+        """Reset all run state (energy, deadline samples, interval state)."""
+        self.energy = EnergyColumns.create(1, self.model_set, self.tau_s)
+        self.delta_max_samples: list[int] = []
         self._global_step = 0
-        self._state = SchedulerState.create(1, len(self.model_set.optimizable))
+        self._state = SchedulerState.create(1, len(self._delta_i_opt))
 
-    # ------------------------------------------------------------------
-    # Main loop body
-    # ------------------------------------------------------------------
     def step(
         self, safety_inputs: SafetyInputs, control: ControlAction
     ) -> SchedulerStepReport:
         """Run one base period of Algorithm 1 (lines 7-24)."""
         state = self._state
-        new_interval = False
-        if bool(state.new_delta[0]):
-            self._start_interval(safety_inputs, control)
-            new_interval = True
+        new_interval = bool(state.new_delta[0])
+        if new_interval:
+            delta_max_s = float(self.deadline_provider(safety_inputs, control))
+            periods = begin_interval_kernel(
+                state,
+                self._indices,
+                np.array([delta_max_s]),
+                self.tau_s,
+                self.max_deadline_periods,
+                self._delta_i_opt,
+            )
+            self.delta_max_samples.append(int(periods[0]))
 
+        natural = natural_slot_kernel(self._global_step, self._delta_i)
+        natural_opt = natural[self._first:]
+        full = full_slot_kernel(
+            natural_opt, state.interval_step, self._delta_i_opt, state.delta_max
+        )
+        outcome = period_kernel(
+            self.optimization,
+            natural_opt,
+            full,
+            state.interval_step,
+            state.delta_max,
+            self._delta_i_opt,
+            self._delta_hat,
+            state.pending,
+            self.energy.compute_j[self._first:],
+            self.energy.measurement_j[self._first:],
+        )
+        pending = outcome.pending
+        transmission = np.zeros(full.shape, dtype=float)
+        missed = np.zeros(full.shape, dtype=bool)
+        if outcome.issue.any():
+            # One draw per issued offload, in pipeline order.
+            samples = [
+                self.planner.sample(self.tau_s, self.rng)
+                for _ in range(int(outcome.issue.sum()))
+            ]
+            transmission[outcome.issue] = [s.transmission_energy_j for s in samples]
+            pending, missed = offload_arrival_kernel(
+                pending,
+                outcome.issue,
+                state.interval_step,
+                state.delta_max,
+                self._delta_i_opt,
+                np.array([s.response_periods for s in samples], dtype=np.int64),
+            )
+        state.pending[:] = pending
+        charge_period_kernel(
+            self.energy,
+            self._indices,
+            natural,
+            outcome.compute_j,
+            transmission,
+            outcome.measurement_j,
+            outcome.issue,
+            missed,
+        )
         report = SchedulerStepReport(
             global_step=self._global_step,
             interval_index=int(state.interval_index[0]),
@@ -346,24 +520,10 @@ class SafeRuntimeScheduler:
             new_interval=new_interval,
             delta_max_periods=int(state.delta_max[0]),
             delta_max_s=float(state.delta_max_s[0]),
+            full=full[0],
+            fresh=outcome.fresh[0],
+            local=outcome.local[0],
         )
-
-        natural_crit = natural_slot_kernel(self._global_step, self._delta_i_crit)
-        for position, model in enumerate(self.model_set.critical):
-            report.directives.append(
-                self._run_critical(model, bool(natural_crit[position]))
-            )
-
-        natural_opt = natural_slot_kernel(self._global_step, self._delta_i_opt)
-        full_opt = full_slot_kernel(
-            natural_opt, state.interval_step, self._delta_i_opt, state.delta_max
-        )[0]
-        for position, model in enumerate(self.model_set.optimizable):
-            report.directives.append(
-                self._run_optimizable(
-                    model, bool(natural_opt[position]), bool(full_opt[position])
-                )
-            )
 
         # Lines 18-19 and 22-23: mandatory slots mark their model done; once
         # every optimizable model met its deadline, the safe interval ends
@@ -372,172 +532,3 @@ class SafeRuntimeScheduler:
         finish_period_kernel(state, self._indices)
         self._global_step += 1
         return report
-
-    # ------------------------------------------------------------------
-    # Interval management
-    # ------------------------------------------------------------------
-    def _start_interval(
-        self, safety_inputs: SafetyInputs, control: ControlAction
-    ) -> None:
-        """Sample a new deadline and reset per-interval state (lines 7-11)."""
-        delta_max_s = float(self.deadline_provider(safety_inputs, control))
-        periods = begin_interval_kernel(
-            self._state,
-            self._indices,
-            np.array([delta_max_s]),
-            self.tau_s,
-            self.max_deadline_periods,
-            self._delta_i_opt,
-        )
-        delta_max = int(periods[0])
-
-        self.stats.delta_max_samples.append(delta_max)
-        self.stats.delta_max_seconds.append(delta_max_s)
-
-        for model in self.model_set.optimizable:
-            strategy = self._strategies[model.name]
-            strategy.begin_interval(self._delta_i[model.name], delta_max, self.rng)
-
-    # ------------------------------------------------------------------
-    # Per-model execution
-    # ------------------------------------------------------------------
-    def _run_critical(self, model: SensoryModel, natural_slot: bool) -> ModelDirective:
-        """Lambda'' models always run at full capacity (Section IV-A)."""
-        execution = StepExecution(
-            action=ACTION_LOCAL if natural_slot else ACTION_IDLE,
-            fresh_output=natural_slot,
-            compute_energy_j=(
-                model.compute.energy_per_inference_j if natural_slot else 0.0
-            ),
-            sensor_measurement_energy_j=model.sensor.measurement_power_w * self.tau_s,
-            sensor_mechanical_energy_j=model.sensor.mechanical_power_w * self.tau_s,
-        )
-        self._charge(self.ledger, model.name, execution)
-        self._charge_baseline(model, natural_slot)
-        self._bump_counters(model.name, execution)
-        return ModelDirective(
-            model_name=model.name,
-            action=execution.action,
-            fresh_output=execution.fresh_output,
-            full_slot=natural_slot,
-            energy_j=execution.total_energy_j,
-            critical=True,
-        )
-
-    def _run_optimizable(
-        self, model: SensoryModel, natural_slot: bool, full_slot: bool
-    ) -> ModelDirective:
-        """Lambda' models follow eq. (6) under their optimization strategy.
-
-        The natural/full-slot decisions come from the batch kernels
-        (:func:`natural_slot_kernel` / :func:`full_slot_kernel`); deadline
-        bookkeeping happens in :meth:`step` via :func:`deadline_done_kernel`.
-        """
-        context = PeriodContext(
-            interval_step=int(self._state.interval_step[0]),
-            global_step=self._global_step,
-            delta_i=self._delta_i[model.name],
-            delta_max=int(self._state.delta_max[0]),
-            natural_slot=natural_slot,
-            full_slot=full_slot,
-            tau_s=self.tau_s,
-        )
-        execution = self._strategies[model.name].execute_period(context, self.rng)
-
-        self._charge(self.ledger, model.name, execution)
-        self._charge_baseline(model, natural_slot)
-        self._bump_counters(model.name, execution)
-
-        return ModelDirective(
-            model_name=model.name,
-            action=execution.action,
-            fresh_output=execution.fresh_output,
-            full_slot=full_slot,
-            energy_j=execution.total_energy_j,
-            critical=False,
-        )
-
-    # ------------------------------------------------------------------
-    # Accounting helpers
-    # ------------------------------------------------------------------
-    def _charge(
-        self, ledger: EnergyLedger, model_name: str, execution: StepExecution
-    ) -> None:
-        step = self._global_step
-        ledger.charge(model_name, CATEGORY_COMPUTE, execution.compute_energy_j, step)
-        ledger.charge(
-            model_name, CATEGORY_TRANSMISSION, execution.transmission_energy_j, step
-        )
-        ledger.charge(
-            model_name,
-            CATEGORY_SENSOR_MEASUREMENT,
-            execution.sensor_measurement_energy_j,
-            step,
-        )
-        ledger.charge(
-            model_name,
-            CATEGORY_SENSOR_MECHANICAL,
-            execution.sensor_mechanical_energy_j,
-            step,
-        )
-
-    def _charge_baseline(self, model: SensoryModel, natural_slot: bool) -> None:
-        """Charge what local-always execution would have spent this period."""
-        step = self._global_step
-        self.baseline_ledger.charge(
-            model.name,
-            CATEGORY_SENSOR_MEASUREMENT,
-            model.sensor.measurement_power_w * self.tau_s,
-            step,
-        )
-        self.baseline_ledger.charge(
-            model.name,
-            CATEGORY_SENSOR_MECHANICAL,
-            model.sensor.mechanical_power_w * self.tau_s,
-            step,
-        )
-        if natural_slot:
-            self.baseline_ledger.charge(
-                model.name,
-                CATEGORY_COMPUTE,
-                model.compute.energy_per_inference_j,
-                step,
-            )
-
-    def _bump_counters(self, model_name: str, execution: StepExecution) -> None:
-        stats = self.stats
-        if execution.offload_issued:
-            stats.offloads_issued += 1
-        if execution.offload_deadline_missed:
-            stats.offload_deadline_misses += 1
-        if execution.action == ACTION_LOCAL:
-            stats.local_runs[model_name] = stats.local_runs.get(model_name, 0) + 1
-        if execution.fresh_output:
-            stats.fresh_outputs[model_name] = (
-                stats.fresh_outputs.get(model_name, 0) + 1
-            )
-        if execution.action in ("gated", "sensor_gated"):
-            stats.gated_periods[model_name] = (
-                stats.gated_periods.get(model_name, 0) + 1
-            )
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def energy_gain_by_model(self) -> dict[str, float]:
-        """Relative energy gain vs. the local baseline, per Lambda' model."""
-        gains: dict[str, float] = {}
-        optimized = self.ledger.total_by_model()
-        baseline = self.baseline_ledger.total_by_model()
-        for model in self.model_set.optimizable:
-            base = baseline.get(model.name, 0.0)
-            used = optimized.get(model.name, 0.0)
-            gains[model.name] = 0.0 if base <= 0 else 1.0 - used / base
-        return gains
-
-    def overall_energy_gain(self) -> float:
-        """Relative energy gain aggregated over the whole Lambda' subset."""
-        names = [model.name for model in self.model_set.optimizable]
-        base = self.baseline_ledger.total_for(models=names)
-        used = self.ledger.total_for(models=names)
-        return 0.0 if base <= 0 else 1.0 - used / base

@@ -8,13 +8,11 @@ small data classes used by the energy models of :mod:`repro.core.energy`:
 
 * :class:`ComputeProfile` — (latency, power) of a local inference.
 * :class:`SensorPowerSpec` — measurement and mechanical power of a sensor.
-* :class:`EnergyLedger` — per-model, per-category energy bookkeeping.
 * :mod:`repro.platform.presets` — the exact numbers used in the paper.
 """
 
 from repro.platform.compute import ComputeProfile
 from repro.platform.sensors import SensorPowerSpec
-from repro.platform.energy_ledger import EnergyLedger, EnergyRecord
 from repro.platform.presets import (
     DRIVE_PX2_RESNET152,
     EDGE_SERVER_RESNET152,
@@ -29,8 +27,6 @@ __all__ = [
     "ComputeProfile",
     "DRIVE_PX2_RESNET152",
     "EDGE_SERVER_RESNET152",
-    "EnergyLedger",
-    "EnergyRecord",
     "NAVTECH_RADAR",
     "SensorPowerSpec",
     "VELODYNE_LIDAR",

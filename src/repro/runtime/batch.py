@@ -12,8 +12,14 @@ re-implemented here: the controller, barrier, shield and scheduler each
 expose one batch-first kernel (``act_batch``, ``evaluate_batch``,
 ``filter_batch``, the ``*_kernel`` functions of
 :mod:`repro.core.scheduler`), and the serial entry points are 1-element
-views of those kernels.  This engine calls the same kernels over the full
-active index set, so the serial and batch decision math *cannot* drift.
+views of those kernels.  Algorithm 1's per-period model step is one call
+of :func:`~repro.core.optimizations.period_kernel` under the configured
+optimization, charged to the columnar
+:class:`~repro.core.scheduler.EnergyColumns` by ``charge_period_kernel``;
+:meth:`~repro.core.scheduler.EnergyColumns.report_fields` builds the
+energy fields of every report, here and in the serial loop.  This engine
+calls the same kernels over the full active index set, so the serial and
+batch decision math *cannot* drift.
 
 The serial path (:meth:`SEOFramework.run_episode`) is the bit-exactness
 oracle: for every registered scenario family the reports produced here are
@@ -38,21 +44,19 @@ possible:
   :class:`~repro.streams.DrawStream`.  A stream refills its buffers with
   *sized* draws, which yield exactly the values of the serial scalar draws,
   and keeps one cursor per episode, so a frame's draws for all episodes
-  are one gather per model instead of one generator call per episode.
-  Within an episode the draws keep the serial order because the
-  model-outer loops below visit models in pipeline order.  The detector
+  are one gather (per model for dropout and noise) instead of one
+  generator call per episode.  Within an episode the draws keep the serial
+  order: the offload draws of a frame are taken episode by episode in
+  pipeline order, and the dropout and noise loops visit models in
+  pipeline order.  The detector
   streams share one buffer per detector: every episode's serial detector
   generator is re-seeded with the same ``detector.seed``.
 * **Masking, not branching.** Per-frame decisions are evaluated as boolean
-  masks over the active set (Algorithm 1's branch structure becomes mask
-  algebra; pending offloads become per-``(episode, model)`` int64 arrival
-  bitmasks, one bit per base period, which is why
-  :class:`~repro.core.framework.SEOConfig` caps offload deadlines at
-  ``MAX_OFFLOAD_DEADLINE_PERIODS``; the latest-detection ledger becomes
-  per-``(episode, model)`` nearest/staleness/insertion-rank arrays), and episodes that terminate
-  (collision, road exit, route completion) are removed from the ``active``
-  index list.  A finished episode's state is frozen at its terminal frame
-  — exactly what the serial ``break`` does.
+  masks over the active set (the latest-detection ledger becomes
+  per-``(episode, model)`` nearest/staleness/insertion-rank arrays), and
+  episodes that terminate (collision, road exit, route completion) are
+  removed from the ``active`` index list.  A finished episode's state is
+  frozen at its terminal frame — exactly what the serial ``break`` does.
 
 Still per-episode in the frame loop: refills of exhausted draw streams,
 the moving-obstacle ``position_at`` updates and the ``delta_max`` sample
@@ -69,9 +73,12 @@ import numpy as np
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M
+from repro.core.optimizations import offload_arrival_kernel, period_kernel
 from repro.core.scheduler import (
+    EnergyColumns,
     SchedulerState,
     begin_interval_kernel,
+    charge_period_kernel,
     deadline_done_kernel,
     finish_period_kernel,
     full_slot_kernel,
@@ -227,35 +234,22 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     ]
 
     # ------------------------------------------------------------------
-    # Model pipeline and deadline provider.
+    # Model pipeline (the ledger's column order: Lambda'' then Lambda') and
+    # deadline provider.
     # ------------------------------------------------------------------
-    delta_is = framework.model_set.discretized_periods(tau)
-    crit_models = [
-        (
-            model.name,
-            delta_is[model.name],
-            model.compute.energy_per_inference_j,
-            model.sensor.measurement_power_w * tau,
-            model.sensor.mechanical_power_w * tau,
-        )
-        for model in framework.model_set.critical
-    ]
-    opt_models = [
-        (
-            model.name,
-            delta_is[model.name],
-            model.compute.energy_per_inference_j,
-            model.sensor.measurement_power_w * tau,
-            model.sensor.mechanical_power_w * tau,
-        )
-        for model in framework.model_set.optimizable
-    ]
-    num_crit = len(crit_models)
-    num_opt = len(opt_models)
-    delta_i_crit = np.array([di for _, di, *_ in crit_models], dtype=np.int64)
-    delta_i_opt = np.array([di for _, di, *_ in opt_models], dtype=np.int64)
+    model_set = framework.model_set
+    energy = EnergyColumns.create(n, model_set, tau)
+    num_crit = energy.critical_count
+    opt_names = energy.names[num_crit:]
+    num_opt = len(opt_names)
+    delta_i_all = np.array(
+        [model.discretized_period(tau) for model in model_set.critical + model_set.optimizable],
+        dtype=np.int64,
+    )
+    delta_i_opt = delta_i_all[num_crit:]
+    compute_opt = energy.compute_j[num_crit:]
+    measurement_opt = energy.measurement_j[num_crit:]
     max_deadline_periods = config.max_deadline_periods
-    gate_sensor = mode == "sensor_gating"
     planner = framework.offload_planner
     delta_hat = planner.estimated_response_periods(tau) if mode == "offload" else 0
     draws_per_offload = planner.draws_per_sample
@@ -275,16 +269,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     # state is the same SchedulerState the serial scheduler uses with N=1).
     # ------------------------------------------------------------------
     sched = SchedulerState.create(n, num_opt)
-    pending_mask = np.zeros((n, num_opt), dtype=np.int64)
-    used_crit = np.zeros((n, num_crit), dtype=float)
-    base_crit = np.zeros((n, num_crit), dtype=float)
-    used_optm = np.zeros((n, num_opt), dtype=float)
-    base_optm = np.zeros((n, num_opt), dtype=float)
-    used_opt_total = np.zeros(n, dtype=float)
-    base_opt_total = np.zeros(n, dtype=float)
     samples: list[list[int]] = [[] for _ in range(n)]
-    offload_counts = np.zeros(n, dtype=np.int64)
-    miss_counts = np.zeros(n, dtype=np.int64)
     dropouts = np.zeros(n, dtype=np.int64)
     unsafe = np.zeros(n, dtype=np.int64)
     interventions = np.zeros(n, dtype=np.int64)
@@ -431,128 +416,46 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
             )
             for k in range(start_eps.size):
                 samples[int(start_eps[k])].append(int(periods[k]))
-            if mode == "offload":
-                pending_mask[start_eps] = 0
 
-        # ---- Pass 2: scheduler + optimization strategies (Algorithm 1) ----
-        # One mask-algebra block per model; every energy category is a
-        # separate in-place add in the serial charge order, and each
-        # episode's stream rows see their draws in the serial sequence
-        # because the model loop runs in pipeline order.
+        # ---- Pass 2: Algorithm 1's period kernel over (episode, model) ----
+        # The shared kernels decide and charge every live episode at once.
+        # Issued offloads draw their round trips from each episode's stream
+        # row in pipeline order, as the serial scheduler does.
         dmx_act = sched.delta_max[idx]
         istep_act = sched.interval_step[idx]
+        natural = natural_slot_kernel(t, delta_i_all)
+        natural_opt = natural[num_crit:]
+        full = full_slot_kernel(natural_opt, istep_act, delta_i_opt, dmx_act)
+        outcome = period_kernel(
+            mode, natural_opt, full, istep_act, dmx_act, delta_i_opt, delta_hat,
+            sched.pending[idx], compute_opt, measurement_opt,
+        )
+        pending = outcome.pending
+        transmission = np.zeros((m, num_opt), dtype=float)
+        missed = np.zeros((m, num_opt), dtype=bool)
+        issue_counts = outcome.issue.sum(axis=1)
+        issue_rows = np.nonzero(issue_counts)[0]
+        if issue_rows.size:
+            assert sched_stream is not None
+            exp_draws = sched_stream.take(
+                idx[issue_rows], issue_counts[issue_rows] * draws_per_offload
+            ).reshape(-1, draws_per_offload)
+            _tx_t, _rt, tx_energy, response = planner.sample_batch(tau, exp_draws)
+            transmission[outcome.issue] = tx_energy
+            pending, missed = offload_arrival_kernel(
+                pending, outcome.issue, istep_act, dmx_act, delta_i_opt, response
+            )
+        sched.pending[idx] = pending
+        charge_period_kernel(
+            energy, idx, natural, outcome.compute_j, transmission,
+            outcome.measurement_j, outcome.issue, missed,
+        )
 
-        natural_crit = natural_slot_kernel(t, delta_i_crit)
-        for j, (_name, _di, ce, me, he) in enumerate(crit_models):
-            natural = bool(natural_crit[j])
-            if natural and ce != 0.0:
-                used_crit[idx, j] += ce
-            if me != 0.0:
-                used_crit[idx, j] += me
-            if he != 0.0:
-                used_crit[idx, j] += he
-            if me != 0.0:
-                base_crit[idx, j] += me
-            if he != 0.0:
-                base_crit[idx, j] += he
-            if natural and ce != 0.0:
-                base_crit[idx, j] += ce
-
-        natural_opt = natural_slot_kernel(t, delta_i_opt)
-        full_all = full_slot_kernel(natural_opt, istep_act, delta_i_opt, dmx_act)
         needs: list[np.ndarray | None] = [None] * num_opt
-        for j, (name, di, ce, me, he) in enumerate(opt_models):
-            natural = bool(natural_opt[j])
-            full = full_all[:, j]
-            tx_e = None
-            meas_e = None
-            if mode == "none":
-                fresh = np.full(m, natural)
-                local = fresh
-                compute_e = ce if natural else 0.0
-            elif mode == "offload":
-                pend = pending_mask[idx, j]
-                arrived = ((pend >> istep_act) & 1) == 1
-                pend = np.where(
-                    arrived, pend & ~(np.int64(1) << istep_act), pend
-                )
-                applicable = di < dmx_act
-                fallback = dmx_act - di
-                branch_try = (
-                    ~full & applicable & (istep_act < fallback)
-                    if natural
-                    else np.zeros(m, dtype=bool)
-                )
-                run_local = branch_try & (istep_act + delta_hat > fallback)
-                issue = branch_try & ~run_local
-                run_natural = (
-                    ~full & ~branch_try & ~applicable
-                    if natural
-                    else np.zeros(m, dtype=bool)
-                )
-                passive = ~full & ~branch_try & ~run_natural
-                local = (full & ~arrived) | run_local | run_natural
-                fresh = (
-                    full
-                    | run_local
-                    | run_natural
-                    | ((issue | passive) & arrived)
-                )
-                compute_e = np.where(local, ce, 0.0)
-                tx_e = np.zeros(m, dtype=float)
-                issue_pos = np.nonzero(issue)[0]
-                if issue_pos.size:
-                    assert sched_stream is not None
-                    issue_eps = idx[issue_pos]
-                    exp_draws = sched_stream.take(
-                        issue_eps, np.full(issue_pos.size, draws_per_offload)
-                    ).reshape(issue_pos.size, draws_per_offload)
-                    _tx_t, _rt, tx_energy, response = planner.sample_batch(
-                        tau, exp_draws
-                    )
-                    arrival = istep_act[issue_pos] + response
-                    missed = arrival > fallback[issue_pos]
-                    miss_counts[issue_eps] += missed
-                    pend[issue_pos[~missed]] |= np.int64(1) << arrival[~missed]
-                    tx_e[issue_pos] = tx_energy
-                    offload_counts[issue_eps] += 1
-                pending_mask[idx, j] = pend
-            else:  # model gating / sensor gating
-                local = full
-                fresh = full
-                compute_e = np.where(full, ce, 0.0)
-                if gate_sensor:
-                    gated_off = ~full & (di < dmx_act) & (istep_act < dmx_act - di)
-                    meas_e = np.where(gated_off, 0.0, me)
-
-            # Used ledger: compute, transmission, measurement, mechanical.
-            if np.ndim(compute_e) or compute_e != 0.0:
-                used_optm[idx, j] += compute_e
-                used_opt_total[idx] += compute_e
-            if tx_e is not None:
-                used_optm[idx, j] += tx_e
-                used_opt_total[idx] += tx_e
-            if meas_e is not None:
-                used_optm[idx, j] += meas_e
-                used_opt_total[idx] += meas_e
-            elif me != 0.0:
-                used_optm[idx, j] += me
-                used_opt_total[idx] += me
-            if he != 0.0:
-                used_optm[idx, j] += he
-                used_opt_total[idx] += he
-            # Baseline ledger: measurement, mechanical, compute at natural.
-            if me != 0.0:
-                base_optm[idx, j] += me
-                base_opt_total[idx] += me
-            if he != 0.0:
-                base_optm[idx, j] += he
-                base_opt_total[idx] += he
-            if natural and ce != 0.0:
-                base_optm[idx, j] += ce
-                base_opt_total[idx] += ce
-
-            # Perception effect of the directive (serial directive loop).
+        for j in range(num_opt):
+            fresh = outcome.fresh[:, j]
+            local = outcome.local[:, j]
+            # Perception effect of the period (the serial model loop).
             # A dropout draw happens only for a fresh *local* inference of a
             # model that already has an output (the serial short-circuit);
             # a dropped frame ages the held output instead of replacing it.
@@ -609,7 +512,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
 
         # ---- Detection grouping + noise through the detector kernel ----
         if any_needs:
-            for j, (name, *_model_rest) in enumerate(opt_models):
+            for j, name in enumerate(opt_names):
                 rows = needs[j]
                 if rows is None:
                     continue
@@ -686,56 +589,23 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         timings["scan_view"] = timings.get("scan_view", 0.0) + t_scan_view
         timings["dynamics"] = timings.get("dynamics", 0.0) + t_dynamics
 
-    # ------------------------------------------------------------------
-    # Reports (field order and aggregation identical to the serial path;
-    # the per-model dicts are rebuilt from the accumulator columns — a key
-    # is present exactly when the serial ledger charged it).
-    # ------------------------------------------------------------------
-    reports = []
-    for i, episode in enumerate(episode_ids):
-        used_d: dict[str, float] = {}
-        base_d: dict[str, float] = {}
-        for j, (name, *_rest) in enumerate(crit_models):
-            if used_crit[i, j] != 0.0:
-                used_d[name] = float(used_crit[i, j])
-            if base_crit[i, j] != 0.0:
-                base_d[name] = float(base_crit[i, j])
-        for j, (name, *_rest) in enumerate(opt_models):
-            if used_optm[i, j] != 0.0:
-                used_d[name] = float(used_optm[i, j])
-            if base_optm[i, j] != 0.0:
-                base_d[name] = float(base_optm[i, j])
-        gains = {}
-        for name, *_rest in opt_models:
-            base_v = base_d.get(name, 0.0)
-            used_v = used_d.get(name, 0.0)
-            gains[name] = 0.0 if base_v <= 0 else 1.0 - used_v / base_v
-        base_total = float(base_opt_total[i])
-        used_total = float(used_opt_total[i])
-        overall = 0.0 if base_total <= 0 else 1.0 - used_total / base_total
-        steps = int(steps_count[i])
-        reports.append(
-            EpisodeReport(
-                episode=episode,
-                steps=steps,
-                duration_s=steps * tau,
-                completed=bool(finished_f[i]),
-                collided=bool(collided_f[i]),
-                off_road=bool(offroad_f[i]),
-                shield_interventions=int(interventions[i]),
-                delta_max_samples=samples[i],
-                energy_by_model_j=used_d,
-                baseline_by_model_j=base_d,
-                gain_by_model=gains,
-                overall_gain=overall,
-                offloads_issued=int(offload_counts[i]),
-                offload_deadline_misses=int(miss_counts[i]),
-                min_obstacle_distance_m=float(min_dist[i]),
-                unsafe_steps=int(unsafe[i]),
-                sensor_dropouts=int(dropouts[i]),
-            )
+    return [
+        EpisodeReport(
+            episode=episode,
+            steps=int(steps_count[i]),
+            duration_s=int(steps_count[i]) * tau,
+            completed=bool(finished_f[i]),
+            collided=bool(collided_f[i]),
+            off_road=bool(offroad_f[i]),
+            shield_interventions=int(interventions[i]),
+            delta_max_samples=samples[i],
+            min_obstacle_distance_m=float(min_dist[i]),
+            unsafe_steps=int(unsafe[i]),
+            sensor_dropouts=int(dropouts[i]),
+            **energy.report_fields(i),
         )
-    return reports
+        for i, episode in enumerate(episode_ids)
+    ]
 
 
 class BatchExecutor(EpisodeExecutor):

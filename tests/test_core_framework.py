@@ -46,6 +46,16 @@ class TestSEOConfig:
             config = SEOConfig(optimization=optimization, max_deadline_periods=limit + 1)
             assert config.max_deadline_periods == limit + 1
 
+    def test_rejects_nonpositive_max_steps(self):
+        # run_batch used to report steps = -3 where run_episode reported 0.
+        with pytest.raises(ValueError, match="max_steps must be at least 1, got -3"):
+            SEOConfig(max_steps=-3)
+
+    def test_rejects_repeated_detector_period_multiples(self):
+        # Used to fail only later, in ModelSet ("model names must be unique").
+        with pytest.raises(ValueError, match="detector_period_multiples must not repeat"):
+            SEOConfig(detector_period_multiples=(1, 1))
+
     def test_detector_name_is_stable(self):
         config = SEOConfig()
         assert config.detector_name(1) == "detector-p1tau"

@@ -1,22 +1,30 @@
-"""Tests for the optimization strategies (Omega)."""
+"""Tests for the optimization methods (Omega) of the period kernel.
 
+Every case runs :func:`period_kernel` on one ``(episode, model)`` row; the
+offload cases feed fixed response periods to
+:func:`offload_arrival_kernel` where the frame loops feed sampled ones.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.offload import OffloadPlanner
+from repro.core.models import ModelSet, SensoryModel
 from repro.core.optimizations import (
-    ACTION_GATED,
-    ACTION_IDLE,
-    ACTION_LOCAL,
-    ACTION_OFFLOAD,
-    ACTION_RESPONSE,
-    ACTION_SENSOR_GATED,
-    GatingStrategy,
-    LocalOnlyStrategy,
-    OffloadStrategy,
-    PeriodContext,
-    make_strategy_factory,
+    OPTIMIZATIONS,
+    offload_arrival_kernel,
+    period_kernel,
 )
-from repro.core.models import SensoryModel
+from repro.core.scheduler import (
+    EnergyColumns,
+    SafeRuntimeScheduler,
+    SchedulerState,
+    begin_interval_kernel,
+    charge_period_kernel,
+)
+from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, NAVTECH_RADAR, ZERO_POWER_SENSOR
 
 TAU = 0.02
@@ -31,164 +39,185 @@ def _model(period_multiple=1, sensor=NAVTECH_RADAR) -> SensoryModel:
     )
 
 
-def _context(n, delta_i, delta_max, natural=None, full=None, global_step=None):
+def _period(optimization, n, delta_i, delta_max, model=None, natural=None, full=None,
+            delta_hat=1, pending=0):
+    """One period of one model; returns the outcome's scalars."""
+    model = model if model is not None else _model(period_multiple=delta_i)
     natural_slot = natural if natural is not None else (n % delta_i == 0)
     if full is None:
         full = natural_slot if delta_i >= delta_max else n == delta_max - delta_i
-    full_slot = full
-    return PeriodContext(
-        interval_step=n,
-        global_step=global_step if global_step is not None else n,
-        delta_i=delta_i,
-        delta_max=delta_max,
-        natural_slot=natural_slot,
-        full_slot=full_slot,
-        tau_s=TAU,
+    outcome = period_kernel(
+        optimization,
+        np.array([natural_slot]),
+        np.array([[full]]),
+        np.array([n], dtype=np.int64),
+        np.array([delta_max], dtype=np.int64),
+        np.array([delta_i], dtype=np.int64),
+        delta_hat,
+        np.array([[pending]], dtype=np.int64),
+        np.array([model.compute.energy_per_inference_j]),
+        np.array([model.sensor.measurement_power_w * TAU]),
     )
+    return outcome._replace(**{name: value[0, 0] for name, value in outcome._asdict().items()})
+
+
+class _OffloadEpisode:
+    """One offloading model through one-row scheduler state.
+
+    ``response_periods`` is the realized round trip of every offload issued;
+    ``delta_hat`` the planning estimate the kernel checks feasibility with.
+    """
+
+    def __init__(self, delta_hat, response_periods=None, delta_i=1, delta_max=4):
+        self.delta_hat = delta_hat
+        self.response_periods = (
+            response_periods if response_periods is not None else delta_hat
+        )
+        self.delta_i = delta_i
+        self.delta_max = delta_max
+        self.model = _model(period_multiple=delta_i, sensor=ZERO_POWER_SENSOR)
+        self.state = SchedulerState.create(1, 1)
+        self.begin_interval()
+
+    def begin_interval(self):
+        begin_interval_kernel(
+            self.state,
+            np.array([0]),
+            np.array([self.delta_max * TAU]),
+            TAU,
+            self.delta_max,
+            np.array([self.delta_i], dtype=np.int64),
+        )
+
+    def period(self, n, natural=None, full=None):
+        """Run interval step ``n``; returns ``(outcome scalars, missed)``."""
+        outcome = _period(
+            "offload", n, self.delta_i, self.delta_max, model=self.model,
+            natural=natural, full=full, delta_hat=self.delta_hat,
+            pending=int(self.state.pending[0, 0]),
+        )
+        pending = np.array([[outcome.pending]], dtype=np.int64)
+        missed = False
+        if outcome.issue:
+            pending, missed_mask = offload_arrival_kernel(
+                pending,
+                np.array([[True]]),
+                np.array([n], dtype=np.int64),
+                np.array([self.delta_max], dtype=np.int64),
+                np.array([self.delta_i], dtype=np.int64),
+                np.array([self.response_periods], dtype=np.int64),
+            )
+            missed = bool(missed_mask[0, 0])
+        self.state.pending[:] = pending
+        return outcome, missed
 
 
 class TestLocalOnlyStrategy:
-    def test_natural_slot_runs_local(self, rng):
-        strategy = LocalOnlyStrategy(_model())
-        execution = strategy.execute_period(_context(0, 1, 4), rng)
-        assert execution.action == ACTION_LOCAL
-        assert execution.fresh_output
-        assert execution.compute_energy_j == pytest.approx(0.119)
+    def test_natural_slot_runs_local(self):
+        outcome = _period("none", 0, 1, 4)
+        assert outcome.local and outcome.fresh
+        assert outcome.compute_j == pytest.approx(0.119)
 
-    def test_off_slot_only_sensor(self, rng):
-        strategy = LocalOnlyStrategy(_model(period_multiple=2))
-        execution = strategy.execute_period(_context(1, 2, 4), rng)
-        assert execution.action == ACTION_IDLE
-        assert execution.compute_energy_j == 0.0
-        assert execution.sensor_measurement_energy_j > 0.0
+    def test_off_slot_only_sensor(self):
+        outcome = _period("none", 1, 2, 4)
+        assert not outcome.local and not outcome.fresh
+        assert outcome.compute_j == 0.0
+        assert outcome.measurement_j > 0.0
 
 
 class TestGatingStrategy:
-    def test_full_slot_runs_local(self, rng):
-        strategy = GatingStrategy(_model(), gate_sensor=False)
-        execution = strategy.execute_period(_context(3, 1, 4), rng)
-        assert execution.action == ACTION_LOCAL
-        assert execution.fresh_output
+    def test_full_slot_runs_local(self):
+        outcome = _period("model_gating", 3, 1, 4)
+        assert outcome.local and outcome.fresh
 
-    def test_model_gating_keeps_measurement_on(self, rng):
-        strategy = GatingStrategy(_model(), gate_sensor=False)
-        execution = strategy.execute_period(_context(0, 1, 4), rng)
-        assert execution.action == ACTION_GATED
-        assert not execution.fresh_output
-        assert execution.compute_energy_j == 0.0
-        assert execution.sensor_measurement_energy_j == pytest.approx(TAU * 21.6)
+    def test_model_gating_keeps_measurement_on(self):
+        outcome = _period("model_gating", 0, 1, 4)
+        assert not outcome.local and not outcome.fresh
+        assert outcome.compute_j == 0.0
+        assert outcome.measurement_j == pytest.approx(TAU * 21.6)
 
-    def test_sensor_gating_cuts_measurement_until_final_window(self, rng):
-        strategy = GatingStrategy(_model(), gate_sensor=True)
-        gated = strategy.execute_period(_context(0, 1, 4), rng)
-        assert gated.action == ACTION_SENSOR_GATED
-        assert gated.sensor_measurement_energy_j == 0.0
-        assert gated.sensor_mechanical_energy_j == pytest.approx(TAU * 2.4)
+    def test_sensor_gating_cuts_measurement_until_final_window(self):
+        outcome = _period("sensor_gating", 0, 1, 4)
+        assert not outcome.local
+        assert outcome.measurement_j == 0.0
 
-    def test_sensor_gating_measures_during_final_window(self, rng):
-        strategy = GatingStrategy(_model(period_multiple=2), gate_sensor=True)
+    def test_sensor_gating_measures_during_final_window(self):
         # delta_i = 2, delta_max = 4 -> fallback slot at n = 2; n = 3 belongs to
         # the measurement window that feeds the mandatory run.
-        measuring = strategy.execute_period(_context(3, 2, 4, full=False), rng)
-        assert measuring.sensor_measurement_energy_j > 0.0
+        outcome = _period("sensor_gating", 3, 2, 4, full=False)
+        assert outcome.measurement_j > 0.0
 
-    def test_no_optimization_when_delta_i_reaches_deadline(self, rng):
-        strategy = GatingStrategy(_model(period_multiple=2), gate_sensor=True)
-        execution = strategy.execute_period(_context(1, 2, 2, natural=False, full=False), rng)
-        assert execution.action == ACTION_IDLE
-        assert execution.sensor_measurement_energy_j > 0.0
+    def test_no_optimization_when_delta_i_reaches_deadline(self):
+        outcome = _period("sensor_gating", 1, 2, 2, natural=False, full=False)
+        assert not outcome.local and not outcome.fresh
+        assert outcome.measurement_j > 0.0
 
-    def test_interval_energy_matches_analytic_model(self, rng):
+    def test_interval_energy_matches_analytic_model(self):
         from repro.core.energy import gating_interval_energy_j
 
         model = _model(period_multiple=1)
-        for gate_sensor in (False, True):
-            strategy = GatingStrategy(model, gate_sensor=gate_sensor)
-            delta_max = 4
-            total = 0.0
+        vae = SensoryModel(
+            name="vae", period_s=TAU, critical=True,
+            compute=ComputeProfile(name="vae", latency_s=0.004, power_w=4.0),
+        )
+        delta_max = 4
+        for optimization in ("model_gating", "sensor_gating"):
+            energy = EnergyColumns.create(1, ModelSet.from_models([vae, model]), TAU)
             for n in range(delta_max):
-                total += strategy.execute_period(_context(n, 1, delta_max), rng).total_energy_j
-            assert total == pytest.approx(
-                gating_interval_energy_j(model, TAU, delta_max, gate_sensor)
+                outcome = _period(optimization, n, 1, delta_max, model=model)
+                charge_period_kernel(
+                    energy, np.array([0]), np.array([True, True]),
+                    np.array([[outcome.compute_j]]), np.zeros((1, 1)),
+                    np.array([[outcome.measurement_j]]),
+                    np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+                )
+            assert energy.used[0, 1] == pytest.approx(
+                gating_interval_energy_j(
+                    model, TAU, delta_max, optimization == "sensor_gating"
+                )
             )
 
 
 class TestOffloadStrategy:
-    def _strategy(self, model=None, payload=28_000):
-        model = model if model is not None else _model(sensor=ZERO_POWER_SENSOR)
-        return OffloadStrategy(model, planner=OffloadPlanner(payload_bytes=payload))
+    def _episode(self, payload=28_000, **kwargs):
+        delta_hat = OffloadPlanner(payload_bytes=payload).estimated_response_periods(TAU)
+        return _OffloadEpisode(delta_hat, **kwargs)
 
-    def test_offloads_on_optimizable_natural_slot(self, rng):
-        strategy = self._strategy()
-        strategy.begin_interval(1, 4, rng)
-        execution = strategy.execute_period(_context(0, 1, 4), rng)
-        assert execution.action == ACTION_OFFLOAD
-        assert execution.offload_issued
-        assert execution.transmission_energy_j > 0.0
-        assert execution.compute_energy_j == 0.0
+    def test_offloads_on_optimizable_natural_slot(self):
+        outcome, _ = self._episode().period(0)
+        assert outcome.issue
+        assert not outcome.local
+        assert outcome.compute_j == 0.0
 
-    def test_full_slot_runs_local(self, rng):
-        strategy = self._strategy()
-        strategy.begin_interval(1, 4, rng)
-        execution = strategy.execute_period(_context(3, 1, 4), rng)
-        assert execution.action == ACTION_LOCAL
-        assert execution.compute_energy_j == pytest.approx(0.119)
+    def test_full_slot_runs_local(self):
+        outcome, _ = self._episode().period(3)
+        assert outcome.local
+        assert outcome.compute_j == pytest.approx(0.119)
 
-    def test_response_arrives_later(self, rng):
-        strategy = self._strategy()
-        strategy.begin_interval(1, 4, rng)
-        strategy.execute_period(_context(0, 1, 4), rng)
-        # The response lands one or two periods later, producing a fresh output.
-        fresh = []
-        for n in (1, 2):
-            execution = strategy.execute_period(_context(n, 1, 4), rng)
-            fresh.append(execution.fresh_output)
-        assert any(fresh)
+    def test_response_arrives_later(self):
+        episode = self._episode()
+        episode.period(0)
+        # The response lands one period later, producing a fresh output.
+        outcome, _ = episode.period(1, natural=False, full=False)
+        assert outcome.fresh and not outcome.local
 
-    def test_infeasible_offload_runs_local_instead(self, rng):
+    def test_infeasible_offload_runs_local_instead(self):
         # A huge payload cannot make the deadline; the model must run locally.
-        strategy = self._strategy(payload=5_000_000)
-        strategy.begin_interval(1, 4, rng)
-        execution = strategy.execute_period(_context(0, 1, 4), rng)
-        assert execution.action == ACTION_LOCAL
-        assert not execution.offload_issued
+        outcome, _ = self._episode(payload=5_000_000).period(0)
+        assert outcome.local
+        assert not outcome.issue
 
-    def test_no_optimization_when_deadline_too_short(self, rng):
-        strategy = self._strategy(_model(period_multiple=2, sensor=ZERO_POWER_SENSOR))
-        strategy.begin_interval(2, 2, rng)
-        execution = strategy.execute_period(_context(0, 2, 2), rng)
-        assert execution.action == ACTION_LOCAL
+    def test_no_optimization_when_deadline_too_short(self):
+        outcome, _ = self._episode(delta_i=2, delta_max=2).period(0)
+        assert outcome.local
 
-    def test_begin_interval_clears_pending_responses(self, rng):
-        strategy = self._strategy()
-        strategy.begin_interval(1, 4, rng)
-        strategy.execute_period(_context(0, 1, 4), rng)
-        strategy.begin_interval(1, 4, rng)
-        execution = strategy.execute_period(_context(1, 1, 4, natural=False, full=False), rng)
-        assert not execution.fresh_output
-
-
-class _FixedPlanner:
-    """Stub planner with a pinned estimate and a pinned realized round trip."""
-
-    def __init__(self, estimate_periods, sample_periods=None):
-        self.estimate_periods = estimate_periods
-        self.sample_periods = (
-            sample_periods if sample_periods is not None else estimate_periods
-        )
-
-    def estimated_response_periods(self, tau_s):
-        return self.estimate_periods
-
-    def sample(self, tau_s, rng):
-        from repro.comm.offload import OffloadOutcome
-
-        return OffloadOutcome(
-            transmission_time_s=self.sample_periods * tau_s,
-            round_trip_s=self.sample_periods * tau_s,
-            transmission_energy_j=0.01,
-            response_periods=self.sample_periods,
-        )
+    def test_begin_interval_clears_pending_responses(self):
+        episode = self._episode()
+        episode.period(0)
+        assert episode.state.pending[0, 0] != 0
+        episode.begin_interval()
+        outcome, _ = episode.period(1, natural=False, full=False)
+        assert not outcome.fresh
 
 
 class TestOffloadDeadlineBoundary:
@@ -204,85 +233,128 @@ class TestOffloadDeadlineBoundary:
     response arriving at the fallback slot supersedes it.
     """
 
-    def test_expected_arrival_at_fallback_slot_is_feasible(self, rng):
+    def test_expected_arrival_at_fallback_slot_is_feasible(self):
         # delta_i = 1, delta_max = 4 -> fallback slot at n = 3.  From n = 0 an
         # estimated 3-period round trip lands exactly on the fallback slot,
         # which still meets the deadline: the offload must be issued.
-        strategy = OffloadStrategy(
-            _model(sensor=ZERO_POWER_SENSOR), planner=_FixedPlanner(3)
-        )
-        strategy.begin_interval(1, 4, rng)
-        execution = strategy.execute_period(_context(0, 1, 4), rng)
-        assert execution.action == ACTION_OFFLOAD
-        assert execution.offload_issued
-        assert not execution.offload_deadline_missed
+        outcome, missed = _OffloadEpisode(3).period(0)
+        assert outcome.issue
+        assert not missed
 
-    def test_arrival_at_fallback_slot_supersedes_local_run(self, rng):
-        strategy = OffloadStrategy(
-            _model(sensor=ZERO_POWER_SENSOR), planner=_FixedPlanner(3)
-        )
-        strategy.begin_interval(1, 4, rng)
-        strategy.execute_period(_context(0, 1, 4), rng)
+    def test_arrival_at_fallback_slot_supersedes_local_run(self):
+        episode = _OffloadEpisode(3)
+        episode.period(0)
         # n = 1, 2: nothing has arrived yet (and further offloads would land
         # past the fallback slot, so the model runs locally).
         for n in (1, 2):
-            execution = strategy.execute_period(_context(n, 1, 4), rng)
-            assert not execution.offload_issued
-            assert execution.action == ACTION_LOCAL
+            outcome, _ = episode.period(n)
+            assert not outcome.issue
+            assert outcome.local
         # n = 3 (the fallback slot): the response lands and replaces the
         # mandatory local run — fresh output with zero compute energy.
-        fallback = strategy.execute_period(_context(3, 1, 4), rng)
-        assert fallback.action == ACTION_RESPONSE
-        assert fallback.fresh_output
-        assert fallback.compute_energy_j == 0.0
+        fallback, _ = episode.period(3)
+        assert not fallback.local
+        assert fallback.fresh
+        assert fallback.compute_j == 0.0
 
-    def test_arrival_past_fallback_slot_is_a_miss(self, rng):
+    def test_arrival_past_fallback_slot_is_a_miss(self):
         # Feasible estimate (1 period) but the realized round trip takes 4:
         # arrival = 0 + 4 > fallback slot 3, a deadline miss the fallback
         # local run must cover.
-        strategy = OffloadStrategy(
-            _model(sensor=ZERO_POWER_SENSOR),
-            planner=_FixedPlanner(1, sample_periods=4),
-        )
-        strategy.begin_interval(1, 4, rng)
-        issued = strategy.execute_period(_context(0, 1, 4), rng)
-        assert issued.action == ACTION_OFFLOAD
-        assert issued.offload_issued
-        assert issued.offload_deadline_missed
-        fallback = strategy.execute_period(_context(3, 1, 4), rng)
-        assert fallback.action == ACTION_LOCAL
-        assert fallback.fresh_output
-        assert fallback.compute_energy_j > 0.0
+        episode = _OffloadEpisode(1, response_periods=4)
+        issued, missed = episode.period(0)
+        assert issued.issue
+        assert missed
+        fallback, _ = episode.period(3)
+        assert fallback.local
+        assert fallback.fresh
+        assert fallback.compute_j > 0.0
 
-    def test_arrival_strictly_before_fallback_slot_is_not_a_miss(self, rng):
-        strategy = OffloadStrategy(
-            _model(sensor=ZERO_POWER_SENSOR),
-            planner=_FixedPlanner(1, sample_periods=2),
-        )
-        strategy.begin_interval(1, 4, rng)
-        issued = strategy.execute_period(_context(0, 1, 4), rng)
-        assert issued.offload_issued
-        assert not issued.offload_deadline_missed
-        response = strategy.execute_period(_context(2, 1, 4, natural=False, full=False), rng)
-        assert response.fresh_output
+    def test_arrival_strictly_before_fallback_slot_is_not_a_miss(self):
+        episode = _OffloadEpisode(1, response_periods=2)
+        issued, missed = episode.period(0)
+        assert issued.issue
+        assert not missed
+        response, _ = episode.period(2, natural=False, full=False)
+        assert response.fresh
 
 
 class TestStrategyFactory:
     def test_known_methods(self):
-        model = _model()
-        assert isinstance(make_strategy_factory("none")(model), LocalOnlyStrategy)
-        assert isinstance(make_strategy_factory("offload")(model), OffloadStrategy)
-        gating = make_strategy_factory("model_gating")(model)
-        assert isinstance(gating, GatingStrategy) and not gating.gate_sensor
-        sensor_gating = make_strategy_factory("sensor_gating")(model)
-        assert isinstance(sensor_gating, GatingStrategy) and sensor_gating.gate_sensor
+        assert set(OPTIMIZATIONS) == {"none", "offload", "model_gating", "sensor_gating"}
+        # Eq. (6)'s first branch is common to every method: a full slot
+        # runs the local model.
+        for optimization in OPTIMIZATIONS:
+            outcome = _period(optimization, 3, 1, 4)
+            assert outcome.local and outcome.fresh and not outcome.issue
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            make_strategy_factory("quantization")(_model())
+        with pytest.raises(ValueError, match="quantization"):
+            _period("quantization", 0, 1, 4)
 
-    def test_planner_factory_is_used(self):
+    def test_planner_factory_is_used(self, two_detector_model_set):
         shared = OffloadPlanner(payload_bytes=12_345)
-        factory = make_strategy_factory("offload", planner_factory=lambda model: shared)
-        strategy = factory(_model())
-        assert strategy.planner is shared
+        scheduler = SafeRuntimeScheduler(
+            model_set=two_detector_model_set,
+            tau_s=TAU,
+            deadline_provider=lambda inputs, control: 0.08,
+            optimization="offload",
+            planner=shared,
+        )
+        assert scheduler.planner is shared
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    optimization=st.sampled_from(OPTIMIZATIONS),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 6),  # interval step
+            st.integers(0, 6),  # delta_max
+            st.integers(0, 2**7 - 1),  # pending bitmask, one column per model
+            st.integers(0, 2**7 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    step=st.integers(0, 11),
+    delta_hat=st.integers(1, 4),
+)
+def test_stacked_rows_equal_rows_one_at_a_time(optimization, rows, step, delta_hat):
+    """Both offload kernels are row-independent: N rows == N single rows."""
+    delta_i = np.array([1, 2], dtype=np.int64)
+    natural = step % delta_i == 0
+    interval_step = np.array([row[0] for row in rows], dtype=np.int64)
+    delta_max = np.array([row[1] for row in rows], dtype=np.int64)
+    pending = np.array([[row[2], row[3]] for row in rows], dtype=np.int64)
+    full = np.where(
+        delta_i[None, :] >= delta_max[:, None],
+        natural[None, :],
+        interval_step[:, None] == delta_max[:, None] - delta_i[None, :],
+    )
+    args = (np.array([0.119, 0.119]), np.array([0.4, 0.0]))
+    stacked = period_kernel(
+        optimization, natural, full, interval_step, delta_max, delta_i, delta_hat,
+        pending, *args,
+    )
+    for r in range(len(rows)):
+        single = period_kernel(
+            optimization, natural, full[r:r + 1], interval_step[r:r + 1],
+            delta_max[r:r + 1], delta_i, delta_hat, pending[r:r + 1], *args,
+        )
+        for name, value in single._asdict().items():
+            np.testing.assert_array_equal(getattr(stacked, name)[r:r + 1], value)
+
+    # Any fixed round trips, one per issued pair in row-major order.
+    issued_rows, issued_cols = np.nonzero(stacked.issue)
+    response = (issued_rows + issued_cols) % 5 + 1
+    arrivals = offload_arrival_kernel(
+        stacked.pending, stacked.issue, interval_step, delta_max, delta_i, response
+    )
+    for r in range(len(rows)):
+        single = offload_arrival_kernel(
+            stacked.pending[r:r + 1], stacked.issue[r:r + 1], interval_step[r:r + 1],
+            delta_max[r:r + 1], delta_i, response[issued_rows == r],
+        )
+        for stacked_value, value in zip(arrivals, single):
+            np.testing.assert_array_equal(stacked_value[r:r + 1], value)

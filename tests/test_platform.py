@@ -1,15 +1,8 @@
-"""Tests for the edge-platform power models and the energy ledger."""
+"""Tests for the edge-platform power models."""
 
 import pytest
 
 from repro.platform.compute import ComputeProfile
-from repro.platform.energy_ledger import (
-    CATEGORY_COMPUTE,
-    CATEGORY_SENSOR_MEASUREMENT,
-    CATEGORY_TRANSMISSION,
-    EnergyLedger,
-    EnergyRecord,
-)
 from repro.platform.presets import (
     DRIVE_PX2_RESNET152,
     NAVTECH_RADAR,
@@ -65,53 +58,3 @@ class TestSensorPowerSpec:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             SensorPowerSpec(name="bad", measurement_power_w=-1.0)
-
-
-class TestEnergyLedger:
-    def test_charge_and_total(self):
-        ledger = EnergyLedger()
-        ledger.charge("det", CATEGORY_COMPUTE, 0.1, step=0)
-        ledger.charge("det", CATEGORY_TRANSMISSION, 0.05, step=1)
-        ledger.charge("vae", CATEGORY_COMPUTE, 0.02, step=1)
-        assert ledger.total_j() == pytest.approx(0.17)
-
-    def test_zero_charges_are_not_recorded(self):
-        ledger = EnergyLedger()
-        ledger.charge("det", CATEGORY_COMPUTE, 0.0)
-        assert ledger.records == []
-
-    def test_negative_charge_rejected(self):
-        ledger = EnergyLedger()
-        with pytest.raises(ValueError):
-            ledger.charge("det", CATEGORY_COMPUTE, -0.1)
-        with pytest.raises(ValueError):
-            EnergyRecord(model="det", category=CATEGORY_COMPUTE, energy_j=-1.0)
-
-    def test_total_by_model_and_category(self):
-        ledger = EnergyLedger()
-        ledger.charge("a", CATEGORY_COMPUTE, 0.1)
-        ledger.charge("a", CATEGORY_SENSOR_MEASUREMENT, 0.2)
-        ledger.charge("b", CATEGORY_COMPUTE, 0.3)
-        assert ledger.total_by_model() == pytest.approx({"a": 0.3, "b": 0.3})
-        assert ledger.total_by_category() == pytest.approx(
-            {CATEGORY_COMPUTE: 0.4, CATEGORY_SENSOR_MEASUREMENT: 0.2}
-        )
-
-    def test_total_for_filters(self):
-        ledger = EnergyLedger()
-        ledger.charge("a", CATEGORY_COMPUTE, 0.1)
-        ledger.charge("b", CATEGORY_COMPUTE, 0.2)
-        ledger.charge("b", CATEGORY_TRANSMISSION, 0.4)
-        assert ledger.total_for(models=["b"]) == pytest.approx(0.6)
-        assert ledger.total_for(categories=[CATEGORY_COMPUTE]) == pytest.approx(0.3)
-        assert ledger.total_for(models=["b"], categories=[CATEGORY_COMPUTE]) == pytest.approx(0.2)
-
-    def test_breakdown_and_extend_and_clear(self):
-        first = EnergyLedger()
-        first.charge("a", CATEGORY_COMPUTE, 0.1)
-        second = EnergyLedger()
-        second.charge("a", CATEGORY_COMPUTE, 0.2)
-        first.extend(second)
-        assert first.breakdown()[("a", CATEGORY_COMPUTE)] == pytest.approx(0.3)
-        first.clear()
-        assert first.total_j() == 0.0

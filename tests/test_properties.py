@@ -31,7 +31,6 @@ from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.core.models import ModelSet, SensoryModel
-from repro.core.optimizations import make_strategy_factory
 from repro.core.safety import (
     NO_OBSTACLE_DISTANCE_M,
     BrakingDistanceBarrier,
@@ -311,16 +310,17 @@ class TestSchedulerProperties:
             model_set=model_set,
             tau_s=TAU,
             deadline_provider=lambda inputs, control: deadline_periods * TAU,
-            strategy_factory=make_strategy_factory(optimization),
+            optimization=optimization,
             rng=np.random.default_rng(0),
         )
         inputs = SafetyInputs(distance_m=20.0, bearing_rad=0.0, speed_mps=8.0)
         for _ in range(steps):
             scheduler.step(inputs, ControlAction())
 
-        optimized = scheduler.ledger.total_by_model()
-        baseline = scheduler.baseline_ledger.total_by_model()
-        transmissions = scheduler.ledger.total_by_category().get("transmission", 0.0)
+        fields = scheduler.energy.report_fields(0)
+        optimized = fields["energy_by_model_j"]
+        baseline = fields["baseline_by_model_j"]
+        transmissions = scheduler.energy.transmission.sum()
         for model in model_set.optimizable:
             # Gating/local never exceed the baseline; offloading may add
             # transmission energy on top of avoided compute, and in the worst
@@ -331,7 +331,7 @@ class TestSchedulerProperties:
         # delta_max samples are always within the configured clamp.
         assert all(
             0 <= sample <= scheduler.max_deadline_periods
-            for sample in scheduler.stats.delta_max_samples
+            for sample in scheduler.delta_max_samples
         )
 
 
