@@ -3,9 +3,10 @@
 The scheduler (Algorithm 1) decides *when* a Lambda' model may be optimized
 (its natural and full slots); :func:`period_kernel` decides *what happens*
 in that base period and what it costs, for every ``(episode, model)`` pair
-at once.  Both frame loops call it: :class:`~repro.core.scheduler.SafeRuntimeScheduler`
-with one row, the lockstep engine (:mod:`repro.runtime.batch`) with one row
-per live episode.  Its branches are the paper's equations:
+at once.  Both frame loops call it:
+:class:`~repro.core.scheduler.SafeRuntimeScheduler` with one row, the
+lockstep engine (:mod:`repro.runtime.batch`) with one row per live
+episode.  Its branches are the paper's equations:
 
 * **Full slot** (eq. 6, first branch: ``delta_i >= delta_max`` at a natural
   slot, or ``n == delta_max - delta_i``): the model runs locally.
@@ -102,34 +103,34 @@ def period_kernel(
         measurement_j: Sensor measurement energy per model and period.
     """
     step = interval_step[:, None]
-    applicable = delta_i[None, :] < delta_max[:, None]
-    before_fallback = step < delta_max[:, None] - delta_i[None, :]
-    no_issue = np.zeros(full.shape, dtype=bool)
-    measured = np.ones(full.shape, dtype=bool)
-    if optimization == "none":
-        local = fresh = np.broadcast_to(natural, full.shape).copy()
-        issue = no_issue
-    elif optimization == "offload":
+    fallback = delta_max[:, None] - delta_i[None, :]
+    applicable = fallback > 0
+    before_fallback = step < fallback
+    nowhere = np.zeros(full.shape, dtype=bool)
+    issue = gated = nowhere
+    if optimization == "offload":
         bit = np.int64(1) << step
         arrived = (pending & bit) != 0
         pending = pending & ~bit
-        tried = natural & ~full & applicable & before_fallback
-        issue = tried & (step + delta_hat <= delta_max[:, None] - delta_i[None, :])
-        local = (full & ~arrived) | (tried & ~issue) | (natural & ~full & ~applicable)
+        optimized = natural & ~full
+        tried = optimized & applicable & before_fallback
+        issue = tried & (step + delta_hat <= fallback)
+        local = (full & ~arrived) | (optimized & ~applicable) | (tried & ~issue)
         fresh = full | local | arrived
+    elif optimization == "none":
+        local = fresh = nowhere | natural
     elif optimization in ("model_gating", "sensor_gating"):
         local = fresh = full
-        issue = no_issue
         if optimization == "sensor_gating":
-            measured = full | ~(applicable & before_fallback)
+            gated = ~full & applicable & before_fallback
     else:
         raise ValueError(f"unknown optimization method: {optimization!r}")
     return PeriodOutcome(
         fresh=fresh,
         local=local,
         issue=issue,
-        compute_j=np.where(local, compute_j[None, :], 0.0),
-        measurement_j=np.where(measured, measurement_j[None, :], 0.0),
+        compute_j=np.where(local, compute_j, 0.0),
+        measurement_j=np.where(gated, 0.0, measurement_j),
         pending=pending,
     )
 
@@ -160,11 +161,9 @@ def offload_arrival_kernel(
     arrival sets its bit of ``pending``.  Returns the updated bitmask and the
     ``(N, M)`` miss mask.
     """
-    rows, cols = np.nonzero(issue)
-    arrival = interval_step[rows] + response_periods
-    late = arrival > delta_max[rows] - delta_i[cols]
-    pending = pending.copy()
-    pending[rows[~late], cols[~late]] |= np.int64(1) << arrival[~late]
-    missed = np.zeros(issue.shape, dtype=bool)
-    missed[rows, cols] = late
-    return pending, missed
+    response = np.zeros(issue.shape, dtype=np.int64)
+    response[issue] = response_periods
+    arrival = interval_step[:, None] + response
+    missed = issue & (arrival > delta_max[:, None] - delta_i[None, :])
+    landed = issue & ~missed
+    return pending | (landed << arrival), missed

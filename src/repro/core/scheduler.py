@@ -227,6 +227,7 @@ class EnergyColumns:
     compute_j: np.ndarray  #: (K,) float — energy of one local inference
     measurement_j: np.ndarray  #: (K,) float — sensor measurement per period
     mechanical_j: np.ndarray  #: (K,) float — sensor mechanics per period
+    sensed: bool  #: some model draws sensor power (else sensor charges are 0)
     used: np.ndarray  #: (N, K) float — energy spent
     baseline: np.ndarray  #: (N, K) float — energy of local-always execution
     transmission: np.ndarray  #: (N, M) float — offload radio energy (in ``used``)
@@ -240,16 +241,17 @@ class EnergyColumns:
         """Empty accounts for ``count`` episodes of ``model_set``."""
         models = model_set.critical + model_set.optimizable
         width = len(models)
+        measurement_j = np.array(
+            [model.sensor.measurement_power_w * tau_s for model in models]
+        )
+        mechanical_j = np.array([model.sensor.mechanical_power_w * tau_s for model in models])
         return cls(
             names=tuple(model.name for model in models),
             critical_count=len(model_set.critical),
             compute_j=np.array([model.compute.energy_per_inference_j for model in models]),
-            measurement_j=np.array(
-                [model.sensor.measurement_power_w * tau_s for model in models]
-            ),
-            mechanical_j=np.array(
-                [model.sensor.mechanical_power_w * tau_s for model in models]
-            ),
+            measurement_j=measurement_j,
+            mechanical_j=mechanical_j,
+            sensed=bool(measurement_j.any() or mechanical_j.any()),
             used=np.zeros((count, width), dtype=float),
             baseline=np.zeros((count, width), dtype=float),
             transmission=np.zeros(
@@ -324,39 +326,48 @@ def charge_period_kernel(
     order, so every float is reproducible: per column compute,
     transmission, measurement, mechanical into ``used`` and measurement,
     mechanical, compute into ``baseline``; the Lambda' totals add model
-    by model.
+    by model.  Categories that are zero in every row (no offload issued,
+    no sensor power) are skipped: adding ``0.0`` changes no sum.
     """
     first = energy.critical_count
+    offloaded = bool(issue.any())
+    sensed = energy.sensed
     natural_compute = np.where(natural, energy.compute_j, 0.0)
     used = energy.used[indices]
     used[:, :first] += natural_compute[:first]
     used[:, first:] += compute_j
-    used[:, first:] += transmission_j
-    used[:, :first] += energy.measurement_j[:first]
-    used[:, first:] += measurement_j
-    used += energy.mechanical_j
+    if offloaded:
+        used[:, first:] += transmission_j
+    if sensed:
+        used[:, :first] += energy.measurement_j[:first]
+        used[:, first:] += measurement_j
+        used += energy.mechanical_j
     energy.used[indices] = used
     baseline = energy.baseline[indices]
-    baseline += energy.measurement_j
-    baseline += energy.mechanical_j
+    if sensed:
+        baseline += energy.measurement_j
+        baseline += energy.mechanical_j
     baseline += natural_compute
     energy.baseline[indices] = baseline
-    energy.transmission[indices] += transmission_j
 
     used_total = energy.used_total[indices]
     baseline_total = energy.baseline_total[indices]
-    for j in range(compute_j.shape[1]):
-        used_total += compute_j[:, j]
-        used_total += transmission_j[:, j]
-        used_total += measurement_j[:, j]
-        used_total += energy.mechanical_j[first + j]
-        baseline_total += energy.measurement_j[first + j]
-        baseline_total += energy.mechanical_j[first + j]
-        baseline_total += natural_compute[first + j]
+    for j in range(first, len(natural)):
+        used_total += compute_j[:, j - first]
+        if offloaded:
+            used_total += transmission_j[:, j - first]
+        if sensed:
+            used_total += measurement_j[:, j - first]
+            used_total += energy.mechanical_j[j]
+            baseline_total += energy.measurement_j[j]
+            baseline_total += energy.mechanical_j[j]
+        baseline_total += natural_compute[j]
     energy.used_total[indices] = used_total
     energy.baseline_total[indices] = baseline_total
-    energy.offloads[indices] += issue.sum(axis=1)
-    energy.misses[indices] += missed.sum(axis=1)
+    if offloaded:
+        energy.transmission[indices] += transmission_j
+        energy.offloads[indices] += issue.sum(axis=1)
+        energy.misses[indices] += missed.sum(axis=1)
 
 
 # ----------------------------------------------------------------------
