@@ -16,8 +16,6 @@ episode.  Its branches are the paper's equations:
   otherwise the model runs locally.  A response that arrives (a bit of the
   pending-arrival bitmask) is a fresh output without compute; one that
   lands exactly at the fallback slot supersedes the mandatory local run.
-  A natural slot with no optimization window (``delta_i >= delta_max``)
-  keeps running locally.
 * **Gating** (``"model_gating"``/``"sensor_gating"``, Section V-B, eq. 8):
   only full slots run.  Sensor gating also switches the measurement off
   until the window that feeds the mandatory run at the fallback slot.
@@ -92,7 +90,9 @@ def period_kernel(
     Args:
         optimization: One of :data:`OPTIMIZATIONS`.
         natural: Models at a natural slot this period.
-        full: Full-slot mask of :func:`~repro.core.scheduler.full_slot_kernel`.
+        full: Full-slot mask of :func:`~repro.core.scheduler.full_slot_kernel`
+            (at natural slots when ``delta_i >= delta_max``, else only at
+            the fallback slot).
         interval_step: Period index ``n`` inside each episode's interval.
         delta_max: Discretized deadline of each episode's interval.
         delta_i: Discretized model periods.
@@ -104,25 +104,25 @@ def period_kernel(
     """
     step = interval_step[:, None]
     fallback = delta_max[:, None] - delta_i[None, :]
-    applicable = fallback > 0
-    before_fallback = step < fallback
+    # The optimization window n < delta_max - delta_i: eq. (6)'s optimized
+    # branch (delta_i < delta_max, as n >= 0) and never a full slot.
+    window = step < fallback
     nowhere = np.zeros(full.shape, dtype=bool)
     issue = gated = nowhere
     if optimization == "offload":
         bit = np.int64(1) << step
         arrived = (pending & bit) != 0
         pending = pending & ~bit
-        optimized = natural & ~full
-        tried = optimized & applicable & before_fallback
+        tried = natural & window
         issue = tried & (step + delta_hat <= fallback)
-        local = (full & ~arrived) | (optimized & ~applicable) | (tried & ~issue)
+        local = (full & ~arrived) | (tried & ~issue)
         fresh = full | local | arrived
     elif optimization == "none":
         local = fresh = nowhere | natural
     elif optimization in ("model_gating", "sensor_gating"):
         local = fresh = full
         if optimization == "sensor_gating":
-            gated = ~full & applicable & before_fallback
+            gated = window
     else:
         raise ValueError(f"unknown optimization method: {optimization!r}")
     return PeriodOutcome(

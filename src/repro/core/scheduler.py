@@ -50,14 +50,6 @@ DeadlineProvider = Callable[[SafetyInputs, ControlAction], float]
 # ----------------------------------------------------------------------
 # Batch-first decision kernels
 # ----------------------------------------------------------------------
-#
-# The per-period decision math of Algorithm 1 (deadline discretization,
-# natural/full-slot selection, per-model done flags, interval-end arming,
-# energy accounting) is implemented once, as vectorized kernels over ``(N,)``
-# episode arrays, with :class:`SafeRuntimeScheduler` operating on a
-# 1-element :class:`SchedulerState`.  The lockstep batch engine
-# (:mod:`repro.runtime.batch`) drives the same kernels over the full active
-# index set, so the serial and batch paths cannot drift.
 
 
 @dataclass
