@@ -242,10 +242,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     num_crit = energy.critical_count
     opt_names = energy.names[num_crit:]
     num_opt = len(opt_names)
-    delta_i_all = np.array(
-        [model.discretized_period(tau) for model in model_set.critical + model_set.optimizable],
-        dtype=np.int64,
-    )
+    models = model_set.critical + model_set.optimizable
+    delta_i_all = np.array([model.discretized_period(tau) for model in models], dtype=np.int64)
     delta_i_opt = delta_i_all[num_crit:]
     compute_opt = energy.compute_j[num_crit:]
     measurement_opt = energy.measurement_j[num_crit:]
