@@ -1,10 +1,12 @@
-"""Perf harness: episodes/sec per executor backend, machine-readable output.
+"""Perf harness: episodes/sec one at a time vs in lockstep, machine-readable.
 
-Times the serial oracle and the structure-of-arrays batch engine on the
-paper's standard experiment configuration plus a curved-road workload and
-writes a ``BENCH_*.json`` snapshot (schema below) so every PR extends a
-recorded perf trajectory instead of leaving throughput numbers in terminal
-scrollback.
+Times the episodes of a workload run one at a time
+(``SEOFramework.run_episode``, one ``run_batch`` call per episode; the
+``serial`` entry) and all in one lockstep ``run_batch`` call (the ``batch``
+entry) on the paper's standard experiment configuration plus a curved-road
+workload, and writes a ``BENCH_*.json`` snapshot (schema below) so every PR
+extends a recorded perf trajectory instead of leaving throughput numbers in
+terminal scrollback.
 
 Run from the repository root::
 
@@ -25,10 +27,10 @@ having it: its 64-episode scaling entry (2.11 s) disagrees with the
 headline batch measurement of the same workload (1.42 s) purely because
 the two were warmed differently.
 
-The harness is its own smoke test: it asserts the batch backend's reports
-are bit-identical to the serial ones on both timed workloads, validates the
-emitted payload against the schema, and exits non-zero if the batch backend
-is slower than serial on either workload.
+The harness is its own smoke test: it asserts the lockstep reports are
+bit-identical to the one-at-a-time ones on both timed workloads, validates
+the emitted payload against the schema, and exits non-zero if lockstep over
+all episodes is slower than one episode at a time on either workload.
 
 Schema (``seo-bench/2``)::
 
@@ -195,17 +197,18 @@ def _timed(run):
     return result, time.perf_counter() - start
 
 
-def _measure_backends(framework, config, episodes, label):
-    """Timed serial + batch runs of one workload, with parity assert.
+def _measure_backends(framework, episodes, label):
+    """Timed one-at-a-time + lockstep runs of one workload, with parity assert.
 
     Returns ``(timings, batch_phase_seconds)`` or raises SystemExit on a
-    serial/batch report mismatch.
+    report mismatch between the two.
     """
     from repro.runtime.batch import run_batch
-    from repro.runtime.executor import SerialExecutor
 
     timings = {}
-    serial_reports, wall = _timed(lambda: SerialExecutor().run(config, episodes))
+    serial_reports, wall = _timed(
+        lambda: [framework.run_episode(episode) for episode in range(episodes)]
+    )
     timings["serial"] = {
         "episodes": episodes,
         "wall_s": round(wall, 6),
@@ -243,8 +246,8 @@ def _measure_backends(framework, config, episodes, label):
 
     if batch_reports != serial_reports:
         raise SystemExit(
-            f"FAIL: batch reports differ from the serial oracle on the "
-            f"{label} workload"
+            f"FAIL: lockstep reports differ from the one-at-a-time reports "
+            f"on the {label} workload"
         )
     return timings
 
@@ -265,7 +268,7 @@ def main(argv) -> int:
     config = standard_config(settings, optimization="offload", filtered=True)
     framework = SEOFramework(config)
 
-    timings = _measure_backends(framework, config, episodes, "standard")
+    timings = _measure_backends(framework, episodes, "standard")
 
     # Batch-size scaling axis: how throughput amortizes with the batch size.
     # Only measured on the full default workload; reduced smoke runs skip it
@@ -296,9 +299,7 @@ def main(argv) -> int:
         target_speed_mps=curved_scenario.target_speed_mps,
     )
     curved_framework = SEOFramework(curved_config)
-    curved_timings = _measure_backends(
-        curved_framework, curved_config, episodes, "curved"
-    )
+    curved_timings = _measure_backends(curved_framework, episodes, "curved")
 
     speedup = timings["batch"]["episodes_per_s"] / timings["serial"]["episodes_per_s"]
     curved_speedup = (
@@ -338,11 +339,15 @@ def main(argv) -> int:
 
     failed = False
     if speedup < 1.0:
-        print("FAIL: batch backend is slower than serial", file=sys.stderr)
+        print(
+            "FAIL: lockstep is slower than one episode at a time",
+            file=sys.stderr,
+        )
         failed = True
     if curved_speedup < 1.0:
         print(
-            "FAIL: batch backend is slower than serial on the curved workload",
+            "FAIL: lockstep is slower than one episode at a time on the "
+            "curved workload",
             file=sys.stderr,
         )
         failed = True

@@ -21,9 +21,10 @@ Examples::
 Each subcommand prints the reproduced table to stdout and optionally writes
 it to a file with ``--output``.  Every subcommand accepts ``--jobs N`` to
 spread episodes over N workers (``0`` = all CPU cores; results are identical
-to the serial run), ``--backend {process,socket,batch}`` to pick the
+to the in-process run), ``--backend {process,socket,batch}`` to pick the
 execution backend (``socket`` also needs ``--workers HOST:PORT,...``;
-``batch`` steps each unit's episodes in numpy lockstep in-process), and
+``batch`` runs in-process, the same as ``--jobs 1``, which steps each unit's
+episodes in numpy lockstep), and
 ``--lookup-cache DIR`` to persist deadline lookup tables across
 invocations.  One :class:`repro.runtime.sweep.SweepRunner` is shared by
 every experiment of an invocation, so even ``all`` constructs at most one
@@ -170,13 +171,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=_jobs_int, default=1,
-        help="workers episodes are spread over (0 = all cores; results match serial)",
+        help="workers episodes are spread over (0 = all cores; results match --jobs 1)",
     )
     parser.add_argument(
         "--backend", choices=EXECUTOR_BACKENDS, default="process",
         help="execution backend (process = local process pool over --jobs; "
-             "socket = remote workers named by --workers; batch = numpy "
-             "lockstep in-process)",
+             "socket = remote workers named by --workers; batch = in-process, "
+             "the same as --jobs 1)",
     )
     parser.add_argument(
         "--workers", type=str, default=None, metavar="HOST:PORT[,HOST:PORT...]",
@@ -404,7 +405,7 @@ def run(argv: Sequence[str] | None = None) -> str:
         return _run_lint(args)
     if args.runtime_contracts:
         # Flip both the in-process switch and the env var: worker
-        # subprocesses inherit the environment, so the oracle holds across
+        # subprocesses inherit the environment, so the checks hold across
         # every execution backend.
         os.environ["REPRO_RUNTIME_CONTRACTS"] = "1"
         set_contracts_enabled(True)
@@ -433,7 +434,7 @@ def run(argv: Sequence[str] | None = None) -> str:
 
     # One sweep runner — and therefore at most one worker pool — serves every
     # experiment of this invocation (the pool is created lazily on the first
-    # parallel batch, so serial runs never spawn one).
+    # parallel batch, so in-process runs never spawn one).
     try:
         with SweepRunner(
             jobs=args.jobs,

@@ -12,9 +12,10 @@ one interface (``SEOConfig.controller`` selects ``heuristic`` or
 * :class:`PurePursuitController` — a lane follower with no obstacle
   awareness; useful as a stress case for the safety filter.
 
-All controllers can act either from ground truth (``act(world)``) or from the
-aggregated perception outputs Theta (``act_from_inputs``), which is how the
-SEO runtime loop drives them.
+All controllers can act from ground truth (``act(world)``), from the
+aggregated perception outputs Theta (``act_from_inputs``), or on a whole
+batch of episodes at once (``act_batch``), which is how the SEO frame loop
+(:func:`repro.runtime.batch.run_batch`) drives them.
 """
 
 from repro.control.base import ControlInputs, Controller

@@ -10,10 +10,8 @@ Theta'' has no counterpart: the VAE is charged only as an energy profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
 
 from repro.dynamics.state import ControlAction
-from repro.perception.detections import DetectionSet
 from repro.sim.world import World
 
 
@@ -76,43 +74,6 @@ class ControlInputs:
             obstacle_distance_m=distance,
             obstacle_bearing_rad=bearing,
             obstacle_stale=False,
-            road_half_width_m=world.road.half_width_m,
-            road_curvature_per_m=pose.curvature_per_m,
-        )
-
-    @classmethod
-    def from_detections(
-        cls,
-        world: World,
-        detection_sets: Iterable[DetectionSet],
-        target_speed_mps: float,
-    ) -> "ControlInputs":
-        """Build inputs from perception outputs (used by the SEO runtime loop).
-
-        The nearest detection across all provided sets is used as the
-        perceived obstacle; its staleness flag is propagated so controllers
-        can react more conservatively to gated outputs if they choose to.
-        """
-        nearest_distance: float | None = None
-        nearest_bearing: float | None = None
-        nearest_stale = False
-        for detection_set in detection_sets:
-            candidate = detection_set.nearest()
-            if candidate is None:
-                continue
-            if nearest_distance is None or candidate.distance_m < nearest_distance:
-                nearest_distance = candidate.distance_m
-                nearest_bearing = candidate.bearing_rad
-                nearest_stale = detection_set.stale
-        pose = world.lane_pose()
-        return cls(
-            speed_mps=world.state.speed_mps,
-            target_speed_mps=target_speed_mps,
-            lateral_offset_m=pose.lateral_offset_m,
-            heading_rad=pose.heading_error_rad,
-            obstacle_distance_m=nearest_distance,
-            obstacle_bearing_rad=nearest_bearing,
-            obstacle_stale=nearest_stale,
             road_half_width_m=world.road.half_width_m,
             road_curvature_per_m=pose.curvature_per_m,
         )

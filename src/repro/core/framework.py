@@ -14,10 +14,12 @@ Fig. 2 of the paper:
   control (the paper's "filtered" configuration);
 * the deadline provider ``T(x, u)`` maps the safety state to a dynamic
   deadline; and
-* the :class:`SafeRuntimeScheduler` applies the chosen energy optimization to
+* Algorithm 1's scheduler kernels apply the chosen energy optimization to
   the Lambda' detectors under that deadline, accounting energy as it goes.
 
-``run_episode`` executes one obstacle-course episode and returns an
+The framework builds these parts once per config; the frame loop itself is
+:func:`repro.runtime.batch.run_batch`, which steps any set of episodes in
+lockstep.  ``run_episode`` is its 1-episode call and returns an
 :class:`EpisodeReport`; ``run`` repeats it over several scenario seeds, which
 is how every figure/table experiment of the paper is regenerated.
 """
@@ -25,7 +27,6 @@ is how every figure/table experiment of the paper is regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -34,25 +35,22 @@ from repro.comm.channel import RayleighChannel
 from repro.comm.link import WirelessLink
 from repro.comm.offload import OffloadPlanner
 from repro.comm.server import EdgeServer
-from repro.control.base import ControlInputs, Controller
+from repro.control.base import Controller
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.core.intervals import SafeIntervalEstimator
 from repro.core.lookup import DeadlineLookupTable, LookupGrid
 from repro.core.models import ModelSet, SensoryModel
 from repro.core.optimizations import MAX_OFFLOAD_DEADLINE_PERIODS, OPTIMIZATIONS
-from repro.core.safety import BrakingDistanceBarrier, SafetyInputs
-from repro.core.scheduler import SafeRuntimeScheduler
-from repro.core.shield import SteeringShield
+from repro.core.safety import BrakingDistanceBarrier
 from repro.dynamics.bicycle import KinematicBicycleModel
 from repro.dynamics.params import VehicleParams
-from repro.perception.detections import DetectionSet
 from repro.perception.detector import DetectorModel
 from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
 from repro.sim.observation import RangeScanner
-from repro.sim.scenario import ScenarioConfig, build_world
+from repro.sim.scenario import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import EpisodeExecutor
@@ -286,135 +284,19 @@ class SEOFramework:
             return PurePursuitController(target_speed_mps=config.target_speed_mps)
         return ObstacleAvoidanceController(target_speed_mps=config.target_speed_mps)
 
-    def _deadline_provider(
-        self,
-    ) -> Callable[[SafetyInputs, ControlAction], float]:
-        if not self.config.safety_aware:
-            horizon = self.estimator.horizon_s
-            return lambda inputs, control: horizon
-        if self.lookup_table is not None:
-            return self.lookup_table.query
-        estimator = self.estimator
-        scenario = self.config.scenario
-
-        def provider(inputs: SafetyInputs, control: ControlAction) -> float:
-            if not inputs.obstacle_present:
-                return estimator.horizon_s
-            return estimator.estimate_one(
-                inputs.distance_m,
-                inputs.bearing_rad,
-                inputs.speed_mps,
-                control.steering,
-                control.throttle,
-                obstacle_radius_m=scenario.obstacle_radius_m,
-            )
-
-        return provider
-
     # ------------------------------------------------------------------
     # Episode execution
     # ------------------------------------------------------------------
     def run_episode(self, episode: int = 0) -> EpisodeReport:
-        """Run one obstacle-course episode under the configured optimization."""
-        config = self.config
-        world = build_world(
-            config.scenario,
-            rng=np.random.default_rng((config.seed + 1) * 1000 + episode),
-            vehicle_params=self.vehicle_params,
-        )
-        controller = self._build_controller()
-        shield = SteeringShield(
-            safety_function=self.barrier,
-            intervention_margin_m=config.shield_margin_m,
-        )
-        scheduler = SafeRuntimeScheduler(
-            model_set=self.model_set,
-            tau_s=config.tau_s,
-            deadline_provider=self._deadline_provider(),
-            optimization=config.optimization,
-            planner=self.offload_planner,
-            max_deadline_periods=config.max_deadline_periods,
-            rng=np.random.default_rng((config.seed + 2) * 1000 + episode),
-        )
-        for detector in self.detectors.values():
-            detector.reset()
+        """Run one obstacle-course episode under the configured optimization.
 
-        # Scenario-level sensor degradation: with probability p the frame
-        # behind a fresh *local* inference is corrupt, so the pipeline holds
-        # its previous, stale output — exercising the same fallback path as
-        # model gating.  The inference itself still runs (and is charged):
-        # the model cannot tell a bad frame from a good one before consuming
-        # it.  Offload responses are never dropped — their frame was
-        # captured and paid for when the offload was issued, and discarding
-        # a delivered response would reintroduce the pay-but-drop accounting
-        # bug fixed in the eq. (6) fallback-slot handling.  p = 0 draws
-        # nothing, so degradation-free scenarios are untouched.
-        dropout_probability = config.scenario.sensor_dropout_probability
-        dropout_rng = (
-            np.random.default_rng((config.seed + 3) * 1000 + episode)
-            if dropout_probability > 0.0
-            else None
-        )
+        The 1-episode call of :func:`repro.runtime.batch.run_batch`, the one
+        frame loop.
+        """
+        # Imported here: repro.runtime imports this module at load time.
+        from repro.runtime.batch import run_batch
 
-        report = EpisodeReport(episode=episode)
-        latest_detections: dict[str, DetectionSet] = {}
-        optimizable = [model.name for model in self.model_set.optimizable]
-
-        for _ in range(config.max_steps):
-            safety_inputs = SafetyInputs.from_world(world)
-            report.min_obstacle_distance_m = min(
-                report.min_obstacle_distance_m, safety_inputs.distance_m
-            )
-            if self.barrier.evaluate(safety_inputs) < 0.0:
-                report.unsafe_steps += 1
-
-            # Control path: pi consumes the aggregated perception outputs.
-            control_inputs = ControlInputs.from_detections(
-                world, latest_detections.values(), config.target_speed_mps
-            )
-            raw_control = controller.act_from_inputs(control_inputs)
-            if config.filtered:
-                control, _ = shield.filter_action(safety_inputs, raw_control)
-            else:
-                control = raw_control
-
-            # Safety-aware scheduling of the Lambda' models (Algorithm 1).
-            period = scheduler.step(safety_inputs, control)
-            for name, fresh, local in zip(
-                optimizable, period.fresh.tolist(), period.local.tolist()
-            ):
-                if fresh:
-                    dropped = (
-                        dropout_rng is not None
-                        and local
-                        and name in latest_detections
-                        and dropout_rng.random() < dropout_probability
-                    )
-                    if dropped:
-                        report.sensor_dropouts += 1
-                        latest_detections[name] = latest_detections[name].aged()
-                    else:
-                        latest_detections[name] = self.detectors[name].infer(world)
-                elif name in latest_detections:
-                    latest_detections[name] = latest_detections[name].aged()
-
-            # Plant update.
-            world.step(control, config.tau_s)
-            report.steps += 1
-            status = world.status()
-            if status.done:
-                report.completed = status.finished
-                report.collided = status.collided
-                report.off_road = status.off_road
-                break
-
-        return replace(
-            report,
-            duration_s=report.steps * config.tau_s,
-            shield_interventions=shield.interventions,
-            delta_max_samples=scheduler.delta_max_samples,
-            **scheduler.energy.report_fields(0),
-        )
+        return run_batch(self, [episode])[0]
 
     def run(
         self,
@@ -427,7 +309,7 @@ class SEOFramework:
 
         Episodes are fully determined by ``(config, episode index)``, so they
         may execute out of process; the returned list is always ordered by
-        episode index and identical to the serial path.
+        episode index and identical to the in-process run.
 
         Args:
             episodes: Number of episodes to run.

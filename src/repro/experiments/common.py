@@ -6,7 +6,7 @@ work into a :class:`repro.runtime.sweep.SweepRunner`.  When
 ``settings.runner`` is set (the CLI does this), every driver of an
 invocation shares that runner — and therefore at most one worker pool;
 otherwise each call owns a short-lived runner of its own.  Either way the
-reports are bit-identical to the serial per-config path.
+reports are bit-identical to the in-process per-config path.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class ExperimentSettings:
         seed: Base seed for scenario generation and stochastic strategies.
         max_steps: Cap on base periods per episode.
         target_speed_mps: Controller cruise speed.
-        jobs: Workers episodes are spread over (1 = in-process serial
-            execution, 0 = all CPU cores; results are identical either way).
+        jobs: Workers episodes are spread over (1 = in-process, each unit's
+            episodes in numpy lockstep; 0 = all CPU cores; results are
+            identical either way).
         backend: Worker-pool backend: ``"process"``, ``"socket"`` or
-            ``"batch"`` (in-process numpy lockstep over each unit's
-            episodes; ``jobs`` is ignored).  Checked by
+            ``"batch"`` (in-process, the same as ``jobs=1``; ``jobs`` is
+            ignored).  Checked by
             :func:`repro.runtime.sweep.check_backend`, the same rule the
             :class:`~repro.runtime.sweep.SweepRunner` applies.
         workers: Remote worker addresses (``"host:port"`` strings), required

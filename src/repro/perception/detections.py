@@ -95,14 +95,5 @@ class DetectionSet:
             return None
         return min(self.detections, key=lambda det: det.distance_m)
 
-    def aged(self, stale: bool = True) -> "DetectionSet":
-        """Return a copy marked as stale (used when a model is gated)."""
-        return DetectionSet(
-            detections=list(self.detections),
-            source=self.source,
-            timestamp_s=self.timestamp_s,
-            stale=stale,
-        )
-
     def __len__(self) -> int:
         return len(self.detections)

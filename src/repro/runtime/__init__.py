@@ -3,14 +3,15 @@
 This package is the scaling layer between the SEO framework facade and the
 experiment drivers:
 
+* :mod:`repro.runtime.batch` — :func:`run_batch`, the one frame loop: the
+  structure-of-arrays engine that steps any set of episodes of one config
+  in numpy lockstep, early-terminated episodes masked out, each report
+  identical to its episode run alone.
 * :mod:`repro.runtime.executor` — :class:`EpisodeExecutor` strategies.
-  :class:`SerialExecutor` preserves the original in-process loop;
-  :class:`ParallelExecutor` fans episodes out over a process pool and
-  returns bit-identical reports in episode order.
-* :mod:`repro.runtime.batch` — :class:`BatchExecutor`, the structure-of-
-  arrays engine: all episodes of a unit step in numpy lockstep in one
-  process, early-terminated episodes masked out, reports bit-identical to
-  the serial oracle.
+  :class:`SerialExecutor` runs a unit's episode range as one
+  :func:`run_batch` call in-process; :class:`ParallelExecutor` fans
+  episodes out over a process pool and returns bit-identical reports in
+  episode order.
 * :mod:`repro.runtime.workunit` — :class:`WorkUnit`, the serializable,
   content-addressed ``(config, episode-range)`` description of sweep work
   that the distributed layer is keyed on.
@@ -39,7 +40,7 @@ See ``docs/runtime.md`` for the design notes and CLI usage
 (``--jobs``/``--backend``/``--shard``/``--resume``/``--ledger-dir``).
 """
 
-from repro.runtime.batch import BatchExecutor, run_batch
+from repro.runtime.batch import run_batch
 from repro.runtime.cache import (
     LookupTableCache,
     cache_key,
@@ -89,7 +90,6 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "BatchExecutor",
     "EpisodeExecutor",
     "LedgerSchemaError",
     "LookupTableCache",

@@ -1,62 +1,60 @@
-"""Structure-of-arrays batch episode engine.
+"""Structure-of-arrays episode engine: the one frame loop.
 
-:class:`BatchExecutor` steps ``N`` episodes of one
+:func:`run_batch` steps ``N`` episodes of one
 :class:`~repro.core.framework.SEOConfig` in numpy lockstep: one frame of the
 runtime loop advances *every* live episode at once, so the per-frame numpy
 work (range scans, RK4 dynamics, deadline queries, decision kernels, road
 membership) is amortized over the whole batch instead of being paid per
-episode.
+episode.  It is the only frame loop:
+:meth:`~repro.core.framework.SEOFramework.run_episode` is its 1-episode
+call, and :class:`~repro.runtime.executor.SerialExecutor` runs each work
+unit's episode range as one call.
 
-The decision layer is shared with the serial path instead of being
-re-implemented here: the controller, barrier, shield and scheduler each
-expose one batch-first kernel (``act_batch``, ``evaluate_batch``,
-``filter_batch``, the ``*_kernel`` functions of
-:mod:`repro.core.scheduler`), and the serial entry points are 1-element
-views of those kernels.  Algorithm 1's per-period model step is one call
-of :func:`~repro.core.optimizations.period_kernel` under the configured
+The decision layer lives with its owners instead of being written here:
+the controller, barrier, shield and scheduler each expose one batch-first
+kernel (``act_batch``, ``evaluate_batch``, ``filter_batch``, the
+``*_kernel`` functions of :mod:`repro.core.scheduler`), and their scalar
+entry points are 1-element views of those kernels.  Algorithm 1's
+per-period model step is one call of
+:func:`~repro.core.optimizations.period_kernel` under the configured
 optimization, charged to the columnar
 :class:`~repro.core.scheduler.EnergyColumns` by ``charge_period_kernel``;
 :meth:`~repro.core.scheduler.EnergyColumns.report_fields` builds the
-energy fields of every report, here and in the serial loop.  This engine
-calls the same kernels over the full active index set, so the serial and
-batch decision math *cannot* drift.
+energy fields of every report.
 
-The serial path (:meth:`SEOFramework.run_episode`) is the bit-exactness
-oracle: for every registered scenario family the reports produced here are
-field-for-field identical to the serial ones.  Three disciplines make that
-possible:
+**Row independence.** An episode's report depends only on ``(config,
+episode index)``, never on which episodes share its call:
+``run_batch(fw, eps) == [run_batch(fw, [e])[0] for e in eps]``, exactly.
+The golden corpus (``tests/golden/reports.json``) pins the reports
+themselves.  Three disciplines keep the rows independent:
 
-* **Same float ops.** Vectorized sections either call a kernel that the
-  serial path also calls, as a 1-element view (numpy ufuncs are
-  size-independent), or replicate the serial arithmetic expression by
-  expression (operand order, association, clips and ``-0.0``
-  normalization included).  The shared kernels are the obstacle raycast
-  (``RangeScanner.scan_batch``), the nearest-obstacle view
-  (``World.nearest_obstacle_view_batch``), detection grouping and noise
-  (``DetectorModel.detect_batch``), the multi-segment Frenet lookups (the
-  ``Centerline`` batch kernels) and the RK4 plant update
-  (:func:`repro.dynamics.bicycle.rk4_plant_batch`, where both paths take
-  the steering tangent from ``np.tan``).
-* **Same RNG streams.**  World placement consumes its per-episode
+* **Elementwise float ops.** Every vectorized section applies the same
+  elementwise operations to each row (numpy ufuncs are size-independent)
+  and no reduction crosses the episode axis.  The row kernels are the
+  obstacle raycast (``RangeScanner.scan_batch``), the nearest-obstacle
+  view (``World.nearest_obstacle_view_batch``), detection grouping and
+  noise (``DetectorModel.detect_batch``), the multi-segment Frenet lookups
+  (the ``Centerline`` batch kernels) and the RK4 plant update
+  (:func:`repro.dynamics.bicycle.rk4_plant_batch`).
+* **Per-episode RNG streams.**  World placement consumes its per-episode
   generator up front in ``build_world``.  Every per-frame consumer
-  (scheduler/wireless, sensor dropout, per-detector noise) reads the
-  generator the serial path seeds, each episode through its own row of a
-  :class:`~repro.streams.DrawStream`.  A stream refills its buffers with
-  *sized* draws, which yield exactly the values of the serial scalar draws,
-  and keeps one cursor per episode, so a frame's draws for all episodes
-  are one gather (per model for dropout and noise) instead of one
-  generator call per episode.  Within an episode the draws keep the serial
-  order: the offload draws of a frame are taken episode by episode in
-  pipeline order, and the dropout and noise loops visit models in
-  pipeline order.  The detector
-  streams share one buffer per detector: every episode's serial detector
-  generator is re-seeded with the same ``detector.seed``.
+  (offload round trips, sensor dropout, per-detector noise) reads a
+  generator seeded from the config seed and the episode index, each
+  episode through its own row of a :class:`~repro.streams.DrawStream`.  A
+  stream refills its buffers with *sized* draws, which yield exactly the
+  values of scalar draws, and keeps one cursor per episode, so a frame's
+  draws for all episodes are one gather (per model for dropout and noise)
+  instead of one generator call per episode.  Within an episode the draws
+  keep a fixed order: the offload draws of a frame are taken in pipeline
+  order, and the dropout and noise loops visit models in pipeline order.
+  The detector streams share one buffer per detector: every episode's
+  detector generator is seeded with the same ``detector.seed``.
 * **Masking, not branching.** Per-frame decisions are evaluated as boolean
-  masks over the active set (the latest-detection ledger becomes
+  masks over the active set (the latest-detection ledger is a set of
   per-``(episode, model)`` nearest/staleness/insertion-rank arrays), and
   episodes that terminate (collision, road exit, route completion) are
   removed from the ``active`` index list.  A finished episode's state is
-  frozen at its terminal frame — exactly what the serial ``break`` does.
+  frozen at its terminal frame.
 
 Still per-episode in the frame loop: refills of exhausted draw streams,
 the moving-obstacle ``position_at`` updates and the ``delta_max`` sample
@@ -71,7 +69,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.control.heuristic import ObstacleAvoidanceController
-from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
+from repro.core.framework import EpisodeReport, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M
 from repro.core.optimizations import offload_arrival_kernel, period_kernel
 from repro.core.scheduler import (
@@ -88,12 +86,11 @@ from repro.core.shield import SteeringShield
 from repro.dynamics.bicycle import rk4_plant_batch
 from repro.dynamics.state import wrap_angle
 from repro.perception.detections import nearest_per_row
-from repro.runtime.executor import EpisodeExecutor
 from repro.sim.scenario import build_world
 from repro.sim.world import World
 from repro.streams import DrawStream
 
-__all__ = ["BatchExecutor", "run_batch"]
+__all__ = ["run_batch"]
 
 
 def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
@@ -103,8 +100,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
 ) -> list[EpisodeReport]:
     """Run the given episode indices in numpy lockstep.
 
-    Returns reports in the order of ``episodes``, bit-identical to
-    ``[framework.run_episode(e) for e in episodes]``.
+    Returns reports in the order of ``episodes``; each is bit-identical to
+    the report of its episode run alone (``run_batch(framework, [e])[0]``,
+    which is :meth:`~repro.core.framework.SEOFramework.run_episode`).
 
     When ``timings`` is given, wall-clock seconds spent in each engine phase
     are accumulated into it under the keys ``"decision"`` (perception
@@ -130,8 +128,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     use_filter = config.filtered
 
     # ------------------------------------------------------------------
-    # World construction (placement RNG fully consumed here, per episode,
-    # exactly as in the serial path).
+    # World construction (placement RNG fully consumed here, per episode).
     # ------------------------------------------------------------------
     worlds = [
         build_world(
@@ -178,8 +175,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     del worlds
 
     # ------------------------------------------------------------------
-    # Per-episode draw streams (the serial scheduler and dropout generators,
-    # one row per episode), shared shield, controller.
+    # Per-episode draw streams (the offload and dropout generators, one row
+    # per episode), shared shield, controller.
     # ------------------------------------------------------------------
     mode = config.optimization
     sched_stream = (
@@ -209,10 +206,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
 
     # ------------------------------------------------------------------
     # Detectors: one shared scan per episode per frame feeds every detector
-    # that needs a fresh output (the serial path scans once per infer, but
-    # the scan is a pure function of the pre-step world, so the rows are
-    # identical).  Each detector's noise source has one row per episode,
-    # every row replaying the detector seed as the serial reset() does.
+    # that needs a fresh output (the scan is a pure function of the
+    # pre-step world).  Each detector's noise source has one row per
+    # episode, every row replaying the detector seed as ``reset()`` does.
     # ------------------------------------------------------------------
     det_items = list(framework.detectors.items())
     if not det_items:  # pragma: no cover - SEOFramework always builds detectors
@@ -264,7 +260,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
 
     # ------------------------------------------------------------------
     # Per-episode run state (structure of arrays; the scheduler interval
-    # state is the same SchedulerState the serial scheduler uses with N=1).
+    # state is one SchedulerState row per episode).
     # ------------------------------------------------------------------
     sched = SchedulerState.create(n, num_opt)
     samples: list[list[int]] = [[] for _ in range(n)]
@@ -277,11 +273,10 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     collided_f = np.zeros(n, dtype=bool)
     offroad_f = np.zeros(n, dtype=bool)
     # Latest-detection ledger, structure-of-arrays over (episode, model):
-    # the serial path's per-episode ``dict[model] = DetectionSet`` becomes
-    # presence/nearest/staleness columns plus an insertion *rank* that
-    # reproduces the dict's insertion-order tie-break (the serial aggregate
-    # iterates the dict in insertion order with a strict ``<`` update, so
-    # among equal distances the earliest-inserted model wins).
+    # presence/nearest/staleness columns plus an insertion *rank*, the order
+    # in which each model first produced an output in that episode.  The
+    # controller reads the nearest held detection across models; among
+    # equal distances the earliest-inserted model wins.
     det_present = np.zeros((n, num_opt), dtype=bool)
     det_nonempty = np.zeros((n, num_opt), dtype=bool)
     det_best_d = np.zeros((n, num_opt), dtype=float)
@@ -418,7 +413,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         # ---- Pass 2: Algorithm 1's period kernel over (episode, model) ----
         # The shared kernels decide and charge every live episode at once.
         # Issued offloads draw their round trips from each episode's stream
-        # row in pipeline order, as the serial scheduler does.
+        # row in pipeline order.
         dmx_act = sched.delta_max[idx]
         istep_act = sched.interval_step[idx]
         natural = natural_slot_kernel(t, delta_i_all)
@@ -453,13 +448,16 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         for j in range(num_opt):
             fresh = outcome.fresh[:, j]
             local = outcome.local[:, j]
-            # Perception effect of the period (the serial model loop).
-            # A dropout draw happens only for a fresh *local* inference of a
-            # model that already has an output (the serial short-circuit);
-            # a dropped frame ages the held output instead of replacing it.
-            # A kept inference claims its insertion rank *now* — the scan
-            # phase below fills the nearest/staleness columns in — so the
-            # ledger keeps the serial dict's insertion order.
+            # Perception effect of the period.  Scenario-level sensor
+            # degradation: with probability p the frame behind a fresh
+            # *local* inference of a model that already has an output is
+            # corrupt, so the held output ages instead of being replaced,
+            # the same fallback as model gating.  The inference still runs
+            # and is charged.  Offload responses are never dropped: their
+            # frame was captured and paid for when the offload was issued.
+            # p = 0 draws nothing.  A kept inference claims its insertion
+            # rank *now*; the scan phase below fills the nearest/staleness
+            # columns in.
             kept = fresh
             if drop_stream is not None:
                 draw_pos = np.nonzero(fresh & local & det_present[idx, j])[0]
@@ -605,34 +603,3 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         for i, episode in enumerate(episode_ids)
     ]
 
-
-class BatchExecutor(EpisodeExecutor):
-    """Run a batch of episodes in numpy lockstep (bit-exact vs serial).
-
-    Drop-in :class:`~repro.runtime.executor.EpisodeExecutor`: sweeps, work
-    units, the run ledger and remote workers compose with it unchanged.
-
-    Args:
-        framework: Optional pre-built framework to reuse.  When provided and
-            its config matches the requested one, the (expensive) framework
-            construction is skipped; otherwise a fresh framework is built.
-    """
-
-    def __init__(self, framework: SEOFramework | None = None) -> None:
-        self._framework = framework
-
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
-        return self.run_range(config, 0, episodes)
-
-    def run_range(
-        self, config: SEOConfig, start: int, stop: int
-    ) -> list[EpisodeReport]:
-        """Run episodes ``start .. stop-1`` (a work unit's episode range)."""
-        if start < 0 or stop <= start:
-            raise ValueError("episode range must be non-empty and non-negative")
-        framework = self._framework
-        if framework is None or framework.config != config:
-            framework = SEOFramework(config)
-            self._framework = framework
-        return run_batch(framework, range(start, stop))

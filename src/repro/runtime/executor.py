@@ -1,19 +1,21 @@
-"""Episode execution engines: serial and process-parallel.
+"""Episode execution engines: in-process and process-parallel.
 
 Every figure/table of the paper is regenerated by running ``N`` independent
 episodes of an :class:`repro.core.framework.SEOFramework`.  Episodes are
 fully determined by ``(SEOConfig, episode index)`` — the world, the scheduler
 and the detector noise generators are all re-seeded per episode — so they can
-execute in any order and on any process without changing the results.
+execute in any order, in any lockstep batch and on any process without
+changing the results.
 
-:class:`SerialExecutor` runs them in-process, one after another.
-:class:`ParallelExecutor` fans them out over a
+:class:`SerialExecutor` runs them in-process: each work unit's episode range
+is one :func:`~repro.runtime.batch.run_batch` call, stepping its episodes in
+numpy lockstep.  :class:`ParallelExecutor` fans them out over a
 :class:`concurrent.futures.ProcessPoolExecutor`: each worker receives the
 pickled :class:`~repro.core.framework.SEOConfig` plus an episode index,
 rebuilds the framework once per worker (memoized on the config), and streams
 back :class:`~repro.core.framework.EpisodeReport` objects which are then
 reordered by episode index — the returned list is bit-identical to the
-serial path.
+in-process run.
 
 Multi-config sweeps that want to share one pool across many
 ``(config, episodes)`` batches should use
@@ -29,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
+from repro.runtime.batch import run_batch
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
 
 __all__ = [
@@ -58,7 +61,7 @@ class EpisodeExecutor(abc.ABC):
 
 
 class SerialExecutor(EpisodeExecutor):
-    """Run episodes sequentially in the current process.
+    """Run episodes in the current process, in numpy lockstep.
 
     Args:
         framework: Optional pre-built framework to reuse.  When provided and
@@ -83,7 +86,7 @@ class SerialExecutor(EpisodeExecutor):
         if framework is None or framework.config != config:
             framework = SEOFramework(config)
             self._framework = framework
-        return [framework.run_episode(episode) for episode in range(start, stop)]
+        return run_batch(framework, range(start, stop))
 
 
 # ----------------------------------------------------------------------
@@ -116,12 +119,12 @@ def _run_episode_task(config: SEOConfig, episode: int) -> EpisodeReport:
 
 
 class ParallelExecutor(EpisodeExecutor):
-    """Run episodes on a process pool, preserving serial results exactly.
+    """Run episodes on a process pool, preserving in-process results exactly.
 
     Args:
         jobs: Number of worker processes.  ``jobs <= 0`` selects
-            ``os.cpu_count()``; ``jobs == 1`` degrades to the serial path
-            (no pool spin-up).
+            ``os.cpu_count()``; ``jobs == 1`` degrades to the in-process
+            :class:`SerialExecutor` (no pool spin-up).
     """
 
     def __init__(self, jobs: int = 0) -> None:

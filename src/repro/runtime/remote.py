@@ -1,8 +1,8 @@
 """Remote worker protocol: episodes dispatched to persistent workers over TCP.
 
 Episodes are bit-deterministic functions of ``(config, episode)``, so any
-worker anywhere can run any episode and return the exact reports the serial
-path would produce.  This module ships episodes to *persistent workers* over
+worker anywhere can run any episode and return the exact reports an
+in-process run would produce.  This module ships episodes to *persistent workers* over
 a tiny length-prefixed JSON protocol — every frame is a 4-byte big-endian
 length followed by a UTF-8 JSON object:
 

@@ -72,8 +72,9 @@ __all__ = [
 #: Backend names accepted by :class:`SweepRunner` (and the CLI ``--backend``
 #: flag): ``"process"`` fans episodes out over a local process pool;
 #: ``"socket"`` dispatches them to ``repro.cli worker --listen`` processes
-#: over TCP (see :mod:`repro.runtime.remote`); ``"batch"`` steps all episodes
-#: of a unit in numpy lockstep in-process (see :mod:`repro.runtime.batch`).
+#: over TCP (see :mod:`repro.runtime.remote`); ``"batch"`` runs in-process,
+#: the same as ``jobs=1``: each unit's episodes step in numpy lockstep (see
+#: :mod:`repro.runtime.batch`).
 EXECUTOR_BACKENDS = ("process", "socket", "batch")
 
 
@@ -210,17 +211,18 @@ class SweepRunner:
     The runner owns at most one live pool: the first parallel :meth:`run`
     creates it, later calls reuse it, and :meth:`close` (or exiting the
     context manager) shuts it down — after which the runner refuses further
-    batches instead of silently leaking a fresh pool.  With ``jobs == 1`` no
-    pool is ever created and every unit runs through
-    :class:`~repro.runtime.executor.SerialExecutor` in submission order —
-    either way the reports are bit-identical.
+    batches instead of silently leaking a fresh pool.  With ``jobs == 1`` or
+    the ``"batch"`` backend no pool is ever created and every unit runs
+    in-process through :class:`~repro.runtime.executor.SerialExecutor`, one
+    lockstep call per unit, in submission order — either way the reports
+    are bit-identical.
 
     Args:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
-            ``jobs == 1`` keeps everything serial and in-process.
+            ``jobs == 1`` keeps everything in-process.
         backend: One of :data:`EXECUTOR_BACKENDS`: ``"process"``
-            (default), ``"socket"`` or ``"batch"`` (in-process numpy
-            lockstep over each unit's episode range; ``jobs`` is ignored).
+            (default), ``"socket"`` or ``"batch"`` (in-process, the same
+            as ``jobs == 1``; ``jobs`` is ignored).
         ledger: Optional on-disk run ledger.  Every freshly executed unit is
             recorded in it (cross-run reuse); with ``resume=True`` recorded
             units are loaded instead of executed.
@@ -277,7 +279,6 @@ class SweepRunner:
         self._pool = None
         self._closed = False
         self._serial = SerialExecutor()
-        self._batch = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -344,7 +345,7 @@ class SweepRunner:
         executed and recorded).  Every episode of every executed unit is
         submitted to the shared pool up front, so the whole batch drains
         with full parallelism instead of config by config.  Results are
-        bit-identical to the serial per-config path.  A failing episode
+        bit-identical to the in-process per-config path.  A failing episode
         fails the batch fast: queued episodes are cancelled rather than
         drained before the error surfaces.
 
@@ -421,24 +422,12 @@ class SweepRunner:
         """Execute units on the configured backend, keyed by unit hash."""
         if not units:
             return {}
-        # The batch backend runs in-process: each unit's episode range is
-        # stepped in numpy lockstep, no pool involved.
-        if self.backend == "batch":
-            batch = self._batch
-            if batch is None:
-                # Imported lazily: repro.runtime.batch imports executor.
-                from repro.runtime.batch import BatchExecutor
-
-                batch = self._batch = BatchExecutor()
-            return {
-                unit.key: batch.run_range(
-                    unit.config, unit.episode_start, unit.episode_stop
-                )
-                for unit in units
-            }
-        # The socket backend never degrades to local-serial: one address
-        # still means "run it on that machine".
-        if self.backend != "socket" and self.workers <= 1:
+        # In-process: each unit's episode range is one lockstep call.  The
+        # socket backend never degrades to it: one address still means "run
+        # it on that machine".
+        if self.backend == "batch" or (
+            self.backend == "process" and self.workers <= 1
+        ):
             return {
                 unit.key: self._serial.run_range(
                     unit.config, unit.episode_start, unit.episode_stop

@@ -3,9 +3,10 @@
 The spec grammar and decorator semantics get direct unit coverage.  The
 end-to-end guarantee — every registered scenario family, and on one
 family every optimization mode, both controllers, the exact-estimator
-and the safety-unaware deadline, runs serial *and* batch under
-enforcement without a single violation, still bit-exact — checks the
-declarations on the kernel paths those runs execute.
+and the safety-unaware deadline, runs in lockstep *and* one episode per
+call under enforcement without a single violation, each row still
+bit-exact — checks the declarations on the kernel paths those runs
+execute, at N = 1 and N > 1.
 The mutation tests replay, on the real kernels, the shape bugs a static
 dataflow pass used to look for, and show that they fail at run time.
 """
@@ -29,11 +30,10 @@ from repro.contracts import (
     parse_spec,
     set_contracts_enabled,
 )
-from repro.core.framework import SEOConfig
+from repro.core.framework import SEOConfig, SEOFramework
 from repro.core.safety import SafetyInputs
 from repro.dynamics.state import ControlAction
-from repro.runtime.batch import BatchExecutor
-from repro.runtime.executor import SerialExecutor
+from repro.runtime.batch import run_batch
 from repro.sim.scenario import DEFAULT_SUITE
 from repro.sim.world import World
 
@@ -219,7 +219,8 @@ def test_scaled_symbol_requires_divisibility():
 
 # ----------------------------------------------------------------------
 # The real kernel layer under enforcement: every registered family runs
-# serial and batch with contracts on, still bit-exact, zero violations.
+# in lockstep and one episode per call with contracts on, still bit-exact,
+# zero violations.
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("family_name", DEFAULT_SUITE.names())
@@ -227,9 +228,10 @@ def test_suite_families_run_clean_under_runtime_contracts(family_name):
     family = DEFAULT_SUITE.get(family_name)
     config = SEOConfig(scenario=family.base, max_steps=150)
     with enforced_contracts():
-        serial = SerialExecutor().run(config, 2)
-        batch = BatchExecutor().run(config, 2)
-    assert batch == serial
+        framework = SEOFramework(config)
+        batch = run_batch(framework, range(2))
+        alone = [run_batch(framework, [episode])[0] for episode in range(2)]
+    assert batch == alone
 
 
 @pytest.mark.parametrize(
@@ -249,9 +251,10 @@ def test_config_variants_run_clean_under_runtime_contracts(overrides):
     family = DEFAULT_SUITE.get("obstacle-course")
     config = SEOConfig(scenario=family.base, max_steps=100, **overrides)
     with enforced_contracts():
-        serial = SerialExecutor().run(config, 2)
-        batch = BatchExecutor().run(config, 2)
-    assert batch == serial
+        framework = SEOFramework(config)
+        batch = run_batch(framework, range(2))
+        alone = [run_batch(framework, [episode])[0] for episode in range(2)]
+    assert batch == alone
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +277,7 @@ def mutant(monkeypatch, name: str, old: str, new: str) -> types.ModuleType:
 
 
 def test_mutation_real_world_broadcast_breaks_the_batch_kernel(monkeypatch):
-    """Dropping ``[:, None]`` keeps N = 1 (serial) right and breaks N > 1."""
+    """Dropping ``[:, None]`` keeps N = 1 right and breaks N > 1."""
     world = mutant(
         monkeypatch, "repro.sim.world", "dx = obs_x - xs[:, None]", "dx = obs_x - xs"
     )

@@ -6,7 +6,6 @@ from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.dynamics.state import VehicleState
-from repro.perception.detections import Detection, DetectionSet
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
 from repro.sim.world import World
@@ -39,23 +38,6 @@ class TestControlInputs:
         inputs = ControlInputs.from_world(world, 8.0)
         assert inputs.has_obstacle
         assert inputs.obstacle_distance_m == pytest.approx(9.0)
-
-    def test_from_detections_picks_nearest_across_sets(self, empty_world):
-        sets = [
-            DetectionSet(detections=[Detection(distance_m=12.0, bearing_rad=0.1)], source="a"),
-            DetectionSet(
-                detections=[Detection(distance_m=6.0, bearing_rad=-0.1)],
-                source="b",
-                stale=True,
-            ),
-        ]
-        inputs = ControlInputs.from_detections(empty_world, sets, 8.0)
-        assert inputs.obstacle_distance_m == pytest.approx(6.0)
-        assert inputs.obstacle_stale
-
-    def test_from_detections_empty(self, empty_world):
-        inputs = ControlInputs.from_detections(empty_world, [], 8.0)
-        assert not inputs.has_obstacle
 
 
 class TestObstacleAvoidanceController:

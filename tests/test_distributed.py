@@ -22,6 +22,7 @@ import pytest
 
 from repro.cli import run
 from repro.core.framework import SEOFramework
+from repro.runtime import executor as executor_module
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.ledger import (
     LedgerSchemaError,
@@ -458,10 +459,11 @@ class TestDistributedCli:
         ledger_dir = str(tmp_path / "ledger")
         fresh = run(SUITE_ARGS + ["--ledger-dir", ledger_dir])
 
-        def explode(self, episode):
+        def explode(*args):
             raise AssertionError("an episode executed during a fully resumed run")
 
         monkeypatch.setattr(SEOFramework, "run_episode", explode)
+        monkeypatch.setattr(executor_module, "run_batch", explode)
         resumed = run(SUITE_ARGS + ["--ledger-dir", ledger_dir, "--resume"])
         assert resumed == fresh
 

@@ -1,4 +1,4 @@
-"""Golden report corpus: both frame loops against committed digests.
+"""Golden report corpus: the frame loop against committed digests.
 
 Each entry of ``tests/golden/reports.json`` holds, per episode, the
 SHA-256 of the ``report_to_jsonable`` report of one configuration (2
@@ -6,9 +6,10 @@ episodes x 300 steps, keys sorted).  The configurations are every
 ``DEFAULT_SUITE`` family under each optimization mode, plus the
 pure-pursuit controller, the exact deadline estimator, the
 safety-oblivious deadline and the unfiltered control on one family under
-each mode.  ``run_batch`` and ``run_episode`` (one episode per config)
-must reproduce the digests, so a change to a kernel the two loops share
-still shows up here.
+each mode.  ``run_batch`` over both episodes must reproduce the digests,
+and so must ``run_episode`` (one episode per config, run alone), so a
+change to any kernel of the loop, or a report that depends on its
+batchmates, shows up here.
 
 Regenerate (only for an intended behaviour change) with::
 
@@ -86,12 +87,11 @@ def test_both_loops_match_golden_digest(label):
     framework = SEOFramework(CONFIGS[label])
     batch = run_batch(framework, EPISODES)
     assert report_digests(batch) == GOLDEN[label], "run_batch drifted"
-    # An episode costs the serial loop about twice what it costs the batch
-    # one, so each config runs one serial episode, alternating across the
-    # corpus, to keep the corpus near 25 s.
+    # One episode per config also runs alone, alternating across the corpus,
+    # so a report that depends on its batchmates fails here too.
     episode = EPISODES[sorted(CONFIGS).index(label) % len(EPISODES)]
-    serial = framework.run_episode(episode)
-    assert report_digests([serial]) == [GOLDEN[label][episode]], "run_episode drifted"
+    alone = framework.run_episode(episode)
+    assert report_digests([alone]) == [GOLDEN[label][episode]], "run_episode drifted"
 
 
 if __name__ == "__main__":

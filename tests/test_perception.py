@@ -38,14 +38,6 @@ class TestDetectionContainers:
     def test_nearest_empty_is_none(self):
         assert DetectionSet().nearest() is None
 
-    def test_aged_marks_stale_and_keeps_content(self):
-        original = DetectionSet(
-            detections=[Detection(distance_m=5.0, bearing_rad=0.0)], source="det"
-        )
-        aged = original.aged()
-        assert aged.stale and not original.stale
-        assert len(aged) == 1
-
 
 class TestDetectorModel:
     def test_detects_single_obstacle_ahead(self):

@@ -1,8 +1,11 @@
-"""Tests for the structure-of-arrays batch engine (bit-exact vs serial).
+"""Tests for the structure-of-arrays episode engine: row independence.
 
-The serial path is the oracle: every assertion here is exact ``==`` on whole
-:class:`EpisodeReport` objects, never approximate.  Any drift between the
-lockstep engine and the per-episode loop is a bug by definition.
+``run_batch`` is the one frame loop, so it has no second implementation to
+be compared with.  Instead every assertion here is exact ``==`` between a
+lockstep call over several episodes and the same episodes run one call each:
+an episode's report must not depend on which episodes share its call.  The
+golden corpus (``tests/test_golden_reports.py``) pins the reports
+themselves.
 """
 
 import dataclasses
@@ -16,25 +19,30 @@ from repro.contracts import ContractViolationError
 from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
 from repro.dynamics.state import ControlAction
-from repro.runtime.batch import BatchExecutor, run_batch
+from repro.runtime.batch import run_batch
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
 from repro.sim.scenario import DEFAULT_SUITE
 
 
+def alone(framework, episodes):
+    """Each episode's report from a ``run_batch`` call of its own."""
+    return [run_batch(framework, [episode])[0] for episode in episodes]
+
+
 @pytest.mark.parametrize("family_name", DEFAULT_SUITE.names())
 def test_bit_exact_per_scenario_family(family_name):
-    """Batch reports equal serial reports exactly on every registered family.
+    """Lockstep reports equal one-episode reports exactly on every family.
 
     Covers the stochastic families too: ``sensor-dropout`` exercises the
     dropout RNG stream and stale-detection ageing, ``moving-traffic`` the
-    time-indexed obstacle motion.
+    time-indexed obstacle motion.  The episodes go in out of order, and the
+    reports come back in call order.
     """
     family = DEFAULT_SUITE.get(family_name)
-    config = SEOConfig(scenario=family.base, max_steps=200)
-    serial = SerialExecutor().run(config, 2)
-    batch = BatchExecutor().run(config, 2)
-    assert batch == serial
+    framework = SEOFramework(SEOConfig(scenario=family.base, max_steps=200))
+    episodes = [1, 0]
+    assert run_batch(framework, episodes) == alone(framework, episodes)
 
 
 @pytest.mark.parametrize(
@@ -58,17 +66,18 @@ def test_bit_exact_per_scenario_family(family_name):
     ],
 )
 def test_bit_exact_across_modes(fast_seo_config, overrides):
-    config = dataclasses.replace(fast_seo_config, **overrides)
-    assert BatchExecutor().run(config, 2) == SerialExecutor().run(config, 2)
+    framework = SEOFramework(dataclasses.replace(fast_seo_config, **overrides))
+    assert run_batch(framework, range(2)) == alone(framework, range(2))
 
 
 @pytest.mark.parametrize("case", ["offload", "sensor-dropout", "default-course"])
 def test_bit_exact_across_stream_refills(monkeypatch, fast_seo_config, case):
-    """Batch == serial when the draw streams refill every few draws.
+    """Rows stay independent when the draw streams refill every few draws.
 
-    The default chunk covers most of a short parity run, so this patches
-    it down to force refills every few draws on the offload, dropout and
-    detector-noise streams alike.
+    The default chunk covers most of a short run, so this patches it down
+    to force refills every few draws on the offload, dropout and
+    detector-noise streams alike.  In lockstep a refill serves every row
+    that shares the seed group; alone it serves one.
     """
     monkeypatch.setattr(streams, "_CHUNK", 3)
     if case == "offload":
@@ -79,57 +88,58 @@ def test_bit_exact_across_stream_refills(monkeypatch, fast_seo_config, case):
         )
     else:
         config = SEOConfig(max_steps=400)
-    serial = SerialExecutor().run(config, 3)
-    assert BatchExecutor().run(config, 3) == serial
-    assert sum(report.offloads_issued for report in serial) > 0
+    framework = SEOFramework(config)
+    batch = run_batch(framework, range(3))
+    assert batch == alone(framework, range(3))
+    assert sum(report.offloads_issued for report in batch) > 0
     if case == "sensor-dropout":
-        assert sum(report.sensor_dropouts for report in serial) > 0
+        assert sum(report.sensor_dropouts for report in batch) > 0
 
 
 def test_early_termination_masking():
-    """Episodes of one batch ending on different frames stay bit-exact.
+    """Episodes of one call ending on different frames stay bit-exact.
 
     On the default course the four episodes terminate on four different
-    frames; the batch engine must freeze each one at its own terminal frame
+    frames; the engine must freeze each one at its own terminal frame
     (masking) rather than stepping the whole batch to a common horizon.
     """
     config = SEOConfig(max_steps=800)
-    serial = SerialExecutor().run(config, 4)
-    batch = BatchExecutor().run(config, 4)
+    framework = SEOFramework(config)
+    batch = run_batch(framework, range(4))
     # The scenario must actually exercise masking: distinct end frames, none
     # of them at the horizon.
-    assert len({report.steps for report in serial}) > 1
-    assert all(report.steps < config.max_steps for report in serial)
-    assert batch == serial
+    assert len({report.steps for report in batch}) > 1
+    assert all(report.steps < config.max_steps for report in batch)
+    assert batch == alone(framework, range(4))
 
 
 def test_masked_episode_keeps_terminal_state():
     """A collided episode's report is unaffected by surviving batchmates."""
     config = SEOConfig(max_steps=800)
-    serial = SerialExecutor().run(config, 4)
-    ended_first = min(serial, key=lambda report: report.steps)
-    alone = run_batch(SEOFramework(config), [ended_first.episode])
-    assert alone == [ended_first]
+    batch = run_batch(SEOFramework(config), range(4))
+    ended_first = min(batch, key=lambda report: report.steps)
+    alone_report = run_batch(SEOFramework(config), [ended_first.episode])
+    assert alone_report == [ended_first]
 
 
 def test_run_range_matches_serial_slice(fast_seo_config):
-    serial = SerialExecutor().run_range(fast_seo_config, 2, 5)
-    batch = BatchExecutor().run_range(fast_seo_config, 2, 5)
-    assert batch == serial
-    assert [report.episode for report in batch] == [2, 3, 4]
+    """A work unit's episode range is one lockstep call over that slice."""
+    reports = SerialExecutor().run_range(fast_seo_config, 2, 5)
+    assert reports == alone(SEOFramework(fast_seo_config), range(2, 5))
+    assert [report.episode for report in reports] == [2, 3, 4]
 
 
 def test_validation_errors(fast_seo_config):
     with pytest.raises(ValueError):
-        BatchExecutor().run(fast_seo_config, 0)
+        SerialExecutor().run(fast_seo_config, 0)
     with pytest.raises(ValueError):
-        BatchExecutor().run_range(fast_seo_config, 3, 3)
+        SerialExecutor().run_range(fast_seo_config, 3, 3)
     with pytest.raises(ValueError):
-        BatchExecutor().run_range(fast_seo_config, -1, 2)
+        SerialExecutor().run_range(fast_seo_config, -1, 2)
 
 
 def test_framework_memoized_across_calls(fast_seo_config):
-    executor = BatchExecutor()
+    executor = SerialExecutor()
     executor.run(fast_seo_config, 1)
     framework = executor._framework
     executor.run(fast_seo_config, 1)
@@ -170,7 +180,7 @@ class TestBackendWiring:
         with SweepRunner(backend="batch") as runner:
             results = runner.run(jobs)
             assert runner.pools_created == 0
-        assert results["cell"] == SerialExecutor().run(fast_seo_config, 3)
+        assert results["cell"] == alone(SEOFramework(fast_seo_config), range(3))
 
     def test_framework_run_routes_through_executor(self, fast_seo_config):
         """`SEOFramework.run(jobs=1)` uses the executor API, same reports."""
