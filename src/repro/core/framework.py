@@ -26,7 +26,8 @@ is how every figure/table experiment of the paper is regenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Hashable
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -57,6 +58,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Compute profile charged for the critical VAE pipeline every base period.
 VAE_COMPUTE_PROFILE = ComputeProfile(name="vae@drive-px2", latency_s=0.004, power_w=4.0)
+
+#: ``SEOConfig`` fields the lockstep engine holds per row, so cells that
+#: differ only in them share one call (:meth:`SEOConfig.lockstep_key`).
+LOCKSTEP_ROW_FIELDS = (
+    "optimization",
+    "filtered",
+    "detector_sensor",
+    "use_lookup_table",
+    "safety_aware",
+)
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,21 @@ class SEOConfig:
     def detector_name(self, multiple: int) -> str:
         """Canonical name of the detector running at ``multiple * tau``."""
         return f"detector-p{multiple}tau"
+
+    def lockstep_key(self) -> Hashable:
+        """Configs with equal keys may step in one lockstep call.
+
+        The key is every field except :data:`LOCKSTEP_ROW_FIELDS`: those
+        are per-row columns of :func:`repro.runtime.batch.run_cells`, and
+        every other field (road, obstacles, ``tau_s``, ``max_steps``, the
+        detectors, the channel, the seeds, ...) shapes state that all rows
+        of a call share.
+        """
+        return tuple(
+            getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in LOCKSTEP_ROW_FIELDS
+        )
 
 
 @dataclass

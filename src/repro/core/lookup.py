@@ -111,15 +111,22 @@ class DeadlineLookupTable:
     horizon_s: float
     obstacle_radius_m: float = 1.0
     queries: int = field(default=0, compare=False)
+    # The grid axes (distance, bearing, speed, steering, throttle), built
+    # once in ``__post_init__`` and read-only: a pure function of ``grid``.
+    _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected_shape = (
-            self.grid.distance_values().size,
-            self.grid.num_bearings,
-            self.grid.speed_values().size,
-            self.grid.steering_values().size,
-            self.grid.throttle_values().size,
+        axes = (
+            self.grid.distance_values(),
+            self.grid.bearing_values(),
+            self.grid.speed_values(),
+            self.grid.steering_values(),
+            self.grid.throttle_values(),
         )
+        for axis in axes:
+            axis.flags.writeable = False
+        self._axes = axes
+        expected_shape = tuple(axis.size for axis in axes)
         if self.values.shape != expected_shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {expected_shape}"
@@ -232,11 +239,7 @@ class DeadlineLookupTable:
         if not np.any(mask):
             return out
 
-        distance_grid = self.grid.distance_values()
-        speed_grid = self.grid.speed_values()
-        bearing_grid = self.grid.bearing_values()
-        steering_grid = self.grid.steering_values()
-        throttle_grid = self.grid.throttle_values()
+        distance_grid, bearing_grid, speed_grid, steering_grid, throttle_grid = self._axes
 
         d = distances_m[mask]
         b = bearings_rad[mask]

@@ -3,10 +3,11 @@
 The scheduler (Algorithm 1) decides *when* a Lambda' model may be optimized
 (its natural and full slots); :func:`period_kernel` decides *what happens*
 in that base period and what it costs, for every ``(episode, model)`` pair
-at once.  Both frame loops call it:
-:class:`~repro.core.scheduler.SafeRuntimeScheduler` with one row, the
-lockstep engine (:mod:`repro.runtime.batch`) with one row per live
-episode.  Its branches are the paper's equations:
+at once.  :class:`~repro.core.scheduler.SafeRuntimeScheduler` calls it
+with one row, the lockstep engine (:mod:`repro.runtime.batch`) with one row
+per live episode.  Each row runs its own method (:class:`ModeRows`), so
+episodes of cells that differ only in the method share one call.  The
+branches are the paper's equations:
 
 * **Full slot** (eq. 6, first branch: ``delta_i >= delta_max`` at a natural
   slot, or ``n == delta_max - delta_i``): the model runs locally.
@@ -30,6 +31,7 @@ deadline misses.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +44,61 @@ OPTIMIZATIONS = ("offload", "model_gating", "sensor_gating", "none")
 #: Highest ``max_deadline_periods`` offloading accepts: pending arrivals are
 #: an int64 bitmask with one bit per base period of the deadline.
 MAX_OFFLOAD_DEADLINE_PERIODS = 60
+
+
+def row_mask(mask: np.ndarray) -> bool | np.ndarray:
+    """A per-row flag as a row column: ``True`` or ``False`` when every row
+    agrees, else the ``(N,)`` mask itself.
+
+    A column that holds one value is a Python bool, so a call whose rows
+    agree tests it once instead of masking every frame.
+    """
+    if mask.all():
+        return True
+    if not mask.any():
+        return False
+    return mask
+
+
+class ModeRows(NamedTuple):
+    """Which rows of a call run which optimization method.
+
+    Each field is a :func:`row_mask` column.  Rows outside ``offload`` and
+    ``none`` gate: ``"sensor_gating"`` where ``sensor_gating`` is set,
+    ``"model_gating"`` elsewhere.
+    """
+
+    offload: bool | np.ndarray
+    none: bool | np.ndarray
+    sensor_gating: bool | np.ndarray
+
+    @classmethod
+    def of(cls, optimizations: Sequence[str]) -> "ModeRows":
+        """The row columns of one method name per row."""
+        unknown = set(optimizations) - set(OPTIMIZATIONS)
+        if unknown:
+            raise ValueError(f"unknown optimization method: {sorted(unknown)[0]!r}")
+        names = np.array(optimizations)
+        return cls(
+            offload=row_mask(names == "offload"),
+            none=row_mask(names == "none"),
+            sensor_gating=row_mask(names == "sensor_gating"),
+        )
+
+    def take(self, rows: np.ndarray) -> "ModeRows":
+        """The methods of ``rows`` (itself when every row runs one method)."""
+        if all(isinstance(column, bool) for column in self):
+            return self
+        return ModeRows(
+            *(column if isinstance(column, bool) else column[rows] for column in self)
+        )
+
+
+def _pick(rows: bool | np.ndarray, chosen: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``chosen`` on the ``(N,)`` ``rows``, ``other`` elsewhere."""
+    if isinstance(rows, bool):
+        return chosen if rows else other
+    return np.where(rows[:, None], chosen, other)
 
 
 class PeriodOutcome(NamedTuple):
@@ -63,7 +120,7 @@ class PeriodOutcome(NamedTuple):
     delta_i="(M,) int64",
     pending="(N, M) int64",
     compute_j="(M,) float64",
-    measurement_j="(M,) float64",
+    measurement_j="(N, M) float64",
     returns=(
         "(N, M) bool",
         "(N, M) bool",
@@ -74,7 +131,7 @@ class PeriodOutcome(NamedTuple):
     ),
 )
 def period_kernel(
-    optimization: str,
+    modes: ModeRows,
     natural: np.ndarray,
     full: np.ndarray,
     interval_step: np.ndarray,
@@ -88,7 +145,7 @@ def period_kernel(
     """One base period of eq. (6)-(8) for every ``(episode, model)`` pair.
 
     Args:
-        optimization: One of :data:`OPTIMIZATIONS`.
+        modes: The method of every row.
         natural: Models at a natural slot this period.
         full: Full-slot mask of :func:`~repro.core.scheduler.full_slot_kernel`
             (at natural slots when ``delta_i >= delta_max``, else only at
@@ -96,11 +153,12 @@ def period_kernel(
         interval_step: Period index ``n`` inside each episode's interval.
         delta_max: Discretized deadline of each episode's interval.
         delta_i: Discretized model periods.
-        delta_hat: Expected offload response in base periods.
+        delta_hat: Expected offload response in base periods (read on
+            offload rows only).
         pending: Pending offload arrivals, bit ``n`` set for an arrival at
-            interval step ``n``.
+            interval step ``n`` (read on offload rows only).
         compute_j: Energy of one local inference per model.
-        measurement_j: Sensor measurement energy per model and period.
+        measurement_j: Sensor measurement energy per row, model and period.
     """
     step = interval_step[:, None]
     fallback = delta_max[:, None] - delta_i[None, :]
@@ -108,29 +166,26 @@ def period_kernel(
     # branch (delta_i < delta_max, as n >= 0) and never a full slot.
     window = step < fallback
     nowhere = np.zeros(full.shape, dtype=bool)
-    issue = gated = nowhere
-    if optimization == "offload":
+    issue = nowhere
+    # Gating runs only the full slots, local-always every natural slot.
+    local = fresh = _pick(modes.none, nowhere | natural, full)
+    if modes.offload is not False:
         bit = np.int64(1) << step
-        arrived = (pending & bit) != 0
-        pending = pending & ~bit
+        arrived = _pick(modes.offload, (pending & bit) != 0, nowhere)
+        pending = _pick(modes.offload, pending & ~bit, pending)
         tried = natural & window
-        issue = tried & (step + delta_hat <= fallback)
-        local = (full & ~arrived) | (tried & ~issue)
-        fresh = full | local | arrived
-    elif optimization == "none":
-        local = fresh = nowhere | natural
-    elif optimization in ("model_gating", "sensor_gating"):
-        local = fresh = full
-        if optimization == "sensor_gating":
-            gated = window
-    else:
-        raise ValueError(f"unknown optimization method: {optimization!r}")
+        issue = _pick(modes.offload, tried & (step + delta_hat <= fallback), nowhere)
+        local = _pick(modes.offload, (full & ~arrived) | (tried & ~issue), local)
+        # An arrival, or a local run (every full slot not superseded by one).
+        fresh = local | arrived
     return PeriodOutcome(
         fresh=fresh,
         local=local,
         issue=issue,
         compute_j=np.where(local, compute_j, 0.0),
-        measurement_j=np.where(gated, 0.0, measurement_j),
+        measurement_j=np.where(
+            _pick(modes.sensor_gating, window, nowhere), 0.0, measurement_j
+        ),
         pending=pending,
     )
 

@@ -26,7 +26,7 @@ with one row per live episode.  Every base period:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -38,6 +38,7 @@ from repro.core.models import ModelSet
 from repro.core.optimizations import (
     MAX_OFFLOAD_DEADLINE_PERIODS,
     OPTIMIZATIONS,
+    ModeRows,
     offload_arrival_kernel,
     period_kernel,
 )
@@ -209,17 +210,18 @@ class EnergyColumns:
     """Per-``(episode, model)`` energy spent and its local-always baseline.
 
     Columns follow ``names``: the critical (Lambda'') models, then the
-    optimizable (Lambda') ones, each in pipeline order.  The profile arrays
-    are per-model constants; everything else accumulates one row per
-    episode.
+    optimizable (Lambda') ones, each in pipeline order.  The inference
+    energy is a per-model constant and the sensor energies are per row
+    (rows of different cells may carry different sensors); everything else
+    accumulates one row per episode.
     """
 
     names: tuple[str, ...]
     critical_count: int
     compute_j: np.ndarray  #: (K,) float — energy of one local inference
-    measurement_j: np.ndarray  #: (K,) float — sensor measurement per period
-    mechanical_j: np.ndarray  #: (K,) float — sensor mechanics per period
-    sensed: bool  #: some model draws sensor power (else sensor charges are 0)
+    measurement_j: np.ndarray  #: (N, K) float — sensor measurement per period
+    mechanical_j: np.ndarray  #: (N, K) float — sensor mechanics per period
+    sensed: bool  #: some row draws sensor power (else sensor charges are 0)
     used: np.ndarray  #: (N, K) float — energy spent
     baseline: np.ndarray  #: (N, K) float — energy of local-always execution
     transmission: np.ndarray  #: (N, M) float — offload radio energy (in ``used``)
@@ -231,24 +233,46 @@ class EnergyColumns:
     @classmethod
     def create(cls, count: int, model_set: ModelSet, tau_s: float) -> "EnergyColumns":
         """Empty accounts for ``count`` episodes of ``model_set``."""
-        models = model_set.critical + model_set.optimizable
-        width = len(models)
-        measurement_j = np.array(
-            [model.sensor.measurement_power_w * tau_s for model in models]
+        return cls.stack([(model_set, count)], tau_s)
+
+    @classmethod
+    def stack(
+        cls, cells: Sequence[tuple[ModelSet, int]], tau_s: float
+    ) -> "EnergyColumns":
+        """Empty accounts for ``count`` episodes of each ``(model_set, count)``.
+
+        The model sets may differ only in their sensors: the model names,
+        the Lambda''/Lambda' split and the inference energies are read off
+        the first.
+        """
+        pipelines = [model_set.critical + model_set.optimizable for model_set, _ in cells]
+        critical = len(cells[0][0].critical)
+        counts = [count for _, count in cells]
+        measurement_j = np.repeat(
+            [[model.sensor.measurement_power_w * tau_s for model in pipeline]
+             for pipeline in pipelines],
+            counts,
+            axis=0,
         )
-        mechanical_j = np.array([model.sensor.mechanical_power_w * tau_s for model in models])
+        mechanical_j = np.repeat(
+            [[model.sensor.mechanical_power_w * tau_s for model in pipeline]
+             for pipeline in pipelines],
+            counts,
+            axis=0,
+        )
+        count, width = measurement_j.shape
         return cls(
-            names=tuple(model.name for model in models),
-            critical_count=len(model_set.critical),
-            compute_j=np.array([model.compute.energy_per_inference_j for model in models]),
+            names=tuple(model.name for model in pipelines[0]),
+            critical_count=critical,
+            compute_j=np.array(
+                [model.compute.energy_per_inference_j for model in pipelines[0]]
+            ),
             measurement_j=measurement_j,
             mechanical_j=mechanical_j,
             sensed=bool(measurement_j.any() or mechanical_j.any()),
             used=np.zeros((count, width), dtype=float),
             baseline=np.zeros((count, width), dtype=float),
-            transmission=np.zeros(
-                (count, width - len(model_set.critical)), dtype=float
-            ),
+            transmission=np.zeros((count, width - critical), dtype=float),
             used_total=np.zeros(count, dtype=float),
             baseline_total=np.zeros(count, dtype=float),
             offloads=np.zeros(count, dtype=np.int64),
@@ -319,7 +343,8 @@ def charge_period_kernel(
     transmission, measurement, mechanical into ``used`` and measurement,
     mechanical, compute into ``baseline``; the Lambda' totals add model
     by model.  Categories that are zero in every row (no offload issued,
-    no sensor power) are skipped: adding ``0.0`` changes no sum.
+    no sensor power) are skipped: adding ``0.0`` changes no sum, so rows
+    without sensor power may share a call with rows that have it.
     """
     first = energy.critical_count
     offloaded = bool(issue.any())
@@ -331,14 +356,16 @@ def charge_period_kernel(
     if offloaded:
         used[:, first:] += transmission_j
     if sensed:
-        used[:, :first] += energy.measurement_j[:first]
+        sensor_j = energy.measurement_j[indices]
+        mechanical_j = energy.mechanical_j[indices]
+        used[:, :first] += sensor_j[:, :first]
         used[:, first:] += measurement_j
-        used += energy.mechanical_j
+        used += mechanical_j
     energy.used[indices] = used
     baseline = energy.baseline[indices]
     if sensed:
-        baseline += energy.measurement_j
-        baseline += energy.mechanical_j
+        baseline += sensor_j
+        baseline += mechanical_j
     baseline += natural_compute
     energy.baseline[indices] = baseline
 
@@ -350,9 +377,9 @@ def charge_period_kernel(
             used_total += transmission_j[:, j - first]
         if sensed:
             used_total += measurement_j[:, j - first]
-            used_total += energy.mechanical_j[j]
-            baseline_total += energy.measurement_j[j]
-            baseline_total += energy.mechanical_j[j]
+            used_total += mechanical_j[:, j]
+            baseline_total += sensor_j[:, j]
+            baseline_total += mechanical_j[:, j]
         baseline_total += natural_compute[j]
     energy.used_total[indices] = used_total
     energy.baseline_total[indices] = baseline_total
@@ -442,6 +469,7 @@ class SafeRuntimeScheduler:
             [model.discretized_period(tau_s) for model in models], dtype=np.int64
         )
         self._delta_i_opt = self._delta_i[self._first:]
+        self._modes = ModeRows.of([optimization])
         self._indices = np.array([0])
         self.reset()
 
@@ -476,7 +504,7 @@ class SafeRuntimeScheduler:
             natural_opt, state.interval_step, self._delta_i_opt, state.delta_max
         )
         outcome = period_kernel(
-            self.optimization,
+            self._modes,
             natural_opt,
             full,
             state.interval_step,
@@ -485,7 +513,7 @@ class SafeRuntimeScheduler:
             self._delta_hat,
             state.pending,
             self.energy.compute_j[self._first:],
-            self.energy.measurement_j[self._first:],
+            self.energy.measurement_j[:, self._first:],
         )
         pending = outcome.pending
         transmission = np.zeros(full.shape, dtype=float)

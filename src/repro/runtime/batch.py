@@ -1,14 +1,27 @@
 """Structure-of-arrays episode engine: the one frame loop.
 
-:func:`run_batch` steps ``N`` episodes of one
-:class:`~repro.core.framework.SEOConfig` in numpy lockstep: one frame of the
-runtime loop advances *every* live episode at once, so the per-frame numpy
-work (range scans, RK4 dynamics, deadline queries, decision kernels, road
-membership) is amortized over the whole batch instead of being paid per
-episode.  It is the only frame loop:
-:meth:`~repro.core.framework.SEOFramework.run_episode` is its 1-episode
-call, and :class:`~repro.runtime.executor.SerialExecutor` runs each work
-unit's episode range as one call.
+:func:`run_cells` steps the episodes of one or more *cells* (a
+:class:`~repro.core.framework.SEOFramework` and its episode indices) in
+numpy lockstep: one frame of the runtime loop advances *every* live episode
+at once, so the per-frame numpy work (range scans, RK4 dynamics, deadline
+queries, decision kernels, road membership) is amortized over the whole
+call instead of being paid per episode.  It is the only frame loop:
+:func:`run_batch` is its one-cell call,
+:meth:`~repro.core.framework.SEOFramework.run_episode` the 1-episode call
+of that, and :class:`~repro.runtime.executor.SerialExecutor` runs each
+group of compatible work units as one call.
+
+**Cells.**  Cells may share a call when their configs have equal
+:meth:`~repro.core.framework.SEOConfig.lockstep_key`: they differ at most
+in the fields of :data:`~repro.core.framework.LOCKSTEP_ROW_FIELDS`, which
+the engine holds as row columns.  The optimization method is a
+:class:`~repro.core.optimizations.ModeRows` column of the period kernel,
+``filtered`` a shield row mask, the deadline source (the lookup table, the
+exact estimator, or the horizon when safety-oblivious) a row subset of the
+episodes starting an interval, and the sensor the per-row energies of
+:class:`~repro.core.scheduler.EnergyColumns`.  A column whose rows all
+agree is a Python bool (:func:`~repro.core.optimizations.row_mask`), so a
+one-cell call branches once instead of masking every frame.
 
 The decision layer lives with its owners instead of being written here:
 the controller, barrier, shield and scheduler each expose one batch-first
@@ -16,17 +29,18 @@ kernel (``act_batch``, ``evaluate_batch``, ``filter_batch``, the
 ``*_kernel`` functions of :mod:`repro.core.scheduler`), and their scalar
 entry points are 1-element views of those kernels.  Algorithm 1's
 per-period model step is one call of
-:func:`~repro.core.optimizations.period_kernel` under the configured
+:func:`~repro.core.optimizations.period_kernel` under every row's
 optimization, charged to the columnar
 :class:`~repro.core.scheduler.EnergyColumns` by ``charge_period_kernel``;
 :meth:`~repro.core.scheduler.EnergyColumns.report_fields` builds the
 energy fields of every report.
 
 **Row independence.** An episode's report depends only on ``(config,
-episode index)``, never on which episodes share its call:
-``run_batch(fw, eps) == [run_batch(fw, [e])[0] for e in eps]``, exactly.
-The golden corpus (``tests/golden/reports.json``) pins the reports
-themselves.  Three disciplines keep the rows independent:
+episode index)``, never on which episodes share its call, from its own
+cell or from another: ``run_batch(fw, eps) == [run_batch(fw, [e])[0] for e
+in eps]``, and every cell of ``run_cells(cells)`` equals ``run_batch`` of
+that cell alone, exactly.  The golden corpus (``tests/golden/reports.json``)
+pins the reports themselves.  Three disciplines keep the rows independent:
 
 * **Elementwise float ops.** Every vectorized section applies the same
   elementwise operations to each row (numpy ufuncs are size-independent)
@@ -35,7 +49,9 @@ themselves.  Three disciplines keep the rows independent:
   view (``World.nearest_obstacle_view_batch``), detection grouping and
   noise (``DetectorModel.detect_batch``), the multi-segment Frenet lookups
   (the ``Centerline`` batch kernels) and the RK4 plant update
-  (:func:`repro.dynamics.bicycle.rk4_plant_batch`).
+  (:func:`repro.dynamics.bicycle.rk4_plant_batch`).  A row of one cell
+  takes the same values as it would alone: a row column selects per row
+  between results that are each computed elementwise.
 * **Per-episode RNG streams.**  World placement consumes its per-episode
   generator up front in ``build_world``.  Every per-frame consumer
   (offload round trips, sensor dropout, per-detector noise) reads a
@@ -48,7 +64,8 @@ themselves.  Three disciplines keep the rows independent:
   keep a fixed order: the offload draws of a frame are taken in pipeline
   order, and the dropout and noise loops visit models in pipeline order.
   The detector streams share one buffer per detector: every episode's
-  detector generator is seeded with the same ``detector.seed``.
+  detector generator is seeded with the same ``detector.seed``.  Rows
+  that never offload retire from the offload stream up front.
 * **Masking, not branching.** Per-frame decisions are evaluated as boolean
   masks over the active set (the latest-detection ledger is a set of
   per-``(episode, model)`` nearest/staleness/insertion-rank arrays), and
@@ -64,14 +81,19 @@ appends.
 from __future__ import annotations
 
 from time import perf_counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.core.framework import EpisodeReport, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M
-from repro.core.optimizations import offload_arrival_kernel, period_kernel
+from repro.core.optimizations import (
+    ModeRows,
+    offload_arrival_kernel,
+    period_kernel,
+    row_mask,
+)
 from repro.core.scheduler import (
     EnergyColumns,
     SchedulerState,
@@ -90,7 +112,18 @@ from repro.sim.scenario import build_world
 from repro.sim.world import World
 from repro.streams import DrawStream
 
-__all__ = ["run_batch"]
+__all__ = ["run_batch", "run_cells"]
+
+#: Engine phases :func:`run_cells` accumulates into ``timings``.
+_PHASES = (
+    "decision",
+    "scheduler",
+    "scan",
+    "scan_raycast",
+    "scan_group",
+    "scan_view",
+    "dynamics",
+)
 
 
 def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
@@ -98,11 +131,25 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     episodes: Iterable[int],
     timings: dict[str, float] | None = None,
 ) -> list[EpisodeReport]:
-    """Run the given episode indices in numpy lockstep.
+    """Run the given episode indices in numpy lockstep: one cell of :func:`run_cells`.
 
     Returns reports in the order of ``episodes``; each is bit-identical to
     the report of its episode run alone (``run_batch(framework, [e])[0]``,
     which is :meth:`~repro.core.framework.SEOFramework.run_episode`).
+    """
+    return run_cells([(framework, episodes)], timings)[0]
+
+
+def run_cells(
+    cells: Sequence[tuple[SEOFramework, Iterable[int]]],
+    timings: dict[str, float] | None = None,
+) -> list[list[EpisodeReport]]:
+    """Run every cell's episode indices in one numpy lockstep.
+
+    ``cells`` are ``(framework, episodes)`` pairs whose configs share one
+    :meth:`~repro.core.framework.SEOConfig.lockstep_key`.  Returns one
+    report list per cell, in the order of its ``episodes``; each report is
+    bit-identical to the report of its episode run alone.
 
     When ``timings`` is given, wall-clock seconds spent in each engine phase
     are accumulated into it under the keys ``"decision"`` (perception
@@ -113,19 +160,36 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     ``"scan_raycast"`` (beam-fan ray casting), ``"scan_group"`` (detection
     grouping, noise and the nearest-detection ledger update) and
     ``"scan_view"`` (the nearest-obstacle view kernel); their sum equals
-    ``"scan"``.
+    ``"scan"``.  Without ``timings`` the loop reads no clock.
     """
+    if not cells:
+        return []
+    frameworks = [framework for framework, _ in cells]
+    cell_episodes = [[int(episode) for episode in episodes] for _, episodes in cells]
+    framework = frameworks[0]
     config = framework.config
-    episode_ids = [int(episode) for episode in episodes]
+    for other in frameworks[1:]:
+        if other.config.lockstep_key() != config.lockstep_key():
+            raise ValueError(
+                "cells of one lockstep call may differ only in "
+                "LOCKSTEP_ROW_FIELDS (SEOConfig.lockstep_key must match)"
+            )
+    cell_sizes = [len(episodes) for episodes in cell_episodes]
+    episode_ids = [episode for episodes in cell_episodes for episode in episodes]
+    row_configs = [
+        other.config
+        for other, size in zip(frameworks, cell_sizes)
+        for _ in range(size)
+    ]
     n = len(episode_ids)
     if n == 0:
-        return []
+        return [[] for _ in cells]
 
     tau = config.tau_s
     params = framework.vehicle_params
     barrier = framework.barrier
     target_speed = config.target_speed_mps
-    use_filter = config.filtered
+    filtered = row_mask(np.array([row.filtered for row in row_configs]))
 
     # ------------------------------------------------------------------
     # World construction (placement RNG fully consumed here, per episode).
@@ -178,15 +242,17 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     # Per-episode draw streams (the offload and dropout generators, one row
     # per episode), shared shield, controller.
     # ------------------------------------------------------------------
-    mode = config.optimization
+    modes = ModeRows.of([row.optimization for row in row_configs])
     sched_stream = (
         DrawStream(
             [(config.seed + 2) * 1000 + episode for episode in episode_ids],
             "standard_exponential",
         )
-        if mode == "offload"
+        if modes.offload is not False
         else None
     )
+    if sched_stream is not None and isinstance(modes.offload, np.ndarray):
+        sched_stream.retire(np.nonzero(~modes.offload)[0])
     p_drop = config.scenario.sensor_dropout_probability
     drop_stream = (
         DrawStream(
@@ -234,7 +300,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     # deadline provider.
     # ------------------------------------------------------------------
     model_set = framework.model_set
-    energy = EnergyColumns.create(n, model_set, tau)
+    energy = EnergyColumns.stack(
+        [(other.model_set, size) for other, size in zip(frameworks, cell_sizes)], tau
+    )
     num_crit = energy.critical_count
     opt_names = energy.names[num_crit:]
     num_opt = len(opt_names)
@@ -242,21 +310,29 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     delta_i_all = np.array([model.discretized_period(tau) for model in models], dtype=np.int64)
     delta_i_opt = delta_i_all[num_crit:]
     compute_opt = energy.compute_j[num_crit:]
-    measurement_opt = energy.measurement_j[num_crit:]
     max_deadline_periods = config.max_deadline_periods
     planner = framework.offload_planner
-    delta_hat = planner.estimated_response_periods(tau) if mode == "offload" else 0
+    delta_hat = (
+        planner.estimated_response_periods(tau) if modes.offload is not False else 0
+    )
     draws_per_offload = planner.draws_per_sample
 
-    horizon_s = framework.estimator.horizon_s
-    lookup_table = framework.lookup_table
-    if not config.safety_aware:
-        deadline_mode = "const"
-    elif lookup_table is not None:
-        deadline_mode = "lookup"
-    else:
-        deadline_mode = "exact"
-        obstacle_radius = config.scenario.obstacle_radius_m
+    # Deadline sources: the lookup table, the exact estimator, or (for
+    # safety-oblivious rows) the estimator horizon.
+    estimator = framework.estimator
+    horizon_s = estimator.horizon_s
+    lookup_rows = row_mask(
+        np.array([row.safety_aware and row.use_lookup_table for row in row_configs])
+    )
+    exact_rows = row_mask(
+        np.array([row.safety_aware and not row.use_lookup_table for row in row_configs])
+    )
+    # Every cell that builds a table builds this one (equal lockstep keys).
+    lookup_table = next(
+        (other.lookup_table for other in frameworks if other.lookup_table is not None),
+        None,
+    )
+    obstacle_radius = config.scenario.obstacle_radius_m
 
     # ------------------------------------------------------------------
     # Per-episode run state (structure of arrays; the scheduler interval
@@ -292,13 +368,13 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     ctrl_s = np.zeros(n, dtype=float)
     ctrl_t = np.zeros(n, dtype=float)
 
-    t_decision = 0.0
-    t_scheduler = 0.0
-    t_scan_raycast = 0.0
-    t_scan_group = 0.0
-    t_scan_view = 0.0
-    t_dynamics = 0.0
+    # Per-frame constants, sliced to the live count.
+    rank_max = np.iinfo(np.int64).max
+    target_rows = np.full(n, target_speed, dtype=float)
+    row_numbers = np.arange(n)
 
+    spent = dict.fromkeys(_PHASES, 0.0) if timings is not None else None
+    stamp = 0.0
     time_s = 0.0
     active = list(range(n))
 
@@ -307,7 +383,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
             break
         idx = np.array(active, dtype=int)
         m = len(active)
-        stamp = perf_counter()
+        if spent is not None:
+            stamp = perf_counter()
 
         # ---- Nearest-obstacle view kernel (scan/view sub-phase) ----
         if K:
@@ -317,9 +394,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         else:
             dist_b = np.full(m, NO_OBSTACLE_DISTANCE_M, dtype=float)
             bear_b = np.zeros(m, dtype=float)
-        now = perf_counter()
-        t_scan_view += now - stamp
-        stamp = now
+        if spent is not None:
+            stamp = _lap(spent, "scan_view", stamp)
 
         # ---- Pass 1: perception aggregate -> safety state -> control ----
         # Nearest detection across models: masked distance minimum, ties to
@@ -329,12 +405,11 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         nearest_dist = dist_masked.min(axis=1)
         has_det = np.isfinite(nearest_dist)
         is_nearest = candidates & (dist_masked == nearest_dist[:, None])
-        rank_masked = np.where(is_nearest, det_rank[idx], np.iinfo(np.int64).max)
+        rank_masked = np.where(is_nearest, det_rank[idx], rank_max)
         model_sel = np.argmin(rank_masked, axis=1)
-        rows_m = np.arange(m)
-        det_d = np.where(has_det, det_best_d[idx][rows_m, model_sel], 0.0)
-        det_bg = np.where(has_det, det_best_b[idx][rows_m, model_sel], 0.0)
-        det_stale = has_det & det_stale_flag[idx][rows_m, model_sel]
+        det_d = np.where(has_det, det_best_d[idx, model_sel], 0.0)
+        det_bg = np.where(has_det, det_best_b[idx, model_sel], 0.0)
+        det_stale = has_det & det_stale_flag[idx, model_sel]
 
         v_act = vs[idx]
         h_act = hs[idx]
@@ -351,7 +426,7 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         min_dist[idx] = np.minimum(min_dist[idx], dist_b)
         unsafe[idx] += h_vals < 0.0
 
-        target_act = np.full(m, target_speed, dtype=float)
+        target_act = target_rows[:m]
         if heuristic_controller:
             raw_s, raw_t = controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act,
@@ -362,46 +437,61 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                 v_act, target_act, lat_act, heading_err, curv_act
             )
 
-        if use_filter:
+        if filtered is False:
+            fs, ft = raw_s, raw_t
+        else:
             fs, ft, intervened = shield.filter_batch(
                 h_vals, dist_b, bear_b, v_act, lat_act, half_width, raw_s, raw_t
             )
+            if isinstance(filtered, np.ndarray):
+                # Unfiltered rows drive the raw control.
+                keep = filtered[idx]
+                fs = np.where(keep, fs, raw_s)
+                ft = np.where(keep, ft, raw_t)
+                intervened = intervened & keep
             interventions[idx] += intervened
-        else:
-            fs, ft = raw_s, raw_t
 
         si_d[idx] = dist_b
         si_b[idx] = bear_b
         ctrl_s[idx] = fs
         ctrl_t[idx] = ft
-        now = perf_counter()
-        t_decision += now - stamp
-        stamp = now
+        if spent is not None:
+            stamp = _lap(spent, "decision", stamp)
 
         # ---- Deadline sampling for episodes starting a safe interval ----
+        # Safety-oblivious rows keep the horizon; the others read their
+        # source on their subset of the starting episodes.
         start_eps = idx[sched.new_delta[idx]]
         if start_eps.size:
-            if deadline_mode == "const":
-                deadlines = np.full(start_eps.size, horizon_s, dtype=float)
-            elif deadline_mode == "lookup":
-                deadlines = lookup_table.query_batch(
-                    si_d[start_eps],
-                    si_b[start_eps],
-                    vs[start_eps],
-                    ctrl_s[start_eps],
-                    ctrl_t[start_eps],
+            deadlines = np.full(start_eps.size, horizon_s, dtype=float)
+            if lookup_rows is not False:
+                at: np.ndarray | slice = (
+                    lookup_rows[start_eps]
+                    if isinstance(lookup_rows, np.ndarray)
+                    else slice(None)
                 )
-            else:
-                deadlines = np.full(start_eps.size, horizon_s, dtype=float)
+                lookup_eps = start_eps[at]
+                if lookup_eps.size:
+                    assert lookup_table is not None
+                    deadlines[at] = lookup_table.query_batch(
+                        si_d[lookup_eps],
+                        si_b[lookup_eps],
+                        vs[lookup_eps],
+                        ctrl_s[lookup_eps],
+                        ctrl_t[lookup_eps],
+                    )
+            if exact_rows is not False:
                 present = si_d[start_eps] < NO_OBSTACLE_DISTANCE_M
+                if isinstance(exact_rows, np.ndarray):
+                    present &= exact_rows[start_eps]
                 if present.any():
-                    subset = start_eps[present]
-                    deadlines[present] = framework.estimator.estimate_batch(
-                        si_d[subset],
-                        si_b[subset],
-                        vs[subset],
-                        ctrl_s[subset],
-                        ctrl_t[subset],
+                    exact_eps = start_eps[present]
+                    deadlines[present] = estimator.estimate_batch(
+                        si_d[exact_eps],
+                        si_b[exact_eps],
+                        vs[exact_eps],
+                        ctrl_s[exact_eps],
+                        ctrl_t[exact_eps],
                         obstacle_radius_m=obstacle_radius,
                     )
             periods = begin_interval_kernel(
@@ -420,8 +510,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         natural_opt = natural[num_crit:]
         full = full_slot_kernel(natural_opt, istep_act, delta_i_opt, dmx_act)
         outcome = period_kernel(
-            mode, natural_opt, full, istep_act, dmx_act, delta_i_opt, delta_hat,
-            sched.pending[idx], compute_opt, measurement_opt,
+            modes.take(idx), natural_opt, full, istep_act, dmx_act, delta_i_opt,
+            delta_hat, sched.pending[idx], compute_opt,
+            energy.measurement_j[idx, num_crit:],
         )
         pending = outcome.pending
         transmission = np.zeros((m, num_opt), dtype=float)
@@ -484,9 +575,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
 
         deadline_done_kernel(sched, idx, delta_i_opt)
         finish_period_kernel(sched, idx)
-        now = perf_counter()
-        t_scheduler += now - stamp
-        stamp = now
+        if spent is not None:
+            stamp = _lap(spent, "scheduler", stamp)
 
         # ---- Batched range scans for every fresh inference ----
         # One scan row per episode that any model needs, in episode order;
@@ -498,13 +588,12 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                 if rows is not None:
                     scan_mask[rows] = True
             sel = np.nonzero(scan_mask)[0]
-            scan_pos[sel] = np.arange(sel.size)
+            scan_pos[sel] = row_numbers[: sel.size]
             best = scanner.scan_batch(
                 xs[sel], ys[sel], hs[sel], obs_x[sel], obs_y[sel], obs_r[sel]
             )
-        now = perf_counter()
-        t_scan_raycast += now - stamp
-        stamp = now
+        if spent is not None:
+            stamp = _lap(spent, "scan_raycast", stamp)
 
         # ---- Detection grouping + noise through the detector kernel ----
         if any_needs:
@@ -523,9 +612,8 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                     filled = rows[nonempty]
                     det_best_d[filled, j] = dists[first]
                     det_best_b[filled, j] = bears[first]
-        now = perf_counter()
-        t_scan_group += now - stamp
-        stamp = now
+        if spent is not None:
+            stamp = _lap(spent, "scan_group", stamp)
 
         # ---- Batched RK4 plant update (shared bicycle kernel) ----
         xn, yn, hn, vn = rk4_plant_batch(
@@ -573,19 +661,16 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
             for stream in draw_streams:
                 stream.retire(ended_idx)
             active = idx[~ended].tolist()
-        t_dynamics += perf_counter() - stamp
+        if spent is not None:
+            _lap(spent, "dynamics", stamp)
 
     if timings is not None:
-        t_scan = t_scan_raycast + t_scan_group + t_scan_view
-        timings["decision"] = timings.get("decision", 0.0) + t_decision
-        timings["scheduler"] = timings.get("scheduler", 0.0) + t_scheduler
-        timings["scan"] = timings.get("scan", 0.0) + t_scan
-        timings["scan_raycast"] = timings.get("scan_raycast", 0.0) + t_scan_raycast
-        timings["scan_group"] = timings.get("scan_group", 0.0) + t_scan_group
-        timings["scan_view"] = timings.get("scan_view", 0.0) + t_scan_view
-        timings["dynamics"] = timings.get("dynamics", 0.0) + t_dynamics
+        assert spent is not None
+        spent["scan"] = spent["scan_raycast"] + spent["scan_group"] + spent["scan_view"]
+        for phase, seconds in spent.items():
+            timings[phase] = timings.get(phase, 0.0) + seconds
 
-    return [
+    reports = [
         EpisodeReport(
             episode=episode,
             steps=int(steps_count[i]),
@@ -602,4 +687,13 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         )
         for i, episode in enumerate(episode_ids)
     ]
+    bounds = np.cumsum([0, *cell_sizes]).tolist()
+    return [reports[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _lap(spent: dict[str, float], phase: str, stamp: float) -> float:
+    """Charge the time since ``stamp`` to ``phase``; returns the new stamp."""
+    now = perf_counter()
+    spent[phase] += now - stamp
+    return now
 

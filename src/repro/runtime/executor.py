@@ -7,9 +7,10 @@ and the detector noise generators are all re-seeded per episode — so they can
 execute in any order, in any lockstep batch and on any process without
 changing the results.
 
-:class:`SerialExecutor` runs them in-process: each work unit's episode range
-is one :func:`~repro.runtime.batch.run_batch` call, stepping its episodes in
-numpy lockstep.  :class:`ParallelExecutor` fans them out over a
+:class:`SerialExecutor` runs them in-process: a work unit's episode range,
+or a group of compatible units' ranges, is one
+:func:`~repro.runtime.batch.run_cells` call, stepping its episodes in numpy
+lockstep.  :class:`ParallelExecutor` fans them out over a
 :class:`concurrent.futures.ProcessPoolExecutor`: each worker receives the
 pickled :class:`~repro.core.framework.SEOConfig` plus an episode index,
 rebuilds the framework once per worker (memoized on the config), and streams
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import abc
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
-from repro.runtime.batch import run_batch
+from repro.runtime.batch import run_cells
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
 
 __all__ = [
@@ -63,14 +65,24 @@ class EpisodeExecutor(abc.ABC):
 class SerialExecutor(EpisodeExecutor):
     """Run episodes in the current process, in numpy lockstep.
 
+    Frameworks are memoized per config, so a sweep builds each one once.
+
     Args:
-        framework: Optional pre-built framework to reuse.  When provided and
-            its config matches the requested one, the (expensive) framework
-            construction is skipped; otherwise a fresh framework is built.
+        framework: Optional pre-built framework to reuse for its config
+            instead of constructing it.
     """
 
     def __init__(self, framework: SEOFramework | None = None) -> None:
-        self._framework = framework
+        self._frameworks: dict[SEOConfig, SEOFramework] = {}
+        if framework is not None:
+            self._frameworks[framework.config] = framework
+
+    def framework(self, config: SEOConfig) -> SEOFramework:
+        """The framework of ``config``, built on first use."""
+        framework = self._frameworks.get(config)
+        if framework is None:
+            framework = self._frameworks[config] = SEOFramework(config)
+        return framework
 
     def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
         self._validate(episodes)
@@ -80,13 +92,23 @@ class SerialExecutor(EpisodeExecutor):
         self, config: SEOConfig, start: int, stop: int
     ) -> list[EpisodeReport]:
         """Run episodes ``start .. stop-1`` (a work unit's episode range)."""
-        if start < 0 or stop <= start:
-            raise ValueError("episode range must be non-empty and non-negative")
-        framework = self._framework
-        if framework is None or framework.config != config:
-            framework = SEOFramework(config)
-            self._framework = framework
-        return run_batch(framework, range(start, stop))
+        return self.run_ranges([(config, start, stop)])[0]
+
+    def run_ranges(
+        self, ranges: Sequence[tuple[SEOConfig, int, int]]
+    ) -> list[list[EpisodeReport]]:
+        """Run several ``(config, start, stop)`` episode ranges in one lockstep call.
+
+        The configs must share one
+        :meth:`~repro.core.framework.SEOConfig.lockstep_key`.  Returns each
+        range's reports, bit-identical to running it alone.
+        """
+        for _, start, stop in ranges:
+            if start < 0 or stop <= start:
+                raise ValueError("episode range must be non-empty and non-negative")
+        return run_cells(
+            [(self.framework(config), range(start, stop)) for config, start, stop in ranges]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -213,9 +213,10 @@ class SweepRunner:
     context manager) shuts it down — after which the runner refuses further
     batches instead of silently leaking a fresh pool.  With ``jobs == 1`` or
     the ``"batch"`` backend no pool is ever created and every unit runs
-    in-process through :class:`~repro.runtime.executor.SerialExecutor`, one
-    lockstep call per unit, in submission order — either way the reports
-    are bit-identical.
+    in-process through :class:`~repro.runtime.executor.SerialExecutor`:
+    the units whose configs share a
+    :meth:`~repro.core.framework.SEOConfig.lockstep_key` run as one
+    lockstep call — either way the reports are bit-identical.
 
     Args:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
@@ -422,25 +423,29 @@ class SweepRunner:
         """Execute units on the configured backend, keyed by unit hash."""
         if not units:
             return {}
-        # In-process: each unit's episode range is one lockstep call.  The
-        # socket backend never degrades to it: one address still means "run
-        # it on that machine".
+        # In-process: the units of one lockstep key are one lockstep call,
+        # each unit's episode range a cell of it.  The socket backend never
+        # degrades to it: one address still means "run it on that machine".
         if self.backend == "batch" or (
             self.backend == "process" and self.workers <= 1
         ):
-            return {
-                unit.key: self._serial.run_range(
-                    unit.config, unit.episode_start, unit.episode_stop
+            groups: dict[Hashable, list[WorkUnit]] = {}
+            for unit in units:
+                groups.setdefault(unit.config.lockstep_key(), []).append(unit)
+            results: dict[str, list[EpisodeReport]] = {}
+            for group in groups.values():
+                cells = self._serial.run_ranges(
+                    [(unit.config, unit.episode_start, unit.episode_stop) for unit in group]
                 )
-                for unit in units
-            }
+                results.update(zip((unit.key for unit in group), cells))
+            return results
         pool = self._ensure_pool()
         submit = self._submitter(pool)
         futures = {
             unit.key: [submit(unit.config, episode) for episode in unit.episodes]
             for unit in units
         }
-        results: dict[str, list[EpisodeReport]] = {}
+        results = {}
         try:
             for key, unit_futures in futures.items():
                 results[key] = [future.result() for future in unit_futures]

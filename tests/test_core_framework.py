@@ -5,11 +5,13 @@ import dataclasses
 import pytest
 
 from repro.core.framework import (
+    LOCKSTEP_ROW_FIELDS,
     MAX_OFFLOAD_DEADLINE_PERIODS,
     VAE_COMPUTE_PROFILE,
     SEOConfig,
     SEOFramework,
 )
+from repro.platform.presets import ZED_CAMERA
 from repro.runtime.batch import run_batch
 from repro.sim.scenario import ScenarioConfig
 
@@ -55,6 +57,35 @@ class TestSEOConfig:
         # Used to fail only later, in ModelSet ("model names must be unique").
         with pytest.raises(ValueError, match="detector_period_multiples must not repeat"):
             SEOConfig(detector_period_multiples=(1, 1))
+
+    def test_lockstep_key_ignores_only_the_per_row_fields(self):
+        config = SEOConfig()
+        per_row = dataclasses.replace(
+            config,
+            optimization="sensor_gating",
+            filtered=False,
+            detector_sensor=ZED_CAMERA,
+            use_lookup_table=False,
+            safety_aware=False,
+        )
+        assert set(LOCKSTEP_ROW_FIELDS) == {
+            "optimization", "filtered", "detector_sensor", "use_lookup_table",
+            "safety_aware",
+        }
+        assert per_row.lockstep_key() == config.lockstep_key()
+        hash(config.lockstep_key())
+        # Beyond the offload cap: the key is read off the fields, never
+        # rebuilt through SEOConfig's validation.
+        gating = SEOConfig(optimization="model_gating", max_deadline_periods=100)
+        assert gating.lockstep_key() != config.lockstep_key()
+        for shared in (
+            {"tau_s": 0.025},
+            {"max_steps": 10},
+            {"seed": 1},
+            {"controller": "pure_pursuit"},
+            {"scenario": ScenarioConfig(num_obstacles=1)},
+        ):
+            assert dataclasses.replace(config, **shared).lockstep_key() != config.lockstep_key()
 
     def test_detector_name_is_stable(self):
         config = SEOConfig()

@@ -311,6 +311,35 @@ class TestDeadlineLookupTable:
         control = ControlAction(throttle=0.3)
         assert loaded.query(inputs, control) == pytest.approx(table.query(inputs, control))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [LookupGrid(), LookupGrid(num_steering_bins=1, num_throttle_bins=1)],
+    )
+    def test_cached_axes_equal_grid_values(self, grid):
+        """query_batch reads axes built once per table, equal to the grid's."""
+        table = DeadlineLookupTable(
+            grid=grid,
+            values=np.zeros((
+                grid.distance_values().size,
+                grid.num_bearings,
+                grid.speed_values().size,
+                grid.num_steering_bins,
+                grid.num_throttle_bins,
+            )),
+            horizon_s=0.08,
+        )
+        expected = (
+            grid.distance_values(),
+            grid.bearing_values(),
+            grid.speed_values(),
+            grid.steering_values(),
+            grid.throttle_values(),
+        )
+        assert len(table._axes) == len(expected)
+        for axis, values in zip(table._axes, expected):
+            np.testing.assert_array_equal(axis, values)
+            assert not axis.flags.writeable
+
     def test_values_shape_mismatch_rejected(self, small_lookup_grid):
         with pytest.raises(ValueError):
             DeadlineLookupTable(

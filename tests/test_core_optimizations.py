@@ -14,6 +14,7 @@ from repro.comm.offload import OffloadPlanner
 from repro.core.models import ModelSet, SensoryModel
 from repro.core.optimizations import (
     OPTIMIZATIONS,
+    ModeRows,
     offload_arrival_kernel,
     period_kernel,
 )
@@ -47,7 +48,7 @@ def _period(optimization, n, delta_i, delta_max, model=None, natural=None, full=
     if full is None:
         full = natural_slot if delta_i >= delta_max else n == delta_max - delta_i
     outcome = period_kernel(
-        optimization,
+        ModeRows.of([optimization]),
         np.array([natural_slot]),
         np.array([[full]]),
         np.array([n], dtype=np.int64),
@@ -56,7 +57,7 @@ def _period(optimization, n, delta_i, delta_max, model=None, natural=None, full=
         delta_hat,
         np.array([[pending]], dtype=np.int64),
         np.array([model.compute.energy_per_inference_j]),
-        np.array([model.sensor.measurement_power_w * TAU]),
+        np.array([[model.sensor.measurement_power_w * TAU]]),
     )
     return outcome._replace(**{name: value[0, 0] for name, value in outcome._asdict().items()})
 
@@ -306,13 +307,13 @@ class TestStrategyFactory:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    optimization=st.sampled_from(OPTIMIZATIONS),
     rows=st.lists(
         st.tuples(
             st.integers(0, 6),  # interval step
             st.integers(0, 6),  # delta_max
             st.integers(0, 2**7 - 1),  # pending bitmask, one column per model
             st.integers(0, 2**7 - 1),
+            st.sampled_from(OPTIMIZATIONS),  # the row's method
         ),
         min_size=1,
         max_size=6,
@@ -320,8 +321,9 @@ class TestStrategyFactory:
     step=st.integers(0, 11),
     delta_hat=st.integers(1, 4),
 )
-def test_stacked_rows_equal_rows_one_at_a_time(optimization, rows, step, delta_hat):
-    """Both offload kernels are row-independent: N rows == N single rows."""
+def test_stacked_rows_equal_rows_one_at_a_time(rows, step, delta_hat):
+    """Both offload kernels are row-independent: N rows == N single rows,
+    whether the rows share one method or each runs its own."""
     delta_i = np.array([1, 2], dtype=np.int64)
     natural = step % delta_i == 0
     interval_step = np.array([row[0] for row in rows], dtype=np.int64)
@@ -332,15 +334,18 @@ def test_stacked_rows_equal_rows_one_at_a_time(optimization, rows, step, delta_h
         natural[None, :],
         interval_step[:, None] == delta_max[:, None] - delta_i[None, :],
     )
-    args = (np.array([0.119, 0.119]), np.array([0.4, 0.0]))
+    compute = np.array([0.119, 0.119])
+    measurement = np.tile([0.4, 0.0], (len(rows), 1))
+    methods = [row[4] for row in rows]
     stacked = period_kernel(
-        optimization, natural, full, interval_step, delta_max, delta_i, delta_hat,
-        pending, *args,
+        ModeRows.of(methods), natural, full, interval_step,
+        delta_max, delta_i, delta_hat, pending, compute, measurement,
     )
     for r in range(len(rows)):
         single = period_kernel(
-            optimization, natural, full[r:r + 1], interval_step[r:r + 1],
-            delta_max[r:r + 1], delta_i, delta_hat, pending[r:r + 1], *args,
+            ModeRows.of(methods[r:r + 1]), natural, full[r:r + 1], interval_step[r:r + 1],
+            delta_max[r:r + 1], delta_i, delta_hat, pending[r:r + 1], compute,
+            measurement[r:r + 1],
         )
         for name, value in single._asdict().items():
             np.testing.assert_array_equal(getattr(stacked, name)[r:r + 1], value)

@@ -299,7 +299,7 @@ class TestEnergyColumns:
                 energy, natural, compute, transmission, measurement,
                 [t > 0 for t in transmission], [False, False],
             )
-        mechanical = energy.mechanical_j.tolist()
+        mechanical = energy.mechanical_j[0].tolist()
         used_total = baseline_total = 0.0
         used = [0.0, 0.0]
         for natural, compute, transmission, measurement in periods:
@@ -308,7 +308,7 @@ class TestEnergyColumns:
                     used[j] += value
                     used_total += value
                 for value in (
-                    energy.measurement_j[1 + j],
+                    energy.measurement_j[0, 1 + j],
                     mechanical[1 + j],
                     energy.compute_j[1 + j] if natural[1 + j] else 0.0,
                 ):

@@ -463,7 +463,7 @@ class TestDistributedCli:
             raise AssertionError("an episode executed during a fully resumed run")
 
         monkeypatch.setattr(SEOFramework, "run_episode", explode)
-        monkeypatch.setattr(executor_module, "run_batch", explode)
+        monkeypatch.setattr(executor_module, "run_cells", explode)
         resumed = run(SUITE_ARGS + ["--ledger-dir", ledger_dir, "--resume"])
         assert resumed == fresh
 

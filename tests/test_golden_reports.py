@@ -9,7 +9,9 @@ safety-oblivious deadline and the unfiltered control on one family under
 each mode.  ``run_batch`` over both episodes must reproduce the digests,
 and so must ``run_episode`` (one episode per config, run alone), so a
 change to any kernel of the loop, or a report that depends on its
-batchmates, shows up here.
+batchmates, shows up here.  The configs also run merged: one ``run_cells``
+call per group of equal ``SEOConfig.lockstep_key``, whose every row must
+match its config's digests too.
 
 Regenerate (only for an intended behaviour change) with::
 
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.framework import SEOConfig, SEOFramework
-from repro.runtime.batch import run_batch
+from repro.runtime.batch import run_batch, run_cells
 from repro.runtime.ledger import report_to_jsonable
 from repro.sim.scenario import DEFAULT_SUITE
 
@@ -72,7 +74,16 @@ def report_digests(reports: list) -> list[str]:
     ]
 
 
+def lockstep_groups(configs: dict[str, SEOConfig]) -> dict[str, list[str]]:
+    """Labels grouped by lockstep key, each group named by its first label."""
+    groups: dict[object, list[str]] = {}
+    for label in sorted(configs):
+        groups.setdefault(configs[label].lockstep_key(), []).append(label)
+    return {labels[0]: labels for labels in groups.values()}
+
+
 CONFIGS = golden_configs()
+GROUPS = lockstep_groups(CONFIGS)
 GOLDEN: dict[str, list[str]] = (
     json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
 )
@@ -92,6 +103,25 @@ def test_both_loops_match_golden_digest(label):
     episode = EPISODES[sorted(CONFIGS).index(label) % len(EPISODES)]
     alone = framework.run_episode(episode)
     assert report_digests([alone]) == [GOLDEN[label][episode]], "run_episode drifted"
+
+
+def test_groups_merge_every_per_row_setting():
+    """Each family's four modes share a call; on the variant family the
+    exact, oblivious and unfiltered variants join them, pure pursuit not."""
+    sizes = {group: len(labels) for group, labels in GROUPS.items()}
+    assert sum(sizes.values()) == len(CONFIGS)
+    # The family itself plus its exact, oblivious and unfiltered variants.
+    assert sizes.pop(f"{VARIANT_FAMILY}/model_gating") == 4 * len(MODES)
+    assert sizes.pop(f"{VARIANT_FAMILY}/model_gating/pure_pursuit") == len(MODES)
+    assert sorted(sizes.values()) == [len(MODES)] * (len(DEFAULT_SUITE.names()) - 1)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_merged_cells_match_golden_digest(group):
+    labels = GROUPS[group]
+    cells = run_cells([(SEOFramework(CONFIGS[label]), EPISODES) for label in labels])
+    for label, reports in zip(labels, cells, strict=True):
+        assert report_digests(reports) == GOLDEN[label], f"{label} drifted merged"
 
 
 if __name__ == "__main__":

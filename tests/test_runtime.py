@@ -28,7 +28,7 @@ class TestSerialExecutor:
         framework = SEOFramework(fast_seo_config)
         executor = SerialExecutor(framework=framework)
         executor.run(fast_seo_config, 1)
-        assert executor._framework is framework
+        assert executor.framework(fast_seo_config) is framework
 
     def test_rejects_nonpositive_episodes(self, fast_seo_config):
         with pytest.raises(ValueError):

@@ -19,10 +19,11 @@ from repro.contracts import ContractViolationError
 from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
 from repro.dynamics.state import ControlAction
-from repro.runtime.batch import run_batch
+from repro.platform.presets import NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
+from repro.runtime.batch import run_batch, run_cells
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
-from repro.sim.scenario import DEFAULT_SUITE
+from repro.sim.scenario import DEFAULT_SUITE, ScenarioConfig
 
 
 def alone(framework, episodes):
@@ -122,6 +123,56 @@ def test_masked_episode_keeps_terminal_state():
     assert alone_report == [ended_first]
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        ScenarioConfig(
+            num_obstacles=3, road_length_m=60.0, seed=5, sensor_dropout_probability=0.2
+        ),
+        ScenarioConfig(
+            num_obstacles=3, road_length_m=60.0, seed=5, obstacle_motion="lateral-loop",
+            obstacle_speed_mps=1.0,
+        ),
+    ],
+    ids=["dropout", "moving"],
+)
+def test_cells_equal_each_cell_alone(scenario):
+    """Rows of different cells report as their cell run alone.
+
+    The cells vary every per-row field (method, shield, sensor, deadline
+    source) and hold different episode counts, out of order.  The short
+    road makes the shield act and the rows end on different frames, so
+    the row columns are read on a shrinking active set.
+    """
+    base = SEOConfig(scenario=scenario, max_steps=500, seed=5)
+    variants = [
+        {"optimization": "sensor_gating", "detector_sensor": ZED_CAMERA},
+        {"optimization": "offload", "filtered": False},
+        {"optimization": "model_gating", "detector_sensor": VELODYNE_LIDAR,
+         "use_lookup_table": False},
+        {"optimization": "none", "safety_aware": False, "detector_sensor": NAVTECH_RADAR},
+        {"optimization": "offload", "use_lookup_table": False},
+    ]
+    frameworks = [SEOFramework(dataclasses.replace(base, **v)) for v in variants]
+    episodes = [[1, 0, 4], [2, 5], [0, 3], [1, 6], [3, 2]]
+    cells = run_cells(list(zip(frameworks, episodes)))
+    assert cells == [run_batch(fw, eps) for fw, eps in zip(frameworks, episodes)]
+    reports = [report for cell in cells for report in cell]
+    assert len({report.steps for report in reports}) > 1
+    assert all(report.shield_interventions for report in cells[0])
+
+
+def test_run_cells_refuses_incompatible_cells(fast_seo_config):
+    frameworks = [
+        SEOFramework(fast_seo_config),
+        SEOFramework(dataclasses.replace(fast_seo_config, max_steps=100)),
+    ]
+    with pytest.raises(ValueError, match="lockstep_key"):
+        run_cells([(framework, [0]) for framework in frameworks])
+    assert run_cells([]) == []
+    assert run_cells([(frameworks[0], []), (frameworks[0], [0])])[0] == []
+
+
 def test_run_range_matches_serial_slice(fast_seo_config):
     """A work unit's episode range is one lockstep call over that slice."""
     reports = SerialExecutor().run_range(fast_seo_config, 2, 5)
@@ -141,9 +192,9 @@ def test_validation_errors(fast_seo_config):
 def test_framework_memoized_across_calls(fast_seo_config):
     executor = SerialExecutor()
     executor.run(fast_seo_config, 1)
-    framework = executor._framework
+    framework = executor.framework(fast_seo_config)
     executor.run(fast_seo_config, 1)
-    assert executor._framework is framework
+    assert executor.framework(fast_seo_config) is framework
 
 
 class TestBackendWiring:

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.common import ExperimentSettings, run_batch
+from repro.experiments.common import ExperimentSettings, run_batch, standard_config
+from repro.experiments.fig5 import FIG5_METHODS
 from repro.runtime.executor import SerialExecutor, resolve_jobs
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner, sweep_jobs
 
@@ -209,3 +210,81 @@ class TestPoolConstructionCounter:
             thread.join()
         assert sweep_module.pool_constructions() == 8 * increments
         sweep_module.reset_pool_constructions()
+
+
+class TestLockstepMerging:
+    """In-process units that share a lockstep key run as one engine call."""
+
+    SETTINGS = ExperimentSettings(episodes=2, max_steps=600, seed=3)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Record the cell count of every engine call the executor makes."""
+        from repro.runtime import executor as executor_module
+
+        calls = []
+        run_cells = executor_module.run_cells
+
+        def counting(cells, timings=None):
+            calls.append(len(cells))
+            return run_cells(cells, timings)
+
+        monkeypatch.setattr(executor_module, "run_cells", counting)
+        return calls
+
+    def _fig5_configs(self):
+        return {
+            (method, filtered): standard_config(
+                self.SETTINGS, optimization=method, filtered=filtered
+            )
+            for method in FIG5_METHODS
+            for filtered in (False, True)
+        }
+
+    def test_fig5_units_make_one_engine_call(self, monkeypatch):
+        configs = self._fig5_configs()
+        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        calls = self._count_calls(monkeypatch)
+        with SweepRunner(jobs=1) as runner:
+            batch = runner.run(sweep_jobs(configs, episodes=2))
+        assert calls == [4]
+        assert batch == alone
+
+    def test_incompatible_cells_are_not_merged(self, fast_seo_config, monkeypatch):
+        scenario = fast_seo_config.scenario
+        configs = {
+            "base": fast_seo_config,
+            "road": dataclasses.replace(
+                fast_seo_config, scenario=dataclasses.replace(scenario, road_length_m=70.0)
+            ),
+            "obstacles": dataclasses.replace(
+                fast_seo_config, scenario=dataclasses.replace(scenario, num_obstacles=3)
+            ),
+            "tau": dataclasses.replace(fast_seo_config, tau_s=0.025),
+            "max_steps": dataclasses.replace(fast_seo_config, max_steps=400),
+        }
+        keys = {config.lockstep_key() for config in configs.values()}
+        assert len(keys) == len(configs)
+        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        calls = self._count_calls(monkeypatch)
+        with SweepRunner(backend="batch") as runner:
+            batch = runner.run(sweep_jobs(configs, episodes=2))
+        assert calls == [1] * len(configs)
+        assert batch == alone
+
+    def test_resume_merges_the_units_left_to_run(self, tmp_path, monkeypatch):
+        from repro.runtime.ledger import RunLedger
+
+        configs = self._fig5_configs()
+        labels = list(configs)
+        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        ledger = RunLedger(tmp_path / "ledger")
+        with SweepRunner(jobs=1, ledger=ledger) as runner:
+            runner.run(sweep_jobs({label: configs[label] for label in labels[::2]}, 2))
+        calls = self._count_calls(monkeypatch)
+        with SweepRunner(jobs=1, ledger=RunLedger(tmp_path / "ledger"), resume=True) as runner:
+            batch = runner.run(sweep_jobs(configs, episodes=2))
+            assert runner.units_resumed == 2
+            assert runner.units_executed == 2
+        assert calls == [2]
+        assert batch == alone
