@@ -46,59 +46,34 @@ OPTIMIZATIONS = ("offload", "model_gating", "sensor_gating", "none")
 MAX_OFFLOAD_DEADLINE_PERIODS = 60
 
 
-def row_mask(mask: np.ndarray) -> bool | np.ndarray:
-    """A per-row flag as a row column: ``True`` or ``False`` when every row
-    agrees, else the ``(N,)`` mask itself.
-
-    A column that holds one value is a Python bool, so a call whose rows
-    agree tests it once instead of masking every frame.
-    """
-    if mask.all():
-        return True
-    if not mask.any():
-        return False
-    return mask
-
-
 class ModeRows(NamedTuple):
     """Which rows of a call run which optimization method.
 
-    Each field is a :func:`row_mask` column.  Rows outside ``offload`` and
+    Each field is an ``(N,)`` bool mask.  Rows outside ``offload`` and
     ``none`` gate: ``"sensor_gating"`` where ``sensor_gating`` is set,
     ``"model_gating"`` elsewhere.
     """
 
-    offload: bool | np.ndarray
-    none: bool | np.ndarray
-    sensor_gating: bool | np.ndarray
+    offload: np.ndarray
+    none: np.ndarray
+    sensor_gating: np.ndarray
 
     @classmethod
     def of(cls, optimizations: Sequence[str]) -> "ModeRows":
-        """The row columns of one method name per row."""
+        """The row masks of one method name per row."""
         unknown = set(optimizations) - set(OPTIMIZATIONS)
         if unknown:
             raise ValueError(f"unknown optimization method: {sorted(unknown)[0]!r}")
         names = np.array(optimizations)
         return cls(
-            offload=row_mask(names == "offload"),
-            none=row_mask(names == "none"),
-            sensor_gating=row_mask(names == "sensor_gating"),
+            offload=names == "offload",
+            none=names == "none",
+            sensor_gating=names == "sensor_gating",
         )
 
     def take(self, rows: np.ndarray) -> "ModeRows":
-        """The methods of ``rows`` (itself when every row runs one method)."""
-        if all(isinstance(column, bool) for column in self):
-            return self
-        return ModeRows(
-            *(column if isinstance(column, bool) else column[rows] for column in self)
-        )
-
-
-def _pick(rows: bool | np.ndarray, chosen: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """``chosen`` on the ``(N,)`` ``rows``, ``other`` elsewhere."""
-    if isinstance(rows, bool):
-        return chosen if rows else other
-    return np.where(rows[:, None], chosen, other)
+        """The methods of ``rows``."""
+        return ModeRows(*(column[rows] for column in self))
 
 
 class PeriodOutcome(NamedTuple):
@@ -165,28 +140,25 @@ def period_kernel(
     # The optimization window n < delta_max - delta_i: eq. (6)'s optimized
     # branch (delta_i < delta_max, as n >= 0) and never a full slot.
     window = step < fallback
-    nowhere = np.zeros(full.shape, dtype=bool)
-    issue = nowhere
+    offload = modes.offload[:, None]
     # Gating runs only the full slots, local-always every natural slot.
-    local = fresh = _pick(modes.none, nowhere | natural, full)
-    if modes.offload is not False:
-        bit = np.int64(1) << step
-        arrived = _pick(modes.offload, (pending & bit) != 0, nowhere)
-        pending = _pick(modes.offload, pending & ~bit, pending)
-        tried = natural & window
-        issue = _pick(modes.offload, tried & (step + delta_hat <= fallback), nowhere)
-        local = _pick(modes.offload, (full & ~arrived) | (tried & ~issue), local)
-        # An arrival, or a local run (every full slot not superseded by one).
-        fresh = local | arrived
+    baseline = np.where(modes.none[:, None], natural, full)
+    bit = np.int64(1) << step
+    arrived = offload & ((pending & bit) != 0)
+    tried = natural & window
+    issue = offload & tried & (step + delta_hat <= fallback)
+    # An offload row runs every full slot not superseded by an arrival and
+    # every tried slot it did not offload.
+    local = np.where(offload, (full & ~arrived) | (tried & ~issue), baseline)
     return PeriodOutcome(
-        fresh=fresh,
+        fresh=local | arrived,
         local=local,
         issue=issue,
         compute_j=np.where(local, compute_j, 0.0),
         measurement_j=np.where(
-            _pick(modes.sensor_gating, window, nowhere), 0.0, measurement_j
+            modes.sensor_gating[:, None] & window, 0.0, measurement_j
         ),
-        pending=pending,
+        pending=np.where(offload, pending & ~bit, pending),
     )
 
 

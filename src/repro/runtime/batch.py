@@ -19,9 +19,8 @@ the engine holds as row columns.  The optimization method is a
 ``filtered`` a shield row mask, the deadline source (the lookup table, the
 exact estimator, or the horizon when safety-oblivious) a row subset of the
 episodes starting an interval, and the sensor the per-row energies of
-:class:`~repro.core.scheduler.EnergyColumns`.  A column whose rows all
-agree is a Python bool (:func:`~repro.core.optimizations.row_mask`), so a
-one-cell call branches once instead of masking every frame.
+:class:`~repro.core.scheduler.EnergyColumns`.  Every column is an ``(N,)``
+mask, also in a one-cell call whose rows all agree.
 
 The decision layer lives with its owners instead of being written here:
 the controller, barrier, shield and scheduler each expose one batch-first
@@ -92,7 +91,6 @@ from repro.core.optimizations import (
     ModeRows,
     offload_arrival_kernel,
     period_kernel,
-    row_mask,
 )
 from repro.core.scheduler import (
     EnergyColumns,
@@ -189,7 +187,7 @@ def run_cells(
     params = framework.vehicle_params
     barrier = framework.barrier
     target_speed = config.target_speed_mps
-    filtered = row_mask(np.array([row.filtered for row in row_configs]))
+    filtered = np.array([row.filtered for row in row_configs])
 
     # ------------------------------------------------------------------
     # World construction (placement RNG fully consumed here, per episode).
@@ -248,10 +246,10 @@ def run_cells(
             [(config.seed + 2) * 1000 + episode for episode in episode_ids],
             "standard_exponential",
         )
-        if modes.offload is not False
+        if modes.offload.any()
         else None
     )
-    if sched_stream is not None and isinstance(modes.offload, np.ndarray):
+    if sched_stream is not None:
         sched_stream.retire(np.nonzero(~modes.offload)[0])
     p_drop = config.scenario.sensor_dropout_probability
     drop_stream = (
@@ -300,7 +298,7 @@ def run_cells(
     # deadline provider.
     # ------------------------------------------------------------------
     model_set = framework.model_set
-    energy = EnergyColumns.stack(
+    energy = EnergyColumns.create(
         [(other.model_set, size) for other, size in zip(frameworks, cell_sizes)], tau
     )
     num_crit = energy.critical_count
@@ -312,20 +310,18 @@ def run_cells(
     compute_opt = energy.compute_j[num_crit:]
     max_deadline_periods = config.max_deadline_periods
     planner = framework.offload_planner
-    delta_hat = (
-        planner.estimated_response_periods(tau) if modes.offload is not False else 0
-    )
+    delta_hat = planner.estimated_response_periods(tau)
     draws_per_offload = planner.draws_per_sample
 
     # Deadline sources: the lookup table, the exact estimator, or (for
     # safety-oblivious rows) the estimator horizon.
     estimator = framework.estimator
     horizon_s = estimator.horizon_s
-    lookup_rows = row_mask(
-        np.array([row.safety_aware and row.use_lookup_table for row in row_configs])
+    lookup_rows = np.array(
+        [row.safety_aware and row.use_lookup_table for row in row_configs]
     )
-    exact_rows = row_mask(
-        np.array([row.safety_aware and not row.use_lookup_table for row in row_configs])
+    exact_rows = np.array(
+        [row.safety_aware and not row.use_lookup_table for row in row_configs]
     )
     # Every cell that builds a table builds this one (equal lockstep keys).
     lookup_table = next(
@@ -437,19 +433,14 @@ def run_cells(
                 v_act, target_act, lat_act, heading_err, curv_act
             )
 
-        if filtered is False:
-            fs, ft = raw_s, raw_t
-        else:
-            fs, ft, intervened = shield.filter_batch(
-                h_vals, dist_b, bear_b, v_act, lat_act, half_width, raw_s, raw_t
-            )
-            if isinstance(filtered, np.ndarray):
-                # Unfiltered rows drive the raw control.
-                keep = filtered[idx]
-                fs = np.where(keep, fs, raw_s)
-                ft = np.where(keep, ft, raw_t)
-                intervened = intervened & keep
-            interventions[idx] += intervened
+        fs, ft, intervened = shield.filter_batch(
+            h_vals, dist_b, bear_b, v_act, lat_act, half_width, raw_s, raw_t
+        )
+        # Unfiltered rows drive the raw control.
+        keep = filtered[idx]
+        fs = np.where(keep, fs, raw_s)
+        ft = np.where(keep, ft, raw_t)
+        interventions[idx] += intervened & keep
 
         si_d[idx] = dist_b
         si_b[idx] = bear_b
@@ -464,36 +455,28 @@ def run_cells(
         start_eps = idx[sched.new_delta[idx]]
         if start_eps.size:
             deadlines = np.full(start_eps.size, horizon_s, dtype=float)
-            if lookup_rows is not False:
-                at: np.ndarray | slice = (
-                    lookup_rows[start_eps]
-                    if isinstance(lookup_rows, np.ndarray)
-                    else slice(None)
-                )
+            at = lookup_rows[start_eps]
+            if at.any():
+                assert lookup_table is not None
                 lookup_eps = start_eps[at]
-                if lookup_eps.size:
-                    assert lookup_table is not None
-                    deadlines[at] = lookup_table.query_batch(
-                        si_d[lookup_eps],
-                        si_b[lookup_eps],
-                        vs[lookup_eps],
-                        ctrl_s[lookup_eps],
-                        ctrl_t[lookup_eps],
-                    )
-            if exact_rows is not False:
-                present = si_d[start_eps] < NO_OBSTACLE_DISTANCE_M
-                if isinstance(exact_rows, np.ndarray):
-                    present &= exact_rows[start_eps]
-                if present.any():
-                    exact_eps = start_eps[present]
-                    deadlines[present] = estimator.estimate_batch(
-                        si_d[exact_eps],
-                        si_b[exact_eps],
-                        vs[exact_eps],
-                        ctrl_s[exact_eps],
-                        ctrl_t[exact_eps],
-                        obstacle_radius_m=obstacle_radius,
-                    )
+                deadlines[at] = lookup_table.query_batch(
+                    si_d[lookup_eps],
+                    si_b[lookup_eps],
+                    vs[lookup_eps],
+                    ctrl_s[lookup_eps],
+                    ctrl_t[lookup_eps],
+                )
+            present = exact_rows[start_eps] & (si_d[start_eps] < NO_OBSTACLE_DISTANCE_M)
+            if present.any():
+                exact_eps = start_eps[present]
+                deadlines[present] = estimator.estimate_batch(
+                    si_d[exact_eps],
+                    si_b[exact_eps],
+                    vs[exact_eps],
+                    ctrl_s[exact_eps],
+                    ctrl_t[exact_eps],
+                    obstacle_radius_m=obstacle_radius,
+                )
             periods = begin_interval_kernel(
                 sched, start_eps, deadlines, tau, max_deadline_periods, delta_i_opt
             )
