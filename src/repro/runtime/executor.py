@@ -65,24 +65,15 @@ class EpisodeExecutor(abc.ABC):
 class SerialExecutor(EpisodeExecutor):
     """Run episodes in the current process, in numpy lockstep.
 
-    Frameworks are memoized per config, so a sweep builds each one once.
-
     Args:
-        framework: Optional pre-built framework to reuse for its config
-            instead of constructing it.
+        framework: Optional pre-built framework to reuse.  When provided and
+            its config matches a requested one, the (expensive) framework
+            construction is skipped; the executor keeps the framework of
+            the last config it ran for the next call.
     """
 
     def __init__(self, framework: SEOFramework | None = None) -> None:
-        self._frameworks: dict[SEOConfig, SEOFramework] = {}
-        if framework is not None:
-            self._frameworks[framework.config] = framework
-
-    def framework(self, config: SEOConfig) -> SEOFramework:
-        """The framework of ``config``, built on first use."""
-        framework = self._frameworks.get(config)
-        if framework is None:
-            framework = self._frameworks[config] = SEOFramework(config)
-        return framework
+        self._framework = framework
 
     def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
         self._validate(episodes)
@@ -106,8 +97,15 @@ class SerialExecutor(EpisodeExecutor):
         for _, start, stop in ranges:
             if start < 0 or stop <= start:
                 raise ValueError("episode range must be non-empty and non-negative")
+        frameworks: dict[SEOConfig, SEOFramework] = {}
+        if self._framework is not None:
+            frameworks[self._framework.config] = self._framework
+        for config, _, _ in ranges:
+            if config not in frameworks:
+                frameworks[config] = SEOFramework(config)
+            self._framework = frameworks[config]
         return run_cells(
-            [(self.framework(config), range(start, stop)) for config, start, stop in ranges]
+            [(frameworks[config], range(start, stop)) for config, start, stop in ranges]
         )
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.framework import SEOConfig
+from repro.core.framework import SEOConfig, SEOFramework
 from repro.core.intervals import SafeIntervalEstimator
 from repro.core.lookup import LookupGrid
 from repro.core.models import ModelSet, SensoryModel
@@ -59,6 +61,32 @@ def two_detector_model_set() -> ModelSet:
             ),
         ]
     )
+
+
+@pytest.fixture
+def executor_spy(monkeypatch) -> SimpleNamespace:
+    """Record the frameworks the in-process executor builds and runs.
+
+    ``built`` lists every framework :mod:`repro.runtime.executor`
+    constructs, ``calls`` the cell frameworks of each engine call.
+    """
+    from repro.runtime import executor as executor_module
+
+    spy = SimpleNamespace(built=[], calls=[])
+    run_cells = executor_module.run_cells
+
+    def build(config):
+        framework = SEOFramework(config)
+        spy.built.append(framework)
+        return framework
+
+    def record(cells, timings=None):
+        spy.calls.append([framework for framework, _ in cells])
+        return run_cells(cells, timings)
+
+    monkeypatch.setattr(executor_module, "SEOFramework", build)
+    monkeypatch.setattr(executor_module, "run_cells", record)
+    return spy
 
 
 @pytest.fixture

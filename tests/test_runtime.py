@@ -24,11 +24,12 @@ class TestSerialExecutor:
         expected = SEOFramework(fast_seo_config).run(3)
         assert SerialExecutor().run(fast_seo_config, 3) == expected
 
-    def test_reuses_prebuilt_framework(self, fast_seo_config):
+    def test_reuses_prebuilt_framework(self, fast_seo_config, executor_spy):
         framework = SEOFramework(fast_seo_config)
         executor = SerialExecutor(framework=framework)
         executor.run(fast_seo_config, 1)
-        assert executor.framework(fast_seo_config) is framework
+        assert executor_spy.built == []
+        assert executor_spy.calls == [[framework]]
 
     def test_rejects_nonpositive_episodes(self, fast_seo_config):
         with pytest.raises(ValueError):

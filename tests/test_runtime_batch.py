@@ -189,12 +189,21 @@ def test_validation_errors(fast_seo_config):
         SerialExecutor().run_range(fast_seo_config, -1, 2)
 
 
-def test_framework_memoized_across_calls(fast_seo_config):
+def test_framework_memoized_across_calls(fast_seo_config, executor_spy):
     executor = SerialExecutor()
     executor.run(fast_seo_config, 1)
-    framework = executor.framework(fast_seo_config)
     executor.run(fast_seo_config, 1)
-    assert executor.framework(fast_seo_config) is framework
+    assert len(executor_spy.built) == 1
+    assert executor_spy.calls == [executor_spy.built, executor_spy.built]
+
+
+def test_ranges_of_one_config_share_a_framework(fast_seo_config, executor_spy):
+    other = dataclasses.replace(fast_seo_config, filtered=False)
+    SerialExecutor().run_ranges(
+        [(fast_seo_config, 0, 1), (other, 0, 1), (fast_seo_config, 1, 2)]
+    )
+    first, second = executor_spy.built
+    assert executor_spy.calls == [[first, second, first]]
 
 
 class TestBackendWiring:
