@@ -231,12 +231,7 @@ class EnergyColumns:
     misses: np.ndarray  #: (N,) int64 — offloads that missed their deadline
 
     @classmethod
-    def create(cls, count: int, model_set: ModelSet, tau_s: float) -> "EnergyColumns":
-        """Empty accounts for ``count`` episodes of ``model_set``."""
-        return cls.stack([(model_set, count)], tau_s)
-
-    @classmethod
-    def stack(
+    def create(
         cls, cells: Sequence[tuple[ModelSet, int]], tau_s: float
     ) -> "EnergyColumns":
         """Empty accounts for ``count`` episodes of each ``(model_set, count)``.
@@ -475,7 +470,7 @@ class SafeRuntimeScheduler:
 
     def reset(self) -> None:
         """Reset all run state (energy, deadline samples, interval state)."""
-        self.energy = EnergyColumns.create(1, self.model_set, self.tau_s)
+        self.energy = EnergyColumns.create([(self.model_set, 1)], self.tau_s)
         self.delta_max_samples: list[int] = []
         self._global_step = 0
         self._state = SchedulerState.create(1, len(self._delta_i_opt))

@@ -163,7 +163,7 @@ class TestGatingStrategy:
         )
         delta_max = 4
         for optimization in ("model_gating", "sensor_gating"):
-            energy = EnergyColumns.create(1, ModelSet.from_models([vae, model]), TAU)
+            energy = EnergyColumns.create([(ModelSet.from_models([vae, model]), 1)], TAU)
             for n in range(delta_max):
                 outcome = _period(optimization, n, 1, delta_max, model=model)
                 charge_period_kernel(

@@ -287,7 +287,7 @@ class TestEnergyColumns:
         )
 
     def test_charges_add_in_the_serial_order(self):
-        energy = EnergyColumns.create(1, _model_set(), TAU)
+        energy = EnergyColumns.create([(_model_set(), 1)], TAU)
         assert energy.names == ("vae", "det-fast", "det-slow")
         periods = [
             ([True, True, True], [0.1, 0.0], [0.0, 0.3], [0.7, 0.2]),
@@ -320,7 +320,7 @@ class TestEnergyColumns:
         assert energy.offloads[0] == 2
 
     def test_report_fields_skip_uncharged_models(self):
-        energy = EnergyColumns.create(1, _model_set(), TAU)
+        energy = EnergyColumns.create([(_model_set(), 1)], TAU)
         # Only the VAE computes; the gated detectors' cameras are measured
         # nothing this period and ZED_CAMERA has no mechanical power.
         self._charge(
@@ -334,7 +334,7 @@ class TestEnergyColumns:
         assert fields["overall_gain"] == 1.0
 
     def test_counts_offloads_and_misses(self):
-        energy = EnergyColumns.create(1, _model_set(), TAU)
+        energy = EnergyColumns.create([(_model_set(), 1)], TAU)
         self._charge(
             energy, [True, True, True], [0.0, 0.0], [0.1, 0.1], [0.0, 0.0],
             [True, True], [False, True],
