@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from repro.platform.presets import DRIVE_PX2_RESNET152, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
 from repro.sim.observation import RangeScanner
 from repro.sim.scenario import ScenarioConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import EpisodeExecutor
 
 #: Compute profile charged for the critical VAE pipeline every base period.
 VAE_COMPUTE_PROFILE = ComputeProfile(name="vae@drive-px2", latency_s=0.004, power_w=4.0)
@@ -329,7 +326,6 @@ class SEOFramework:
         episodes: int,
         only_successful: bool = False,
         jobs: int = 1,
-        executor: "EpisodeExecutor" | None = None,
     ) -> list[EpisodeReport]:
         """Run several episodes (different obstacle placements and channel draws).
 
@@ -341,24 +337,23 @@ class SEOFramework:
             episodes: Number of episodes to run.
             only_successful: When True, keep only episodes that completed the
                 route collision-free — the paper averages over 25 such runs.
-            jobs: Worker processes to spread episodes over (1 = in-process).
-            executor: Explicit :class:`repro.runtime.executor.EpisodeExecutor`
-                overriding ``jobs``.
+            jobs: Worker processes to spread episodes over (1 = in-process,
+                ``<= 0`` = all CPU cores).
         """
         if episodes <= 0:
             raise ValueError("episodes must be positive")
-        if executor is None:
-            # Imported here: repro.runtime imports this module at load time.
-            if jobs == 1:
-                from repro.runtime.executor import SerialExecutor
+        # Imported here: repro.runtime imports this module at load time.
+        if jobs == 1:
+            from repro.runtime.executor import SerialExecutor
 
-                reports = SerialExecutor(framework=self).run(self.config, episodes)
-            else:
-                from repro.runtime.executor import ParallelExecutor
-
-                reports = ParallelExecutor(jobs=jobs).run(self.config, episodes)
+            reports = SerialExecutor(framework=self).run(self.config, episodes)
         else:
-            reports = executor.run(self.config, episodes)
+            from repro.runtime.executor import resolve_jobs
+            from repro.runtime.sweep import SweepRunner
+
+            # No more worker processes than episodes: the pool lives for this call only.
+            with SweepRunner(jobs=min(resolve_jobs(jobs), episodes)) as runner:
+                reports = runner.run_one(self.config, episodes)
         if only_successful:
             successful = [report for report in reports if report.success]
             return successful if successful else reports

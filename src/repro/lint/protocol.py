@@ -13,16 +13,16 @@ This checker pins the frame shapes structurally in ``remote.py``:
   known op set (a dynamic op cannot be checked and will not be handled);
 * ``REPRO402`` — request frame whose key set differs from the schema for
   its op (or a frame built with non-literal keys);
-* ``REPRO403`` — reply ``"report"`` payload not produced by
-  :func:`~repro.runtime.ledger.report_to_jsonable` (the only encoder
-  whose field set ``report_from_jsonable`` validates);
+* ``REPRO403`` — reply ``"reports"`` (nested lists) whose elements are
+  not built by :func:`~repro.runtime.ledger.report_to_jsonable` (the only
+  encoder whose field set ``report_from_jsonable`` validates);
 * ``REPRO404`` — reply frame carrying a field outside the validated
   reply set;
 * ``REPRO405`` — consuming a ``request``/``reply`` field that no frame
   produces;
-* ``REPRO406`` — consuming ``reply["report"]`` without decoding it
-  through :func:`~repro.runtime.ledger.report_from_jsonable` (which is
-  where schema-drift errors are raised with a useful message).
+* ``REPRO406`` — consuming ``reply["reports"]`` other than by decoding
+  each element through :func:`~repro.runtime.ledger.report_from_jsonable`
+  (which is where schema-drift errors are raised with a useful message).
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ _SCOPE_FILES = frozenset({"runtime/remote.py"})
 REQUEST_FRAMES: dict[str, frozenset[str]] = {
     "hello": frozenset({"op", "protocol", "schema"}),
     "init": frozenset({"op", "cache_dir"}),
-    "run": frozenset({"op", "config", "episode"}),
+    "run": frozenset({"op", "ranges"}),
     "shutdown": frozenset({"op"}),
 }
 
 #: Every field any reply frame may carry (validated by the dispatcher).
-REPLY_FIELDS = frozenset({"ok", "protocol", "schema", "report", "error"})
+REPLY_FIELDS = frozenset({"ok", "protocol", "schema", "reports", "error"})
 
 _REQUEST_FIELDS = frozenset().union(*REQUEST_FRAMES.values())
 
@@ -73,6 +73,13 @@ def _literal_keys(node: ast.Dict) -> dict[str, ast.expr] | None:
             return None
         mapping[key.value] = value
     return mapping
+
+
+def _element(node: ast.expr) -> ast.expr:
+    """The element a (nested) list comprehension builds, else ``node``."""
+    while isinstance(node, ast.ListComp):
+        node = node.elt
+    return node
 
 
 def _call_name(node: ast.expr) -> str | None:
@@ -97,12 +104,15 @@ def check_protocol(source_file: SourceFile) -> list[Violation]:
             )
         )
 
-    # Subscripts that are decoded through report_from_jsonable (compared by
-    # node identity: ``report_from_jsonable(reply["report"])``).
+    # Subscripts iterated by a comprehension of report_from_jsonable calls
+    # (by node identity: ``[[report_from_jsonable(x) ...] for cell in reply["reports"]]``).
     decoded: set[int] = set()
     for node in ast.walk(source_file.tree):
-        if isinstance(node, ast.Call) and _call_name(node) == "report_from_jsonable":
-            decoded.update(id(arg) for arg in node.args)
+        if (
+            isinstance(node, ast.ListComp)
+            and _call_name(_element(node)) == "report_from_jsonable"
+        ):
+            decoded.update(id(generator.iter) for generator in node.generators)
 
     for node in ast.walk(source_file.tree):
         if isinstance(node, ast.Dict):
@@ -162,12 +172,12 @@ def check_protocol(source_file: SourceFile) -> list[Violation]:
                         f"reply frame field(s) {unknown} are outside the "
                         f"validated reply set {sorted(REPLY_FIELDS)}",
                     )
-                if "report" in fields and _call_name(fields["report"]) != (
-                    "report_to_jsonable"
-                ):
+                if "reports" in fields and _call_name(
+                    _element(fields["reports"])
+                ) != "report_to_jsonable":
                     report(
-                        fields["report"], "REPRO403",
-                        'reply "report" payload must be encoded with '
+                        fields["reports"], "REPRO403",
+                        'reply "reports" elements must be encoded with '
                         "report_to_jsonable; report_from_jsonable validates "
                         "exactly that field set",
                     )
@@ -191,10 +201,10 @@ def check_protocol(source_file: SourceFile) -> list[Violation]:
                         f"reply field {index.value!r} is not produced by any "
                         "documented frame",
                     )
-                elif index.value == "report" and id(node) not in decoded:
+                elif index.value == "reports" and id(node) not in decoded:
                     report(
                         node, "REPRO406",
-                        'reply["report"] must be decoded through '
+                        'reply["reports"] elements must be decoded through '
                         "report_from_jsonable so schema drift fails loudly",
                     )
         elif isinstance(node, ast.Call):

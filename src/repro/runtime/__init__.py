@@ -3,24 +3,24 @@
 This package is the scaling layer between the SEO framework facade and the
 experiment drivers:
 
-* :mod:`repro.runtime.batch` — :func:`run_batch`, the one frame loop: the
-  structure-of-arrays engine that steps any set of episodes of one config
-  in numpy lockstep, early-terminated episodes masked out, each report
-  identical to its episode run alone.
-* :mod:`repro.runtime.executor` — :class:`EpisodeExecutor` strategies.
-  :class:`SerialExecutor` runs a unit's episode range as one
-  :func:`run_batch` call in-process; :class:`ParallelExecutor` fans
-  episodes out over a process pool and returns bit-identical reports in
-  episode order.
+* :mod:`repro.runtime.batch` — ``run_cells``, the one frame loop: the
+  structure-of-arrays engine that steps the episodes of one or more
+  compatible ``(framework, episodes)`` cells in numpy lockstep,
+  early-terminated episodes masked out, each report identical to its
+  episode run alone; :func:`run_batch` is its one-cell call.
+* :mod:`repro.runtime.executor` — :class:`SerialExecutor` runs the episode
+  ranges of one group of compatible work units as one lockstep call
+  in-process, and ``run_ranges``, the task every worker pool runs, does
+  the same in a worker.
 * :mod:`repro.runtime.workunit` — :class:`WorkUnit`, the serializable,
   content-addressed ``(config, episode-range)`` description of sweep work
   that the distributed layer is keyed on.
 * :mod:`repro.runtime.sweep` — :class:`SweepRunner`, the batched
   multi-config sweep engine and the one place a backend name
   (:data:`EXECUTOR_BACKENDS`: ``process``, ``socket``, ``batch``) becomes a
-  pool: all episodes of all units of a batch share one worker pool, and one
-  runner (hence at most one pool) can serve every batch of a CLI
-  invocation.  With a ledger/shard attached it resumes and partitions
+  pool: the units of a batch run as lockstep groups, cut into one chunk
+  per worker of one shared pool, and one runner (hence at most one pool)
+  can serve every batch of a CLI invocation.  With a ledger/shard attached it resumes and partitions
   sweeps.
 * :mod:`repro.runtime.ledger` — :class:`RunLedger`, the append-only on-disk
   record of completed units (JSONL index + ``.npz`` report blobs) behind
@@ -47,12 +47,7 @@ from repro.runtime.cache import (
     default_cache,
     set_default_cache,
 )
-from repro.runtime.executor import (
-    EpisodeExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    resolve_jobs,
-)
+from repro.runtime.executor import SerialExecutor, resolve_jobs
 from repro.runtime.ledger import LedgerSchemaError, RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.sweep import (
@@ -90,10 +85,8 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "EpisodeExecutor",
     "LedgerSchemaError",
     "LookupTableCache",
-    "ParallelExecutor",
     "RemoteWorkerError",
     "RunLedger",
     "SerialExecutor",

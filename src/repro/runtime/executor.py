@@ -1,4 +1,4 @@
-"""Episode execution engines: in-process and process-parallel.
+"""Episode execution: the in-process executor and the one pool task.
 
 Every figure/table of the paper is regenerated by running ``N`` independent
 episodes of an :class:`repro.core.framework.SEOFramework`.  Episodes are
@@ -10,26 +10,23 @@ changing the results.
 :class:`SerialExecutor` runs them in-process: a work unit's episode range,
 or a group of compatible units' ranges, is one
 :func:`~repro.runtime.batch.run_cells` call, stepping its episodes in numpy
-lockstep.  :class:`ParallelExecutor` fans them out over a
-:class:`concurrent.futures.ProcessPoolExecutor`: each worker receives the
-pickled :class:`~repro.core.framework.SEOConfig` plus an episode index,
-rebuilds the framework once per worker (memoized on the config), and streams
-back :class:`~repro.core.framework.EpisodeReport` objects which are then
-reordered by episode index — the returned list is bit-identical to the
-in-process run.
+lockstep.  :func:`run_ranges` is the task every worker pool runs, a
+process-pool worker and a socket worker alike: a list of
+``(config, start, stop)`` ranges of one lockstep key, run by the worker's
+own :class:`SerialExecutor`, which keeps the last config's framework for
+the next task.  So a pool worker steps its share of a group in the same
+lockstep as the in-process path, and the reports are bit-identical
+wherever the ranges run.
 
-Multi-config sweeps that want to share one pool across many
-``(config, episodes)`` batches should use
-:class:`repro.runtime.sweep.SweepRunner`, the one place that turns a
-backend name into a pool.
+Turning a backend name into a pool, and a sweep into tasks, is the job of
+:class:`repro.runtime.sweep.SweepRunner`.
 """
 
 from __future__ import annotations
 
-import abc
 import os
+import threading
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
@@ -37,10 +34,9 @@ from repro.runtime.batch import run_cells
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
 
 __all__ = [
-    "EpisodeExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
     "resolve_jobs",
+    "run_ranges",
 ]
 
 
@@ -49,20 +45,7 @@ def resolve_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
-class EpisodeExecutor(abc.ABC):
-    """Strategy interface for running a batch of episodes of one config."""
-
-    @abc.abstractmethod
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        """Run episodes ``0 .. episodes-1`` and return reports in index order."""
-
-    @staticmethod
-    def _validate(episodes: int) -> None:
-        if episodes <= 0:
-            raise ValueError("episodes must be positive")
-
-
-class SerialExecutor(EpisodeExecutor):
+class SerialExecutor:
     """Run episodes in the current process, in numpy lockstep.
 
     Args:
@@ -76,7 +59,9 @@ class SerialExecutor(EpisodeExecutor):
         self._framework = framework
 
     def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
+        """Run episodes ``0 .. episodes-1`` and return reports in index order."""
+        if episodes <= 0:
+            raise ValueError("episodes must be positive")
         return self.run_range(config, 0, episodes)
 
     def run_range(
@@ -110,11 +95,14 @@ class SerialExecutor(EpisodeExecutor):
 
 
 # ----------------------------------------------------------------------
-# Process-pool backend
+# Pool workers
 # ----------------------------------------------------------------------
 
-#: Per-worker framework memo: (config, framework) of the last config seen.
-_WORKER_STATE: tuple[SEOConfig, SEOFramework] | None = None
+#: The pool task's executor, one per worker thread: a process-pool worker
+#: runs tasks on one thread, and every in-process socket worker
+#: (:class:`~repro.runtime.remote.WorkerServer`) serves from its own, so no
+#: two workers share a framework.
+_WORKER = threading.local()
 
 
 def _init_worker(cache_dir: Path | None) -> None:
@@ -130,38 +118,16 @@ def _init_worker(cache_dir: Path | None) -> None:
         set_default_cache(LookupTableCache(cache_dir=cache_dir))
 
 
-def _run_episode_task(config: SEOConfig, episode: int) -> EpisodeReport:
-    """Top-level (picklable) worker entry point for one episode."""
-    global _WORKER_STATE
-    if _WORKER_STATE is None or _WORKER_STATE[0] != config:
-        _WORKER_STATE = (config, SEOFramework(config))
-    return _WORKER_STATE[1].run_episode(episode)
+def run_ranges(
+    ranges: Sequence[tuple[SEOConfig, int, int]]
+) -> list[list[EpisodeReport]]:
+    """Pool task: run ``(config, start, stop)`` ranges of one lockstep key.
 
-
-class ParallelExecutor(EpisodeExecutor):
-    """Run episodes on a process pool, preserving in-process results exactly.
-
-    Args:
-        jobs: Number of worker processes.  ``jobs <= 0`` selects
-            ``os.cpu_count()``; ``jobs == 1`` degrades to the in-process
-            :class:`SerialExecutor` (no pool spin-up).
+    Top level, so a process pool can pickle it; the socket worker runs the
+    same function on its decoded ``run`` frames.  Returns each range's
+    reports, as :meth:`SerialExecutor.run_ranges` does.
     """
-
-    def __init__(self, jobs: int = 0) -> None:
-        self.jobs = resolve_jobs(jobs)
-
-    def run(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        self._validate(episodes)
-        workers = min(self.jobs, episodes)
-        if workers <= 1:
-            return SerialExecutor().run(config, episodes)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(default_cache().cache_dir,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_episode_task, config, episode)
-                for episode in range(episodes)
-            ]
-            return [future.result() for future in futures]
+    executor: SerialExecutor | None = getattr(_WORKER, "executor", None)
+    if executor is None:
+        executor = _WORKER.executor = SerialExecutor()
+    return executor.run_ranges(ranges)

@@ -1,9 +1,10 @@
-"""Remote worker protocol: episodes dispatched to persistent workers over TCP.
+"""Remote worker protocol: episode ranges dispatched to persistent workers over TCP.
 
 Episodes are bit-deterministic functions of ``(config, episode)``, so any
 worker anywhere can run any episode and return the exact reports an
-in-process run would produce.  This module ships episodes to *persistent workers* over
-a tiny length-prefixed JSON protocol — every frame is a 4-byte big-endian
+in-process run would produce.  This module ships the sweep runner's tasks
+(:func:`repro.runtime.executor.run_ranges`) to *persistent workers* over a
+tiny length-prefixed JSON protocol — every frame is a 4-byte big-endian
 length followed by a UTF-8 JSON object:
 
 * ``{"op": "hello", "protocol": ..., "schema": ...}`` →
@@ -13,9 +14,11 @@ length followed by a UTF-8 JSON object:
 * ``{"op": "init", "cache_dir": ...}`` → ``{"ok": true}`` — propagate the
   dispatcher's lookup-cache directory (same contract as the process
   backend's pool initializer).
-* ``{"op": "run", "config": <canonical SEOConfig>, "episode": k}`` →
-  ``{"ok": true, "report": <EpisodeReport>}`` — run one episode; the worker
-  memoizes one framework per config, exactly like a process-pool worker.
+* ``{"op": "run", "ranges": [[<canonical SEOConfig>, start, stop], ...]}``
+  → ``{"ok": true, "reports": [[<EpisodeReport>, ...], ...]}`` — run the
+  ranges (one lockstep key) as one lockstep call and return each range's
+  reports; the worker runs the same task a process-pool worker runs, and
+  keeps the last config's framework for the next one.
 * ``{"op": "shutdown"}`` — drain and exit (close the connection).
 
 Configs travel in the canonical serialized form of
@@ -29,7 +32,7 @@ free-worker queue balancing load, and a ``concurrent.futures``-compatible
 surface (``submit`` returning a future, ``shutdown``), so
 :class:`repro.runtime.sweep.SweepRunner` can treat it like any other pool.
 A worker that dies mid-exchange is retired and its address reconnected
-(bounded budget per slot); its in-flight episode is re-dispatched to a
+(bounded budget per slot); its in-flight task is re-dispatched to a
 healthy worker.  When every worker is gone the pool fails fast with a
 :class:`RemoteWorkerError` — submitted futures never hang.
 """
@@ -47,12 +50,12 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
+from repro.core.framework import EpisodeReport, SEOConfig
 from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
+from repro.runtime.executor import run_ranges
 from repro.runtime.ledger import report_from_jsonable, report_to_jsonable
 from repro.runtime.workunit import (
     WORKUNIT_SCHEMA_VERSION,
-    canonical_json,
     config_from_jsonable,
     config_to_jsonable,
 )
@@ -77,25 +80,25 @@ _HEADER = struct.Struct(">I")
 #: Version of the frame protocol (ops and their fields).  Exchanged in the
 #: ``hello`` handshake; a dispatcher refuses a worker speaking another
 #: version instead of failing mid-sweep on a malformed frame.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Seconds a new worker gets to complete the connect-time hello/init
 #: exchange.  Those frames are answered immediately by a healthy worker, so
 #: a stall here means the peer accepted the connection but is not serving
 #: (black-holed host, stopped process) — fail the slot instead of hanging
-#: the sweep on it.  Run frames carry no timeout: episode duration is
+#: the sweep on it.  Run frames carry no timeout: task duration is
 #: unbounded by design.
 HANDSHAKE_TIMEOUT_S = 30.0
 
-#: Upper bound on a single frame's payload.  Real frames are a few KB (a
-#: config or an episode report); the cap exists so a corrupt or hostile
-#: length header — 4 raw bytes read straight off a network socket — cannot
+#: Upper bound on a single frame's payload.  Real frames are a few KB per
+#: episode of a task; the cap exists so a corrupt or hostile length
+#: header — 4 raw bytes read straight off a network socket — cannot
 #: trigger a multi-GB allocation before JSON parsing even starts.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class RemoteWorkerError(RuntimeError):
-    """A remote worker failed: an episode error, a dead transport, a corrupt
+    """A remote worker failed: a task error, a dead transport, a corrupt
     frame, or a handshake/version mismatch (the message says which)."""
 
 
@@ -151,15 +154,13 @@ def parse_worker_address(text: str) -> tuple[str, int]:
 # ----------------------------------------------------------------------
 
 class WorkerSession:
-    """Protocol state of one worker connection.
+    """Replies of one worker connection to its decoded request frames.
 
-    One framework is memoized per config (keyed by canonical form), matching
-    the process-pool worker's behaviour.  The session never touches the
+    A ``run`` frame is the process-pool task: its ranges go to
+    :func:`~repro.runtime.executor.run_ranges`, whose per-worker executor
+    keeps the last config's framework.  The session never touches the
     connection: the socket server feeds it decoded frames.
     """
-
-    def __init__(self) -> None:
-        self._memo: tuple[str, SEOFramework] | None = None
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any] | None:
         """Reply to one request frame; ``None`` means shutdown (close)."""
@@ -180,12 +181,12 @@ class WorkerSession:
                     set_default_cache(LookupTableCache(cache_dir=path))
                 return {"ok": True}
             if op == "run":
-                payload = request["config"]
-                key = canonical_json(payload)
-                if self._memo is None or self._memo[0] != key:
-                    self._memo = (key, SEOFramework(config_from_jsonable(payload)))
-                report = self._memo[1].run_episode(int(request["episode"]))
-                return {"ok": True, "report": report_to_jsonable(report)}
+                ranges = request["ranges"]
+                cells = run_ranges([(config_from_jsonable(c), a, b) for c, a, b in ranges])
+                return {
+                    "ok": True,
+                    "reports": [[report_to_jsonable(report) for report in cell] for cell in cells],
+                }
             raise ValueError(f"unknown op: {op!r}")
         except Exception:
             return {"ok": False, "error": traceback.format_exc()}
@@ -399,8 +400,8 @@ class SocketWorkerPool:
     Fault tolerance: a slot whose connection fails mid-exchange is retired
     and re-established by reconnecting to the *same* address (the worker
     process may have merely restarted) at most ``max_respawns`` times; the
-    interrupted episode is re-dispatched to whichever worker frees up next
-    (episodes are deterministic and side-effect free, so re-running one is
+    interrupted task is re-dispatched to whichever worker frees up next
+    (episodes are deterministic and side-effect free, so re-running them is
     always safe).  A slot whose budget is exhausted is dropped and the
     sweep continues on the remaining workers.  When the last worker dies
     the pool fails fast: every parked and future submission raises
@@ -556,9 +557,7 @@ class SocketWorkerPool:
             assert self._idle is not None
             self._idle.put_nowait(_POOL_FAILED)
 
-    async def _run_episode(
-        self, payload: dict[str, Any], episode: int
-    ) -> EpisodeReport:
+    async def _run_task(self, payload: list[list[Any]]) -> list[list[EpisodeReport]]:
         task = asyncio.current_task()
         self._pending.add(task)
         try:
@@ -567,43 +566,49 @@ class SocketWorkerPool:
                 slot = await self._acquire()
                 transport = self._transports[slot]
                 try:
-                    await transport.send(
-                        {"op": "run", "config": payload, "episode": episode}
-                    )
+                    await transport.send({"op": "run", "ranges": payload})
                     reply = await transport.recv()
                 except RemoteWorkerError as error:
-                    # Transport death, not an episode error (those travel in
+                    # Transport death, not a task error (those travel in
                     # the reply): retire the worker and re-dispatch this
-                    # episode.  Each pass through here shrinks the pool or
+                    # task.  Each pass through here shrinks the pool or
                     # spends respawn budget, so the loop terminates — in the
                     # worst case via _acquire raising the pool-dead error.
                     await self._retire(slot, transport, error)
                     continue
                 # A completed exchange means the worker is healthy — requeue
-                # it even when the episode itself failed.
+                # it even when the task itself failed.
                 self._idle.put_nowait(slot)
                 if not reply.get("ok"):
-                    raise RemoteWorkerError(
-                        f"remote episode {episode} failed:\n{reply.get('error')}"
-                    )
-                return report_from_jsonable(reply["report"])
+                    raise RemoteWorkerError(f"remote task failed:\n{reply.get('error')}")
+                return [[report_from_jsonable(item) for item in cell] for cell in reply["reports"]]
         finally:
             self._pending.discard(task)
 
     # -- Executor-compatible surface ------------------------------------
-    def submit(self, config: SEOConfig, episode: int) -> "Future[EpisodeReport]":
-        """Dispatch one episode; returns a concurrent future for its report."""
+    def submit(
+        self,
+        fn: Callable[[Sequence[tuple[SEOConfig, int, int]]], list[list[EpisodeReport]]],
+        ranges: Sequence[tuple[SEOConfig, int, int]],
+    ) -> "Future[list[list[EpisodeReport]]]":
+        """Dispatch ``fn(ranges)``; returns a concurrent future for its result.
+
+        ``fn`` must be :func:`~repro.runtime.executor.run_ranges`, the one
+        task a socket worker runs; the signature is the stdlib executor's.
+        """
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is shut down")
-        payload = config_to_jsonable(config)
-        return asyncio.run_coroutine_threadsafe(
-            self._run_episode(payload, episode), self._loop
-        )
+        if fn is not run_ranges:
+            raise ValueError(f"a socket worker runs only run_ranges, not {fn!r}")
+        payload = [
+            [config_to_jsonable(config), start, stop] for config, start, stop in ranges
+        ]
+        return asyncio.run_coroutine_threadsafe(self._run_task(payload), self._loop)
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         """Stop the workers and the dispatch loop (idempotent).
 
-        With ``cancel_futures=True`` every pending ``_run_episode``
+        With ``cancel_futures=True`` every pending ``_run_task``
         coroutine is cancelled first — including the ones still parked on
         the idle queue, whose futures would otherwise never resolve — and
         workers get a short grace period instead of the full one.

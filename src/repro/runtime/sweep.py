@@ -5,12 +5,14 @@ suite) is a *sweep*: the same episode loop evaluated over a batch of named
 :class:`~repro.core.framework.SEOConfig` variants.  :class:`SweepRunner`
 makes the sweep a first-class object: it accepts a batch of
 :class:`SweepJob` entries, lowers each to a content-addressed
-:class:`~repro.runtime.workunit.WorkUnit`, fans **all episodes of all
-units** into one shared worker pool, and routes the reports back per job in
-episode order.
+:class:`~repro.runtime.workunit.WorkUnit`, groups the units whose configs
+share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`, and runs each
+group's episode ranges in numpy lockstep: in-process as one call, or cut
+into at most one chunk per worker of one shared pool.  Reports are routed
+back per job in episode order.
 
 Because episodes are fully determined by ``(config, episode index)`` (see
-:mod:`repro.runtime.executor`), interleaving configs in one pool cannot
+:mod:`repro.runtime.executor`), neither the grouping nor the cut can
 change any report, and a unit's reports are valid wherever and whenever the
 unit runs.  The runner exploits that in three ways:
 
@@ -23,7 +25,7 @@ unit runs.  The runner exploits that in three ways:
   rest raise :class:`SweepIncomplete` after the local share is done, and
   ``repro.cli merge`` later reassembles the full artifact from the shard
   ledgers.
-* **Remote dispatch** — the ``"socket"`` backend feeds the same units to
+* **Remote dispatch** — the ``"socket"`` backend feeds the same chunks to
   persistent workers on other machines over a JSON/TCP protocol
   (:mod:`repro.runtime.remote`).
 
@@ -39,20 +41,20 @@ from __future__ import annotations
 
 import threading
 import warnings
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.core.framework import EpisodeReport, SEOConfig
 from repro.runtime.cache import default_cache
 from repro.runtime.executor import (
     SerialExecutor,
     _init_worker,
-    _run_episode_task,
     resolve_jobs,
+    run_ranges,
 )
 from repro.runtime.ledger import RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
@@ -67,14 +69,15 @@ __all__ = [
     "sweep_jobs",
     "pool_constructions",
     "reset_pool_constructions",
+    "split_ranges",
 ]
 
 #: Backend names accepted by :class:`SweepRunner` (and the CLI ``--backend``
-#: flag): ``"process"`` fans episodes out over a local process pool;
-#: ``"socket"`` dispatches them to ``repro.cli worker --listen`` processes
-#: over TCP (see :mod:`repro.runtime.remote`); ``"batch"`` runs in-process,
-#: the same as ``jobs=1``: each unit's episodes step in numpy lockstep (see
-#: :mod:`repro.runtime.batch`).
+#: flag): ``"process"`` fans chunks of lockstep groups out over a local
+#: process pool; ``"socket"`` dispatches them to ``repro.cli worker
+#: --listen`` processes over TCP (see :mod:`repro.runtime.remote`);
+#: ``"batch"`` runs in-process, the same as ``jobs=1``: each group is one
+#: lockstep call (see :mod:`repro.runtime.batch`).
 EXECUTOR_BACKENDS = ("process", "socket", "batch")
 
 
@@ -205,18 +208,48 @@ def sweep_jobs(
     ]
 
 
+_Item = TypeVar("_Item")
+
+
+def split_ranges(
+    ranges: Sequence[tuple[_Item, int, int]], parts: int
+) -> list[list[tuple[_Item, int, int]]]:
+    """Cut ``(item, start, stop)`` episode ranges into contiguous chunks.
+
+    Returns at most ``parts`` chunks that together hold every episode of
+    ``ranges`` once, in order, with episode counts differing by at most
+    one.  A range cut by a chunk boundary continues at the start of the
+    next chunk.
+    """
+    total = sum(stop - start for _, start, stop in ranges)
+    count = max(1, min(parts, total))
+    chunks: list[list[tuple[_Item, int, int]]] = [[] for _ in range(count)]
+    offset = 0  # episodes of ``ranges`` before the current range
+    for item, start, stop in ranges:
+        for index, chunk in enumerate(chunks):
+            # Chunk ``index`` holds the flat episodes from total*index//count on.
+            low = max(total * index // count - offset, 0)
+            high = min(total * (index + 1) // count - offset, stop - start)
+            if low < high:
+                chunk.append((item, start + low, start + high))
+        offset += stop - start
+    return chunks
+
+
 class SweepRunner:
     """Run batches of ``(config, episodes)`` jobs over one shared worker pool.
 
     The runner owns at most one live pool: the first parallel :meth:`run`
     creates it, later calls reuse it, and :meth:`close` (or exiting the
     context manager) shuts it down — after which the runner refuses further
-    batches instead of silently leaking a fresh pool.  With ``jobs == 1`` or
-    the ``"batch"`` backend no pool is ever created and every unit runs
-    in-process through :class:`~repro.runtime.executor.SerialExecutor`:
-    the units whose configs share a
-    :meth:`~repro.core.framework.SEOConfig.lockstep_key` run as one
-    lockstep call — either way the reports are bit-identical.
+    batches instead of silently leaking a fresh pool.  The units whose
+    configs share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`
+    form a group.  With ``jobs == 1`` or the ``"batch"`` backend no pool is
+    ever created and each group is one lockstep call in-process, through
+    :class:`~repro.runtime.executor.SerialExecutor`; with a pool each group
+    is cut into at most one chunk per worker, and each chunk is one
+    :func:`~repro.runtime.executor.run_ranges` task — either way the
+    reports are bit-identical.
 
     Args:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
@@ -323,14 +356,6 @@ class SweepRunner:
             _count_pool_construction()
         return self._pool
 
-    def _submitter(self, pool: Any) -> Callable[[SEOConfig, int], "object"]:
-        """Episode submission callable for the active backend's pool."""
-        if self.backend == "process":
-            return lambda config, episode: pool.submit(
-                _run_episode_task, config, episode
-            )
-        return pool.submit  # SocketWorkerPool.submit(config, episode)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -343,11 +368,11 @@ class SweepRunner:
         labels naming identical work share one execution.  Units already in
         the ledger are loaded when resuming; units owned by other shards are
         skipped (raising :class:`SweepIncomplete` once the local share is
-        executed and recorded).  Every episode of every executed unit is
+        executed and recorded).  Every chunk of every executed group is
         submitted to the shared pool up front, so the whole batch drains
         with full parallelism instead of config by config.  Results are
-        bit-identical to the in-process per-config path.  A failing episode
-        fails the batch fast: queued episodes are cancelled rather than
+        bit-identical to the in-process per-config path.  A failing task
+        fails the batch fast: queued tasks are cancelled rather than
         drained before the error surfaces.
 
         Args:
@@ -423,39 +448,39 @@ class SweepRunner:
         """Execute units on the configured backend, keyed by unit hash."""
         if not units:
             return {}
-        # In-process: the units of one lockstep key are one lockstep call,
-        # each unit's episode range a cell of it.  The socket backend never
-        # degrades to it: one address still means "run it on that machine".
-        if self.backend == "batch" or (
+        groups: dict[Hashable, list[tuple[WorkUnit, int, int]]] = {}
+        for unit in units:
+            groups.setdefault(unit.config.lockstep_key(), []).append(
+                (unit, unit.episode_start, unit.episode_stop)
+            )
+        # In-process, a group is one lockstep call.  A pool gets it cut by
+        # episode count, so a one-group artifact still keeps every worker
+        # busy.  The socket backend never degrades to in-process: one
+        # address still means "run it on that machine".
+        in_process = self.backend == "batch" or (
             self.backend == "process" and self.workers <= 1
-        ):
-            groups: dict[Hashable, list[WorkUnit]] = {}
-            for unit in units:
-                groups.setdefault(unit.config.lockstep_key(), []).append(unit)
-            results: dict[str, list[EpisodeReport]] = {}
-            for group in groups.values():
-                cells = self._serial.run_ranges(
-                    [(unit.config, unit.episode_start, unit.episode_stop) for unit in group]
-                )
-                results.update(zip((unit.key for unit in group), cells))
-            return results
-        pool = self._ensure_pool()
-        submit = self._submitter(pool)
-        futures = {
-            unit.key: [submit(unit.config, episode) for episode in unit.episodes]
-            for unit in units
-        }
-        results = {}
-        try:
-            for key, unit_futures in futures.items():
-                results[key] = [future.result() for future in unit_futures]
-        except BaseException:
-            # Fail fast: drop the queued episodes instead of letting the
-            # pool drain the rest of the sweep before the error surfaces.
-            # A later run() may lazily build a replacement pool.
-            pool.shutdown(cancel_futures=True)
-            self._pool = None
-            raise
+        )
+        parts = 1 if in_process else self.workers
+        tasks = [chunk for group in groups.values() for chunk in split_ranges(group, parts)]
+        ranges = [[(unit.config, start, stop) for unit, start, stop in task] for task in tasks]
+        if in_process:
+            outputs = [self._serial.run_ranges(task) for task in ranges]
+        else:
+            pool = self._ensure_pool()
+            futures = [pool.submit(run_ranges, task) for task in ranges]
+            try:
+                outputs = [future.result() for future in futures]
+            except BaseException:
+                # Fail fast: drop the queued tasks instead of letting the
+                # pool drain the rest of the sweep before the error
+                # surfaces.  A later run() may lazily build a replacement.
+                pool.shutdown(cancel_futures=True)
+                self._pool = None
+                raise
+        results: dict[str, list[EpisodeReport]] = {}
+        for task, cells in zip(tasks, outputs, strict=True):
+            for (unit, _, _), reports in zip(task, cells, strict=True):
+                results.setdefault(unit.key, []).extend(reports)
         return results
 
     def run_one(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:

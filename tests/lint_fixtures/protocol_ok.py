@@ -13,23 +13,26 @@ def report_from_jsonable(payload: dict[str, Any]) -> Any:
     return payload["outcome"]
 
 
-def produce(payload: Any, episode: int) -> list[dict[str, Any]]:
+def produce(payload: Any) -> list[dict[str, Any]]:
     return [
-        {"op": "hello", "protocol": 1, "schema": 1},
+        {"op": "hello", "protocol": 2, "schema": 1},
         {"op": "init", "cache_dir": None},
-        {"op": "run", "config": payload, "episode": episode},
+        {"op": "run", "ranges": [[payload, 0, 2]]},
         {"op": "shutdown"},
     ]
 
 
-def respond(request: dict[str, Any], report: Any) -> dict[str, Any]:
+def respond(request: dict[str, Any], cells: list[list[Any]]) -> dict[str, Any]:
     if request.get("op") == "run":
-        _ = request["config"], request["episode"]
-        return {"ok": True, "report": report_to_jsonable(report)}
+        _ = request["ranges"]
+        return {
+            "ok": True,
+            "reports": [[report_to_jsonable(report) for report in cell] for cell in cells],
+        }
     return {"ok": False, "error": "boom"}
 
 
-def consume(reply: dict[str, Any]) -> Any:
+def consume(reply: dict[str, Any]) -> list[list[Any]]:
     if not reply.get("ok"):
         raise RuntimeError(reply.get("error"))
-    return report_from_jsonable(reply["report"])
+    return [[report_from_jsonable(item) for item in cell] for cell in reply["reports"]]

@@ -34,7 +34,7 @@ class TestParser:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_jobs_zero_means_auto(self):
-        # Regression: ParallelExecutor documents jobs <= 0 as "use all CPU
+        # Regression: resolve_jobs documents jobs <= 0 as "use all CPU
         # cores", so the CLI must accept --jobs 0 rather than reject it.
         args = build_parser().parse_args(["fig5", "--jobs", "0"])
         assert args.jobs == 0

@@ -23,7 +23,7 @@ import pytest
 from repro.cli import run
 from repro.core.framework import SEOFramework
 from repro.runtime import executor as executor_module
-from repro.runtime.executor import SerialExecutor
+from repro.runtime.executor import SerialExecutor, run_ranges
 from repro.runtime.ledger import (
     LedgerSchemaError,
     RunLedger,
@@ -369,7 +369,7 @@ def _decode_frames(data, count):
 
 class TestRemoteProtocol:
     def test_frame_round_trip(self):
-        payload = {"op": "run", "episode": 3, "nested": {"x": [1.5, None, "s"]}}
+        payload = {"op": "run", "ranges": [[{"x": [1.5, None, "s"]}, 0, 3]]}
         # The second read hits a clean EOF at a frame boundary.
         assert _decode_frames(_encode_frames(payload), 2) == [payload, None]
 
@@ -392,26 +392,37 @@ class TestRemoteProtocol:
         return replies
 
     def test_worker_runs_episodes_bit_identically(self, fast_seo_config):
-        expected = SerialExecutor().run(fast_seo_config, 2)
+        gating = dataclasses.replace(fast_seo_config, optimization="model_gating")
+        expected = [
+            SerialExecutor().run_range(fast_seo_config, 0, 2),
+            SerialExecutor().run_range(gating, 1, 3),
+            SerialExecutor().run_range(fast_seo_config, 2, 3),
+        ]
         payload = config_to_jsonable(fast_seo_config)
         replies = self._serve(
             [
                 {"op": "init", "cache_dir": None},
-                {"op": "run", "config": payload, "episode": 0},
-                {"op": "run", "config": payload, "episode": 1},
+                {
+                    "op": "run",
+                    "ranges": [[payload, 0, 2], [config_to_jsonable(gating), 1, 3]],
+                },
+                {"op": "run", "ranges": [[payload, 2, 3]]},
                 {"op": "shutdown"},
             ]
         )
         assert [reply["ok"] for reply in replies] == [True, True, True]
-        reports = [report_from_jsonable(reply["report"]) for reply in replies[1:]]
-        assert reports == expected
+        cells = [
+            [report_from_jsonable(item) for item in cell]
+            for reply in replies[1:]
+            for cell in reply["reports"]
+        ]
+        assert cells == expected
 
     def test_worker_reports_errors_with_traceback(self, fast_seo_config):
         replies = self._serve(
             [
                 {"op": "init", "cache_dir": None},
-                {"op": "run", "config": {"__dc__": "NoSuchThing", "fields": {}},
-                 "episode": 0},
+                {"op": "run", "ranges": [[{"__dc__": "NoSuchThing", "fields": {}}, 0, 1]]},
                 {"op": "explode"},
             ]
         )
@@ -559,6 +570,31 @@ class TestHandshake:
             "worker",
         )
 
+    def test_protocol_v1_worker_is_refused(self, monkeypatch, fast_seo_config):
+        """A worker speaking the one-episode protocol v1 is refused at
+        connect time, and the error names both versions."""
+        handle = WorkerSession.handle
+
+        def v1_handle(session, request):
+            reply = handle(session, request)
+            if request.get("op") == "hello":
+                reply = {**reply, "protocol": 1}
+            return reply
+
+        monkeypatch.setattr(WorkerSession, "handle", v1_handle)
+        server = WorkerServer()
+        pool = SocketWorkerPool([server.address], max_respawns=0)
+        try:
+            future = pool.submit(run_ranges, [(fast_seo_config, 0, 1)])
+            with pytest.raises(RemoteWorkerError) as error:
+                future.result(timeout=120)
+        finally:
+            pool.shutdown()
+            server.stop()
+        assert PROTOCOL_VERSION == 2
+        assert "speaks protocol v1" in str(error.value)
+        assert f"requires protocol v{PROTOCOL_VERSION}" in str(error.value)
+
     @pytest.mark.parametrize(
         "reply",
         [
@@ -618,6 +654,17 @@ class TestReportSchema:
 # ----------------------------------------------------------------------
 # Crash paths: killed workers reconnect or fail fast — never hang
 # ----------------------------------------------------------------------
+def _submit(pool, config, episode):
+    """Dispatch one episode as a one-range task."""
+    return pool.submit(run_ranges, [(config, episode, episode + 1)])
+
+
+def _report(future):
+    """The one report of a one-range, one-episode task."""
+    [[report]] = future.result(timeout=300)
+    return report
+
+
 def _kill_connection(pool, slot=0):
     """Abort a slot's TCP connection from the dispatcher's side, on its loop.
 
@@ -637,12 +684,12 @@ class TestWorkerCrash:
         server = WorkerServer()
         pool = SocketWorkerPool([server.address], max_respawns=1)
         try:
-            first = pool.submit(fast_seo_config, 0).result(timeout=300)
+            first = _report(_submit(pool, fast_seo_config, 0))
             _kill_connection(pool)
             # The run frame for episode 1 hits the dead connection; the
             # dispatcher must retire it, reconnect the slot to the still
             # listening worker and re-dispatch the episode.
-            second = pool.submit(fast_seo_config, 1).result(timeout=300)
+            second = _report(_submit(pool, fast_seo_config, 1))
         finally:
             pool.shutdown()
             server.stop()
@@ -653,12 +700,12 @@ class TestWorkerCrash:
         server = WorkerServer()
         pool = SocketWorkerPool([server.address], max_respawns=0)
         try:
-            pool.submit(fast_seo_config, 0).result(timeout=300)
+            _submit(pool, fast_seo_config, 0).result(timeout=300)
             _kill_connection(pool)
             # Several episodes queue onto the one (dead) connection: the
             # first retires it, and the parked ones must be woken with the
             # same error instead of waiting forever on the idle queue.
-            futures = [pool.submit(fast_seo_config, episode) for episode in (1, 2, 3)]
+            futures = [_submit(pool, fast_seo_config, episode) for episode in (1, 2, 3)]
             for future in futures:
                 with pytest.raises(RemoteWorkerError, match="dead"):
                     future.result(timeout=120)
@@ -674,12 +721,12 @@ class TestWorkerCrash:
         pool = SocketWorkerPool([server.address for server in servers])
         try:
             reports = [
-                pool.submit(fast_seo_config, episode).result(timeout=300)
+                _report(_submit(pool, fast_seo_config, episode))
                 for episode in (0, 1)
             ]
             servers[1].stop()  # as abrupt as a machine dying mid-sweep
             reports += [
-                pool.submit(fast_seo_config, episode).result(timeout=300)
+                _report(_submit(pool, fast_seo_config, episode))
                 for episode in (2, 3)
             ]
         finally:
@@ -692,9 +739,9 @@ class TestWorkerCrash:
         server = WorkerServer()
         pool = SocketWorkerPool([server.address], max_respawns=1)
         try:
-            pool.submit(fast_seo_config, 0).result(timeout=300)
+            _submit(pool, fast_seo_config, 0).result(timeout=300)
             server.stop()
-            future = pool.submit(fast_seo_config, 1)
+            future = _submit(pool, fast_seo_config, 1)
             with pytest.raises(RemoteWorkerError, match="dead"):
                 future.result(timeout=120)
         finally:
@@ -706,7 +753,7 @@ class TestWorkerCrash:
         pool = SocketWorkerPool(["127.0.0.1:1"], max_respawns=0)
         try:
             with pytest.raises(RemoteWorkerError, match="cannot connect"):
-                pool.submit(fast_seo_config, 0).result(timeout=120)
+                _submit(pool, fast_seo_config, 0).result(timeout=120)
         finally:
             pool.shutdown()
 
@@ -727,7 +774,7 @@ class TestWorkerCrash:
         pool = SocketWorkerPool([f"{host}:{port}"], max_respawns=0)
         try:
             with pytest.raises(RemoteWorkerError, match="handshake"):
-                pool.submit(fast_seo_config, 0).result(timeout=120)
+                _submit(pool, fast_seo_config, 0).result(timeout=120)
         finally:
             pool.shutdown()
             listener.close()
@@ -742,7 +789,7 @@ class TestWorkerCrash:
         server = WorkerServer()
         pool = SocketWorkerPool([server.address])
         try:
-            futures = [pool.submit(fast_seo_config, episode) for episode in range(4)]
+            futures = [_submit(pool, fast_seo_config, episode) for episode in range(4)]
             time.sleep(0.2)  # let the pool connect and start episode 0
             started = time.monotonic()
             pool.shutdown(cancel_futures=True)
@@ -799,7 +846,15 @@ class TestSocketBackend:
         pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.submit(fast_seo_config, 0)
+            _submit(pool, fast_seo_config, 0)
+
+    def test_submit_refuses_other_tasks(self, fast_seo_config):
+        pool = SocketWorkerPool(["127.0.0.1:1"])
+        try:
+            with pytest.raises(ValueError, match="only run_ranges"):
+                pool.submit(SerialExecutor().run_ranges, [(fast_seo_config, 0, 1)])
+        finally:
+            pool.shutdown()
 
     def test_settings_validate_socket_workers(self):
         from repro.experiments.common import ExperimentSettings

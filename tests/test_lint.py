@@ -410,13 +410,37 @@ def test_protocol_mutation_drifted_real_run_frame():
     path = SRC / "runtime" / "remote.py"
     source = path.read_text()
     assert protocol.check_protocol(load_source_file(path)) == []
-    mutated = source.replace('"episode": episode', '"episode_index": episode')
+    mutated = source.replace('"ranges": payload', '"chunk": payload')
     assert mutated != source
     violations = protocol.check_protocol(
         SourceFile(path, "runtime/remote.py", mutated, ast.parse(mutated))
     )
     assert [v.code for v in violations] == ["REPRO402"]
-    assert "missing field(s) ['episode']" in violations[0].message
+    assert "missing field(s) ['ranges']" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "code"),
+    [
+        ("[report_to_jsonable(report) for report in cell]", "list(cell)", "REPRO403"),
+        ("[report_from_jsonable(item) for item in cell]", "list(cell)", "REPRO406"),
+    ],
+)
+def test_protocol_mutation_uncoded_real_reports(old, new, code):
+    """The real worker's and dispatcher's ``reports`` must go through the
+    ledger's report codec, element by element."""
+    import ast
+
+    from repro.lint.framework import SourceFile
+
+    path = SRC / "runtime" / "remote.py"
+    source = path.read_text()
+    mutated = source.replace(old, new)
+    assert mutated != source
+    violations = protocol.check_protocol(
+        SourceFile(path, "runtime/remote.py", mutated, ast.parse(mutated))
+    )
+    assert [v.code for v in violations] == [code]
 
 
 # ----------------------------------------------------------------------

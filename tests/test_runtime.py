@@ -1,13 +1,15 @@
 """Tests for the runtime subsystem: executors and the lookup-table cache."""
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.core.framework import SEOFramework
 from repro.core.intervals import SafeIntervalEstimator
 from repro.runtime.cache import LookupTableCache, cache_key, set_default_cache
-from repro.runtime.executor import ParallelExecutor, SerialExecutor
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.sweep import SweepRunner
 
 
 @pytest.fixture
@@ -37,10 +39,12 @@ class TestSerialExecutor:
 
 
 class TestParallelExecutor:
+    """The process pool behind ``SEOFramework.run(jobs=...)`` and ``SweepRunner``."""
+
     def test_bit_identical_to_serial(self, fast_seo_config):
         """Same seeds => same energy totals, gains and delta_max samples."""
         serial = SerialExecutor().run(fast_seo_config, 4)
-        parallel = ParallelExecutor(jobs=2).run(fast_seo_config, 4)
+        parallel = SEOFramework(fast_seo_config).run(4, jobs=2)
         assert [report.episode for report in parallel] == [0, 1, 2, 3]
         for left, right in zip(serial, parallel, strict=True):
             assert left.energy_by_model_j == right.energy_by_model_j
@@ -50,20 +54,36 @@ class TestParallelExecutor:
 
     def test_bit_identical_for_gating(self, fast_seo_config):
         config = dataclasses.replace(fast_seo_config, optimization="model_gating")
-        assert ParallelExecutor(jobs=3).run(config, 3) == SerialExecutor().run(config, 3)
+        with SweepRunner(jobs=3) as runner:
+            assert runner.run_one(config, 3) == SerialExecutor().run(config, 3)
 
     def test_framework_run_jobs_parameter(self, fast_seo_config):
         framework = SEOFramework(fast_seo_config)
         assert framework.run(3, jobs=2) == framework.run(3)
 
+    def test_framework_run_caps_workers_at_episodes(self, fast_seo_config, monkeypatch):
+        from repro.runtime import sweep as sweep_module
+
+        workers = []
+
+        class RecordingRunner(SweepRunner):
+            def run(self, jobs, experiment=None):
+                workers.append(self.workers)
+                return super().run(jobs, experiment=experiment)
+
+        monkeypatch.setattr(sweep_module, "SweepRunner", RecordingRunner)
+        reports = SEOFramework(fast_seo_config).run(2, jobs=4)
+        assert workers == [2]
+        assert reports == SerialExecutor().run(fast_seo_config, 2)
+
     def test_single_job_degrades_to_serial(self, fast_seo_config):
-        assert ParallelExecutor(jobs=1).run(fast_seo_config, 2) == SerialExecutor().run(
-            fast_seo_config, 2
-        )
+        with SweepRunner(jobs=1) as runner:
+            reports = runner.run_one(fast_seo_config, 2)
+            assert runner.pools_created == 0
+        assert reports == SerialExecutor().run(fast_seo_config, 2)
 
     def test_nonpositive_jobs_uses_cpu_count(self):
-        assert ParallelExecutor(jobs=0).jobs >= 1
-
+        assert SweepRunner(jobs=0).workers == (os.cpu_count() or 1)
 
 
 class TestLookupTableCache:

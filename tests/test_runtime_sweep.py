@@ -1,18 +1,32 @@
 """Tests for the shared-pool sweep engine (`repro.runtime.sweep`)."""
 
 import dataclasses
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments.common import ExperimentSettings, run_batch, standard_config
 from repro.experiments.fig5 import FIG5_METHODS
 from repro.runtime.executor import SerialExecutor, resolve_jobs
-from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner, sweep_jobs
+from repro.runtime.sweep import (
+    EXECUTOR_BACKENDS,
+    SweepJob,
+    SweepRunner,
+    split_ranges,
+    sweep_jobs,
+)
 
 
-def _exploding_task(config, episode):
+def _exploding_task(ranges):
     """Stand-in pool task (module level, so a process pool can pickle it)."""
     raise RuntimeError("boom")
+
+
+def _dying_task(ranges):
+    """Stand-in pool task whose worker process dies while running its chunk."""
+    os._exit(1)
 
 
 def _variants(fast_seo_config):
@@ -107,12 +121,58 @@ class TestSweepRunnerParallel:
         """A raising worker task surfaces immediately and tears the pool down."""
         from repro.runtime import sweep as sweep_module
 
-        monkeypatch.setattr(sweep_module, "_run_episode_task", _exploding_task)
+        monkeypatch.setattr(sweep_module, "run_ranges", _exploding_task)
         runner = SweepRunner(jobs=2, backend="process")
         with pytest.raises(RuntimeError, match="boom"):
             runner.run(sweep_jobs({"a": fast_seo_config}, episodes=3))
         assert runner._pool is None  # cancelled and shut down, not drained
         runner.close()
+
+    def test_lost_worker_breaks_the_pool_and_a_rerun_rebuilds_it(
+        self, fast_seo_config, monkeypatch
+    ):
+        """A worker process that dies mid-chunk fails the batch promptly; the
+        next batch gets a fresh pool and the in-process reports."""
+        from repro.runtime import sweep as sweep_module
+
+        jobs = sweep_jobs(_variants(fast_seo_config), episodes=2)
+        with SweepRunner(jobs=1) as serial:
+            expected = serial.run(jobs)
+        monkeypatch.setattr(sweep_module, "run_ranges", _dying_task)
+        with SweepRunner(jobs=2, backend="process") as runner:
+            started = time.monotonic()
+            with pytest.raises(BrokenProcessPool):
+                runner.run(jobs)
+            assert time.monotonic() - started < 60.0
+            assert runner._pool is None
+            monkeypatch.undo()
+            assert runner.run(jobs) == expected
+            assert runner.pools_created == 2
+
+
+class TestSplitRanges:
+    @pytest.mark.parametrize(
+        ("episodes", "parts"), [((2, 2, 2, 2), 3), ((5,), 2), ((1, 4, 2), 4), ((1,), 8)]
+    )
+    def test_chunks_cover_every_episode_once_in_order(self, episodes, parts):
+        ranges = [(f"unit{index}", 0, count) for index, count in enumerate(episodes)]
+        chunks = split_ranges(ranges, parts)
+        flat = [
+            (item, episode)
+            for chunk in chunks
+            for item, start, stop in chunk
+            for episode in range(start, stop)
+        ]
+        assert flat == [
+            (item, episode) for item, start, stop in ranges for episode in range(start, stop)
+        ]
+        sizes = [sum(stop - start for _, start, stop in chunk) for chunk in chunks]
+        assert len(chunks) == min(parts, sum(episodes))
+        assert max(sizes) - min(sizes) <= 1
+        assert all(stop > start for chunk in chunks for _, start, stop in chunk)
+
+    def test_ranges_keep_their_start(self):
+        assert split_ranges([("a", 3, 7)], 2) == [[("a", 3, 5)], [("a", 5, 7)]]
 
 
 class TestExecutorBackends:
@@ -271,6 +331,32 @@ class TestLockstepMerging:
             batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [1] * len(configs)
         assert batch == alone
+
+    def test_socket_workers_run_merged_chunks(self, executor_spy):
+        """Fig. 5's four compatible units reach three socket workers as three
+        merged engine calls, one per chunk, with the in-process reports."""
+        from repro.runtime.remote import WorkerServer
+
+        configs = self._fig5_configs()
+        with SweepRunner(jobs=1) as runner:
+            expected = runner.run(sweep_jobs(configs, episodes=2))
+        executor_spy.calls.clear()
+        servers = [WorkerServer() for _ in range(3)]
+        try:
+            with SweepRunner(
+                backend="socket", workers=[server.address for server in servers]
+            ) as runner:
+                batch = runner.run(sweep_jobs(configs, episodes=2))
+        finally:
+            for server in servers:
+                server.stop()
+        assert batch == expected
+        label_of = {config: label for label, config in configs.items()}
+        chunks = split_ranges([(label, 0, 2) for label in configs], 3)
+        assert sorted(
+            [label_of[framework.config] for framework in call]
+            for call in executor_spy.calls
+        ) == sorted([label for label, _, _ in chunk] for chunk in chunks)
 
     def test_resume_merges_the_units_left_to_run(self, tmp_path, monkeypatch):
         from repro.runtime.ledger import RunLedger
