@@ -79,7 +79,10 @@ class PurePursuitController(Controller):
             np.asarray(target_speeds_mps, dtype=float)
             - np.asarray(speeds_mps, dtype=float)
         )
-        return np.clip(steering, -1.0, 1.0), np.clip(throttle, -1.0, 1.0)
+        return (
+            np.minimum(np.maximum(steering, -1.0), 1.0),
+            np.minimum(np.maximum(throttle, -1.0), 1.0),
+        )
 
     def act_from_inputs(self, inputs: ControlInputs) -> ControlAction:
         """Scalar facade: a 1-element view of :meth:`act_batch`."""

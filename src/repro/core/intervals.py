@@ -246,11 +246,12 @@ class SafeIntervalEstimator:
         heading = np.zeros(count)
         speed = speeds_mps.copy()
 
-        steer_rad = np.clip(steerings, -1.0, 1.0) * params.max_steer_rad
+        steer_rad = np.minimum(np.maximum(steerings, -1.0), 1.0) * params.max_steer_rad
+        throttle = np.minimum(np.maximum(throttles, -1.0), 1.0)
         accel = np.where(
             throttles >= 0.0,
-            np.clip(throttles, -1.0, 1.0) * params.max_accel_mps2,
-            np.clip(throttles, -1.0, 1.0) * params.max_brake_mps2,
+            throttle * params.max_accel_mps2,
+            throttle * params.max_brake_mps2,
         )
 
         steps = int(round(self.horizon_s / self.step_s))

@@ -236,7 +236,7 @@ class DeadlineLookupTable:
         mask = (distances_m < NO_OBSTACLE_DISTANCE_M) & (
             distances_m < self.grid.max_distance_m
         )
-        if not np.any(mask):
+        if not np.count_nonzero(mask):
             return out
 
         distance_grid, bearing_grid, speed_grid, steering_grid, throttle_grid = self._axes
@@ -244,35 +244,34 @@ class DeadlineLookupTable:
         d = distances_m[mask]
         b = bearings_rad[mask]
         v = speeds_mps[mask]
-        s = np.clip(steerings[mask], -1.0, 1.0)
-        u = np.clip(throttles[mask], -1.0, 1.0)
+        s = np.minimum(np.maximum(steerings[mask], -1.0), 1.0)
+        u = np.minimum(np.maximum(throttles[mask], -1.0), 1.0)
 
         # Conservative quantization: distance rounds down, speed rounds up.
-        distance_index = np.clip(
-            np.searchsorted(distance_grid, d, side="right") - 1,
-            0,
+        distance_index = np.minimum(
+            np.maximum(distance_grid.searchsorted(d, side="right") - 1, 0),
             distance_grid.size - 1,
         )
-        speed_index = np.clip(
-            np.searchsorted(speed_grid, v, side="left"), 0, speed_grid.size - 1
+        speed_index = np.minimum(
+            np.maximum(speed_grid.searchsorted(v, side="left"), 0), speed_grid.size - 1
         )
         bearing_error = wrap_angle(bearing_grid[None, :] - b[:, None])
-        bearing_index = np.argmin(np.abs(bearing_error), axis=1)
-        steer_index = np.argmin(np.abs(steering_grid[None, :] - s[:, None]), axis=1)
-        throttle_index = np.argmin(
-            np.abs(throttle_grid[None, :] - u[:, None]), axis=1
-        )
+        bearing_index = np.abs(bearing_error).argmin(axis=1)
+        steer_index = np.abs(steering_grid[None, :] - s[:, None]).argmin(axis=1)
+        throttle_index = np.abs(throttle_grid[None, :] - u[:, None]).argmin(axis=1)
 
         # Neighbourhood minimum, as in the scalar path.  Edge bins clip the
         # neighbour index instead of shrinking the slice; the duplicated
         # entries cannot change the minimum.
         neighbours = np.arange(-1, 2)
         bearing_nb = (bearing_index[:, None] + neighbours[None, :]) % bearing_grid.size
-        steer_nb = np.clip(
-            steer_index[:, None] + neighbours[None, :], 0, steering_grid.size - 1
+        steer_nb = np.minimum(
+            np.maximum(steer_index[:, None] + neighbours[None, :], 0),
+            steering_grid.size - 1,
         )
-        throttle_nb = np.clip(
-            throttle_index[:, None] + neighbours[None, :], 0, throttle_grid.size - 1
+        throttle_nb = np.minimum(
+            np.maximum(throttle_index[:, None] + neighbours[None, :], 0),
+            throttle_grid.size - 1,
         )
         cell = self.values[
             distance_index[:, None, None, None],
@@ -281,7 +280,7 @@ class DeadlineLookupTable:
             steer_nb[:, None, :, None],
             throttle_nb[:, None, None, :],
         ]
-        out[mask] = cell.min(axis=(1, 2, 3))
+        out[mask] = np.minimum.reduce(cell, axis=(1, 2, 3))
         return out
 
     def __call__(self, inputs: SafetyInputs, control: ControlAction) -> float:

@@ -71,9 +71,9 @@ class ModeRows(NamedTuple):
             sensor_gating=names == "sensor_gating",
         )
 
-    def take(self, rows: np.ndarray) -> "ModeRows":
-        """The methods of ``rows``."""
-        return ModeRows(*(column[rows] for column in self))
+    def head(self, count: int) -> "ModeRows":
+        """The methods of the first ``count`` rows, as views."""
+        return ModeRows(*(column[:count] for column in self))
 
 
 class PeriodOutcome(NamedTuple):

@@ -57,9 +57,9 @@ DeadlineProvider = Callable[[SafetyInputs, ControlAction], float]
 class SchedulerState:
     """Structure-of-arrays per-episode interval state of Algorithm 1.
 
-    All arrays are indexed by episode; ``done`` and ``pending`` have one
-    column per optimizable (Lambda') model, in ``model_set.optimizable``
-    order.
+    All arrays are indexed by row (one per episode); ``done`` and
+    ``pending`` have one column per optimizable (Lambda') model, in
+    ``model_set.optimizable`` order.
     """
 
     interval_index: np.ndarray  #: (N,) int64 — index of the current interval
@@ -83,6 +83,10 @@ class SchedulerState:
             pending=np.zeros((count, optimizable_count), dtype=np.int64),
         )
 
+    def row_arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array of the state; each has one row per episode."""
+        return tuple(vars(self).values())
+
 
 @kernel_contract(deadlines_s="(N,) float64", returns="(N,) int64")
 def discretized_deadline_kernel(
@@ -97,12 +101,12 @@ def discretized_deadline_kernel(
     tolerance) round to the nearest period, everything else floors.
     """
     ratio = np.maximum(0.0, np.asarray(deadlines_s, dtype=float)) / tau_s
-    nearest = np.round(ratio)
+    nearest = ratio.round()
     exact = np.abs(ratio - nearest) <= _MULTIPLE_TOLERANCE * np.maximum(
         1.0, np.abs(nearest)
     )
     periods = np.where(exact, nearest, np.floor(ratio))
-    return np.clip(periods, 0, max_deadline_periods).astype(np.int64)
+    return np.minimum(np.maximum(periods, 0), max_deadline_periods).astype(np.int64)
 
 
 @kernel_contract(
@@ -119,10 +123,10 @@ def begin_interval_kernel(
     max_deadline_periods: int,
     delta_i_opt: np.ndarray,
 ) -> np.ndarray:
-    """Start a new safe interval for ``indices`` (Algorithm 1 lines 7-11).
+    """Start a new safe interval for the rows ``indices`` (Algorithm 1 lines 7-11).
 
-    ``deadlines_s`` holds the freshly sampled ``Delta_max`` of each episode
-    in ``indices``; ``delta_i_opt`` the ``(M,)`` discretized periods of the
+    ``deadlines_s`` holds the freshly sampled ``Delta_max`` of each row in
+    ``indices``; ``delta_i_opt`` the ``(M,)`` discretized periods of the
     optimizable models.  Models with no viable optimization window
     (``delta_i >= delta_max``) are done immediately; they simply keep
     running at their natural period.  Offload responses still pending are
@@ -173,29 +177,40 @@ def full_slot_kernel(
     )
 
 
-@kernel_contract(indices="(I,) int64", delta_i_opt="(M,) int64")
+@kernel_contract(
+    done="(I, M) bool",
+    interval_step="(I,) int64",
+    delta_max="(I,) int64",
+    delta_i_opt="(M,) int64",
+)
 def deadline_done_kernel(
-    state: SchedulerState, indices: np.ndarray, delta_i_opt: np.ndarray
+    done: np.ndarray,
+    interval_step: np.ndarray,
+    delta_max: np.ndarray,
+    delta_i_opt: np.ndarray,
 ) -> None:
-    """Mark models whose mandatory slot was reached as done (lines 18-19)."""
-    delta_max = state.delta_max[indices]
-    reached = (delta_i_opt[None, :] < delta_max[:, None]) & (
-        state.interval_step[indices][:, None]
-        == delta_max[:, None] - delta_i_opt[None, :]
+    """Mark models whose mandatory slot was reached as done (lines 18-19).
+
+    Updates ``done`` in place; the arrays are rows of a
+    :class:`SchedulerState` (the lockstep engine passes its live prefix).
+    """
+    done |= (delta_i_opt[None, :] < delta_max[:, None]) & (
+        interval_step[:, None] == delta_max[:, None] - delta_i_opt[None, :]
     )
-    state.done[indices] |= reached
 
 
-@kernel_contract(indices="(I,) int64")
-def finish_period_kernel(state: SchedulerState, indices: np.ndarray) -> None:
-    """End-of-period bookkeeping (lines 22-24).
+@kernel_contract(done="(I, M) bool", new_delta="(I,) bool", interval_step="(I,) int64")
+def finish_period_kernel(
+    done: np.ndarray, new_delta: np.ndarray, interval_step: np.ndarray
+) -> None:
+    """End-of-period bookkeeping (lines 22-24), in place on rows of a state.
 
     Once every optimizable model met its deadline the safe interval ends and
     a new ``Delta_max`` is sampled next period; the interval step advances
     either way.
     """
-    state.new_delta[indices] |= state.done[indices].all(axis=1)
-    state.interval_step[indices] += 1
+    new_delta |= np.logical_and.reduce(done, axis=1)
+    interval_step += 1
 
 
 
@@ -274,6 +289,14 @@ class EnergyColumns:
             misses=np.zeros(count, dtype=np.int64),
         )
 
+    def row_arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array with one row per episode (not the per-model ``compute_j``)."""
+        return (
+            self.measurement_j, self.mechanical_j, self.used, self.baseline,
+            self.transmission, self.used_total, self.baseline_total,
+            self.offloads, self.misses,
+        )
+
     def report_fields(self, row: int) -> dict[str, Any]:
         """The :class:`~repro.core.framework.EpisodeReport` energy fields of one row.
 
@@ -310,7 +333,6 @@ class EnergyColumns:
 
 
 @kernel_contract(
-    indices="(I,) int64",
     natural="(K,) bool",
     compute_j="(I, M) float64",
     transmission_j="(I, M) float64",
@@ -320,7 +342,6 @@ class EnergyColumns:
 )
 def charge_period_kernel(
     energy: EnergyColumns,
-    indices: np.ndarray,
     natural: np.ndarray,
     compute_j: np.ndarray,
     transmission_j: np.ndarray,
@@ -328,8 +349,10 @@ def charge_period_kernel(
     issue: np.ndarray,
     missed: np.ndarray,
 ) -> None:
-    """Charge one base period of ``indices`` to ``energy``.
+    """Charge one base period to the first ``I`` rows of ``energy``.
 
+    The rows charged are the live prefix: the lockstep engine keeps its
+    live episodes in the leading rows, and the 1-row scheduler has one.
     Critical models run locally at every ``natural`` slot; the Lambda'
     columns take the period kernel's compute and measurement energies and
     the transmission energy of the offloads issued.  The baseline charges
@@ -341,31 +364,30 @@ def charge_period_kernel(
     no sensor power) are skipped: adding ``0.0`` changes no sum, so rows
     without sensor power may share a call with rows that have it.
     """
+    rows = compute_j.shape[0]
     first = energy.critical_count
-    offloaded = bool(issue.any())
+    offloaded = np.count_nonzero(issue) > 0
     sensed = energy.sensed
     natural_compute = np.where(natural, energy.compute_j, 0.0)
-    used = energy.used[indices]
+    used = energy.used[:rows]
     used[:, :first] += natural_compute[:first]
     used[:, first:] += compute_j
     if offloaded:
         used[:, first:] += transmission_j
     if sensed:
-        sensor_j = energy.measurement_j[indices]
-        mechanical_j = energy.mechanical_j[indices]
+        sensor_j = energy.measurement_j[:rows]
+        mechanical_j = energy.mechanical_j[:rows]
         used[:, :first] += sensor_j[:, :first]
         used[:, first:] += measurement_j
         used += mechanical_j
-    energy.used[indices] = used
-    baseline = energy.baseline[indices]
+    baseline = energy.baseline[:rows]
     if sensed:
         baseline += sensor_j
         baseline += mechanical_j
     baseline += natural_compute
-    energy.baseline[indices] = baseline
 
-    used_total = energy.used_total[indices]
-    baseline_total = energy.baseline_total[indices]
+    used_total = energy.used_total[:rows]
+    baseline_total = energy.baseline_total[:rows]
     for j in range(first, len(natural)):
         used_total += compute_j[:, j - first]
         if offloaded:
@@ -376,12 +398,10 @@ def charge_period_kernel(
             baseline_total += sensor_j[:, j]
             baseline_total += mechanical_j[:, j]
         baseline_total += natural_compute[j]
-    energy.used_total[indices] = used_total
-    energy.baseline_total[indices] = baseline_total
     if offloaded:
-        energy.transmission[indices] += transmission_j
-        energy.offloads[indices] += issue.sum(axis=1)
-        energy.misses[indices] += missed.sum(axis=1)
+        energy.transmission[:rows] += transmission_j
+        energy.offloads[:rows] += np.add.reduce(issue, axis=1)
+        energy.misses[:rows] += np.add.reduce(missed, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +551,6 @@ class SafeRuntimeScheduler:
         state.pending[:] = pending
         charge_period_kernel(
             self.energy,
-            self._indices,
             natural,
             outcome.compute_j,
             transmission,
@@ -554,7 +573,9 @@ class SafeRuntimeScheduler:
         # Lines 18-19 and 22-23: mandatory slots mark their model done; once
         # every optimizable model met its deadline, the safe interval ends
         # and a new Delta_max is sampled next period.
-        deadline_done_kernel(state, self._indices, self._delta_i_opt)
-        finish_period_kernel(state, self._indices)
+        deadline_done_kernel(
+            state.done, state.interval_step, state.delta_max, self._delta_i_opt
+        )
+        finish_period_kernel(state.done, state.new_delta, state.interval_step)
         self._global_step += 1
         return report

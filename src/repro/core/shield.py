@@ -145,6 +145,10 @@ class SteeringShield:
 
         obstacle_present = distances < NO_OBSTACLE_DISTANCE_M
         passthrough = ~obstacle_present | (h_values >= self.intervention_margin_m)
+        if np.count_nonzero(passthrough) == passthrough.size:
+            # No row needs the shield: every raw action passes as it is,
+            # which is what the blend below selects for passthrough rows.
+            return steerings.copy(), throttles.copy(), np.zeros(passthrough.shape, dtype=bool)
 
         # A zero ramp band means the shield only ever acts at h < 0, where
         # the override is total.
@@ -199,8 +203,8 @@ class SteeringShield:
             corrective_throttle,
             (1.0 - severity) * throttles + severity * shielded_throttle,
         )
-        blended_steering = np.clip(blended_steering, -1.0, 1.0)
-        blended_throttle = np.clip(blended_throttle, -1.0, 1.0)
+        blended_steering = np.minimum(np.maximum(blended_steering, -1.0), 1.0)
+        blended_throttle = np.minimum(np.maximum(blended_throttle, -1.0), 1.0)
 
         filtered_steering = np.where(passthrough, steerings, blended_steering)
         filtered_throttle = np.where(passthrough, throttles, blended_throttle)

@@ -52,53 +52,47 @@ def rk4_plant_batch(
 
     Returns the updated ``(xs, ys, headings_rad, speeds_mps)`` arrays.
     """
-    st = np.clip(steerings, -1.0, 1.0)
-    th = np.clip(throttles, -1.0, 1.0)
+    st = np.minimum(np.maximum(steerings, -1.0), 1.0)
+    th = np.minimum(np.maximum(throttles, -1.0), 1.0)
     steer_rad = st * params.max_steer_rad
     accel = np.where(
         th >= 0.0, th * params.max_accel_mps2, th * params.max_brake_mps2
     )
     tan_arr = np.tan(steer_rad)
     wheelbase = params.wheelbase_m
-    x0 = xs
-    y0 = ys
-    h0 = headings_rad
-    v0 = speeds_mps
     half = 0.5 * dt
 
-    sp1 = np.where(v0 > 0.0, v0, 0.0)
-    k1x = sp1 * np.cos(h0)
-    k1y = sp1 * np.sin(h0)
-    k1h = sp1 * tan_arr / wheelbase
+    def rates(heading: np.ndarray, speed: np.ndarray) -> np.ndarray:
+        """One stage's ``(x, y, heading, speed)`` rates, stacked ``(4, N)``.
 
-    h2 = h0 + half * k1h
+        ``speed`` is the stage's speed clamped at zero.
+        """
+        return np.array((
+            speed * np.cos(heading),
+            speed * np.sin(heading),
+            speed * tan_arr / wheelbase,
+            accel,
+        ))
+
+    h0 = headings_rad
+    v0 = speeds_mps
+    k1 = rates(h0, np.where(v0 > 0.0, v0, 0.0))
     v2 = v0 + half * accel
     sp2 = np.where(v2 > 0.0, v2, 0.0)
-    k2x = sp2 * np.cos(h2)
-    k2y = sp2 * np.sin(h2)
-    k2h = sp2 * tan_arr / wheelbase
-
-    h3 = h0 + half * k2h
-    v3 = v0 + half * accel
-    sp3 = np.where(v3 > 0.0, v3, 0.0)
-    k3x = sp3 * np.cos(h3)
-    k3y = sp3 * np.sin(h3)
-    k3h = sp3 * tan_arr / wheelbase
-
-    h4 = h0 + dt * k3h
+    k2 = rates(h0 + half * k1[2], sp2)
+    # Stage 3 evaluates the speed at the same half step as stage 2
+    # (``v0 + half * accel``), so it reuses stage 2's clamped speed.
+    k3 = rates(h0 + half * k2[2], sp2)
     v4 = v0 + dt * accel
-    sp4 = np.where(v4 > 0.0, v4, 0.0)
-    k4x = sp4 * np.cos(h4)
-    k4y = sp4 * np.sin(h4)
-    k4h = sp4 * tan_arr / wheelbase
-
-    sixth = dt / 6.0
-    xn = x0 + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    yn = y0 + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    hn = h0 + sixth * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-    vn = v0 + sixth * (accel + 2.0 * accel + 2.0 * accel + accel)
+    k4 = rates(h0 + dt * k3[2], np.where(v4 > 0.0, v4, 0.0))
+    # The four state components advance in one stacked update; each row is
+    # the expanded RK4 sum ``x0 + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``.
+    xn, yn, hn, vn = np.array((xs, ys, h0, v0)) + dt / 6.0 * (
+        k1 + 2.0 * k2 + 2.0 * k3 + k4
+    )
     hn = wrap_angle(hn)
-    vn = np.clip(vn, 0.0, params.max_speed_mps)
+    # The -0.0 normalization below also covers the zero min/max may keep.
+    vn = np.minimum(np.maximum(vn, 0.0), params.max_speed_mps)
     vn = np.where(vn == 0.0, 0.0, vn)
     return xn, yn, hn, vn
 

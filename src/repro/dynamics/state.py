@@ -30,9 +30,13 @@ def wrap_angle(angle_rad: float | np.ndarray) -> float | np.ndarray:
     The array path mirrors the scalar branch structure exactly (including
     the pass-through of already-in-range values) so both produce bitwise
     identical results element by element; ``np.fmod`` matches ``math.fmod``.
+    An array already inside the interval is returned as a copy without the
+    wrap arithmetic; the result never aliases the input.
     """
     if isinstance(angle_rad, np.ndarray):
         inside = (angle_rad > -math.pi) & (angle_rad <= math.pi)
+        if np.count_nonzero(inside) == inside.size:
+            return angle_rad.copy()
         wrapped = np.fmod(angle_rad + math.pi, 2.0 * math.pi)
         wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * math.pi, wrapped)
         return np.where(inside, angle_rad, wrapped - math.pi)

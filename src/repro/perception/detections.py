@@ -34,12 +34,13 @@ def nearest_per_row(
     counts = np.asarray(counts, dtype=np.int64)
     distances = np.asarray(distances, dtype=float)
     has = counts > 0
-    if not has.any():
+    filled = np.count_nonzero(has)
+    if not filled:
         return has, np.zeros(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1][has]
+    offsets = (np.add.accumulate(counts) - counts)[has]
     minima = np.minimum.reduceat(distances, offsets)
-    row_of = np.repeat(np.arange(int(has.sum())), counts[has])
-    candidates = np.nonzero(distances == minima[row_of])[0]
+    row_of = np.arange(filled).repeat(counts[has])
+    candidates = (distances == minima[row_of]).nonzero()[0]
     # First candidate per row: ``row_of[candidates]`` is sorted (flat
     # row-major order), so run starts mark the first occurrences.
     candidate_rows = row_of[candidates]

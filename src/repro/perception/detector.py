@@ -42,10 +42,10 @@ def group_scan_rows(
     Vectorized replacement for the serial ``for j in range(num_beams + 1)``
     grouping loop: a beam is a hit when its range is below ``threshold``,
     and maximal runs of consecutive hits form one group each.  Group
-    boundaries come from ``np.diff`` on the zero-padded hit mask, and the
-    per-group closest beam from ``np.minimum.reduceat`` (min over floats is
-    order-independent, and the first-occurrence tie-break matches the serial
-    ``np.argmin`` per group).
+    boundaries come from the column differences of the zero-padded hit
+    mask, and the per-group closest beam from ``np.minimum.reduceat`` (min
+    over floats is order-independent, and the first-occurrence tie-break
+    matches the serial ``np.argmin`` per group).
 
     Returns:
         ``(row, start, length, best_offset, best_distance)`` arrays with one
@@ -56,20 +56,20 @@ def group_scan_rows(
     num_rows, num_beams = rows.shape
     padded = np.zeros((num_rows, num_beams + 2), dtype=np.int8)
     padded[:, 1:-1] = rows < threshold
-    edges = np.diff(padded, axis=1)
-    group_row, start = np.nonzero(edges == 1)
-    _, stop = np.nonzero(edges == -1)
+    edges = padded[:, 1:] - padded[:, :-1]
+    group_row, start = (edges == 1).nonzero()
+    _, stop = (edges == -1).nonzero()
     length = stop - start
     num_groups = group_row.size
     if num_groups == 0:
         empty_i = np.zeros(0, dtype=np.int64)
         return empty_i, empty_i, empty_i, empty_i, np.zeros(0, dtype=float)
-    offsets = np.concatenate(([0], np.cumsum(length)))
-    group_of = np.repeat(np.arange(num_groups), length)
-    within = np.arange(int(offsets[-1])) - np.repeat(offsets[:-1], length)
+    offsets = np.concatenate(([0], np.add.accumulate(length)))
+    group_of = np.arange(num_groups).repeat(length)
+    within = np.arange(int(offsets[-1])) - offsets[:-1].repeat(length)
     values = rows[group_row[group_of], start[group_of] + within]
     group_min = np.minimum.reduceat(values, offsets[:-1])
-    candidates = np.nonzero(values == group_min[group_of])[0]
+    candidates = (values == group_min[group_of]).nonzero()[0]
     # First candidate per group: ``group_of[candidates]`` is sorted (flat
     # row-major order), so run starts mark the first occurrences.
     candidate_groups = group_of[candidates]

@@ -58,23 +58,30 @@ pins the reports themselves.  Three disciplines keep the rows independent:
   episode through its own row of a :class:`~repro.streams.DrawStream`.  A
   stream refills its buffers with *sized* draws, which yield exactly the
   values of scalar draws, and keeps one cursor per episode, so a frame's
-  draws for all episodes are one gather (per model for dropout and noise)
+  draws for all episodes are one gather (per model for detector noise)
   instead of one generator call per episode.  Within an episode the draws
-  keep a fixed order: the offload draws of a frame are taken in pipeline
-  order, and the dropout and noise loops visit models in pipeline order.
-  The detector streams share one buffer per detector: every episode's
-  detector generator is seeded with the same ``detector.seed``.  Rows
-  that never offload retire from the offload stream up front.
+  keep a fixed order: the offload and dropout draws of a frame are taken
+  in pipeline order (row-major over the ``(episode, model)`` mask), and
+  the noise loop visits models in pipeline order.  The detector streams
+  share one buffer per detector: every episode's detector generator is
+  seeded with the same ``detector.seed``.  Rows that never offload retire
+  from the offload stream up front.
 * **Masking, not branching.** Per-frame decisions are evaluated as boolean
-  masks over the active set (the latest-detection ledger is a set of
-  per-``(episode, model)`` nearest/staleness/insertion-rank arrays), and
-  episodes that terminate (collision, road exit, route completion) are
-  removed from the ``active`` index list.  A finished episode's state is
-  frozen at its terminal frame.
+  masks over the live rows; pass 2's ledger update (dropout, insertion
+  ranks, staleness) is whole-``(m, M)`` mask algebra over the
+  latest-detection ledger, a set of per-``(episode, model)``
+  nearest/staleness/insertion-rank arrays.  The live episodes are the
+  prefix ``[:m]`` of every per-row array, so a frame reads and writes them
+  through slices; ``order[:m]`` maps positions to episode rows for the
+  draw streams and the reports.  A frame in which episodes terminate
+  (collision, road exit, route completion) moves them behind the live
+  rows with one stable partition, which freezes a finished episode's
+  state at its terminal frame.
 
-Still per-episode in the frame loop: refills of exhausted draw streams,
-the moving-obstacle ``position_at`` updates and the ``delta_max`` sample
-appends.
+Still per-episode in the frame loop: refills of exhausted draw streams and
+the moving-obstacle ``position_at`` updates.  The ``delta_max`` samples go
+to one flat ``(row, period)`` log, split per row when the reports are
+built.
 """
 
 from __future__ import annotations
@@ -229,6 +236,7 @@ def run_cells(
         [[obstacle.radius_m for obstacle in world.obstacles] for world in worlds],
         dtype=float,
     ).reshape(n, K)
+    # Indexed by episode row (not by position: see ``order`` below).
     moving = [
         [(k, o) for k, o in enumerate(world.obstacles) if o.motion is not None]
         for world in worlds
@@ -271,20 +279,13 @@ def run_cells(
     # ------------------------------------------------------------------
     # Detectors: one shared scan per episode per frame feeds every detector
     # that needs a fresh output (the scan is a pure function of the
-    # pre-step world).  Each detector's noise source has one row per
-    # episode, every row replaying the detector seed as ``reset()`` does.
+    # pre-step world; every detector holds the same scanner).  Each
+    # detector's noise source has one row per episode, every row replaying
+    # the detector seed as ``reset()`` does.
     # ------------------------------------------------------------------
-    det_items = list(framework.detectors.items())
-    if not det_items:  # pragma: no cover - SEOFramework always builds detectors
-        raise ValueError("batch engine requires at least one detector")
-    scanner = det_items[0][1].scanner
-    for _, detector in det_items:
-        if detector.scanner != scanner:
-            raise NotImplementedError(
-                "batch engine requires all detectors to share one scanner"
-            )
     detectors = framework.detectors
-    det_noise = {name: detector.noise_source(n) for name, detector in det_items}
+    scanner = next(iter(detectors.values())).scanner
+    det_noise = {name: detector.noise_source(n) for name, detector in detectors.items()}
     # A finished episode retires from every stream, so it stops holding
     # its seed group's draws.
     draw_streams = [
@@ -335,15 +336,10 @@ def run_cells(
     # state is one SchedulerState row per episode).
     # ------------------------------------------------------------------
     sched = SchedulerState.create(n, num_opt)
-    samples: list[list[int]] = [[] for _ in range(n)]
     dropouts = np.zeros(n, dtype=np.int64)
     unsafe = np.zeros(n, dtype=np.int64)
     interventions = np.zeros(n, dtype=np.int64)
     min_dist = np.full(n, float("inf"), dtype=float)
-    steps_count = np.full(n, config.max_steps, dtype=np.int64)
-    finished_f = np.zeros(n, dtype=bool)
-    collided_f = np.zeros(n, dtype=bool)
-    offroad_f = np.zeros(n, dtype=bool)
     # Latest-detection ledger, structure-of-arrays over (episode, model):
     # presence/nearest/staleness columns plus an insertion *rank*, the order
     # in which each model first produced an output in that episode.  The
@@ -356,71 +352,98 @@ def run_cells(
     det_stale_flag = np.zeros((n, num_opt), dtype=bool)
     det_rank = np.zeros((n, num_opt), dtype=np.int64)
     det_next_rank = np.zeros(n, dtype=np.int64)
-    scan_pos = np.zeros(n, dtype=np.int64)
     proj_s, proj_d = centerline.project_batch(xs, ys)
 
-    si_d = np.zeros(n, dtype=float)
-    si_b = np.zeros(n, dtype=float)
-    ctrl_s = np.zeros(n, dtype=float)
-    ctrl_t = np.zeros(n, dtype=float)
+    # Live episodes are the prefix ``[:m]`` of every per-row array, so a
+    # frame reads and writes them through slices.  ``order[p]`` is the
+    # episode row at position ``p``: it names the row's draw-stream rows
+    # and report.  A frame in which episodes end moves them behind the
+    # live ones with one stable partition of every array below.
+    order = np.arange(n)
+    m = n
+    row_state = (
+        order, xs, ys, hs, vs, proj_s, proj_d, obs_x, obs_y, obs_r,
+        filtered, lookup_rows, exact_rows, *modes,
+        *sched.row_arrays(), *energy.row_arrays(),
+        dropouts, unsafe, interventions, min_dist,
+        det_present, det_nonempty, det_best_d, det_best_b, det_stale_flag,
+        det_rank, det_next_rank,
+    )
+    # Written once per episode, when it ends; indexed by episode row.
+    steps_count = np.full(n, config.max_steps, dtype=np.int64)
+    finished_f = np.zeros(n, dtype=bool)
+    collided_f = np.zeros(n, dtype=bool)
+    offroad_f = np.zeros(n, dtype=bool)
+    # ``delta_max`` log: the episode rows and periods of each frame's new
+    # intervals, split per row when the reports are built.
+    sample_rows: list[np.ndarray] = []
+    sample_periods: list[np.ndarray] = []
 
-    # Per-frame constants, sliced to the live count.
+    # Per-frame constants, sliced to the live count (read-only).
     rank_max = np.iinfo(np.int64).max
     target_rows = np.full(n, target_speed, dtype=float)
+    zeros = np.zeros(n, dtype=float)
+    no_obstacle = np.full(n, NO_OBSTACLE_DISTANCE_M, dtype=float)
+    no_transmission = np.zeros((n, num_opt), dtype=float)
+    no_miss = np.zeros((n, num_opt), dtype=bool)
+    no_collision = np.zeros(n, dtype=bool)
     row_numbers = np.arange(n)
+    flat_rows = row_numbers * num_opt
+    # Scan row of each position that needs a scan this frame.
+    scan_pos = np.zeros(n, dtype=np.int64)
 
     spent = dict.fromkeys(_PHASES, 0.0) if timings is not None else None
     stamp = 0.0
     time_s = 0.0
-    active = list(range(n))
 
     for t in range(config.max_steps):
-        if not active:
+        if not m:
             break
-        idx = np.array(active, dtype=int)
-        m = len(active)
         if spent is not None:
             stamp = perf_counter()
+        x_act = xs[:m]
+        y_act = ys[:m]
+        h_act = hs[:m]
+        v_act = vs[:m]
 
         # ---- Nearest-obstacle view kernel (scan/view sub-phase) ----
         if K:
             dist_b, bear_b, _nearest = World.nearest_obstacle_view_batch(
-                xs[idx], ys[idx], hs[idx], obs_x[idx], obs_y[idx], obs_r[idx]
+                x_act, y_act, h_act, obs_x[:m], obs_y[:m], obs_r[:m]
             )
         else:
-            dist_b = np.full(m, NO_OBSTACLE_DISTANCE_M, dtype=float)
-            bear_b = np.zeros(m, dtype=float)
+            dist_b = no_obstacle[:m]
+            bear_b = zeros[:m]
         if spent is not None:
             stamp = _lap(spent, "scan_view", stamp)
 
         # ---- Pass 1: perception aggregate -> safety state -> control ----
         # Nearest detection across models: masked distance minimum, ties to
         # the lowest insertion rank (see the ledger comment above).
-        candidates = det_nonempty[idx]
-        dist_masked = np.where(candidates, det_best_d[idx], np.inf)
-        nearest_dist = dist_masked.min(axis=1)
+        candidates = det_nonempty[:m]
+        dist_masked = np.where(candidates, det_best_d[:m], np.inf)
+        nearest_dist = np.minimum.reduce(dist_masked, axis=1)
         has_det = np.isfinite(nearest_dist)
         is_nearest = candidates & (dist_masked == nearest_dist[:, None])
-        rank_masked = np.where(is_nearest, det_rank[idx], rank_max)
-        model_sel = np.argmin(rank_masked, axis=1)
-        det_d = np.where(has_det, det_best_d[idx, model_sel], 0.0)
-        det_bg = np.where(has_det, det_best_b[idx, model_sel], 0.0)
-        det_stale = has_det & det_stale_flag[idx, model_sel]
+        # Rows without a detection read an arbitrary held column: the
+        # controller ignores the detection inputs of rows without one.
+        model_sel = np.where(is_nearest, det_rank[:m], rank_max).argmin(axis=1)
+        held = flat_rows[:m] + model_sel
+        det_d = det_best_d.reshape(-1)[held]
+        det_bg = det_best_b.reshape(-1)[held]
+        det_stale = det_stale_flag.reshape(-1)[held]
 
-        v_act = vs[idx]
-        h_act = hs[idx]
-        lat_act = proj_d[idx]
+        lat_act = proj_d[:m]
         if straight:
-            heading_err = wrap_angle(h_act - 0.0)
-            curv_act = np.zeros(m, dtype=float)
+            heading_err = wrap_angle(h_act)
+            curv_act = zeros[:m]
         else:
-            s_cl = np.minimum(np.maximum(proj_s[idx], 0.0), length_m)
-            heading_err = wrap_angle(h_act - centerline.heading_at_batch(s_cl))
-            curv_act = centerline.curvature_at_batch(s_cl)
+            road_heading, curv_act = centerline.heading_curvature_at_batch(proj_s[:m])
+            heading_err = wrap_angle(h_act - road_heading)
 
         h_vals = barrier.evaluate_batch(dist_b, bear_b, v_act)
-        min_dist[idx] = np.minimum(min_dist[idx], dist_b)
-        unsafe[idx] += h_vals < 0.0
+        np.minimum(min_dist[:m], dist_b, out=min_dist[:m])
+        unsafe[:m] += h_vals < 0.0
 
         target_act = target_rows[:m]
         if heuristic_controller:
@@ -437,160 +460,146 @@ def run_cells(
             h_vals, dist_b, bear_b, v_act, lat_act, half_width, raw_s, raw_t
         )
         # Unfiltered rows drive the raw control.
-        keep = filtered[idx]
+        keep = filtered[:m]
         fs = np.where(keep, fs, raw_s)
         ft = np.where(keep, ft, raw_t)
-        interventions[idx] += intervened & keep
-
-        si_d[idx] = dist_b
-        si_b[idx] = bear_b
-        ctrl_s[idx] = fs
-        ctrl_t[idx] = ft
+        interventions[:m] += intervened & keep
         if spent is not None:
             stamp = _lap(spent, "decision", stamp)
 
         # ---- Deadline sampling for episodes starting a safe interval ----
         # Safety-oblivious rows keep the horizon; the others read their
         # source on their subset of the starting episodes.
-        start_eps = idx[sched.new_delta[idx]]
-        if start_eps.size:
-            deadlines = np.full(start_eps.size, horizon_s, dtype=float)
-            at = lookup_rows[start_eps]
-            if at.any():
+        starting = sched.new_delta[:m].nonzero()[0]
+        if starting.size:
+            deadlines = np.full(starting.size, horizon_s, dtype=float)
+            at = lookup_rows[starting]
+            if np.count_nonzero(at):
                 assert lookup_table is not None
-                lookup_eps = start_eps[at]
+                rows = starting[at]
                 deadlines[at] = lookup_table.query_batch(
-                    si_d[lookup_eps],
-                    si_b[lookup_eps],
-                    vs[lookup_eps],
-                    ctrl_s[lookup_eps],
-                    ctrl_t[lookup_eps],
+                    dist_b[rows], bear_b[rows], v_act[rows], fs[rows], ft[rows]
                 )
-            present = exact_rows[start_eps] & (si_d[start_eps] < NO_OBSTACLE_DISTANCE_M)
-            if present.any():
-                exact_eps = start_eps[present]
+            present = exact_rows[starting] & (dist_b[starting] < NO_OBSTACLE_DISTANCE_M)
+            if np.count_nonzero(present):
+                rows = starting[present]
                 deadlines[present] = estimator.estimate_batch(
-                    si_d[exact_eps],
-                    si_b[exact_eps],
-                    vs[exact_eps],
-                    ctrl_s[exact_eps],
-                    ctrl_t[exact_eps],
+                    dist_b[rows],
+                    bear_b[rows],
+                    v_act[rows],
+                    fs[rows],
+                    ft[rows],
                     obstacle_radius_m=obstacle_radius,
                 )
             periods = begin_interval_kernel(
-                sched, start_eps, deadlines, tau, max_deadline_periods, delta_i_opt
+                sched, starting, deadlines, tau, max_deadline_periods, delta_i_opt
             )
-            for k in range(start_eps.size):
-                samples[int(start_eps[k])].append(int(periods[k]))
+            sample_rows.append(order[starting])
+            sample_periods.append(periods)
 
         # ---- Pass 2: Algorithm 1's period kernel over (episode, model) ----
         # The shared kernels decide and charge every live episode at once.
         # Issued offloads draw their round trips from each episode's stream
         # row in pipeline order.
-        dmx_act = sched.delta_max[idx]
-        istep_act = sched.interval_step[idx]
+        dmx_act = sched.delta_max[:m]
+        istep_act = sched.interval_step[:m]
         natural = natural_slot_kernel(t, delta_i_all)
         natural_opt = natural[num_crit:]
         full = full_slot_kernel(natural_opt, istep_act, delta_i_opt, dmx_act)
         outcome = period_kernel(
-            modes.take(idx), natural_opt, full, istep_act, dmx_act, delta_i_opt,
-            delta_hat, sched.pending[idx], compute_opt,
-            energy.measurement_j[idx, num_crit:],
+            modes.head(m), natural_opt, full, istep_act, dmx_act, delta_i_opt,
+            delta_hat, sched.pending[:m], compute_opt,
+            energy.measurement_j[:m, num_crit:],
         )
         pending = outcome.pending
-        transmission = np.zeros((m, num_opt), dtype=float)
-        missed = np.zeros((m, num_opt), dtype=bool)
-        issue_counts = outcome.issue.sum(axis=1)
-        issue_rows = np.nonzero(issue_counts)[0]
+        transmission = no_transmission[:m]
+        missed = no_miss[:m]
+        issue_counts = np.add.reduce(outcome.issue, axis=1)
+        issue_rows = issue_counts.nonzero()[0]
         if issue_rows.size:
             assert sched_stream is not None
             exp_draws = sched_stream.take(
-                idx[issue_rows], issue_counts[issue_rows] * draws_per_offload
+                order[issue_rows], issue_counts[issue_rows] * draws_per_offload
             ).reshape(-1, draws_per_offload)
             _tx_t, _rt, tx_energy, response = planner.sample_batch(tau, exp_draws)
+            transmission = np.zeros((m, num_opt), dtype=float)
             transmission[outcome.issue] = tx_energy
             pending, missed = offload_arrival_kernel(
                 pending, outcome.issue, istep_act, dmx_act, delta_i_opt, response
             )
-        sched.pending[idx] = pending
+        sched.pending[:m] = pending
         charge_period_kernel(
-            energy, idx, natural, outcome.compute_j, transmission,
+            energy, natural, outcome.compute_j, transmission,
             outcome.measurement_j, outcome.issue, missed,
         )
 
-        needs: list[np.ndarray | None] = [None] * num_opt
-        for j in range(num_opt):
-            fresh = outcome.fresh[:, j]
-            local = outcome.local[:, j]
-            # Perception effect of the period.  Scenario-level sensor
-            # degradation: with probability p the frame behind a fresh
-            # *local* inference of a model that already has an output is
-            # corrupt, so the held output ages instead of being replaced,
-            # the same fallback as model gating.  The inference still runs
-            # and is charged.  Offload responses are never dropped: their
-            # frame was captured and paid for when the offload was issued.
-            # p = 0 draws nothing.  A kept inference claims its insertion
-            # rank *now*; the scan phase below fills the nearest/staleness
-            # columns in.
-            kept = fresh
-            if drop_stream is not None:
-                draw_pos = np.nonzero(fresh & local & det_present[idx, j])[0]
-                if draw_pos.size:
-                    draw_eps = idx[draw_pos]
-                    dropped = (
-                        drop_stream.take(draw_eps, np.ones(draw_pos.size, dtype=np.int64))
-                        < p_drop
-                    )
-                    drop_eps = draw_eps[dropped]
-                    dropouts[drop_eps] += 1
-                    det_stale_flag[drop_eps, j] = True
-                    kept = fresh.copy()
-                    kept[draw_pos[dropped]] = False
-            fresh_eps = idx[kept]
-            if fresh_eps.size:
-                new_eps = fresh_eps[~det_present[fresh_eps, j]]
-                det_rank[new_eps, j] = det_next_rank[new_eps]
-                det_next_rank[new_eps] += 1
-                det_present[fresh_eps, j] = True
-                needs[j] = fresh_eps
-            gated_eps = idx[~fresh & det_present[idx, j]]
-            det_stale_flag[gated_eps, j] = True
+        # Perception effect of the period, as (episode, model) masks.
+        # Scenario-level sensor degradation: with probability p the frame
+        # behind a fresh *local* inference of a model that already has an
+        # output is corrupt, so the held output ages instead of being
+        # replaced, the same fallback as model gating.  The inference still
+        # runs and is charged.  Offload responses are never dropped: their
+        # frame was captured and paid for when the offload was issued.
+        # p = 0 draws nothing.  An episode's dropout draws are taken in
+        # pipeline order (row-major over the mask).  A kept inference claims
+        # its insertion rank *now*, models in pipeline order; the scan
+        # phase below fills the nearest/staleness columns in.
+        fresh = outcome.fresh
+        present = det_present[:m]
+        stale = det_stale_flag[:m]
+        kept = fresh
+        if drop_stream is not None:
+            draw = fresh & outcome.local & present
+            draw_counts = np.add.reduce(draw, axis=1)
+            draw_rows = draw_counts.nonzero()[0]
+            if draw_rows.size:
+                dropped = np.zeros((m, num_opt), dtype=bool)
+                dropped[draw] = (
+                    drop_stream.take(order[draw_rows], draw_counts[draw_rows]) < p_drop
+                )
+                dropouts[:m] += np.add.reduce(dropped, axis=1)
+                stale |= dropped
+                kept = fresh & ~dropped
+        new = kept & ~present
+        if np.count_nonzero(new):
+            ranks = det_next_rank[:m, None] + np.add.accumulate(new, axis=1) - 1
+            np.copyto(det_rank[:m], ranks, where=new)
+            det_next_rank[:m] += np.add.reduce(new, axis=1)
+        # Gated models age their held output; fresh ones are refreshed below.
+        stale |= ~fresh & present
+        stale &= ~kept
+        present |= kept
 
-        deadline_done_kernel(sched, idx, delta_i_opt)
-        finish_period_kernel(sched, idx)
+        deadline_done_kernel(sched.done[:m], istep_act, dmx_act, delta_i_opt)
+        finish_period_kernel(sched.done[:m], sched.new_delta[:m], istep_act)
         if spent is not None:
             stamp = _lap(spent, "scheduler", stamp)
 
         # ---- Batched range scans for every fresh inference ----
-        # One scan row per episode that any model needs, in episode order;
-        # ``scan_pos`` maps an episode to its row.
-        any_needs = any(rows is not None for rows in needs)
-        if any_needs:
-            scan_mask = np.zeros(n, dtype=bool)
-            for rows in needs:
-                if rows is not None:
-                    scan_mask[rows] = True
-            sel = np.nonzero(scan_mask)[0]
-            scan_pos[sel] = row_numbers[: sel.size]
+        # One scan row per live episode that any model needs, in position
+        # order.
+        scan_rows = np.logical_or.reduce(kept, axis=1).nonzero()[0]
+        if scan_rows.size:
+            scan_pos[scan_rows] = row_numbers[: scan_rows.size]
             best = scanner.scan_batch(
-                xs[sel], ys[sel], hs[sel], obs_x[sel], obs_y[sel], obs_r[sel]
+                xs[scan_rows], ys[scan_rows], hs[scan_rows],
+                obs_x[scan_rows], obs_y[scan_rows], obs_r[scan_rows],
             )
         if spent is not None:
             stamp = _lap(spent, "scan_raycast", stamp)
 
         # ---- Detection grouping + noise through the detector kernel ----
-        if any_needs:
+        if scan_rows.size:
             for j, name in enumerate(opt_names):
-                rows = needs[j]
-                if rows is None:
+                rows = kept[:, j].nonzero()[0]
+                if not rows.size:
                     continue
                 counts, dists, bears, _spans = detectors[name].detect_batch(
-                    best[scan_pos[rows]], det_noise[name], rows
+                    best[scan_pos[rows]], det_noise[name], order[rows]
                 )
-                det_stale_flag[rows, j] = False
                 nonempty = counts > 0
                 det_nonempty[rows, j] = nonempty
-                if nonempty.any():
+                if np.count_nonzero(nonempty):
                     _has, first = nearest_per_row(counts, dists)
                     filled = rows[nonempty]
                     det_best_d[filled, j] = dists[first]
@@ -600,50 +609,53 @@ def run_cells(
 
         # ---- Batched RK4 plant update (shared bicycle kernel) ----
         xn, yn, hn, vn = rk4_plant_batch(
-            xs[idx], ys[idx], h_act, v_act, fs, ft, tau, params
+            x_act, y_act, h_act, v_act, fs, ft, tau, params
         )
 
         # ---- Status: obstacle motion, collision, road membership ----
         time_s += tau
         if has_moving:
-            for i in active:
-                for k, obstacle in moving[i]:
+            for position, row in enumerate(order[:m].tolist()):
+                for k, obstacle in moving[row]:
                     mx, my = obstacle.motion.position_at(
                         (obstacle.x_m, obstacle.y_m), time_s
                     )
-                    obs_x[i, k] = mx
-                    obs_y[i, k] = my
+                    obs_x[position, k] = mx
+                    obs_y[position, k] = my
 
         collided = (
-            np.any(
-                np.hypot(obs_x[idx] - xn[:, None], obs_y[idx] - yn[:, None])
-                <= (obs_r[idx] + vehicle_radius),
+            np.logical_or.reduce(
+                np.hypot(obs_x[:m] - xn[:, None], obs_y[:m] - yn[:, None])
+                <= (obs_r[:m] + vehicle_radius),
                 axis=1,
             )
             if K
-            else np.zeros(m, dtype=bool)
+            else no_collision[:m]
         )
-
         s_tot, d_arr = centerline.project_batch(xn, yn)
         fin = s_tot >= length_m
         off = ~(np.abs(d_arr) <= edge_limit)
 
-        xs[idx] = xn
-        ys[idx] = yn
-        hs[idx] = hn
-        vs[idx] = vn
-        proj_s[idx] = s_tot
-        proj_d[idx] = d_arr
+        xs[:m] = xn
+        ys[:m] = yn
+        hs[:m] = hn
+        vs[:m] = vn
+        proj_s[:m] = s_tot
+        proj_d[:m] = d_arr
         ended = collided | off | fin
-        if ended.any():
-            ended_idx = idx[ended]
-            steps_count[ended_idx] = t + 1
-            collided_f[ended_idx] = collided[ended]
-            offroad_f[ended_idx] = off[ended]
-            finished_f[ended_idx] = fin[ended]
+        if np.count_nonzero(ended):
+            ended_rows = order[:m][ended]
+            steps_count[ended_rows] = t + 1
+            collided_f[ended_rows] = collided[ended]
+            offroad_f[ended_rows] = off[ended]
+            finished_f[ended_rows] = fin[ended]
             for stream in draw_streams:
-                stream.retire(ended_idx)
-            active = idx[~ended].tolist()
+                stream.retire(ended_rows)
+            live = (~ended).nonzero()[0]
+            perm = np.concatenate((live, ended.nonzero()[0]))
+            for column in row_state:
+                column[:m] = column[:m][perm]
+            m = live.size
         if spent is not None:
             _lap(spent, "dynamics", stamp)
 
@@ -653,6 +665,16 @@ def run_cells(
         for phase, seconds in spent.items():
             timings[phase] = timings.get(phase, 0.0) + seconds
 
+    # Split the delta_max log per episode row, each row's samples in frame
+    # order (a stable sort keeps it).
+    logged_rows = np.concatenate([np.zeros(0, dtype=np.int64), *sample_rows])
+    logged = np.concatenate([np.zeros(0, dtype=np.int64), *sample_periods])
+    by_row = np.argsort(logged_rows, kind="stable")
+    bounds = np.cumsum(np.bincount(logged_rows, minlength=n))[:-1]
+    samples = np.split(logged[by_row], bounds)
+    # The row of each episode sits at position ``position[row]``.
+    position = np.empty(n, dtype=np.int64)
+    position[order] = row_numbers
     reports = [
         EpisodeReport(
             episode=episode,
@@ -661,17 +683,17 @@ def run_cells(
             completed=bool(finished_f[i]),
             collided=bool(collided_f[i]),
             off_road=bool(offroad_f[i]),
-            shield_interventions=int(interventions[i]),
-            delta_max_samples=samples[i],
-            min_obstacle_distance_m=float(min_dist[i]),
-            unsafe_steps=int(unsafe[i]),
-            sensor_dropouts=int(dropouts[i]),
-            **energy.report_fields(i),
+            shield_interventions=int(interventions[p]),
+            delta_max_samples=samples[i].tolist(),
+            min_obstacle_distance_m=float(min_dist[p]),
+            unsafe_steps=int(unsafe[p]),
+            sensor_dropouts=int(dropouts[p]),
+            **energy.report_fields(p),
         )
-        for i, episode in enumerate(episode_ids)
+        for i, (episode, p) in enumerate(zip(episode_ids, position.tolist()))
     ]
-    bounds = np.cumsum([0, *cell_sizes]).tolist()
-    return [reports[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    cell_bounds = np.cumsum([0, *cell_sizes]).tolist()
+    return [reports[lo:hi] for lo, hi in zip(cell_bounds, cell_bounds[1:])]
 
 
 def _lap(spent: dict[str, float], phase: str, stamp: float) -> float:

@@ -342,7 +342,7 @@ class Centerline:
             self._seg_cy[:, None] - sigma * radius * np.cos(foot_heading),
             self._seg_y0[:, None] + s_local * ty,
         )
-        winner = np.argmin(np.hypot(xs - px, ys - py), axis=0)
+        winner = np.hypot(xs - px, ys - py).argmin(axis=0)
         cols = np.arange(xs.size)
         return self._seg_s0[winner] + s_raw[winner, cols], d[winner, cols]
 
@@ -370,14 +370,23 @@ class Centerline:
     @kernel_contract(s="(N,) float64", returns="(N,) float64")
     def heading_at_batch(self, s: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`heading_at` over an ``(N,)`` arc-length array."""
+        return self.heading_curvature_at_batch(s)[0]
+
+    @kernel_contract(s="(N,) float64", returns=("(N,) float64", "(N,) float64"))
+    def heading_curvature_at_batch(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Centreline ``(heading, curvature)`` at an ``(N,)`` arc-length array.
+
+        One clamp and one segment search serve both lookups; the values are
+        those of :meth:`heading_at_batch` and :meth:`curvature_at_batch`.
+        """
         s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self.length_m)
-        seg = np.searchsorted(self._interior_ends, s, side="right")
+        seg = self._interior_ends.searchsorted(s, side="right")
         s_local = s - self._seg_s0[seg]
         h0 = self._seg_h0[seg]
         arc_heading = wrap_angle(
             h0 + self._seg_sigma[seg] * s_local / self._seg_radius[seg]
         )
-        return np.where(self._seg_is_arc[seg], arc_heading, h0)
+        return np.where(self._seg_is_arc[seg], arc_heading, h0), self._seg_curv[seg]
 
     def curvature_at(self, s: float) -> float:
         """Signed centreline curvature at arc length ``s``.
@@ -389,9 +398,7 @@ class Centerline:
     @kernel_contract(s="(N,) float64", returns="(N,) float64")
     def curvature_at_batch(self, s: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`curvature_at` over an ``(N,)`` arc-length array."""
-        s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self.length_m)
-        seg = np.searchsorted(self._interior_ends, s, side="right")
-        return self._seg_curv[seg]
+        return self.heading_curvature_at_batch(s)[1]
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ class World:
         ahead = np.abs(bearing) <= 0.5 * math.pi
         any_ahead = ahead.any(axis=1)
         ranking = np.where(ahead | ~any_ahead[:, None], surface, np.inf)
-        nearest = np.argmin(ranking, axis=1)
+        nearest = ranking.argmin(axis=1)
         rows = np.arange(xs.shape[0])
         return surface[rows, nearest], bearing[rows, nearest], nearest
 

@@ -75,14 +75,15 @@ class DrawStream:
         start = self._cursor[rows]
         stop = start + counts
         short = stop > self._end[groups]
-        if short.any():
+        if np.count_nonzero(short):
             self._refill(groups[short], stop[short])
         self._cursor[rows] = stop
         # Output slot k of row r reads flat buffer index
         # ``group * width + (start[r] - base[group]) + (k - offset[r])``.
-        offsets = np.cumsum(counts) - counts
-        first = groups * self._buffer.shape[1] + (start - self._base[groups]) - offsets
-        return self._buffer.reshape(-1)[np.repeat(first, counts) + np.arange(int(counts.sum()))]
+        ends = np.add.accumulate(counts)
+        first = groups * self._buffer.shape[1] + (start - self._base[groups]) - (ends - counts)
+        total = int(ends[-1]) if ends.size else 0
+        return self._buffer.reshape(-1)[first.repeat(counts) + np.arange(total)]
 
     def retire(self, rows: np.ndarray) -> None:
         """Mark ``rows`` as done: they no longer hold their group's draws."""

@@ -167,7 +167,7 @@ class TestGatingStrategy:
             for n in range(delta_max):
                 outcome = _period(optimization, n, 1, delta_max, model=model)
                 charge_period_kernel(
-                    energy, np.array([0]), np.array([True, True]),
+                    energy, np.array([True, True]),
                     np.array([[outcome.compute_j]]), np.zeros((1, 1)),
                     np.array([[outcome.measurement_j]]),
                     np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),

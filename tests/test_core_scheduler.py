@@ -277,7 +277,6 @@ class TestEnergyColumns:
     def _charge(self, energy, natural, compute, transmission, measurement, issue, missed):
         charge_period_kernel(
             energy,
-            np.array([0]),
             np.array(natural),
             np.array([compute], dtype=float),
             np.array([transmission], dtype=float),

@@ -84,6 +84,15 @@ _JOINT_CENTERLINE = Centerline(
 )
 
 
+# Edges of (-pi, pi]: the bounds and their neighbouring floats, both zeros
+# and multiples of 2 pi (with their neighbours).
+_WRAP_EDGES = [
+    edge
+    for centre in (math.pi, -math.pi, *(k * 2.0 * math.pi for k in range(-3, 4)))
+    for edge in (centre, math.nextafter(centre, -math.inf), math.nextafter(centre, math.inf))
+] + [-0.0]
+
+
 class TestAngleAndDynamicsProperties:
     @given(angle=finite_angles)
     def test_wrap_angle_stays_in_range(self, angle):
@@ -95,6 +104,25 @@ class TestAngleAndDynamicsProperties:
         wrapped = wrap_angle(angle)
         assert math.cos(wrapped) == pytest.approx(math.cos(angle), abs=1e-9)
         assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles=st.lists(st.one_of(finite_angles, st.sampled_from(_WRAP_EDGES)), min_size=1))
+    def test_wrap_angle_array_path_equals_scalar_path_bitwise(self, angles):
+        """Element by element, the array path returns the scalar path's bits.
+
+        Lists drawn only from in-range values take the array path's early
+        copy, the others its wrap arithmetic.  Either way the result is a new
+        array: writing to it leaves the input as it was.
+        """
+        array = np.array(angles, dtype=float)
+        before = array.copy()
+        scalar = np.array([wrap_angle(float(angle)) for angle in angles], dtype=float)
+        for shaped in (array, array.reshape(1, -1)):
+            wrapped = wrap_angle(shaped)
+            assert wrapped.shape == shaped.shape
+            assert wrapped.reshape(-1).view(np.int64).tolist() == scalar.view(np.int64).tolist()
+            wrapped[...] = 7.0
+            assert array.view(np.int64).tolist() == before.view(np.int64).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(speed=speeds, control=controls, dt=st.floats(0.001, 0.1, allow_nan=False))

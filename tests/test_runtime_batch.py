@@ -162,6 +162,37 @@ def test_cells_equal_each_cell_alone(scenario):
     assert all(report.shield_interventions for report in cells[0])
 
 
+def test_cells_partition_rows_that_end_interleaved():
+    """Rows of two cells ending on interleaved frames report as if run alone.
+
+    The engine keeps its live rows as a prefix of every per-row array and
+    moves the rows that end behind them.  Here the first row to end sits in
+    the middle of the call and the end frames alternate between the cells,
+    so each partition reorders rows of both cells, and the position-to-row
+    map decides which draw-stream rows and reports they reach.
+    """
+    base = SEOConfig(max_steps=800)
+    frameworks = [
+        SEOFramework(base),
+        SEOFramework(dataclasses.replace(base, optimization="none")),
+    ]
+    episodes = [[2, 0, 4], [5, 3, 1]]
+    cells = run_cells(list(zip(frameworks, episodes)))
+    assert cells == [alone(fw, eps) for fw, eps in zip(frameworks, episodes)]
+    ends = sorted(
+        (report.steps, cell) for cell, reports in enumerate(cells) for report in reports
+    )
+    assert len({steps for steps, _ in ends}) == 6
+    assert all(steps < base.max_steps for steps, _ in ends)
+    # Neither cell's rows all end before the other's: the end order switches
+    # cells at least three times.
+    labels = [cell for _, cell in ends]
+    assert sum(a != b for a, b in zip(labels, labels[1:])) >= 3
+    # The first row to end is not the last row of the call.
+    first = min((report.steps, report.episode) for report in cells[0] + cells[1])
+    assert first != (cells[1][-1].steps, cells[1][-1].episode)
+
+
 def test_run_cells_refuses_incompatible_cells(fast_seo_config):
     frameworks = [
         SEOFramework(fast_seo_config),
