@@ -101,8 +101,7 @@ class Inputs:
 
     def __init__(self) -> None:
         config = SEOConfig(scenario=DEFAULT_SUITE.build("curved-road", seed=0))
-        self.framework = SEOFramework(config)
-        framework = self.framework
+        framework = SEOFramework(config)
         self.receivers: dict[type, Any] = {
             DeadlineLookupTable: framework.lookup_table,
             SafeIntervalEstimator: framework.estimator,
@@ -121,17 +120,15 @@ class Inputs:
         }
 
     def receiver(self, owner: type) -> Any:
-        found = self.receivers.get(owner)
-        return found if found is not None else owner()
+        return self.receivers[owner] if owner in self.receivers else owner()
 
     def arguments(
         self, name: str, kernel: Callable[..., Any], owner: type | None, rows: int
     ) -> list[Any]:
         contract: KernelContract = kernel.__kernel_contract__  # type: ignore[attr-defined]
         specs = contract.param_specs
-        symbols = {symbol: size for symbol, size in SIZES.items()}
-        row_symbol = _row_symbol(contract)
-        symbols[row_symbol] = rows
+        symbols = dict(SIZES)
+        symbols[_row_symbol(contract)] = rows
         for symbol, size in TIED.get(name.rsplit(".", 1)[-1], {}).items():
             symbols[symbol] = size(rows)
         rng = np.random.default_rng(0)
@@ -170,7 +167,9 @@ def _row_symbol(contract: KernelContract) -> str:
         if symbol in declared:
             return symbol
     first = contract.params[0][1].dims[0]
-    return first if isinstance(first, str) else first[1] if isinstance(first, tuple) else "N"
+    if isinstance(first, tuple):
+        return first[1]
+    return first if isinstance(first, str) else "N"
 
 
 def _array(
