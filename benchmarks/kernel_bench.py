@@ -10,15 +10,14 @@ one table.
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/kernel_bench.py
-    PYTHONPATH=src python benchmarks/kernel_bench.py --sizes 1 --repeat 1 --json k.json
+    PYTHONPATH=src python benchmarks/kernel_bench.py --sizes 1 --repeat 1 --min-time 0
 
 Inputs, from the spec:
 
 * the *row symbol* (``N``, else ``I``, else ``R``, else the leading dim of
-  the first declared array) takes the row count; the other symbols take
-  :data:`SIZES` (the default pipeline's model counts, obstacle count and
-  beam count), or :data:`TIED` where a symbol counts the entries of another
-  input;
+  the first declared array) takes the row count; the other symbols take the
+  counts of a default curved-road ``SEOFramework`` and its world (see
+  :class:`Inputs`);
 * ``float64`` arrays are uniform in ``[0, 1)`` from a fixed seed, ``int64``
   arrays are ones (``indices`` arrays are ``0 .. N - 1``), ``bool`` arrays
   are all ``True``;
@@ -38,7 +37,6 @@ import argparse
 import functools
 import importlib
 import inspect
-import json
 import pkgutil
 import sys
 import timeit
@@ -48,6 +46,7 @@ from typing import Any
 import numpy as np
 
 import repro
+from repro.comm.offload import OffloadPlanner
 from repro.contracts import ArraySpec, KernelContract
 from repro.core.framework import SEOConfig, SEOFramework
 from repro.core.optimizations import ModeRows
@@ -56,19 +55,10 @@ from repro.core.shield import SteeringShield
 from repro.core.intervals import SafeIntervalEstimator
 from repro.core.lookup import DeadlineLookupTable
 from repro.perception.detector import DetectorModel
+from repro.sim.observation import RangeScanner
 from repro.sim.road import Centerline
 from repro.sim.scenario import DEFAULT_SUITE, build_world
 from repro.streams import DrawStream
-
-#: Sizes of the symbols other than the row symbol.
-SIZES = {"M": 2, "K": 3, "B": 32, "D": 2}
-
-#: Symbols that count the entries of another input, per kernel: all-True
-#: masks and all-one counts fix them.
-TIED: dict[str, dict[str, Callable[[int], int]]] = {
-    "offload_arrival_kernel": {"I": lambda rows: rows * SIZES["M"]},
-    "nearest_per_row": {"D": lambda rows: rows},
-}
 
 DEFAULT_SIZES = (1, 64, 1024)
 SCALAR_FLOAT = 0.02
@@ -102,17 +92,38 @@ class Inputs:
     def __init__(self) -> None:
         config = SEOConfig(scenario=DEFAULT_SUITE.build("curved-road", seed=0))
         framework = SEOFramework(config)
+        world = build_world(config.scenario, rng=np.random.default_rng(0))
+        detector = next(iter(framework.detectors.values()))
+        models = framework.model_set
+        optimizable = len(models.optimizable)
+        obstacles = len(world.obstacles)
+        draws = framework.offload_planner.draws_per_sample
+        #: Sizes of the symbols other than the row symbol: ``M`` counts the
+        #: optimizable (Lambda') models, ``K`` every model, ``B`` the beams.
+        self.sizes = {"M": optimizable, "K": len(models), "B": detector.scanner.num_beams}
+        #: Per kernel, the symbols that count something else there: ``K`` the
+        #: obstacles, ``D`` the draws of one offload, or the entries of
+        #: another input, which all-True masks and all-one counts tie to the
+        #: row count.
+        self.kernel_sizes: dict[str, Callable[[int], dict[str, int]]] = {
+            "nearest_obstacle_view_batch": lambda rows: {"K": obstacles},
+            "scan_batch": lambda rows: {"K": obstacles},
+            "sample_batch": lambda rows: {"D": draws},
+            "offload_arrival_kernel": lambda rows: {"I": rows * optimizable},
+            "nearest_per_row": lambda rows: {"D": rows},
+        }
         self.receivers: dict[type, Any] = {
             DeadlineLookupTable: framework.lookup_table,
             SafeIntervalEstimator: framework.estimator,
-            DetectorModel: next(iter(framework.detectors.values())),
-            Centerline: build_world(config.scenario, rng=np.random.default_rng(0))
-            .road.centerline,
+            DetectorModel: detector,
+            RangeScanner: detector.scanner,
+            OffloadPlanner: framework.offload_planner,
+            Centerline: world.road.centerline,
             SteeringShield: SteeringShield(safety_function=framework.barrier),
         }
         self.row_objects: dict[type, Callable[[int], Any]] = {
             ModeRows: lambda rows: ModeRows.of(["offload"] * rows),
-            SchedulerState: lambda rows: SchedulerState.create(rows, SIZES["M"]),
+            SchedulerState: lambda rows: SchedulerState.create(rows, optimizable),
             EnergyColumns: lambda rows: EnergyColumns.create(
                 [(framework.model_set, rows)], config.tau_s
             ),
@@ -127,10 +138,11 @@ class Inputs:
     ) -> list[Any]:
         contract: KernelContract = kernel.__kernel_contract__  # type: ignore[attr-defined]
         specs = contract.param_specs
-        symbols = dict(SIZES)
+        symbols = dict(self.sizes)
         symbols[_row_symbol(contract)] = rows
-        for symbol, size in TIED.get(name.rsplit(".", 1)[-1], {}).items():
-            symbols[symbol] = size(rows)
+        sizes = self.kernel_sizes.get(name.rsplit(".", 1)[-1])
+        if sizes is not None:
+            symbols.update(sizes(rows))
         rng = np.random.default_rng(0)
         parameters = list(inspect.signature(kernel, eval_str=True).parameters.values())
         args: list[Any] = []
@@ -244,13 +256,8 @@ def main(argv: list[str] | None = None) -> int:
         "--min-time", type=float, default=0.05,
         help="seconds per timing round (0: one call per round)",
     )
-    parser.add_argument("--json", help="also write the result as JSON to this file")
     args = parser.parse_args(argv)
-    result = run(tuple(args.sizes), args.repeat, args.min_time)
-    print(render(result))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2)
+    print(render(run(tuple(args.sizes), args.repeat, args.min_time)))
     return 0
 
 

@@ -25,7 +25,7 @@ with one row per live episode.  Every base period:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -220,6 +220,11 @@ def finish_period_kernel(
 # ----------------------------------------------------------------------
 
 
+#: :class:`EnergyColumns` fields shared by every row of a call: the model
+#: columns, the per-model inference energies and the sensor-power flag.
+_PER_CALL = frozenset({"names", "critical_count", "compute_j", "sensed"})
+
+
 @dataclass
 class EnergyColumns:
     """Per-``(episode, model)`` energy spent and its local-always baseline.
@@ -290,11 +295,10 @@ class EnergyColumns:
         )
 
     def row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array with one row per episode (not the per-model ``compute_j``)."""
-        return (
-            self.measurement_j, self.mechanical_j, self.used, self.baseline,
-            self.transmission, self.used_total, self.baseline_total,
-            self.offloads, self.misses,
+        """Every array with one row per episode: each field but :data:`_PER_CALL`."""
+        return tuple(
+            getattr(self, field.name) for field in fields(self)
+            if field.name not in _PER_CALL
         )
 
     def report_fields(self, row: int) -> dict[str, Any]:

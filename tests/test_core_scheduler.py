@@ -285,6 +285,17 @@ class TestEnergyColumns:
             np.array([missed]),
         )
 
+    def test_row_arrays_cover_every_per_row_field(self):
+        # The lockstep engine partitions exactly these arrays when episodes end.
+        energy = EnergyColumns.create([(_model_set(), 5)], TAU)
+        per_row = [
+            value for value in vars(energy).values()
+            if isinstance(value, np.ndarray) and value.shape[:1] == (5,)
+        ]
+        arrays = energy.row_arrays()
+        assert len(arrays) == len(per_row)
+        assert all(any(array is value for array in arrays) for value in per_row)
+
     def test_charges_add_in_the_serial_order(self):
         energy = EnergyColumns.create([(_model_set(), 1)], TAU)
         assert energy.names == ("vae", "det-fast", "det-slow")

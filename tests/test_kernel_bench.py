@@ -15,15 +15,14 @@ def _load_bench():
     return module
 
 
-def test_times_every_kernel_at_n_1(capsys):
+def test_times_every_kernel_at_n_1():
     bench = _load_bench()
     kernels = {name for name, _, _ in bench.iter_kernels()}
     assert "repro.dynamics.bicycle.rk4_plant_batch" in kernels
     assert "repro.core.optimizations.period_kernel" in kernels
 
-    assert bench.main(["--sizes", "1", "--repeat", "1", "--min-time", "0"]) == 0
-    table = capsys.readouterr().out
     result = bench.run(sizes=(1,), repeat=1, min_time_s=0.0)
+    table = bench.render(result)
     timed = {row["kernel"] for row in result["rows"]}
     skipped = {name.rsplit(" [", 1)[0] for name in result["skipped"]}
     # Every kernel is either timed or listed as skipped with a reason.
@@ -42,3 +41,17 @@ def test_times_every_kernel_at_n_1(capsys):
         "repro.core.scheduler.charge_period_kernel",
         "repro.sim.road.Centerline.project_batch",
     } <= timed
+
+
+def test_main_passes_its_options_to_run(monkeypatch, capsys):
+    bench = _load_bench()
+    calls = []
+
+    def fake_run(sizes, repeat, min_time_s):
+        calls.append((sizes, repeat, min_time_s))
+        return {"rows": [], "skipped": {"k [N=1]": "TypeError: x"}}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    assert bench.main(["--sizes", "1", "64", "--repeat", "2", "--min-time", "0"]) == 0
+    assert calls == [((1, 64), 2, 0.0)]
+    assert "k [N=1]: TypeError: x" in capsys.readouterr().out
