@@ -108,6 +108,7 @@ class Inputs:
         self.kernel_sizes: dict[str, Callable[[int], dict[str, int]]] = {
             "nearest_obstacle_view_batch": lambda rows: {"K": obstacles},
             "scan_batch": lambda rows: {"K": obstacles},
+            "collided_batch": lambda rows: {"K": obstacles},
             "sample_batch": lambda rows: {"D": draws},
             "offload_arrival_kernel": lambda rows: {"I": rows * optimizable},
             "nearest_per_row": lambda rows: {"D": rows},

@@ -64,7 +64,16 @@ LOCKSTEP_ROW_FIELDS = (
     "detector_sensor",
     "use_lookup_table",
     "safety_aware",
+    "target_speed_mps",
 )
+
+#: The only :class:`~repro.sim.scenario.ScenarioConfig` fields in
+#: :meth:`SEOConfig.lockstep_key`: the centreline every row of a call
+#: projects onto (``None``, the straight road, projects the same whatever
+#: its length) and the obstacle radius the deadline lookup table and
+#: estimator are built for.  Every other scenario field shapes one
+#: episode's world and is a row of the engine.
+LOCKSTEP_SCENARIO_FIELDS = ("road_segments", "obstacle_radius_m")
 
 
 @dataclass(frozen=True)
@@ -166,17 +175,33 @@ class SEOConfig:
     def lockstep_key(self) -> Hashable:
         """Configs with equal keys may step in one lockstep call.
 
-        The key is every field except :data:`LOCKSTEP_ROW_FIELDS`: those
-        are per-row columns of :func:`repro.runtime.batch.run_cells`, and
-        every other field (road, obstacles, ``tau_s``, ``max_steps``, the
-        detectors, the channel, the seeds, ...) shapes state that all rows
-        of a call share.
+        The key holds what every row of a call shares: the fields of
+        :meth:`lockstep_fields`, i.e. every field except
+        :data:`LOCKSTEP_ROW_FIELDS`, with the scenario cut down to
+        :data:`LOCKSTEP_SCENARIO_FIELDS` (``tau_s``, ``max_steps``, the
+        detectors, the channel, the controller, the seed, the curved
+        centreline, the obstacle radius, ...).  The row fields and the rest
+        of the scenario (road length and width, obstacle count, zone and
+        motion, sensor dropout, initial pose and speed) are per-row columns
+        of :func:`repro.runtime.batch.run_cells`.
         """
-        return tuple(
-            getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name not in LOCKSTEP_ROW_FIELDS
-        )
+        return tuple(value for _, value in self.lockstep_fields())
+
+    def lockstep_fields(self) -> tuple[tuple[str, Hashable], ...]:
+        """The ``(name, value)`` pairs of :meth:`lockstep_key`, in field order.
+
+        Scenario fields are named ``scenario.<field>``.
+        """
+        pairs: list[tuple[str, Hashable]] = []
+        for spec in fields(self):
+            if spec.name == "scenario":
+                pairs.extend(
+                    (f"scenario.{name}", getattr(self.scenario, name))
+                    for name in LOCKSTEP_SCENARIO_FIELDS
+                )
+            elif spec.name not in LOCKSTEP_ROW_FIELDS:
+                pairs.append((spec.name, getattr(self, spec.name)))
+        return tuple(pairs)
 
 
 @dataclass

@@ -23,10 +23,7 @@ import numpy as np
 
 from repro.contracts import kernel_contract
 from repro.dynamics.state import ControlAction
-from repro.sim.world import World
-
-#: Distance reported when no obstacle is in range (effectively "infinitely far").
-NO_OBSTACLE_DISTANCE_M = 1e6
+from repro.sim.world import NO_OBSTACLE_DISTANCE_M, World
 
 
 @dataclass(frozen=True)

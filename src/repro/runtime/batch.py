@@ -13,14 +13,22 @@ group of compatible work units as one call.
 
 **Cells.**  Cells may share a call when their configs have equal
 :meth:`~repro.core.framework.SEOConfig.lockstep_key`: they differ at most
-in the fields of :data:`~repro.core.framework.LOCKSTEP_ROW_FIELDS`, which
-the engine holds as row columns.  The optimization method is a
+in the fields of :data:`~repro.core.framework.LOCKSTEP_ROW_FIELDS` and in
+the scenario fields outside
+:data:`~repro.core.framework.LOCKSTEP_SCENARIO_FIELDS`, which the engine
+holds as row columns.  The optimization method is a
 :class:`~repro.core.optimizations.ModeRows` column of the period kernel,
 ``filtered`` a shield row mask, the deadline source (the lookup table, the
 exact estimator, or the horizon when safety-oblivious) a row subset of the
-episodes starting an interval, and the sensor the per-row energies of
-:class:`~repro.core.scheduler.EnergyColumns`.  Every column is an ``(N,)``
-mask, also in a one-cell call whose rows all agree.
+episodes starting an interval, the sensor the per-row energies of
+:class:`~repro.core.scheduler.EnergyColumns`, and the target speed the
+controller's speed column.  Each row builds its world from its own
+scenario: road length and width are the ``length_rows``,
+``half_width_rows`` and ``edge_rows`` columns, the obstacles are padded to
+the widest row with an ``obs_valid`` mask that the view, scan and
+collision kernels apply, and the dropout probability is a ``p_drop``
+column.  Every column is an ``(N,)`` (or ``(N, K)``) mask, also in a
+one-cell call whose rows all agree.
 
 The decision layer lives with its owners instead of being written here:
 the controller, barrier, shield and scheduler each expose one batch-first
@@ -79,7 +87,8 @@ pins the reports themselves.  Three disciplines keep the rows independent:
   state at its terminal frame.
 
 Still per-episode in the frame loop: refills of exhausted draw streams and
-the moving-obstacle ``position_at`` updates.  The ``delta_max`` samples go
+the moving-obstacle ``position_at`` updates, which visit only the live rows
+that carry a moving obstacle.  The ``delta_max`` samples go
 to one flat ``(row, period)`` log, split per row when the reports are
 built.
 """
@@ -113,6 +122,7 @@ from repro.core.shield import SteeringShield
 from repro.dynamics.bicycle import rk4_plant_batch
 from repro.dynamics.state import wrap_angle
 from repro.perception.detections import nearest_per_row
+from repro.sim.collision import collided_batch
 from repro.sim.scenario import build_world
 from repro.sim.world import World
 from repro.streams import DrawStream
@@ -152,9 +162,15 @@ def run_cells(
     """Run every cell's episode indices in one numpy lockstep.
 
     ``cells`` are ``(framework, episodes)`` pairs whose configs share one
-    :meth:`~repro.core.framework.SEOConfig.lockstep_key`.  Returns one
-    report list per cell, in the order of its ``episodes``; each report is
-    bit-identical to the report of its episode run alone.
+    :meth:`~repro.core.framework.SEOConfig.lockstep_key`; cells that do
+    not are refused with a ``ValueError`` naming the first key field that
+    differs.  Within a call the cells may differ in the row fields: the
+    per-row settings of :data:`~repro.core.framework.LOCKSTEP_ROW_FIELDS`
+    and the scenario outside the centreline and the obstacle radius (road
+    length and width, obstacle count, zone and motion, sensor dropout,
+    initial pose and speed).  Returns one report list per cell, in the
+    order of its ``episodes``; each report is bit-identical to the report
+    of its episode run alone.
 
     When ``timings`` is given, wall-clock seconds spent in each engine phase
     are accumulated into it under the keys ``"decision"`` (perception
@@ -173,11 +189,19 @@ def run_cells(
     cell_episodes = [[int(episode) for episode in episodes] for _, episodes in cells]
     framework = frameworks[0]
     config = framework.config
+    key = config.lockstep_key()
     for other in frameworks[1:]:
-        if other.config.lockstep_key() != config.lockstep_key():
+        if other.config.lockstep_key() != key:
+            differing = next(
+                name
+                for (name, value), (_, theirs) in zip(
+                    config.lockstep_fields(), other.config.lockstep_fields()
+                )
+                if value != theirs
+            )
             raise ValueError(
-                "cells of one lockstep call may differ only in "
-                "LOCKSTEP_ROW_FIELDS (SEOConfig.lockstep_key must match)"
+                f"cells of one lockstep call must agree on {differing} "
+                "(SEOConfig.lockstep_key must match)"
             )
     cell_sizes = [len(episodes) for episodes in cell_episodes]
     episode_ids = [episode for episodes in cell_episodes for episode in episodes]
@@ -193,26 +217,28 @@ def run_cells(
     tau = config.tau_s
     params = framework.vehicle_params
     barrier = framework.barrier
-    target_speed = config.target_speed_mps
     filtered = np.array([row.filtered for row in row_configs])
+    target_rows = np.array([row.target_speed_mps for row in row_configs], dtype=float)
 
     # ------------------------------------------------------------------
-    # World construction (placement RNG fully consumed here, per episode).
+    # World construction (placement RNG fully consumed here, per episode),
+    # each row from its own scenario.  The rows share the centreline: equal
+    # curved segments, or the straight road, which projects the same
+    # whatever its length.
     # ------------------------------------------------------------------
     worlds = [
         build_world(
-            config.scenario,
+            row.scenario,
             rng=np.random.default_rng((config.seed + 1) * 1000 + episode),
             vehicle_params=params,
         )
-        for episode in episode_ids
+        for row, episode in zip(row_configs, episode_ids)
     ]
-    road = worlds[0].road
-    centerline = road.centerline
-    length_m = road.length_m
-    half_width = road.half_width_m
-    straight = road.is_straight
-    edge_limit = road.half_width_m - 0.5 * params.width_m + 1e-9
+    centerline = worlds[0].road.centerline
+    straight = centerline.is_straight
+    length_rows = np.array([world.road.length_m for world in worlds], dtype=float)
+    half_width_rows = np.array([world.road.half_width_m for world in worlds], dtype=float)
+    edge_rows = half_width_rows - 0.5 * params.width_m + 1e-9
     vehicle_radius = params.collision_radius_m
 
     xs = np.array([world.state.x_m for world in worlds], dtype=float)
@@ -220,29 +246,27 @@ def run_cells(
     hs = np.array([world.state.heading_rad for world in worlds], dtype=float)
     vs = np.array([world.state.speed_mps for world in worlds], dtype=float)
 
-    obstacle_counts = {len(world.obstacles) for world in worlds}
-    if len(obstacle_counts) != 1:  # pragma: no cover - placement guarantees
-        raise AssertionError("episodes of one scenario must share the obstacle count")
-    K = obstacle_counts.pop()
-    obs_x = np.array(
-        [[obstacle.x_m for obstacle in world.obstacles] for world in worlds],
-        dtype=float,
-    ).reshape(n, K)
-    obs_y = np.array(
-        [[obstacle.y_m for obstacle in world.obstacles] for world in worlds],
-        dtype=float,
-    ).reshape(n, K)
-    obs_r = np.array(
-        [[obstacle.radius_m for obstacle in world.obstacles] for world in worlds],
-        dtype=float,
-    ).reshape(n, K)
+    # Obstacles padded to the widest row (at least one slot, so every call
+    # runs the same kernels): ``obs_valid`` masks the real slots, a prefix
+    # of each row, and the view, scan and collision kernels skip the rest.
+    obstacle_counts = np.array([len(world.obstacles) for world in worlds], dtype=np.int64)
+    K = max(1, int(obstacle_counts.max()))
+    obs_valid = np.arange(K) < obstacle_counts[:, None]
+    obs_x = np.zeros((n, K), dtype=float)
+    obs_y = np.zeros((n, K), dtype=float)
+    obs_r = np.zeros((n, K), dtype=float)
+    placed = [obstacle for world in worlds for obstacle in world.obstacles]
+    obs_x[obs_valid] = [obstacle.x_m for obstacle in placed]
+    obs_y[obs_valid] = [obstacle.y_m for obstacle in placed]
+    obs_r[obs_valid] = [obstacle.radius_m for obstacle in placed]
     # Indexed by episode row (not by position: see ``order`` below).
     moving = [
         [(k, o) for k, o in enumerate(world.obstacles) if o.motion is not None]
         for world in worlds
     ]
-    has_moving = any(moving)
-    del worlds
+    movers = np.array([bool(motions) for motions in moving])
+    has_moving = bool(movers.any())
+    del worlds, placed
 
     # ------------------------------------------------------------------
     # Per-episode draw streams (the offload and dropout generators, one row
@@ -259,14 +283,19 @@ def run_cells(
     )
     if sched_stream is not None:
         sched_stream.retire(np.nonzero(~modes.offload)[0])
-    p_drop = config.scenario.sensor_dropout_probability
+    p_drop = np.array(
+        [row.scenario.sensor_dropout_probability for row in row_configs], dtype=float
+    )
+    dropping = p_drop > 0.0
     drop_stream = (
         DrawStream(
             [(config.seed + 3) * 1000 + episode for episode in episode_ids], "random"
         )
-        if p_drop > 0.0
+        if dropping.any()
         else None
     )
+    if drop_stream is not None:
+        drop_stream.retire(np.nonzero(~dropping)[0])
     controller = framework._build_controller()
     heuristic_controller = isinstance(controller, ObstacleAvoidanceController)
     # The shield math is stateless (the per-episode counters live in the
@@ -362,8 +391,9 @@ def run_cells(
     order = np.arange(n)
     m = n
     row_state = (
-        order, xs, ys, hs, vs, proj_s, proj_d, obs_x, obs_y, obs_r,
-        filtered, lookup_rows, exact_rows, *modes,
+        order, xs, ys, hs, vs, proj_s, proj_d, obs_x, obs_y, obs_r, obs_valid,
+        movers, length_rows, half_width_rows, edge_rows, target_rows,
+        p_drop, dropping, filtered, lookup_rows, exact_rows, *modes,
         *sched.row_arrays(), *energy.row_arrays(),
         dropouts, unsafe, interventions, min_dist,
         det_present, det_nonempty, det_best_d, det_best_b, det_stale_flag,
@@ -381,12 +411,9 @@ def run_cells(
 
     # Per-frame constants, sliced to the live count (read-only).
     rank_max = np.iinfo(np.int64).max
-    target_rows = np.full(n, target_speed, dtype=float)
     zeros = np.zeros(n, dtype=float)
-    no_obstacle = np.full(n, NO_OBSTACLE_DISTANCE_M, dtype=float)
     no_transmission = np.zeros((n, num_opt), dtype=float)
     no_miss = np.zeros((n, num_opt), dtype=bool)
-    no_collision = np.zeros(n, dtype=bool)
     row_numbers = np.arange(n)
     flat_rows = row_numbers * num_opt
     # Scan row of each position that needs a scan this frame.
@@ -407,13 +434,10 @@ def run_cells(
         v_act = vs[:m]
 
         # ---- Nearest-obstacle view kernel (scan/view sub-phase) ----
-        if K:
-            dist_b, bear_b, _nearest = World.nearest_obstacle_view_batch(
-                x_act, y_act, h_act, obs_x[:m], obs_y[:m], obs_r[:m]
-            )
-        else:
-            dist_b = no_obstacle[:m]
-            bear_b = zeros[:m]
+        valid_act = obs_valid[:m]
+        dist_b, bear_b, _nearest = World.nearest_obstacle_view_batch(
+            x_act, y_act, h_act, obs_x[:m], obs_y[:m], obs_r[:m], valid_act
+        )
         if spent is not None:
             stamp = _lap(spent, "scan_view", stamp)
 
@@ -457,7 +481,7 @@ def run_cells(
             )
 
         fs, ft, intervened = shield.filter_batch(
-            h_vals, dist_b, bear_b, v_act, lat_act, half_width, raw_s, raw_t
+            h_vals, dist_b, bear_b, v_act, lat_act, half_width_rows[:m], raw_s, raw_t
         )
         # Unfiltered rows drive the raw control.
         keep = filtered[:m]
@@ -540,23 +564,23 @@ def run_cells(
         # replaced, the same fallback as model gating.  The inference still
         # runs and is charged.  Offload responses are never dropped: their
         # frame was captured and paid for when the offload was issued.
-        # p = 0 draws nothing.  An episode's dropout draws are taken in
-        # pipeline order (row-major over the mask).  A kept inference claims
-        # its insertion rank *now*, models in pipeline order; the scan
-        # phase below fills the nearest/staleness columns in.
+        # Rows with p = 0 draw nothing.  An episode's dropout draws are taken
+        # in pipeline order (row-major over the mask).  A kept inference
+        # claims its insertion rank *now*, models in pipeline order; the
+        # scan phase below fills the nearest/staleness columns in.
         fresh = outcome.fresh
         present = det_present[:m]
         stale = det_stale_flag[:m]
         kept = fresh
         if drop_stream is not None:
-            draw = fresh & outcome.local & present
+            draw = fresh & outcome.local & present & dropping[:m, None]
             draw_counts = np.add.reduce(draw, axis=1)
             draw_rows = draw_counts.nonzero()[0]
             if draw_rows.size:
+                taken = draw_counts[draw_rows]
+                draws = drop_stream.take(order[draw_rows], taken)
                 dropped = np.zeros((m, num_opt), dtype=bool)
-                dropped[draw] = (
-                    drop_stream.take(order[draw_rows], draw_counts[draw_rows]) < p_drop
-                )
+                dropped[draw] = draws < p_drop[draw_rows].repeat(taken)
                 dropouts[:m] += np.add.reduce(dropped, axis=1)
                 stale |= dropped
                 kept = fresh & ~dropped
@@ -584,6 +608,7 @@ def run_cells(
             best = scanner.scan_batch(
                 xs[scan_rows], ys[scan_rows], hs[scan_rows],
                 obs_x[scan_rows], obs_y[scan_rows], obs_r[scan_rows],
+                obs_valid[scan_rows],
             )
         if spent is not None:
             stamp = _lap(spent, "scan_raycast", stamp)
@@ -613,9 +638,11 @@ def run_cells(
         )
 
         # ---- Status: obstacle motion, collision, road membership ----
+        # Only the live rows that carry a moving obstacle pay a Python loop.
         time_s += tau
         if has_moving:
-            for position, row in enumerate(order[:m].tolist()):
+            mover_pos = movers[:m].nonzero()[0]
+            for position, row in zip(mover_pos.tolist(), order[mover_pos].tolist()):
                 for k, obstacle in moving[row]:
                     mx, my = obstacle.motion.position_at(
                         (obstacle.x_m, obstacle.y_m), time_s
@@ -623,18 +650,12 @@ def run_cells(
                     obs_x[position, k] = mx
                     obs_y[position, k] = my
 
-        collided = (
-            np.logical_or.reduce(
-                np.hypot(obs_x[:m] - xn[:, None], obs_y[:m] - yn[:, None])
-                <= (obs_r[:m] + vehicle_radius),
-                axis=1,
-            )
-            if K
-            else no_collision[:m]
+        collided = collided_batch(
+            xn, yn, obs_x[:m], obs_y[:m], obs_r[:m], valid_act, vehicle_radius
         )
         s_tot, d_arr = centerline.project_batch(xn, yn)
-        fin = s_tot >= length_m
-        off = ~(np.abs(d_arr) <= edge_limit)
+        fin = s_tot >= length_rows[:m]
+        off = ~(np.abs(d_arr) <= edge_rows[:m])
 
         xs[:m] = xn
         ys[:m] = yn

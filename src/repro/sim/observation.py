@@ -70,6 +70,7 @@ class RangeScanner:
         obs_x="(N, K) float64",
         obs_y="(N, K) float64",
         obs_r="(N, K) float64",
+        obs_valid="(N, K) bool",
         returns="(N, B) float64",
     )
     def scan_batch(
@@ -80,6 +81,7 @@ class RangeScanner:
         obs_x: np.ndarray,
         obs_y: np.ndarray,
         obs_r: np.ndarray,
+        obs_valid: np.ndarray,
     ) -> np.ndarray:
         """Obstacle range scans of ``N`` vehicle poses against ``K`` circles each.
 
@@ -92,12 +94,14 @@ class RangeScanner:
         the origin or off the ray are misses.  Each beam keeps the first
         strictly nearest hit in obstacle order, starting from
         ``max_range_m``, exactly as a per-beam scalar walk over the
-        obstacle list.
+        obstacle list.  Slots with ``obs_valid`` False are padding and
+        never hit, whatever they hold.
 
         Args:
             xs, ys, hs: ``(N,)`` vehicle poses.
             obs_x, obs_y, obs_r: ``(N, K)`` obstacle centres and radii
                 (``K`` may be 0).
+            obs_valid: ``(N, K)`` mask of the slots holding an obstacle.
 
         Returns:
             ``(N, num_beams)`` hit distances, capped at ``max_range_m``.
@@ -108,6 +112,8 @@ class RangeScanner:
         fxs = (xs[:, None] - obs_x)[:, :, None]
         fys = (ys[:, None] - obs_y)[:, :, None]
         cs = fxs * fxs + fys * fys - (obs_r * obs_r)[:, :, None]
+        # A pad's infinite ``c`` makes every discriminant negative: a miss.
+        cs = np.where(obs_valid[:, :, None], cs, np.inf)
         best = np.full((xs.shape[0], self.num_beams), self.max_range_m)
         group = max(1, _GRID_ELEMENTS // max(1, xs.shape[0] * self.num_beams))
         for lo in range(0, obs_x.shape[1], group):
@@ -141,4 +147,5 @@ class RangeScanner:
             np.array([[obstacle.x_m for obstacle in obstacles]], dtype=float),
             np.array([[obstacle.y_m for obstacle in obstacles]], dtype=float),
             np.array([[obstacle.radius_m for obstacle in obstacles]], dtype=float),
+            np.ones((1, len(obstacles)), dtype=bool),
         )[0]

@@ -68,6 +68,21 @@ class ScenarioConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
+        if self.road_segments is None and self.road_length_m <= 0:
+            raise ValueError(
+                f"road_length_m must be positive on a straight road, got {self.road_length_m}"
+            )
+        if self.road_width_m <= 0:
+            raise ValueError(f"road_width_m must be positive, got {self.road_width_m}")
+        if self.obstacle_radius_m <= 0:
+            raise ValueError(
+                f"obstacle_radius_m must be positive, got {self.obstacle_radius_m}"
+            )
+        if not 0.0 <= self.obstacle_zone_start_fraction < 1.0:
+            raise ValueError(
+                "obstacle_zone_start_fraction must be in [0, 1), got "
+                f"{self.obstacle_zone_start_fraction}"
+            )
         if self.num_obstacles < 0:
             raise ValueError("num_obstacles must be non-negative")
         if self.initial_speed_mps < 0:

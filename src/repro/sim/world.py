@@ -22,6 +22,9 @@ from repro.sim.collision import first_collision
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import LanePose, Road
 
+#: Distance reported when no obstacle is in range (effectively "infinitely far").
+NO_OBSTACLE_DISTANCE_M = 1e6
+
 
 @dataclass
 class WorldStatus:
@@ -129,6 +132,7 @@ class World:
         obs_x="(N, K) float64",
         obs_y="(N, K) float64",
         obs_r="(N, K) float64",
+        obs_valid="(N, K) bool",
         returns=("(N,) float64", "(N,) float64", "(N,) int64"),
     )
     def nearest_obstacle_view_batch(
@@ -138,20 +142,30 @@ class World:
         obs_x: np.ndarray,
         obs_y: np.ndarray,
         obs_r: np.ndarray,
+        obs_valid: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized nearest-obstacle-view kernel over ``(N,)`` states.
 
-        Ranks all ``K`` obstacles of each of ``N`` episodes at once:
-        surface distance (``max(0, centre_distance - radius)``) and bearing
-        relative to the heading, with obstacles in the forward half-plane
-        (``|bearing| <= pi/2``) preferred and the globally nearest one used
-        only when nothing lies ahead.  ``np.argmin``'s first-occurrence
-        tie-break matches the scalar ``min()`` over the obstacle list.
+        Ranks the valid obstacles among the ``K`` slots of each of ``N``
+        episodes at once: surface distance (``max(0, centre_distance -
+        radius)``) and bearing relative to the heading, with obstacles in
+        the forward half-plane (``|bearing| <= pi/2``) preferred and the
+        globally nearest one used only when nothing lies ahead.
+        ``np.argmin``'s first-occurrence tie-break matches the scalar
+        ``min()`` over the obstacle list.
+
+        Slots with ``obs_valid`` False are padding (rows of a lockstep call
+        carry different obstacle counts) and never rank, whatever they
+        hold: a pad "ahead" would otherwise hide the fallback to an
+        obstacle behind, and a NaN pad would win the ``argmin``.  A row
+        without a valid obstacle reads :data:`NO_OBSTACLE_DISTANCE_M`,
+        bearing ``0.0`` and index ``-1``.
 
         Args:
             xs, ys, hs: ``(N,)`` vehicle poses.
             obs_x, obs_y, obs_r: ``(N, K)`` obstacle centres and radii,
-                with ``K >= 1`` (callers handle the no-obstacle case).
+                with ``K >= 1`` (callers pad a call without obstacles).
+            obs_valid: ``(N, K)`` mask of the slots holding an obstacle.
 
         Returns:
             ``(surface_distance, bearing, obstacle_index)`` arrays of shape
@@ -162,12 +176,17 @@ class World:
         centre_distance = np.hypot(dx, dy)
         bearing = wrap_angle(np.arctan2(dy, dx) - hs[:, None])
         surface = np.maximum(0.0, centre_distance - obs_r)
-        ahead = np.abs(bearing) <= 0.5 * math.pi
-        any_ahead = ahead.any(axis=1)
-        ranking = np.where(ahead | ~any_ahead[:, None], surface, np.inf)
+        ahead = (np.abs(bearing) <= 0.5 * math.pi) & obs_valid
+        any_ahead = np.logical_or.reduce(ahead, axis=1)
+        ranking = np.where(ahead | (obs_valid & ~any_ahead[:, None]), surface, np.inf)
         nearest = ranking.argmin(axis=1)
         rows = np.arange(xs.shape[0])
-        return surface[rows, nearest], bearing[rows, nearest], nearest
+        present = np.logical_or.reduce(obs_valid, axis=1)
+        return (
+            np.where(present, surface[rows, nearest], NO_OBSTACLE_DISTANCE_M),
+            np.where(present, bearing[rows, nearest], 0.0),
+            np.where(present, nearest, -1),
+        )
 
     def nearest_obstacle_view(self) -> tuple[float, float, Obstacle] | None:
         """Return ``(surface_distance, bearing, obstacle)`` for the nearest threat.
@@ -194,6 +213,7 @@ class World:
             np.array(
                 [[obstacle.radius_m for obstacle in self.obstacles]], dtype=float
             ),
+            np.ones((1, len(self.obstacles)), dtype=bool),
         )
         return float(distance[0]), float(bearing[0]), self.obstacles[int(nearest[0])]
 

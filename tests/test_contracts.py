@@ -284,15 +284,18 @@ def test_mutation_real_world_broadcast_breaks_the_batch_kernel(monkeypatch):
     rng = np.random.default_rng(0)
     xs, ys, hs = rng.normal(size=(3, 3))
     obs = rng.normal(size=(3, 3, 3)) + np.array([20.0, 0.0, 1.0])[:, None, None]
-    real = World.nearest_obstacle_view_batch(xs, ys, hs, *obs)
-    broken = world.World.nearest_obstacle_view_batch(xs, ys, hs, *obs)
+    valid = np.ones((3, 3), dtype=bool)
+    real = World.nearest_obstacle_view_batch(xs, ys, hs, *obs, valid)
+    broken = world.World.nearest_obstacle_view_batch(xs, ys, hs, *obs, valid)
     assert not all(np.array_equal(a, b) for a, b in zip(real, broken, strict=True))
     single = world.World.nearest_obstacle_view_batch(
-        xs[:1], ys[:1], hs[:1], *obs[:, :1]
+        xs[:1], ys[:1], hs[:1], *obs[:, :1], valid[:1]
     )
     assert all(np.array_equal(a[:1], b) for a, b in zip(real, single, strict=True))
     with pytest.raises(ValueError, match="broadcast"):
-        world.World.nearest_obstacle_view_batch(xs[:2], ys[:2], hs[:2], *obs[:, :2])
+        world.World.nearest_obstacle_view_batch(
+            xs[:2], ys[:2], hs[:2], *obs[:, :2], valid[:2]
+        )
 
 
 def test_mutation_real_safety_return_shape_fails_under_runtime_contracts(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.framework import (
     LOCKSTEP_ROW_FIELDS,
+    LOCKSTEP_SCENARIO_FIELDS,
     MAX_OFFLOAD_DEADLINE_PERIODS,
     VAE_COMPUTE_PROFILE,
     SEOConfig,
@@ -13,6 +14,7 @@ from repro.core.framework import (
 )
 from repro.platform.presets import ZED_CAMERA
 from repro.runtime.batch import run_batch
+from repro.sim.road import StraightSegment
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -67,11 +69,27 @@ class TestSEOConfig:
             detector_sensor=ZED_CAMERA,
             use_lookup_table=False,
             safety_aware=False,
+            target_speed_mps=6.0,
+            # Every scenario field but the centreline and the obstacle radius.
+            scenario=ScenarioConfig(
+                road_length_m=110.0,
+                road_width_m=14.0,
+                num_obstacles=5,
+                obstacle_zone_start_fraction=0.45,
+                obstacle_motion="lateral-loop",
+                obstacle_speed_mps=1.0,
+                sensor_dropout_probability=0.35,
+                initial_speed_mps=6.0,
+                target_speed_mps=6.0,
+                initial_lateral_offset_m=0.5,
+                seed=9,
+            ),
         )
         assert set(LOCKSTEP_ROW_FIELDS) == {
             "optimization", "filtered", "detector_sensor", "use_lookup_table",
-            "safety_aware",
+            "safety_aware", "target_speed_mps",
         }
+        assert set(LOCKSTEP_SCENARIO_FIELDS) == {"road_segments", "obstacle_radius_m"}
         assert per_row.lockstep_key() == config.lockstep_key()
         hash(config.lockstep_key())
         # Beyond the offload cap: the key is read off the fields, never
@@ -83,9 +101,17 @@ class TestSEOConfig:
             {"max_steps": 10},
             {"seed": 1},
             {"controller": "pure_pursuit"},
-            {"scenario": ScenarioConfig(num_obstacles=1)},
+            {"scenario": ScenarioConfig(obstacle_radius_m=1.5)},
+            {"scenario": ScenarioConfig(road_segments=(StraightSegment(100.0),))},
         ):
             assert dataclasses.replace(config, **shared).lockstep_key() != config.lockstep_key()
+
+    def test_lockstep_fields_name_the_key(self):
+        config = SEOConfig()
+        names = [name for name, _ in config.lockstep_fields()]
+        assert names[:3] == ["tau_s", "scenario.road_segments", "scenario.obstacle_radius_m"]
+        assert not set(names) & set(LOCKSTEP_ROW_FIELDS)
+        assert tuple(value for _, value in config.lockstep_fields()) == config.lockstep_key()
 
     def test_detector_name_is_stable(self):
         config = SEOConfig()

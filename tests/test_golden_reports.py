@@ -106,14 +106,22 @@ def test_both_loops_match_golden_digest(label):
 
 
 def test_groups_merge_every_per_row_setting():
-    """Each family's four modes share a call; on the variant family the
-    exact, oblivious and unfiltered variants join them, pure pursuit not."""
+    """Every straight-road family shares one call: the four modes of each,
+    and the exact, oblivious and unfiltered variants of the variant family
+    (different road lengths, widths, obstacle counts, motion, dropout and
+    speeds are rows).  Each curved family keeps its own call (its
+    centreline is a key field), and so does pure pursuit (the controller)."""
     sizes = {group: len(labels) for group, labels in GROUPS.items()}
     assert sum(sizes.values()) == len(CONFIGS)
-    # The family itself plus its exact, oblivious and unfiltered variants.
-    assert sizes.pop(f"{VARIANT_FAMILY}/model_gating") == 4 * len(MODES)
+    straight = [
+        name for name in DEFAULT_SUITE.names()
+        if DEFAULT_SUITE.get(name).base.road_segments is None
+    ]
+    curved = len(DEFAULT_SUITE.names()) - len(straight)
+    assert len(GROUPS) == 2 + curved
+    assert sizes.pop(f"{straight[0]}/model_gating") == len(MODES) * (len(straight) + 3)
     assert sizes.pop(f"{VARIANT_FAMILY}/model_gating/pure_pursuit") == len(MODES)
-    assert sorted(sizes.values()) == [len(MODES)] * (len(DEFAULT_SUITE.names()) - 1)
+    assert sorted(sizes.values()) == [len(MODES)] * curved
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -568,7 +568,7 @@ class TestKernelFacadeParity:
         obs_y = np.tile([o.y_m for o in obstacles], (n, 1))
         obs_r = np.tile([o.radius_m for o in obstacles], (n, 1))
         surface, bearing, nearest = World.nearest_obstacle_view_batch(
-            xs, ys, hs, obs_x, obs_y, obs_r
+            xs, ys, hs, obs_x, obs_y, obs_r, np.ones((n, len(obstacles)), dtype=bool)
         )
         for j, (x, y, h) in enumerate(poses):
             world = World(
@@ -594,6 +594,42 @@ class TestKernelFacadeParity:
             best = min(candidates, key=lambda k: views[k][0])
             assert int(nearest[j]) == best
             assert surface[j] == views[best][0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 6))
+    def test_obstacle_view_skips_padded_slots(self, seed, slots):
+        """A masked slot never ranks, wherever it sits: each row equals the
+        kernel over its valid obstacles alone, and a row without one reads
+        the no-obstacle view."""
+        rng = np.random.default_rng(seed)
+        rows = 5
+        xs, ys = rng.uniform(-5.0, 5.0, (2, rows))
+        hs = rng.uniform(-math.pi, math.pi, rows)
+        obs_x = xs[:, None] + rng.uniform(-20.0, 20.0, (rows, slots))
+        obs_y = ys[:, None] + rng.uniform(-20.0, 20.0, (rows, slots))
+        obs_r = rng.uniform(0.1, 3.0, (rows, slots))
+        valid = rng.random((rows, slots)) < 0.6
+        valid[0] = False
+        # Pads right in front of the vehicle, where an unmasked slot wins.
+        pad = ~valid
+        obs_x[pad] = (xs[:, None] + 2.0 * np.cos(hs)[:, None]).repeat(slots, 1)[pad]
+        obs_y[pad] = (ys[:, None] + 2.0 * np.sin(hs)[:, None]).repeat(slots, 1)[pad]
+        surface, bearing, nearest = World.nearest_obstacle_view_batch(
+            xs, ys, hs, obs_x, obs_y, obs_r, valid
+        )
+        for j in range(rows):
+            real = valid[j].nonzero()[0]
+            if not real.size:
+                assert (surface[j], bearing[j], nearest[j]) == (NO_OBSTACLE_DISTANCE_M, 0.0, -1)
+                continue
+            alone = World.nearest_obstacle_view_batch(
+                xs[j : j + 1], ys[j : j + 1], hs[j : j + 1],
+                obs_x[j : j + 1, real], obs_y[j : j + 1, real], obs_r[j : j + 1, real],
+                np.ones((1, real.size), dtype=bool),
+            )
+            assert surface[j] == alone[0][0]
+            assert bearing[j] == alone[1][0]
+            assert nearest[j] == real[alone[2][0]]
 
     def test_obstacle_view_ahead_boundary_at_half_pi(self):
         """|bearing| == pi/2 exactly still counts as ahead (<=, not <)."""
@@ -925,13 +961,15 @@ class TestVectorizedGeometryReferences:
         obs_x = xs[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
         obs_y = ys[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
         obs_r = rng.uniform(0.3, 4.0, (rows, num_obstacles))
+        # Padded slots (any position, here the same random circles) never hit.
+        valid = rng.random((rows, num_obstacles)) < 0.7
         with mock.patch.object(observation, "_GRID_ELEMENTS", budget):
-            result = scanner.scan_batch(xs, ys, hs, obs_x, obs_y, obs_r)
+            result = scanner.scan_batch(xs, ys, hs, obs_x, obs_y, obs_r, valid)
         expected = np.array(
             [
                 _scalar_scan(
                     scanner, xs[i], ys[i], hs[i],
-                    list(zip(obs_x[i], obs_y[i], obs_r[i])),
+                    list(zip(obs_x[i][valid[i]], obs_y[i][valid[i]], obs_r[i][valid[i]])),
                 )
                 for i in range(rows)
             ]
@@ -958,6 +996,7 @@ class TestVectorizedGeometryReferences:
             result = scanner.scan_batch(
                 np.zeros(1), np.zeros(1), np.zeros(1),
                 columns[..., 0], columns[..., 1], columns[..., 2],
+                np.ones((1, len(circles)), dtype=bool),
             )
             _assert_bitwise_equal(result[0], expected)
         inside = _scalar_scan(scanner, 0.0, 0.0, 0.0, cases[0])

@@ -9,6 +9,7 @@ themselves.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.platform.presets import NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
 from repro.runtime.batch import run_batch, run_cells
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
+from repro.sim.road import StraightSegment
 from repro.sim.scenario import DEFAULT_SUITE, ScenarioConfig
 
 
@@ -191,6 +193,77 @@ def test_cells_partition_rows_that_end_interleaved():
     # The first row to end is not the last row of the call.
     first = min((report.steps, report.episode) for report in cells[0] + cells[1])
     assert first != (cells[1][-1].steps, cells[1][-1].episode)
+
+
+def test_cells_merge_scenario_rows():
+    """Cells that differ in the scenario's row fields share one call.
+
+    Zero, two, three and five obstacles (padded to five, masked), moving
+    with static obstacles, dropout with none, and different road lengths,
+    widths, zones and target speeds: every cell equals itself run alone,
+    and the rows end on different frames.
+    """
+    base = SEOConfig(max_steps=900, seed=2)
+
+    def cell(target_speed=8.0, **scenario):
+        return SEOFramework(
+            dataclasses.replace(
+                base,
+                target_speed_mps=target_speed,
+                scenario=ScenarioConfig(
+                    initial_speed_mps=target_speed, target_speed_mps=target_speed,
+                    **scenario,
+                ),
+            )
+        )
+
+    frameworks = [
+        cell(num_obstacles=0, road_length_m=70.0),
+        cell(num_obstacles=2, road_length_m=60.0, road_width_m=10.0, target_speed=7.0),
+        cell(
+            num_obstacles=5, road_length_m=110.0, road_width_m=14.0,
+            obstacle_zone_start_fraction=0.45, obstacle_motion="lateral-loop",
+            obstacle_speed_mps=1.0, target_speed=6.0,
+        ),
+        cell(num_obstacles=3, sensor_dropout_probability=0.35, target_speed=7.0),
+        cell(num_obstacles=5, road_length_m=80.0, road_width_m=9.0),
+    ]
+    assert len({fw.config.lockstep_key() for fw in frameworks}) == 1
+    episodes = [[1, 0], [2, 0], [0, 3], [1, 2], [4, 0]]
+    cells = run_cells(list(zip(frameworks, episodes)))
+    assert cells == [run_batch(fw, eps) for fw, eps in zip(frameworks, episodes)]
+    reports = [report for reports in cells for report in reports]
+    assert len({report.steps for report in reports}) >= 8
+    assert sum(report.steps < base.max_steps for report in reports) >= 8
+    assert all(
+        report.min_obstacle_distance_m == NO_OBSTACLE_DISTANCE_M for report in cells[0]
+    )
+    assert all(report.sensor_dropouts for report in cells[3])
+    assert not any(
+        report.sensor_dropouts for i, c in enumerate(cells) if i != 3 for report in c
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"max_steps": 100}, "max_steps"),
+        ({"tau_s": 0.025, "max_steps": 100}, "tau_s"),
+        (
+            {"scenario": ScenarioConfig(road_segments=(StraightSegment(60.0),))},
+            "scenario.road_segments",
+        ),
+        ({"scenario": ScenarioConfig(obstacle_radius_m=1.5)}, "scenario.obstacle_radius_m"),
+    ],
+    ids=["max_steps", "tau_s", "road_segments", "obstacle_radius"],
+)
+def test_run_cells_names_the_first_differing_key_field(fast_seo_config, overrides, field):
+    frameworks = [
+        SEOFramework(fast_seo_config),
+        SEOFramework(dataclasses.replace(fast_seo_config, **overrides)),
+    ]
+    with pytest.raises(ValueError, match=rf"must agree on {re.escape(field)} \("):
+        run_cells([(framework, [0]) for framework in frameworks])
 
 
 def test_run_cells_refuses_incompatible_cells(fast_seo_config):

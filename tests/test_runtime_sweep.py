@@ -1,6 +1,7 @@
 """Tests for the shared-pool sweep engine (`repro.runtime.sweep`)."""
 
 import dataclasses
+import math
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -17,6 +18,7 @@ from repro.runtime.sweep import (
     split_ranges,
     sweep_jobs,
 )
+from repro.sim.road import ArcSegment, StraightSegment
 
 
 def _exploding_task(ranges):
@@ -311,14 +313,25 @@ class TestLockstepMerging:
         assert batch == alone
 
     def test_incompatible_cells_are_not_merged(self, fast_seo_config, monkeypatch):
+        """The curved centreline, the obstacle radius, ``tau_s`` and
+        ``max_steps`` shape state every row shares: one call each."""
         scenario = fast_seo_config.scenario
         configs = {
             "base": fast_seo_config,
-            "road": dataclasses.replace(
-                fast_seo_config, scenario=dataclasses.replace(scenario, road_length_m=70.0)
+            "curved": dataclasses.replace(
+                fast_seo_config,
+                scenario=dataclasses.replace(
+                    scenario,
+                    road_segments=(
+                        StraightSegment(30.0),
+                        ArcSegment(radius_m=40.0, sweep_rad=math.radians(30.0)),
+                        StraightSegment(15.0),
+                    ),
+                ),
             ),
-            "obstacles": dataclasses.replace(
-                fast_seo_config, scenario=dataclasses.replace(scenario, num_obstacles=3)
+            "radius": dataclasses.replace(
+                fast_seo_config,
+                scenario=dataclasses.replace(scenario, obstacle_radius_m=1.5),
             ),
             "tau": dataclasses.replace(fast_seo_config, tau_s=0.025),
             "max_steps": dataclasses.replace(fast_seo_config, max_steps=400),
@@ -330,6 +343,26 @@ class TestLockstepMerging:
         with SweepRunner(backend="batch") as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [1] * len(configs)
+        assert batch == alone
+
+    def test_straight_road_scenarios_share_one_call(self, fast_seo_config, monkeypatch):
+        """Straight-road length and obstacle count are rows: one call."""
+        scenario = fast_seo_config.scenario
+        configs = {
+            "base": fast_seo_config,
+            "road": dataclasses.replace(
+                fast_seo_config, scenario=dataclasses.replace(scenario, road_length_m=70.0)
+            ),
+            "obstacles": dataclasses.replace(
+                fast_seo_config, scenario=dataclasses.replace(scenario, num_obstacles=3)
+            ),
+        }
+        assert len({config.lockstep_key() for config in configs.values()}) == 1
+        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        calls = self._count_calls(monkeypatch)
+        with SweepRunner(backend="batch") as runner:
+            batch = runner.run(sweep_jobs(configs, episodes=2))
+        assert calls == [len(configs)]
         assert batch == alone
 
     def test_socket_workers_run_merged_chunks(self, executor_spy):

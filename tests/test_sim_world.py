@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics.state import ControlAction, VehicleState
-from repro.sim.collision import circle_hit, first_collision
+from repro.sim.collision import circle_hit, collided_batch, first_collision
 from repro.sim.obstacles import Obstacle, place_obstacles
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
@@ -113,6 +113,37 @@ class TestCollision:
 
     def test_first_collision_none_when_clear(self):
         assert first_collision(VehicleState(), [Obstacle(50.0, 0.0)], 1.0) is None
+
+    def test_collided_batch_matches_first_collision_on_valid_slots(self):
+        """Each row's batch verdict is ``first_collision`` over its valid
+        slots alone; padded slots never collide, even on top of the vehicle."""
+        rng = np.random.default_rng(4)
+        rows, slots = 40, 4
+        xs, ys = rng.uniform(-3.0, 3.0, (2, rows))
+        obs_x = rng.uniform(-4.0, 4.0, (rows, slots))
+        obs_y = rng.uniform(-4.0, 4.0, (rows, slots))
+        obs_r = rng.uniform(0.2, 1.5, (rows, slots))
+        valid = rng.random((rows, slots)) < 0.5
+        valid[0] = False
+        # Pads sit right on the vehicle: an unmasked pad always collides.
+        obs_x[~valid] = xs.repeat(slots).reshape(rows, slots)[~valid]
+        obs_y[~valid] = ys.repeat(slots).reshape(rows, slots)[~valid]
+        collided = collided_batch(xs, ys, obs_x, obs_y, obs_r, valid, 0.8)
+        expected = [
+            first_collision(
+                VehicleState(x_m=xs[j], y_m=ys[j]),
+                [
+                    Obstacle(obs_x[j, k], obs_y[j, k], radius_m=obs_r[j, k])
+                    for k in valid[j].nonzero()[0]
+                ],
+                0.8,
+            )
+            is not None
+            for j in range(rows)
+        ]
+        assert collided.tolist() == expected
+        assert 0 < sum(expected) < rows
+        assert not collided[0]
 
 
 class TestWorld:
@@ -275,3 +306,27 @@ class TestScenario:
     def test_config_rejects_nonpositive_target_speed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(target_speed_mps=0.0)
+
+    # Refused up front, naming the field, instead of inside build_world.
+    @pytest.mark.parametrize("length", [0.0, -5.0])
+    def test_config_rejects_nonpositive_straight_road_length(self, length):
+        with pytest.raises(ValueError, match="road_length_m must be positive"):
+            ScenarioConfig(road_length_m=length)
+        # A curved road takes its length from its segments.
+        ScenarioConfig(road_length_m=length, road_segments=(StraightSegment(50.0),))
+
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_config_rejects_nonpositive_road_width(self, width):
+        with pytest.raises(ValueError, match="road_width_m must be positive"):
+            ScenarioConfig(road_width_m=width)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5])
+    def test_config_rejects_nonpositive_obstacle_radius(self, radius):
+        with pytest.raises(ValueError, match="obstacle_radius_m must be positive"):
+            ScenarioConfig(obstacle_radius_m=radius)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    def test_config_rejects_obstacle_zone_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"obstacle_zone_start_fraction must be in \[0, 1\)"):
+            ScenarioConfig(obstacle_zone_start_fraction=fraction)
+        ScenarioConfig(obstacle_zone_start_fraction=0.0)
