@@ -11,7 +11,8 @@ and so must ``run_episode`` (one episode per config, run alone), so a
 change to any kernel of the loop, or a report that depends on its
 batchmates, shows up here.  The configs also run merged: one ``run_cells``
 call per group of equal ``SEOConfig.lockstep_key``, whose every row must
-match its config's digests too.
+match its config's digests too; each family's cells (pure pursuit apart)
+are checked by their own test, out of the merged call that holds them.
 
 Regenerate (only for an intended behaviour change) with::
 
@@ -21,6 +22,7 @@ Regenerate (only for an intended behaviour change) with::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -82,8 +84,18 @@ def lockstep_groups(configs: dict[str, SEOConfig]) -> dict[str, list[str]]:
     return {labels[0]: labels for labels in groups.values()}
 
 
+def family_groups(configs: dict[str, SEOConfig]) -> dict[str, list[str]]:
+    """Labels grouped by family and controller, each named by its first label."""
+    groups: dict[tuple[str, str], list[str]] = {}
+    for label in sorted(configs):
+        family = label.split("/", 1)[0]
+        groups.setdefault((family, configs[label].controller), []).append(label)
+    return {labels[0]: labels for labels in groups.values()}
+
+
 CONFIGS = golden_configs()
 GROUPS = lockstep_groups(CONFIGS)
+FAMILIES = family_groups(CONFIGS)
 GOLDEN: dict[str, list[str]] = (
     json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
 )
@@ -124,12 +136,30 @@ def test_groups_merge_every_per_row_setting():
     assert sorted(sizes.values()) == [len(MODES)] * curved
 
 
-@pytest.mark.parametrize("group", sorted(GROUPS))
-def test_merged_cells_match_golden_digest(group):
+@functools.cache
+def merged_digests(group: str) -> dict[str, list[str]]:
+    """Digests per label of one ``run_cells`` call over a lockstep group."""
     labels = GROUPS[group]
     cells = run_cells([(SEOFramework(CONFIGS[label]), EPISODES) for label in labels])
-    for label, reports in zip(labels, cells, strict=True):
-        assert report_digests(reports) == GOLDEN[label], f"{label} drifted merged"
+    return {
+        label: report_digests(reports)
+        for label, reports in zip(labels, cells, strict=True)
+    }
+
+
+def test_every_family_sits_in_one_merged_call():
+    for labels in FAMILIES.values():
+        assert len({group for group, members in GROUPS.items()
+                    for label in labels if label in members}) == 1
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_merged_cells_match_golden_digest(family):
+    labels = FAMILIES[family]
+    group = next(group for group, members in GROUPS.items() if labels[0] in members)
+    merged = merged_digests(group)
+    for label in labels:
+        assert merged[label] == GOLDEN[label], f"{label} drifted merged"
 
 
 if __name__ == "__main__":
