@@ -432,9 +432,10 @@ def run(argv: Sequence[str] | None = None) -> str:
         )
         manifest_path = args.ledger_dir / MANIFEST_NAME
 
-    # One sweep runner — and therefore at most one worker pool — serves every
-    # experiment of this invocation (the pool is created lazily on the first
-    # parallel batch, so in-process runs never spawn one).
+    # One sweep runner — and therefore one worker pool at a time — serves
+    # every experiment of this invocation (the pool is created lazily on the
+    # first parallel batch, so in-process runs never spawn one, and is only
+    # rebuilt to grow).
     try:
         with SweepRunner(
             jobs=args.jobs,

@@ -114,6 +114,10 @@ class DeadlineLookupTable:
     # The grid axes (distance, bearing, speed, steering, throttle), built
     # once in ``__post_init__`` and read-only: a pure function of ``grid``.
     _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # ``values`` with every cell replaced by the minimum over its 3x3x3
+    # bearing/steering/throttle neighbourhood, built once in
+    # ``__post_init__`` and read-only: what :meth:`query_batch` gathers.
+    _neighbourhood_min: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axes = (
@@ -131,6 +135,10 @@ class DeadlineLookupTable:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {expected_shape}"
             )
+        # A read-only copy of ``values``, so the derived minimum cannot go stale.
+        self.values = np.array(self.values)
+        self.values.flags.writeable = False
+        self._neighbourhood_min = _neighbourhood_min(self.values)
 
     # ------------------------------------------------------------------
     # Construction
@@ -260,27 +268,9 @@ class DeadlineLookupTable:
         steer_index = np.abs(steering_grid[None, :] - s[:, None]).argmin(axis=1)
         throttle_index = np.abs(throttle_grid[None, :] - u[:, None]).argmin(axis=1)
 
-        # Neighbourhood minimum, as in the scalar path.  Edge bins clip the
-        # neighbour index instead of shrinking the slice; the duplicated
-        # entries cannot change the minimum.
-        neighbours = np.arange(-1, 2)
-        bearing_nb = (bearing_index[:, None] + neighbours[None, :]) % bearing_grid.size
-        steer_nb = np.minimum(
-            np.maximum(steer_index[:, None] + neighbours[None, :], 0),
-            steering_grid.size - 1,
-        )
-        throttle_nb = np.minimum(
-            np.maximum(throttle_index[:, None] + neighbours[None, :], 0),
-            throttle_grid.size - 1,
-        )
-        cell = self.values[
-            distance_index[:, None, None, None],
-            bearing_nb[:, :, None, None],
-            speed_index[:, None, None, None],
-            steer_nb[:, None, :, None],
-            throttle_nb[:, None, None, :],
+        out[mask] = self._neighbourhood_min[
+            distance_index, bearing_index, speed_index, steer_index, throttle_index
         ]
-        out[mask] = np.minimum.reduce(cell, axis=(1, 2, 3))
         return out
 
     def __call__(self, inputs: SafetyInputs, control: ControlAction) -> float:
@@ -336,3 +326,22 @@ class DeadlineLookupTable:
                 obstacle_radius_m=float(data["obstacle_radius_m"]),
             )
 
+
+def _neighbourhood_min(values: np.ndarray) -> np.ndarray:
+    """Minimum of each cell's 3x3x3 bearing/steering/throttle neighbourhood.
+
+    The bearing axis (1) is circular and rolls; the steering (3) and
+    throttle (4) axes clip at their edge bins, which repeat an edge entry
+    and so cannot change a minimum.  ``np.minimum`` is exact, so each cell
+    equals the minimum a query would reduce from its 27 neighbours.
+    """
+    out = np.minimum(
+        values, np.minimum(np.roll(values, 1, axis=1), np.roll(values, -1, axis=1))
+    )
+    for axis in (3, 4):
+        size = out.shape[axis]
+        below = np.take(out, np.maximum(np.arange(size) - 1, 0), axis=axis)
+        above = np.take(out, np.minimum(np.arange(size) + 1, size - 1), axis=axis)
+        out = np.minimum(out, np.minimum(below, above))
+    out.flags.writeable = False
+    return out

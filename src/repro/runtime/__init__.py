@@ -19,8 +19,8 @@ experiment drivers:
   multi-config sweep engine and the one place a backend name
   (:data:`EXECUTOR_BACKENDS`: ``process``, ``socket``, ``batch``) becomes a
   pool: the units of a batch run as lockstep groups, cut into one chunk
-  per worker of one shared pool, and one runner (hence at most one pool)
-  can serve every batch of a CLI invocation.  With a ledger/shard attached it resumes and partitions
+  per worker of one shared pool, and one runner (hence one pool at a
+  time, rebuilt only to grow) can serve every batch of a CLI invocation.  With a ledger/shard attached it resumes and partitions
   sweeps.
 * :mod:`repro.runtime.ledger` — :class:`RunLedger`, the append-only on-disk
   record of completed units (JSONL index + ``.npz`` report blobs) behind

@@ -311,6 +311,7 @@ class SweepRunner:
         self.units_executed = 0
         self.units_resumed = 0
         self._pool = None
+        self._pool_size = 0
         self._closed = False
         self._serial = SerialExecutor()
 
@@ -335,14 +336,25 @@ class SweepRunner:
     ) -> None:
         self.close()
 
-    def _ensure_pool(self) -> Any:
+    def _ensure_pool(self, tasks: int) -> Any:
+        """The shared pool, ready for a batch of ``tasks`` chunks.
+
+        A process pool forks only as many workers as the batch can use,
+        ``min(workers, tasks)``, and is rebuilt larger when a later batch
+        has more chunks than it has workers.
+        """
+        size = min(self.workers, tasks)
+        if self._pool is not None and self.backend == "process" and self._pool_size < size:
+            self._pool.shutdown()
+            self._pool = None
         if self._pool is None:
             if self.backend == "process":
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
+                    max_workers=size,
                     initializer=_init_worker,
                     initargs=(default_cache().cache_dir,),
                 )
+                self._pool_size = size
             else:
                 # Imported lazily: keeps asyncio off the import path of
                 # every run that never dispatches remotely.
@@ -466,7 +478,7 @@ class SweepRunner:
         if in_process:
             outputs = [self._serial.run_ranges(task) for task in ranges]
         else:
-            pool = self._ensure_pool()
+            pool = self._ensure_pool(len(ranges))
             futures = [pool.submit(run_ranges, task) for task in ranges]
             try:
                 outputs = [future.result() for future in futures]

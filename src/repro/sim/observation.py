@@ -21,9 +21,22 @@ import numpy as np
 from repro.contracts import kernel_contract
 from repro.sim.world import World
 
-#: Element budget of one ``scan_batch`` pass (poses x obstacles x beams):
-#: 64 KiB per float64 temporary, where numpy's allocations stay cheap.
-_GRID_ELEMENTS = 8192
+#: Relative slack on a pair's reach, ``max_range_m + r``.  A computed hit
+#: can fall short of its exact distance by a few 1e-8 of the centre
+#: distance (a near-zero discriminant's square root), so a centre up to this
+#: far past the reach still gets cast.
+_REACH_SLACK = 1e-6
+#: Angle (radians) added to each side of a pair's beam window: the computed
+#: discriminant can pass ``>= 0`` up to ~5e-8 rad outside the exact tangent.
+_WINDOW_SLACK_RAD = 1e-6
+#: A pair with ``c <= _FULL_FAN * d^2`` (origin on, inside or within rounding
+#: of the circle) takes the whole fan: there beams facing away can compute a
+#: zero-distance hit, and ``asin`` near 1 is too ill-conditioned to trust.
+_FULL_FAN = 1e-9
+#: Narrowest fan a beam window can wrap into: a window reaches at most
+#: ``pi / 2 + _WINDOW_SLACK_RAD`` from its centre, so on a narrower fan the
+#: part of a window past +-pi holds no beam.
+_WRAP_FOV_RAD = math.pi - 4.0 * _WINDOW_SLACK_RAD
 
 
 @dataclass(frozen=True)
@@ -85,17 +98,27 @@ class RangeScanner:
     ) -> np.ndarray:
         """Obstacle range scans of ``N`` vehicle poses against ``K`` circles each.
 
-        Every beam of every pose is intersected with a group of obstacle
-        circles in one ``(N, group, num_beams)`` pass; a group holds as many
-        obstacles as fit in ``_GRID_ELEMENTS`` elements, so a single vehicle
-        casts against all of its obstacles at once while a large batch
-        takes them one by one and keeps its temporaries small.  A ray that
-        starts inside a circle hits it at distance ``0.0``; circles behind
-        the origin or off the ray are misses.  Each beam keeps the first
-        strictly nearest hit in obstacle order, starting from
-        ``max_range_m``, exactly as a per-beam scalar walk over the
-        obstacle list.  Slots with ``obs_valid`` False are padding and
-        never hit, whatever they hold.
+        A ray that starts inside a circle hits it at distance ``0.0``;
+        circles behind the origin or off the ray are misses.  Each beam keeps
+        the first strictly nearest hit in obstacle order, starting from
+        ``max_range_m``, exactly as a per-beam scalar walk over the obstacle
+        list.  Slots with ``obs_valid`` False are padding and never hit,
+        whatever they hold.
+
+        Each (pose, obstacle) pair is cast only at the beams that can hit
+        it.  A hit at ray distance ``t`` puts the centre within ``t + r`` of
+        the origin, and only ``t < max_range_m`` can lower a beam's range, so
+        a pair whose centre is farther than ``max_range_m + r`` (plus
+        ``_REACH_SLACK``) is skipped.  A remaining pair is cast at the beams
+        within ``asin(r / D) + _WINDOW_SLACK_RAD`` of the direction to its
+        centre, found by ``searchsorted`` on the sorted fan; a window that
+        crosses +-pi takes the hull of its two parts, and an origin on or
+        inside the circle takes the whole fan.  Every window holds every
+        beam whose computed discriminant can pass, and each kept (pair,
+        beam) entry is computed with the same float operations as a
+        full-grid cast, so the skipped entries are exactly those that would
+        have missed or not beaten ``max_range_m``: the scan is bit-identical
+        to casting every beam at every obstacle.
 
         Args:
             xs, ys, hs: ``(N,)`` vehicle poses.
@@ -106,29 +129,78 @@ class RangeScanner:
         Returns:
             ``(N, num_beams)`` hit distances, capped at ``max_range_m``.
         """
-        angles = self._angles[None, :] + hs[:, None]
-        dxs = np.cos(angles)[:, None, :]
-        dys = np.sin(angles)[:, None, :]
-        fxs = (xs[:, None] - obs_x)[:, :, None]
-        fys = (ys[:, None] - obs_y)[:, :, None]
-        cs = fxs * fxs + fys * fys - (obs_r * obs_r)[:, :, None]
-        # A pad's infinite ``c`` makes every discriminant negative: a miss.
-        cs = np.where(obs_valid[:, :, None], cs, np.inf)
-        best = np.full((xs.shape[0], self.num_beams), self.max_range_m)
-        group = max(1, _GRID_ELEMENTS // max(1, xs.shape[0] * self.num_beams))
-        for lo in range(0, obs_x.shape[1], group):
-            fx = fxs[:, lo : lo + group]
-            fy = fys[:, lo : lo + group]
-            b = 2.0 * (fx * dxs + fy * dys)
-            disc = b * b - 4.0 * cs[:, lo : lo + group]
-            # A miss (negative discriminant) becomes NaN, which fails both
-            # ``>= 0.0`` tests below and so reads as no hit.
-            sqrt_disc = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-            t1 = (-b - sqrt_disc) / 2.0
-            t2 = (-b + sqrt_disc) / 2.0
-            hit = np.where(t1 >= 0.0, t1, np.where(t2 >= 0.0, 0.0, np.inf))
-            for k in range(hit.shape[1]):
-                best = np.where(hit[:, k] < best, hit[:, k], best)
+        max_range = self.max_range_m
+        fan = self._angles
+        beams = fan.size
+        best = np.full((xs.shape[0], beams), max_range)
+        fx = xs[:, None] - obs_x
+        fy = ys[:, None] - obs_y
+        d2 = fx * fx + fy * fy
+        reach = (max_range + obs_r) * (1.0 + _REACH_SLACK)
+        # Obstacle-major pair order, so the reduction below takes obstacles
+        # one at a time as contiguous slices.
+        k_pair, row_pair = (obs_valid & (d2 < reach * reach)).T.nonzero()
+        if not k_pair.size:
+            return best
+        slot = row_pair * obs_x.shape[1] + k_pair
+        fx = fx.take(slot)
+        fy = fy.take(slot)
+        d2 = d2.take(slot)
+        r = obs_r.take(slot)
+        c = d2 - r * r
+
+        # Beam window [start, stop) of each pair around ``rel``, the centre's
+        # bearing off the heading in [-pi, pi) (the centre lies along
+        # ``(-fx, -fy)``, half a turn from ``atan2(fy, fx)``).  A full-fan
+        # pair's window is wider than any fan.
+        rel = (np.arctan2(fy, fx) - hs[row_pair]) % (2.0 * math.pi) - math.pi
+        full = c <= _FULL_FAN * d2
+        half = np.arcsin(np.minimum(r / np.sqrt(np.where(full, 1.0, d2)), 1.0))
+        half = np.where(full, 2.0 * math.pi, half + _WINDOW_SLACK_RAD)
+        lo = rel - half
+        hi = rel + half
+        start = fan.searchsorted(lo, side="left")
+        stop = fan.searchsorted(hi, side="right")
+        if self.fov_rad >= _WRAP_FOV_RAD:
+            # A window that crosses +-pi also covers the beams past +pi
+            # ([0, low_wrap)) or past -pi ([high_wrap, beams)); take the hull.
+            low_wrap = fan.searchsorted(hi - 2.0 * math.pi, side="right")
+            high_wrap = fan.searchsorted(lo + 2.0 * math.pi, side="left")
+            empty = start >= stop
+            start = np.where(low_wrap > 0, 0, np.where(empty, high_wrap, start))
+            stop = np.where(high_wrap < beams, beams, np.where(empty, low_wrap, stop))
+        width = np.maximum(stop - start, 0)
+
+        # One entry per (pair, beam) in a window, pair-major, as the flat
+        # index of its (pose, beam) cell.
+        offsets = width.cumsum() - width
+        pair = np.arange(k_pair.size).repeat(width)
+        cell = np.arange(pair.size) + (row_pair * beams + start - offsets)[pair]
+        angle = (fan + hs[:, None]).reshape(-1)[cell]
+        b = 2.0 * (fx[pair] * np.cos(angle) + fy[pair] * np.sin(angle))
+        disc = b * b - 4.0 * c[pair]
+        # A miss (negative discriminant) becomes NaN, which fails both
+        # ``>= 0.0`` tests below and so reads as no hit.
+        sqrt_disc = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        t1 = (-b - sqrt_disc) / 2.0
+        t2 = (-b + sqrt_disc) / 2.0
+        hit = np.where(t1 >= 0.0, t1, np.where(t2 >= 0.0, 0.0, np.inf))
+
+        # Only a hit below ``max_range_m`` can lower a beam's range.  Take
+        # obstacles in order with the strict ``<``, which keeps the first
+        # strictly nearest hit (and so the sign of a zero).
+        keep = hit < max_range
+        hit = hit[keep]
+        cell = cell[keep]
+        bounds = k_pair[pair[keep]].searchsorted(np.arange(obs_x.shape[1] + 1))
+        ranges = best.reshape(-1)
+        for lo_k, hi_k in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if lo_k == hi_k:
+                continue
+            cell_k = cell[lo_k:hi_k]
+            hit_k = hit[lo_k:hi_k]
+            nearer = hit_k < ranges[cell_k]
+            ranges[cell_k[nearer]] = hit_k[nearer]
         return best
 
     def scan(self, world: World) -> np.ndarray:

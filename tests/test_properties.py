@@ -27,6 +27,7 @@ from repro.core.intervals import (
     discretize_deadline,
     discretize_period,
 )
+from repro.core.lookup import DeadlineLookupTable, LookupGrid
 from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
@@ -46,7 +47,6 @@ from repro.perception.detector import DetectorModel, group_scan_rows
 from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
-from repro.sim import observation
 from repro.sim.observation import RangeScanner
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
@@ -893,6 +893,79 @@ def _scalar_scan(scanner, x, y, heading, circles):
     return np.array(ranges, dtype=float)
 
 
+#: Obstacle placements of the scan tests: anywhere nearby, with the near
+#: surface at (and just inside or past) ``max_range_m`` along a beam,
+#: grazing a beam at the window's tangent edge, behind the vehicle (across
+#: +-pi on a full-circle fan), and with the origin on or inside the circle.
+_SCAN_GEOMETRIES = ("random", "range_edge", "tangent", "behind", "inside")
+
+
+def _scan_test_scanner(full_circle):
+    return RangeScanner(
+        num_beams=24,
+        fov_rad=2.0 * math.pi if full_circle else math.radians(120.0),
+        max_range_m=30.0,
+    )
+
+
+def _scan_inputs(scanner, seed, rows, num_obstacles, geometry):
+    """``scan_batch`` arguments: ``rows`` poses, ``num_obstacles`` slots each.
+
+    Radii span 1e-9 to 4 m: for a tiny circle the discriminant is mostly
+    rounding, so its computed hits stray farthest from the exact geometry.
+    About 30% of slots are padding holding NaN, +-inf or a real circle.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (rows, num_obstacles)
+    xs = rng.uniform(-10.0, 10.0, rows)
+    ys = rng.uniform(-10.0, 10.0, rows)
+    hs = rng.uniform(-math.pi, math.pi, rows)
+    obs_r = rng.choice([1e-9, 1e-6, 0.3, 1.0, 4.0], shape) * rng.uniform(1.0, 1.5, shape)
+    if geometry == "random":
+        obs_r = rng.uniform(0.3, 4.0, shape)
+        dist = rng.uniform(0.0, 35.0, shape)
+        bearing = rng.uniform(-math.pi, math.pi, shape)
+        lateral = np.zeros(shape)
+    elif geometry == "behind":
+        dist = rng.uniform(0.5, 1.0, shape) * (scanner.max_range_m + obs_r)
+        bearing = hs[:, None] + math.pi + rng.uniform(-0.2, 0.2, shape)
+        lateral = np.zeros(shape)
+    elif geometry == "inside":
+        dist = obs_r * rng.choice([0.0, 0.5, 1.0], shape)
+        bearing = rng.uniform(-math.pi, math.pi, shape)
+        lateral = np.zeros(shape)
+    else:
+        # Along a beam of the fan: surface at the range edge, or grazing.
+        beam = scanner.beam_angles()[rng.integers(0, scanner.num_beams, shape)]
+        bearing = beam + hs[:, None]
+        if geometry == "range_edge":
+            dist = (scanner.max_range_m + obs_r) * (1.0 + rng.uniform(-3e-8, 3e-8, shape))
+            lateral = np.zeros(shape)
+        else:
+            dist = rng.uniform(1.0, scanner.max_range_m, shape)
+            side = rng.choice([-1.0, 1.0], shape)
+            lateral = side * (obs_r + rng.uniform(-1e-7, 1e-7, shape) * dist)
+    obs_x = xs[:, None] + dist * np.cos(bearing) - lateral * np.sin(bearing)
+    obs_y = ys[:, None] + dist * np.sin(bearing) + lateral * np.cos(bearing)
+    valid = rng.random(shape) < 0.7
+    junk = rng.choice([np.nan, np.inf, -np.inf, 1.0], (3,) + shape)
+    for column, pad in zip((obs_x, obs_y, obs_r), junk):
+        column[~valid] = pad[~valid]
+    return xs, ys, hs, obs_x, obs_y, obs_r, valid
+
+
+def _scalar_scans(scanner, xs, ys, hs, obs_x, obs_y, obs_r, valid):
+    return np.array(
+        [
+            _scalar_scan(
+                scanner, xs[i], ys[i], hs[i],
+                list(zip(obs_x[i][valid[i]], obs_y[i][valid[i]], obs_r[i][valid[i]])),
+            )
+            for i in range(xs.shape[0])
+        ]
+    ).reshape(xs.shape[0], scanner.num_beams)
+
+
 def _assert_bitwise_equal(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
@@ -935,46 +1008,54 @@ class TestVectorizedGeometryReferences:
             # Point 5 is the first arc's centre: it projects to the start.
             assert s_batch[5] == 0.0
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_obstacles=st.integers(0, 5),
         full_circle=st.booleans(),
-        group=st.sampled_from([None, 1, 2]),
+        geometry=st.sampled_from(_SCAN_GEOMETRIES),
     )
     def test_scan_batch_matches_scalar_raycast(
-        self, seed, num_obstacles, full_circle, group
+        self, seed, num_obstacles, full_circle, geometry
     ):
-        # ``group`` obstacles per pass (None: the default budget, which
-        # takes all of them at once here).
-        rows = 6
-        budget = observation._GRID_ELEMENTS if group is None else group * rows * 24
-        scanner = RangeScanner(
-            num_beams=24,
-            fov_rad=2.0 * math.pi if full_circle else math.radians(120.0),
-            max_range_m=30.0,
+        scanner = _scan_test_scanner(full_circle)
+        args = _scan_inputs(scanner, seed, 6, num_obstacles, geometry)
+        _assert_bitwise_equal(
+            scanner.scan_batch(*args), _scalar_scans(scanner, *args)
         )
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-10.0, 10.0, rows)
-        ys = rng.uniform(-10.0, 10.0, rows)
-        hs = rng.uniform(-math.pi, math.pi, rows)
-        obs_x = xs[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
-        obs_y = ys[:, None] + rng.uniform(-25.0, 25.0, (rows, num_obstacles))
-        obs_r = rng.uniform(0.3, 4.0, (rows, num_obstacles))
-        # Padded slots (any position, here the same random circles) never hit.
-        valid = rng.random((rows, num_obstacles)) < 0.7
-        with mock.patch.object(observation, "_GRID_ELEMENTS", budget):
-            result = scanner.scan_batch(xs, ys, hs, obs_x, obs_y, obs_r, valid)
-        expected = np.array(
-            [
-                _scalar_scan(
-                    scanner, xs[i], ys[i], hs[i],
-                    list(zip(obs_x[i][valid[i]], obs_y[i][valid[i]], obs_r[i][valid[i]])),
-                )
-                for i in range(rows)
-            ]
-        )
-        _assert_bitwise_equal(result, expected)
+
+    @pytest.mark.parametrize("full_circle", [False, True])
+    @pytest.mark.parametrize("geometry", _SCAN_GEOMETRIES)
+    def test_scan_batch_window_edges(self, geometry, full_circle):
+        # Many poses per geometry, so each boundary case below is present
+        # (checked first), not left to the draw.
+        scanner = _scan_test_scanner(full_circle)
+        args = _scan_inputs(scanner, 7, 128, 2, geometry)
+        xs, ys, hs, obs_x, obs_y, obs_r, valid = args
+        expected = _scalar_scans(scanner, *args)
+        max_range = scanner.max_range_m
+
+        def alone(i, k):
+            """Row ``i``'s scalar scan against its circle ``k`` alone."""
+            return _scalar_scan(
+                scanner, xs[i], ys[i], hs[i], [(obs_x[i, k], obs_y[i, k], obs_r[i, k])]
+            )
+
+        if geometry == "range_edge":
+            # A centre past ``max_range_m + r`` whose computed hit still
+            # lands inside ``max_range_m``: the reach test needs its slack.
+            fx, fy = xs[:, None] - obs_x, ys[:, None] - obs_y
+            reach = max_range + obs_r
+            beyond = valid & ~(fx * fx + fy * fy < reach * reach)
+            assert any((alone(i, k) < max_range).any() for i, k in zip(*np.nonzero(beyond)))
+        elif geometry == "inside":
+            assert (expected == 0.0).all(axis=1).any()
+        elif geometry == "behind" and full_circle:
+            # One circle hit on both sides of +-pi (first and last beam).
+            assert any(
+                (alone(i, k)[[0, -1]] < max_range).all() for i, k in zip(*np.nonzero(valid))
+            )
+        _assert_bitwise_equal(scanner.scan_batch(*args), expected)
 
     def test_scan_batch_edge_cases(self):
         scanner = RangeScanner(num_beams=33, max_range_m=40.0)
@@ -1005,6 +1086,24 @@ class TestVectorizedGeometryReferences:
         assert (behind == scanner.max_range_m).all()
         assert (_scalar_scan(scanner, 0.0, 0.0, 0.0, []) == scanner.max_range_m).all()
 
+    @pytest.mark.parametrize("first_inside", [True, False])
+    def test_scan_batch_keeps_the_first_of_equal_zero_hits(self, first_inside):
+        # On a circle, with beam 16 (angle 0.0) perpendicular to the
+        # radius, the beam's hit is -0.0; strictly inside, every hit is
+        # 0.0.  The first of the two equal hits keeps its sign.
+        scanner = RangeScanner(num_beams=33, max_range_m=40.0)
+        assert scanner.beam_angles()[16] == 0.0
+        inside, on_circle = (0.5, 0.2, 2.0), (0.0, 1.0, 1.0)
+        circles = [inside, on_circle] if first_inside else [on_circle, inside]
+        expected = _scalar_scan(scanner, 0.0, 0.0, 0.0, circles)
+        assert np.signbit(expected[16]) == (not first_inside)
+        columns = np.array(circles).reshape(1, 2, 3)
+        result = scanner.scan_batch(
+            np.zeros(1), np.zeros(1), np.zeros(1),
+            columns[..., 0], columns[..., 1], columns[..., 2], np.ones((1, 2), dtype=bool),
+        )
+        _assert_bitwise_equal(result[0], expected)
+
     def test_beam_fan_is_built_once_and_read_only(self):
         scanner = RangeScanner(num_beams=7)
         assert scanner.beam_angles() is scanner.beam_angles()
@@ -1012,6 +1111,94 @@ class TestVectorizedGeometryReferences:
             scanner.beam_angles()[0] = 0.0
         assert scanner == RangeScanner(num_beams=7)
         assert hash(scanner) == hash(RangeScanner(num_beams=7))
+
+
+def _loop_lookup(table, d, b, v, s, u):
+    """``Delta_max`` of one query: quantize, then a loop over 27 neighbours."""
+    grid = table.grid
+    if not (d < NO_OBSTACLE_DISTANCE_M and d < grid.max_distance_m):
+        return table.horizon_s
+    distances, bearings, speeds = (
+        grid.distance_values(), grid.bearing_values(), grid.speed_values()
+    )
+    steerings, throttles = grid.steering_values(), grid.throttle_values()
+    s, u = min(max(s, -1.0), 1.0), min(max(u, -1.0), 1.0)
+    i_d = max((i for i, x in enumerate(distances) if x <= d), default=0)
+    i_v = min((i for i, x in enumerate(speeds) if x >= v), default=speeds.size - 1)
+    i_b = min(range(bearings.size), key=lambda i: abs(wrap_angle(bearings[i] - b)))
+    i_s = min(range(steerings.size), key=lambda i: abs(steerings[i] - s))
+    i_u = min(range(throttles.size), key=lambda i: abs(throttles[i] - u))
+    best = math.inf
+    for db in (-1, 0, 1):
+        for ds in (-1, 0, 1):
+            for du in (-1, 0, 1):
+                cell = table.values[
+                    i_d,
+                    (i_b + db) % bearings.size,
+                    i_v,
+                    min(max(i_s + ds, 0), steerings.size - 1),
+                    min(max(i_u + du, 0), throttles.size - 1),
+                ]
+                best = min(best, float(cell))
+    return best
+
+
+class TestLookupNeighbourhoodMinimum:
+    """``query_batch`` against a per-query loop over the 27 neighbour cells."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bearings=st.sampled_from([2, 3, 9]),
+        steering_bins=st.sampled_from([1, 2, 3]),
+        throttle_bins=st.sampled_from([1, 2, 3]),
+    )
+    def test_query_batch_equals_loop_minimum(
+        self, seed, num_bearings, steering_bins, throttle_bins
+    ):
+        grid = LookupGrid(
+            max_distance_m=10.0, distance_step_m=2.5, num_bearings=num_bearings,
+            max_speed_mps=6.0, speed_step_mps=2.0,
+            num_steering_bins=steering_bins, num_throttle_bins=throttle_bins,
+        )
+        rng = np.random.default_rng(seed)
+        shape = (
+            grid.distance_values().size, num_bearings, grid.speed_values().size,
+            steering_bins, throttle_bins,
+        )
+        table = DeadlineLookupTable(grid, rng.random(shape), horizon_s=2.0)
+        count = 64
+        d = rng.uniform(-1.0, 12.0, count)
+        b = rng.uniform(-4.0, 4.0, count)
+        b[:4] = [math.pi, -math.pi, math.nextafter(math.pi, 0.0), -math.nextafter(math.pi, 0.0)]
+        v = rng.uniform(-1.0, 8.0, count)
+        s = rng.uniform(-1.5, 1.5, count)
+        u = rng.uniform(-1.5, 1.5, count)
+        expected = np.array(
+            [_loop_lookup(table, *row) for row in zip(d, b, v, s, u)]
+        )
+        _assert_bitwise_equal(table.query_batch(d, b, v, s, u), expected)
+        assert table.queries == count
+
+    def test_values_are_read_only_and_survive_save_load(self, tmp_path):
+        grid = LookupGrid(max_distance_m=10.0, num_bearings=3)
+        rng = np.random.default_rng(3)
+        values = rng.random((
+            grid.distance_values().size, 3, grid.speed_values().size, 3, 3
+        ))
+        table = DeadlineLookupTable(grid, values, horizon_s=2.0)
+        with pytest.raises(ValueError):
+            table.values[0, 0, 0, 0, 0] = 0.0
+        # The table holds its own copy: the caller's array stays writable,
+        # and writing to it cannot reach the table.
+        values[...] = 0.0
+        assert table.values.min() > 0.0
+        path = tmp_path / "table.npz"
+        table.save(path)
+        loaded = DeadlineLookupTable.load(path)
+        queries = [rng.uniform(lo, hi, 32) for lo, hi in
+                   ((0.0, 12.0), (-4.0, 4.0), (0.0, 8.0), (-1.0, 1.0), (-1.0, 1.0))]
+        _assert_bitwise_equal(loaded.query_batch(*queries), table.query_batch(*queries))
 
 
 class TestDrawStreams:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -103,6 +104,27 @@ class TestSweepRunnerParallel:
                 )
             )
             assert runner.pools_created == 1
+
+    def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config):
+        """Two episodes are two chunks: a 4-job pool forks only two workers."""
+        before = set(multiprocessing.active_children())
+        with SweepRunner(jobs=4) as runner:
+            reports = runner.run_one(fast_seo_config, 2)
+            forked = set(multiprocessing.active_children()) - before
+            assert 1 <= len(forked) <= 2
+        assert reports == SerialExecutor().run(fast_seo_config, 2)
+
+    def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config):
+        with SweepRunner(jobs=3) as runner:
+            runner.run_one(fast_seo_config, 1)
+            assert runner.pools_created == 1
+            config = dataclasses.replace(fast_seo_config, seed=9)
+            reports = runner.run_one(config, 3)
+            assert runner.pools_created == 2
+            # The grown pool serves every later batch that fits in it.
+            runner.run_one(fast_seo_config, 2)
+            assert runner.pools_created == 2
+        assert reports == SerialExecutor().run(config, 3)
 
     def test_run_one_convenience(self, fast_seo_config):
         with SweepRunner(jobs=2) as runner:
