@@ -21,6 +21,9 @@ Inputs, from the spec:
 * ``float64`` arrays are uniform in ``[0, 1)`` from a fixed seed, ``int64``
   arrays are ones (``indices`` arrays are ``0 .. N - 1``), ``bool`` arrays
   are all ``True``;
+* except the range scan's poses and obstacles, which come from the curved-road
+  world (see :func:`scan_arrays`): uniform poses would sit inside every
+  circle, a case that casts the whole fan and that the engine never meets;
 * scalar ``float``/``int`` parameters take ``0.02`` (the paper's ``tau``)
   and ``1``, parameters with defaults keep them, and the receiver and the
   row-state objects (``ModeRows``, ``SchedulerState``, ``EnergyColumns``,
@@ -58,6 +61,7 @@ from repro.perception.detector import DetectorModel
 from repro.sim.observation import RangeScanner
 from repro.sim.road import Centerline
 from repro.sim.scenario import DEFAULT_SUITE, build_world
+from repro.sim.world import World
 from repro.streams import DrawStream
 
 DEFAULT_SIZES = (1, 64, 1024)
@@ -113,6 +117,10 @@ class Inputs:
             "offload_arrival_kernel": lambda rows: {"I": rows * optimizable},
             "nearest_per_row": lambda rows: {"D": rows},
         }
+        #: Per kernel, arrays that replace the spec-built inputs of those names.
+        self.kernel_arrays: dict[str, Callable[[int], dict[str, np.ndarray]]] = {
+            "scan_batch": functools.partial(scan_arrays, world, detector.scanner.max_range_m),
+        }
         self.receivers: dict[type, Any] = {
             DeadlineLookupTable: framework.lookup_table,
             SafeIntervalEstimator: framework.estimator,
@@ -141,9 +149,11 @@ class Inputs:
         specs = contract.param_specs
         symbols = dict(self.sizes)
         symbols[_row_symbol(contract)] = rows
-        sizes = self.kernel_sizes.get(name.rsplit(".", 1)[-1])
+        short = name.rsplit(".", 1)[-1]
+        sizes = self.kernel_sizes.get(short)
         if sizes is not None:
             symbols.update(sizes(rows))
+        arrays = self.kernel_arrays[short](rows) if short in self.kernel_arrays else {}
         rng = np.random.default_rng(0)
         parameters = list(inspect.signature(kernel, eval_str=True).parameters.values())
         args: list[Any] = []
@@ -152,7 +162,9 @@ class Inputs:
             parameters = parameters[1:]
         for parameter in parameters:
             spec = specs.get(parameter.name)
-            if spec is not None:
+            if parameter.name in arrays:
+                args.append(arrays[parameter.name])
+            elif spec is not None:
                 args.append(_array(parameter.name, spec, symbols, rng))
             elif parameter.default is not inspect.Parameter.empty:
                 args.append(parameter.default)
@@ -170,6 +182,28 @@ class Inputs:
                     "array spec and no default"
                 )
         return args
+
+
+def scan_arrays(world: World, max_range_m: float, rows: int) -> dict[str, np.ndarray]:
+    """Range-scan poses and obstacles of ``rows`` rows from ``world``.
+
+    The poses lie on the centreline, evenly spaced along the approach to the
+    first obstacle from scanner range to that obstacle's edge, heading along
+    the road, so every row has the first obstacle in reach and no pose is
+    inside a circle.  Every row scans the world's placed discs.
+    """
+    centerline = world.road.centerline
+    first = min(world.obstacles, key=lambda disc: centerline.to_frenet(disc.x_m, disc.y_m)[0])
+    end = centerline.to_frenet(first.x_m, first.y_m)[0] - first.radius_m
+    start = max(0.0, end - max_range_m)
+    s = start + (np.arange(rows) + 0.5) / rows * (end - start)
+    xs, ys = np.array([centerline.from_frenet(value, 0.0) for value in s]).T
+    discs = np.array([(disc.x_m, disc.y_m, disc.radius_m) for disc in world.obstacles])
+    obs_x, obs_y, obs_r = (np.tile(column, (rows, 1)) for column in discs.T)
+    return {
+        "xs": xs, "ys": ys, "hs": centerline.heading_at_batch(s),
+        "obs_x": obs_x, "obs_y": obs_y, "obs_r": obs_r,
+    }
 
 
 def _row_symbol(contract: KernelContract) -> str:

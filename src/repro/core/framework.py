@@ -167,6 +167,10 @@ class SEOConfig:
             )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.shield_margin_m < 0:
+            raise ValueError(
+                f"shield_margin_m must be non-negative, got {self.shield_margin_m}"
+            )
 
     def detector_name(self, multiple: int) -> str:
         """Canonical name of the detector running at ``multiple * tau``."""

@@ -102,7 +102,7 @@ class LookupGrid:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DeadlineLookupTable:
     """Precomputed ``Delta_max`` values over a relative-state/control grid."""
 
@@ -110,14 +110,14 @@ class DeadlineLookupTable:
     values: np.ndarray
     horizon_s: float
     obstacle_radius_m: float = 1.0
-    queries: int = field(default=0, compare=False)
+    queries: int = 0
     # The grid axes (distance, bearing, speed, steering, throttle), built
     # once in ``__post_init__`` and read-only: a pure function of ``grid``.
-    _axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
     # ``values`` with every cell replaced by the minimum over its 3x3x3
     # bearing/steering/throttle neighbourhood, built once in
     # ``__post_init__`` and read-only: what :meth:`query_batch` gathers.
-    _neighbourhood_min: np.ndarray = field(init=False, repr=False, compare=False)
+    _neighbourhood_min: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         axes = (
@@ -139,6 +139,21 @@ class DeadlineLookupTable:
         self.values = np.array(self.values)
         self.values.flags.writeable = False
         self._neighbourhood_min = _neighbourhood_min(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal grid, horizon, obstacle radius and values.
+
+        The query counter and the fields derived from ``grid`` and
+        ``values`` are not compared.
+        """
+        if not isinstance(other, DeadlineLookupTable):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.horizon_s == other.horizon_s
+            and self.obstacle_radius_m == other.obstacle_radius_m
+            and np.array_equal(self.values, other.values)
+        )
 
     # ------------------------------------------------------------------
     # Construction

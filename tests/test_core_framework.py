@@ -55,6 +55,13 @@ class TestSEOConfig:
         with pytest.raises(ValueError, match="max_steps must be at least 1, got -3"):
             SEOConfig(max_steps=-3)
 
+    def test_rejects_negative_shield_margin(self):
+        # Used to build and hash, then fail in run_cells naming the shield's
+        # intervention_margin_m instead of the config field.
+        with pytest.raises(ValueError, match="shield_margin_m must be non-negative, got -1.0"):
+            SEOConfig(shield_margin_m=-1.0)
+        assert SEOConfig(shield_margin_m=0.0).shield_margin_m == 0.0
+
     def test_rejects_repeated_detector_period_multiples(self):
         # Used to fail only later, in ModelSet ("model names must be unique").
         with pytest.raises(ValueError, match="detector_period_multiples must not repeat"):

@@ -340,6 +340,18 @@ class TestDeadlineLookupTable:
             np.testing.assert_array_equal(axis, values)
             assert not axis.flags.writeable
 
+    def test_equality_compares_values(self, fast_estimator, small_lookup_grid):
+        """``==`` answers instead of raising on the ``values`` arrays."""
+        values = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid).values
+        table = DeadlineLookupTable(small_lookup_grid, values, horizon_s=0.5)
+        same = DeadlineLookupTable(small_lookup_grid, values, horizon_s=0.5, queries=3)
+        assert table == same
+        changed = np.array(values)
+        changed[0, 0, 0, 0, 0] += 0.01
+        assert table != DeadlineLookupTable(small_lookup_grid, changed, horizon_s=0.5)
+        assert table != DeadlineLookupTable(small_lookup_grid, values, horizon_s=0.25)
+        assert table != "table"
+
     def test_values_shape_mismatch_rejected(self, small_lookup_grid):
         with pytest.raises(ValueError):
             DeadlineLookupTable(

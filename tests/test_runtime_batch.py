@@ -9,6 +9,7 @@ themselves.
 """
 
 import dataclasses
+import itertools
 import re
 import warnings
 
@@ -21,7 +22,8 @@ from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFra
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
 from repro.dynamics.state import ControlAction
 from repro.platform.presets import NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
-from repro.runtime.batch import run_batch, run_cells
+from repro.runtime import batch as batch_module
+from repro.runtime.batch import _PHASES, run_batch, run_cells
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
 from repro.sim.road import StraightSegment
@@ -275,6 +277,30 @@ def test_run_cells_refuses_incompatible_cells(fast_seo_config):
         run_cells([(framework, [0]) for framework in frameworks])
     assert run_cells([]) == []
     assert run_cells([(frameworks[0], []), (frameworks[0], [0])])[0] == []
+
+
+def test_phase_timings(monkeypatch, fast_seo_config):
+    """``timings`` gets every phase, its scan sub-phases sum to ``scan``, a
+    second call adds to the same dict, and the reports do not change."""
+    framework = SEOFramework(fast_seo_config)
+    untimed = run_batch(framework, range(2))
+    timings: dict[str, float] = {}
+    assert run_batch(framework, range(2), timings) == untimed
+    assert set(timings) == set(_PHASES)
+    assert all(isinstance(seconds, float) and seconds >= 0.0 for seconds in timings.values())
+    assert timings["scan"] == timings["scan_raycast"] + timings["scan_group"] + timings["scan_view"]
+
+    # A clock that advances one second per read makes each phase count its
+    # laps: whole numbers, equal on every call, so accumulation is exact.
+    ticks = itertools.count()
+    monkeypatch.setattr(batch_module, "perf_counter", lambda: float(next(ticks)))
+    once: dict[str, float] = {}
+    run_batch(framework, range(2), once)
+    twice: dict[str, float] = {}
+    assert run_batch(framework, range(2), twice) == untimed
+    assert run_batch(framework, range(2), twice) == untimed
+    assert all(seconds > 0.0 for seconds in once.values())
+    assert twice == {phase: 2 * seconds for phase, seconds in once.items()}
 
 
 def test_run_range_matches_serial_slice(fast_seo_config):
