@@ -14,21 +14,16 @@ Examples::
     python -m repro.cli all --shard 2/2 --ledger-dir shard2 --resume
     python -m repro.cli merge shard1 shard2 --into merged
 
-    # multi-machine: start a worker per machine, sweep over them by socket
-    python -m repro.cli worker --listen 0.0.0.0:7070          # on each box
-    python -m repro.cli suite --backend socket --workers hostA:7070,hostB:7070
-
 Each subcommand prints the reproduced table to stdout and optionally writes
 it to a file with ``--output``.  Every subcommand accepts ``--jobs N`` to
-spread episodes over N workers (``0`` = all CPU cores; results are identical
-to the in-process run), ``--backend {process,socket,batch}`` to pick the
-execution backend (``socket`` also needs ``--workers HOST:PORT,...``;
-``batch`` runs in-process, the same as ``--jobs 1``, which steps each unit's
-episodes in numpy lockstep), and
-``--lookup-cache DIR`` to persist deadline lookup tables across
-invocations.  One :class:`repro.runtime.sweep.SweepRunner` is shared by
-every experiment of an invocation, so even ``all`` constructs at most one
-worker pool.
+spread episodes over a local pool of N worker processes (``0`` = all CPU
+cores; results are identical to the in-process run), ``--backend
+{process,batch}`` to pick the execution backend (``batch`` runs
+in-process, the same as ``--jobs 1``, which steps each unit's episodes in
+numpy lockstep), and ``--lookup-cache DIR`` to persist deadline lookup
+tables across invocations.  One :class:`repro.runtime.sweep.SweepRunner`
+is shared by every experiment of an invocation, so even ``all`` constructs
+at most one worker pool.
 
 Distributed flags: ``--ledger-dir DIR`` records every completed work unit
 on disk; ``--resume`` loads previously recorded units bit-identically
@@ -37,12 +32,13 @@ deterministic share of the sweep's units (writing a manifest next to the
 ledger).  ``merge`` validates shard manifests (same command, exact disjoint
 cover), combines the ledgers and re-renders the full artifact from them —
 bit-identical to the unsharded run, without executing a single episode.
+Shards are how a sweep spreads over several hosts: run one shard per host,
+copy the ledger directories to one place, and merge them.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -66,12 +62,7 @@ from repro.runtime.shard import (
     ShardSpec,
     validate_merge,
 )
-from repro.runtime.sweep import (
-    EXECUTOR_BACKENDS,
-    SweepIncomplete,
-    SweepRunner,
-    check_backend,
-)
+from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepIncomplete, SweepRunner
 from repro.sim.scenario import DEFAULT_SUITE
 
 #: Manifest filename written into every ledger directory.
@@ -176,13 +167,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=EXECUTOR_BACKENDS, default="process",
         help="execution backend (process = local process pool over --jobs; "
-             "socket = remote workers named by --workers; batch = in-process, "
-             "the same as --jobs 1)",
-    )
-    parser.add_argument(
-        "--workers", type=str, default=None, metavar="HOST:PORT[,HOST:PORT...]",
-        help="socket-backend worker addresses (each started with "
-             "`repro.cli worker --listen HOST:PORT`)",
+             "batch = in-process, the same as --jobs 1)",
     )
     parser.add_argument(
         "--lookup-cache", type=Path, default=None, metavar="DIR",
@@ -239,15 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimization", default="offload",
         choices=("offload", "model_gating", "sensor_gating", "none"),
         help="energy optimization applied to the detectors",
-    )
-
-    worker_parser = subparsers.add_parser(
-        "worker", help="serve episodes to socket-backend dispatchers over TCP"
-    )
-    worker_parser.add_argument(
-        "--listen", type=str, required=True, metavar="HOST:PORT",
-        help="interface and port to serve on (port 0 = pick an ephemeral "
-             "port; the bound address is printed on startup)",
     )
 
     merge_parser = subparsers.add_parser(
@@ -308,41 +284,6 @@ def _reproduction_command(args: argparse.Namespace) -> list[str]:
     return command
 
 
-def _run_worker(args: argparse.Namespace) -> str:
-    """Serve the remote-worker protocol over TCP until interrupted."""
-    import asyncio
-
-    from repro.runtime.remote import parse_worker_address, serve_worker
-
-    try:
-        host, port = parse_worker_address(args.listen)
-    except ValueError as error:
-        raise SystemExit(f"worker: {error}") from None
-
-    def announce(address: str) -> None:
-        # Parsed by launch scripts (and the CI smoke job) to learn an
-        # ephemeral port, so the format is part of the interface.
-        print(f"worker listening on {address}", flush=True)
-
-    with contextlib.suppress(KeyboardInterrupt):
-        asyncio.run(serve_worker(host, port, on_bound=announce))
-    return ""
-
-
-def _parse_worker_list(text: str) -> list[str]:
-    """Split and validate a ``--workers`` value — bad addresses must fail
-    here, not when the first batch lazily opens the pool mid-run."""
-    from repro.runtime.remote import parse_worker_address
-
-    addresses = [entry.strip() for entry in text.split(",") if entry.strip()]
-    for entry in addresses:
-        try:
-            parse_worker_address(entry)
-        except ValueError as error:
-            raise SystemExit(f"--workers: {error}") from None
-    return addresses
-
-
 def _run_merge(args: argparse.Namespace) -> str:
     """Validate shard manifests, combine their ledgers, re-render the artifact."""
     manifests = []
@@ -397,8 +338,6 @@ def _run_lint(args: argparse.Namespace) -> str:
 def run(argv: Sequence[str] | None = None) -> str:
     """Run the CLI and return the rendered output (also printed to stdout)."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "worker":
-        return _run_worker(args)
     if args.experiment == "merge":
         return _run_merge(args)
     if args.experiment == "lint":
@@ -411,11 +350,6 @@ def run(argv: Sequence[str] | None = None) -> str:
         set_contracts_enabled(True)
     if (args.shard is not None or args.resume) and args.ledger_dir is None:
         raise SystemExit("--shard and --resume require --ledger-dir")
-    workers = _parse_worker_list(args.workers) if args.workers else None
-    try:
-        check_backend(args.backend, workers)
-    except ValueError as error:
-        raise SystemExit(f"repro: {error}") from None
 
     previous_cache = None
     if args.lookup_cache is not None:
@@ -445,7 +379,6 @@ def run(argv: Sequence[str] | None = None) -> str:
             shard=args.shard,
             manifest=manifest,
             manifest_path=manifest_path,
-            workers=workers,
         ) as runner:
             settings = ExperimentSettings(
                 episodes=args.episodes,
@@ -453,7 +386,6 @@ def run(argv: Sequence[str] | None = None) -> str:
                 max_steps=args.max_steps,
                 jobs=args.jobs,
                 backend=args.backend,
-                workers=tuple(workers) if workers else None,
                 runner=runner,
             )
 

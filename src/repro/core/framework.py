@@ -171,6 +171,17 @@ class SEOConfig:
             raise ValueError(
                 f"shield_margin_m must be non-negative, got {self.shield_margin_m}"
             )
+        if self.barrier_clearance_m < 0:
+            raise ValueError(
+                "barrier_clearance_m must be non-negative, got "
+                f"{self.barrier_clearance_m}"
+            )
+        if self.payload_bytes <= 0:
+            raise ValueError(f"payload_bytes must be positive, got {self.payload_bytes}")
+        if self.channel_scale_mbps <= 0:
+            raise ValueError(
+                f"channel_scale_mbps must be positive, got {self.channel_scale_mbps}"
+            )
 
     def detector_name(self, multiple: int) -> str:
         """Canonical name of the detector running at ``multiple * tau``."""

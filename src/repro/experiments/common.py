@@ -42,17 +42,15 @@ class ExperimentSettings:
         jobs: Workers episodes are spread over (1 = in-process, each unit's
             episodes in numpy lockstep; 0 = all CPU cores; results are
             identical either way).
-        backend: Worker-pool backend: ``"process"``, ``"socket"`` or
-            ``"batch"`` (in-process, the same as ``jobs=1``; ``jobs`` is
-            ignored).  Checked by
+        backend: Execution backend: ``"process"`` (a local process pool
+            over ``jobs``) or ``"batch"`` (in-process, the same as
+            ``jobs=1``; ``jobs`` is ignored).  Checked by
             :func:`repro.runtime.sweep.check_backend`, the same rule the
             :class:`~repro.runtime.sweep.SweepRunner` applies.
-        workers: Remote worker addresses (``"host:port"`` strings), required
-            by — and only valid with — the ``"socket"`` backend.
         runner: Optional shared :class:`~repro.runtime.sweep.SweepRunner`.
             When set, every driver batch funnels into it (one pool per
             invocation); when ``None``, each batch owns a transient runner
-            built from ``jobs``/``backend``/``workers``.
+            built from ``jobs``/``backend``.
     """
 
     episodes: int = 10
@@ -61,7 +59,6 @@ class ExperimentSettings:
     target_speed_mps: float = 8.0
     jobs: int = 1
     backend: str = "process"
-    workers: tuple[str, ...] | None = None
     runner: SweepRunner | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -71,7 +68,7 @@ class ExperimentSettings:
             raise ValueError("max_steps must be positive")
         if self.jobs < 0:
             raise ValueError("jobs must be non-negative (0 = use all CPU cores)")
-        check_backend(self.backend, self.workers)
+        check_backend(self.backend)
 
 
 def default_detector_sensor(optimization: str) -> SensorPowerSpec:
@@ -129,8 +126,8 @@ def run_batch(
 
     Each named config is lowered to a content-addressed
     :class:`~repro.runtime.workunit.WorkUnit` covering
-    ``settings.episodes`` episodes, so the runner can deduplicate, resume,
-    shard or remotely dispatch the work without the driver knowing.  All
+    ``settings.episodes`` episodes, so the runner can deduplicate, resume
+    or shard the work without the driver knowing.  All
     episodes of all units share one worker pool: the shared
     ``settings.runner`` when present, otherwise a runner scoped to this
     call.  Reports come back keyed like ``configs``, in episode order.
@@ -144,9 +141,7 @@ def run_batch(
     jobs = sweep_jobs(configs, settings.episodes)
     if settings.runner is not None:
         return settings.runner.run(jobs, experiment=experiment)
-    with SweepRunner(
-        jobs=settings.jobs, backend=settings.backend, workers=settings.workers
-    ) as runner:
+    with SweepRunner(jobs=settings.jobs, backend=settings.backend) as runner:
         return runner.run(jobs, experiment=experiment)
 
 

@@ -12,9 +12,6 @@ see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
 * **workunit-closed-world** (REPRO301–304): the serialization registry
   matches the dataclasses actually reachable from ``SEOConfig``, with
   field-set drift pinned to ``WORKUNIT_SCHEMA_VERSION``;
-* **protocol-schema** (REPRO401–406): the remote worker frames produced
-  and consumed in ``runtime/remote.py`` agree with the documented
-  schema;
 * **kernel-declarations** (REPRO502–503): in the kernel layer (the
   kernel-parity scope plus ``dynamics/`` and ``runtime/batch.py``), no
   narrowing dtype appears anywhere, and every public ``*_batch`` /
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.lint import closedworld, declarations, determinism, parity, protocol
+from repro.lint import closedworld, declarations, determinism, parity
 from repro.lint.framework import Checker, SourceFile, Violation
 from repro.lint.framework import main as _main
 
@@ -65,16 +62,6 @@ CHECKERS: tuple[Checker, ...] = (
             "reachable from SEOConfig, fingerprinted per schema version"
         ),
         project_check=closedworld.check_closed_world,
-    ),
-    Checker(
-        name="protocol-schema",
-        codes=protocol.CODES,
-        description=(
-            "remote worker frames in runtime/remote.py match the "
-            "documented request/reply schema"
-        ),
-        file_check=protocol.check_protocol,
-        scope=protocol.in_scope,
     ),
     Checker(
         name="kernel-declarations",

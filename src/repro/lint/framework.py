@@ -246,8 +246,7 @@ def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Repo-specific invariant linter (kernel parity, "
-        "determinism, serialization closed-worlds, protocol schemas, kernel "
-        "declarations).",
+        "determinism, serialization closed-worlds, kernel declarations).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, default=[Path("src")],

@@ -10,13 +10,12 @@ changing the results.
 :class:`SerialExecutor` runs them in-process: a work unit's episode range,
 or a group of compatible units' ranges, is one
 :func:`~repro.runtime.batch.run_cells` call, stepping its episodes in numpy
-lockstep.  :func:`run_ranges` is the task every worker pool runs, a
-process-pool worker and a socket worker alike: a list of
-``(config, start, stop)`` ranges of one lockstep key, run by the worker's
-own :class:`SerialExecutor`, which keeps the last config's framework for
-the next task.  So a pool worker steps its share of a group in the same
-lockstep as the in-process path, and the reports are bit-identical
-wherever the ranges run.
+lockstep.  :func:`run_ranges` is the task a process-pool worker runs: a
+list of ``(config, start, stop)`` ranges of one lockstep key, run by the
+worker's own :class:`SerialExecutor`, which keeps the last config's
+framework for the next task.  So a pool worker steps its share of a group
+in the same lockstep as the in-process path, and the reports are
+bit-identical wherever the ranges run.
 
 Turning a backend name into a pool, and a sweep into tasks, is the job of
 :class:`repro.runtime.sweep.SweepRunner`.
@@ -25,7 +24,6 @@ Turning a backend name into a pool, and a sweep into tasks, is the job of
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -98,11 +96,9 @@ class SerialExecutor:
 # Pool workers
 # ----------------------------------------------------------------------
 
-#: The pool task's executor, one per worker thread: a process-pool worker
-#: runs tasks on one thread, and every in-process socket worker
-#: (:class:`~repro.runtime.remote.WorkerServer`) serves from its own, so no
-#: two workers share a framework.
-_WORKER = threading.local()
+#: The pool task's executor: a process-pool worker runs its tasks one at a
+#: time on one thread, so one executor per process serves them all.
+_WORKER = SerialExecutor()
 
 
 def _init_worker(cache_dir: Path | None) -> None:
@@ -123,11 +119,7 @@ def run_ranges(
 ) -> list[list[EpisodeReport]]:
     """Pool task: run ``(config, start, stop)`` ranges of one lockstep key.
 
-    Top level, so a process pool can pickle it; the socket worker runs the
-    same function on its decoded ``run`` frames.  Returns each range's
+    Top level, so a process pool can pickle it.  Returns each range's
     reports, as :meth:`SerialExecutor.run_ranges` does.
     """
-    executor: SerialExecutor | None = getattr(_WORKER, "executor", None)
-    if executor is None:
-        executor = _WORKER.executor = SerialExecutor()
-    return executor.run_ranges(ranges)
+    return _WORKER.run_ranges(ranges)

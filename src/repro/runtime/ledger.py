@@ -47,8 +47,8 @@ class LedgerSchemaError(ValueError):
     """A serialized report does not match this code's report schema.
 
     Raised instead of letting ``EpisodeReport(**payload)`` die with an
-    opaque ``TypeError`` when a ledger blob (or a remote worker's reply)
-    was written by code with a different ``EpisodeReport`` shape.
+    opaque ``TypeError`` when a ledger blob was written by code with a
+    different ``EpisodeReport`` shape.
     """
 
 

@@ -8,13 +8,13 @@ makes the sweep a first-class object: it accepts a batch of
 :class:`~repro.runtime.workunit.WorkUnit`, groups the units whose configs
 share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`, and runs each
 group's episode ranges in numpy lockstep: in-process as one call, or cut
-into at most one chunk per worker of one shared pool.  Reports are routed
-back per job in episode order.
+into at most one chunk per worker of one shared local process pool.
+Reports are routed back per job in episode order.
 
 Because episodes are fully determined by ``(config, episode index)`` (see
 :mod:`repro.runtime.executor`), neither the grouping nor the cut can
 change any report, and a unit's reports are valid wherever and whenever the
-unit runs.  The runner exploits that in three ways:
+unit runs.  The runner exploits that in two ways:
 
 * **Ledger** — with a :class:`~repro.runtime.ledger.RunLedger` attached,
   every freshly executed unit is recorded on disk; with ``resume=True``,
@@ -24,17 +24,14 @@ unit runs.  The runner exploits that in three ways:
   only the units whose content hash maps to this shard are executed; the
   rest raise :class:`SweepIncomplete` after the local share is done, and
   ``repro.cli merge`` later reassembles the full artifact from the shard
-  ledgers.
-* **Remote dispatch** — the ``"socket"`` backend feeds the same chunks to
-  persistent workers on other machines over a JSON/TCP protocol
-  (:mod:`repro.runtime.remote`).
+  ledgers.  This is how a sweep spreads over several hosts: one shard per
+  host, then one merge.
 
 The runner is the one place that turns a backend name into a pool, and
-:func:`check_backend` is the one statement of which backend names and
-worker-address pairings are valid.  The pool is created lazily on the first
-parallel batch and reused by every subsequent :meth:`SweepRunner.run` call,
-so a CLI invocation that regenerates every artifact constructs at most one
-pool.
+:func:`check_backend` is the one statement of which backend names are
+valid.  The pool is created lazily on the first parallel batch and reused
+by every subsequent :meth:`SweepRunner.run` call, so a CLI invocation that
+regenerates every artifact constructs at most one pool.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from repro.core.framework import EpisodeReport, SEOConfig
 from repro.runtime.cache import default_cache
@@ -74,32 +71,16 @@ __all__ = [
 
 #: Backend names accepted by :class:`SweepRunner` (and the CLI ``--backend``
 #: flag): ``"process"`` fans chunks of lockstep groups out over a local
-#: process pool; ``"socket"`` dispatches them to ``repro.cli worker
-#: --listen`` processes over TCP (see :mod:`repro.runtime.remote`);
-#: ``"batch"`` runs in-process, the same as ``jobs=1``: each group is one
-#: lockstep call (see :mod:`repro.runtime.batch`).
-EXECUTOR_BACKENDS = ("process", "socket", "batch")
+#: process pool; ``"batch"`` runs in-process, the same as ``jobs=1``: each
+#: group is one lockstep call (see :mod:`repro.runtime.batch`).
+EXECUTOR_BACKENDS = ("process", "batch")
 
 
-def check_backend(backend: str, workers: Sequence[str] | None = None) -> None:
-    """Refuse an unknown backend name or a backend/worker-address mismatch.
-
-    Worker addresses (``"host:port"`` strings) are required by, and only
-    valid with, the ``"socket"`` backend.
-    """
+def check_backend(backend: str) -> None:
+    """Refuse an unknown backend name."""
     if backend not in EXECUTOR_BACKENDS:
         raise ValueError(
             f"unknown backend: {backend!r} (choose from {EXECUTOR_BACKENDS})"
-        )
-    if backend == "socket" and not workers:
-        raise ValueError(
-            "the socket backend requires worker addresses "
-            '(workers=["host:port", ...]; on the CLI, --workers HOST:PORT,...)'
-        )
-    if workers and backend != "socket":
-        raise ValueError(
-            "worker addresses (--workers) are only valid with the socket "
-            "backend (--backend socket)"
         )
 
 
@@ -192,8 +173,8 @@ class SweepJob:
         """Stable content hash of ``(config, episode range)``.
 
         Derived, never caller-invented: equal work has equal keys across
-        processes, machines and runs, which is what the ledger, shard and
-        remote layers key on.
+        processes, machines and runs, which is what the ledger and shard
+        layers key on.
         """
         return self.unit.key
 
@@ -237,7 +218,7 @@ def split_ranges(
 
 
 class SweepRunner:
-    """Run batches of ``(config, episodes)`` jobs over one shared worker pool.
+    """Run batches of ``(config, episodes)`` jobs over one shared process pool.
 
     The runner owns at most one live pool: the first parallel :meth:`run`
     creates it, later calls reuse it, and :meth:`close` (or exiting the
@@ -255,8 +236,8 @@ class SweepRunner:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
             ``jobs == 1`` keeps everything in-process.
         backend: One of :data:`EXECUTOR_BACKENDS`: ``"process"``
-            (default), ``"socket"`` or ``"batch"`` (in-process, the same
-            as ``jobs == 1``; ``jobs`` is ignored).
+            (default) or ``"batch"`` (in-process, the same as
+            ``jobs == 1``; ``jobs`` is ignored).
         ledger: Optional on-disk run ledger.  Every freshly executed unit is
             recorded in it (cross-run reuse); with ``resume=True`` recorded
             units are loaded instead of executed.
@@ -268,10 +249,6 @@ class SweepRunner:
             locally resolved unit is recorded into it (and saved to
             ``manifest_path`` after each batch when that is set).
         manifest_path: Where to persist the manifest after each batch.
-        workers: Remote worker addresses (``"host:port"`` strings), required
-            by — and only valid with — the ``"socket"`` backend.  The pool
-            size is the number of addresses (``jobs`` is ignored), and the
-            sweep always dispatches remotely, even with a single address.
     """
 
     def __init__(
@@ -283,9 +260,8 @@ class SweepRunner:
         shard: ShardSpec | None = None,
         manifest: ShardManifest | None = None,
         manifest_path: Path | None = None,
-        workers: Sequence[str] | None = None,
     ) -> None:
-        check_backend(backend, workers)
+        check_backend(backend)
         if resume and ledger is None:
             raise ValueError("resume=True requires a ledger")
         if backend == "batch" and jobs != 1:
@@ -296,12 +272,7 @@ class SweepRunner:
                 stacklevel=2,
             )
         self.backend = backend
-        self.worker_addresses = tuple(workers) if workers else None
-        self.workers = (
-            len(self.worker_addresses)
-            if self.worker_addresses is not None
-            else resolve_jobs(jobs)
-        )
+        self.workers = resolve_jobs(jobs)
         self.ledger = ledger
         self.resume = resume
         self.shard = shard
@@ -310,7 +281,7 @@ class SweepRunner:
         self.pools_created = 0
         self.units_executed = 0
         self.units_resumed = 0
-        self._pool = None
+        self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0
         self._closed = False
         self._serial = SerialExecutor()
@@ -336,34 +307,24 @@ class SweepRunner:
     ) -> None:
         self.close()
 
-    def _ensure_pool(self, tasks: int) -> Any:
+    def _ensure_pool(self, tasks: int) -> ProcessPoolExecutor:
         """The shared pool, ready for a batch of ``tasks`` chunks.
 
-        A process pool forks only as many workers as the batch can use,
+        The pool forks only as many workers as the batch can use,
         ``min(workers, tasks)``, and is rebuilt larger when a later batch
         has more chunks than it has workers.
         """
         size = min(self.workers, tasks)
-        if self._pool is not None and self.backend == "process" and self._pool_size < size:
+        if self._pool is not None and self._pool_size < size:
             self._pool.shutdown()
             self._pool = None
         if self._pool is None:
-            if self.backend == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=size,
-                    initializer=_init_worker,
-                    initargs=(default_cache().cache_dir,),
-                )
-                self._pool_size = size
-            else:
-                # Imported lazily: keeps asyncio off the import path of
-                # every run that never dispatches remotely.
-                from repro.runtime.remote import SocketWorkerPool
-
-                assert self.worker_addresses is not None
-                self._pool = SocketWorkerPool(
-                    self.worker_addresses, cache_dir=default_cache().cache_dir
-                )
+            self._pool = ProcessPoolExecutor(
+                max_workers=size,
+                initializer=_init_worker,
+                initargs=(default_cache().cache_dir,),
+            )
+            self._pool_size = size
             self.pools_created += 1
             _count_pool_construction()
         return self._pool
@@ -467,11 +428,8 @@ class SweepRunner:
             )
         # In-process, a group is one lockstep call.  A pool gets it cut by
         # episode count, so a one-group artifact still keeps every worker
-        # busy.  The socket backend never degrades to in-process: one
-        # address still means "run it on that machine".
-        in_process = self.backend == "batch" or (
-            self.backend == "process" and self.workers <= 1
-        )
+        # busy.
+        in_process = self.backend == "batch" or self.workers <= 1
         parts = 1 if in_process else self.workers
         tasks = [chunk for group in groups.values() for chunk in split_ranges(group, parts)]
         ranges = [[(unit.config, start, stop) for unit, start, stop in task] for task in tasks]

@@ -11,9 +11,8 @@ layer is built on:
 * :mod:`repro.runtime.ledger` keys completed results by unit hash, enabling
   ``--resume`` and cross-run reuse;
 * :mod:`repro.runtime.shard` partitions unit lists deterministically by
-  hash, so independent shards agree on who runs what without coordinating;
-* :mod:`repro.runtime.remote` ships the canonical JSON form to worker
-  subprocesses over stdio.
+  hash, so independent shards agree on who runs what without coordinating,
+  and ``repro.cli merge`` reassembles the shards' ledgers.
 
 Serialization is a reversible, closed-world mapping: every type reachable
 from :class:`~repro.core.framework.SEOConfig` (the nested scenario, road

@@ -75,22 +75,6 @@ class TestParser:
         assert [str(path) for path in args.shards] == ["s1", "s2"]
         assert str(args.into) == "m"
 
-    def test_socket_backend_flags_parse(self):
-        args = build_parser().parse_args(
-            ["suite", "--backend", "socket", "--workers", "hostA:7070,hostB:7071"]
-        )
-        assert args.backend == "socket"
-        assert args.workers == "hostA:7070,hostB:7071"
-
-    def test_worker_subcommand_parses(self):
-        args = build_parser().parse_args(["worker", "--listen", "0.0.0.0:7070"])
-        assert args.experiment == "worker"
-        assert args.listen == "0.0.0.0:7070"
-
-    def test_worker_subcommand_requires_listen(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
 
 class TestRun:
     def test_run_single_experiment(self, capsys):

@@ -62,6 +62,21 @@ class TestSEOConfig:
             SEOConfig(shield_margin_m=-1.0)
         assert SEOConfig(shield_margin_m=0.0).shield_margin_m == 0.0
 
+    @pytest.mark.parametrize(
+        ("field", "bad", "message", "boundary"),
+        [
+            ("barrier_clearance_m", -0.5, "must be non-negative, got -0.5", 0.0),
+            ("payload_bytes", 0, "must be positive, got 0", 1),
+            ("channel_scale_mbps", 0.0, "must be positive, got 0.0", 1e-3),
+        ],
+    )
+    def test_rejects_bad_component_fields(self, field, bad, message, boundary):
+        """Refused before the config hashes into a work unit, naming the
+        config field rather than the component's own parameter name."""
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            SEOConfig(**{field: bad})
+        assert getattr(SEOConfig(**{field: boundary}), field) == boundary
+
     def test_rejects_repeated_detector_period_multiples(self):
         # Used to fail only later, in ModelSet ("model names must be unique").
         with pytest.raises(ValueError, match="detector_period_multiples must not repeat"):

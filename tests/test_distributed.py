@@ -1,21 +1,13 @@
-"""Tests for the distributed sweep layer: work units, ledger, shards, remote.
+"""Tests for the distributed sweep layer: work units, ledger, shards, merge.
 
-The acceptance bar (see ISSUE 4/5): a suite run as 3 shards + merge is
-bit-identical to the unsharded serial run; a resumed ledger reproduces the
-same reports without executing a single episode; the socket remote-worker
-backend has report parity with the serial/process path on real experiment
-drivers; and killing a worker mid-sweep either completes via reconnect or
-fails with a clear ``RemoteWorkerError`` — never a hang.
+The acceptance bar: a suite run as 3 shards + merge is bit-identical to
+the unsharded serial run, and a resumed ledger reproduces the same reports
+without executing a single episode.  Shards are how a sweep spreads over
+several hosts, so these tests are the multi-host path.
 """
 
-import asyncio
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,26 +15,12 @@ import pytest
 from repro.cli import run
 from repro.core.framework import SEOFramework
 from repro.runtime import executor as executor_module
-from repro.runtime.executor import SerialExecutor, run_ranges
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.ledger import (
     LedgerSchemaError,
     RunLedger,
     report_from_jsonable,
     report_to_jsonable,
-)
-from repro.runtime.remote import (
-    _HEADER,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    RemoteWorkerError,
-    SocketWorkerPool,
-    WorkerServer,
-    WorkerSession,
-    _SocketTransport,
-    _validate_handshake,
-    parse_worker_address,
-    read_frame_async,
-    write_frame_async,
 )
 from repro.runtime.shard import (
     ShardManifest,
@@ -52,7 +30,6 @@ from repro.runtime.shard import (
 )
 from repro.runtime.sweep import SweepIncomplete, SweepRunner, sweep_jobs
 from repro.runtime.workunit import (
-    WORKUNIT_SCHEMA_VERSION,
     WorkUnit,
     config_from_jsonable,
     config_to_jsonable,
@@ -328,110 +305,6 @@ class TestShardedSweep:
 
 
 # ----------------------------------------------------------------------
-# Remote worker protocol
-# ----------------------------------------------------------------------
-class _BufferWriter:
-    """The slice of ``asyncio.StreamWriter`` that ``write_frame_async`` uses."""
-
-    def __init__(self):
-        self.data = b""
-
-    def write(self, data):
-        self.data += data
-
-    async def drain(self):
-        pass
-
-
-def _encode_frames(*payloads):
-    """Bytes of ``payloads`` framed by ``write_frame_async``."""
-    writer = _BufferWriter()
-
-    async def scenario():
-        for payload in payloads:
-            await write_frame_async(writer, payload)
-
-    asyncio.run(scenario())
-    return writer.data
-
-
-def _decode_frames(data, count):
-    """Read ``count`` frames (``None`` at clean EOF) back out of ``data``."""
-
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return [await read_frame_async(reader) for _ in range(count)]
-
-    return asyncio.run(scenario())
-
-
-class TestRemoteProtocol:
-    def test_frame_round_trip(self):
-        payload = {"op": "run", "ranges": [[{"x": [1.5, None, "s"]}, 0, 3]]}
-        # The second read hits a clean EOF at a frame boundary.
-        assert _decode_frames(_encode_frames(payload), 2) == [payload, None]
-
-    def test_truncated_frame_raises(self):
-        data = _encode_frames({"op": "run"})
-        with pytest.raises(RemoteWorkerError, match="truncated frame payload"):
-            _decode_frames(data[:-2], 1)
-        with pytest.raises(RemoteWorkerError, match="truncated frame header"):
-            _decode_frames(data[:2], 1)
-
-    def _serve(self, requests):
-        """Replies of one worker session, up to the first shutdown."""
-        session = WorkerSession()
-        replies = []
-        for request in requests:
-            reply = session.handle(request)
-            if reply is None:
-                break
-            replies.append(reply)
-        return replies
-
-    def test_worker_runs_episodes_bit_identically(self, fast_seo_config):
-        gating = dataclasses.replace(fast_seo_config, optimization="model_gating")
-        expected = [
-            SerialExecutor().run_range(fast_seo_config, 0, 2),
-            SerialExecutor().run_range(gating, 1, 3),
-            SerialExecutor().run_range(fast_seo_config, 2, 3),
-        ]
-        payload = config_to_jsonable(fast_seo_config)
-        replies = self._serve(
-            [
-                {"op": "init", "cache_dir": None},
-                {
-                    "op": "run",
-                    "ranges": [[payload, 0, 2], [config_to_jsonable(gating), 1, 3]],
-                },
-                {"op": "run", "ranges": [[payload, 2, 3]]},
-                {"op": "shutdown"},
-            ]
-        )
-        assert [reply["ok"] for reply in replies] == [True, True, True]
-        cells = [
-            [report_from_jsonable(item) for item in cell]
-            for reply in replies[1:]
-            for cell in reply["reports"]
-        ]
-        assert cells == expected
-
-    def test_worker_reports_errors_with_traceback(self, fast_seo_config):
-        replies = self._serve(
-            [
-                {"op": "init", "cache_dir": None},
-                {"op": "run", "ranges": [[{"__dc__": "NoSuchThing", "fields": {}}, 0, 1]]},
-                {"op": "explode"},
-            ]
-        )
-        assert replies[0]["ok"] is True
-        assert replies[1]["ok"] is False and "NoSuchThing" in replies[1]["error"]
-        assert replies[2]["ok"] is False and "unknown op" in replies[2]["error"]
-
-
-# ----------------------------------------------------------------------
 # CLI acceptance: shard + merge, resume
 # ----------------------------------------------------------------------
 SUITE_ARGS = ["suite", "--family", "narrow-road", "--episodes", "2", "--max-steps", "300"]
@@ -513,110 +386,6 @@ class TestDistributedCli:
 
 
 # ----------------------------------------------------------------------
-# Frame hygiene: length cap
-# ----------------------------------------------------------------------
-class TestFrameCap:
-    def test_async_reader_rejects_oversized_header(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(_HEADER.pack(2**31))
-            reader.feed_eof()
-            await read_frame_async(reader)
-
-        with pytest.raises(RemoteWorkerError, match="cap"):
-            asyncio.run(scenario())
-
-    def test_frame_at_the_cap_boundary_is_fine(self):
-        """A header announcing exactly MAX_FRAME_BYTES passes the cap check
-        (the read then fails only because the payload is not there)."""
-        assert _decode_frames(_encode_frames({"op": "run"}), 1) == [{"op": "run"}]
-        with pytest.raises(RemoteWorkerError, match="truncated frame payload"):
-            _decode_frames(_HEADER.pack(MAX_FRAME_BYTES) + b"{}", 1)
-
-    def test_transport_normalizes_undecodable_frames(self):
-        """A non-JSON reply must surface as RemoteWorkerError, the one
-        signal the dispatcher retires workers on — a raw JSONDecodeError
-        would leak the slot and hang the sweep."""
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(_HEADER.pack(9) + b"\xfe\xfd not js")
-            reader.feed_eof()
-            transport = _SocketTransport(reader, writer=None, description="peer")
-            await transport.recv()
-
-        with pytest.raises(RemoteWorkerError, match="undecodable"):
-            asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Handshake / protocol versioning
-# ----------------------------------------------------------------------
-class TestHandshake:
-    def test_worker_session_advertises_versions(self):
-        reply = WorkerSession().handle(
-            {"op": "hello", "protocol": PROTOCOL_VERSION,
-             "schema": WORKUNIT_SCHEMA_VERSION}
-        )
-        assert reply == {
-            "ok": True,
-            "protocol": PROTOCOL_VERSION,
-            "schema": WORKUNIT_SCHEMA_VERSION,
-        }
-
-    def test_matching_versions_accepted(self):
-        _validate_handshake(
-            {"ok": True, "protocol": PROTOCOL_VERSION,
-             "schema": WORKUNIT_SCHEMA_VERSION},
-            "worker",
-        )
-
-    def test_protocol_v1_worker_is_refused(self, monkeypatch, fast_seo_config):
-        """A worker speaking the one-episode protocol v1 is refused at
-        connect time, and the error names both versions."""
-        handle = WorkerSession.handle
-
-        def v1_handle(session, request):
-            reply = handle(session, request)
-            if request.get("op") == "hello":
-                reply = {**reply, "protocol": 1}
-            return reply
-
-        monkeypatch.setattr(WorkerSession, "handle", v1_handle)
-        server = WorkerServer()
-        pool = SocketWorkerPool([server.address], max_respawns=0)
-        try:
-            future = pool.submit(run_ranges, [(fast_seo_config, 0, 1)])
-            with pytest.raises(RemoteWorkerError) as error:
-                future.result(timeout=120)
-        finally:
-            pool.shutdown()
-            server.stop()
-        assert PROTOCOL_VERSION == 2
-        assert "speaks protocol v1" in str(error.value)
-        assert f"requires protocol v{PROTOCOL_VERSION}" in str(error.value)
-
-    @pytest.mark.parametrize(
-        "reply",
-        [
-            {"ok": True, "protocol": 999, "schema": WORKUNIT_SCHEMA_VERSION},
-            {"ok": True, "protocol": PROTOCOL_VERSION, "schema": 999},
-            {"ok": True},  # a peer that predates the handshake
-            {"ok": False, "error": "nope"},
-        ],
-    )
-    def test_version_mismatch_is_refused(self, reply):
-        with pytest.raises(RemoteWorkerError):
-            _validate_handshake(reply, "worker")
-
-    def test_parse_worker_address(self):
-        assert parse_worker_address("127.0.0.1:7070") == ("127.0.0.1", 7070)
-        assert parse_worker_address("[::1]:7070") == ("::1", 7070)
-        for bad in ("nohost", "host:", "host:abc", ":1", "host:70000"):
-            with pytest.raises(ValueError):
-                parse_worker_address(bad)
-
-
-# ----------------------------------------------------------------------
 # Ledger report schema validation
 # ----------------------------------------------------------------------
 class TestReportSchema:
@@ -649,277 +418,3 @@ class TestReportSchema:
             path, reports=np.array([json.dumps(entry) for entry in payloads])
         )
         assert RunLedger(tmp_path).get(unit) is None
-
-
-# ----------------------------------------------------------------------
-# Crash paths: killed workers reconnect or fail fast — never hang
-# ----------------------------------------------------------------------
-def _submit(pool, config, episode):
-    """Dispatch one episode as a one-range task."""
-    return pool.submit(run_ranges, [(config, episode, episode + 1)])
-
-
-def _report(future):
-    """The one report of a one-range, one-episode task."""
-    [[report]] = future.result(timeout=300)
-    return report
-
-
-def _kill_connection(pool, slot=0):
-    """Abort a slot's TCP connection from the dispatcher's side, on its loop.
-
-    The worker behind it keeps listening, exactly as when a network blip
-    or a worker restart drops one connection.
-    """
-
-    async def abort():
-        pool._transports[slot].writer.transport.abort()
-
-    asyncio.run_coroutine_threadsafe(abort(), pool._loop).result(timeout=30)
-
-
-class TestWorkerCrash:
-    def test_killed_socket_connection_is_reconnected(self, fast_seo_config):
-        expected = SerialExecutor().run(fast_seo_config, 2)
-        server = WorkerServer()
-        pool = SocketWorkerPool([server.address], max_respawns=1)
-        try:
-            first = _report(_submit(pool, fast_seo_config, 0))
-            _kill_connection(pool)
-            # The run frame for episode 1 hits the dead connection; the
-            # dispatcher must retire it, reconnect the slot to the still
-            # listening worker and re-dispatch the episode.
-            second = _report(_submit(pool, fast_seo_config, 1))
-        finally:
-            pool.shutdown()
-            server.stop()
-        assert [first, second] == expected
-        assert pool.respawns == 1
-
-    def test_exhausted_respawn_budget_fails_fast(self, fast_seo_config):
-        server = WorkerServer()
-        pool = SocketWorkerPool([server.address], max_respawns=0)
-        try:
-            _submit(pool, fast_seo_config, 0).result(timeout=300)
-            _kill_connection(pool)
-            # Several episodes queue onto the one (dead) connection: the
-            # first retires it, and the parked ones must be woken with the
-            # same error instead of waiting forever on the idle queue.
-            futures = [_submit(pool, fast_seo_config, episode) for episode in (1, 2, 3)]
-            for future in futures:
-                with pytest.raises(RemoteWorkerError, match="dead"):
-                    future.result(timeout=120)
-            assert pool.lost_slots == 1
-            assert pool.respawns == 0
-        finally:
-            pool.shutdown()
-            server.stop()
-
-    def test_killed_socket_worker_shifts_load_to_survivor(self, fast_seo_config):
-        expected = SerialExecutor().run(fast_seo_config, 4)
-        servers = [WorkerServer(), WorkerServer()]
-        pool = SocketWorkerPool([server.address for server in servers])
-        try:
-            reports = [
-                _report(_submit(pool, fast_seo_config, episode))
-                for episode in (0, 1)
-            ]
-            servers[1].stop()  # as abrupt as a machine dying mid-sweep
-            reports += [
-                _report(_submit(pool, fast_seo_config, episode))
-                for episode in (2, 3)
-            ]
-        finally:
-            pool.shutdown()
-            for server in servers:
-                server.stop()
-        assert reports == expected
-
-    def test_all_socket_workers_dead_fails_fast(self, fast_seo_config):
-        server = WorkerServer()
-        pool = SocketWorkerPool([server.address], max_respawns=1)
-        try:
-            _submit(pool, fast_seo_config, 0).result(timeout=300)
-            server.stop()
-            future = _submit(pool, fast_seo_config, 1)
-            with pytest.raises(RemoteWorkerError, match="dead"):
-                future.result(timeout=120)
-        finally:
-            pool.shutdown()
-            server.stop()
-
-    def test_unreachable_socket_worker_fails_fast(self, fast_seo_config):
-        # Port 1 is never served on localhost: the very first connect fails.
-        pool = SocketWorkerPool(["127.0.0.1:1"], max_respawns=0)
-        try:
-            with pytest.raises(RemoteWorkerError, match="cannot connect"):
-                _submit(pool, fast_seo_config, 0).result(timeout=120)
-        finally:
-            pool.shutdown()
-
-    def test_unresponsive_socket_worker_fails_the_handshake(
-        self, fast_seo_config, monkeypatch
-    ):
-        """A peer that accepts TCP but never replies must not stall the
-        sweep: the connect-time handshake is bounded by a timeout."""
-        import socket as socket_module
-
-        from repro.runtime import remote as remote_module
-
-        listener = socket_module.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)  # accepts connections, never speaks
-        host, port = listener.getsockname()
-        monkeypatch.setattr(remote_module, "HANDSHAKE_TIMEOUT_S", 0.5)
-        pool = SocketWorkerPool([f"{host}:{port}"], max_respawns=0)
-        try:
-            with pytest.raises(RemoteWorkerError, match="handshake"):
-                _submit(pool, fast_seo_config, 0).result(timeout=120)
-        finally:
-            pool.shutdown()
-            listener.close()
-
-    def test_shutdown_cancels_parked_futures(self, fast_seo_config):
-        """Teardown with in-flight episodes resolves every future promptly.
-
-        Regression: futures whose coroutines were still parked on the idle
-        queue used to outlive the dispatch loop, so waiting on them after
-        shutdown hung forever.
-        """
-        server = WorkerServer()
-        pool = SocketWorkerPool([server.address])
-        try:
-            futures = [_submit(pool, fast_seo_config, episode) for episode in range(4)]
-            time.sleep(0.2)  # let the pool connect and start episode 0
-            started = time.monotonic()
-            pool.shutdown(cancel_futures=True)
-            assert time.monotonic() - started < 60.0
-            assert all(future.done() for future in futures)
-        finally:
-            server.stop()
-
-
-# ----------------------------------------------------------------------
-# Socket backend: parity with serial at every level
-# ----------------------------------------------------------------------
-class TestSocketBackend:
-    def test_sweep_runner_parity_with_serial(self, fast_seo_config):
-        """Acceptance: socket sweeps over two workers == the serial reports."""
-        configs = {
-            "offload": fast_seo_config,
-            "gating": dataclasses.replace(fast_seo_config, optimization="model_gating"),
-        }
-        with SweepRunner(jobs=1) as runner:
-            serial = runner.run(sweep_jobs(configs, episodes=2))
-        servers = [WorkerServer(), WorkerServer()]
-        try:
-            with SweepRunner(
-                backend="socket", workers=[server.address for server in servers]
-            ) as runner:
-                remote = runner.run(sweep_jobs(configs, episodes=2))
-                assert runner.pools_created == 1
-                assert runner.workers == 2
-        finally:
-            for server in servers:
-                server.stop()
-        assert remote == serial
-
-    def test_single_address_still_dispatches_remotely(self, fast_seo_config):
-        server = WorkerServer()
-        try:
-            with SweepRunner(backend="socket", workers=[server.address]) as runner:
-                reports = runner.run_one(fast_seo_config, 2)
-                assert runner.pools_created == 1  # no serial degradation
-        finally:
-            server.stop()
-        assert reports == SerialExecutor().run(fast_seo_config, 2)
-
-    def test_socket_runner_requires_addresses(self):
-        with pytest.raises(ValueError, match="worker addresses"):
-            SweepRunner(backend="socket")
-        with pytest.raises(ValueError, match="only valid"):
-            SweepRunner(jobs=2, workers=["127.0.0.1:7070"])
-
-    def test_submit_after_shutdown_raises(self, fast_seo_config):
-        # Connections open lazily, so no worker is needed at this address.
-        pool = SocketWorkerPool(["127.0.0.1:1"])
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-        with pytest.raises(RuntimeError, match="shut down"):
-            _submit(pool, fast_seo_config, 0)
-
-    def test_submit_refuses_other_tasks(self, fast_seo_config):
-        pool = SocketWorkerPool(["127.0.0.1:1"])
-        try:
-            with pytest.raises(ValueError, match="only run_ranges"):
-                pool.submit(SerialExecutor().run_ranges, [(fast_seo_config, 0, 1)])
-        finally:
-            pool.shutdown()
-
-    def test_settings_validate_socket_workers(self):
-        from repro.experiments.common import ExperimentSettings
-
-        with pytest.raises(ValueError, match="worker addresses"):
-            ExperimentSettings(backend="socket")
-        with pytest.raises(ValueError, match="only valid"):
-            ExperimentSettings(workers=("127.0.0.1:7070",))
-        settings = ExperimentSettings(backend="socket", workers=("127.0.0.1:7070",))
-        assert settings.workers == ("127.0.0.1:7070",)
-
-
-class TestSocketCli:
-    def test_socket_parity_on_two_drivers(self):
-        """Acceptance: suite + table3 over two localhost socket workers are
-        bit-identical to the serial run."""
-        servers = [WorkerServer(), WorkerServer()]
-        addresses = ",".join(server.address for server in servers)
-        socket_flags = ["--backend", "socket", "--workers", addresses]
-        try:
-            table3_args = ["table3", "--episodes", "1", "--max-steps", "300"]
-            assert run(table3_args + socket_flags) == run(table3_args)
-            assert run(SUITE_ARGS + socket_flags) == run(SUITE_ARGS)
-        finally:
-            for server in servers:
-                server.stop()
-
-    def test_worker_subcommand_end_to_end(self):
-        """`repro.cli worker --listen` subprocesses serve a real sweep."""
-        import repro
-
-        env = dict(os.environ)
-        src_dir = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            entry for entry in (src_dir, env.get("PYTHONPATH")) if entry
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        try:
-            line = proc.stdout.readline().strip()
-            assert line.startswith("worker listening on ")
-            address = line.split()[-1]
-            remote = run(SUITE_ARGS + ["--backend", "socket", "--workers", address])
-            assert remote == run(SUITE_ARGS)
-        finally:
-            proc.kill()
-            proc.wait()
-
-    def test_socket_backend_requires_workers_flag(self):
-        with pytest.raises(SystemExit, match="--workers"):
-            run(SUITE_ARGS + ["--backend", "socket"])
-        with pytest.raises(SystemExit, match="--backend socket"):
-            run(SUITE_ARGS + ["--workers", "127.0.0.1:7070"])
-
-    def test_malformed_worker_address_rejected_upfront(self):
-        """A typo'd address must die before the sweep starts, not as a raw
-        traceback when the first batch lazily opens the pool."""
-        for bad in ("hostA", "hostA:nan", "hostA:7070,hostB"):
-            with pytest.raises(SystemExit, match="worker address"):
-                run(SUITE_ARGS + ["--backend", "socket", "--workers", bad])
-
-    def test_worker_subcommand_rejects_bad_listen_address(self):
-        with pytest.raises(SystemExit, match="HOST:PORT"):
-            run(["worker", "--listen", "nohost"])

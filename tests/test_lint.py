@@ -24,7 +24,6 @@ from repro.lint import (
     declarations,
     determinism,
     parity,
-    protocol,
 )
 from repro.lint.framework import (
     Checker,
@@ -60,7 +59,7 @@ def test_violation_renders_contract_format():
 
 def test_package_relative_strips_to_innermost_repro_package():
     assert package_relative(Path("src/repro/core/lookup.py")) == "core/lookup.py"
-    assert package_relative(Path("/a/b/repro/runtime/remote.py")) == "runtime/remote.py"
+    assert package_relative(Path("/a/b/repro/runtime/sweep.py")) == "runtime/sweep.py"
     assert package_relative(Path("tests/lint_fixtures/parity_bad.py")) == "parity_bad.py"
 
 
@@ -121,7 +120,7 @@ def test_parity_scope_covers_decision_and_perception_layers_only():
     assert parity.in_scope("perception/detections.py")
     assert parity.in_scope("sim/observation.py")
     assert not parity.in_scope("sim/obstacles.py")
-    assert not parity.in_scope("runtime/remote.py")
+    assert not parity.in_scope("runtime/sweep.py")
 
 
 def test_parity_accepts_all_delegation_shapes():
@@ -363,84 +362,6 @@ def test_schema_fingerprint_tracks_field_sets():
     assert base == closedworld.schema_fingerprint(dict(fx.FIXTURE_REGISTRY))
     renamed = {"Other": fx.CleanRoot, "RegisteredLeaf": fx.RegisteredLeaf}
     assert closedworld.schema_fingerprint(renamed) != base
-
-
-# ----------------------------------------------------------------------
-# Protocol schema (REPRO401-406)
-# ----------------------------------------------------------------------
-
-def test_protocol_scope_is_remote_only():
-    assert protocol.in_scope("runtime/remote.py")
-    assert not protocol.in_scope("runtime/sweep.py")
-
-
-def test_protocol_accepts_documented_frames():
-    assert (
-        protocol.check_protocol(load_fixture("protocol_ok.py", "runtime/remote.py"))
-        == []
-    )
-
-
-def test_protocol_flags_each_frame_violation():
-    violations = protocol.check_protocol(
-        load_fixture("protocol_bad.py", "runtime/remote.py")
-    )
-    assert codes_by_line(violations) == [
-        (10, "REPRO401"),
-        (11, "REPRO402"),
-        (12, "REPRO404"),
-        (13, "REPRO403"),
-        (18, "REPRO405"),
-        (19, "REPRO406"),
-        (20, "REPRO405"),
-    ]
-    by_code = {v.code: v.message for v in violations}
-    assert "'frobnicate'" in by_code["REPRO401"]
-    assert "extra field(s) ['shard']" in by_code["REPRO402"]
-    assert "report_to_jsonable" in by_code["REPRO403"]
-    assert "report_from_jsonable" in by_code["REPRO406"]
-
-
-def test_protocol_mutation_drifted_real_run_frame():
-    """Renaming a field in the real dispatcher's run frame must fire."""
-    import ast
-
-    from repro.lint.framework import SourceFile
-
-    path = SRC / "runtime" / "remote.py"
-    source = path.read_text()
-    assert protocol.check_protocol(load_source_file(path)) == []
-    mutated = source.replace('"ranges": payload', '"chunk": payload')
-    assert mutated != source
-    violations = protocol.check_protocol(
-        SourceFile(path, "runtime/remote.py", mutated, ast.parse(mutated))
-    )
-    assert [v.code for v in violations] == ["REPRO402"]
-    assert "missing field(s) ['ranges']" in violations[0].message
-
-
-@pytest.mark.parametrize(
-    ("old", "new", "code"),
-    [
-        ("[report_to_jsonable(report) for report in cell]", "list(cell)", "REPRO403"),
-        ("[report_from_jsonable(item) for item in cell]", "list(cell)", "REPRO406"),
-    ],
-)
-def test_protocol_mutation_uncoded_real_reports(old, new, code):
-    """The real worker's and dispatcher's ``reports`` must go through the
-    ledger's report codec, element by element."""
-    import ast
-
-    from repro.lint.framework import SourceFile
-
-    path = SRC / "runtime" / "remote.py"
-    source = path.read_text()
-    mutated = source.replace(old, new)
-    assert mutated != source
-    violations = protocol.check_protocol(
-        SourceFile(path, "runtime/remote.py", mutated, ast.parse(mutated))
-    )
-    assert [v.code for v in violations] == [code]
 
 
 # ----------------------------------------------------------------------

@@ -218,10 +218,10 @@ class TestLookupTableCache:
 
 
 class TestImportPath:
-    def test_framework_build_keeps_asyncio_and_remote_unimported(self):
+    def test_framework_build_keeps_asyncio_unimported(self):
         """Building a framework (and importing the runtime and CLI) from a
-        fresh interpreter loads neither asyncio nor the remote-worker module:
-        only a socket sweep pays for them."""
+        fresh interpreter does not load asyncio, which would add to the
+        set-up cost of every run."""
         import os
         import subprocess
         import sys
@@ -234,7 +234,7 @@ class TestImportPath:
             "import repro.cli, repro.runtime\n"
             "from repro.core.framework import SEOConfig, SEOFramework\n"
             "SEOFramework(SEOConfig())\n"
-            "loaded = sorted({'asyncio', 'repro.runtime.remote'} & set(sys.modules))\n"
+            "loaded = sorted({'asyncio'} & set(sys.modules))\n"
             "print(','.join(loaded))\n"
         )
         env = dict(os.environ)

@@ -360,10 +360,6 @@ class TestBackendWiring:
         ):
             pass
 
-    def test_sweep_runner_rejects_workers(self):
-        with pytest.raises(ValueError, match="only valid with the socket"):
-            SweepRunner(backend="batch", workers=["host:1"])
-
     def test_sweep_runner_no_pool(self, fast_seo_config):
         """A batch-backend sweep is bit-identical and never builds a pool."""
         jobs = [SweepJob(label="cell", config=fast_seo_config, episodes=3)]

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -30,6 +31,26 @@ def _exploding_task(ranges):
 def _dying_task(ranges):
     """Stand-in pool task whose worker process dies while running its chunk."""
     os._exit(1)
+
+
+class _InlinePool:
+    """Stand-in for ``ProcessPoolExecutor`` that runs each task at submit.
+
+    The tasks run in this process, so spies on the executor module see the
+    engine calls a real pool's workers would make.
+    """
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 def _variants(fast_seo_config):
@@ -201,11 +222,11 @@ class TestSplitRanges:
 
 class TestExecutorBackends:
     def test_retired_backends_refused(self):
-        assert EXECUTOR_BACKENDS == ("process", "socket", "batch")
+        assert EXECUTOR_BACKENDS == ("process", "batch")
         for backend in ("thread", "async", "fibers"):
-            with pytest.raises(ValueError, match=r"choose from \('process', 'socket', 'batch'\)"):
+            with pytest.raises(ValueError, match=r"choose from \('process', 'batch'\)"):
                 SweepRunner(jobs=2, backend=backend)
-            with pytest.raises(ValueError, match=r"choose from \('process', 'socket', 'batch'\)"):
+            with pytest.raises(ValueError, match=r"choose from \('process', 'batch'\)"):
                 ExperimentSettings(backend=backend)
 
 
@@ -387,25 +408,21 @@ class TestLockstepMerging:
         assert calls == [len(configs)]
         assert batch == alone
 
-    def test_socket_workers_run_merged_chunks(self, executor_spy):
-        """Fig. 5's four compatible units reach three socket workers as three
+    def test_pool_workers_run_merged_chunks(self, executor_spy, monkeypatch):
+        """Fig. 5's four compatible units reach a three-worker pool as three
         merged engine calls, one per chunk, with the in-process reports."""
-        from repro.runtime.remote import WorkerServer
+        from repro.runtime import sweep as sweep_module
 
         configs = self._fig5_configs()
         with SweepRunner(jobs=1) as runner:
             expected = runner.run(sweep_jobs(configs, episodes=2))
         executor_spy.calls.clear()
-        servers = [WorkerServer() for _ in range(3)]
-        try:
-            with SweepRunner(
-                backend="socket", workers=[server.address for server in servers]
-            ) as runner:
-                batch = runner.run(sweep_jobs(configs, episodes=2))
-        finally:
-            for server in servers:
-                server.stop()
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _InlinePool)
+        with SweepRunner(jobs=3) as runner:
+            batch = runner.run(sweep_jobs(configs, episodes=2))
+            assert runner.pools_created == 1
         assert batch == expected
+        assert len(executor_spy.calls) == 3
         label_of = {config: label for label, config in configs.items()}
         chunks = split_ranges([(label, 0, 2) for label in configs], 3)
         assert sorted(
