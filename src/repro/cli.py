@@ -44,7 +44,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.analysis.tables import format_table
-from repro.contracts import set_contracts_enabled
+from repro.contracts import contracts_enabled, set_contracts_enabled
 from repro.experiments.ablations import run_lookup_ablation, run_safety_awareness_ablation
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.fig1 import run_fig1
@@ -342,35 +342,37 @@ def run(argv: Sequence[str] | None = None) -> str:
         return _run_merge(args)
     if args.experiment == "lint":
         return _run_lint(args)
-    if args.runtime_contracts:
-        # Flip both the in-process switch and the env var: worker
-        # subprocesses inherit the environment, so the checks hold across
-        # every execution backend.
-        os.environ["REPRO_RUNTIME_CONTRACTS"] = "1"
-        set_contracts_enabled(True)
     if (args.shard is not None or args.resume) and args.ledger_dir is None:
         raise SystemExit("--shard and --resume require --ledger-dir")
 
+    previous_contracts = contracts_enabled()
+    previous_contracts_env = os.environ.get("REPRO_RUNTIME_CONTRACTS")
     previous_cache = None
-    if args.lookup_cache is not None:
-        previous_cache = set_default_cache(
-            LookupTableCache(cache_dir=args.lookup_cache)
-        )
-
-    ledger = RunLedger(args.ledger_dir) if args.ledger_dir is not None else None
-    manifest = None
-    manifest_path = None
-    if ledger is not None:
-        manifest = ShardManifest(
-            command=_reproduction_command(args), shard=args.shard
-        )
-        manifest_path = args.ledger_dir / MANIFEST_NAME
-
-    # One sweep runner — and therefore one worker pool at a time — serves
-    # every experiment of this invocation (the pool is created lazily on the
-    # first parallel batch, so in-process runs never spawn one, and is only
-    # rebuilt to grow).
     try:
+        if args.runtime_contracts:
+            # Flip both the in-process switch and the env var: worker
+            # subprocesses inherit the environment, so the checks hold across
+            # every execution backend.
+            os.environ["REPRO_RUNTIME_CONTRACTS"] = "1"
+            set_contracts_enabled(True)
+        if args.lookup_cache is not None:
+            previous_cache = set_default_cache(
+                LookupTableCache(cache_dir=args.lookup_cache)
+            )
+
+        ledger = RunLedger(args.ledger_dir) if args.ledger_dir is not None else None
+        manifest = None
+        manifest_path = None
+        if ledger is not None:
+            manifest = ShardManifest(
+                command=_reproduction_command(args), shard=args.shard
+            )
+            manifest_path = args.ledger_dir / MANIFEST_NAME
+
+        # One sweep runner — and therefore one worker pool at a time — serves
+        # every experiment of this invocation (the pool is created lazily on the
+        # first parallel batch, so in-process runs never spawn one, and is only
+        # rebuilt to grow).
         with SweepRunner(
             jobs=args.jobs,
             backend=args.backend,
@@ -413,10 +415,15 @@ def run(argv: Sequence[str] | None = None) -> str:
                 ]
                 output = "\n\n".join(sections)
     finally:
-        # The cache override is scoped to this invocation, like every other
-        # per-invocation knob; restore whatever was installed before.
+        # The cache and contract overrides are scoped to this invocation, like
+        # every other per-invocation knob; restore whatever was installed before.
         if previous_cache is not None:
             set_default_cache(previous_cache)
+        set_contracts_enabled(previous_contracts)
+        if previous_contracts_env is None:
+            os.environ.pop("REPRO_RUNTIME_CONTRACTS", None)
+        else:
+            os.environ["REPRO_RUNTIME_CONTRACTS"] = previous_contracts_env
 
     print(output)
     if args.output is not None:

@@ -167,6 +167,8 @@ class SEOConfig:
             )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shield_margin_m < 0:
             raise ValueError(
                 f"shield_margin_m must be non-negative, got {self.shield_margin_m}"

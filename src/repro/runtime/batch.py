@@ -23,12 +23,12 @@ exact estimator, or the horizon when safety-oblivious) a row subset of the
 episodes starting an interval, the sensor the per-row energies of
 :class:`~repro.core.scheduler.EnergyColumns`, and the target speed the
 controller's speed column.  Each row builds its world from its own
-scenario: road length and width are the ``length_rows``,
-``half_width_rows`` and ``edge_rows`` columns, the obstacles are padded to
-the widest row with an ``obs_valid`` mask that the view, scan and
-collision kernels apply, and the dropout probability is a ``p_drop``
-column.  Every column is an ``(N,)`` (or ``(N, K)``) mask, also in a
-one-cell call whose rows all agree.
+scenario: road length and width are the ``length_rows`` and
+``half_width_rows`` columns, the obstacles are padded to the widest row
+with an ``obs_valid`` mask that the view, scan and end-condition kernels
+apply, and the dropout probability is a ``p_drop`` column.  Every column
+is an ``(N,)`` (or ``(N, K)``) mask, also in a one-cell call whose rows
+all agree.
 
 The decision layer lives with its owners instead of being written here:
 the controller, barrier, shield and scheduler each expose one batch-first
@@ -41,6 +41,10 @@ optimization, charged to the columnar
 :class:`~repro.core.scheduler.EnergyColumns` by ``charge_period_kernel``;
 :meth:`~repro.core.scheduler.EnergyColumns.report_fields` builds the
 energy fields of every report.
+
+**Stages.**  :class:`LiveRows` holds every per-row column.  A frame is the
+stages of :data:`_STAGES` in order; the last ends episodes on
+:meth:`~repro.sim.world.World.status_batch`, which ``World.status`` views.
 
 **Row independence.** An episode's report depends only on ``(config,
 episode index)``, never on which episodes share its call, from its own
@@ -83,8 +87,8 @@ pins the reports themselves.  Three disciplines keep the rows independent:
   through slices; ``order[:m]`` maps positions to episode rows for the
   draw streams and the reports.  A frame in which episodes terminate
   (collision, road exit, route completion) moves them behind the live
-  rows with one stable partition, which freezes a finished episode's
-  state at its terminal frame.
+  rows with one stable partition of every :meth:`LiveRows.row_arrays`
+  column, which freezes a finished episode's state at its terminal frame.
 
 Still per-episode in the frame loop: refills of exhausted draw streams and
 the moving-obstacle ``position_at`` updates, which visit only the live rows
@@ -101,7 +105,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.control.heuristic import ObstacleAvoidanceController
-from repro.core.framework import EpisodeReport, SEOFramework
+from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M
 from repro.core.optimizations import (
     ModeRows,
@@ -122,23 +126,17 @@ from repro.core.shield import SteeringShield
 from repro.dynamics.bicycle import rk4_plant_batch
 from repro.dynamics.state import wrap_angle
 from repro.perception.detections import nearest_per_row
-from repro.sim.collision import collided_batch
 from repro.sim.scenario import build_world
 from repro.sim.world import World
 from repro.streams import DrawStream
 
-__all__ = ["run_batch", "run_cells"]
+__all__ = ["LiveRows", "run_batch", "run_cells"]
 
-#: Engine phases :func:`run_cells` accumulates into ``timings``.
-_PHASES = (
-    "decision",
-    "scheduler",
-    "scan",
-    "scan_raycast",
-    "scan_group",
-    "scan_view",
-    "dynamics",
-)
+#: The stages of one frame, in order: methods of :class:`_Lockstep`.
+_STAGES = ("scan_view", "decision", "scheduler", "scan_raycast", "scan_group", "dynamics")
+#: Engine phases :func:`run_cells` accumulates into ``timings``: the stages,
+#: and ``"scan"``, the sum of the three ``scan_*`` stages.
+_PHASES = (*_STAGES, "scan")
 
 
 def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
@@ -172,23 +170,21 @@ def run_cells(
     order of its ``episodes``; each report is bit-identical to the report
     of its episode run alone.
 
-    When ``timings`` is given, wall-clock seconds spent in each engine phase
-    are accumulated into it under the keys ``"decision"`` (perception
+    When ``timings`` is given, wall-clock seconds spent in each stage are
+    accumulated into it under the stage's name: ``"decision"`` (perception
     aggregate, barrier, controller, shield), ``"scheduler"`` (deadline
-    sampling plus Algorithm 1), ``"scan"`` (range scans and detection
-    extraction) and ``"dynamics"`` (RK4 plant update and episode status).
-    The scan phase is additionally broken into the sub-phase keys
-    ``"scan_raycast"`` (beam-fan ray casting), ``"scan_group"`` (detection
-    grouping, noise and the nearest-detection ledger update) and
-    ``"scan_view"`` (the nearest-obstacle view kernel); their sum equals
-    ``"scan"``.  Without ``timings`` the loop reads no clock.
+    sampling plus Algorithm 1), ``"dynamics"`` (RK4 plant update and
+    episode status), and ``"scan_view"`` (the nearest-obstacle view
+    kernel), ``"scan_raycast"`` (beam-fan ray casting) and ``"scan_group"``
+    (detection grouping, noise and the nearest-detection ledger update),
+    whose sum is stored as ``"scan"``.  Without ``timings`` the loop reads
+    no clock.
     """
     if not cells:
         return []
     frameworks = [framework for framework, _ in cells]
     cell_episodes = [[int(episode) for episode in episodes] for _, episodes in cells]
-    framework = frameworks[0]
-    config = framework.config
+    config = frameworks[0].config
     key = config.lockstep_key()
     for other in frameworks[1:]:
         if other.config.lockstep_key() != key:
@@ -205,321 +201,372 @@ def run_cells(
             )
     cell_sizes = [len(episodes) for episodes in cell_episodes]
     episode_ids = [episode for episodes in cell_episodes for episode in episodes]
-    row_configs = [
-        other.config
-        for other, size in zip(frameworks, cell_sizes)
-        for _ in range(size)
-    ]
     n = len(episode_ids)
     if n == 0:
         return [[] for _ in cells]
 
-    tau = config.tau_s
-    params = framework.vehicle_params
-    barrier = framework.barrier
-    filtered = np.array([row.filtered for row in row_configs])
-    target_rows = np.array([row.target_speed_mps for row in row_configs], dtype=float)
-
-    # ------------------------------------------------------------------
-    # World construction (placement RNG fully consumed here, per episode),
-    # each row from its own scenario.  The rows share the centreline: equal
-    # curved segments, or the straight road, which projects the same
-    # whatever its length.
-    # ------------------------------------------------------------------
-    worlds = [
-        build_world(
-            row.scenario,
-            rng=np.random.default_rng((config.seed + 1) * 1000 + episode),
-            vehicle_params=params,
-        )
-        for row, episode in zip(row_configs, episode_ids)
-    ]
-    centerline = worlds[0].road.centerline
-    straight = centerline.is_straight
-    length_rows = np.array([world.road.length_m for world in worlds], dtype=float)
-    half_width_rows = np.array([world.road.half_width_m for world in worlds], dtype=float)
-    edge_rows = half_width_rows - 0.5 * params.width_m + 1e-9
-    vehicle_radius = params.collision_radius_m
-
-    xs = np.array([world.state.x_m for world in worlds], dtype=float)
-    ys = np.array([world.state.y_m for world in worlds], dtype=float)
-    hs = np.array([world.state.heading_rad for world in worlds], dtype=float)
-    vs = np.array([world.state.speed_mps for world in worlds], dtype=float)
-
-    # Obstacles padded to the widest row (at least one slot, so every call
-    # runs the same kernels): ``obs_valid`` masks the real slots, a prefix
-    # of each row, and the view, scan and collision kernels skip the rest.
-    obstacle_counts = np.array([len(world.obstacles) for world in worlds], dtype=np.int64)
-    K = max(1, int(obstacle_counts.max()))
-    obs_valid = np.arange(K) < obstacle_counts[:, None]
-    obs_x = np.zeros((n, K), dtype=float)
-    obs_y = np.zeros((n, K), dtype=float)
-    obs_r = np.zeros((n, K), dtype=float)
-    placed = [obstacle for world in worlds for obstacle in world.obstacles]
-    obs_x[obs_valid] = [obstacle.x_m for obstacle in placed]
-    obs_y[obs_valid] = [obstacle.y_m for obstacle in placed]
-    obs_r[obs_valid] = [obstacle.radius_m for obstacle in placed]
-    # Indexed by episode row (not by position: see ``order`` below).
-    moving = [
-        [(k, o) for k, o in enumerate(world.obstacles) if o.motion is not None]
-        for world in worlds
-    ]
-    movers = np.array([bool(motions) for motions in moving])
-    has_moving = bool(movers.any())
-    del worlds, placed
-
-    # ------------------------------------------------------------------
-    # Per-episode draw streams (the offload and dropout generators, one row
-    # per episode), shared shield, controller.
-    # ------------------------------------------------------------------
-    modes = ModeRows.of([row.optimization for row in row_configs])
-    sched_stream = (
-        DrawStream(
-            [(config.seed + 2) * 1000 + episode for episode in episode_ids],
-            "standard_exponential",
-        )
-        if modes.offload.any()
-        else None
-    )
-    if sched_stream is not None:
-        sched_stream.retire(np.nonzero(~modes.offload)[0])
-    p_drop = np.array(
-        [row.scenario.sensor_dropout_probability for row in row_configs], dtype=float
-    )
-    dropping = p_drop > 0.0
-    drop_stream = (
-        DrawStream(
-            [(config.seed + 3) * 1000 + episode for episode in episode_ids], "random"
-        )
-        if dropping.any()
-        else None
-    )
-    if drop_stream is not None:
-        drop_stream.retire(np.nonzero(~dropping)[0])
-    controller = framework._build_controller()
-    heuristic_controller = isinstance(controller, ObstacleAvoidanceController)
-    # The shield math is stateless (the per-episode counters live in the
-    # arrays below), so one instance filters the whole batch.
-    shield = SteeringShield(
-        safety_function=barrier,
-        intervention_margin_m=config.shield_margin_m,
-    )
-
-    # ------------------------------------------------------------------
-    # Detectors: one shared scan per episode per frame feeds every detector
-    # that needs a fresh output (the scan is a pure function of the
-    # pre-step world; every detector holds the same scanner).  Each
-    # detector's noise source has one row per episode, every row replaying
-    # the detector seed as ``reset()`` does.
-    # ------------------------------------------------------------------
-    detectors = framework.detectors
-    scanner = next(iter(detectors.values())).scanner
-    det_noise = {name: detector.noise_source(n) for name, detector in detectors.items()}
-    # A finished episode retires from every stream, so it stops holding
-    # its seed group's draws.
-    draw_streams = [
-        stream
-        for stream in (sched_stream, drop_stream, *det_noise.values())
-        if stream is not None
-    ]
-
-    # ------------------------------------------------------------------
-    # Model pipeline (the ledger's column order: Lambda'' then Lambda') and
-    # deadline provider.
-    # ------------------------------------------------------------------
-    model_set = framework.model_set
-    energy = EnergyColumns.create(
-        [(other.model_set, size) for other, size in zip(frameworks, cell_sizes)], tau
-    )
-    num_crit = energy.critical_count
-    opt_names = energy.names[num_crit:]
-    num_opt = len(opt_names)
-    models = model_set.critical + model_set.optimizable
-    delta_i_all = np.array([model.discretized_period(tau) for model in models], dtype=np.int64)
-    delta_i_opt = delta_i_all[num_crit:]
-    compute_opt = energy.compute_j[num_crit:]
-    max_deadline_periods = config.max_deadline_periods
-    planner = framework.offload_planner
-    delta_hat = planner.estimated_response_periods(tau)
-    draws_per_offload = planner.draws_per_sample
-
-    # Deadline sources: the lookup table, the exact estimator, or (for
-    # safety-oblivious rows) the estimator horizon.
-    estimator = framework.estimator
-    horizon_s = estimator.horizon_s
-    lookup_rows = np.array(
-        [row.safety_aware and row.use_lookup_table for row in row_configs]
-    )
-    exact_rows = np.array(
-        [row.safety_aware and not row.use_lookup_table for row in row_configs]
-    )
-    # Every cell that builds a table builds this one (equal lockstep keys).
-    lookup_table = next(
-        (other.lookup_table for other in frameworks if other.lookup_table is not None),
-        None,
-    )
-    obstacle_radius = config.scenario.obstacle_radius_m
-
-    # ------------------------------------------------------------------
-    # Per-episode run state (structure of arrays; the scheduler interval
-    # state is one SchedulerState row per episode).
-    # ------------------------------------------------------------------
-    sched = SchedulerState.create(n, num_opt)
-    dropouts = np.zeros(n, dtype=np.int64)
-    unsafe = np.zeros(n, dtype=np.int64)
-    interventions = np.zeros(n, dtype=np.int64)
-    min_dist = np.full(n, float("inf"), dtype=float)
-    # Latest-detection ledger, structure-of-arrays over (episode, model):
-    # presence/nearest/staleness columns plus an insertion *rank*, the order
-    # in which each model first produced an output in that episode.  The
-    # controller reads the nearest held detection across models; among
-    # equal distances the earliest-inserted model wins.
-    det_present = np.zeros((n, num_opt), dtype=bool)
-    det_nonempty = np.zeros((n, num_opt), dtype=bool)
-    det_best_d = np.zeros((n, num_opt), dtype=float)
-    det_best_b = np.zeros((n, num_opt), dtype=float)
-    det_stale_flag = np.zeros((n, num_opt), dtype=bool)
-    det_rank = np.zeros((n, num_opt), dtype=np.int64)
-    det_next_rank = np.zeros(n, dtype=np.int64)
-    proj_s, proj_d = centerline.project_batch(xs, ys)
-
-    # Live episodes are the prefix ``[:m]`` of every per-row array, so a
-    # frame reads and writes them through slices.  ``order[p]`` is the
-    # episode row at position ``p``: it names the row's draw-stream rows
-    # and report.  A frame in which episodes end moves them behind the
-    # live ones with one stable partition of every array below.
-    order = np.arange(n)
-    m = n
-    row_state = (
-        order, xs, ys, hs, vs, proj_s, proj_d, obs_x, obs_y, obs_r, obs_valid,
-        movers, length_rows, half_width_rows, edge_rows, target_rows,
-        p_drop, dropping, filtered, lookup_rows, exact_rows, *modes,
-        *sched.row_arrays(), *energy.row_arrays(),
-        dropouts, unsafe, interventions, min_dist,
-        det_present, det_nonempty, det_best_d, det_best_b, det_stale_flag,
-        det_rank, det_next_rank,
-    )
-    # Written once per episode, when it ends; indexed by episode row.
-    steps_count = np.full(n, config.max_steps, dtype=np.int64)
-    finished_f = np.zeros(n, dtype=bool)
-    collided_f = np.zeros(n, dtype=bool)
-    offroad_f = np.zeros(n, dtype=bool)
-    # ``delta_max`` log: the episode rows and periods of each frame's new
-    # intervals, split per row when the reports are built.
-    sample_rows: list[np.ndarray] = []
-    sample_periods: list[np.ndarray] = []
-
-    # Per-frame constants, sliced to the live count (read-only).
-    rank_max = np.iinfo(np.int64).max
-    zeros = np.zeros(n, dtype=float)
-    no_transmission = np.zeros((n, num_opt), dtype=float)
-    no_miss = np.zeros((n, num_opt), dtype=bool)
-    row_numbers = np.arange(n)
-    flat_rows = row_numbers * num_opt
-    # Scan row of each position that needs a scan this frame.
-    scan_pos = np.zeros(n, dtype=np.int64)
-
-    spent = dict.fromkeys(_PHASES, 0.0) if timings is not None else None
-    stamp = 0.0
-    time_s = 0.0
-
-    for t in range(config.max_steps):
-        if not m:
+    call = _Lockstep(frameworks, cell_sizes, episode_ids)
+    stages = [(name, getattr(call, name)) for name in _STAGES]
+    spent = dict.fromkeys(_PHASES, 0.0)
+    for _ in range(config.max_steps):
+        if not call.m:
             break
-        if spent is not None:
-            stamp = perf_counter()
-        x_act = xs[:m]
-        y_act = ys[:m]
-        h_act = hs[:m]
-        v_act = vs[:m]
+        for name, stage in stages:
+            if timings is None:
+                stage()
+            else:
+                start = perf_counter()
+                stage()
+                spent[name] += perf_counter() - start
+    if timings is not None:
+        spent["scan"] = spent["scan_raycast"] + spent["scan_group"] + spent["scan_view"]
+        for phase, seconds in spent.items():
+            timings[phase] = timings.get(phase, 0.0) + seconds
 
-        # ---- Nearest-obstacle view kernel (scan/view sub-phase) ----
-        valid_act = obs_valid[:m]
-        dist_b, bear_b, _nearest = World.nearest_obstacle_view_batch(
-            x_act, y_act, h_act, obs_x[:m], obs_y[:m], obs_r[:m], valid_act
+    # Split the delta_max log per episode row, each row's samples in frame
+    # order (a stable sort keeps it).
+    logged_rows = np.concatenate([np.zeros(0, dtype=np.int64), *call.sample_rows])
+    logged = np.concatenate([np.zeros(0, dtype=np.int64), *call.sample_periods])
+    by_row = np.argsort(logged_rows, kind="stable")
+    bounds = np.cumsum(np.bincount(logged_rows, minlength=n))[:-1]
+    samples = np.split(logged[by_row], bounds)
+    # The row of each episode sits at position ``position[row]``.
+    rows = call.rows
+    position = np.argsort(rows.order)
+    reports = [
+        EpisodeReport(
+            episode=episode,
+            steps=int(call.steps_count[i]),
+            duration_s=int(call.steps_count[i]) * config.tau_s,
+            completed=bool(call.finished_f[i]),
+            collided=bool(call.collided_f[i]),
+            off_road=bool(call.offroad_f[i]),
+            shield_interventions=int(rows.interventions[p]),
+            delta_max_samples=samples[i].tolist(),
+            min_obstacle_distance_m=float(rows.min_dist[p]),
+            unsafe_steps=int(rows.unsafe[p]),
+            sensor_dropouts=int(rows.dropouts[p]),
+            **rows.energy.report_fields(p),
         )
-        if spent is not None:
-            stamp = _lap(spent, "scan_view", stamp)
+        for i, (episode, p) in enumerate(zip(episode_ids, position.tolist()))
+    ]
+    cell_bounds = np.cumsum([0, *cell_sizes]).tolist()
+    return [reports[lo:hi] for lo, hi in zip(cell_bounds, cell_bounds[1:])]
 
-        # ---- Pass 1: perception aggregate -> safety state -> control ----
+
+class LiveRows:
+    """Every per-row column of one lockstep call, each allocated once here.
+
+    ``order[p]`` is the episode row at position ``p``: it names the row's
+    draw-stream rows and report.
+    """
+
+    def __init__(
+        self, worlds: Sequence[World], row_configs: Sequence[SEOConfig], energy: EnergyColumns
+    ) -> None:
+        n = len(worlds)
+        self.order = np.arange(n)
+        self.xs = np.array([world.state.x_m for world in worlds], dtype=float)
+        self.ys = np.array([world.state.y_m for world in worlds], dtype=float)
+        self.hs = np.array([world.state.heading_rad for world in worlds], dtype=float)
+        self.vs = np.array([world.state.speed_mps for world in worlds], dtype=float)
+        self.proj_s, self.proj_d = worlds[0].road.centerline.project_batch(self.xs, self.ys)
+
+        # Obstacles padded to the widest row (at least one slot, so every call
+        # runs the same kernels): ``obs_valid`` masks the real slots, a prefix
+        # of each row, and the view, scan and end-condition kernels skip pads.
+        obstacle_counts = np.array([len(world.obstacles) for world in worlds], dtype=np.int64)
+        K = max(1, int(obstacle_counts.max()))
+        self.obs_valid = np.arange(K) < obstacle_counts[:, None]
+        self.obs_x = np.zeros((n, K), dtype=float)
+        self.obs_y = np.zeros((n, K), dtype=float)
+        self.obs_r = np.zeros((n, K), dtype=float)
+        placed = [obstacle for world in worlds for obstacle in world.obstacles]
+        self.obs_x[self.obs_valid] = [obstacle.x_m for obstacle in placed]
+        self.obs_y[self.obs_valid] = [obstacle.y_m for obstacle in placed]
+        self.obs_r[self.obs_valid] = [obstacle.radius_m for obstacle in placed]
+        self.movers = np.array(
+            [any(obstacle.motion is not None for obstacle in world.obstacles) for world in worlds]
+        )
+
+        # Row settings: the scenario's and the config's row fields.
+        self.length_rows = np.array([world.road.length_m for world in worlds], dtype=float)
+        self.half_width_rows = np.array([world.road.half_width_m for world in worlds], dtype=float)
+        self.target_rows = np.array([row.target_speed_mps for row in row_configs], dtype=float)
+        self.p_drop = np.array(
+            [row.scenario.sensor_dropout_probability for row in row_configs], dtype=float
+        )
+        self.filtered = np.array([row.filtered for row in row_configs])
+        # Deadline sources: the lookup table, the exact estimator, or (for
+        # safety-oblivious rows) the estimator horizon.
+        self.lookup_rows = np.array(
+            [row.safety_aware and row.use_lookup_table for row in row_configs]
+        )
+        self.exact_rows = np.array(
+            [row.safety_aware and not row.use_lookup_table for row in row_configs]
+        )
+        self.modes = ModeRows.of([row.optimization for row in row_configs])
+
+        # Run state: scheduler intervals, energy accounts and counters.
+        num_opt = len(energy.names) - energy.critical_count
+        self.sched = SchedulerState.create(n, num_opt)
+        self.energy = energy
+        self.dropouts = np.zeros(n, dtype=np.int64)
+        self.unsafe = np.zeros(n, dtype=np.int64)
+        self.interventions = np.zeros(n, dtype=np.int64)
+        self.min_dist = np.full(n, float("inf"), dtype=float)
+        # Latest-detection ledger, structure-of-arrays over (episode, model):
+        # presence/nearest/staleness columns plus an insertion *rank*, the order
+        # in which each model first produced an output in that episode.  The
+        # controller reads the nearest held detection across models; among
+        # equal distances the earliest-inserted model wins.
+        self.det_present = np.zeros((n, num_opt), dtype=bool)
+        self.det_nonempty = np.zeros((n, num_opt), dtype=bool)
+        self.det_best_d = np.zeros((n, num_opt), dtype=float)
+        self.det_best_b = np.zeros((n, num_opt), dtype=float)
+        self.det_stale_flag = np.zeros((n, num_opt), dtype=bool)
+        self.det_rank = np.zeros((n, num_opt), dtype=np.int64)
+        self.det_next_rank = np.zeros(n, dtype=np.int64)
+
+    def row_arrays(self) -> list[np.ndarray]:
+        """Every column; ``modes``, ``sched`` and ``energy`` expand to theirs."""
+        arrays: list[np.ndarray] = []
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                arrays.append(column)
+            else:
+                arrays.extend(column if isinstance(column, ModeRows) else column.row_arrays())
+        return arrays
+
+
+def _row_stream(base: int, episodes: list[int], kind: str, draws: np.ndarray) -> DrawStream | None:
+    """One stream row per episode, seeded ``base * 1000 + episode``, or None
+    when no row ``draws``; the rows that never draw retire up front."""
+    if not draws.any():
+        return None
+    stream = DrawStream([base * 1000 + episode for episode in episodes], kind)
+    stream.retire(np.nonzero(~draws)[0])
+    return stream
+
+
+class _Lockstep:
+    """One :func:`run_cells` call: its constants, :class:`LiveRows` and stages.
+
+    Each stage of :data:`_STAGES` works on the live prefix ``[:m]`` and
+    names its result for the stages after it (``dist_b``/``bear_b``,
+    ``fs``/``ft``, ``kept``, ``scan_rows``/``best``); ``dynamics`` ends the
+    frame."""
+
+    def __init__(
+        self, frameworks: Sequence[SEOFramework], cell_sizes: list[int], episode_ids: list[int]
+    ) -> None:
+        framework = frameworks[0]
+        self.config = config = framework.config
+        row_configs = [
+            other.config for other, size in zip(frameworks, cell_sizes) for _ in range(size)
+        ]
+        n = len(episode_ids)
+        self.tau = tau = config.tau_s
+        self.params = framework.vehicle_params
+        self.barrier = framework.barrier
+        self.t = 0
+        self.time_s = 0.0
+        self.m = n
+
+        # World construction (placement RNG fully consumed here, per episode),
+        # each row from its own scenario.  The rows share the centreline: equal
+        # curved segments, or the straight road, which projects the same
+        # whatever its length.
+        worlds = [
+            build_world(
+                row.scenario,
+                rng=np.random.default_rng((config.seed + 1) * 1000 + episode),
+                vehicle_params=self.params,
+            )
+            for row, episode in zip(row_configs, episode_ids)
+        ]
+        self.centerline = worlds[0].road.centerline
+        # Indexed by episode row (not by position: see ``LiveRows.order``).
+        self.moving = [
+            [(k, o) for k, o in enumerate(world.obstacles) if o.motion is not None]
+            for world in worlds
+        ]
+        energy = EnergyColumns.create(
+            [(other.model_set, size) for other, size in zip(frameworks, cell_sizes)], tau
+        )
+        self.rows = rows = LiveRows(worlds, row_configs, energy)
+
+        # Per-episode draw streams (the offload and dropout generators, one row
+        # per episode), shared shield, controller.
+        self.sched_stream = _row_stream(
+            config.seed + 2, episode_ids, "standard_exponential", rows.modes.offload
+        )
+        self.drop_stream = _row_stream(config.seed + 3, episode_ids, "random", rows.p_drop > 0.0)
+        self.controller = framework._build_controller()
+        self.heuristic_controller = isinstance(self.controller, ObstacleAvoidanceController)
+        # The shield math is stateless (the per-episode counters are row
+        # columns), so one instance filters the whole batch.
+        self.shield = SteeringShield(
+            safety_function=self.barrier,
+            intervention_margin_m=config.shield_margin_m,
+        )
+
+        # Detectors: one shared scan per episode per frame feeds every detector
+        # that needs a fresh output (the scan is a pure function of the
+        # pre-step world; every detector holds the same scanner).  Each
+        # detector's noise source has one row per episode, every row replaying
+        # the detector seed as ``reset()`` does.
+        self.detectors = framework.detectors
+        self.scanner = next(iter(self.detectors.values())).scanner
+        self.det_noise = {
+            name: detector.noise_source(n) for name, detector in self.detectors.items()
+        }
+        # A finished episode retires from every stream, so it stops holding
+        # its seed group's draws.
+        self.draw_streams = [
+            stream
+            for stream in (self.sched_stream, self.drop_stream, *self.det_noise.values())
+            if stream is not None
+        ]
+
+        # Model pipeline (the ledger's column order: Lambda'' then Lambda') and
+        # deadline provider.
+        self.num_crit = num_crit = energy.critical_count
+        self.opt_names = energy.names[num_crit:]
+        num_opt = len(self.opt_names)
+        models = framework.model_set.critical + framework.model_set.optimizable
+        self.delta_i_all = np.array(
+            [model.discretized_period(tau) for model in models], dtype=np.int64
+        )
+        self.delta_i_opt = self.delta_i_all[num_crit:]
+        self.compute_opt = energy.compute_j[num_crit:]
+        self.planner = framework.offload_planner
+        self.delta_hat = self.planner.estimated_response_periods(tau)
+        self.estimator = framework.estimator
+        # Every cell that builds a table builds this one (equal lockstep keys).
+        self.lookup_table = next(
+            (other.lookup_table for other in frameworks if other.lookup_table is not None),
+            None,
+        )
+
+        # Written once per episode, when it ends; indexed by episode row.
+        self.steps_count = np.full(n, config.max_steps, dtype=np.int64)
+        self.finished_f = np.zeros(n, dtype=bool)
+        self.collided_f = np.zeros(n, dtype=bool)
+        self.offroad_f = np.zeros(n, dtype=bool)
+        # ``delta_max`` log: the episode rows and periods of each frame's new
+        # intervals, split per row when the reports are built.
+        self.sample_rows: list[np.ndarray] = []
+        self.sample_periods: list[np.ndarray] = []
+
+        # Per-frame constants (read-only; the arrays are sliced to the live count).
+        self.rank_max = np.iinfo(np.int64).max
+        self.zeros = np.zeros(n, dtype=float)
+        self.no_transmission = np.zeros((n, num_opt), dtype=float)
+        self.no_miss = np.zeros((n, num_opt), dtype=bool)
+        self.row_numbers = np.arange(n)
+        self.flat_rows = self.row_numbers * num_opt
+        # Scan row of each position that needs a scan this frame.
+        self.scan_pos = np.zeros(n, dtype=np.int64)
+
+    def scan_view(self) -> None:
+        """Nearest-obstacle view kernel: ``dist_b``, ``bear_b``."""
+        rows, m = self.rows, self.m
+        self.dist_b, self.bear_b, _nearest = World.nearest_obstacle_view_batch(
+            rows.xs[:m], rows.ys[:m], rows.hs[:m],
+            rows.obs_x[:m], rows.obs_y[:m], rows.obs_r[:m], rows.obs_valid[:m],
+        )
+
+    def decision(self) -> None:
+        """Pass 1: perception aggregate -> safety state -> control: ``fs``, ``ft``."""
+        rows, m = self.rows, self.m
+        dist_b, bear_b = self.dist_b, self.bear_b
+        h_act = rows.hs[:m]
+        v_act = rows.vs[:m]
         # Nearest detection across models: masked distance minimum, ties to
-        # the lowest insertion rank (see the ledger comment above).
-        candidates = det_nonempty[:m]
-        dist_masked = np.where(candidates, det_best_d[:m], np.inf)
+        # the lowest insertion rank (see the ledger comment in LiveRows).
+        candidates = rows.det_nonempty[:m]
+        dist_masked = np.where(candidates, rows.det_best_d[:m], np.inf)
         nearest_dist = np.minimum.reduce(dist_masked, axis=1)
         has_det = np.isfinite(nearest_dist)
         is_nearest = candidates & (dist_masked == nearest_dist[:, None])
         # Rows without a detection read an arbitrary held column: the
         # controller ignores the detection inputs of rows without one.
-        model_sel = np.where(is_nearest, det_rank[:m], rank_max).argmin(axis=1)
-        held = flat_rows[:m] + model_sel
-        det_d = det_best_d.reshape(-1)[held]
-        det_bg = det_best_b.reshape(-1)[held]
-        det_stale = det_stale_flag.reshape(-1)[held]
+        model_sel = np.where(is_nearest, rows.det_rank[:m], self.rank_max).argmin(axis=1)
+        held = self.flat_rows[:m] + model_sel
+        det_d = rows.det_best_d.reshape(-1)[held]
+        det_bg = rows.det_best_b.reshape(-1)[held]
+        det_stale = rows.det_stale_flag.reshape(-1)[held]
 
-        lat_act = proj_d[:m]
-        if straight:
+        lat_act = rows.proj_d[:m]
+        if self.centerline.is_straight:
             heading_err = wrap_angle(h_act)
-            curv_act = zeros[:m]
+            curv_act = self.zeros[:m]
         else:
-            road_heading, curv_act = centerline.heading_curvature_at_batch(proj_s[:m])
+            road_heading, curv_act = self.centerline.heading_curvature_at_batch(rows.proj_s[:m])
             heading_err = wrap_angle(h_act - road_heading)
 
-        h_vals = barrier.evaluate_batch(dist_b, bear_b, v_act)
-        np.minimum(min_dist[:m], dist_b, out=min_dist[:m])
-        unsafe[:m] += h_vals < 0.0
+        h_vals = self.barrier.evaluate_batch(dist_b, bear_b, v_act)
+        np.minimum(rows.min_dist[:m], dist_b, out=rows.min_dist[:m])
+        rows.unsafe[:m] += h_vals < 0.0
 
-        target_act = target_rows[:m]
-        if heuristic_controller:
-            raw_s, raw_t = controller.act_batch(
+        target_act = rows.target_rows[:m]
+        if self.heuristic_controller:
+            raw_s, raw_t = self.controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act,
                 has_det, det_d, det_bg, det_stale,
             )
         else:  # pure pursuit: SEOConfig admits only these two controllers
-            raw_s, raw_t = controller.act_batch(
+            raw_s, raw_t = self.controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act
             )
 
-        fs, ft, intervened = shield.filter_batch(
-            h_vals, dist_b, bear_b, v_act, lat_act, half_width_rows[:m], raw_s, raw_t
+        fs, ft, intervened = self.shield.filter_batch(
+            h_vals, dist_b, bear_b, v_act, lat_act, rows.half_width_rows[:m], raw_s, raw_t
         )
         # Unfiltered rows drive the raw control.
-        keep = filtered[:m]
-        fs = np.where(keep, fs, raw_s)
-        ft = np.where(keep, ft, raw_t)
-        interventions[:m] += intervened & keep
-        if spent is not None:
-            stamp = _lap(spent, "decision", stamp)
+        keep = rows.filtered[:m]
+        self.fs = np.where(keep, fs, raw_s)
+        self.ft = np.where(keep, ft, raw_t)
+        rows.interventions[:m] += intervened & keep
+
+    def scheduler(self) -> None:
+        """Deadline sampling, then Algorithm 1's period: ``kept``."""
+        rows, m = self.rows, self.m
+        sched, energy = rows.sched, rows.energy
+        dist_b, bear_b, fs, ft = self.dist_b, self.bear_b, self.fs, self.ft
+        v_act = rows.vs[:m]
+        num_crit, delta_i_opt = self.num_crit, self.delta_i_opt
 
         # ---- Deadline sampling for episodes starting a safe interval ----
         # Safety-oblivious rows keep the horizon; the others read their
         # source on their subset of the starting episodes.
         starting = sched.new_delta[:m].nonzero()[0]
         if starting.size:
-            deadlines = np.full(starting.size, horizon_s, dtype=float)
-            at = lookup_rows[starting]
+            deadlines = np.full(starting.size, self.estimator.horizon_s, dtype=float)
+            at = rows.lookup_rows[starting]
             if np.count_nonzero(at):
-                assert lookup_table is not None
-                rows = starting[at]
-                deadlines[at] = lookup_table.query_batch(
-                    dist_b[rows], bear_b[rows], v_act[rows], fs[rows], ft[rows]
+                assert self.lookup_table is not None
+                picked = starting[at]
+                deadlines[at] = self.lookup_table.query_batch(
+                    dist_b[picked], bear_b[picked], v_act[picked], fs[picked], ft[picked]
                 )
-            present = exact_rows[starting] & (dist_b[starting] < NO_OBSTACLE_DISTANCE_M)
+            present = rows.exact_rows[starting] & (dist_b[starting] < NO_OBSTACLE_DISTANCE_M)
             if np.count_nonzero(present):
-                rows = starting[present]
-                deadlines[present] = estimator.estimate_batch(
-                    dist_b[rows],
-                    bear_b[rows],
-                    v_act[rows],
-                    fs[rows],
-                    ft[rows],
-                    obstacle_radius_m=obstacle_radius,
+                picked = starting[present]
+                deadlines[present] = self.estimator.estimate_batch(
+                    dist_b[picked],
+                    bear_b[picked],
+                    v_act[picked],
+                    fs[picked],
+                    ft[picked],
+                    obstacle_radius_m=self.config.scenario.obstacle_radius_m,
                 )
             periods = begin_interval_kernel(
-                sched, starting, deadlines, tau, max_deadline_periods, delta_i_opt
+                sched, starting, deadlines, self.tau, self.config.max_deadline_periods, delta_i_opt
             )
-            sample_rows.append(order[starting])
-            sample_periods.append(periods)
+            self.sample_rows.append(rows.order[starting])
+            self.sample_periods.append(periods)
 
         # ---- Pass 2: Algorithm 1's period kernel over (episode, model) ----
         # The shared kernels decide and charge every live episode at once.
@@ -527,26 +574,27 @@ def run_cells(
         # row in pipeline order.
         dmx_act = sched.delta_max[:m]
         istep_act = sched.interval_step[:m]
-        natural = natural_slot_kernel(t, delta_i_all)
+        natural = natural_slot_kernel(self.t, self.delta_i_all)
         natural_opt = natural[num_crit:]
         full = full_slot_kernel(natural_opt, istep_act, delta_i_opt, dmx_act)
         outcome = period_kernel(
-            modes.head(m), natural_opt, full, istep_act, dmx_act, delta_i_opt,
-            delta_hat, sched.pending[:m], compute_opt,
+            rows.modes.head(m), natural_opt, full, istep_act, dmx_act, delta_i_opt,
+            self.delta_hat, sched.pending[:m], self.compute_opt,
             energy.measurement_j[:m, num_crit:],
         )
         pending = outcome.pending
-        transmission = no_transmission[:m]
-        missed = no_miss[:m]
+        transmission = self.no_transmission[:m]
+        missed = self.no_miss[:m]
         issue_counts = np.add.reduce(outcome.issue, axis=1)
         issue_rows = issue_counts.nonzero()[0]
         if issue_rows.size:
-            assert sched_stream is not None
-            exp_draws = sched_stream.take(
-                order[issue_rows], issue_counts[issue_rows] * draws_per_offload
+            assert self.sched_stream is not None
+            draws_per_offload = self.planner.draws_per_sample
+            exp_draws = self.sched_stream.take(
+                rows.order[issue_rows], issue_counts[issue_rows] * draws_per_offload
             ).reshape(-1, draws_per_offload)
-            _tx_t, _rt, tx_energy, response = planner.sample_batch(tau, exp_draws)
-            transmission = np.zeros((m, num_opt), dtype=float)
+            _tx_t, _rt, tx_energy, response = self.planner.sample_batch(self.tau, exp_draws)
+            transmission = np.zeros((m, len(self.opt_names)), dtype=float)
             transmission[outcome.issue] = tx_energy
             pending, missed = offload_arrival_kernel(
                 pending, outcome.issue, istep_act, dmx_act, delta_i_opt, response
@@ -567,159 +615,110 @@ def run_cells(
         # Rows with p = 0 draw nothing.  An episode's dropout draws are taken
         # in pipeline order (row-major over the mask).  A kept inference
         # claims its insertion rank *now*, models in pipeline order; the
-        # scan phase below fills the nearest/staleness columns in.
+        # scan stages fill the nearest/staleness columns in.
         fresh = outcome.fresh
-        present = det_present[:m]
-        stale = det_stale_flag[:m]
+        present = rows.det_present[:m]
+        stale = rows.det_stale_flag[:m]
         kept = fresh
-        if drop_stream is not None:
-            draw = fresh & outcome.local & present & dropping[:m, None]
+        if self.drop_stream is not None:
+            draw = fresh & outcome.local & present & (rows.p_drop[:m, None] > 0.0)
             draw_counts = np.add.reduce(draw, axis=1)
             draw_rows = draw_counts.nonzero()[0]
             if draw_rows.size:
                 taken = draw_counts[draw_rows]
-                draws = drop_stream.take(order[draw_rows], taken)
-                dropped = np.zeros((m, num_opt), dtype=bool)
-                dropped[draw] = draws < p_drop[draw_rows].repeat(taken)
-                dropouts[:m] += np.add.reduce(dropped, axis=1)
+                draws = self.drop_stream.take(rows.order[draw_rows], taken)
+                dropped = np.zeros((m, len(self.opt_names)), dtype=bool)
+                dropped[draw] = draws < rows.p_drop[draw_rows].repeat(taken)
+                rows.dropouts[:m] += np.add.reduce(dropped, axis=1)
                 stale |= dropped
                 kept = fresh & ~dropped
         new = kept & ~present
         if np.count_nonzero(new):
-            ranks = det_next_rank[:m, None] + np.add.accumulate(new, axis=1) - 1
-            np.copyto(det_rank[:m], ranks, where=new)
-            det_next_rank[:m] += np.add.reduce(new, axis=1)
+            ranks = rows.det_next_rank[:m, None] + np.add.accumulate(new, axis=1) - 1
+            np.copyto(rows.det_rank[:m], ranks, where=new)
+            rows.det_next_rank[:m] += np.add.reduce(new, axis=1)
         # Gated models age their held output; fresh ones are refreshed below.
         stale |= ~fresh & present
         stale &= ~kept
         present |= kept
+        self.kept = kept
 
         deadline_done_kernel(sched.done[:m], istep_act, dmx_act, delta_i_opt)
         finish_period_kernel(sched.done[:m], sched.new_delta[:m], istep_act)
-        if spent is not None:
-            stamp = _lap(spent, "scheduler", stamp)
 
-        # ---- Batched range scans for every fresh inference ----
-        # One scan row per live episode that any model needs, in position
-        # order.
-        scan_rows = np.logical_or.reduce(kept, axis=1).nonzero()[0]
+    def scan_raycast(self) -> None:
+        """One range scan per live row any model needs, in position order."""
+        rows = self.rows
+        self.scan_rows = scan_rows = np.logical_or.reduce(self.kept, axis=1).nonzero()[0]
         if scan_rows.size:
-            scan_pos[scan_rows] = row_numbers[: scan_rows.size]
-            best = scanner.scan_batch(
-                xs[scan_rows], ys[scan_rows], hs[scan_rows],
-                obs_x[scan_rows], obs_y[scan_rows], obs_r[scan_rows],
-                obs_valid[scan_rows],
+            self.scan_pos[scan_rows] = self.row_numbers[: scan_rows.size]
+            self.best = self.scanner.scan_batch(
+                rows.xs[scan_rows], rows.ys[scan_rows], rows.hs[scan_rows],
+                rows.obs_x[scan_rows], rows.obs_y[scan_rows], rows.obs_r[scan_rows],
+                rows.obs_valid[scan_rows],
             )
-        if spent is not None:
-            stamp = _lap(spent, "scan_raycast", stamp)
 
-        # ---- Detection grouping + noise through the detector kernel ----
-        if scan_rows.size:
-            for j, name in enumerate(opt_names):
-                rows = kept[:, j].nonzero()[0]
-                if not rows.size:
-                    continue
-                counts, dists, bears, _spans = detectors[name].detect_batch(
-                    best[scan_pos[rows]], det_noise[name], order[rows]
-                )
-                nonempty = counts > 0
-                det_nonempty[rows, j] = nonempty
-                if np.count_nonzero(nonempty):
-                    _has, first = nearest_per_row(counts, dists)
-                    filled = rows[nonempty]
-                    det_best_d[filled, j] = dists[first]
-                    det_best_b[filled, j] = bears[first]
-        if spent is not None:
-            stamp = _lap(spent, "scan_group", stamp)
+    def scan_group(self) -> None:
+        """Detection grouping and noise per kept inference, into the ledger."""
+        if not self.scan_rows.size:
+            return
+        rows = self.rows
+        for j, name in enumerate(self.opt_names):
+            picked = self.kept[:, j].nonzero()[0]
+            if not picked.size:
+                continue
+            counts, dists, bears, _spans = self.detectors[name].detect_batch(
+                self.best[self.scan_pos[picked]], self.det_noise[name], rows.order[picked]
+            )
+            nonempty = counts > 0
+            rows.det_nonempty[picked, j] = nonempty
+            if np.count_nonzero(nonempty):
+                _has, first = nearest_per_row(counts, dists)
+                filled = picked[nonempty]
+                rows.det_best_d[filled, j] = dists[first]
+                rows.det_best_b[filled, j] = bears[first]
 
-        # ---- Batched RK4 plant update (shared bicycle kernel) ----
+    def dynamics(self) -> None:
+        """RK4 plant update, obstacle motion and the end condition; ends the frame."""
+        rows, m = self.rows, self.m
         xn, yn, hn, vn = rk4_plant_batch(
-            x_act, y_act, h_act, v_act, fs, ft, tau, params
+            rows.xs[:m], rows.ys[:m], rows.hs[:m], rows.vs[:m],
+            self.fs, self.ft, self.tau, self.params,
         )
 
-        # ---- Status: obstacle motion, collision, road membership ----
         # Only the live rows that carry a moving obstacle pay a Python loop.
-        time_s += tau
-        if has_moving:
-            mover_pos = movers[:m].nonzero()[0]
-            for position, row in zip(mover_pos.tolist(), order[mover_pos].tolist()):
-                for k, obstacle in moving[row]:
-                    mx, my = obstacle.motion.position_at(
-                        (obstacle.x_m, obstacle.y_m), time_s
-                    )
-                    obs_x[position, k] = mx
-                    obs_y[position, k] = my
+        self.time_s += self.tau
+        mover_pos = rows.movers[:m].nonzero()[0]
+        for position, row in zip(mover_pos.tolist(), rows.order[mover_pos].tolist()):
+            for k, obstacle in self.moving[row]:
+                mx, my = obstacle.motion.position_at((obstacle.x_m, obstacle.y_m), self.time_s)
+                rows.obs_x[position, k] = mx
+                rows.obs_y[position, k] = my
 
-        collided = collided_batch(
-            xn, yn, obs_x[:m], obs_y[:m], obs_r[:m], valid_act, vehicle_radius
+        s_tot, d_arr = self.centerline.project_batch(xn, yn)
+        collided, off, fin = World.status_batch(
+            xn, yn, s_tot, d_arr, rows.obs_x[:m], rows.obs_y[:m], rows.obs_r[:m],
+            rows.obs_valid[:m], rows.length_rows[:m], rows.half_width_rows[:m], self.params,
         )
-        s_tot, d_arr = centerline.project_batch(xn, yn)
-        fin = s_tot >= length_rows[:m]
-        off = ~(np.abs(d_arr) <= edge_rows[:m])
-
-        xs[:m] = xn
-        ys[:m] = yn
-        hs[:m] = hn
-        vs[:m] = vn
-        proj_s[:m] = s_tot
-        proj_d[:m] = d_arr
+        rows.xs[:m] = xn
+        rows.ys[:m] = yn
+        rows.hs[:m] = hn
+        rows.vs[:m] = vn
+        rows.proj_s[:m] = s_tot
+        rows.proj_d[:m] = d_arr
         ended = collided | off | fin
         if np.count_nonzero(ended):
-            ended_rows = order[:m][ended]
-            steps_count[ended_rows] = t + 1
-            collided_f[ended_rows] = collided[ended]
-            offroad_f[ended_rows] = off[ended]
-            finished_f[ended_rows] = fin[ended]
-            for stream in draw_streams:
+            ended_rows = rows.order[:m][ended]
+            self.steps_count[ended_rows] = self.t + 1
+            self.collided_f[ended_rows] = collided[ended]
+            self.offroad_f[ended_rows] = off[ended]
+            self.finished_f[ended_rows] = fin[ended]
+            for stream in self.draw_streams:
                 stream.retire(ended_rows)
+            # One stable partition moves the ended rows behind the live ones.
             live = (~ended).nonzero()[0]
             perm = np.concatenate((live, ended.nonzero()[0]))
-            for column in row_state:
+            for column in rows.row_arrays():
                 column[:m] = column[:m][perm]
-            m = live.size
-        if spent is not None:
-            _lap(spent, "dynamics", stamp)
-
-    if timings is not None:
-        assert spent is not None
-        spent["scan"] = spent["scan_raycast"] + spent["scan_group"] + spent["scan_view"]
-        for phase, seconds in spent.items():
-            timings[phase] = timings.get(phase, 0.0) + seconds
-
-    # Split the delta_max log per episode row, each row's samples in frame
-    # order (a stable sort keeps it).
-    logged_rows = np.concatenate([np.zeros(0, dtype=np.int64), *sample_rows])
-    logged = np.concatenate([np.zeros(0, dtype=np.int64), *sample_periods])
-    by_row = np.argsort(logged_rows, kind="stable")
-    bounds = np.cumsum(np.bincount(logged_rows, minlength=n))[:-1]
-    samples = np.split(logged[by_row], bounds)
-    # The row of each episode sits at position ``position[row]``.
-    position = np.empty(n, dtype=np.int64)
-    position[order] = row_numbers
-    reports = [
-        EpisodeReport(
-            episode=episode,
-            steps=int(steps_count[i]),
-            duration_s=int(steps_count[i]) * tau,
-            completed=bool(finished_f[i]),
-            collided=bool(collided_f[i]),
-            off_road=bool(offroad_f[i]),
-            shield_interventions=int(interventions[p]),
-            delta_max_samples=samples[i].tolist(),
-            min_obstacle_distance_m=float(min_dist[p]),
-            unsafe_steps=int(unsafe[p]),
-            sensor_dropouts=int(dropouts[p]),
-            **energy.report_fields(p),
-        )
-        for i, (episode, p) in enumerate(zip(episode_ids, position.tolist()))
-    ]
-    cell_bounds = np.cumsum([0, *cell_sizes]).tolist()
-    return [reports[lo:hi] for lo, hi in zip(cell_bounds, cell_bounds[1:])]
-
-
-def _lap(spent: dict[str, float], phase: str, stamp: float) -> float:
-    """Charge the time since ``stamp`` to ``phase``; returns the new stamp."""
-    now = perf_counter()
-    spent[phase] += now - stamp
-    return now
-
+            self.m = live.size
+        self.t += 1

@@ -491,7 +491,7 @@ class Road:
         )
 
     # ------------------------------------------------------------------
-    # Membership and episode predicates
+    # Membership and route progress
     # ------------------------------------------------------------------
     def contains(self, x_m: float, y_m: float, margin_m: float = 0.0) -> bool:
         """Return True if the point lies on the drivable surface.
@@ -518,26 +518,3 @@ class Road:
     def progress_at(self, s_m: float) -> float:
         """Route fraction of the clamped arc length ``s_m``."""
         return float(min(1.0, max(0.0, s_m / self.length_m)))
-
-    def finished(self, state: VehicleState) -> bool:
-        """Return True once the vehicle has passed the end of the route."""
-        s_raw, _ = self.centerline.project(state.x_m, state.y_m)
-        return self.finished_at(s_raw)
-
-    def finished_at(self, s_m: float) -> bool:
-        """Route completion at arc length ``s_m``, raw or clamped.
-
-        Clamping to ``[0, length_m]`` does not change the answer: a raw
-        ``s >= length_m`` clamps to ``length_m`` itself, and anything below
-        stays below.
-        """
-        return s_m >= self.length_m
-
-    def off_road(self, state: VehicleState, vehicle_half_width_m: float = 0.0) -> bool:
-        """Return True if the vehicle has left the drivable surface laterally."""
-        _, d = self.to_frenet(state.x_m, state.y_m)
-        return self.off_road_at(d, vehicle_half_width_m)
-
-    def off_road_at(self, d_m: float, vehicle_half_width_m: float = 0.0) -> bool:
-        """Off-road test for the lateral offset ``d_m``."""
-        return not abs(d_m) <= self.half_width_m - vehicle_half_width_m + 1e-9

@@ -18,7 +18,6 @@ from repro.contracts import kernel_contract
 from repro.dynamics.bicycle import KinematicBicycleModel
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState, wrap_angle
-from repro.sim.collision import first_collision
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import LanePose, Road
 
@@ -217,19 +216,66 @@ class World:
         )
         return float(distance[0]), float(bearing[0]), self.obstacles[int(nearest[0])]
 
+    @staticmethod
+    @kernel_contract(
+        xs="(N,) float64",
+        ys="(N,) float64",
+        s_m="(N,) float64",
+        d_m="(N,) float64",
+        obs_x="(N, K) float64",
+        obs_y="(N, K) float64",
+        obs_r="(N, K) float64",
+        obs_valid="(N, K) bool",
+        length_m="(N,) float64",
+        half_width_m="(N,) float64",
+        returns=("(N,) bool", "(N,) bool", "(N,) bool"),
+    )
+    def status_batch(
+        xs: np.ndarray,
+        ys: np.ndarray,
+        s_m: np.ndarray,
+        d_m: np.ndarray,
+        obs_x: np.ndarray,
+        obs_y: np.ndarray,
+        obs_r: np.ndarray,
+        obs_valid: np.ndarray,
+        length_m: np.ndarray,
+        half_width_m: np.ndarray,
+        vehicle: VehicleParams,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized episode end condition: ``(collided, off_road, finished)`` masks.
+
+        A row *collides* when its vehicle disc meets a valid obstacle disc
+        (:func:`~repro.sim.collision.circle_hit`'s ``<=``; padded slots never
+        collide, whatever they hold), is *off road* when ``|d_m|`` exceeds
+        the half width less half the vehicle width (``1e-9`` tolerance), and
+        *finished* at ``s_m >= length_m``, on raw or clamped arc length alike
+        (a raw ``s >= length`` clamps to ``length`` itself).
+        """
+        reach = obs_r + vehicle.collision_radius_m
+        hit = np.hypot(obs_x - xs[:, None], obs_y - ys[:, None]) <= reach
+        edge = half_width_m - 0.5 * vehicle.width_m + 1e-9
+        return (
+            np.logical_or.reduce(hit & obs_valid, axis=1),
+            ~(np.abs(d_m) <= edge),
+            s_m >= length_m,
+        )
+
     def status(self) -> WorldStatus:
-        """Evaluate collision / off-road / completion flags."""
-        vehicle_radius = self.vehicle_params.collision_radius_m
-        collided = (
-            first_collision(self.state, self.obstacles, vehicle_radius) is not None
-        )
+        """Collision / off-road / completion flags: a 1-element view of
+        :meth:`status_batch` (the kernel) on the clamped :meth:`lane_pose`."""
         pose = self.lane_pose()
-        off_road = self.road.off_road_at(
-            pose.lateral_offset_m,
-            vehicle_half_width_m=0.5 * self.vehicle_params.width_m,
+        flags = self.status_batch(
+            np.array([self.state.x_m]), np.array([self.state.y_m]),
+            np.array([pose.arc_length_m]), np.array([pose.lateral_offset_m]),
+            np.array([[obstacle.x_m for obstacle in self.obstacles]], dtype=float),
+            np.array([[obstacle.y_m for obstacle in self.obstacles]], dtype=float),
+            np.array([[obstacle.radius_m for obstacle in self.obstacles]], dtype=float),
+            np.ones((1, len(self.obstacles)), dtype=bool),
+            np.array([self.road.length_m]), np.array([self.road.half_width_m]),
+            self.vehicle_params,
         )
-        finished = self.road.finished_at(pose.arc_length_m)
-        return WorldStatus(collided=collided, off_road=off_road, finished=finished)
+        return WorldStatus(*(bool(flag[0]) for flag in flags))
 
     def progress(self) -> float:
         """Fraction of the route completed, in [0, 1]."""

@@ -1,5 +1,7 @@
 """Tests for the experiment command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, run
@@ -159,6 +161,25 @@ class TestRun:
         )
         assert list(tmp_path.glob("*.npz"))  # tables persisted during the run
         assert default_cache() is before  # but the process-wide cache is restored
+
+    @pytest.mark.parametrize("env", [None, "0"])
+    def test_runtime_contracts_override_is_scoped_to_invocation(self, monkeypatch, env):
+        from repro.contracts import contracts_enabled
+
+        if env is None:
+            monkeypatch.delenv("REPRO_RUNTIME_CONTRACTS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_RUNTIME_CONTRACTS", env)
+        assert not contracts_enabled()
+        contracts = ["table3", "--episodes", "1", "--max-steps", "50", "--runtime-contracts"]
+        run(contracts)
+        assert not contracts_enabled()
+        assert os.environ.get("REPRO_RUNTIME_CONTRACTS") == env
+        # A refused invocation leaves both as they were, too.
+        with pytest.raises(SystemExit, match="require --ledger-dir"):
+            run([*contracts, "--shard", "1/2"])
+        assert not contracts_enabled()
+        assert os.environ.get("REPRO_RUNTIME_CONTRACTS") == env
 
     def test_serial_invocation_builds_no_pool(self):
         from repro.runtime import sweep

@@ -62,6 +62,13 @@ class TestSEOConfig:
             SEOConfig(shield_margin_m=-1.0)
         assert SEOConfig(shield_margin_m=0.0).shield_margin_m == 0.0
 
+    def test_rejects_negative_seed(self):
+        # Used to build and hash, then fail inside numpy's seeding with
+        # "expected non-negative integer" when an episode ran.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            SEOConfig(seed=-2)
+        assert SEOConfig(seed=0).seed == 0
+
     @pytest.mark.parametrize(
         ("field", "bad", "message", "boundary"),
         [

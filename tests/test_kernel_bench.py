@@ -40,6 +40,7 @@ def test_times_every_kernel_at_n_1():
         "repro.core.optimizations.period_kernel",
         "repro.core.scheduler.charge_period_kernel",
         "repro.sim.road.Centerline.project_batch",
+        "repro.sim.world.World.status_batch",
     } <= timed
 
 

@@ -19,11 +19,13 @@ import pytest
 from repro import streams
 from repro.contracts import ContractViolationError
 from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
+from repro.core.optimizations import ModeRows
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
+from repro.core.scheduler import EnergyColumns, SchedulerState
 from repro.dynamics.state import ControlAction
 from repro.platform.presets import NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
 from repro.runtime import batch as batch_module
-from repro.runtime.batch import _PHASES, run_batch, run_cells
+from repro.runtime.batch import _PHASES, LiveRows, run_batch, run_cells
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
 from repro.sim.road import StraightSegment
@@ -195,6 +197,54 @@ def test_cells_partition_rows_that_end_interleaved():
     # The first row to end is not the last row of the call.
     first = min((report.steps, report.episode) for report in cells[0] + cells[1])
     assert first != (cells[1][-1].steps, cells[1][-1].episode)
+
+
+def _per_row_arrays(owner, n, prefix=""):
+    """``(name, array)`` of every ndarray with ``n`` rows reachable from
+    ``owner``'s attributes, through the row-state objects it holds."""
+    for name, value in vars(owner).items():
+        if isinstance(value, np.ndarray):
+            if value.ndim and value.shape[0] == n:
+                yield prefix + name, value
+        elif isinstance(value, ModeRows):
+            for field, column in value._asdict().items():
+                yield f"{prefix}{name}.{field}", column
+        elif isinstance(value, (LiveRows, SchedulerState, EnergyColumns)):
+            yield from _per_row_arrays(value, n, f"{prefix}{name}.")
+
+
+def test_live_rows_list_every_per_row_array():
+    """Every per-row array of a lockstep call is a ``LiveRows`` column,
+    which the end-of-frame partition moves, or one of the named arrays that
+    it must not move: row-indexed outputs, read-only constants and the
+    per-frame hand-offs between stages."""
+    scenario = ScenarioConfig(
+        num_obstacles=3, obstacle_motion="lateral-loop", obstacle_speed_mps=1.0,
+        sensor_dropout_probability=0.2,
+    )
+    base = SEOConfig(scenario=scenario, max_steps=50)
+    frameworks = [
+        SEOFramework(base),
+        SEOFramework(dataclasses.replace(base, optimization="none", use_lookup_table=False)),
+    ]
+    n = 7
+    call = batch_module._Lockstep(frameworks, [4, 3], [3, 0, 6, 1, 2, 5, 4])
+    for stage in batch_module._STAGES:  # one frame: the hand-offs exist
+        getattr(call, stage)()
+    assert call.m == n
+    listed = {id(array) for array in call.rows.row_arrays()}
+    assert len(listed) == len(call.rows.row_arrays())
+    assert all(array.shape[0] == n for array in call.rows.row_arrays())
+    outputs = {"steps_count", "finished_f", "collided_f", "offroad_f"}
+    constants = {"zeros", "no_transmission", "no_miss", "row_numbers", "flat_rows", "scan_pos"}
+    # Hand-offs are rebuilt every frame over the live rows (the scans over
+    # the rows that need one, which may be fewer).
+    handoffs = {"dist_b", "bear_b", "fs", "ft", "kept", "scan_rows", "best"}
+    unlisted = {
+        name for name, array in _per_row_arrays(call, n) if id(array) not in listed
+    }
+    assert unlisted - handoffs == outputs | constants
+    assert {"dist_b", "bear_b", "fs", "ft", "kept"} <= unlisted
 
 
 def test_cells_merge_scenario_rows():

@@ -198,14 +198,17 @@ class TestRoadExtent:
 
     def test_off_road_and_progress_on_curve(self):
         road = _curved_road(width_m=10.0)
-        x, y = road.from_frenet(40.0, 6.5)
-        assert road.off_road(VehicleState(x_m=x, y_m=y))
+
+        def status_at(s_m, d_m):
+            x, y = road.from_frenet(s_m, d_m)
+            return World(road=road, state=VehicleState(x_m=x, y_m=y)).status()
+
+        assert status_at(40.0, 6.5).off_road
         x, y = road.from_frenet(40.0, 2.0)
         state = VehicleState(x_m=x, y_m=y)
-        assert not road.off_road(state)
+        assert not status_at(40.0, 2.0).off_road
         assert road.progress(state) == pytest.approx(40.0 / road.length_m, abs=1e-6)
-        end_x, end_y = road.from_frenet(road.length_m, 0.0)
-        assert road.finished(VehicleState(x_m=end_x, y_m=end_y))
+        assert status_at(road.length_m, 0.0).finished
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState
-from repro.sim.collision import circle_hit, collided_batch, first_collision
+from repro.sim.collision import circle_hit, first_collision
 from repro.sim.obstacles import Obstacle, place_obstacles
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
@@ -35,13 +36,13 @@ class TestRoad:
 
     def test_finished(self):
         road = Road(length_m=100.0)
-        assert road.finished(VehicleState(x_m=100.0))
-        assert not road.finished(VehicleState(x_m=99.0))
+        assert World(road=road, state=VehicleState(x_m=100.0)).status().finished
+        assert not World(road=road, state=VehicleState(x_m=99.0)).status().finished
 
     def test_off_road_laterally(self):
         road = Road(width_m=8.0)
-        assert road.off_road(VehicleState(x_m=10.0, y_m=5.0))
-        assert not road.off_road(VehicleState(x_m=10.0, y_m=1.0))
+        assert World(road=road, state=VehicleState(x_m=10.0, y_m=5.0)).status().off_road
+        assert not World(road=road, state=VehicleState(x_m=10.0, y_m=1.0)).status().off_road
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -115,8 +116,9 @@ class TestCollision:
         assert first_collision(VehicleState(), [Obstacle(50.0, 0.0)], 1.0) is None
 
     def test_collided_batch_matches_first_collision_on_valid_slots(self):
-        """Each row's batch verdict is ``first_collision`` over its valid
-        slots alone; padded slots never collide, even on top of the vehicle."""
+        """Each row's ``World.status_batch`` collided verdict is
+        ``first_collision`` over its valid slots alone; padded slots never
+        collide, even on top of the vehicle."""
         rng = np.random.default_rng(4)
         rows, slots = 40, 4
         xs, ys = rng.uniform(-3.0, 3.0, (2, rows))
@@ -128,7 +130,13 @@ class TestCollision:
         # Pads sit right on the vehicle: an unmasked pad always collides.
         obs_x[~valid] = xs.repeat(slots).reshape(rows, slots)[~valid]
         obs_y[~valid] = ys.repeat(slots).reshape(rows, slots)[~valid]
-        collided = collided_batch(xs, ys, obs_x, obs_y, obs_r, valid, 0.8)
+        vehicle = VehicleParams(width_m=1.6)
+        assert vehicle.collision_radius_m == 0.8
+        on_road = np.zeros(rows)
+        collided, _off_road, _finished = World.status_batch(
+            xs, ys, on_road, on_road, obs_x, obs_y, obs_r, valid,
+            np.full(rows, 100.0), np.full(rows, 4.0), vehicle,
+        )
         expected = [
             first_collision(
                 VehicleState(x_m=xs[j], y_m=ys[j]),
@@ -214,13 +222,43 @@ class TestLanePoseMemo:
 
     @classmethod
     def _assert_matches_road(cls, world):
+        """The memoized queries equal fresh ones, and ``status()`` equals its
+        row of one multi-row ``status_batch`` call on the raw projection."""
         road, state = world.road, world.state
-        half_width = 0.5 * world.vehicle_params.width_m
         status = world.status()
         assert world.lane_pose() == road.lane_pose(state)
-        assert status.off_road == road.off_road(state, vehicle_half_width_m=half_width)
-        assert status.finished == road.finished(state)
         assert world.progress() == road.progress(state)
+        # The world's row (it has no obstacles: its one slot is padding)
+        # sits between a row past the route end and a row on an obstacle.
+        assert not world.obstacles
+        end_x, end_y = road.from_frenet(road.length_m, 0.0)
+        heading = road.heading_at(road.length_m)
+        xs = np.array([end_x + 2.0 * math.cos(heading), state.x_m, 3.0])
+        ys = np.array([end_y + 2.0 * math.sin(heading), state.y_m, -2.0])
+        s_raw, d_raw = road.centerline.project_batch(xs, ys)
+        flags = World.status_batch(
+            xs, ys, s_raw, d_raw, np.full((3, 1), 3.0), np.full((3, 1), -2.0), np.ones((3, 1)),
+            np.array([[False], [False], [True]]),
+            np.full(3, road.length_m), np.full(3, road.half_width_m), world.vehicle_params,
+        )
+        assert [bool(flag[1]) for flag in flags] == [
+            status.collided, status.off_road, status.finished
+        ]
+        assert [bool(flag[0]) for flag in flags] == [False, False, True]
+        assert [bool(flag[2]) for flag in flags] == [True, False, False]
+
+    def test_vehicle_touching_the_edge_is_on_road(self):
+        """A vehicle whose side touches the road edge, placed through the
+        Frenet frame of a curved road, stays on it: the end condition's
+        ``1e-9`` tolerance absorbs the projection's rounding."""
+        world = World(road=self.ROAD)
+        limit = self.ROAD.half_width_m - 0.5 * world.vehicle_params.width_m
+        for s_m in np.linspace(1.0, self.ROAD.length_m - 1.0, 40):
+            for d_m in (limit, -limit):
+                world.state = self._state_at(s_m, d_m)
+                assert not world.status().off_road, (s_m, d_m)
+                world.state = self._state_at(s_m, d_m * (1.0 + 1e-6))
+                assert world.status().off_road, (s_m, d_m)
 
     def _state_at(self, s_m, d_m, heading_offset=0.0):
         x, y = self.ROAD.from_frenet(s_m, d_m)
