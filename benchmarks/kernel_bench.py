@@ -128,7 +128,7 @@ class Inputs:
             RangeScanner: detector.scanner,
             OffloadPlanner: framework.offload_planner,
             Centerline: world.road.centerline,
-            SteeringShield: SteeringShield(safety_function=framework.barrier),
+            SteeringShield: SteeringShield(),
         }
         self.row_objects: dict[type, Callable[[int], Any]] = {
             ModeRows: lambda rows: ModeRows.of(["offload"] * rows),

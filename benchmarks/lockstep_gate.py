@@ -6,10 +6,13 @@ family, whose multi-segment centreline drives the Frenet projection kernels
 the straight road never touches, the episodes run one at a time
 (``SEOFramework.run_episode``) and in one ``run_batch`` call.  Each side
 runs once untimed, so one-off costs (lookup tables, numpy loop setup) stay
-out of the timing, then once timed.  Exits 1 if the lockstep reports differ
-from the one-at-a-time reports, or if lockstep is slower on either workload.
+out of the timing, then 5 times timed, alternating which side runs first;
+the speedup is the ratio of the two medians, so one run slowed by a noisy
+neighbour does not decide it.  Exits 1 if any lockstep or one-at-a-time
+run's reports differ from the first one-at-a-time run's, or if lockstep is
+slower (by the medians) on either workload.
 
-This is a CI regression gate on single runs; performance claims are
+This is a CI regression gate; performance claims are
 ``perfbench/compare.py`` verdicts over repeated runs.  Run from the
 repository root::
 
@@ -18,6 +21,7 @@ repository root::
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -28,6 +32,7 @@ from repro.runtime.batch import run_batch
 from repro.sim.scenario import DEFAULT_SUITE
 
 EPISODES = 2
+ROUNDS = 5
 
 
 def workloads() -> list[tuple[str, SEOConfig]]:
@@ -40,24 +45,32 @@ def workloads() -> list[tuple[str, SEOConfig]]:
     ]
 
 
-def timed(run):
-    """Run once untimed, then return ``(result, seconds)`` of a second identical run."""
-    run()
-    start = time.perf_counter()
-    result = run()
-    return result, time.perf_counter() - start
-
-
 def gate(name: str, config: SEOConfig) -> bool:
     """Time one workload both ways and print its line; True if it passes."""
     framework = SEOFramework(config)
-    alone, alone_s = timed(lambda: [framework.run_episode(e) for e in range(EPISODES)])
-    lockstep, lockstep_s = timed(lambda: run_batch(framework, range(EPISODES)))
+    sides = {
+        "alone": lambda: [framework.run_episode(e) for e in range(EPISODES)],
+        "lockstep": lambda: run_batch(framework, range(EPISODES)),
+    }
+    # One untimed run per side, then ROUNDS timed rounds in alternating order.
+    results = {side: [run()] for side, run in sides.items()}
+    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    order = list(sides)
+    for _ in range(ROUNDS):
+        for side in order:
+            start = time.perf_counter()
+            results[side].append(sides[side]())
+            seconds[side].append(time.perf_counter() - start)
+        order.reverse()
+    alone_s = statistics.median(seconds["alone"])
+    lockstep_s = statistics.median(seconds["lockstep"])
     speedup = alone_s / lockstep_s
-    equal = lockstep == alone
+    reference = results["alone"][0]
+    equal = all(reports == reference for runs in results.values() for reports in runs)
     print(
-        f"{name}: one at a time {alone_s:.3f} s, lockstep {lockstep_s:.3f} s, "
-        f"speedup {speedup:.2f}x, reports {'equal' if equal else 'DIFFER'}"
+        f"{name}: one at a time {alone_s:.3f} s, lockstep {lockstep_s:.3f} s "
+        f"(medians of {ROUNDS}), speedup {speedup:.2f}x, "
+        f"reports {'equal' if equal else 'DIFFER'}"
     )
     return equal and speedup >= 1.0
 

@@ -12,19 +12,17 @@ one interface (``SEOConfig.controller`` selects ``heuristic`` or
 * :class:`PurePursuitController` — a lane follower with no obstacle
   awareness; useful as a stress case for the safety filter.
 
-All controllers can act from ground truth (``act(world)``), from the
-aggregated perception outputs Theta (``act_from_inputs``), or on a whole
-batch of episodes at once (``act_batch``), which is how the SEO frame loop
-(:func:`repro.runtime.batch.run_batch`) drives them.
+Each controller is one kernel, ``act_batch``, over ``(N,)`` arrays of the
+aggregated perception outputs Theta (ego speed, Frenet pose, road
+curvature and, for the heuristic, the nearest held detection); the SEO
+frame loop (:func:`repro.runtime.batch.run_cells`) calls it on every live
+episode at once.
 """
 
-from repro.control.base import ControlInputs, Controller
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 
 __all__ = [
-    "ControlInputs",
-    "Controller",
     "ObstacleAvoidanceController",
     "PurePursuitController",
 ]

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.control.base import ControlInputs, Controller
-from repro.dynamics.state import ControlAction
 
 
 @dataclass
-class ObstacleAvoidanceController(Controller):
+class ObstacleAvoidanceController:
     """Lane keeping + obstacle repulsion + speed control.
 
     Attributes:
@@ -85,9 +83,7 @@ class ObstacleAvoidanceController(Controller):
 
         ``has_obstacle`` is a bool mask; distance/bearing/stale values of
         masked-out elements are ignored.  Returns ``(steering, throttle)``
-        arrays, both clipped to [-1, 1].  This is the single implementation
-        of the control law — :meth:`act_from_inputs` is a 1-element view of
-        it, so the serial and batch paths cannot drift.
+        arrays, both clipped to [-1, 1].
         """
         speeds = np.asarray(speeds_mps, dtype=float)
         targets = np.asarray(target_speeds_mps, dtype=float)
@@ -143,23 +139,4 @@ class ObstacleAvoidanceController(Controller):
         return (
             np.minimum(np.maximum(steering, -1.0), 1.0),
             np.minimum(np.maximum(throttle, -1.0), 1.0),
-        )
-
-    def act_from_inputs(self, inputs: ControlInputs) -> ControlAction:
-        """Scalar facade: a 1-element view of :meth:`act_batch`."""
-        has_obstacle = inputs.has_obstacle
-        steering, throttle = self.act_batch(
-            np.array([inputs.speed_mps]),
-            np.array([inputs.target_speed_mps]),
-            np.array([inputs.lateral_offset_m]),
-            np.array([inputs.heading_rad]),
-            np.array([inputs.road_curvature_per_m]),
-            np.array([has_obstacle]),
-            np.array([float(inputs.obstacle_distance_m) if has_obstacle else 0.0]),
-            np.array([float(inputs.obstacle_bearing_rad) if has_obstacle else 0.0]),
-            np.array([bool(inputs.obstacle_stale) if has_obstacle else False]),
-        )
-        return ControlAction(
-            steering=float(steering[0]),
-            throttle=float(throttle[0]),
         )

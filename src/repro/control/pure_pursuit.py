@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.control.base import ControlInputs, Controller
-from repro.dynamics.state import ControlAction
 
 
 @dataclass
-class PurePursuitController(Controller):
+class PurePursuitController:
     """Pure-pursuit tracking of the straight lane centre line.
 
     Attributes:
@@ -60,9 +58,6 @@ class PurePursuitController(Controller):
         """Vectorized pure-pursuit law over ``(N,)`` Frenet-pose arrays.
 
         Returns ``(steering, throttle)`` arrays, both clipped to [-1, 1].
-        This is the single implementation of the control law —
-        :meth:`act_from_inputs` is a 1-element view of it, so the serial and
-        batch paths cannot drift.
         """
         # Lookahead point on the centre line, expressed in the road-aligned
         # vehicle frame (Frenet offsets); the centreline curvature is fed
@@ -82,18 +77,4 @@ class PurePursuitController(Controller):
         return (
             np.minimum(np.maximum(steering, -1.0), 1.0),
             np.minimum(np.maximum(throttle, -1.0), 1.0),
-        )
-
-    def act_from_inputs(self, inputs: ControlInputs) -> ControlAction:
-        """Scalar facade: a 1-element view of :meth:`act_batch`."""
-        steering, throttle = self.act_batch(
-            np.array([inputs.speed_mps]),
-            np.array([inputs.target_speed_mps]),
-            np.array([inputs.lateral_offset_m]),
-            np.array([inputs.heading_rad]),
-            np.array([inputs.road_curvature_per_m]),
-        )
-        return ControlAction(
-            steering=float(steering[0]),
-            throttle=float(throttle[0]),
         )

@@ -2,10 +2,10 @@
 
 This package implements Sections III-V of the paper:
 
-* :mod:`repro.core.safety` — the safety function ``h`` and binary safety
-  state ``S`` (eq. 1);
+* :mod:`repro.core.safety` — the safety function ``h`` of eq. (1), a
+  braking-distance barrier (the state is safe where ``h >= 0``);
 * :mod:`repro.core.shield` — the safety filter ``Psi`` (eq. 2), a steering
-  controller shield;
+  controller shield over the barrier's ``h``;
 * :mod:`repro.core.intervals` — safe time intervals ``Delta_max`` (eq. 3) and
   the discretizations of eqs. (4) and (5);
 * :mod:`repro.core.lookup` — the runtime deadline lookup table ``T(x, u)``;
@@ -19,13 +19,8 @@ This package implements Sections III-V of the paper:
   whole autonomous-driving use case together.
 """
 
-from repro.core.safety import (
-    BrakingDistanceBarrier,
-    SafetyFunction,
-    SafetyInputs,
-    safety_state,
-)
-from repro.core.shield import ShieldDecision, SteeringShield
+from repro.core.safety import BrakingDistanceBarrier, SafetyInputs
+from repro.core.shield import SteeringShield
 from repro.core.intervals import (
     SafeIntervalEstimator,
     discretize_deadline,
@@ -60,11 +55,9 @@ __all__ = [
     "SEOFramework",
     "SafeIntervalEstimator",
     "SafeRuntimeScheduler",
-    "SafetyFunction",
     "SafetyInputs",
     "SchedulerStepReport",
     "SensoryModel",
-    "ShieldDecision",
     "SteeringShield",
     "baseline_interval_energy_j",
     "discretize_deadline",
@@ -75,5 +68,4 @@ __all__ = [
     "local_inference_energy_j",
     "offload_interval_energy_j",
     "period_kernel",
-    "safety_state",
 ]

@@ -26,6 +26,8 @@ is how every figure/table experiment of the paper is regenerated.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Hashable
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
@@ -36,7 +38,6 @@ from repro.comm.channel import RayleighChannel
 from repro.comm.link import WirelessLink
 from repro.comm.offload import OffloadPlanner
 from repro.comm.server import EdgeServer
-from repro.control.base import Controller
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.core.intervals import SafeIntervalEstimator
@@ -75,6 +76,21 @@ LOCKSTEP_ROW_FIELDS = (
 #: episode's world and is a row of the engine.
 LOCKSTEP_SCENARIO_FIELDS = ("road_segments", "obstacle_radius_m")
 
+
+#: ``SEOConfig`` float fields that must be finite: a NaN passes every range
+#: check below and an infinity some, and either then fails or runs wrong
+#: inside the engine.
+_FINITE_FIELDS = (
+    "tau_s",
+    "target_speed_mps",
+    "shield_margin_m",
+    "barrier_clearance_m",
+    "channel_scale_mbps",
+)
+
+#: ``SEOConfig`` fields that must be integers (``bool`` excluded, numpy
+#: integers accepted): they count steps, periods and bytes, or seed numpy.
+_INTEGRAL_FIELDS = ("seed", "max_steps", "max_deadline_periods", "payload_bytes")
 
 @dataclass(frozen=True)
 class SEOConfig:
@@ -136,6 +152,14 @@ class SEOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in _INTEGRAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.tau_s <= 0:
             raise ValueError("tau_s must be positive")
         if not self.detector_period_multiples:
@@ -343,7 +367,7 @@ class SEOFramework:
             payload_bytes=config.payload_bytes,
         )
 
-    def _build_controller(self) -> Controller:
+    def _build_controller(self) -> ObstacleAvoidanceController | PurePursuitController:
         config = self.config
         if config.controller == "pure_pursuit":
             return PurePursuitController(target_speed_mps=config.target_speed_mps)

@@ -25,11 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.core.safety import BrakingDistanceBarrier, SafetyFunction, SafetyInputs
+from repro.core.safety import BrakingDistanceBarrier
 from repro.dynamics.bicycle import KinematicBicycleModel
-from repro.dynamics.state import ControlAction, VehicleState
-from repro.sim.obstacles import Obstacle
-from repro.sim.world import World
 
 #: Relative tolerance used when testing whether a period is an exact multiple
 #: of the base period (floating point safe version of ``p_i % tau == 0``).
@@ -74,13 +71,13 @@ class SafeIntervalEstimator:
     and reports the first time at which the safety function would evaluate
     negative with respect to a (static) obstacle.  The paper constructs its
     deadline lookup table from "enough evaluations of the safety expiration
-    function" (Section IV-C); this class provides those evaluations, both one
-    at a time and in vectorized batches for table construction.
+    function" (Section IV-C); this class provides those evaluations in
+    vectorized batches (:meth:`estimate_batch`), one per table cell.
 
     Attributes:
         dynamics: Vehicle model used for the rollout.
-        safety_function: Barrier ``h``; the vectorized batch path requires a
-            :class:`BrakingDistanceBarrier`.
+        safety_function: Barrier ``h`` (the lookup-table cache key reads its
+            parameters).
         horizon_s: Cap on the reported safe interval.  Experiments set this to
             ``max_deadline_periods * tau`` so that ``delta_max`` saturates at
             the paper's maximum of four base periods.
@@ -88,7 +85,7 @@ class SafeIntervalEstimator:
     """
 
     dynamics: KinematicBicycleModel = field(default_factory=KinematicBicycleModel)
-    safety_function: SafetyFunction = field(default_factory=BrakingDistanceBarrier)
+    safety_function: BrakingDistanceBarrier = field(default_factory=BrakingDistanceBarrier)
     horizon_s: float = 0.08
     step_s: float = 0.005
 
@@ -98,90 +95,6 @@ class SafeIntervalEstimator:
         if self.step_s <= 0 or self.step_s > self.horizon_s:
             raise ValueError("step_s must be positive and not exceed horizon_s")
 
-    # ------------------------------------------------------------------
-    # Scalar evaluation
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        state: VehicleState,
-        obstacle: Obstacle,
-        control: ControlAction,
-    ) -> float:
-        """Return ``Delta_max`` for one (state, obstacle, control) triple."""
-        steps = int(round(self.horizon_s / self.step_s))
-        current = state
-        for step_index in range(steps + 1):
-            inputs = self._relative_inputs(current, obstacle)
-            if self.safety_function.evaluate(inputs, control) < 0.0:
-                return step_index * self.step_s
-            if step_index < steps:
-                current = self.dynamics.step(current, control, self.step_s)
-        return self.horizon_s
-
-    def estimate_from_world(self, world: World, control: ControlAction) -> float:
-        """Convenience wrapper evaluating ``phi`` against the nearest obstacle."""
-        view = world.nearest_obstacle_view()
-        if view is None:
-            return self.horizon_s
-        _, _, obstacle = view
-        return self.estimate(world.state, obstacle, control)
-
-    @staticmethod
-    def _relative_inputs(state: VehicleState, obstacle: Obstacle) -> SafetyInputs:
-        """Safety inputs of ``state`` relative to ``obstacle``."""
-        dx = obstacle.x_m - state.x_m
-        dy = obstacle.y_m - state.y_m
-        distance = max(0.0, math.hypot(dx, dy) - obstacle.radius_m)
-        bearing = math.atan2(dy, dx) - state.heading_rad
-        bearing = math.atan2(math.sin(bearing), math.cos(bearing))
-        return SafetyInputs(
-            distance_m=distance, bearing_rad=bearing, speed_mps=state.speed_mps
-        )
-
-    def estimate_one(
-        self,
-        distance_m: float,
-        bearing_rad: float,
-        speed_mps: float,
-        steering: float,
-        throttle: float,
-        obstacle_radius_m: float = 1.0,
-    ) -> float:
-        """Scalar ``Delta_max`` for one canonical scene.
-
-        Routes through :meth:`estimate_batch` on 1-element arrays (the ego
-        vehicle at the origin with heading 0, the obstacle surface
-        ``distance_m`` away along ``bearing_rad``) so the scalar and batch
-        evaluations share one rollout implementation and cannot drift.
-        """
-        if not isinstance(self.safety_function, BrakingDistanceBarrier):
-            centre_range = distance_m + obstacle_radius_m
-            obstacle = Obstacle(
-                x_m=centre_range * math.cos(bearing_rad),
-                y_m=centre_range * math.sin(bearing_rad),
-                radius_m=obstacle_radius_m,
-            )
-            state = VehicleState(
-                x_m=0.0, y_m=0.0, heading_rad=0.0, speed_mps=speed_mps
-            )
-            return self.estimate(
-                state, obstacle, ControlAction(steering=steering, throttle=throttle)
-            )
-
-        return float(
-            self.estimate_batch(
-                np.array([distance_m], dtype=float),
-                np.array([bearing_rad], dtype=float),
-                np.array([speed_mps], dtype=float),
-                np.array([steering], dtype=float),
-                np.array([throttle], dtype=float),
-                obstacle_radius_m=obstacle_radius_m,
-            )[0]
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized batch evaluation (used to build the lookup table)
-    # ------------------------------------------------------------------
     @kernel_contract(
         distances_m="(N,) float64",
         bearings_rad="(N,) float64",
@@ -205,10 +118,8 @@ class SafeIntervalEstimator:
         origin with heading 0 and speed ``speeds[i]``, and an obstacle whose
         *surface* lies ``distances[i]`` metres away along bearing
         ``bearings[i]``, under the frozen control ``(steerings[i],
-        throttles[i])``.
-
-        Only supported for :class:`BrakingDistanceBarrier`; other safety
-        functions fall back to the scalar path.
+        throttles[i])``.  The rollout integrates the kinematic bicycle
+        model with Euler steps and checks ``h`` before each step.
         """
         distances_m = np.asarray(distances_m, dtype=float)
         bearings_rad = np.asarray(bearings_rad, dtype=float)
@@ -224,12 +135,6 @@ class SafeIntervalEstimator:
         }
         if len(shapes) != 1 or distances_m.ndim != 1:
             raise ValueError("all inputs must be 1-D arrays of identical length")
-
-        if not isinstance(self.safety_function, BrakingDistanceBarrier):
-            return self._estimate_batch_scalar(
-                distances_m, bearings_rad, speeds_mps, steerings, throttles,
-                obstacle_radius_m,
-            )
 
         count = distances_m.size
         params = self.dynamics.params
@@ -282,30 +187,3 @@ class SafeIntervalEstimator:
             speed = np.clip(speed + self.step_s * accel, 0.0, params.max_speed_mps)
 
         return result
-
-    def _estimate_batch_scalar(
-        self,
-        distances_m: np.ndarray,
-        bearings_rad: np.ndarray,
-        speeds_mps: np.ndarray,
-        steerings: np.ndarray,
-        throttles: np.ndarray,
-        obstacle_radius_m: float,
-    ) -> np.ndarray:
-        """Scalar fallback used for non-standard safety functions."""
-        results = np.empty(distances_m.size)
-        for index in range(distances_m.size):
-            centre_range = distances_m[index] + obstacle_radius_m
-            obstacle = Obstacle(
-                x_m=float(centre_range * np.cos(bearings_rad[index])),
-                y_m=float(centre_range * np.sin(bearings_rad[index])),
-                radius_m=obstacle_radius_m,
-            )
-            state = VehicleState(
-                x_m=0.0, y_m=0.0, heading_rad=0.0, speed_mps=float(speeds_mps[index])
-            )
-            control = ControlAction(
-                steering=float(steerings[index]), throttle=float(throttles[index])
-            )
-            results[index] = self.estimate(state, obstacle, control)
-        return results

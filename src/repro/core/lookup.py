@@ -199,9 +199,9 @@ class DeadlineLookupTable:
 
         Scalar facade: a 1-element view of :meth:`query_batch`, so the serial
         and batch engines share one quantization/neighbourhood-minimum
-        implementation.  ``inputs.obstacle_present`` needs no special case —
-        an absent obstacle carries the ``NO_OBSTACLE_DISTANCE_M`` sentinel,
-        which the kernel saturates to the estimator horizon.
+        implementation.  An absent obstacle needs no special case: it
+        carries the ``NO_OBSTACLE_DISTANCE_M`` sentinel, which the kernel
+        saturates to the estimator horizon.
         """
         return float(
             self.query_batch(

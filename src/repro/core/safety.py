@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.dynamics.state import ControlAction
-from repro.sim.world import NO_OBSTACLE_DISTANCE_M, World
+from repro.sim.world import NO_OBSTACLE_DISTANCE_M
 
 
 @dataclass(frozen=True)
 class SafetyInputs:
-    """The relative state ``x`` consumed by the safety function and filter.
+    """The relative state ``x`` read by the deadline provider ``T(x, u)``.
 
     Attributes:
         distance_m: Distance from the vehicle to the nearest obstacle's
@@ -37,18 +36,11 @@ class SafetyInputs:
         bearing_rad: Relative orientation of the obstacle w.r.t. the vehicle
             heading (0 means dead ahead, positive to the left).
         speed_mps: Current ego speed.
-        lateral_offset_m: Signed lateral offset of the vehicle from the lane
-            centre; used by the shield to pick an evasive direction that
-            stays on the road.
-        road_half_width_m: Half-width of the drivable corridor (infinite when
-            the road geometry is unknown).
     """
 
     distance_m: float
     bearing_rad: float
     speed_mps: float
-    lateral_offset_m: float = 0.0
-    road_half_width_m: float = float("inf")
 
     def __post_init__(self) -> None:
         if self.distance_m < 0:
@@ -56,57 +48,9 @@ class SafetyInputs:
         if self.speed_mps < 0:
             raise ValueError("speed_mps must be non-negative")
 
-    @property
-    def obstacle_present(self) -> bool:
-        """True if a real obstacle (not the sentinel) is being tracked."""
-        return self.distance_m < NO_OBSTACLE_DISTANCE_M
-
-    @classmethod
-    def from_world(cls, world: World) -> "SafetyInputs":
-        """Extract the safety inputs from ground truth (the paper reads them
-        directly from the simulator, Section VI-A).
-
-        The lateral offset is the Frenet offset from the road centreline, so
-        the shield's evasive-direction choice stays road-aware on curved
-        centrelines too.
-        """
-        view = world.nearest_obstacle_view()
-        lateral_offset_m = world.lane_pose().lateral_offset_m
-        if view is None:
-            return cls(
-                distance_m=NO_OBSTACLE_DISTANCE_M,
-                bearing_rad=0.0,
-                speed_mps=world.state.speed_mps,
-                lateral_offset_m=lateral_offset_m,
-                road_half_width_m=world.road.half_width_m,
-            )
-        distance, bearing, _ = view
-        return cls(
-            distance_m=distance,
-            bearing_rad=bearing,
-            speed_mps=world.state.speed_mps,
-            lateral_offset_m=lateral_offset_m,
-            road_half_width_m=world.road.half_width_m,
-        )
-
-
-class SafetyFunction:
-    """Interface of the real-valued safety function ``h(x, u)``."""
-
-    def evaluate(
-        self, inputs: SafetyInputs, control: ControlAction | None = None
-    ) -> float:
-        """Return ``h(x, u)``; non-negative values mean the state is safe."""
-        raise NotImplementedError
-
-
-def safety_state(h_value: float) -> int:
-    """Binary safety state ``S`` of eq. (1): 1 if ``h >= 0`` else 0."""
-    return 1 if h_value >= 0.0 else 0
-
 
 @dataclass(frozen=True)
-class BrakingDistanceBarrier(SafetyFunction):
+class BrakingDistanceBarrier:
     """Distance-to-obstacle barrier with a braking-distance margin.
 
     ``h = distance - (clearance + w(bearing) * (v * t_react + v^2 / (2 b)))``
@@ -142,12 +86,7 @@ class BrakingDistanceBarrier(SafetyFunction):
     def required_clearance_batch(
         self, bearings_rad: np.ndarray, speeds_mps: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`required_clearance_m` over ``(N,)`` state arrays.
-
-        This is the single implementation of the clearance math; the scalar
-        method is a 1-element view of it, so the serial and batch paths
-        cannot drift.
-        """
+        """Distance the barrier requires at each ``(N,)`` speed and bearing."""
         bearings = np.asarray(bearings_rad, dtype=float)
         speeds = np.asarray(speeds_mps, dtype=float)
         heading_weight = np.maximum(0.0, np.cos(bearings))
@@ -171,30 +110,9 @@ class BrakingDistanceBarrier(SafetyFunction):
         """Vectorized ``h`` over ``(N,)`` state arrays.
 
         Elements at the :data:`NO_OBSTACLE_DISTANCE_M` sentinel report the
-        raw distance, exactly like the scalar ``evaluate``.
+        raw distance: with no obstacle there is nothing to brake for.
         """
         distances = np.asarray(distances_m, dtype=float)
         required = self.required_clearance_batch(bearings_rad, speeds_mps)
         present = distances < NO_OBSTACLE_DISTANCE_M
         return np.where(present, distances - required, distances)
-
-    def required_clearance_m(self, inputs: SafetyInputs) -> float:
-        """Distance the barrier requires for the current speed and bearing."""
-        return float(
-            self.required_clearance_batch(
-                np.array([inputs.bearing_rad]), np.array([inputs.speed_mps])
-            )[0]
-        )
-
-    def evaluate(
-        self, inputs: SafetyInputs, control: ControlAction | None = None
-    ) -> float:
-        """Evaluate ``h``; the control argument is accepted for interface
-        compatibility but this barrier depends on the state only."""
-        return float(
-            self.evaluate_batch(
-                np.array([inputs.distance_m]),
-                np.array([inputs.bearing_rad]),
-                np.array([inputs.speed_mps]),
-            )[0]
-        )

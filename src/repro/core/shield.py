@@ -14,47 +14,23 @@ subset, and returns a filtered control ``u'``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.core.safety import (
-    NO_OBSTACLE_DISTANCE_M,
-    BrakingDistanceBarrier,
-    SafetyFunction,
-    SafetyInputs,
-    safety_state,
-)
-from repro.dynamics.state import ControlAction
-from repro.sim.world import World
-
-
-@dataclass(frozen=True)
-class ShieldDecision:
-    """Outcome of one safety-filter evaluation.
-
-    Attributes:
-        h_value: Value of the safety function at the evaluated state.
-        safe: Binary safety state ``S`` (eq. 1).
-        intervened: True if the filter replaced the controller's action.
-        original: The raw control action.
-        filtered: The action actually applied.
-    """
-
-    h_value: float
-    safe: int
-    intervened: bool
-    original: ControlAction
-    filtered: ControlAction
+from repro.core.safety import NO_OBSTACLE_DISTANCE_M
 
 
 @dataclass
 class SteeringShield:
     """Controller shield filtering steering/throttle commands.
 
+    The shield reads ``h`` from its caller (the frame loop evaluates the
+    barrier once per frame for every live row) and keeps no per-episode
+    state.
+
     Attributes:
-        safety_function: The barrier ``h`` being enforced.
         intervention_margin_m: The shield intervenes while ``h`` is below this
             margin, not only when it is already negative; a positive margin
             makes the filtered system keep a healthier distance from
@@ -69,7 +45,6 @@ class SteeringShield:
             is continuous and full override always holds at ``h <= 0``.
     """
 
-    safety_function: SafetyFunction = field(default_factory=BrakingDistanceBarrier)
     intervention_margin_m: float = 2.0
     steer_authority: float = 0.35
     brake_authority: float = 1.0
@@ -81,12 +56,7 @@ class SteeringShield:
             raise ValueError("intervention_margin_m must be non-negative")
         if self.blend_band_m <= 0:
             raise ValueError("blend_band_m must be positive")
-        self.interventions = 0
-        self.evaluations = 0
 
-    # ------------------------------------------------------------------
-    # Core filtering
-    # ------------------------------------------------------------------
     @kernel_contract(
         h_values="(N,) float64",
         distances_m="(N,) float64",
@@ -114,11 +84,7 @@ class SteeringShield:
         ``h_values`` is the barrier evaluated at each state (precomputed by
         the caller, so the kernel stays generic over safety functions).
         Returns ``(filtered_steering, filtered_throttle, intervened)``.
-
-        This is the single implementation of the blend/corrective math —
-        :meth:`filter_action` is a 1-element view of it, so the serial and
-        batch paths cannot drift.  The kernel is side-effect free: callers
-        own the evaluation/intervention counters.
+        The kernel is side-effect free: callers count the interventions.
 
         The composed action is never *less* evasive than the raw one: the
         steering component along the chosen evasive direction is the larger
@@ -212,61 +178,3 @@ class SteeringShield:
             (filtered_steering != steerings) | (filtered_throttle != throttles)
         )
         return filtered_steering, filtered_throttle, intervened
-
-    def filter_action(
-        self, inputs: SafetyInputs, control: ControlAction
-    ) -> tuple[ControlAction, ShieldDecision]:
-        """Filter a raw control action given the current safety inputs.
-
-        A 1-element view of :meth:`filter_batch`.
-        """
-        self.evaluations += 1
-        h_value = self.safety_function.evaluate(inputs, control)
-        state = safety_state(h_value)
-
-        steering, throttle, intervened_arr = self.filter_batch(
-            np.array([h_value]),
-            np.array([inputs.distance_m]),
-            np.array([inputs.bearing_rad]),
-            np.array([inputs.speed_mps]),
-            np.array([inputs.lateral_offset_m]),
-            np.array([inputs.road_half_width_m]),
-            np.array([control.steering]),
-            np.array([control.throttle]),
-        )
-        intervened = bool(intervened_arr[0])
-        filtered = (
-            ControlAction(steering=float(steering[0]), throttle=float(throttle[0]))
-            if intervened
-            else control
-        )
-        if intervened:
-            self.interventions += 1
-        decision = ShieldDecision(
-            h_value=h_value,
-            safe=state,
-            intervened=intervened,
-            original=control,
-            filtered=filtered,
-        )
-        return filtered, decision
-
-    # ------------------------------------------------------------------
-    # Convenience adapters
-    # ------------------------------------------------------------------
-    def filter(self, world: World, control: ControlAction) -> ControlAction:
-        """Adapter for :class:`repro.sim.episode.EpisodeRunner`."""
-        filtered, _ = self.filter_action(SafetyInputs.from_world(world), control)
-        return filtered
-
-    def reset_counters(self) -> None:
-        """Reset the intervention/evaluation counters."""
-        self.interventions = 0
-        self.evaluations = 0
-
-    @property
-    def intervention_rate(self) -> float:
-        """Fraction of evaluations in which the shield intervened."""
-        if self.evaluations == 0:
-            return 0.0
-        return self.interventions / self.evaluations

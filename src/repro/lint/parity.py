@@ -4,8 +4,8 @@ The decision and perception layers (``core/``, ``control/``,
 ``perception/``, the world queries in ``sim/world.py``, the road
 geometry in ``sim/road.py`` and the range scanner in
 ``sim/observation.py``) are written batch-first: the numerical kernel
-is the ``*_batch`` method, and the public scalar method is a 1-element view
-of it.  Two independent implementations of the same computation *will*
+is the ``*_batch`` method, and a public scalar method, where one is
+left, is a 1-element view of it.  Two independent implementations of the same computation *will*
 drift — the batch engine's bit-exactness oracle only holds because there
 is exactly one quantization/minimum/projection per decision.
 
@@ -15,10 +15,9 @@ same-class method named ``<base>`` or ``<base>_*`` (not itself ending in
 structurally: the transitive same-class call/reference closures of the
 two methods must intersect.  That accepts both directions — a scalar
 that delegates to the batch kernel (``query`` → ``query_batch``,
-``Centerline.project`` → ``project_batch``) and a batch method whose
-irregular fallback loops over the scalar — as well as sharing through a
-common private helper (``estimate`` and ``estimate_batch`` both reaching
-``_estimate_batch_scalar``).
+``Centerline.project`` → ``project_batch``, ``World.status`` →
+``status_batch``) and a batch method whose irregular fallback loops over
+the scalar — as well as sharing through a common private helper.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ all agree.
 The decision layer lives with its owners instead of being written here:
 the controller, barrier, shield and scheduler each expose one batch-first
 kernel (``act_batch``, ``evaluate_batch``, ``filter_batch``, the
-``*_kernel`` functions of :mod:`repro.core.scheduler`), and their scalar
-entry points are 1-element views of those kernels.  Algorithm 1's
+``*_kernel`` functions of :mod:`repro.core.scheduler`); only the
+scheduler keeps a scalar entry point, a 1-element view of its kernels
+(``SafeRuntimeScheduler``).  Algorithm 1's
 per-period model step is one call of
 :func:`~repro.core.optimizations.period_kernel` under every row's
 optimization, charged to the columnar
@@ -403,13 +404,9 @@ class _Lockstep:
         )
         self.drop_stream = _row_stream(config.seed + 3, episode_ids, "random", rows.p_drop > 0.0)
         self.controller = framework._build_controller()
-        self.heuristic_controller = isinstance(self.controller, ObstacleAvoidanceController)
         # The shield math is stateless (the per-episode counters are row
         # columns), so one instance filters the whole batch.
-        self.shield = SteeringShield(
-            safety_function=self.barrier,
-            intervention_margin_m=config.shield_margin_m,
-        )
+        self.shield = SteeringShield(intervention_margin_m=config.shield_margin_m)
 
         # Detectors: one shared scan per episode per frame feeds every detector
         # that needs a fresh output (the scan is a pure function of the
@@ -511,13 +508,14 @@ class _Lockstep:
         rows.unsafe[:m] += h_vals < 0.0
 
         target_act = rows.target_rows[:m]
-        if self.heuristic_controller:
-            raw_s, raw_t = self.controller.act_batch(
+        controller = self.controller
+        if isinstance(controller, ObstacleAvoidanceController):
+            raw_s, raw_t = controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act,
                 has_det, det_d, det_bg, det_stale,
             )
         else:  # pure pursuit: SEOConfig admits only these two controllers
-            raw_s, raw_t = self.controller.act_batch(
+            raw_s, raw_t = controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act
             )
 

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from repro.core.intervals import SafeIntervalEstimator
 from repro.core.lookup import DeadlineLookupTable, LookupGrid
-from repro.core.safety import BrakingDistanceBarrier
 
 #: Bump when the meaning of a table changes for identical physical
 #: parameters (e.g. a grid-semantics or rollout fix), so persisted ``.npz``
@@ -40,16 +39,9 @@ def cache_key(
     estimator: SafeIntervalEstimator,
     grid: LookupGrid,
     obstacle_radius_m: float,
-) -> CacheKey | None:
-    """Build the memoization key, or ``None`` when the estimator is not cacheable.
-
-    Only :class:`BrakingDistanceBarrier` estimators are cacheable: for other
-    safety functions there is no reliable way to derive a value-determining
-    key, so callers fall back to an uncached build.
-    """
+) -> CacheKey:
+    """Build the memoization key: every value the table's contents depend on."""
     barrier = estimator.safety_function
-    if not isinstance(barrier, BrakingDistanceBarrier):
-        return None
     params = estimator.dynamics.params
     return (
         CACHE_SCHEMA_VERSION,
@@ -100,11 +92,6 @@ class LookupTableCache:
         """Return the table for this configuration, building it at most once."""
         grid = grid if grid is not None else LookupGrid()
         key = cache_key(estimator, grid, obstacle_radius_m)
-        if key is None:
-            return DeadlineLookupTable.build(
-                estimator, grid=grid, obstacle_radius_m=obstacle_radius_m
-            )
-
         with self._lock:
             table = self._tables.get(key)
             if table is not None:

@@ -19,8 +19,10 @@ generalizes it into a scenario-diversity subsystem (see ``docs/scenarios.md``):
   level" knob).
 * :mod:`repro.sim.observation` — obstacle-only range scans, the input of
   the detectors (the critical VAE is an energy profile and reads no scan).
-* :mod:`repro.sim.episode` — ground-truth closed-loop episode runner used by
-  the safety-filter evaluation.
+
+Episodes run in the SEO frame loop (:func:`repro.runtime.batch.run_cells`),
+which reads the world's batch kernels; this package has no episode runner
+of its own.
 
 Sensor dropout is a scenario knob (``ScenarioConfig.sensor_dropout_probability``)
 applied by the SEO runtime loop, not a separate sensor model.
@@ -51,15 +53,12 @@ from repro.sim.scenario import (
     build_world,
 )
 from repro.sim.observation import RangeScanner
-from repro.sim.episode import EpisodeResult, EpisodeRunner
 
 __all__ = [
     "ArcSegment",
     "Centerline",
     "ConstantVelocity",
     "DEFAULT_SUITE",
-    "EpisodeResult",
-    "EpisodeRunner",
     "LanePose",
     "Obstacle",
     "RangeScanner",

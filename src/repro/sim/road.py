@@ -491,7 +491,7 @@ class Road:
         )
 
     # ------------------------------------------------------------------
-    # Membership and route progress
+    # Membership
     # ------------------------------------------------------------------
     def contains(self, x_m: float, y_m: float, margin_m: float = 0.0) -> bool:
         """Return True if the point lies on the drivable surface.
@@ -509,12 +509,3 @@ class Road:
         if s_raw < -1e-9 or s_raw > self.length_m + 1e-9:
             return False
         return abs(d) <= self.half_width_m - margin_m + 1e-9
-
-    def progress(self, state: VehicleState) -> float:
-        """Fraction of the route completed by a vehicle state, in [0, 1]."""
-        s, _ = self.to_frenet(state.x_m, state.y_m)
-        return self.progress_at(s)
-
-    def progress_at(self, s_m: float) -> float:
-        """Route fraction of the clamped arc length ``s_m``."""
-        return float(min(1.0, max(0.0, s_m / self.length_m)))

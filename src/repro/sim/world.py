@@ -49,7 +49,7 @@ class World:
             (obstacles with a motion policy are moved by :meth:`step`).
         vehicle_params: Physical parameters of the ego vehicle.
         state: Current ego vehicle state.
-        time_s: Simulation time elapsed since reset.
+        time_s: Simulation time elapsed since the world was built.
     """
 
     road: Road
@@ -60,7 +60,6 @@ class World:
 
     def __post_init__(self) -> None:
         self._model = KinematicBicycleModel(self.vehicle_params)
-        self._initial_state = self.state
         self._initial_obstacles = list(self.obstacles)
         self._has_moving_obstacles = any(
             obstacle.motion is not None for obstacle in self.obstacles
@@ -75,14 +74,6 @@ class World:
     def dynamics(self) -> KinematicBicycleModel:
         """The kinematic bicycle model advancing the ego vehicle."""
         return self._model
-
-    def reset(self, state: VehicleState | None = None) -> VehicleState:
-        """Reset time, the ego vehicle and the obstacles to their initial state."""
-        self.state = state if state is not None else self._initial_state
-        self.time_s = 0.0
-        if self._has_moving_obstacles:
-            self.obstacles = list(self._initial_obstacles)
-        return self.state
 
     def step(self, control: ControlAction, dt: float) -> VehicleState:
         """Advance the world by ``dt`` seconds under ``control``.
@@ -102,21 +93,11 @@ class World:
     # ------------------------------------------------------------------
     # Queries used by perception, control and the safety machinery.
     # ------------------------------------------------------------------
-    def nearest_obstacle(self) -> Obstacle | None:
-        """The safety-relevant nearest obstacle, if any.
-
-        Uses the same ranking as :meth:`nearest_obstacle_view` — surface
-        distance with a forward-half-plane preference — so the two queries
-        always name the same threat for the same state.
-        """
-        view = self.nearest_obstacle_view()
-        return None if view is None else view[2]
-
     def lane_pose(self) -> LanePose:
         """Road-relative (Frenet) pose of the ego vehicle.
 
-        Projected once per vehicle state: :meth:`status`, :meth:`progress`
-        and every caller in the same frame read the same pose.
+        Projected once per vehicle state: :meth:`status` and every caller
+        in the same frame read the same pose.
         """
         if self._pose is None or self._pose_state is not self.state:
             self._pose = self.road.lane_pose(self.state)
@@ -187,35 +168,6 @@ class World:
             np.where(present, nearest, -1),
         )
 
-    def nearest_obstacle_view(self) -> tuple[float, float, Obstacle] | None:
-        """Return ``(surface_distance, bearing, obstacle)`` for the nearest threat.
-
-        The distance is measured to the obstacle's safety boundary (its
-        surface), matching the paper's remark that ``x'`` characterizes the
-        obstacle's safety-bound coordinates rather than its exact state.
-
-        Obstacles in the forward half-plane are preferred: an obstacle that
-        has already been passed (behind the vehicle) is not the safety-
-        relevant reference point even if it is momentarily the closest one.
-        When no obstacle lies ahead, the globally nearest one is returned.
-
-        1-element view of :meth:`nearest_obstacle_view_batch` (the kernel).
-        """
-        if not self.obstacles:
-            return None
-        distance, bearing, nearest = self.nearest_obstacle_view_batch(
-            np.array([self.state.x_m], dtype=float),
-            np.array([self.state.y_m], dtype=float),
-            np.array([self.state.heading_rad], dtype=float),
-            np.array([[obstacle.x_m for obstacle in self.obstacles]], dtype=float),
-            np.array([[obstacle.y_m for obstacle in self.obstacles]], dtype=float),
-            np.array(
-                [[obstacle.radius_m for obstacle in self.obstacles]], dtype=float
-            ),
-            np.ones((1, len(self.obstacles)), dtype=bool),
-        )
-        return float(distance[0]), float(bearing[0]), self.obstacles[int(nearest[0])]
-
     @staticmethod
     @kernel_contract(
         xs="(N,) float64",
@@ -276,7 +228,3 @@ class World:
             self.vehicle_params,
         )
         return WorldStatus(*(bool(flag[0]) for flag in flags))
-
-    def progress(self) -> float:
-        """Fraction of the route completed, in [0, 1]."""
-        return self.road.progress_at(self.lane_pose().arc_length_m)

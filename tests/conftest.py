@@ -14,6 +14,7 @@ from repro.core.models import ModelSet, SensoryModel
 from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.sim.scenario import ScenarioConfig, build_world
+from repro.sim.world import World
 
 
 @pytest.fixture
@@ -32,6 +33,34 @@ def small_world():
 def empty_world():
     """A world without obstacles."""
     return build_world(ScenarioConfig(num_obstacles=0, seed=3))
+
+
+@pytest.fixture
+def obstacle_view():
+    """``view(world) -> (surface_distance, bearing, index)``: the nearest
+    threat of a world, read the way the engine reads it, from
+    :meth:`World.nearest_obstacle_view_batch` on the world's one row.
+
+    A world without obstacles gets one padded slot and reads the
+    no-obstacle view (the sentinel distance, bearing 0, index -1).
+    """
+
+    def view(world):
+        slots = [(o.x_m, o.y_m, o.radius_m) for o in world.obstacles] or [(0.0, 0.0, 0.0)]
+        obs_x, obs_y, obs_r = (np.array([column], dtype=float) for column in zip(*slots, strict=True))
+        state = world.state
+        surface, bearing, index = World.nearest_obstacle_view_batch(
+            np.array([state.x_m]),
+            np.array([state.y_m]),
+            np.array([state.heading_rad]),
+            obs_x,
+            obs_y,
+            obs_r,
+            np.full(obs_x.shape, bool(world.obstacles)),
+        )
+        return float(surface[0]), float(bearing[0]), int(index[0])
+
+    return view
 
 
 @pytest.fixture

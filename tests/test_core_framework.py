@@ -1,7 +1,9 @@
 """Integration tests for the SEO framework facade."""
 
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from repro.core.framework import (
@@ -61,6 +63,39 @@ class TestSEOConfig:
         with pytest.raises(ValueError, match="shield_margin_m must be non-negative, got -1.0"):
             SEOConfig(shield_margin_m=-1.0)
         assert SEOConfig(shield_margin_m=0.0).shield_margin_m == 0.0
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            *(
+                (name, bad, f"{name} must be finite, got {bad}")
+                for name in (
+                    "tau_s",
+                    "target_speed_mps",
+                    "shield_margin_m",
+                    "barrier_clearance_m",
+                    "channel_scale_mbps",
+                )
+                for bad in (float("nan"), float("inf"))
+            ),
+            *(
+                (name, bad, f"{name} must be an integer, got {bad!r}")
+                for name in ("seed", "max_steps", "max_deadline_periods", "payload_bytes")
+                for bad in (2.5, True)
+            ),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral_values(self, field, value, message):
+        # Each used to be accepted: NaN or inf then failed inside the engine
+        # (tau_s: "cannot convert float NaN to integer") or ran a wrong
+        # episode (target_speed_mps=nan: off road after 2 steps), and a
+        # float seed or max_steps failed in numpy's seeding or the engine.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SEOConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = SEOConfig(seed=np.int64(3), max_steps=np.int32(10))
+        assert (config.seed, config.max_steps) == (3, 10)
 
     def test_rejects_negative_seed(self):
         # Used to build and hash, then fail inside numpy's seeding with
@@ -285,3 +320,4 @@ class TestEpisodes:
         ).run_episode(0)
         assert oblivious.overall_gain >= aware.overall_gain - 1e-9
         assert oblivious.mean_delta_max >= aware.mean_delta_max
+

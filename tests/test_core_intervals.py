@@ -12,7 +12,7 @@ from repro.core.intervals import (
     discretize_period,
 )
 from repro.core.lookup import DeadlineLookupTable, LookupGrid
-from repro.core.safety import SafetyFunction, SafetyInputs
+from repro.core.safety import NO_OBSTACLE_DISTANCE_M, BrakingDistanceBarrier, SafetyInputs
 from repro.dynamics.state import ControlAction, VehicleState
 from repro.sim.obstacles import Obstacle
 
@@ -59,42 +59,78 @@ class TestDiscretizeDeadline:
             discretize_deadline(0.1, 0.0)
 
 
+def _delta(estimator, distance, bearing=0.0, speed=8.0, steering=0.0, throttle=0.0):
+    """``Delta_max`` of one canonical scene (obstacle radius 1 m)."""
+    return float(
+        estimator.estimate_batch(
+            np.array([distance]),
+            np.array([bearing]),
+            np.array([speed]),
+            np.array([steering]),
+            np.array([throttle]),
+        )[0]
+    )
+
+
+def _relative_inputs(state, obstacle):
+    """``(distance, bearing, speed)`` of ``state`` relative to ``obstacle``."""
+    dx = obstacle.x_m - state.x_m
+    dy = obstacle.y_m - state.y_m
+    distance = max(0.0, math.hypot(dx, dy) - obstacle.radius_m)
+    bearing = math.atan2(dy, dx) - state.heading_rad
+    bearing = math.atan2(math.sin(bearing), math.cos(bearing))
+    return distance, bearing, state.speed_mps
+
+
+def _scalar_estimate(estimator, state, obstacle, control):
+    """Scalar RK4 rollout: the reference of ``SafeIntervalEstimator.estimate_batch``.
+
+    Steps the bicycle model one state at a time and reports the first step
+    at which ``h`` is negative, capped at the horizon.
+    """
+    barrier = estimator.safety_function
+    steps = int(round(estimator.horizon_s / estimator.step_s))
+    current = state
+    for step_index in range(steps + 1):
+        h = barrier.evaluate_batch(*(np.array([v]) for v in _relative_inputs(current, obstacle)))
+        if h[0] < 0.0:
+            return step_index * estimator.step_s
+        if step_index < steps:
+            current = estimator.dynamics.step(current, control, estimator.step_s)
+    return estimator.horizon_s
+
+
 class TestSafeIntervalEstimator:
     def test_far_obstacle_returns_horizon(self, fast_estimator):
-        state = VehicleState(speed_mps=8.0)
-        obstacle = Obstacle(x_m=50.0, y_m=0.0, radius_m=1.0)
-        delta = fast_estimator.estimate(state, obstacle, ControlAction())
+        delta = _delta(fast_estimator, distance=49.0)
         assert delta == pytest.approx(fast_estimator.horizon_s)
 
     def test_already_unsafe_returns_zero(self, fast_estimator):
-        state = VehicleState(speed_mps=10.0)
-        obstacle = Obstacle(x_m=2.0, y_m=0.0, radius_m=1.0)
-        assert fast_estimator.estimate(state, obstacle, ControlAction()) == 0.0
+        assert _delta(fast_estimator, distance=1.0, speed=10.0) == 0.0
 
     def test_monotone_in_initial_distance(self, fast_estimator):
-        control = ControlAction(throttle=0.5)
-        state = VehicleState(speed_mps=10.0)
         deltas = [
-            fast_estimator.estimate(state, Obstacle(x_m=d, y_m=0.0, radius_m=1.0), control)
-            for d in (9.0, 9.4, 9.8, 11.0, 14.0)
+            _delta(fast_estimator, distance=d, speed=10.0, throttle=0.5)
+            for d in (8.0, 8.4, 8.8, 10.0, 13.0)
         ]
         assert all(b >= a for a, b in zip(deltas, deltas[1:], strict=False))
 
     def test_braking_control_never_shortens_interval(self, fast_estimator):
-        state = VehicleState(speed_mps=10.0)
-        obstacle = Obstacle(x_m=9.5, y_m=0.0, radius_m=1.0)
-        accelerating = fast_estimator.estimate(state, obstacle, ControlAction(throttle=1.0))
-        braking = fast_estimator.estimate(state, obstacle, ControlAction(throttle=-1.0))
+        accelerating = _delta(fast_estimator, distance=8.5, speed=10.0, throttle=1.0)
+        braking = _delta(fast_estimator, distance=8.5, speed=10.0, throttle=-1.0)
         assert braking >= accelerating
 
-    def test_estimate_from_world(self, small_world, fast_estimator):
-        delta = fast_estimator.estimate_from_world(small_world, ControlAction())
+    def test_estimate_from_world(self, small_world, fast_estimator, obstacle_view):
+        distance, bearing, index = obstacle_view(small_world)
+        delta = _delta(fast_estimator, distance, bearing, small_world.state.speed_mps)
+        assert index >= 0
         assert 0.0 <= delta <= fast_estimator.horizon_s
 
-    def test_estimate_from_empty_world(self, empty_world, fast_estimator):
-        assert fast_estimator.estimate_from_world(
-            empty_world, ControlAction()
-        ) == pytest.approx(fast_estimator.horizon_s)
+    def test_estimate_from_empty_world(self, empty_world, fast_estimator, obstacle_view):
+        distance, bearing, _ = obstacle_view(empty_world)
+        assert distance == NO_OBSTACLE_DISTANCE_M
+        delta = _delta(fast_estimator, distance, bearing, empty_world.state.speed_mps)
+        assert delta == pytest.approx(fast_estimator.horizon_s)
 
     def test_batch_matches_scalar_path(self, fast_estimator):
         distances = np.array([3.0, 6.0, 9.0, 15.0, 30.0])
@@ -112,7 +148,8 @@ class TestSafeIntervalEstimator:
                 y_m=float(centre_range * np.sin(bearings[index])),
                 radius_m=1.0,
             )
-            scalar = fast_estimator.estimate(
+            scalar = _scalar_estimate(
+                fast_estimator,
                 VehicleState(speed_mps=float(speeds[index])),
                 obstacle,
                 ControlAction(
@@ -124,7 +161,7 @@ class TestSafeIntervalEstimator:
             assert batch[index] == pytest.approx(scalar, abs=fast_estimator.step_s)
 
     def test_estimate_one_matches_batch(self, fast_estimator):
-        """The scalar hot path must agree with the vectorized evaluation."""
+        """A 1-element call equals its row of a batch call, bit for bit."""
         cases = [
             (3.0, 0.0, 10.0, 0.0, 0.0),
             (6.0, 0.1, 8.0, 0.3, 0.5),
@@ -133,29 +170,28 @@ class TestSafeIntervalEstimator:
             (30.0, 3.0, 4.0, 0.0, 1.0),
             (2.0, math.pi, 9.0, 0.0, -1.0),
         ]
-        for distance, bearing, speed, steering, throttle in cases:
-            batch = fast_estimator.estimate_batch(
-                np.array([distance]),
-                np.array([bearing]),
-                np.array([speed]),
-                np.array([steering]),
-                np.array([throttle]),
-                obstacle_radius_m=1.5,
-            )[0]
-            one = fast_estimator.estimate_one(
-                distance, bearing, speed, steering, throttle, obstacle_radius_m=1.5
+        batch = fast_estimator.estimate_batch(
+            *(np.array(column) for column in zip(*cases, strict=True)), obstacle_radius_m=1.5
+        )
+        for row, case in enumerate(cases):
+            one = fast_estimator.estimate_batch(
+                *(np.array([value]) for value in case), obstacle_radius_m=1.5
             )
-            assert one == pytest.approx(batch, abs=1e-12)
+            assert one[0] == batch[row]
 
     def test_estimate_one_scalar_fallback_for_custom_barrier(self):
-        class AlwaysSafe(SafetyFunction):
-            def evaluate(self, inputs, control=None):
-                return 1.0
-
-        estimator = SafeIntervalEstimator(
-            safety_function=AlwaysSafe(), horizon_s=0.08, step_s=0.01
+        """A custom barrier is the one the rollout evaluates.  (Barriers of
+        other types once took a scalar fallback path; every barrier is now
+        a ``BrakingDistanceBarrier``, read by the vectorized rollout.)"""
+        always_safe = BrakingDistanceBarrier(
+            clearance_m=0.0, reaction_time_s=0.0, max_brake_mps2=1e9
         )
-        assert estimator.estimate_one(5.0, 0.0, 5.0, 0.0, 0.0) == pytest.approx(0.08)
+        estimator = SafeIntervalEstimator(
+            safety_function=always_safe, horizon_s=0.08, step_s=0.01
+        )
+        default = SafeIntervalEstimator(horizon_s=0.08, step_s=0.01)
+        assert _delta(estimator, distance=3.0, speed=5.0) == pytest.approx(0.08)
+        assert _delta(default, distance=3.0, speed=5.0) == 0.0
 
     def test_batch_requires_matching_shapes(self, fast_estimator):
         # The kernel raises ValueError itself; with runtime contracts on,
@@ -288,7 +324,7 @@ class TestDeadlineLookupTable:
         table = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid)
         for bearing in (-3.1, 3.1, math.pi - 1e-6, -math.pi):
             inputs = SafetyInputs(distance_m=4.0, bearing_rad=bearing, speed_mps=10.0)
-            exact = fast_estimator.estimate_one(4.0, bearing, 10.0, 0.0, 0.0)
+            exact = _delta(fast_estimator, 4.0, bearing=bearing, speed=10.0)
             assert table.query(inputs, ControlAction()) <= exact + fast_estimator.step_s + 1e-9
 
     def test_grid_validation(self):

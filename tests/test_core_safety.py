@@ -1,71 +1,104 @@
-"""Tests for the safety function, safety state and steering shield."""
+"""Tests for the safety barrier, the safety state and the steering shield, on
+1-element calls of their kernels."""
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.intervals import SafeIntervalEstimator
 from repro.core.safety import (
     NO_OBSTACLE_DISTANCE_M,
     BrakingDistanceBarrier,
     SafetyInputs,
-    safety_state,
 )
 from repro.core.shield import SteeringShield
-from repro.dynamics.state import ControlAction, VehicleState
+from repro.dynamics.state import VehicleState
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
 from repro.sim.world import World
 
 
-def _inputs(distance, bearing=0.0, speed=8.0, lateral=0.0, half_width=6.0):
-    return SafetyInputs(
-        distance_m=distance,
-        bearing_rad=bearing,
-        speed_mps=speed,
-        lateral_offset_m=lateral,
-        road_half_width_m=half_width,
+def _h(barrier, distance, bearing=0.0, speed=8.0):
+    """``h`` of one state."""
+    return float(
+        barrier.evaluate_batch(np.array([distance]), np.array([bearing]), np.array([speed]))[0]
     )
+
+
+def _required(barrier, bearing=0.0, speed=8.0):
+    """Clearance the barrier requires for one state."""
+    return float(barrier.required_clearance_batch(np.array([bearing]), np.array([speed]))[0])
+
+
+def _filter(
+    shield,
+    distance,
+    bearing=0.0,
+    speed=8.0,
+    lateral=0.0,
+    half_width=6.0,
+    steering=0.0,
+    throttle=0.0,
+    h=None,
+):
+    """``(steering, throttle, intervened)`` of one state.  ``h`` defaults to
+    the default barrier's value at the state."""
+    if h is None:
+        h = _h(BrakingDistanceBarrier(), distance, bearing, speed)
+    fs, ft, intervened = shield.filter_batch(
+        np.array([h]),
+        np.array([distance]),
+        np.array([bearing]),
+        np.array([speed]),
+        np.array([lateral]),
+        np.array([half_width]),
+        np.array([steering]),
+        np.array([throttle]),
+    )
+    return float(fs[0]), float(ft[0]), bool(intervened[0])
 
 
 class TestSafetyState:
     def test_binary_mapping(self):
-        assert safety_state(0.0) == 1
-        assert safety_state(3.2) == 1
-        assert safety_state(-0.001) == 0
+        """``S = 1`` exactly when ``h >= 0`` (eq. 1): the safe-interval
+        rollout reads a state as unsafe, and returns 0, only below zero."""
+        barrier = BrakingDistanceBarrier(clearance_m=1.0)
+        estimator = SafeIntervalEstimator(safety_function=barrier, horizon_s=0.08, step_s=0.005)
+        # A standing vehicle stays where it is: h keeps its initial value.
+        for distance, h, safe in ((1.0, 0.0, True), (4.2, 3.2, True), (0.999, -0.001, False)):
+            assert _h(barrier, distance, speed=0.0) == pytest.approx(h, abs=1e-12)
+            delta = estimator.estimate_batch(
+                np.array([distance]), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1)
+            )[0]
+            assert delta == (estimator.horizon_s if safe else 0.0)
 
 
 class TestBrakingDistanceBarrier:
     def test_far_obstacle_is_safe(self):
-        barrier = BrakingDistanceBarrier()
-        assert barrier.evaluate(_inputs(distance=50.0)) > 0.0
+        assert _h(BrakingDistanceBarrier(), distance=50.0) > 0.0
 
     def test_close_obstacle_is_unsafe(self):
-        barrier = BrakingDistanceBarrier()
-        assert barrier.evaluate(_inputs(distance=0.5, speed=10.0)) < 0.0
+        assert _h(BrakingDistanceBarrier(), distance=0.5, speed=10.0) < 0.0
 
     def test_required_clearance_grows_with_speed(self):
         barrier = BrakingDistanceBarrier()
-        slow = barrier.required_clearance_m(_inputs(distance=10.0, speed=2.0))
-        fast = barrier.required_clearance_m(_inputs(distance=10.0, speed=12.0))
-        assert fast > slow
+        assert _required(barrier, speed=12.0) > _required(barrier, speed=2.0)
 
     def test_side_obstacle_needs_less_clearance(self):
         barrier = BrakingDistanceBarrier()
-        head_on = barrier.required_clearance_m(_inputs(distance=10.0, bearing=0.0))
-        beside = barrier.required_clearance_m(_inputs(distance=10.0, bearing=math.pi / 2))
+        head_on = _required(barrier, bearing=0.0)
+        beside = _required(barrier, bearing=math.pi / 2)
         assert beside < head_on
         assert beside == pytest.approx(barrier.clearance_m)
 
     def test_no_obstacle_reports_large_h(self):
-        barrier = BrakingDistanceBarrier()
-        inputs = SafetyInputs(
-            distance_m=NO_OBSTACLE_DISTANCE_M, bearing_rad=0.0, speed_mps=8.0
-        )
-        assert barrier.evaluate(inputs) == pytest.approx(NO_OBSTACLE_DISTANCE_M)
+        h = _h(BrakingDistanceBarrier(), distance=NO_OBSTACLE_DISTANCE_M)
+        assert h == pytest.approx(NO_OBSTACLE_DISTANCE_M)
 
     def test_zero_speed_reduces_to_clearance(self):
         barrier = BrakingDistanceBarrier(clearance_m=1.0)
-        assert barrier.evaluate(_inputs(distance=1.0, speed=0.0)) == pytest.approx(0.0)
+        assert _h(barrier, distance=1.0, speed=0.0) == pytest.approx(0.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -79,121 +112,119 @@ class TestBrakingDistanceBarrier:
         with pytest.raises(ValueError):
             SafetyInputs(distance_m=1.0, bearing_rad=0.0, speed_mps=-1.0)
 
-    def test_from_world_extracts_nearest_view(self):
+    def test_from_world_extracts_nearest_view(self, obstacle_view):
         world = World(
             road=Road(),
             obstacles=[Obstacle(x_m=10.0, y_m=0.0, radius_m=1.0)],
             state=VehicleState(speed_mps=6.0),
         )
-        inputs = SafetyInputs.from_world(world)
-        assert inputs.obstacle_present
-        assert inputs.distance_m == pytest.approx(9.0)
-        assert inputs.speed_mps == pytest.approx(6.0)
+        distance, bearing, index = obstacle_view(world)
+        assert index == 0
+        assert distance == pytest.approx(9.0)
+        barrier = BrakingDistanceBarrier()
+        assert _h(barrier, distance, bearing, world.state.speed_mps) == pytest.approx(
+            9.0 - _required(barrier, speed=6.0)
+        )
 
-    def test_from_world_without_obstacles(self, empty_world):
-        inputs = SafetyInputs.from_world(empty_world)
-        assert not inputs.obstacle_present
+    def test_from_world_without_obstacles(self, empty_world, obstacle_view):
+        distance, bearing, index = obstacle_view(empty_world)
+        assert index == -1
+        h = _h(BrakingDistanceBarrier(), distance, bearing, empty_world.state.speed_mps)
+        assert h == NO_OBSTACLE_DISTANCE_M
 
 
 class TestSteeringShield:
     def test_passes_through_when_safe(self):
-        shield = SteeringShield()
-        raw = ControlAction(steering=0.3, throttle=0.5)
-        filtered, decision = shield.filter_action(_inputs(distance=40.0), raw)
-        assert filtered == raw
-        assert not decision.intervened
-        assert decision.safe == 1
+        assert _h(BrakingDistanceBarrier(), distance=40.0) >= 0.0
+        steering, throttle, intervened = _filter(
+            SteeringShield(), distance=40.0, steering=0.3, throttle=0.5
+        )
+        assert (steering, throttle) == (0.3, 0.5)
+        assert not intervened
 
     def test_intervenes_when_unsafe(self):
-        shield = SteeringShield()
-        raw = ControlAction(steering=0.0, throttle=0.8)
-        filtered, decision = shield.filter_action(
-            _inputs(distance=2.0, bearing=0.05, speed=10.0), raw
+        assert _h(BrakingDistanceBarrier(), distance=2.0, bearing=0.05, speed=10.0) < 0.0
+        steering, throttle, intervened = _filter(
+            SteeringShield(), distance=2.0, bearing=0.05, speed=10.0, throttle=0.8
         )
-        assert decision.intervened
-        assert decision.safe == 0
-        assert filtered.throttle < raw.throttle
-        assert filtered.steering != raw.steering
+        assert intervened
+        assert throttle < 0.8
+        assert steering != 0.0
 
     def test_never_less_evasive_than_controller(self):
-        shield = SteeringShield()
         # The controller already steers hard away from an obstacle on the left.
-        raw = ControlAction(steering=-0.9, throttle=0.0)
-        filtered, _ = shield.filter_action(
-            _inputs(distance=3.0, bearing=0.3, speed=8.0), raw
-        )
-        assert filtered.steering <= raw.steering + 1e-9
+        steering, _, _ = _filter(SteeringShield(), distance=3.0, bearing=0.3, steering=-0.9)
+        assert steering <= -0.9 + 1e-9
 
     def test_steers_away_from_obstacle_side(self):
         shield = SteeringShield()
-        raw = ControlAction()
-        left_obstacle, _ = shield.filter_action(
-            _inputs(distance=2.0, bearing=0.4, speed=9.0), raw
-        )
-        right_obstacle, _ = shield.filter_action(
-            _inputs(distance=2.0, bearing=-0.4, speed=9.0), raw
-        )
-        assert left_obstacle.steering < 0.0
-        assert right_obstacle.steering > 0.0
+        left_obstacle, _, _ = _filter(shield, distance=2.0, bearing=0.4, speed=9.0)
+        right_obstacle, _, _ = _filter(shield, distance=2.0, bearing=-0.4, speed=9.0)
+        assert left_obstacle < 0.0
+        assert right_obstacle > 0.0
 
     def test_road_edge_awareness_flips_direction(self):
-        shield = SteeringShield()
-        raw = ControlAction()
         # Obstacle slightly to the right would normally push the vehicle left,
         # but the vehicle is already near the left road edge.
-        filtered, _ = shield.filter_action(
-            _inputs(distance=2.0, bearing=-0.1, speed=9.0, lateral=4.5, half_width=5.0),
-            raw,
+        steering, _, _ = _filter(
+            SteeringShield(), distance=2.0, bearing=-0.1, speed=9.0, lateral=4.5, half_width=5.0
         )
-        assert filtered.steering < 0.0
+        assert steering < 0.0
 
     def test_creep_behaviour_at_low_speed(self):
-        shield = SteeringShield()
-        raw = ControlAction(throttle=-1.0)
-        filtered, _ = shield.filter_action(
-            _inputs(distance=1.5, bearing=0.2, speed=1.0), raw
+        _, throttle, _ = _filter(
+            SteeringShield(), distance=1.5, bearing=0.2, speed=1.0, throttle=-1.0
         )
-        assert filtered.throttle > 0.0
+        assert throttle > 0.0
 
     def test_counters_track_interventions(self):
+        """The kernel flags the rows it changed; its caller counts them."""
         shield = SteeringShield()
-        shield.filter_action(_inputs(distance=40.0), ControlAction())
-        shield.filter_action(_inputs(distance=1.0, speed=10.0), ControlAction())
-        assert shield.evaluations == 2
-        assert shield.interventions == 1
-        assert shield.intervention_rate == pytest.approx(0.5)
-        shield.reset_counters()
-        assert shield.evaluations == 0
+        calls = [_filter(shield, distance=40.0), _filter(shield, distance=1.0, speed=10.0)]
+        assert [intervened for _, _, intervened in calls] == [False, True]
+        # One 2-row call flags the same rows.
+        distances, bearings, speeds = np.array([40.0, 1.0]), np.zeros(2), np.array([8.0, 10.0])
+        _, _, intervened = shield.filter_batch(
+            BrakingDistanceBarrier().evaluate_batch(distances, bearings, speeds),
+            distances, bearings, speeds, np.zeros(2), np.full(2, 6.0), np.zeros(2), np.zeros(2),
+        )
+        assert intervened.tolist() == [False, True]
+        assert intervened.mean() == pytest.approx(0.5)
 
-    def test_filter_adapter_uses_world_state(self, small_world):
-        shield = SteeringShield()
-        action = shield.filter(small_world, ControlAction(throttle=0.5))
-        assert -1.0 <= action.steering <= 1.0
+    def test_filter_adapter_uses_world_state(self, small_world, obstacle_view):
+        """The shield on a world's state: its nearest threat, its lane pose
+        and its road width."""
+        distance, bearing, _ = obstacle_view(small_world)
+        speed = small_world.state.speed_mps
+        steering, throttle, intervened = _filter(
+            SteeringShield(),
+            distance=distance,
+            bearing=bearing,
+            speed=speed,
+            lateral=small_world.lane_pose().lateral_offset_m,
+            half_width=small_world.road.half_width_m,
+            throttle=0.5,
+        )
+        assert -1.0 <= steering <= 1.0
+        safe = _h(BrakingDistanceBarrier(), distance, bearing, speed) >= (
+            SteeringShield().intervention_margin_m
+        )
+        assert intervened != safe
+        if safe:
+            assert (steering, throttle) == (0.0, 0.5)
 
     def test_no_obstacle_never_intervenes(self):
-        shield = SteeringShield()
-        inputs = SafetyInputs(
-            distance_m=NO_OBSTACLE_DISTANCE_M, bearing_rad=0.0, speed_mps=8.0
+        steering, throttle, intervened = _filter(
+            SteeringShield(), distance=NO_OBSTACLE_DISTANCE_M, throttle=1.0
         )
-        filtered, decision = shield.filter_action(inputs, ControlAction(throttle=1.0))
-        assert not decision.intervened
-        assert filtered.throttle == 1.0
+        assert not intervened
+        assert (steering, throttle) == (0.0, 1.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SteeringShield(intervention_margin_m=-1.0)
         with pytest.raises(ValueError):
             SteeringShield(blend_band_m=0.0)
-
-
-class _ConstantBarrier:
-    """Stub safety function pinning ``h`` to an exact value."""
-
-    def __init__(self, h_value):
-        self.h_value = h_value
-
-    def evaluate(self, inputs, control=None):
-        return self.h_value
 
 
 class TestShieldBlendContinuity:
@@ -204,13 +235,18 @@ class TestShieldBlendContinuity:
     jumped from 0 to ~1/3 the instant ``h`` crossed the margin.
     """
 
-    RAW = ControlAction(steering=0.2, throttle=0.6)
-    INPUTS = _inputs(distance=5.0, bearing=0.3, speed=8.0)
+    RAW = (0.2, 0.6)
 
     def _filtered_at(self, h_value):
-        shield = SteeringShield(safety_function=_ConstantBarrier(h_value))
-        filtered, _ = shield.filter_action(self.INPUTS, self.RAW)
-        return filtered
+        steering, throttle, _ = _filter(
+            SteeringShield(),
+            distance=5.0,
+            bearing=0.3,
+            steering=self.RAW[0],
+            throttle=self.RAW[1],
+            h=h_value,
+        )
+        return steering, throttle
 
     def test_no_jump_at_margin(self):
         epsilon = 1e-6
@@ -218,40 +254,41 @@ class TestShieldBlendContinuity:
         above = self._filtered_at(margin + epsilon)
         below = self._filtered_at(margin - epsilon)
         assert above == self.RAW
-        assert below.steering == pytest.approx(self.RAW.steering, abs=1e-4)
-        assert below.throttle == pytest.approx(self.RAW.throttle, abs=1e-4)
+        assert below[0] == pytest.approx(self.RAW[0], abs=1e-4)
+        assert below[1] == pytest.approx(self.RAW[1], abs=1e-4)
 
     def test_full_override_at_zero(self):
         at_zero = self._filtered_at(0.0)
         just_below = self._filtered_at(-1e-6)
-        assert at_zero.throttle < 0.0  # hard braking
-        assert at_zero.steering < 0.0  # steers away from the left obstacle
-        assert just_below.steering == pytest.approx(at_zero.steering)
-        assert just_below.throttle == pytest.approx(at_zero.throttle)
+        deep = self._filtered_at(-5.0)
+        assert at_zero[1] < 0.0  # hard braking
+        assert at_zero[0] < 0.0  # steers away from the left obstacle
+        assert just_below == pytest.approx(at_zero)
+        # The ramp ends at h = 0 even though the blend band is wider than
+        # the margin: from there down the override is total.
+        assert deep == pytest.approx(at_zero)
 
     def test_severity_monotone_in_band(self):
         margin = SteeringShield().intervention_margin_m
         h_values = [margin * fraction for fraction in (0.9, 0.6, 0.3, 0.0)]
-        throttles = [self._filtered_at(h).throttle for h in h_values]
+        throttles = [self._filtered_at(h)[1] for h in h_values]
         assert throttles == sorted(throttles, reverse=True)
 
     def test_never_less_evasive_than_raw_inside_band(self):
         margin = SteeringShield().intervention_margin_m
         for h_value in (0.25 * margin, 0.5 * margin, 0.75 * margin):
-            filtered = self._filtered_at(h_value)
+            steering, throttle = self._filtered_at(h_value)
             # Obstacle on the left: evasive direction is negative steering.
-            assert filtered.steering <= self.RAW.steering + 1e-9
-            assert filtered.throttle <= self.RAW.throttle + 1e-9
+            assert steering <= self.RAW[0] + 1e-9
+            assert throttle <= self.RAW[1] + 1e-9
 
     def test_creep_throttle_stays_positive_inside_band(self):
         # Anti-stall takes precedence over blend continuity: a braking
         # controller at creep speed must not pin the blended throttle
         # negative and freeze the vehicle inside the intervention band.
         margin = SteeringShield().intervention_margin_m
-        raw = ControlAction(steering=0.0, throttle=-1.0)
         for h_value in (0.75 * margin, 0.25 * margin, 0.0):
-            shield = SteeringShield(safety_function=_ConstantBarrier(h_value))
-            filtered, _ = shield.filter_action(
-                _inputs(distance=3.0, bearing=0.2, speed=1.0), raw
+            _, throttle, _ = _filter(
+                SteeringShield(), distance=3.0, bearing=0.2, speed=1.0, throttle=-1.0, h=h_value
             )
-            assert filtered.throttle > 0.0
+            assert throttle > 0.0

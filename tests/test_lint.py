@@ -159,8 +159,8 @@ def test_parity_flags_reimplemented_perception_facade():
     assert "detect_batch" in violation.message
 
 
-def test_parity_mutation_real_obstacle_view_facade():
-    """Severing ``nearest_obstacle_view`` from its kernel must fire."""
+def test_parity_mutation_real_world_status_facade():
+    """Severing ``World.status`` from ``status_batch`` must fire."""
     import ast
 
     from repro.lint.framework import SourceFile
@@ -168,15 +168,13 @@ def test_parity_mutation_real_obstacle_view_facade():
     path = SRC / "sim" / "world.py"
     source = path.read_text()
     assert parity.check_parity(load_source_file(path)) == []
-    mutated = source.replace(
-        "self.nearest_obstacle_view_batch(", "_other_view_kernel(", 1
-    )
+    mutated = source.replace("self.status_batch(", "_other_status_kernel(", 1)
     assert mutated != source
     violations = parity.check_parity(
         SourceFile(path, "sim/world.py", mutated, ast.parse(mutated))
     )
     assert [v.code for v in violations] == ["REPRO101"]
-    assert "nearest_obstacle_view" in violations[0].message
+    assert "World.status" in violations[0].message
 
 
 def test_parity_mutation_real_detector_facade():

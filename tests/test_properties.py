@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import streams
@@ -27,16 +27,14 @@ from repro.core.intervals import (
     discretize_deadline,
     discretize_period,
 )
-from repro.core.lookup import DeadlineLookupTable, LookupGrid
-from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
+from repro.core.lookup import DeadlineLookupTable, LookupGrid
 from repro.core.models import ModelSet, SensoryModel
 from repro.core.safety import (
     NO_OBSTACLE_DISTANCE_M,
     BrakingDistanceBarrier,
     SafetyInputs,
-    safety_state,
 )
 from repro.core.scheduler import SafeRuntimeScheduler
 from repro.core.shield import SteeringShield
@@ -48,8 +46,7 @@ from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
 from repro.sim.observation import RangeScanner
-from repro.sim.obstacles import Obstacle
-from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
+from repro.sim.road import ArcSegment, Centerline, StraightSegment
 from repro.sim.world import World
 
 TAU = 0.02
@@ -63,9 +60,7 @@ controls = st.builds(
     steering=st.floats(-1.0, 1.0, allow_nan=False),
     throttle=st.floats(-1.0, 1.0, allow_nan=False),
 )
-maybe_obstacle_distances = st.one_of(
-    distances, st.just(NO_OBSTACLE_DISTANCE_M)
-)
+maybe_obstacle_distances = st.one_of(distances, st.just(NO_OBSTACLE_DISTANCE_M))
 lateral_offsets = st.floats(-4.0, 4.0, allow_nan=False)
 unit_commands = st.floats(-1.0, 1.0, allow_nan=False)
 curvatures = st.floats(-0.1, 0.1, allow_nan=False)
@@ -172,15 +167,22 @@ class TestDiscretizationProperties:
 
 
 class TestSafetyProperties:
+    @settings(max_examples=50, deadline=None)
     @given(distance=distances, bearing=bearings, speed=speeds)
     def test_safety_state_is_binary_and_consistent(self, distance, bearing, speed):
-        barrier = BrakingDistanceBarrier()
-        h = barrier.evaluate(
-            SafetyInputs(distance_m=distance, bearing_rad=bearing, speed_mps=speed)
-        )
-        state = safety_state(h)
-        assert state in (0, 1)
-        assert (state == 1) == (h >= 0.0)
+        """The safe-interval rollout applies eq. (1)'s binary safety state
+        to the barrier kernel's ``h``: it returns 0 exactly when ``h < 0``."""
+        h = BrakingDistanceBarrier().evaluate_batch(
+            np.array([distance]), np.array([bearing]), np.array([speed])
+        )[0]
+        # The rollout rebuilds distance and bearing from the scene, to
+        # within rounding: a state on the zero level set may read either way.
+        assume(abs(h) > 1e-9)
+        estimator = SafeIntervalEstimator(horizon_s=0.08, step_s=0.01)
+        delta = estimator.estimate_batch(
+            np.array([distance]), np.array([bearing]), np.array([speed]), np.zeros(1), np.zeros(1)
+        )[0]
+        assert (delta > 0.0) == (h >= 0.0)
 
     @given(
         bearing=bearings,
@@ -189,23 +191,15 @@ class TestSafetyProperties:
         extra=st.floats(0.0, 100.0, allow_nan=False),
     )
     def test_barrier_monotone_in_distance(self, bearing, speed, near, extra):
-        barrier = BrakingDistanceBarrier()
-        h_near = barrier.evaluate(
-            SafetyInputs(distance_m=near, bearing_rad=bearing, speed_mps=speed)
-        )
-        h_far = barrier.evaluate(
-            SafetyInputs(distance_m=near + extra, bearing_rad=bearing, speed_mps=speed)
+        h_near, h_far = BrakingDistanceBarrier().evaluate_batch(
+            np.array([near, near + extra]), np.full(2, bearing), np.full(2, speed)
         )
         assert h_far >= h_near
 
     @given(distance=st.floats(0.0, 60.0, allow_nan=False), bearing=bearings, slow=speeds, faster=st.floats(0.0, 5.0, allow_nan=False))
     def test_barrier_antitone_in_speed(self, distance, bearing, slow, faster):
-        barrier = BrakingDistanceBarrier()
-        h_slow = barrier.evaluate(
-            SafetyInputs(distance_m=distance, bearing_rad=bearing, speed_mps=slow)
-        )
-        h_fast = barrier.evaluate(
-            SafetyInputs(distance_m=distance, bearing_rad=bearing, speed_mps=slow + faster)
+        h_slow, h_fast = BrakingDistanceBarrier().evaluate_batch(
+            np.full(2, distance), np.full(2, bearing), np.array([slow, slow + faster])
         )
         assert h_fast <= h_slow + 1e-9
 
@@ -363,31 +357,43 @@ class TestSchedulerProperties:
         )
 
 
-class TestKernelFacadeParity:
-    """Scalar facades are 1-element views of the batch kernels.
+def _assert_rows_equal_alone(kernel, columns):
+    """Each row of one N-row ``kernel`` call equals the 1-element call on
+    that row alone, bit for bit."""
+    together = kernel(*columns)
+    together = together if isinstance(together, tuple) else (together,)
+    for j in range(len(columns[0])):
+        alone = kernel(*(column[j : j + 1] for column in columns))
+        alone = alone if isinstance(alone, tuple) else (alone,)
+        for one, many in zip(alone, together, strict=True):
+            assert one[0] == many[j]
 
-    On any randomized state the facade and the corresponding kernel element
-    must agree bit-for-bit — this is the no-drift guarantee the lockstep
-    batch engine's bit-exactness rests on.
+
+def _columns(states):
+    return [np.array(column) for column in zip(*states, strict=True)]
+
+
+class TestKernelFacadeParity:
+    """Batch kernels against serial references and their edge cases, and
+    1-element calls (the scalar facades left, such as the centreline
+    queries and ``World.status``) against their rows of an N-row call.
+
+    On any randomized state the 1-element call and the corresponding kernel
+    element must agree bit-for-bit — this is the no-drift guarantee the
+    lockstep batch engine's bit-exactness rests on.
     """
 
     @settings(max_examples=50, deadline=None)
     @given(
         states=st.lists(
-            st.tuples(maybe_obstacle_distances, bearings, speeds),
-            min_size=1,
-            max_size=12,
+            st.tuples(maybe_obstacle_distances, bearings, speeds), min_size=1, max_size=12
         )
     )
     def test_barrier_facade_matches_kernel(self, states):
         barrier = BrakingDistanceBarrier()
-        d, b, v = (np.array(column, dtype=float) for column in zip(*states, strict=True))
-        h = barrier.evaluate_batch(d, b, v)
-        required = barrier.required_clearance_batch(b, v)
-        for j, (dj, bj, vj) in enumerate(states):
-            inputs = SafetyInputs(distance_m=dj, bearing_rad=bj, speed_mps=vj)
-            assert barrier.evaluate(inputs) == h[j]
-            assert barrier.required_clearance_m(inputs) == required[j]
+        distance, bearing, speed = _columns(states)
+        _assert_rows_equal_alone(barrier.evaluate_batch, [distance, bearing, speed])
+        _assert_rows_equal_alone(barrier.required_clearance_batch, [bearing, speed])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -405,27 +411,53 @@ class TestKernelFacadeParity:
         )
     )
     def test_shield_facade_matches_kernel(self, states):
-        shield = SteeringShield()
-        barrier = shield.safety_function
-        d, b, v, lat, s, th = (
-            np.array(column, dtype=float) for column in zip(*states, strict=True)
+        distance, bearing, speed, lateral, steering, throttle = _columns(states)
+        h = BrakingDistanceBarrier().evaluate_batch(distance, bearing, speed)
+        half_width = np.full(len(states), 4.0)
+        _assert_rows_equal_alone(
+            SteeringShield().filter_batch,
+            [h, distance, bearing, speed, lateral, half_width, steering, throttle],
         )
-        h = barrier.evaluate_batch(d, b, v)
-        fs, ft, intervened = shield.filter_batch(h, d, b, v, lat, 4.0, s, th)
-        for j, (dj, bj, vj, latj, sj, thj) in enumerate(states):
-            inputs = SafetyInputs(
-                distance_m=dj,
-                bearing_rad=bj,
-                speed_mps=vj,
-                lateral_offset_m=latj,
-                road_half_width_m=4.0,
-            )
-            filtered, decision = shield.filter_action(
-                inputs, ControlAction(steering=sj, throttle=thj)
-            )
-            assert decision.intervened == bool(intervened[j])
-            assert filtered.steering == fs[j]
-            assert filtered.throttle == ft[j]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        states=st.lists(
+            st.tuples(speeds, lateral_offsets, bearings, curvatures), min_size=1, max_size=12
+        )
+    )
+    def test_pure_pursuit_facade_matches_kernel(self, states):
+        controller = PurePursuitController()
+        speed, lateral, heading, curvature = _columns(states)
+        target = np.full(len(states), controller.target_speed_mps)
+        _assert_rows_equal_alone(
+            controller.act_batch, [speed, target, lateral, heading, curvature]
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        states=st.lists(
+            st.tuples(
+                speeds,
+                lateral_offsets,
+                bearings,
+                curvatures,
+                st.booleans(),
+                distances,
+                bearings,
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_heuristic_facade_matches_kernel(self, states):
+        controller = ObstacleAvoidanceController()
+        speed, lateral, heading, curvature, has, distance, bearing, stale = _columns(states)
+        target = np.full(len(states), controller.target_speed_mps)
+        _assert_rows_equal_alone(
+            controller.act_batch,
+            [speed, target, lateral, heading, curvature, has, distance, bearing, stale],
+        )
 
     def test_shield_blend_ramp_boundary(self):
         """Exactly at h = intervention_margin_m the shield passes through;
@@ -464,89 +496,13 @@ class TestKernelFacadeParity:
         assert not intervened[0]
         assert fs[0] == 0.3 and ft[0] == 0.2
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        states=st.lists(
-            st.tuples(speeds, lateral_offsets, bearings, curvatures),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_pure_pursuit_facade_matches_kernel(self, states):
-        controller = PurePursuitController()
-        v, lat, hd, cv = (np.array(column, dtype=float) for column in zip(*states, strict=True))
-        target = np.full(len(states), controller.target_speed_mps)
-        steering, throttle = controller.act_batch(v, target, lat, hd, cv)
-        for j, (vj, latj, hdj, cvj) in enumerate(states):
-            action = controller.act_from_inputs(
-                ControlInputs(
-                    speed_mps=vj,
-                    target_speed_mps=controller.target_speed_mps,
-                    lateral_offset_m=latj,
-                    heading_rad=hdj,
-                    road_curvature_per_m=cvj,
-                )
-            )
-            assert action.steering == steering[j]
-            assert action.throttle == throttle[j]
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        states=st.lists(
-            st.tuples(
-                speeds,
-                lateral_offsets,
-                bearings,
-                curvatures,
-                st.one_of(
-                    st.none(), st.tuples(distances, bearings, st.booleans())
-                ),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_heuristic_facade_matches_kernel(self, states):
-        controller = ObstacleAvoidanceController()
-        n = len(states)
-        v, lat, hd, cv = (
-            np.array([state[k] for state in states], dtype=float)
-            for k in range(4)
-        )
-        has_obstacle = np.array([state[4] is not None for state in states])
-        obs_d = np.array(
-            [state[4][0] if state[4] else 0.0 for state in states], dtype=float
-        )
-        obs_b = np.array(
-            [state[4][1] if state[4] else 0.0 for state in states], dtype=float
-        )
-        obs_stale = np.array(
-            [state[4][2] if state[4] else False for state in states]
-        )
-        target = np.full(n, controller.target_speed_mps)
-        steering, throttle = controller.act_batch(
-            v, target, lat, hd, cv, has_obstacle, obs_d, obs_b, obs_stale
-        )
-        for j, (vj, latj, hdj, cvj, obs) in enumerate(states):
-            action = controller.act_from_inputs(
-                ControlInputs(
-                    speed_mps=vj,
-                    target_speed_mps=controller.target_speed_mps,
-                    lateral_offset_m=latj,
-                    heading_rad=hdj,
-                    road_curvature_per_m=cvj,
-                    obstacle_distance_m=obs[0] if obs else None,
-                    obstacle_bearing_rad=obs[1] if obs else None,
-                    obstacle_stale=obs[2] if obs else False,
-                )
-            )
-            assert action.steering == steering[j]
-            assert action.throttle == throttle[j]
-
     # ------------------------------------------------------------------
     # Perception/scan-tail kernels: obstacle view, grouping, projection.
     # ------------------------------------------------------------------
 
+    # The nearer centre is the farther surface: ranking by centre
+    # distance picks the wrong obstacle.
+    @example(poses=[(0.0, 0.0, 0.0)], obstacle_specs=[(10.0, 0.0, 0.5), (11.0, 0.0, 3.0)])
     @settings(max_examples=50, deadline=None)
     @given(
         poses=st.lists(
@@ -558,42 +514,30 @@ class TestKernelFacadeParity:
             max_size=8,
         ),
     )
-    def test_obstacle_view_facade_matches_kernel_and_ranking(
-        self, poses, obstacle_specs
-    ):
-        obstacles = [Obstacle(x_m=ox, y_m=oy, radius_m=orad) for ox, oy, orad in obstacle_specs]
+    def test_obstacle_view_facade_matches_kernel_and_ranking(self, poses, obstacle_specs):
+        n, k = len(poses), len(obstacle_specs)
         xs, ys, hs = (np.array(column, dtype=float) for column in zip(*poses, strict=True))
-        n = len(poses)
-        obs_x = np.tile([o.x_m for o in obstacles], (n, 1))
-        obs_y = np.tile([o.y_m for o in obstacles], (n, 1))
-        obs_r = np.tile([o.radius_m for o in obstacles], (n, 1))
-        surface, bearing, nearest = World.nearest_obstacle_view_batch(
-            xs, ys, hs, obs_x, obs_y, obs_r, np.ones((n, len(obstacles)), dtype=bool)
+        obs_x, obs_y, obs_r = (
+            np.tile(np.array(column, dtype=float), (n, 1))
+            for column in zip(*obstacle_specs, strict=True)
         )
+        columns = [xs, ys, hs, obs_x, obs_y, obs_r, np.ones((n, k), dtype=bool)]
+        surface, bearing, nearest = World.nearest_obstacle_view_batch(*columns)
+        _assert_rows_equal_alone(World.nearest_obstacle_view_batch, columns)
         for j, (x, y, h) in enumerate(poses):
-            world = World(
-                road=Road(), obstacles=obstacles,
-                state=VehicleState(x_m=x, y_m=y, heading_rad=h),
-            )
-            view = world.nearest_obstacle_view()
-            assert view is not None
-            # Facade == kernel row, bit for bit.
-            assert view[0] == surface[j]
-            assert view[1] == bearing[j]
-            assert view[2] is obstacles[int(nearest[j])]
-            assert world.nearest_obstacle() is view[2]
             # The kernel's masked argmin reproduces the scalar ranking:
             # ahead-preferred min surface distance, first occurrence on ties.
             views = []
-            for o in obstacles:
-                centre = np.hypot(o.x_m - x, o.y_m - y)
-                obs_bearing = wrap_angle(np.arctan2(o.y_m - y, o.x_m - x) - h)
-                views.append((max(0.0, float(centre - o.radius_m)), float(obs_bearing)))
-            ahead = [k for k, v in enumerate(views) if abs(v[1]) <= 0.5 * math.pi]
+            for ox, oy, orad in obstacle_specs:
+                centre = np.hypot(ox - x, oy - y)
+                obs_bearing = wrap_angle(np.arctan2(oy - y, ox - x) - h)
+                views.append((max(0.0, float(centre - orad)), float(obs_bearing)))
+            ahead = [i for i, v in enumerate(views) if abs(v[1]) <= 0.5 * math.pi]
             candidates = ahead if ahead else list(range(len(views)))
-            best = min(candidates, key=lambda k: views[k][0])
+            best = min(candidates, key=lambda i: views[i][0])
             assert int(nearest[j]) == best
             assert surface[j] == views[best][0]
+            assert bearing[j] == pytest.approx(views[best][1], abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 6))
@@ -631,27 +575,33 @@ class TestKernelFacadeParity:
             assert bearing[j] == alone[1][0]
             assert nearest[j] == real[alone[2][0]]
 
+    @staticmethod
+    def _view(obstacles, heading=0.0, valid=None):
+        """Nearest-obstacle view of a vehicle at the origin, one row."""
+        obs_x, obs_y, obs_r = (
+            np.array([column], dtype=float) for column in zip(*obstacles, strict=True)
+        )
+        valid = np.ones(obs_x.shape, dtype=bool) if valid is None else np.array([valid])
+        surface, bearing, nearest = World.nearest_obstacle_view_batch(
+            np.zeros(1), np.zeros(1), np.array([heading]), obs_x, obs_y, obs_r, valid
+        )
+        return float(surface[0]), float(bearing[0]), int(nearest[0])
+
     def test_obstacle_view_ahead_boundary_at_half_pi(self):
         """|bearing| == pi/2 exactly still counts as ahead (<=, not <)."""
-        boundary = Obstacle(x_m=0.0, y_m=5.0, radius_m=1.0)  # bearing +pi/2
-        behind = Obstacle(x_m=-1.0, y_m=0.0, radius_m=0.5)  # closer, behind
-        world = World(road=Road(), obstacles=[behind, boundary], state=VehicleState())
-        view = world.nearest_obstacle_view()
-        assert view is not None and view[2] is boundary
+        behind = (-1.0, 0.0, 0.5)  # closer, behind
+        boundary = (0.0, 5.0, 1.0)  # bearing +pi/2
+        assert self._view([behind, boundary])[2] == 1
         # One ulp past the boundary the obstacle is behind; with nothing
         # ahead the globally nearest obstacle wins instead.
-        tilted = World(
-            road=Road(),
-            obstacles=[behind, boundary],
-            state=VehicleState(heading_rad=-1e-9),
-        )
-        tilted_view = tilted.nearest_obstacle_view()
-        assert tilted_view is not None and tilted_view[2] is behind
+        assert self._view([behind, boundary], heading=-1e-9)[2] == 0
 
     def test_obstacle_view_empty_world_returns_none(self):
-        world = World(road=Road(), obstacles=[])
-        assert world.nearest_obstacle_view() is None
-        assert world.nearest_obstacle() is None
+        """A row whose slots are all padding (an empty world) reads the
+        no-obstacle view (index -1), whatever the pad holds."""
+        pad = (1.0, 0.0, 1.0)  # would be 0 m ahead if it ranked
+        view = self._view([pad], valid=[False])
+        assert view == (NO_OBSTACLE_DISTANCE_M, 0.0, -1)
 
     @staticmethod
     def _serial_groups(row, threshold):

@@ -1,18 +1,18 @@
-"""Tests for range-scan observations and the episode runner."""
+"""Tests for range-scan observations and closed-loop episodes."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.control.heuristic import ObstacleAvoidanceController
-from repro.control.pure_pursuit import PurePursuitController
-from repro.core.shield import SteeringShield
+from repro.core.framework import SEOConfig, SEOFramework
 from repro.dynamics.state import VehicleState
-from repro.sim.episode import EpisodeRunner
+from repro.experiments.common import ExperimentSettings, standard_config
+from repro.runtime.batch import run_cells
 from repro.sim.obstacles import Obstacle
 from repro.sim.observation import RangeScanner
 from repro.sim.road import Road
-from repro.sim.scenario import ScenarioConfig, build_world
+from repro.sim.scenario import ScenarioConfig
 from repro.sim.world import World
 
 
@@ -50,57 +50,83 @@ class TestRangeScanner:
         assert angles[-1] == pytest.approx(math.radians(45))
 
 
+@pytest.fixture(scope="module")
+def shield_episodes():
+    """Episode reports per ``(controller, filtered)`` on the standard offload
+    configuration at 20 episodes and 1200 steps: one ``run_cells`` call per
+    controller, each with an unfiltered and a filtered cell."""
+    settings = ExperimentSettings(episodes=20, max_steps=1200, seed=0)
+    episodes = {}
+    for controller in ("heuristic", "pure_pursuit"):
+        cells = [
+            (
+                SEOFramework(
+                    dataclasses.replace(
+                        standard_config(settings, "offload", filtered=filtered),
+                        controller=controller,
+                    )
+                ),
+                range(settings.episodes),
+            )
+            for filtered in (False, True)
+        ]
+        for filtered, reports in zip((False, True), run_cells(cells), strict=True):
+            episodes[controller, filtered] = reports
+    return episodes
+
+
+def _collision_rate(reports):
+    return sum(report.collided for report in reports) / len(reports)
+
+
 class TestEpisodeRunner:
-    def test_empty_road_is_completed(self):
-        world = build_world(ScenarioConfig(num_obstacles=0, road_length_m=40.0, seed=1))
-        runner = EpisodeRunner(world=world, controller=ObstacleAvoidanceController())
-        result = runner.run()
-        assert result.success
-        assert result.progress == pytest.approx(1.0)
+    """Closed-loop episodes on the engine: the controllers, the safety
+    filter and the episode bounds."""
 
-    def test_obstacle_course_with_heuristic_controller(self):
-        world = build_world(ScenarioConfig(num_obstacles=2, seed=2))
-        runner = EpisodeRunner(world=world, controller=ObstacleAvoidanceController())
-        result = runner.run()
-        assert result.completed
-        assert not result.collided
+    def _run(self, small_lookup_grid, **overrides):
+        config = SEOConfig(
+            scenario=ScenarioConfig(num_obstacles=0, seed=1),
+            filtered=False,
+            lookup_grid=small_lookup_grid,
+            seed=1,
+        )
+        return SEOFramework(dataclasses.replace(config, **overrides)).run_episode(0)
 
-    def test_pure_pursuit_collides_without_filter(self):
-        # The obstacle-blind controller on a head-on obstacle must collide.
-        world = World(
-            road=Road(width_m=12.0, length_m=60.0),
-            obstacles=[Obstacle(x_m=40.0, y_m=0.0, radius_m=1.5)],
-            state=VehicleState(speed_mps=8.0),
+    def test_empty_road_is_completed(self, small_lookup_grid):
+        report = self._run(
+            small_lookup_grid, scenario=ScenarioConfig(num_obstacles=0, road_length_m=40.0, seed=1)
         )
-        runner = EpisodeRunner(world=world, controller=PurePursuitController())
-        result = runner.run()
-        assert result.collided
+        assert report.completed
+        assert not report.collided and not report.off_road
 
-    def test_safety_filter_reduces_collisions_for_blind_controller(self):
-        world = World(
-            road=Road(width_m=12.0, length_m=60.0),
-            obstacles=[Obstacle(x_m=40.0, y_m=0.0, radius_m=1.5)],
-            state=VehicleState(speed_mps=8.0),
-        )
-        runner = EpisodeRunner(
-            world=world,
-            controller=PurePursuitController(),
-            safety_filter=SteeringShield(),
-        )
-        result = runner.run()
-        assert not result.collided
-        assert result.filter_interventions > 0
-
-    def test_max_steps_bounds_episode_length(self):
-        world = build_world(ScenarioConfig(num_obstacles=0, seed=1))
-        runner = EpisodeRunner(
-            world=world, controller=ObstacleAvoidanceController(), max_steps=10
-        )
-        result = runner.run()
-        assert result.steps == 10
-        assert not result.completed
+    def test_max_steps_bounds_episode_length(self, small_lookup_grid):
+        report = self._run(small_lookup_grid, max_steps=10)
+        assert report.steps == 10
+        assert not report.completed
 
     def test_rejects_bad_parameters(self):
-        world = build_world(ScenarioConfig(num_obstacles=0, seed=1))
-        with pytest.raises(ValueError):
-            EpisodeRunner(world=world, controller=ObstacleAvoidanceController(), dt_s=0.0)
+        with pytest.raises(ValueError, match="tau_s"):
+            SEOConfig(tau_s=0.0)
+        with pytest.raises(ValueError, match="max_steps"):
+            SEOConfig(max_steps=0)
+
+    def test_obstacle_course_with_heuristic_controller(self, shield_episodes):
+        assert _collision_rate(shield_episodes["heuristic", False]) == 0.0
+
+    def test_pure_pursuit_collides_without_filter(self, shield_episodes):
+        # The obstacle-blind controller must collide.
+        assert _collision_rate(shield_episodes["pure_pursuit", False]) > 0.0
+
+    def test_safety_filter_reduces_collisions_for_blind_controller(self, shield_episodes):
+        filtered = shield_episodes["pure_pursuit", True]
+        assert _collision_rate(filtered) < _collision_rate(shield_episodes["pure_pursuit", False])
+        assert sum(report.shield_interventions for report in filtered) > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: the shield raises the heuristic's collision "
+        "rate on this configuration (0.00 unfiltered, 0.50 filtered)",
+    )
+    def test_shield_never_raises_heuristic_collisions(self, shield_episodes):
+        filtered = _collision_rate(shield_episodes["heuristic", True])
+        assert filtered <= _collision_rate(shield_episodes["heuristic", False])

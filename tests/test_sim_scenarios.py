@@ -10,10 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.control.heuristic import ObstacleAvoidanceController
 from repro.core.framework import SEOConfig, SEOFramework
 from repro.dynamics.state import VehicleState, wrap_angle
-from repro.sim.episode import EpisodeRunner
 from repro.sim.obstacles import (
     ConstantVelocity,
     Obstacle,
@@ -207,7 +205,9 @@ class TestRoadExtent:
         x, y = road.from_frenet(40.0, 2.0)
         state = VehicleState(x_m=x, y_m=y)
         assert not status_at(40.0, 2.0).off_road
-        assert road.progress(state) == pytest.approx(40.0 / road.length_m, abs=1e-6)
+        assert road.to_frenet(state.x_m, state.y_m)[0] == pytest.approx(
+            40.0, abs=1e-6 * road.length_m
+        )
         assert status_at(road.length_m, 0.0).finished
 
 
@@ -237,10 +237,13 @@ class TestBeamAngles:
 # Unified nearest-threat query (bugfix regression)
 # ----------------------------------------------------------------------
 class TestNearestThreatUnification:
-    def test_nearest_obstacle_agrees_with_view(self):
+    """One ranking names the threat: the index the obstacle view reports
+    and the distance and bearing it reports belong to the same obstacle."""
+
+    def test_nearest_obstacle_agrees_with_view(self, obstacle_view):
         # A small obstacle slightly behind vs a large obstacle ahead: centre
         # distance and surface distance disagree, and only the ahead one is
-        # the safety-relevant threat.  Both queries must name the same one.
+        # the safety-relevant threat.
         behind = Obstacle(x_m=-3.0, y_m=0.0, radius_m=0.5)
         ahead = Obstacle(x_m=4.0, y_m=0.0, radius_m=3.0)
         world = World(
@@ -248,18 +251,20 @@ class TestNearestThreatUnification:
             obstacles=[behind, ahead],
             state=VehicleState(x_m=0.0, y_m=0.0, heading_rad=0.0),
         )
-        view = world.nearest_obstacle_view()
-        assert view is not None and view[2] is ahead
-        assert world.nearest_obstacle() is ahead
+        distance, bearing, index = obstacle_view(world)
+        assert world.obstacles[index] is ahead
+        assert (distance, bearing) == (1.0, 0.0)
 
-    def test_nearest_obstacle_falls_back_to_behind(self):
+    def test_nearest_obstacle_falls_back_to_behind(self, obstacle_view):
         behind = Obstacle(x_m=-2.0, y_m=0.0)
         world = World(road=Road(), obstacles=[behind], state=VehicleState())
-        assert world.nearest_obstacle() is behind
+        distance, _, index = obstacle_view(world)
+        assert world.obstacles[index] is behind
+        assert distance == pytest.approx(1.0)
 
-    def test_nearest_obstacle_none_when_empty(self):
+    def test_nearest_obstacle_none_when_empty(self, obstacle_view):
         world = World(road=Road(), obstacles=[], state=VehicleState())
-        assert world.nearest_obstacle() is None
+        assert obstacle_view(world)[2] == -1
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +308,13 @@ class TestObstacleMotion:
         for _ in range(10):
             world.step(ControlAction(), 0.1)
         assert world.obstacles[0].y_m == pytest.approx(1.0)
-        world.reset()
-        assert world.obstacles[0].y_m == pytest.approx(0.0)
+        # Stepping moves copies: the obstacle the world was built from keeps
+        # its initial position, so a world rebuilt from it starts there.
+        assert obstacle.y_m == 0.0
+        restarted = World(road=world.road, obstacles=[obstacle], state=VehicleState())
+        assert restarted.obstacles[0].y_m == 0.0
+        restarted.step(ControlAction(), 0.1)
+        assert restarted.obstacles[0].y_m == pytest.approx(0.1)
 
     def test_collision_uses_moved_position(self):
         # The obstacle starts clear of the ego but crosses its position.
@@ -460,18 +470,17 @@ class TestScenarioFamilies:
         assert build_world(config).obstacles == build_world(config).obstacles
 
     def test_curved_episode_completes_with_heuristic_controller(self):
-        config = DEFAULT_SUITE.build("curved-road", seed=4)
-        world = build_world(config)
-        runner = EpisodeRunner(
-            world=world,
-            controller=ObstacleAvoidanceController(
-                target_speed_mps=config.target_speed_mps
-            ),
+        scenario = DEFAULT_SUITE.build("curved-road", seed=4)
+        config = SEOConfig(
+            scenario=scenario,
+            filtered=False,
+            target_speed_mps=scenario.target_speed_mps,
             max_steps=1500,
+            seed=4,
         )
-        result = runner.run()
-        assert result.completed
-        assert not result.off_road
+        report = SEOFramework(config).run_episode(0)
+        assert report.completed
+        assert not report.off_road
 
     def test_sensor_dropout_exercises_stale_fallback(self):
         config = SEOConfig(

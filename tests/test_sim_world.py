@@ -11,7 +11,7 @@ from repro.sim.collision import circle_hit, first_collision
 from repro.sim.obstacles import Obstacle, place_obstacles
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
-from repro.sim.world import World
+from repro.sim.world import NO_OBSTACLE_DISTANCE_M, World
 
 
 class TestRoad:
@@ -27,12 +27,6 @@ class TestRoad:
         road = Road(width_m=8.0)
         assert road.contains(10.0, 3.9)
         assert not road.contains(10.0, 3.9, margin_m=1.0)
-
-    def test_progress_clamped_to_unit_interval(self):
-        road = Road(length_m=100.0)
-        assert road.progress(VehicleState(x_m=-5.0)) == 0.0
-        assert road.progress(VehicleState(x_m=50.0)) == pytest.approx(0.5)
-        assert road.progress(VehicleState(x_m=500.0)) == 1.0
 
     def test_finished(self):
         road = Road(length_m=100.0)
@@ -87,15 +81,16 @@ class TestObstacles:
         second = place_obstacles(road, 3, np.random.default_rng(7))
         assert first == second
 
-    def test_world_nearest_obstacle_matches_view(self):
-        # The world-level query is the single nearest-threat rule: it must
-        # name the same obstacle as nearest_obstacle_view.
-        world = World(
-            road=Road(),
-            obstacles=[Obstacle(10.0, 0.0), Obstacle(20.0, 0.0)],
-            state=VehicleState(x_m=12.0, y_m=0.0),
-        )
-        assert world.nearest_obstacle() is world.nearest_obstacle_view()[2]
+
+    def test_world_nearest_obstacle_matches_view(self, obstacle_view):
+        # The reported distance and bearing are those of the obstacle the
+        # view names: the one ahead, not the nearer one just passed.
+        obstacles = [Obstacle(10.0, 0.0), Obstacle(20.0, 0.0)]
+        world = World(road=Road(), obstacles=obstacles, state=VehicleState(x_m=12.0, y_m=0.0))
+        distance, bearing, index = obstacle_view(world)
+        assert index == 1
+        assert distance == pytest.approx(8.0 - obstacles[1].radius_m)
+        assert bearing == 0.0
 
 
 class TestCollision:
@@ -161,36 +156,30 @@ class TestWorld:
         assert empty_world.time_s == pytest.approx(0.02)
         assert empty_world.state.x_m > start_x
 
-    def test_reset_restores_initial_state(self, empty_world):
-        initial = empty_world.state
-        empty_world.step(ControlAction(throttle=1.0), 0.5)
-        empty_world.reset()
-        assert empty_world.state == initial
-        assert empty_world.time_s == 0.0
-
-    def test_nearest_obstacle_view_prefers_ahead(self):
+    def test_nearest_obstacle_view_prefers_ahead(self, obstacle_view):
         world = World(
             road=Road(),
             obstacles=[Obstacle(x_m=5.0, y_m=0.0), Obstacle(x_m=-1.0, y_m=0.0)],
             state=VehicleState(x_m=0.0, y_m=0.0, heading_rad=0.0, speed_mps=5.0),
         )
-        distance, bearing, obstacle = world.nearest_obstacle_view()
-        assert obstacle.x_m == 5.0
+        distance, bearing, index = obstacle_view(world)
+        assert world.obstacles[index].x_m == 5.0
         assert abs(bearing) < math.pi / 2
         assert distance == pytest.approx(4.0)
 
-    def test_nearest_obstacle_view_falls_back_to_behind(self):
+    def test_nearest_obstacle_view_falls_back_to_behind(self, obstacle_view):
         world = World(
             road=Road(),
             obstacles=[Obstacle(x_m=-2.0, y_m=0.0)],
             state=VehicleState(x_m=0.0, y_m=0.0),
         )
-        _, bearing, obstacle = world.nearest_obstacle_view()
-        assert obstacle.x_m == -2.0
+        _, bearing, index = obstacle_view(world)
+        assert world.obstacles[index].x_m == -2.0
         assert abs(bearing) > math.pi / 2
 
-    def test_nearest_obstacle_view_none_when_empty(self, empty_world):
-        assert empty_world.nearest_obstacle_view() is None
+    def test_nearest_obstacle_view_none_when_empty(self, empty_world, obstacle_view):
+        # "None" is the no-obstacle view: the sentinel distance and index -1.
+        assert obstacle_view(empty_world) == (NO_OBSTACLE_DISTANCE_M, 0.0, -1)
 
     def test_status_detects_completion(self, empty_world):
         empty_world.state = VehicleState(x_m=empty_world.road.length_m + 1.0)
@@ -227,7 +216,6 @@ class TestLanePoseMemo:
         road, state = world.road, world.state
         status = world.status()
         assert world.lane_pose() == road.lane_pose(state)
-        assert world.progress() == road.progress(state)
         # The world's row (it has no obstacles: its one slot is padding)
         # sits between a row past the route end and a row on an obstacle.
         assert not world.obstacles
@@ -266,12 +254,15 @@ class TestLanePoseMemo:
         return VehicleState(x_m=x, y_m=y, heading_rad=heading, speed_mps=6.0)
 
     def test_queries_follow_step_reset_and_assignment(self):
-        world = World(road=self.ROAD, state=self._state_at(5.0, 0.5, 0.1))
+        initial = self._state_at(5.0, 0.5, 0.1)
+        world = World(road=self.ROAD, state=initial)
         self._assert_matches_road(world)
         for _ in range(40):
             world.step(ControlAction(steering=0.3, throttle=0.5), 0.05)
             self._assert_matches_road(world)
-        world.reset()
+        # Back at the start: the first state, projected before the steps,
+        # is projected again rather than read from the last step's pose.
+        world.state = initial
         self._assert_matches_road(world)
         length = self.ROAD.length_m
         for state, off_road, finished in (
@@ -310,7 +301,6 @@ class TestLanePoseMemo:
             world.status()
             world.lane_pose()
             world.lane_pose()
-            world.progress()
         assert calls == [1, 1, 1]
         world.state = self._state_at(12.0, 0.0)
         world.status()
