@@ -14,6 +14,12 @@ call per group of equal ``SEOConfig.lockstep_key``, whose every row must
 match its config's digests too; each family's cells (pure pursuit apart)
 are checked by their own test, out of the merged call that holds them.
 
+A long-horizon section pins what 300 steps end before: every family's
+obstacle zone and the shield's blend.  It runs every ``DEFAULT_SUITE``
+family under filtered ``offload`` control for up to 1500 steps, merged
+(one ``run_cells`` call per lockstep group), and every one of its
+episodes must record shield interventions.
+
 Regenerate (only for an intended behaviour change) with::
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -40,6 +46,8 @@ EPISODES = (0, 1)
 MAX_STEPS = 300
 MODES = ("none", "offload", "model_gating", "sensor_gating")
 VARIANT_FAMILY = "obstacle-course"
+LONG_MAX_STEPS = 1500
+LONG_PREFIX = "long"
 VARIANTS = {
     "pure_pursuit": {"controller": "pure_pursuit"},
     "exact": {"use_lookup_table": False},
@@ -62,6 +70,19 @@ def golden_configs() -> dict[str, SEOConfig]:
                 base, optimization=mode, **overrides
             )
     return configs
+
+
+def long_horizon_configs() -> dict[str, SEOConfig]:
+    """The long-horizon section: every family, filtered offload control."""
+    return {
+        f"{LONG_PREFIX}/{family}/offload": SEOConfig(
+            scenario=DEFAULT_SUITE.get(family).base,
+            max_steps=LONG_MAX_STEPS,
+            optimization="offload",
+            filtered=True,
+        )
+        for family in DEFAULT_SUITE.names()
+    }
 
 
 def report_digests(reports: list) -> list[str]:
@@ -96,13 +117,15 @@ def family_groups(configs: dict[str, SEOConfig]) -> dict[str, list[str]]:
 CONFIGS = golden_configs()
 GROUPS = lockstep_groups(CONFIGS)
 FAMILIES = family_groups(CONFIGS)
+LONG_CONFIGS = long_horizon_configs()
+LONG_GROUPS = lockstep_groups(LONG_CONFIGS)
 GOLDEN: dict[str, list[str]] = (
     json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
 )
 
 
 def test_corpus_covers_every_config():
-    assert sorted(GOLDEN) == sorted(CONFIGS)
+    assert sorted(GOLDEN) == sorted(CONFIGS | LONG_CONFIGS)
 
 
 @pytest.mark.parametrize("label", sorted(CONFIGS))
@@ -136,11 +159,16 @@ def test_groups_merge_every_per_row_setting():
     assert sorted(sizes.values()) == [len(MODES)] * curved
 
 
+def run_merged(configs: dict[str, SEOConfig], labels: list[str]) -> list[list]:
+    """Reports per label of one ``run_cells`` call over ``labels``."""
+    return run_cells([(SEOFramework(configs[label]), EPISODES) for label in labels])
+
+
 @functools.cache
 def merged_digests(group: str) -> dict[str, list[str]]:
     """Digests per label of one ``run_cells`` call over a lockstep group."""
     labels = GROUPS[group]
-    cells = run_cells([(SEOFramework(CONFIGS[label]), EPISODES) for label in labels])
+    cells = run_merged(CONFIGS, labels)
     return {
         label: report_digests(reports)
         for label, reports in zip(labels, cells, strict=True)
@@ -162,11 +190,32 @@ def test_merged_cells_match_golden_digest(family):
         assert merged[label] == GOLDEN[label], f"{label} drifted merged"
 
 
+def test_long_horizon_runs_in_three_groups():
+    """The six straight-road families share one call; each curved one has its own."""
+    assert sorted(len(labels) for labels in LONG_GROUPS.values()) == [1, 1, 6]
+
+
+@pytest.mark.parametrize("group", sorted(LONG_GROUPS))
+def test_long_horizon_matches_golden_digest(group):
+    labels = LONG_GROUPS[group]
+    cells = run_merged(LONG_CONFIGS, labels)
+    for label, reports in zip(labels, cells, strict=True):
+        assert all(report.shield_interventions > 0 for report in reports), label
+        assert report_digests(reports) == GOLDEN[label], f"{label} drifted"
+
+
 if __name__ == "__main__":
     digests = {
         label: report_digests(run_batch(SEOFramework(config), EPISODES))
         for label, config in sorted(CONFIGS.items())
     }
+    for labels in LONG_GROUPS.values():
+        cells = run_merged(LONG_CONFIGS, labels)
+        digests.update(
+            (label, report_digests(reports))
+            for label, reports in zip(labels, cells, strict=True)
+        )
+    digests = dict(sorted(digests.items()))
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(digests)} digests to {GOLDEN_PATH}\n")
