@@ -7,6 +7,9 @@ beats model gating, the faster detector benefits more, and the filtered case
 is at least as good as the unfiltered one.
 """
 
+import dataclasses
+
+import pytest
 from conftest import save_result
 
 from repro.experiments.fig5 import run_fig5
@@ -38,3 +41,20 @@ def test_fig5_energy_gains(benchmark, settings, results_dir):
     assert result.gain("offload", True, "detector-p1tau") >= result.gain(
         "offload", False, "detector-p1tau"
     ) - 0.03
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: the shield lowers offload's filtered gain below "
+    "the unfiltered one at other seeds (seed 3: 0.516 vs 0.554, seed 6: "
+    "0.503 vs 0.541 at 5 episodes), so the ordering above holds at seed 0 only",
+)
+def test_fig5_filtered_ordering_at_other_seeds(settings):
+    gains = {}
+    for seed in (3, 6):
+        result = run_fig5(dataclasses.replace(settings, seed=seed))
+        gains[seed] = (
+            result.gain("offload", True, "detector-p1tau"),
+            result.gain("offload", False, "detector-p1tau"),
+        )
+    assert all(filtered >= unfiltered - 0.03 for filtered, unfiltered in gains.values()), gains

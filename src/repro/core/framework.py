@@ -387,39 +387,23 @@ class SEOFramework:
 
         return run_batch(self, [episode])[0]
 
-    def run(
-        self,
-        episodes: int,
-        only_successful: bool = False,
-        jobs: int = 1,
-    ) -> list[EpisodeReport]:
-        """Run several episodes (different obstacle placements and channel draws).
+    def run(self, episodes: int, only_successful: bool = False) -> list[EpisodeReport]:
+        """Run episodes ``0 .. episodes-1`` in one lockstep call, in index order.
 
-        Episodes are fully determined by ``(config, episode index)``, so they
-        may execute out of process; the returned list is always ordered by
-        episode index and identical to the in-process run.
+        Episodes differ in obstacle placements and channel draws; each is
+        fully determined by ``(config, episode index)``.
 
         Args:
             episodes: Number of episodes to run.
             only_successful: When True, keep only episodes that completed the
                 route collision-free — the paper averages over 25 such runs.
-            jobs: Worker processes to spread episodes over (1 = in-process,
-                ``<= 0`` = all CPU cores).
         """
         if episodes <= 0:
             raise ValueError("episodes must be positive")
         # Imported here: repro.runtime imports this module at load time.
-        if jobs == 1:
-            from repro.runtime.executor import SerialExecutor
+        from repro.runtime.batch import run_batch
 
-            reports = SerialExecutor(framework=self).run(self.config, episodes)
-        else:
-            from repro.runtime.executor import resolve_jobs
-            from repro.runtime.sweep import SweepRunner
-
-            # No more worker processes than episodes: the pool lives for this call only.
-            with SweepRunner(jobs=min(resolve_jobs(jobs), episodes)) as runner:
-                reports = runner.run_one(self.config, episodes)
+        reports = run_batch(self, range(episodes))
         if only_successful:
             successful = [report for report in reports if report.success]
             return successful if successful else reports

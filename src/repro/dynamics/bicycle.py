@@ -121,21 +121,6 @@ class KinematicBicycleModel:
         )
         return steer_rad, accel
 
-    def derivatives(self, state: VehicleState, control: ControlAction) -> np.ndarray:
-        """Continuous-time derivative of the state under ``control``."""
-        steer_rad, accel = self.control_to_physical(control)
-        heading = state.heading_rad
-        speed = state.speed_mps
-        return np.array(
-            [
-                speed * math.cos(heading),
-                speed * math.sin(heading),
-                speed * float(np.tan(steer_rad)) / self.params.wheelbase_m,
-                accel,
-            ],
-            dtype=float,
-        )
-
     def _derivative_fn(
         self, control: ControlAction
     ) -> Callable[[np.ndarray], np.ndarray]:

@@ -8,19 +8,16 @@ experiment drivers:
   compatible ``(framework, episodes)`` cells in numpy lockstep,
   early-terminated episodes masked out, each report identical to its
   episode run alone; :func:`run_batch` is its one-cell call.
-* :mod:`repro.runtime.executor` — :class:`SerialExecutor` runs the episode
-  ranges of one group of compatible work units as one lockstep call
-  in-process, and ``run_ranges``, the process pool's task, does the same
-  in a worker.
 * :mod:`repro.runtime.workunit` — :class:`WorkUnit`, the serializable,
   content-addressed ``(config, episode-range)`` description of sweep work
   that the ledger and shards are keyed on.
 * :mod:`repro.runtime.sweep` — :class:`SweepRunner`, the batched
   multi-config sweep engine and the one place a backend name
   (:data:`EXECUTOR_BACKENDS`: ``process``, ``batch``) becomes a local
-  process pool: the units of a batch run as lockstep groups, cut into one
-  chunk per worker of one shared pool, and one runner (hence one pool at a
-  time, rebuilt only to grow) can serve every batch of a CLI invocation.
+  process pool: the units of a batch run as lockstep groups, each one
+  ``run_cells`` call in-process or cut into one chunk per worker of one
+  shared pool, and one runner (hence one pool at a time, rebuilt only to
+  grow) can serve every batch of a CLI invocation.
   With a ledger/shard attached it resumes and partitions sweeps.
 * :mod:`repro.runtime.ledger` — :class:`RunLedger`, the append-only on-disk
   record of completed units (JSONL index + ``.npz`` report blobs) behind
@@ -45,7 +42,6 @@ from repro.runtime.cache import (
     default_cache,
     set_default_cache,
 )
-from repro.runtime.executor import SerialExecutor, resolve_jobs
 from repro.runtime.ledger import LedgerSchemaError, RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.sweep import (
@@ -55,6 +51,7 @@ from repro.runtime.sweep import (
     SweepRunner,
     pool_constructions,
     reset_pool_constructions,
+    resolve_jobs,
     sweep_jobs,
 )
 from repro.runtime.workunit import WorkUnit
@@ -64,7 +61,6 @@ __all__ = [
     "LedgerSchemaError",
     "LookupTableCache",
     "RunLedger",
-    "SerialExecutor",
     "ShardManifest",
     "ShardSpec",
     "SweepIncomplete",

@@ -8,8 +8,8 @@ queries, decision kernels, road membership) is amortized over the whole
 call instead of being paid per episode.  It is the only frame loop:
 :func:`run_batch` is its one-cell call,
 :meth:`~repro.core.framework.SEOFramework.run_episode` the 1-episode call
-of that, and :class:`~repro.runtime.executor.SerialExecutor` runs each
-group of compatible work units as one call.
+of that, and :class:`~repro.runtime.sweep.SweepRunner` runs each group of
+compatible work units (or each pool worker's chunk of one) as one call.
 
 **Cells.**  Cells may share a call when their configs have equal
 :meth:`~repro.core.framework.SEOConfig.lockstep_key`: they differ at most

@@ -11,10 +11,11 @@ group's episode ranges in numpy lockstep: in-process as one call, or cut
 into at most one chunk per worker of one shared local process pool.
 Reports are routed back per job in episode order.
 
-Because episodes are fully determined by ``(config, episode index)`` (see
-:mod:`repro.runtime.executor`), neither the grouping nor the cut can
-change any report, and a unit's reports are valid wherever and whenever the
-unit runs.  The runner exploits that in two ways:
+Episodes are fully determined by ``(config, episode index)``: the world,
+the scheduler and the detector noise generators are all re-seeded per
+episode.  So neither the grouping nor the cut can change any report, and a
+unit's reports are valid wherever and whenever the unit runs.  The runner
+exploits that in two ways:
 
 * **Ledger** — with a :class:`~repro.runtime.ledger.RunLedger` attached,
   every freshly executed unit is recorded on disk; with ``resume=True``,
@@ -36,6 +37,7 @@ regenerates every artifact constructs at most one pool.
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
 from collections.abc import Hashable, Mapping, Sequence
@@ -45,14 +47,9 @@ from pathlib import Path
 from types import TracebackType
 from typing import TypeVar
 
-from repro.core.framework import EpisodeReport, SEOConfig
-from repro.runtime.cache import default_cache
-from repro.runtime.executor import (
-    SerialExecutor,
-    _init_worker,
-    resolve_jobs,
-    run_ranges,
-)
+from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
+from repro.runtime.batch import run_cells
+from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
 from repro.runtime.ledger import RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.workunit import WorkUnit
@@ -66,6 +63,7 @@ __all__ = [
     "sweep_jobs",
     "pool_constructions",
     "reset_pool_constructions",
+    "resolve_jobs",
     "split_ranges",
 ]
 
@@ -74,6 +72,11 @@ __all__ = [
 #: process pool; ``"batch"`` runs in-process, the same as ``jobs=1``: each
 #: group is one lockstep call (see :mod:`repro.runtime.batch`).
 EXECUTOR_BACKENDS = ("process", "batch")
+
+
+def resolve_jobs(jobs: int) -> int:
+    """Resolve a ``--jobs`` value: ``jobs <= 0`` means "use all CPU cores"."""
+    return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
 def check_backend(backend: str) -> None:
@@ -189,6 +192,39 @@ def sweep_jobs(
     ]
 
 
+def _init_worker(cache_dir: Path | None) -> None:
+    """Propagate the parent's lookup-cache directory into a pool worker.
+
+    On spawn-start platforms (macOS/Windows) workers get a fresh module-level
+    default cache; without this, a ``--lookup-cache`` directory configured in
+    the parent would be ignored by every worker.  On fork platforms the
+    inherited cache usually already matches and is left untouched (preserving
+    any tables memoized before the fork).
+    """
+    if default_cache().cache_dir != cache_dir:
+        set_default_cache(LookupTableCache(cache_dir=cache_dir))
+
+
+def run_ranges(
+    ranges: Sequence[tuple[SEOConfig, int, int]]
+) -> list[list[EpisodeReport]]:
+    """Run ``(config, start, stop)`` episode ranges of one lockstep key as one call.
+
+    The one task of a sweep: :class:`SweepRunner` calls it in-process and
+    submits it to pool workers (it is top level, so a process pool can
+    pickle it).  Each distinct config's framework is built once, and the
+    ranges are the cells of one :func:`~repro.runtime.batch.run_cells`
+    call.  Returns each range's reports, bit-identical to running it alone.
+    """
+    frameworks: dict[SEOConfig, SEOFramework] = {}
+    for config, _, _ in ranges:
+        if config not in frameworks:
+            frameworks[config] = SEOFramework(config)
+    return run_cells(
+        [(frameworks[config], range(start, stop)) for config, start, stop in ranges]
+    )
+
+
 _Item = TypeVar("_Item")
 
 
@@ -226,11 +262,10 @@ class SweepRunner:
     batches instead of silently leaking a fresh pool.  The units whose
     configs share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`
     form a group.  With ``jobs == 1`` or the ``"batch"`` backend no pool is
-    ever created and each group is one lockstep call in-process, through
-    :class:`~repro.runtime.executor.SerialExecutor`; with a pool each group
-    is cut into at most one chunk per worker, and each chunk is one
-    :func:`~repro.runtime.executor.run_ranges` task — either way the
-    reports are bit-identical.
+    ever created and each group is one :func:`run_ranges` call in-process;
+    with a pool each group is cut into at most one chunk per worker, and
+    each chunk is one :func:`run_ranges` task — either way the reports are
+    bit-identical.
 
     Args:
         jobs: Worker count; ``jobs <= 0`` selects ``os.cpu_count()`` and
@@ -278,13 +313,11 @@ class SweepRunner:
         self.shard = shard
         self.manifest = manifest
         self.manifest_path = Path(manifest_path) if manifest_path else None
-        self.pools_created = 0
         self.units_executed = 0
         self.units_resumed = 0
         self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0
         self._closed = False
-        self._serial = SerialExecutor()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -325,7 +358,6 @@ class SweepRunner:
                 initargs=(default_cache().cache_dir,),
             )
             self._pool_size = size
-            self.pools_created += 1
             _count_pool_construction()
         return self._pool
 
@@ -434,7 +466,7 @@ class SweepRunner:
         tasks = [chunk for group in groups.values() for chunk in split_ranges(group, parts)]
         ranges = [[(unit.config, start, stop) for unit, start, stop in task] for task in tasks]
         if in_process:
-            outputs = [self._serial.run_ranges(task) for task in ranges]
+            outputs = [run_ranges(task) for task in ranges]
         else:
             pool = self._ensure_pool(len(ranges))
             futures = [pool.submit(run_ranges, task) for task in ranges]
@@ -452,9 +484,3 @@ class SweepRunner:
             for (unit, _, _), reports in zip(task, cells, strict=True):
                 results.setdefault(unit.key, []).extend(reports)
         return results
-
-    def run_one(self, config: SEOConfig, episodes: int) -> list[EpisodeReport]:
-        """Convenience wrapper: run a single config through the shared pool."""
-        return self.run([SweepJob(label="job", config=config, episodes=episodes)])[
-            "job"
-        ]

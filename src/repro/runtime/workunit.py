@@ -180,11 +180,6 @@ class WorkUnit:
         """The episode indices this unit covers."""
         return range(self.episode_start, self.episode_stop)
 
-    @property
-    def num_episodes(self) -> int:
-        """Number of episodes in the unit."""
-        return self.episode_stop - self.episode_start
-
     def canonical(self) -> str:
         """Canonical string form of the unit (hash preimage)."""
         return canonical_json(
@@ -206,11 +201,6 @@ class WorkUnit:
         dataclass.
         """
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
-
-    @property
-    def short_key(self) -> str:
-        """Abbreviated key for logs and manifests."""
-        return self.key[:12]
 
     @classmethod
     def for_sweep(cls, config: SEOConfig, episodes: int) -> "WorkUnit":

@@ -21,6 +21,21 @@ from repro.sim.road import ArcSegment, Road, RoadSegment, StraightSegment
 from repro.sim.world import World
 
 
+#: ``ScenarioConfig`` float fields that must be finite: a NaN passes every
+#: range check below and an infinity some, and either then builds a world
+#: that runs wrong.  The two fractions are left out: their ``[0, 1)`` range
+#: checks already refuse both.
+_FINITE_FIELDS = (
+    "road_length_m",
+    "road_width_m",
+    "obstacle_radius_m",
+    "obstacle_speed_mps",
+    "initial_speed_mps",
+    "target_speed_mps",
+    "initial_lateral_offset_m",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Configuration of the evaluation scenario (paper Section VI-A).
@@ -68,6 +83,10 @@ class ScenarioConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.road_segments is None and self.road_length_m <= 0:
             raise ValueError(
                 f"road_length_m must be positive on a straight road, got {self.road_length_m}"

@@ -93,16 +93,16 @@ def two_detector_model_set() -> ModelSet:
 
 
 @pytest.fixture
-def executor_spy(monkeypatch) -> SimpleNamespace:
-    """Record the frameworks the in-process executor builds and runs.
+def sweep_spy(monkeypatch) -> SimpleNamespace:
+    """Record the frameworks the sweep task builds and runs in this process.
 
-    ``built`` lists every framework :mod:`repro.runtime.executor`
+    ``built`` lists every framework :func:`repro.runtime.sweep.run_ranges`
     constructs, ``calls`` the cell frameworks of each engine call.
     """
-    from repro.runtime import executor as executor_module
+    from repro.runtime import sweep as sweep_module
 
     spy = SimpleNamespace(built=[], calls=[])
-    run_cells = executor_module.run_cells
+    run_cells = sweep_module.run_cells
 
     def build(config):
         framework = SEOFramework(config)
@@ -113,8 +113,8 @@ def executor_spy(monkeypatch) -> SimpleNamespace:
         spy.calls.append([framework for framework, _ in cells])
         return run_cells(cells, timings)
 
-    monkeypatch.setattr(executor_module, "SEOFramework", build)
-    monkeypatch.setattr(executor_module, "run_cells", record)
+    monkeypatch.setattr(sweep_module, "SEOFramework", build)
+    monkeypatch.setattr(sweep_module, "run_cells", record)
     return spy
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from repro.cli import run
 from repro.core.framework import SEOFramework
-from repro.runtime import executor as executor_module
-from repro.runtime.executor import SerialExecutor
+from repro.runtime import sweep as sweep_module
+from repro.runtime.batch import run_batch
 from repro.runtime.ledger import (
     LedgerSchemaError,
     RunLedger,
@@ -102,20 +102,20 @@ class TestWorkUnit:
 # ----------------------------------------------------------------------
 class TestRunLedger:
     def test_put_get_round_trip_bit_identical(self, fast_seo_config, tmp_path):
-        reports = SerialExecutor().run(fast_seo_config, 2)
+        reports = run_batch(SEOFramework(fast_seo_config), range(2))
         unit = WorkUnit.for_sweep(fast_seo_config, 2)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports, label="a", experiment="demo")
         assert RunLedger(tmp_path).get(unit) == reports
 
     def test_report_json_round_trip_preserves_inf(self, fast_seo_config):
-        report = SerialExecutor().run(fast_seo_config, 1)[0]
+        report = run_batch(SEOFramework(fast_seo_config), range(1))[0]
         report.min_obstacle_distance_m = float("inf")
         payload = json.loads(json.dumps(report_to_jsonable(report)))
         assert report_from_jsonable(payload) == report
 
     def test_put_is_idempotent(self, fast_seo_config, tmp_path):
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 1)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports)
@@ -126,7 +126,7 @@ class TestRunLedger:
     def test_truncated_trailing_index_line_is_tolerated(
         self, fast_seo_config, tmp_path
     ):
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 1)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports)
@@ -137,7 +137,7 @@ class TestRunLedger:
         assert survivor.get(unit) == reports
 
     def test_missing_blob_is_a_miss(self, fast_seo_config, tmp_path):
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 1)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports)
@@ -151,7 +151,7 @@ class TestRunLedger:
         Regression: put() used to early-return for any indexed unit, so a
         blob lost to a crash mid-write re-executed on every resume forever.
         """
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 1)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports)
@@ -167,7 +167,7 @@ class TestRunLedger:
         assert RunLedger(tmp_path).get(unit) == reports  # durable repair
 
     def test_put_rejects_mismatched_range(self, fast_seo_config, tmp_path):
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 2)
         with pytest.raises(ValueError):
             RunLedger(tmp_path).put(unit, reports)
@@ -178,8 +178,8 @@ class TestRunLedger:
         unit_b = WorkUnit.for_sweep(other_config, 1)
         left = RunLedger(tmp_path / "left")
         right = RunLedger(tmp_path / "right")
-        left.put(unit_a, SerialExecutor().run(fast_seo_config, 1))
-        right.put(unit_b, SerialExecutor().run(other_config, 1))
+        left.put(unit_a, run_batch(SEOFramework(fast_seo_config), range(1)))
+        right.put(unit_b, run_batch(SEOFramework(other_config), range(1)))
         merged = RunLedger(tmp_path / "merged")
         assert merged.merge_from(left) == 1
         assert merged.merge_from(right) == 1
@@ -347,7 +347,7 @@ class TestDistributedCli:
             raise AssertionError("an episode executed during a fully resumed run")
 
         monkeypatch.setattr(SEOFramework, "run_episode", explode)
-        monkeypatch.setattr(executor_module, "run_cells", explode)
+        monkeypatch.setattr(sweep_module, "run_cells", explode)
         resumed = run(SUITE_ARGS + ["--ledger-dir", ledger_dir, "--resume"])
         assert resumed == fresh
 
@@ -390,13 +390,13 @@ class TestDistributedCli:
 # ----------------------------------------------------------------------
 class TestReportSchema:
     def test_unknown_field_raises_clear_error(self, fast_seo_config):
-        payload = report_to_jsonable(SerialExecutor().run(fast_seo_config, 1)[0])
+        payload = report_to_jsonable(run_batch(SEOFramework(fast_seo_config), range(1))[0])
         payload["field_from_the_future"] = 1
         with pytest.raises(LedgerSchemaError, match="ledger schema mismatch"):
             report_from_jsonable(payload)
 
     def test_missing_field_raises_clear_error(self, fast_seo_config):
-        payload = report_to_jsonable(SerialExecutor().run(fast_seo_config, 1)[0])
+        payload = report_to_jsonable(run_batch(SEOFramework(fast_seo_config), range(1))[0])
         payload.pop("overall_gain")
         with pytest.raises(LedgerSchemaError, match="missing"):
             report_from_jsonable(payload)
@@ -407,7 +407,7 @@ class TestReportSchema:
 
     def test_mismatched_blob_is_a_resumable_miss(self, fast_seo_config, tmp_path):
         """A ledger blob from another report schema re-executes, not crashes."""
-        reports = SerialExecutor().run(fast_seo_config, 1)
+        reports = run_batch(SEOFramework(fast_seo_config), range(1))
         unit = WorkUnit.for_sweep(fast_seo_config, 1)
         ledger = RunLedger(tmp_path)
         ledger.put(unit, reports)

@@ -190,11 +190,6 @@ def test_merged_cells_match_golden_digest(family):
         assert merged[label] == GOLDEN[label], f"{label} drifted merged"
 
 
-def test_long_horizon_runs_in_three_groups():
-    """The six straight-road families share one call; each curved one has its own."""
-    assert sorted(len(labels) for labels in LONG_GROUPS.values()) == [1, 1, 6]
-
-
 @pytest.mark.parametrize("group", sorted(LONG_GROUPS))
 def test_long_horizon_matches_golden_digest(group):
     labels = LONG_GROUPS[group]

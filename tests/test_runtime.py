@@ -1,4 +1,4 @@
-"""Tests for the runtime subsystem: executors and the lookup-table cache."""
+"""Tests for the runtime subsystem: the process pool and the lookup-table cache."""
 
 import dataclasses
 import os
@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.framework import SEOFramework
 from repro.core.intervals import SafeIntervalEstimator
+from repro.runtime.batch import run_batch
 from repro.runtime.cache import LookupTableCache, cache_key, set_default_cache
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.sweep import SweepRunner
+from repro.runtime.sweep import SweepRunner, pool_constructions, sweep_jobs
 
 
 @pytest.fixture
@@ -21,30 +21,14 @@ def isolated_cache():
     set_default_cache(previous)
 
 
-class TestSerialExecutor:
-    def test_matches_framework_run(self, fast_seo_config):
-        expected = SEOFramework(fast_seo_config).run(3)
-        assert SerialExecutor().run(fast_seo_config, 3) == expected
-
-    def test_reuses_prebuilt_framework(self, fast_seo_config, executor_spy):
-        framework = SEOFramework(fast_seo_config)
-        executor = SerialExecutor(framework=framework)
-        executor.run(fast_seo_config, 1)
-        assert executor_spy.built == []
-        assert executor_spy.calls == [[framework]]
-
-    def test_rejects_nonpositive_episodes(self, fast_seo_config):
-        with pytest.raises(ValueError):
-            SerialExecutor().run(fast_seo_config, 0)
-
-
 class TestParallelExecutor:
-    """The process pool behind ``SEOFramework.run(jobs=...)`` and ``SweepRunner``."""
+    """The process pool behind ``SweepRunner``."""
 
     def test_bit_identical_to_serial(self, fast_seo_config):
         """Same seeds => same energy totals, gains and delta_max samples."""
-        serial = SerialExecutor().run(fast_seo_config, 4)
-        parallel = SEOFramework(fast_seo_config).run(4, jobs=2)
+        serial = run_batch(SEOFramework(fast_seo_config), range(4))
+        with SweepRunner(jobs=2) as runner:
+            parallel = runner.run(sweep_jobs({"cell": fast_seo_config}, 4))["cell"]
         assert [report.episode for report in parallel] == [0, 1, 2, 3]
         for left, right in zip(serial, parallel, strict=True):
             assert left.energy_by_model_j == right.energy_by_model_j
@@ -55,32 +39,15 @@ class TestParallelExecutor:
     def test_bit_identical_for_gating(self, fast_seo_config):
         config = dataclasses.replace(fast_seo_config, optimization="model_gating")
         with SweepRunner(jobs=3) as runner:
-            assert runner.run_one(config, 3) == SerialExecutor().run(config, 3)
-
-    def test_framework_run_jobs_parameter(self, fast_seo_config):
-        framework = SEOFramework(fast_seo_config)
-        assert framework.run(3, jobs=2) == framework.run(3)
-
-    def test_framework_run_caps_workers_at_episodes(self, fast_seo_config, monkeypatch):
-        from repro.runtime import sweep as sweep_module
-
-        workers = []
-
-        class RecordingRunner(SweepRunner):
-            def run(self, jobs, experiment=None):
-                workers.append(self.workers)
-                return super().run(jobs, experiment=experiment)
-
-        monkeypatch.setattr(sweep_module, "SweepRunner", RecordingRunner)
-        reports = SEOFramework(fast_seo_config).run(2, jobs=4)
-        assert workers == [2]
-        assert reports == SerialExecutor().run(fast_seo_config, 2)
+            reports = runner.run(sweep_jobs({"cell": config}, 3))["cell"]
+        assert reports == run_batch(SEOFramework(config), range(3))
 
     def test_single_job_degrades_to_serial(self, fast_seo_config):
+        before = pool_constructions()
         with SweepRunner(jobs=1) as runner:
-            reports = runner.run_one(fast_seo_config, 2)
-            assert runner.pools_created == 0
-        assert reports == SerialExecutor().run(fast_seo_config, 2)
+            reports = runner.run(sweep_jobs({"cell": fast_seo_config}, 2))["cell"]
+        assert pool_constructions() == before
+        assert reports == run_batch(SEOFramework(fast_seo_config), range(2))
 
     def test_nonpositive_jobs_uses_cpu_count(self):
         assert SweepRunner(jobs=0).workers == (os.cpu_count() or 1)
@@ -204,7 +171,7 @@ class TestLookupTableCache:
 
     def test_worker_initializer_propagates_cache_dir(self, tmp_path):
         from repro.runtime.cache import default_cache
-        from repro.runtime.executor import _init_worker
+        from repro.runtime.sweep import _init_worker
 
         previous = set_default_cache(LookupTableCache())
         try:

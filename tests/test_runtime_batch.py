@@ -26,8 +26,14 @@ from repro.dynamics.state import ControlAction
 from repro.platform.presets import NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
 from repro.runtime import batch as batch_module
 from repro.runtime.batch import _PHASES, LiveRows, run_batch, run_cells
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepJob, SweepRunner
+from repro.runtime.sweep import (
+    EXECUTOR_BACKENDS,
+    SweepJob,
+    SweepRunner,
+    pool_constructions,
+    run_ranges,
+)
+from repro.runtime.workunit import WorkUnit
 from repro.sim.road import StraightSegment
 from repro.sim.scenario import DEFAULT_SUITE, ScenarioConfig
 
@@ -355,35 +361,25 @@ def test_phase_timings(monkeypatch, fast_seo_config):
 
 def test_run_range_matches_serial_slice(fast_seo_config):
     """A work unit's episode range is one lockstep call over that slice."""
-    reports = SerialExecutor().run_range(fast_seo_config, 2, 5)
+    reports = run_ranges([(fast_seo_config, 2, 5)])[0]
     assert reports == alone(SEOFramework(fast_seo_config), range(2, 5))
     assert [report.episode for report in reports] == [2, 3, 4]
 
 
 def test_validation_errors(fast_seo_config):
     with pytest.raises(ValueError):
-        SerialExecutor().run(fast_seo_config, 0)
+        SEOFramework(fast_seo_config).run(0)
     with pytest.raises(ValueError):
-        SerialExecutor().run_range(fast_seo_config, 3, 3)
+        WorkUnit(config=fast_seo_config, episode_start=3, episode_stop=3)
     with pytest.raises(ValueError):
-        SerialExecutor().run_range(fast_seo_config, -1, 2)
+        WorkUnit(config=fast_seo_config, episode_start=-1, episode_stop=2)
 
 
-def test_framework_memoized_across_calls(fast_seo_config, executor_spy):
-    executor = SerialExecutor()
-    executor.run(fast_seo_config, 1)
-    executor.run(fast_seo_config, 1)
-    assert len(executor_spy.built) == 1
-    assert executor_spy.calls == [executor_spy.built, executor_spy.built]
-
-
-def test_ranges_of_one_config_share_a_framework(fast_seo_config, executor_spy):
+def test_ranges_of_one_config_share_a_framework(fast_seo_config, sweep_spy):
     other = dataclasses.replace(fast_seo_config, filtered=False)
-    SerialExecutor().run_ranges(
-        [(fast_seo_config, 0, 1), (other, 0, 1), (fast_seo_config, 1, 2)]
-    )
-    first, second = executor_spy.built
-    assert executor_spy.calls == [[first, second, first]]
+    run_ranges([(fast_seo_config, 0, 1), (other, 0, 1), (fast_seo_config, 1, 2)])
+    first, second = sweep_spy.built
+    assert sweep_spy.calls == [[first, second, first]]
 
 
 class TestBackendWiring:
@@ -413,13 +409,14 @@ class TestBackendWiring:
     def test_sweep_runner_no_pool(self, fast_seo_config):
         """A batch-backend sweep is bit-identical and never builds a pool."""
         jobs = [SweepJob(label="cell", config=fast_seo_config, episodes=3)]
+        before = pool_constructions()
         with SweepRunner(backend="batch") as runner:
             results = runner.run(jobs)
-            assert runner.pools_created == 0
+        assert pool_constructions() == before
         assert results["cell"] == alone(SEOFramework(fast_seo_config), range(3))
 
     def test_framework_run_routes_through_executor(self, fast_seo_config):
-        """`SEOFramework.run(jobs=1)` uses the executor API, same reports."""
+        """`SEOFramework.run` is one lockstep call, with the reports run alone."""
         framework = SEOFramework(fast_seo_config)
         expected = [framework.run_episode(episode) for episode in range(2)]
         assert framework.run(2) == expected

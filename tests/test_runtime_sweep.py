@@ -10,13 +10,16 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core.framework import SEOFramework
 from repro.experiments.common import ExperimentSettings, run_batch, standard_config
 from repro.experiments.fig5 import FIG5_METHODS
-from repro.runtime.executor import SerialExecutor, resolve_jobs
+from repro.runtime import batch as engine
 from repro.runtime.sweep import (
     EXECUTOR_BACKENDS,
     SweepJob,
     SweepRunner,
+    pool_constructions,
+    resolve_jobs,
     split_ranges,
     sweep_jobs,
 )
@@ -36,7 +39,7 @@ def _dying_task(ranges):
 class _InlinePool:
     """Stand-in for ``ProcessPoolExecutor`` that runs each task at submit.
 
-    The tasks run in this process, so spies on the executor module see the
+    The tasks run in this process, so spies on the sweep module see the
     engine calls a real pool's workers would make.
     """
 
@@ -51,6 +54,16 @@ class _InlinePool:
 
     def shutdown(self, cancel_futures=False):
         pass
+
+
+def _alone(config, episodes):
+    """The reference: ``config``'s first episodes in one engine call of their own."""
+    return engine.run_batch(SEOFramework(config), range(episodes))
+
+
+def _run_config(runner, config, episodes):
+    """Run one config through ``runner`` and return its reports."""
+    return runner.run(sweep_jobs({"job": config}, episodes))["job"]
 
 
 def _variants(fast_seo_config):
@@ -79,13 +92,14 @@ class TestSweepRunnerSerial:
         with SweepRunner(jobs=1) as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
         for key, config in configs.items():
-            assert batch[key] == SerialExecutor().run(config, 2)
+            assert batch[key] == _alone(config, 2)
 
     def test_serial_runner_never_builds_a_pool(self, fast_seo_config):
+        before = pool_constructions()
         runner = SweepRunner(jobs=1)
         runner.run(sweep_jobs(_variants(fast_seo_config), episodes=1))
-        assert runner.pools_created == 0
         runner.close()
+        assert pool_constructions() == before
 
     def test_empty_batch(self):
         with SweepRunner(jobs=1) as runner:
@@ -111,12 +125,13 @@ class TestSweepRunnerParallel:
         with SweepRunner(jobs=2) as runner:
             batch = runner.run(sweep_jobs(configs, episodes=3))
         for key, config in configs.items():
-            expected = SerialExecutor().run(config, 3)
+            expected = _alone(config, 3)
             assert [report.episode for report in batch[key]] == [0, 1, 2]
             assert batch[key] == expected
 
     def test_single_pool_across_batches(self, fast_seo_config):
         """The shared pool is created once and reused by later batches."""
+        before = pool_constructions()
         with SweepRunner(jobs=2) as runner:
             runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
             runner.run(
@@ -124,33 +139,29 @@ class TestSweepRunnerParallel:
                     {"b": dataclasses.replace(fast_seo_config, seed=9)}, episodes=2
                 )
             )
-            assert runner.pools_created == 1
+            assert pool_constructions() == before + 1
 
     def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config):
         """Two episodes are two chunks: a 4-job pool forks only two workers."""
         before = set(multiprocessing.active_children())
         with SweepRunner(jobs=4) as runner:
-            reports = runner.run_one(fast_seo_config, 2)
+            reports = _run_config(runner, fast_seo_config, 2)
             forked = set(multiprocessing.active_children()) - before
             assert 1 <= len(forked) <= 2
-        assert reports == SerialExecutor().run(fast_seo_config, 2)
+        assert reports == _alone(fast_seo_config, 2)
 
     def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config):
+        before = pool_constructions()
         with SweepRunner(jobs=3) as runner:
-            runner.run_one(fast_seo_config, 1)
-            assert runner.pools_created == 1
+            _run_config(runner, fast_seo_config, 1)
+            assert pool_constructions() == before + 1
             config = dataclasses.replace(fast_seo_config, seed=9)
-            reports = runner.run_one(config, 3)
-            assert runner.pools_created == 2
+            reports = _run_config(runner, config, 3)
+            assert pool_constructions() == before + 2
             # The grown pool serves every later batch that fits in it.
-            runner.run_one(fast_seo_config, 2)
-            assert runner.pools_created == 2
-        assert reports == SerialExecutor().run(config, 3)
-
-    def test_run_one_convenience(self, fast_seo_config):
-        with SweepRunner(jobs=2) as runner:
-            reports = runner.run_one(fast_seo_config, 2)
-        assert reports == SerialExecutor().run(fast_seo_config, 2)
+            _run_config(runner, fast_seo_config, 2)
+            assert pool_constructions() == before + 2
+        assert reports == _alone(config, 3)
 
     def test_auto_jobs_resolves_to_cpu_count(self):
         assert SweepRunner(jobs=0).workers == resolve_jobs(0)
@@ -184,6 +195,7 @@ class TestSweepRunnerParallel:
         with SweepRunner(jobs=1) as serial:
             expected = serial.run(jobs)
         monkeypatch.setattr(sweep_module, "run_ranges", _dying_task)
+        before = pool_constructions()
         with SweepRunner(jobs=2, backend="process") as runner:
             started = time.monotonic()
             with pytest.raises(BrokenProcessPool):
@@ -192,7 +204,7 @@ class TestSweepRunnerParallel:
             assert runner._pool is None
             monkeypatch.undo()
             assert runner.run(jobs) == expected
-            assert runner.pools_created == 2
+            assert pool_constructions() == before + 2
 
 
 class TestSplitRanges:
@@ -324,17 +336,17 @@ class TestLockstepMerging:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Record the cell count of every engine call the executor makes."""
-        from repro.runtime import executor as executor_module
+        """Record the cell count of every engine call the sweep makes."""
+        from repro.runtime import sweep as sweep_module
 
         calls = []
-        run_cells = executor_module.run_cells
+        run_cells = sweep_module.run_cells
 
         def counting(cells, timings=None):
             calls.append(len(cells))
             return run_cells(cells, timings)
 
-        monkeypatch.setattr(executor_module, "run_cells", counting)
+        monkeypatch.setattr(sweep_module, "run_cells", counting)
         return calls
 
     def _fig5_configs(self):
@@ -348,7 +360,7 @@ class TestLockstepMerging:
 
     def test_fig5_units_make_one_engine_call(self, monkeypatch):
         configs = self._fig5_configs()
-        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
         with SweepRunner(jobs=1) as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
@@ -381,7 +393,7 @@ class TestLockstepMerging:
         }
         keys = {config.lockstep_key() for config in configs.values()}
         assert len(keys) == len(configs)
-        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
         with SweepRunner(backend="batch") as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
@@ -401,14 +413,14 @@ class TestLockstepMerging:
             ),
         }
         assert len({config.lockstep_key() for config in configs.values()}) == 1
-        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
         with SweepRunner(backend="batch") as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [len(configs)]
         assert batch == alone
 
-    def test_pool_workers_run_merged_chunks(self, executor_spy, monkeypatch):
+    def test_pool_workers_run_merged_chunks(self, sweep_spy, monkeypatch):
         """Fig. 5's four compatible units reach a three-worker pool as three
         merged engine calls, one per chunk, with the in-process reports."""
         from repro.runtime import sweep as sweep_module
@@ -416,18 +428,19 @@ class TestLockstepMerging:
         configs = self._fig5_configs()
         with SweepRunner(jobs=1) as runner:
             expected = runner.run(sweep_jobs(configs, episodes=2))
-        executor_spy.calls.clear()
+        sweep_spy.calls.clear()
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _InlinePool)
+        before = pool_constructions()
         with SweepRunner(jobs=3) as runner:
             batch = runner.run(sweep_jobs(configs, episodes=2))
-            assert runner.pools_created == 1
+        assert pool_constructions() == before + 1
         assert batch == expected
-        assert len(executor_spy.calls) == 3
+        assert len(sweep_spy.calls) == 3
         label_of = {config: label for label, config in configs.items()}
         chunks = split_ranges([(label, 0, 2) for label in configs], 3)
         assert sorted(
             [label_of[framework.config] for framework in call]
-            for call in executor_spy.calls
+            for call in sweep_spy.calls
         ) == sorted([label for label, _, _ in chunk] for chunk in chunks)
 
     def test_resume_merges_the_units_left_to_run(self, tmp_path, monkeypatch):
@@ -435,7 +448,7 @@ class TestLockstepMerging:
 
         configs = self._fig5_configs()
         labels = list(configs)
-        alone = {label: SerialExecutor().run(config, 2) for label, config in configs.items()}
+        alone = {label: _alone(config, 2) for label, config in configs.items()}
         ledger = RunLedger(tmp_path / "ledger")
         with SweepRunner(jobs=1, ledger=ledger) as runner:
             runner.run(sweep_jobs({label: configs[label] for label in labels[::2]}, 2))

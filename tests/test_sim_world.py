@@ -353,6 +353,26 @@ class TestScenario:
         with pytest.raises(ValueError, match="obstacle_radius_m must be positive"):
             ScenarioConfig(obstacle_radius_m=radius)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "road_length_m",
+            "road_width_m",
+            "obstacle_radius_m",
+            "obstacle_speed_mps",
+            "initial_speed_mps",
+            "target_speed_mps",
+            "initial_lateral_offset_m",
+        ],
+    )
+    def test_config_rejects_non_finite_floats(self, field, bad):
+        # Each used to be accepted by NaN and +inf (the two signed fields
+        # by -inf too): initial_speed_mps=nan ran an episode that left the
+        # road after one step, obstacle_speed_mps=nan ran all its steps.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            ScenarioConfig(**{field: bad})
+
     @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
     def test_config_rejects_obstacle_zone_outside_unit_interval(self, fraction):
         with pytest.raises(ValueError, match=r"obstacle_zone_start_fraction must be in \[0, 1\)"):
