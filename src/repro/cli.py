@@ -7,7 +7,7 @@ Examples::
     python -m repro.cli table3 --backend batch
     python -m repro.cli ablation-safety
     python -m repro.cli suite --family dense-traffic --family narrow-road
-    python -m repro.cli all --jobs 8 --lookup-cache .cache/deadline
+    python -m repro.cli all --jobs 8
 
     # distributed: run one sweep as two shards (on two machines), then merge
     python -m repro.cli all --shard 1/2 --ledger-dir shard1 --resume
@@ -17,13 +17,14 @@ Examples::
 Each subcommand prints the reproduced table to stdout and optionally writes
 it to a file with ``--output``.  Every subcommand accepts ``--jobs N`` to
 spread episodes over a local pool of N worker processes (``0`` = all CPU
-cores; results are identical to the in-process run), ``--backend
+cores; results are identical to the in-process run) and ``--backend
 {process,batch}`` to pick the execution backend (``batch`` runs
 in-process, the same as ``--jobs 1``, which steps each unit's episodes in
-numpy lockstep), and ``--lookup-cache DIR`` to persist deadline lookup
-tables across invocations.  One :class:`repro.runtime.sweep.SweepRunner`
-is shared by every experiment of an invocation, so even ``all`` constructs
-at most one worker pool.
+numpy lockstep).  One :class:`repro.runtime.sweep.SweepRunner` is shared by
+every experiment of an invocation, so even ``all`` constructs at most one
+worker pool.  An invocation changes no process-wide state: runtime kernel
+contracts are switched on for it and its pool workers by setting
+``REPRO_RUNTIME_CONTRACTS=1`` in the environment (see :mod:`repro.contracts`).
 
 Distributed flags: ``--ledger-dir DIR`` records every completed work unit
 on disk; ``--resume`` loads previously recorded units bit-identically
@@ -39,12 +40,10 @@ copy the ledger directories to one place, and merge them.
 from __future__ import annotations
 
 import argparse
-import os
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.analysis.tables import format_table
-from repro.contracts import contracts_enabled, set_contracts_enabled
 from repro.experiments.ablations import run_lookup_ablation, run_safety_awareness_ablation
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.fig1 import run_fig1
@@ -54,7 +53,6 @@ from repro.experiments.suite import run_suite
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
-from repro.runtime.cache import LookupTableCache, set_default_cache
 from repro.runtime.ledger import RunLedger
 from repro.runtime.shard import (
     ShardManifest,
@@ -170,10 +168,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
              "batch = in-process, the same as --jobs 1)",
     )
     parser.add_argument(
-        "--lookup-cache", type=Path, default=None, metavar="DIR",
-        help="directory to persist deadline lookup tables (.npz) across runs",
-    )
-    parser.add_argument(
         "--ledger-dir", type=Path, default=None, metavar="DIR",
         help="run ledger directory: record every completed work unit on disk",
     )
@@ -188,12 +182,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--output", type=Path, default=None,
         help="optional file to write the rendered table(s) to",
-    )
-    parser.add_argument(
-        "--runtime-contracts", action="store_true",
-        help="enforce @kernel_contract shape/dtype declarations at call "
-             "time (also exported to worker subprocesses via "
-             "REPRO_RUNTIME_CONTRACTS=1)",
     )
 
 
@@ -345,85 +333,58 @@ def run(argv: Sequence[str] | None = None) -> str:
     if (args.shard is not None or args.resume) and args.ledger_dir is None:
         raise SystemExit("--shard and --resume require --ledger-dir")
 
-    previous_contracts = contracts_enabled()
-    previous_contracts_env = os.environ.get("REPRO_RUNTIME_CONTRACTS")
-    previous_cache = None
-    try:
-        if args.runtime_contracts:
-            # Flip both the in-process switch and the env var: worker
-            # subprocesses inherit the environment, so the checks hold across
-            # every execution backend.
-            os.environ["REPRO_RUNTIME_CONTRACTS"] = "1"
-            set_contracts_enabled(True)
-        if args.lookup_cache is not None:
-            previous_cache = set_default_cache(
-                LookupTableCache(cache_dir=args.lookup_cache)
-            )
+    ledger = RunLedger(args.ledger_dir) if args.ledger_dir is not None else None
+    manifest = None
+    manifest_path = None
+    if ledger is not None:
+        manifest = ShardManifest(command=_reproduction_command(args), shard=args.shard)
+        manifest_path = args.ledger_dir / MANIFEST_NAME
 
-        ledger = RunLedger(args.ledger_dir) if args.ledger_dir is not None else None
-        manifest = None
-        manifest_path = None
-        if ledger is not None:
-            manifest = ShardManifest(
-                command=_reproduction_command(args), shard=args.shard
-            )
-            manifest_path = args.ledger_dir / MANIFEST_NAME
-
-        # One sweep runner — and therefore one worker pool at a time — serves
-        # every experiment of this invocation (the pool is created lazily on the
-        # first parallel batch, so in-process runs never spawn one, and is only
-        # rebuilt to grow).
-        with SweepRunner(
+    # One sweep runner — and therefore one worker pool at a time — serves
+    # every experiment of this invocation (the pool is created lazily on the
+    # first parallel batch, so in-process runs never spawn one, and is only
+    # rebuilt to grow).
+    with SweepRunner(
+        jobs=args.jobs,
+        backend=args.backend,
+        ledger=ledger,
+        resume=args.resume,
+        shard=args.shard,
+        manifest=manifest,
+        manifest_path=manifest_path,
+    ) as runner:
+        settings = ExperimentSettings(
+            episodes=args.episodes,
+            seed=args.seed,
+            max_steps=args.max_steps,
             jobs=args.jobs,
             backend=args.backend,
-            ledger=ledger,
-            resume=args.resume,
-            shard=args.shard,
-            manifest=manifest,
-            manifest_path=manifest_path,
-        ) as runner:
-            settings = ExperimentSettings(
-                episodes=args.episodes,
-                seed=args.seed,
-                max_steps=args.max_steps,
-                jobs=args.jobs,
-                backend=args.backend,
-                runner=runner,
+            runner=runner,
+        )
+
+        def section(name: str, render: Callable[[], str]) -> str:
+            """One experiment's output; a sharded sweep yields a status line."""
+            try:
+                return render()
+            except SweepIncomplete as incomplete:
+                return f"[{name}] {incomplete}"
+
+        if args.experiment == "suite":
+            output = section(
+                "suite",
+                lambda: run_suite(
+                    settings, families=args.family, optimization=args.optimization
+                ).to_table(),
             )
-
-            def section(name: str, render: Callable[[], str]) -> str:
-                """One experiment's output; a sharded sweep yields a status line."""
-                try:
-                    return render()
-                except SweepIncomplete as incomplete:
-                    return f"[{name}] {incomplete}"
-
-            if args.experiment == "suite":
-                output = section(
-                    "suite",
-                    lambda: run_suite(
-                        settings, families=args.family, optimization=args.optimization
-                    ).to_table(),
-                )
-            else:
-                names = (
-                    sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-                )
-                sections = [
-                    section(name, lambda name=name: EXPERIMENTS[name](settings))
-                    for name in names
-                ]
-                output = "\n\n".join(sections)
-    finally:
-        # The cache and contract overrides are scoped to this invocation, like
-        # every other per-invocation knob; restore whatever was installed before.
-        if previous_cache is not None:
-            set_default_cache(previous_cache)
-        set_contracts_enabled(previous_contracts)
-        if previous_contracts_env is None:
-            os.environ.pop("REPRO_RUNTIME_CONTRACTS", None)
         else:
-            os.environ["REPRO_RUNTIME_CONTRACTS"] = previous_contracts_env
+            names = (
+                sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+            )
+            sections = [
+                section(name, lambda name=name: EXPERIMENTS[name](settings))
+                for name in names
+            ]
+            output = "\n\n".join(sections)
 
     print(output)
     if args.output is not None:

@@ -13,11 +13,15 @@ parameters and return values with the :func:`kernel_contract` decorator:
     )
     def query_batch(self, distances_m, bearings_rad): ...
 
-The declaration is enforced at call time: enabled with
-``repro.cli --runtime-contracts``, the ``REPRO_RUNTIME_CONTRACTS=1``
-environment variable, or :func:`enforced_contracts`, the decorator binds
-the declared symbols against the live arrays and raises
-:class:`ContractViolationError` on the first mismatch.  The
+The declaration is enforced at call time when enabled: the decorator
+binds the declared symbols against the live arrays and raises
+:class:`ContractViolationError` on the first mismatch.  The one switch is
+the ``REPRO_RUNTIME_CONTRACTS`` environment variable, read when this module
+is imported: any value but unset, ``""`` or ``"0"`` turns enforcement on.
+Pool workers inherit it either way, a forked worker through the parent's
+state and a spawned one by importing this module under the same
+environment.  Tests scope it with :func:`enforced_contracts` or
+:func:`set_contracts_enabled`.  The
 ``kernel-declarations`` check of :mod:`repro.lint` (REPRO502–503) makes
 sure every public kernel carries a declaration, so none escapes the
 runtime check.

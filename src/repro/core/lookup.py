@@ -17,7 +17,6 @@ interval than the underlying estimator would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -295,51 +294,6 @@ class DeadlineLookupTable:
     def size(self) -> int:
         """Number of stored cells."""
         return int(self.values.size)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist the table to an ``.npz`` file (grid, values, metadata)."""
-        grid = self.grid
-        np.savez_compressed(
-            path,
-            values=self.values,
-            horizon_s=self.horizon_s,
-            obstacle_radius_m=self.obstacle_radius_m,
-            grid_params=np.array(
-                [
-                    grid.max_distance_m,
-                    grid.distance_step_m,
-                    grid.num_bearings,
-                    grid.max_speed_mps,
-                    grid.speed_step_mps,
-                    grid.num_steering_bins,
-                    grid.num_throttle_bins,
-                ]
-            ),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DeadlineLookupTable":
-        """Load a table previously written by :meth:`save`."""
-        with np.load(path) as data:
-            params = data["grid_params"]
-            grid = LookupGrid(
-                max_distance_m=float(params[0]),
-                distance_step_m=float(params[1]),
-                num_bearings=int(params[2]),
-                max_speed_mps=float(params[3]),
-                speed_step_mps=float(params[4]),
-                num_steering_bins=int(params[5]),
-                num_throttle_bins=int(params[6]),
-            )
-            return cls(
-                grid=grid,
-                values=data["values"],
-                horizon_s=float(data["horizon_s"]),
-                obstacle_radius_m=float(data["obstacle_radius_m"]),
-            )
 
 
 def _neighbourhood_min(values: np.ndarray) -> np.ndarray:

@@ -27,9 +27,8 @@ experiment drivers:
   validation: a sweep split across hosts is reassembled from their
   ledgers by ``repro.cli merge``.
 * :mod:`repro.runtime.cache` — :class:`LookupTableCache`, memoizing
-  :meth:`repro.core.lookup.DeadlineLookupTable.build` per process and
-  optionally persisting tables to ``.npz`` files, so parameter sweeps
-  sharing one grid build the table exactly once.
+  :meth:`repro.core.lookup.DeadlineLookupTable.build` per process, so
+  parameter sweeps sharing one grid build the table once per process.
 
 See ``docs/runtime.md`` for the design notes and CLI usage
 (``--jobs``/``--backend``/``--shard``/``--resume``/``--ledger-dir``).

@@ -49,7 +49,6 @@ from typing import TypeVar
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.runtime.batch import run_cells
-from repro.runtime.cache import LookupTableCache, default_cache, set_default_cache
 from repro.runtime.ledger import RunLedger
 from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.workunit import WorkUnit
@@ -190,19 +189,6 @@ def sweep_jobs(
         SweepJob(label=label, config=config, episodes=episodes)
         for label, config in configs.items()
     ]
-
-
-def _init_worker(cache_dir: Path | None) -> None:
-    """Propagate the parent's lookup-cache directory into a pool worker.
-
-    On spawn-start platforms (macOS/Windows) workers get a fresh module-level
-    default cache; without this, a ``--lookup-cache`` directory configured in
-    the parent would be ignored by every worker.  On fork platforms the
-    inherited cache usually already matches and is left untouched (preserving
-    any tables memoized before the fork).
-    """
-    if default_cache().cache_dir != cache_dir:
-        set_default_cache(LookupTableCache(cache_dir=cache_dir))
 
 
 def run_ranges(
@@ -352,11 +338,7 @@ class SweepRunner:
             self._pool.shutdown()
             self._pool = None
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=size,
-                initializer=_init_worker,
-                initargs=(default_cache().cache_dir,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=size)
             self._pool_size = size
             _count_pool_construction()
         return self._pool

@@ -9,6 +9,7 @@ without hand-writing configs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from collections.abc import Iterator
 
@@ -34,6 +35,12 @@ _FINITE_FIELDS = (
     "target_speed_mps",
     "initial_lateral_offset_m",
 )
+
+#: ``ScenarioConfig`` count fields that must be integers (``seed`` may also
+#: be ``None``).  A float count fails deep inside obstacle placement with an
+#: error that names no field, and ``True`` equals ``1`` yet serializes to a
+#: different work-unit key, so both are refused up front.
+_INTEGRAL_FIELDS = ("num_obstacles", "seed")
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,12 @@ class ScenarioConfig:
         initial_speed_mps: Ego speed at episode start.
         target_speed_mps: Cruise speed the controller aims for.
         initial_lateral_offset_m: Lateral offset of the start pose.
-        seed: Seed for obstacle placement; ``None`` requires an explicit
-            generator to be passed to :func:`build_world`.
+        seed: Seed :func:`build_world` places obstacles with when it is
+            called without a generator (``None`` makes the generator
+            required).  The episode engine never reads it: it seeds placement
+            from ``SEOConfig.seed`` and the episode index.  It still enters
+            a sweep's work-unit keys, so configs differing only in it run
+            identical episodes under different keys.
     """
 
     road_length_m: float = 100.0
@@ -87,6 +98,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in _INTEGRAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.road_segments is None and self.road_length_m <= 0:
             raise ValueError(
                 f"road_length_m must be positive on a straight road, got {self.road_length_m}"

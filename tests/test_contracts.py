@@ -218,6 +218,71 @@ def test_scaled_symbol_requires_divisibility():
 
 
 # ----------------------------------------------------------------------
+# The one switch: REPRO_RUNTIME_CONTRACTS, read at import
+# ----------------------------------------------------------------------
+
+_SWITCH_PROBE = """
+import json
+from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+
+import numpy as np
+
+from repro.contracts import ContractViolationError, contracts_enabled
+from repro.core.safety import BrakingDistanceBarrier
+
+misfed = np.full(3, 10.0, dtype=np.float32)
+try:
+    BrakingDistanceBarrier().evaluate_batch(misfed, np.zeros(3), np.full(3, 8.0))
+    violation = False
+except ContractViolationError:
+    violation = True
+workers = {}
+for method in ("fork", "spawn"):
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        workers[method] = pool.submit(contracts_enabled).result()
+print(json.dumps({"enabled": contracts_enabled(), "violation": violation, **workers}))
+"""
+
+
+@pytest.mark.parametrize("value", ["1", None, "", "0"])
+def test_environment_variable_switches_contracts_in_process_and_workers(value):
+    """A fresh interpreter reads ``REPRO_RUNTIME_CONTRACTS`` on import: "1"
+    enforces contracts in the process and in forked and spawned pool
+    workers; unset, "" and "0" leave enforcement off everywhere."""
+    import json
+    import os
+    import subprocess
+
+    import repro
+
+    env = dict(os.environ)
+    env.pop("REPRO_RUNTIME_CONTRACTS", None)
+    if value is not None:
+        env["REPRO_RUNTIME_CONTRACTS"] = value
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        entry for entry in (src_dir, env.get("PYTHONPATH")) if entry
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWITCH_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    enabled = value == "1"
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "enabled": enabled,
+        "violation": enabled,
+        "fork": enabled,
+        "spawn": enabled,
+    }
+
+
+# ----------------------------------------------------------------------
 # The real kernel layer under enforcement: every registered family runs
 # in lockstep and one episode per call with contracts on, still bit-exact,
 # zero violations.

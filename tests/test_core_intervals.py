@@ -335,18 +335,6 @@ class TestDeadlineLookupTable:
         with pytest.raises(ValueError):
             LookupGrid(num_steering_bins=0)
 
-    def test_save_and_load_round_trip(self, fast_estimator, small_lookup_grid, tmp_path):
-        table = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid)
-        path = tmp_path / "table.npz"
-        table.save(path)
-        loaded = DeadlineLookupTable.load(path)
-        assert loaded.grid == table.grid
-        assert loaded.horizon_s == pytest.approx(table.horizon_s)
-        assert np.array_equal(loaded.values, table.values)
-        inputs = SafetyInputs(distance_m=7.0, bearing_rad=0.1, speed_mps=6.0)
-        control = ControlAction(throttle=0.3)
-        assert loaded.query(inputs, control) == pytest.approx(table.query(inputs, control))
-
     @pytest.mark.parametrize(
         "grid",
         [LookupGrid(), LookupGrid(num_steering_bins=1, num_throttle_bins=1)],

@@ -66,8 +66,16 @@ class TestWorkUnit:
         assert isinstance(rebuilt.scenario.road_segments[1], ArcSegment)
 
     def test_numpy_scalars_hash_like_literals(self, fast_seo_config):
+        scenario = dataclasses.replace(
+            fast_seo_config.scenario,
+            num_obstacles=np.int64(fast_seo_config.scenario.num_obstacles),
+            seed=np.int32(fast_seo_config.scenario.seed),
+        )
         numpyish = dataclasses.replace(
-            fast_seo_config, target_speed_mps=np.float64(8.0), seed=int(np.int64(5))
+            fast_seo_config,
+            scenario=scenario,
+            target_speed_mps=np.float64(8.0),
+            seed=int(np.int64(5)),
         )
         unit = WorkUnit.for_sweep(fast_seo_config, 2)
         assert WorkUnit.for_sweep(numpyish, 2).key == unit.key

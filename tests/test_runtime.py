@@ -90,57 +90,6 @@ class TestLookupTableCache:
         assert (cached.values == direct.values).all()
         assert cached.horizon_s == direct.horizon_s
 
-    def test_disk_persistence(self, fast_estimator, small_lookup_grid, tmp_path):
-        writer = LookupTableCache(cache_dir=tmp_path)
-        built = writer.get_or_build(fast_estimator, grid=small_lookup_grid)
-        assert writer.misses == 1
-
-        reader = LookupTableCache(cache_dir=tmp_path)
-        loaded = reader.get_or_build(fast_estimator, grid=small_lookup_grid)
-        assert reader.disk_hits == 1
-        assert reader.misses == 0
-        assert (loaded.values == built.values).all()
-        # Second call in the same process is a memory hit.
-        reader.get_or_build(fast_estimator, grid=small_lookup_grid)
-        assert reader.hits == 1
-
-    @pytest.mark.parametrize(
-        "garbage",
-        [
-            b"this is not an npz file at all",
-            b"PK\x03\x04truncated-zip-header",
-            b"",
-        ],
-        ids=["random-bytes", "truncated-zip", "empty"],
-    )
-    def test_corrupt_disk_cache_is_rebuilt(
-        self, fast_estimator, small_lookup_grid, tmp_path, garbage
-    ):
-        """A corrupt/truncated .npz is a miss: rebuild and overwrite, no error."""
-        writer = LookupTableCache(cache_dir=tmp_path)
-        built = writer.get_or_build(fast_estimator, grid=small_lookup_grid)
-        path = writer.path_for(cache_key(fast_estimator, small_lookup_grid, 1.0))
-        assert path.exists()
-        path.write_bytes(garbage)
-
-        reader = LookupTableCache(cache_dir=tmp_path)
-        rebuilt = reader.get_or_build(fast_estimator, grid=small_lookup_grid)
-        assert reader.misses == 1
-        assert reader.disk_hits == 0
-        assert (rebuilt.values == built.values).all()
-
-        # The garbage file was overwritten with a loadable table.
-        rereader = LookupTableCache(cache_dir=tmp_path)
-        rereader.get_or_build(fast_estimator, grid=small_lookup_grid)
-        assert rereader.disk_hits == 1
-
-    def test_clear_resets_counters(self, fast_estimator, small_lookup_grid):
-        cache = LookupTableCache()
-        cache.get_or_build(fast_estimator, grid=small_lookup_grid)
-        cache.clear()
-        assert cache.size == 0
-        assert (cache.hits, cache.disk_hits, cache.misses) == (0, 0, 0)
-
     def test_cache_key_includes_barrier_and_vehicle(self, small_lookup_grid):
         base = SafeIntervalEstimator(horizon_s=0.08, step_s=0.005)
         key = cache_key(base, small_lookup_grid, 1.0)
@@ -168,21 +117,6 @@ class TestLookupTableCache:
         assert cache_key(strong, small_lookup_grid, 1.0) != cache_key(
             weak, small_lookup_grid, 1.0
         )
-
-    def test_worker_initializer_propagates_cache_dir(self, tmp_path):
-        from repro.runtime.cache import default_cache
-        from repro.runtime.sweep import _init_worker
-
-        previous = set_default_cache(LookupTableCache())
-        try:
-            _init_worker(tmp_path)
-            assert default_cache().cache_dir == tmp_path
-            memo = default_cache()
-            _init_worker(tmp_path)  # matching dir: cache (and its memo) kept
-            assert default_cache() is memo
-        finally:
-            set_default_cache(previous)
-
 
 class TestImportPath:
     def test_framework_build_keeps_asyncio_unimported(self):

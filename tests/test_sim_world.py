@@ -1,6 +1,7 @@
 """Tests for the driving-world substrate (road, obstacles, world, scenario)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,27 @@ class TestScenario:
         # by -inf too): initial_speed_mps=nan ran an episode that left the
         # road after one step, obstacle_speed_mps=nan ran all its steps.
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            ScenarioConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [
+            ("num_obstacles", 2.5),
+            ("num_obstacles", 2.0),
+            ("num_obstacles", True),
+            ("num_obstacles", None),
+            ("num_obstacles", "3"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", np.float64(3.0)),
+        ],
+    )
+    def test_config_rejects_non_integral_counts(self, field, bad):
+        # num_obstacles=2.5 used to build a config and a work-unit key, then
+        # fail in place_obstacles naming no field; num_obstacles=True equals
+        # num_obstacles=1 but serialized to a different key.
+        message = re.escape(f"{field} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ScenarioConfig(**{field: bad})
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
