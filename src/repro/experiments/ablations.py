@@ -52,7 +52,6 @@ def run_safety_awareness_ablation(
     batch = run_batch(
         {aware: replace(base, safety_aware=aware) for aware in (True, False)},
         settings,
-        experiment="ablation-safety",
     )
     unsafe = {
         aware: float(np.mean([report.unsafe_steps for report in reports]))
@@ -99,7 +98,6 @@ def run_lookup_ablation(
             for use_lookup in (True, False)
         },
         settings,
-        experiment="ablation-lookup",
     )
     return LookupAblationResult(
         lookup=aggregate_reports(batch[True]), exact=aggregate_reports(batch[False])

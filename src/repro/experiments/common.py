@@ -118,60 +118,46 @@ def standard_config(
 
 
 def run_batch(
-    configs: Mapping[Hashable, SEOConfig],
-    settings: ExperimentSettings,
-    experiment: str | None = None,
+    configs: Mapping[Hashable, SEOConfig], settings: ExperimentSettings
 ) -> dict[Hashable, list[EpisodeReport]]:
     """Run every named config for ``settings.episodes`` episodes in one sweep.
 
-    Each named config is lowered to a content-addressed
-    :class:`~repro.runtime.workunit.WorkUnit` covering
-    ``settings.episodes`` episodes, so the runner can deduplicate, resume
-    or shard the work without the driver knowing.  All
-    episodes of all units share one worker pool: the shared
+    Each named config is lowered to a
+    :class:`~repro.runtime.workunit.WorkUnit` covering ``settings.episodes``
+    episodes, so the runner runs equal configs once without the driver
+    knowing.  All episodes of all units share one worker pool: the shared
     ``settings.runner`` when present, otherwise a runner scoped to this
     call.  Reports come back keyed like ``configs``, in episode order.
 
     Args:
         configs: Named configurations of the artifact's cells.
         settings: Shared experiment knobs.
-        experiment: Driver name recorded in ledger/manifest metadata
-            (e.g. ``"fig5"``).
     """
     jobs = sweep_jobs(configs, settings.episodes)
     if settings.runner is not None:
-        return settings.runner.run(jobs, experiment=experiment)
+        return settings.runner.run(jobs)
     with SweepRunner(jobs=settings.jobs, backend=settings.backend) as runner:
-        return runner.run(jobs, experiment=experiment)
+        return runner.run(jobs)
 
 
 def run_summaries(
     configs: Mapping[Hashable, SEOConfig],
     settings: ExperimentSettings,
     only_successful: bool = True,
-    experiment: str | None = None,
 ) -> dict[Hashable, RunSummary]:
     """Run a config batch through the shared pool and aggregate each job."""
     return {
         key: aggregate_reports(reports, only_successful=only_successful)
-        for key, reports in run_batch(
-            configs, settings, experiment=experiment
-        ).items()
+        for key, reports in run_batch(configs, settings).items()
     }
 
 
 def run_configuration(
-    config: SEOConfig,
-    settings: ExperimentSettings,
-    only_successful: bool = True,
-    experiment: str | None = None,
+    config: SEOConfig, settings: ExperimentSettings, only_successful: bool = True
 ) -> RunSummary:
     """Run one configuration for ``settings.episodes`` episodes and aggregate."""
     return run_summaries(
-        {"configuration": config},
-        settings,
-        only_successful=only_successful,
-        experiment=experiment,
+        {"configuration": config}, settings, only_successful=only_successful
     )["configuration"]
 
 

@@ -75,7 +75,7 @@ def run_fig1(
         for count in obstacle_counts
     }
     result = Fig1Result(tau_s=tau_s)
-    for count, summary in run_summaries(configs, settings, experiment="fig1").items():
+    for count, summary in run_summaries(configs, settings).items():
         result.summaries[count] = summary
         for name, gain_summary in summary.model_gains.items():
             result.normalized_energy[(name, count)] = 1.0 - gain_summary.mean_gain

@@ -68,7 +68,7 @@ def run_fig5(
         for filtered in (False, True)
     }
     result = Fig5Result(tau_s=tau_s)
-    for cell, summary in run_summaries(cells, settings, experiment="fig5").items():
+    for cell, summary in run_summaries(cells, settings).items():
         result.summaries[cell] = summary
         result.gains[cell] = {
             name: gain_summary.mean_gain

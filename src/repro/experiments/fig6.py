@@ -38,11 +38,15 @@ class Fig6Result:
         return self.histograms[(method, num_obstacles)]
 
     def to_table(self, max_delta: int = 4) -> str:
-        """Render the figure data (frequencies and gains) as text."""
+        """Render the figure data (frequencies and gains) as text.
+
+        The ``dmax=0`` column (fully unsafe samples, which the paper's
+        histogram leaves out) makes each row's frequencies sum to 100%.
+        """
         rows: list[list[object]] = []
         for (method, count), histogram in sorted(self.histograms.items()):
             frequencies = [
-                100.0 * histogram.frequency(delta) for delta in range(1, max_delta + 1)
+                100.0 * histogram.frequency(delta) for delta in range(max_delta + 1)
             ]
             rows.append(
                 [method, count]
@@ -50,7 +54,7 @@ class Fig6Result:
                 + [100.0 * self.average_gains[(method, count)]]
             )
         headers = ["method", "#obstacles"] + [
-            f"freq(dmax={delta}) [%]" for delta in range(1, max_delta + 1)
+            f"freq(dmax={delta}) [%]" for delta in range(max_delta + 1)
         ] + ["avg gain [%]"]
         control = "filtered" if self.filtered else "unfiltered"
         return format_table(
@@ -75,7 +79,7 @@ def run_fig6(
         for count in obstacle_counts
     }
     result = Fig6Result(filtered=filtered)
-    for cell, summary in run_summaries(cells, settings, experiment="fig6").items():
+    for cell, summary in run_summaries(cells, settings).items():
         result.summaries[cell] = summary
         result.histograms[cell] = delta_histogram(summary.delta_max_samples)
         result.average_gains[cell] = summary.average_model_gain

@@ -103,7 +103,7 @@ def run_suite(
             max_steps=settings.max_steps,
             seed=settings.seed,
         )
-    summaries = run_summaries(configs, settings, experiment="suite")
+    summaries = run_summaries(configs, settings)
     result = SuiteResult(optimization=optimization)
     for name in names:
         summary = summaries[name]

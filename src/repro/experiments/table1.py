@@ -82,7 +82,7 @@ def run_table1(
         for filtered in (False, True)
     }
     result = Table1Result(tau_s=tau_s)
-    for (method, filtered), summary in run_summaries(cells, settings, experiment="table1").items():
+    for (method, filtered), summary in run_summaries(cells, settings).items():
         result.summaries[(method, filtered)] = summary
         names = sorted(summary.model_gains)
         result.rows.append(

@@ -90,7 +90,7 @@ def run_table2(
         for count in obstacle_counts
         for method in methods
     }
-    summaries = run_summaries(cells, settings, experiment="table2")
+    summaries = run_summaries(cells, settings)
     result = Table2Result(tau_s=tau_s)
     result.summaries.update(summaries)
     for filtered in (False, True):

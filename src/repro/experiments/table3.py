@@ -98,7 +98,7 @@ def run_table3(
         )
         for sensor in sensors
     }
-    summaries = run_summaries(configs, settings, experiment="table3")
+    summaries = run_summaries(configs, settings)
     result = Table3Result(tau_s=tau_s)
     for sensor in sensors:
         config = configs[sensor.name]

@@ -9,9 +9,6 @@ see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
   be views of their ``*_batch`` kernels;
 * **determinism** (REPRO201–204): no stdlib ``random``, unseeded or
   legacy numpy RNGs, or wall-clock reads in deterministic layers;
-* **workunit-closed-world** (REPRO301–304): the serialization registry
-  matches the dataclasses actually reachable from ``SEOConfig``, with
-  field-set drift pinned to ``WORKUNIT_SCHEMA_VERSION``;
 * **kernel-declarations** (REPRO502–503): in the kernel layer (the
   kernel-parity scope plus ``dynamics/`` and ``runtime/batch.py``), no
   narrowing dtype appears anywhere, and every public ``*_batch`` /
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.lint import closedworld, declarations, determinism, parity
+from repro.lint import declarations, determinism, parity
 from repro.lint.framework import Checker, SourceFile, Violation
 from repro.lint.framework import main as _main
 
@@ -53,15 +50,6 @@ CHECKERS: tuple[Checker, ...] = (
         ),
         file_check=determinism.check_determinism,
         scope=determinism.in_scope,
-    ),
-    Checker(
-        name="workunit-closed-world",
-        codes=closedworld.CODES,
-        description=(
-            "work-unit registry covers exactly the frozen dataclasses "
-            "reachable from SEOConfig, fingerprinted per schema version"
-        ),
-        project_check=closedworld.check_closed_world,
     ),
     Checker(
         name="kernel-declarations",

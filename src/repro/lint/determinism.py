@@ -1,11 +1,11 @@
 """REPRO201–204 — determinism: no hidden entropy in the decision layers.
 
 Episodes are bit-deterministic functions of ``(SEOConfig, episode
-index)``; the content-addressed ledger, the shard merge protocol, and
-the serial/batch bit-exactness oracle all depend on it.  The only
-sanctioned randomness is an explicitly seeded
-``np.random.default_rng(seed)`` threaded down from the episode index,
-and the only sanctioned clock is simulation time.
+index)``; the sweep's dedupe of equal work units, the identical reports
+of the in-process and process-pool paths, and the golden report corpus
+all depend on it.  The only sanctioned randomness is an explicitly
+seeded ``np.random.default_rng(seed)`` threaded down from the episode
+index, and the only sanctioned clock is simulation time.
 
 Inside ``core/``, ``runtime/``, ``sim/``, and ``control/`` this checker
 forbids:

@@ -1,16 +1,11 @@
 """Checker framework for :mod:`repro.lint`.
 
 The linter is a thin, dependency-free harness around repo-specific
-*checkers*.  Two kinds exist:
-
-* **File checkers** parse one Python file into an :class:`ast.Module` and
-  report :class:`Violation`\\ s against it.  Each carries a *scope*
-  predicate over the package-relative path (``core/lookup.py``), so e.g.
-  the kernel-parity rule only fires inside the decision-kernel layers.
-* **Project checkers** run once per invocation against the imported
-  package (the work-unit closed-world rule cross-checks the live registry
-  against the live config dataclasses — that relationship is not visible
-  in any single file).
+*checkers*.  Each checker parses one Python file into an
+:class:`ast.Module` and reports :class:`Violation`\\ s against it, and
+carries a *scope* predicate over the package-relative path
+(``core/lookup.py``), so e.g. the kernel-parity rule only fires inside the
+decision-kernel layers.
 
 Output contract: one ``path:line: CODE message`` line per violation on
 stdout, sorted by path and line.  Exit code 0 when clean, 1 when any
@@ -102,23 +97,13 @@ class SourceFile:
 
 @dataclass(frozen=True)
 class Checker:
-    """A named lint rule: per-file (with a scope) or per-project."""
+    """A named per-file lint rule, applied to the files its scope accepts."""
 
     name: str
     codes: tuple[str, ...]
     description: str
-    file_check: Callable[[SourceFile], list[Violation]] | None = None
-    scope: Callable[[str], bool] | None = None
-    project_check: Callable[[], list[Violation]] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.file_check is None) == (self.project_check is None):
-            raise ValueError(
-                f"checker {self.name!r} must define exactly one of "
-                "file_check/project_check"
-            )
-        if self.project_check is None and self.scope is None:
-            raise ValueError(f"file checker {self.name!r} requires a scope")
+    file_check: Callable[[SourceFile], list[Violation]]
+    scope: Callable[[str], bool]
 
 
 def package_relative(path: Path) -> str:
@@ -213,31 +198,15 @@ def run_lint(
     ]
 
     violations: list[Violation] = []
-    file_checkers = [checker for checker in enabled if checker.file_check is not None]
-    if file_checkers:
-        for path in walk_python_files(paths):
-            relpath = package_relative(path)
-            applicable = [
-                checker
-                for checker in file_checkers
-                if checker.scope is not None and checker.scope(relpath)
-            ]
-            if not applicable:
-                continue
-            source_file = load_source_file(path, relpath)
-            for checker in applicable:
-                assert checker.file_check is not None
-                for violation in checker.file_check(source_file):
-                    if not is_suppressed(violation, source_file.lines):
-                        violations.append(violation)
-    for checker in enabled:
-        if checker.project_check is not None:
-            for violation in checker.project_check():
-                lines: list[str] = []
-                flagged = Path(violation.path)
-                if flagged.is_file():
-                    lines = flagged.read_text().splitlines()
-                if not is_suppressed(violation, lines):
+    for path in walk_python_files(paths):
+        relpath = package_relative(path)
+        applicable = [checker for checker in enabled if checker.scope(relpath)]
+        if not applicable:
+            continue
+        source_file = load_source_file(path, relpath)
+        for checker in applicable:
+            for violation in checker.file_check(source_file):
+                if not is_suppressed(violation, source_file.lines):
                     violations.append(violation)
     return sorted(violations)
 
@@ -246,7 +215,7 @@ def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Repo-specific invariant linter (kernel parity, "
-        "determinism, serialization closed-worlds, kernel declarations).",
+        "determinism, kernel declarations).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, default=[Path("src")],

@@ -1,4 +1,4 @@
-"""Runtime subsystem: sweep execution, sharding and lookup-table caching.
+"""Runtime subsystem: sweep execution and lookup-table caching.
 
 This package is the scaling layer between the SEO framework facade and the
 experiment drivers:
@@ -8,9 +8,9 @@ experiment drivers:
   compatible ``(framework, episodes)`` cells in numpy lockstep,
   early-terminated episodes masked out, each report identical to its
   episode run alone; :func:`run_batch` is its one-cell call.
-* :mod:`repro.runtime.workunit` — :class:`WorkUnit`, the serializable,
-  content-addressed ``(config, episode-range)`` description of sweep work
-  that the ledger and shards are keyed on.
+* :mod:`repro.runtime.workunit` — :class:`WorkUnit`, the
+  ``(config, episode-range)`` description of sweep work; its hashable
+  ``key`` is what a sweep deduplicates and routes reports on.
 * :mod:`repro.runtime.sweep` — :class:`SweepRunner`, the batched
   multi-config sweep engine and the one place a backend name
   (:data:`EXECUTOR_BACKENDS`: ``process``, ``batch``) becomes a local
@@ -18,20 +18,14 @@ experiment drivers:
   ``run_cells`` call in-process or cut into one chunk per worker of one
   shared pool, and one runner (hence one pool at a time, rebuilt only to
   grow) can serve every batch of a CLI invocation.
-  With a ledger/shard attached it resumes and partitions sweeps.
-* :mod:`repro.runtime.ledger` — :class:`RunLedger`, the append-only on-disk
-  record of completed units (JSONL index + ``.npz`` report blobs) behind
-  ``--resume`` and ``repro.cli merge``.
-* :mod:`repro.runtime.shard` — :class:`ShardSpec`/:class:`ShardManifest`,
-  the deterministic hash partition behind ``--shard i/N`` and the merge
-  validation: a sweep split across hosts is reassembled from their
-  ledgers by ``repro.cli merge``.
+* :mod:`repro.runtime.ledger` — :func:`report_to_jsonable`, the JSON form
+  of an episode report that the golden corpus digests.
 * :mod:`repro.runtime.cache` — :class:`LookupTableCache`, memoizing
   :meth:`repro.core.lookup.DeadlineLookupTable.build` per process, so
   parameter sweeps sharing one grid build the table once per process.
 
 See ``docs/runtime.md`` for the design notes and CLI usage
-(``--jobs``/``--backend``/``--shard``/``--resume``/``--ledger-dir``).
+(``--jobs``/``--backend``).
 """
 
 from repro.runtime.batch import run_batch
@@ -41,11 +35,8 @@ from repro.runtime.cache import (
     default_cache,
     set_default_cache,
 )
-from repro.runtime.ledger import LedgerSchemaError, RunLedger
-from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.sweep import (
     EXECUTOR_BACKENDS,
-    SweepIncomplete,
     SweepJob,
     SweepRunner,
     pool_constructions,
@@ -57,12 +48,7 @@ from repro.runtime.workunit import WorkUnit
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "LedgerSchemaError",
     "LookupTableCache",
-    "RunLedger",
-    "ShardManifest",
-    "ShardSpec",
-    "SweepIncomplete",
     "SweepJob",
     "SweepRunner",
     "WorkUnit",

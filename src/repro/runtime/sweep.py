@@ -1,32 +1,20 @@
-"""Batched multi-config sweeps over one shared pool of content-addressed units.
+"""Batched multi-config sweeps over one shared process pool.
 
 Every paper artifact (Fig. 1/5/6, Tables I-III, the ablations, the scenario
 suite) is a *sweep*: the same episode loop evaluated over a batch of named
 :class:`~repro.core.framework.SEOConfig` variants.  :class:`SweepRunner`
 makes the sweep a first-class object: it accepts a batch of
-:class:`SweepJob` entries, lowers each to a content-addressed
-:class:`~repro.runtime.workunit.WorkUnit`, groups the units whose configs
-share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`, and runs each
+:class:`SweepJob` entries, lowers each to a
+:class:`~repro.runtime.workunit.WorkUnit`, runs units with equal configs
+and ranges once, groups the units whose configs share a
+:meth:`~repro.core.framework.SEOConfig.lockstep_key`, and runs each
 group's episode ranges in numpy lockstep: in-process as one call, or cut
 into at most one chunk per worker of one shared local process pool.
 Reports are routed back per job in episode order.
 
 Episodes are fully determined by ``(config, episode index)``: the world,
 the scheduler and the detector noise generators are all re-seeded per
-episode.  So neither the grouping nor the cut can change any report, and a
-unit's reports are valid wherever and whenever the unit runs.  The runner
-exploits that in two ways:
-
-* **Ledger** — with a :class:`~repro.runtime.ledger.RunLedger` attached,
-  every freshly executed unit is recorded on disk; with ``resume=True``,
-  units already in the ledger are loaded back bit-identically instead of
-  re-executed.
-* **Sharding** — with a :class:`~repro.runtime.shard.ShardSpec` attached,
-  only the units whose content hash maps to this shard are executed; the
-  rest raise :class:`SweepIncomplete` after the local share is done, and
-  ``repro.cli merge`` later reassembles the full artifact from the shard
-  ledgers.  This is how a sweep spreads over several hosts: one shard per
-  host, then one merge.
+episode.  So neither the grouping nor the cut can change any report.
 
 The runner is the one place that turns a backend name into a pool, and
 :func:`check_backend` is the one statement of which backend names are
@@ -43,19 +31,15 @@ import warnings
 from collections.abc import Hashable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from types import TracebackType
 from typing import TypeVar
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
 from repro.runtime.batch import run_cells
-from repro.runtime.ledger import RunLedger
-from repro.runtime.shard import ShardManifest, ShardSpec
 from repro.runtime.workunit import WorkUnit
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "SweepIncomplete",
     "SweepJob",
     "SweepRunner",
     "check_backend",
@@ -115,34 +99,6 @@ def _count_pool_construction() -> None:
         _POOL_CONSTRUCTIONS += 1
 
 
-class SweepIncomplete(RuntimeError):
-    """A sharded sweep executed its share; other shards own the rest.
-
-    Raised by :meth:`SweepRunner.run` *after* the locally assigned units are
-    executed and recorded, so a driver's aggregation (which would need the
-    full batch) is skipped while the shard's work is durably in its ledger.
-    """
-
-    def __init__(
-        self,
-        shard: ShardSpec,
-        executed: int,
-        cached: int,
-        skipped: int,
-        experiment: str | None = None,
-    ) -> None:
-        self.shard = shard
-        self.executed = executed
-        self.cached = cached
-        self.skipped = skipped
-        self.experiment = experiment
-        total = executed + cached + skipped
-        super().__init__(
-            f"shard {shard}: executed {executed} unit(s), {cached} from ledger, "
-            f"{skipped} owned by other shards ({total} total)"
-        )
-
-
 @dataclass(frozen=True)
 class SweepJob:
     """One named entry of a sweep batch.
@@ -151,8 +107,8 @@ class SweepJob:
         label: Identifier the job's reports are routed back under.  Any
             hashable works; drivers typically use the cell coordinates of
             their artifact (``("offload", True)``, an obstacle count, ...).
-            Purely presentational — the job's identity is its derived
-            content-addressed :attr:`key`.
+            Purely presentational — the job's identity is its
+            :attr:`unit`.
         config: The configuration to run.
         episodes: Number of episodes (indices ``0 .. episodes-1``).
     """
@@ -167,18 +123,8 @@ class SweepJob:
 
     @property
     def unit(self) -> WorkUnit:
-        """The content-addressed work unit this job lowers to."""
+        """The work unit this job lowers to."""
         return WorkUnit.for_sweep(self.config, self.episodes)
-
-    @property
-    def key(self) -> str:
-        """Stable content hash of ``(config, episode range)``.
-
-        Derived, never caller-invented: equal work has equal keys across
-        processes, machines and runs, which is what the ledger and shard
-        layers key on.
-        """
-        return self.unit.key
 
 
 def sweep_jobs(
@@ -259,32 +205,10 @@ class SweepRunner:
         backend: One of :data:`EXECUTOR_BACKENDS`: ``"process"``
             (default) or ``"batch"`` (in-process, the same as
             ``jobs == 1``; ``jobs`` is ignored).
-        ledger: Optional on-disk run ledger.  Every freshly executed unit is
-            recorded in it (cross-run reuse); with ``resume=True`` recorded
-            units are loaded instead of executed.
-        resume: Load completed units from ``ledger`` (requires one).
-        shard: Optional shard spec; only units assigned to this shard by
-            content hash are executed, and batches containing foreign units
-            raise :class:`SweepIncomplete` after the local share completes.
-        manifest: Optional shard manifest; every declared unit and every
-            locally resolved unit is recorded into it (and saved to
-            ``manifest_path`` after each batch when that is set).
-        manifest_path: Where to persist the manifest after each batch.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        backend: str = "process",
-        ledger: RunLedger | None = None,
-        resume: bool = False,
-        shard: ShardSpec | None = None,
-        manifest: ShardManifest | None = None,
-        manifest_path: Path | None = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, backend: str = "process") -> None:
         check_backend(backend)
-        if resume and ledger is None:
-            raise ValueError("resume=True requires a ledger")
         if backend == "batch" and jobs != 1:
             warnings.warn(
                 "the batch backend runs in-process and ignores jobs="
@@ -294,13 +218,7 @@ class SweepRunner:
             )
         self.backend = backend
         self.workers = resolve_jobs(jobs)
-        self.ledger = ledger
-        self.resume = resume
-        self.shard = shard
-        self.manifest = manifest
-        self.manifest_path = Path(manifest_path) if manifest_path else None
         self.units_executed = 0
-        self.units_resumed = 0
         self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0
         self._closed = False
@@ -351,88 +269,40 @@ class SweepRunner:
     ) -> dict[Hashable, list[EpisodeReport]]:
         """Run a batch of jobs and route reports back per label, episode-ordered.
 
-        Jobs are lowered to content-addressed units and deduplicated: two
-        labels naming identical work share one execution.  Units already in
-        the ledger are loaded when resuming; units owned by other shards are
-        skipped (raising :class:`SweepIncomplete` once the local share is
-        executed and recorded).  Every chunk of every executed group is
-        submitted to the shared pool up front, so the whole batch drains
-        with full parallelism instead of config by config.  Results are
-        bit-identical to the in-process per-config path.  A failing task
-        fails the batch fast: queued tasks are cancelled rather than
-        drained before the error surfaces.
+        Jobs are lowered to work units and deduplicated by
+        :attr:`~repro.runtime.workunit.WorkUnit.key`: two labels naming
+        equal configs over equal ranges share one execution.  Every chunk
+        of every group is submitted to the shared pool up front, so the
+        whole batch drains with full parallelism instead of config by
+        config.  Results are bit-identical to the in-process per-config
+        path.  A failing task fails the batch fast: queued tasks are
+        cancelled rather than drained before the error surfaces.
 
         Args:
             jobs: The batch to run; labels must be unique within it.
-            experiment: Optional driver name recorded in ledger/manifest
-                metadata (e.g. ``"fig5"``).
+            experiment: Ignored; callers may name the artifact the batch
+                belongs to (e.g. ``"fig5"``).
         """
         if self._closed:
             raise RuntimeError("SweepRunner is closed; create a new one")
         labels = [job.label for job in jobs]
         if len(set(labels)) != len(labels):
             raise ValueError("sweep job labels must be unique within a batch")
-        if not jobs:
-            return {}
 
-        units: dict[str, WorkUnit] = {}
-        key_by_label: dict[Hashable, str] = {}
+        units: dict[Hashable, WorkUnit] = {}
+        key_by_label: dict[Hashable, Hashable] = {}
         for job in jobs:
             unit = job.unit
             units.setdefault(unit.key, unit)
             key_by_label[job.label] = unit.key
-            if self.manifest is not None:
-                self.manifest.declare(
-                    unit, label=str(job.label), experiment=experiment
-                )
-
-        resolved: dict[str, list[EpisodeReport]] = {}
-        to_run: list[WorkUnit] = []
-        skipped = 0
-        for key, unit in units.items():
-            if self.resume and self.ledger is not None:
-                reports = self.ledger.get(unit)
-                if reports is not None:
-                    resolved[key] = reports
-                    self.units_resumed += 1
-                    continue
-            if self.shard is not None and not self.shard.assigns(key):
-                skipped += 1
-                continue
-            to_run.append(unit)
-
-        fresh = self._execute_units(to_run)
-        for unit in to_run:
-            reports = fresh[unit.key]
-            if self.ledger is not None:
-                label = next(
-                    str(job.label) for job in jobs if key_by_label[job.label] == unit.key
-                )
-                self.ledger.put(unit, reports, label=label, experiment=experiment)
-            resolved[unit.key] = reports
-        self.units_executed += len(to_run)
-
-        if self.manifest is not None:
-            for key in resolved:
-                self.manifest.mark_completed(key)
-            if self.manifest_path is not None:
-                self.manifest.save(self.manifest_path)
-
-        if skipped:
-            assert self.shard is not None
-            raise SweepIncomplete(
-                shard=self.shard,
-                executed=len(to_run),
-                cached=len(units) - len(to_run) - skipped,
-                skipped=skipped,
-                experiment=experiment,
-            )
-        return {label: resolved[key] for label, key in key_by_label.items()}
+        results = self._execute_units(list(units.values()))
+        self.units_executed += len(units)
+        return {label: results[key] for label, key in key_by_label.items()}
 
     def _execute_units(
         self, units: Sequence[WorkUnit]
-    ) -> dict[str, list[EpisodeReport]]:
-        """Execute units on the configured backend, keyed by unit hash."""
+    ) -> dict[Hashable, list[EpisodeReport]]:
+        """Execute units on the configured backend, keyed by unit key."""
         if not units:
             return {}
         groups: dict[Hashable, list[tuple[WorkUnit, int, int]]] = {}
@@ -461,7 +331,7 @@ class SweepRunner:
                 pool.shutdown(cancel_futures=True)
                 self._pool = None
                 raise
-        results: dict[str, list[EpisodeReport]] = {}
+        results: dict[Hashable, list[EpisodeReport]] = {}
         for task, cells in zip(tasks, outputs, strict=True):
             for (unit, _, _), reports in zip(task, cells, strict=True):
                 results.setdefault(unit.key, []).extend(reports)

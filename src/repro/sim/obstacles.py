@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.sim.road import Road
 
+#: Fraction of the route at which the obstacle zone ends: obstacles are
+#: placed between ``Road.obstacle_zone_start_m`` and this fraction of the
+#: route length.
+OBSTACLE_ZONE_END_FRACTION = 0.97
 
 @dataclass(frozen=True)
 class ConstantVelocity:
@@ -193,7 +197,7 @@ def place_obstacles(
         return []
 
     zone_start = road.obstacle_zone_start_m
-    zone_end = road.length_m * 0.97
+    zone_end = road.length_m * OBSTACLE_ZONE_END_FRACTION
     zone_length = zone_end - zone_start
     if zone_length <= 0:
         raise ValueError("road obstacle zone is empty")

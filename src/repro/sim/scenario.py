@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import VehicleState
-from repro.sim.obstacles import MOTION_MODES, attach_motion, place_obstacles
+from repro.sim.obstacles import (
+    MOTION_MODES,
+    OBSTACLE_ZONE_END_FRACTION,
+    attach_motion,
+    place_obstacles,
+)
 from repro.sim.road import ArcSegment, Road, RoadSegment, StraightSegment
 from repro.sim.world import World
 
@@ -38,8 +43,8 @@ _FINITE_FIELDS = (
 
 #: ``ScenarioConfig`` count fields that must be integers (``seed`` may also
 #: be ``None``).  A float count fails deep inside obstacle placement with an
-#: error that names no field, and ``True`` equals ``1`` yet serializes to a
-#: different work-unit key, so both are refused up front.
+#: error that names no field, and ``True`` equals ``1`` yet is no count, so
+#: both are refused up front.
 _INTEGRAL_FIELDS = ("num_obstacles", "seed")
 
 
@@ -74,9 +79,9 @@ class ScenarioConfig:
         seed: Seed :func:`build_world` places obstacles with when it is
             called without a generator (``None`` makes the generator
             required).  The episode engine never reads it: it seeds placement
-            from ``SEOConfig.seed`` and the episode index.  It still enters
-            a sweep's work-unit keys, so configs differing only in it run
-            identical episodes under different keys.
+            from ``SEOConfig.seed`` and the episode index.  It still takes
+            part in config equality, so a sweep runs configs differing only
+            in it as separate units with identical episodes.
     """
 
     road_length_m: float = 100.0
@@ -121,6 +126,15 @@ class ScenarioConfig:
             )
         if self.num_obstacles < 0:
             raise ValueError("num_obstacles must be non-negative")
+        if (
+            self.num_obstacles > 0
+            and self.obstacle_zone_start_fraction >= OBSTACLE_ZONE_END_FRACTION
+        ):
+            raise ValueError(
+                "obstacle_zone_start_fraction must be below "
+                f"{OBSTACLE_ZONE_END_FRACTION}, where the obstacle zone ends, "
+                f"when num_obstacles > 0, got {self.obstacle_zone_start_fraction}"
+            )
         if self.initial_speed_mps < 0:
             raise ValueError("initial_speed_mps must be non-negative")
         if self.target_speed_mps <= 0:

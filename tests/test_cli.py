@@ -53,26 +53,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig7"])
 
-    def test_distributed_flags_parse(self):
-        from repro.runtime.shard import ShardSpec
-
-        args = build_parser().parse_args(
-            ["fig5", "--shard", "2/3", "--ledger-dir", "ledger", "--resume"]
-        )
-        assert args.shard == ShardSpec(index=2, count=3)
-        assert str(args.ledger_dir) == "ledger"
-        assert args.resume is True
-
-    def test_parser_rejects_malformed_shard_spec(self):
-        for bad in ("3", "0/2", "4/3"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["fig5", "--shard", bad])
-
-    def test_merge_subcommand_parses(self):
-        args = build_parser().parse_args(["merge", "s1", "s2", "--into", "m"])
-        assert args.experiment == "merge"
-        assert [str(path) for path in args.shards] == ["s1", "s2"]
-        assert str(args.into) == "m"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--shard", "1/2"],
+            ["fig5", "--ledger-dir", "ledger"],
+            ["fig5", "--resume"],
+            ["merge", "x", "--into", "y"],
+        ],
+        ids=["shard", "ledger-dir", "resume", "merge"],
+    )
+    def test_retired_distributed_options_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 class TestRun:

@@ -94,6 +94,20 @@ class TestFigureAndTableDrivers:
         ] - 0.02
         assert "Fig. 6" in result.to_table()
 
+    def test_fig6_table_frequencies_sum_to_100(self):
+        result = run_fig6(FAST, obstacle_counts=(0, 4))
+        lines = result.to_table().splitlines()
+        headers = [cell.strip() for cell in lines[1].split("|")]
+        columns = [i for i, header in enumerate(headers) if header.startswith("freq(")]
+        assert [headers[i] for i in columns] == [
+            f"freq(dmax={delta}) [%]" for delta in range(5)
+        ]
+        rows = [[cell.strip() for cell in line.split("|")] for line in lines[3:]]
+        assert len(rows) == 4
+        for row in rows:
+            # Each rendered frequency is rounded to 3 decimals.
+            assert sum(float(row[i]) for i in columns) == pytest.approx(100.0, abs=0.003)
+
     def test_table2_rows(self):
         result = run_table2(FAST, obstacle_counts=(0, 4))
         assert len(result.rows) == 4

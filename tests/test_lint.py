@@ -8,7 +8,6 @@ vacuously passing.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from repro import cli
 from repro import lint
 from repro.lint import (
     CHECKERS,
-    closedworld,
     declarations,
     determinism,
     parity,
@@ -64,14 +62,9 @@ def test_package_relative_strips_to_innermost_repro_package():
 
 
 def test_checker_definition_is_validated():
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="file_check"):
         Checker(name="x", codes=("C1",), description="d")
-    with pytest.raises(ValueError, match="exactly one"):
-        Checker(
-            name="x", codes=("C1",), description="d",
-            file_check=lambda sf: [], project_check=list, scope=bool,
-        )
-    with pytest.raises(ValueError, match="scope"):
+    with pytest.raises(TypeError, match="scope"):
         Checker(name="x", codes=("C1",), description="d", file_check=lambda sf: [])
 
 
@@ -268,98 +261,6 @@ def test_determinism_mutation_real_placement_rng():
         SourceFile(path, "sim/obstacles.py", mutated, ast.parse(mutated))
     )
     assert [v.code for v in violations] == ["REPRO203"]
-
-
-# ----------------------------------------------------------------------
-# Work-unit closed world (REPRO301-304)
-# ----------------------------------------------------------------------
-
-def _load_closedworld_fixtures():
-    spec = importlib.util.spec_from_file_location(
-        "closedworld_fixtures", FIXTURES / "closedworld_fixtures.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # get_type_hints resolves annotations through sys.modules[__module__].
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_closed_world_real_tree_is_clean():
-    assert closedworld.check_closed_world() == []
-
-
-def test_closed_world_fixture_clean_case():
-    fx = _load_closedworld_fixtures()
-    registry = dict(fx.FIXTURE_REGISTRY)
-    fingerprints = {fx.FIXTURE_VERSION: closedworld.schema_fingerprint(registry)}
-    assert (
-        closedworld.check_closed_world(
-            registry=registry,
-            root=fx.CleanRoot,
-            version=fx.FIXTURE_VERSION,
-            fingerprints=fingerprints,
-        )
-        == []
-    )
-
-
-def test_closed_world_flags_unregistered_reachable_dataclass():
-    fx = _load_closedworld_fixtures()
-    registry = {"RogueRoot": fx.RogueRoot, "RegisteredLeaf": fx.RegisteredLeaf}
-    fingerprints = {1: closedworld.schema_fingerprint(registry)}
-    violations = closedworld.check_closed_world(
-        registry=registry, root=fx.RogueRoot, version=1, fingerprints=fingerprints
-    )
-    assert [v.code for v in violations] == ["REPRO301"]
-    assert "RogueLeaf" in violations[0].message
-
-
-def test_closed_world_flags_unfrozen_registry_entry():
-    fx = _load_closedworld_fixtures()
-    registry = dict(fx.FIXTURE_REGISTRY)
-    registry["MutableLeaf"] = fx.MutableLeaf
-    fingerprints = {1: closedworld.schema_fingerprint(registry)}
-    violations = closedworld.check_closed_world(
-        registry=registry, root=fx.CleanRoot, version=1, fingerprints=fingerprints
-    )
-    codes = {v.code for v in violations}
-    assert "REPRO302" in codes
-    # Dead weight in the registry is flagged too.
-    assert "REPRO304" in codes
-
-
-def test_closed_world_flags_fingerprint_drift_and_missing_pin():
-    drifted = closedworld.check_closed_world(fingerprints={1: "0" * 64})
-    assert [v.code for v in drifted] == ["REPRO303"]
-    assert "WORKUNIT_SCHEMA_VERSION" in drifted[0].message
-    # The message must carry the computed digest so the fix is copy-paste.
-    from repro.runtime.workunit import _CONFIG_TYPES
-
-    assert closedworld.schema_fingerprint(_CONFIG_TYPES) in drifted[0].message
-
-    unpinned = closedworld.check_closed_world(fingerprints={})
-    assert [v.code for v in unpinned] == ["REPRO303"]
-
-
-def test_closed_world_mutation_unregistered_real_segment_type():
-    """Dropping ArcSegment from the real registry must fire (it is reachable
-    through ScenarioConfig.road_segments)."""
-    from repro.runtime.workunit import _CONFIG_TYPES
-
-    registry = {k: v for k, v in _CONFIG_TYPES.items() if k != "ArcSegment"}
-    violations = closedworld.check_closed_world(registry=registry)
-    codes = sorted(v.code for v in violations)
-    assert codes == ["REPRO301", "REPRO303"]
-    assert any("ArcSegment" in v.message for v in violations)
-
-
-def test_schema_fingerprint_tracks_field_sets():
-    fx = _load_closedworld_fixtures()
-    base = closedworld.schema_fingerprint(fx.FIXTURE_REGISTRY)
-    assert base == closedworld.schema_fingerprint(dict(fx.FIXTURE_REGISTRY))
-    renamed = {"Other": fx.CleanRoot, "RegisteredLeaf": fx.RegisteredLeaf}
-    assert closedworld.schema_fingerprint(renamed) != base
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Tests for the runtime subsystem: the process pool and the lookup-table cache."""
 
 import dataclasses
+import json
 import os
 
 import pytest
 
-from repro.core.framework import SEOFramework
+from repro.core.framework import EpisodeReport, SEOFramework
 from repro.core.intervals import SafeIntervalEstimator
 from repro.runtime.batch import run_batch
 from repro.runtime.cache import LookupTableCache, cache_key, set_default_cache
+from repro.runtime.ledger import report_to_jsonable
 from repro.runtime.sweep import SweepRunner, pool_constructions, sweep_jobs
 
 
@@ -117,6 +119,16 @@ class TestLookupTableCache:
         assert cache_key(strong, small_lookup_grid, 1.0) != cache_key(
             weak, small_lookup_grid, 1.0
         )
+
+
+class TestReportJson:
+    def test_report_json_round_trip_preserves_inf(self, fast_seo_config):
+        """The JSON form the golden corpus digests loses no bit of a report."""
+        report = run_batch(SEOFramework(fast_seo_config), range(1))[0]
+        report.min_obstacle_distance_m = float("inf")
+        payload = json.loads(json.dumps(report_to_jsonable(report)))
+        assert EpisodeReport(**payload) == report
+
 
 class TestImportPath:
     def test_framework_build_keeps_asyncio_unimported(self):

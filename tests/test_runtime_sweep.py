@@ -8,6 +8,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.core.framework import SEOFramework
@@ -268,20 +269,21 @@ class TestExperimentPlumbing:
 
 
 class TestDerivedKeys:
-    def test_job_key_is_derived_content_hash(self, fast_seo_config):
+    """A unit's identity is its config and episode range, compared by value."""
+
+    def test_unit_key_is_config_and_range(self, fast_seo_config):
         """Job identity is the content of (config, episode range), not the label."""
         job = SweepJob(label="anything", config=fast_seo_config, episodes=2)
         relabeled = SweepJob(label="else", config=fast_seo_config, episodes=2)
-        assert job.key == relabeled.key
-        assert len(job.key) == 64 and int(job.key, 16) >= 0
+        assert job.unit.key == relabeled.unit.key == (fast_seo_config, 0, 2)
 
     def test_key_changes_with_any_nested_field(self, fast_seo_config):
         base = SweepJob(label="x", config=fast_seo_config, episodes=2)
         reseeded = dataclasses.replace(
             fast_seo_config, scenario=dataclasses.replace(fast_seo_config.scenario, seed=99)
         )
-        assert SweepJob(label="x", config=reseeded, episodes=2).key != base.key
-        assert SweepJob(label="x", config=fast_seo_config, episodes=3).key != base.key
+        assert SweepJob(label="x", config=reseeded, episodes=2).unit.key != base.unit.key
+        assert SweepJob(label="x", config=fast_seo_config, episodes=3).unit.key != base.unit.key
 
     def test_identical_units_execute_once(self, fast_seo_config):
         """Two labels naming the same content share one execution."""
@@ -293,6 +295,36 @@ class TestDerivedKeys:
             batch = runner.run(jobs)
         assert runner.units_executed == 1
         assert batch["left"] == batch["right"]
+
+    def test_numpy_scalar_config_executes_once(self, fast_seo_config):
+        """A config built from numpy scalars equals the literal one: one run."""
+        numpyish = dataclasses.replace(
+            fast_seo_config,
+            scenario=dataclasses.replace(
+                fast_seo_config.scenario,
+                num_obstacles=np.int64(fast_seo_config.scenario.num_obstacles),
+                seed=np.int64(fast_seo_config.scenario.seed),
+            ),
+            target_speed_mps=np.float64(fast_seo_config.target_speed_mps),
+            max_steps=np.int64(fast_seo_config.max_steps),
+        )
+        assert numpyish == fast_seo_config
+        with SweepRunner(jobs=1) as runner:
+            batch = runner.run(sweep_jobs({"literal": fast_seo_config, "numpy": numpyish}, 2))
+        assert runner.units_executed == 1
+        assert batch["literal"] == batch["numpy"] == _alone(fast_seo_config, 2)
+
+    def test_nested_field_change_executes_twice(self, fast_seo_config):
+        deeper = dataclasses.replace(
+            fast_seo_config,
+            detector_compute=dataclasses.replace(
+                fast_seo_config.detector_compute, power_w=9.9
+            ),
+        )
+        with SweepRunner(jobs=1) as runner:
+            batch = runner.run(sweep_jobs({"base": fast_seo_config, "deeper": deeper}, 1))
+        assert runner.units_executed == 2
+        assert batch["deeper"] == _alone(deeper, 1)
 
 
 class TestPoolConstructionCounter:
@@ -442,20 +474,3 @@ class TestLockstepMerging:
             [label_of[framework.config] for framework in call]
             for call in sweep_spy.calls
         ) == sorted([label for label, _, _ in chunk] for chunk in chunks)
-
-    def test_resume_merges_the_units_left_to_run(self, tmp_path, monkeypatch):
-        from repro.runtime.ledger import RunLedger
-
-        configs = self._fig5_configs()
-        labels = list(configs)
-        alone = {label: _alone(config, 2) for label, config in configs.items()}
-        ledger = RunLedger(tmp_path / "ledger")
-        with SweepRunner(jobs=1, ledger=ledger) as runner:
-            runner.run(sweep_jobs({label: configs[label] for label in labels[::2]}, 2))
-        calls = self._count_calls(monkeypatch)
-        with SweepRunner(jobs=1, ledger=RunLedger(tmp_path / "ledger"), resume=True) as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
-            assert runner.units_resumed == 2
-            assert runner.units_executed == 2
-        assert calls == [2]
-        assert batch == alone

@@ -7,12 +7,17 @@ import pytest
 
 from repro.core.framework import SEOConfig, SEOFramework
 from repro.dynamics.state import VehicleState
-from repro.experiments.common import ExperimentSettings, standard_config
+from repro.experiments.common import (
+    ExperimentSettings,
+    default_detector_sensor,
+    run_batch,
+    standard_config,
+)
 from repro.runtime.batch import run_cells
 from repro.sim.obstacles import Obstacle
 from repro.sim.observation import RangeScanner
 from repro.sim.road import Road
-from repro.sim.scenario import ScenarioConfig
+from repro.sim.scenario import DEFAULT_SUITE, ScenarioConfig
 from repro.sim.world import World
 
 
@@ -79,6 +84,10 @@ def _collision_rate(reports):
     return sum(report.collided for report in reports) / len(reports)
 
 
+def _off_road_rate(reports):
+    return sum(report.off_road for report in reports) / len(reports)
+
+
 class TestEpisodeRunner:
     """Closed-loop episodes on the engine: the controllers, the safety
     filter and the episode bounds."""
@@ -130,3 +139,62 @@ class TestEpisodeRunner:
     def test_shield_never_raises_heuristic_collisions(self, shield_episodes):
         filtered = _collision_rate(shield_episodes["heuristic", True])
         assert filtered <= _collision_rate(shield_episodes["heuristic", False])
+
+
+#: The families on which the shield raises the heuristic's collision rate
+#: (ROADMAP item 8): 0.3-0.5 filtered against 0.0-0.2 unfiltered.
+_SHIELD_FAILS_ON = {
+    "curved-road",
+    "dense-traffic",
+    "moving-traffic",
+    "obstacle-course",
+    "sensor-dropout",
+}
+
+
+@pytest.fixture(scope="module")
+def family_episodes():
+    """Episode reports per ``(family, filtered)``: every ``DEFAULT_SUITE``
+    family under offload with the heuristic controller, 10 episodes of up to
+    1500 steps, one sweep per control case."""
+    settings = ExperimentSettings(episodes=10, max_steps=1500, seed=0)
+    episodes = {}
+    for filtered in (False, True):
+        configs = {}
+        for family in DEFAULT_SUITE.names():
+            scenario = dataclasses.replace(DEFAULT_SUITE.get(family).base, seed=settings.seed)
+            configs[family] = SEOConfig(
+                scenario=scenario,
+                optimization="offload",
+                filtered=filtered,
+                detector_sensor=default_detector_sensor("offload"),
+                target_speed_mps=scenario.target_speed_mps,
+                max_steps=settings.max_steps,
+                seed=settings.seed,
+            )
+        for family, reports in run_batch(configs, settings).items():
+            episodes[family, filtered] = reports
+    return episodes
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(
+            family,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 8: the shield raises the heuristic's "
+                "collision rate on this family",
+            ),
+        )
+        if family in _SHIELD_FAILS_ON
+        else family
+        for family in DEFAULT_SUITE.names()
+    ],
+)
+def test_shield_never_raises_collisions_or_off_road(family, family_episodes):
+    unfiltered = family_episodes[family, False]
+    filtered = family_episodes[family, True]
+    assert _collision_rate(filtered) <= _collision_rate(unfiltered)
+    assert _off_road_rate(filtered) <= _off_road_rate(unfiltered)

@@ -9,7 +9,7 @@ import pytest
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState
 from repro.sim.collision import circle_hit, first_collision
-from repro.sim.obstacles import Obstacle, place_obstacles
+from repro.sim.obstacles import OBSTACLE_ZONE_END_FRACTION, Obstacle, place_obstacles
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
 from repro.sim.world import NO_OBSTACLE_DISTANCE_M, World
@@ -400,3 +400,18 @@ class TestScenario:
         with pytest.raises(ValueError, match=r"obstacle_zone_start_fraction must be in \[0, 1\)"):
             ScenarioConfig(obstacle_zone_start_fraction=fraction)
         ScenarioConfig(obstacle_zone_start_fraction=0.0)
+
+    @pytest.mark.parametrize("fraction", [OBSTACLE_ZONE_END_FRACTION, 0.98])
+    def test_config_rejects_obstacle_zone_starting_where_it_ends(self, fraction):
+        # Used to build a config, then fail in place_obstacles with "road
+        # obstacle zone is empty", naming no field.
+        message = (
+            f"obstacle_zone_start_fraction must be below {OBSTACLE_ZONE_END_FRACTION}, "
+            f"where the obstacle zone ends, when num_obstacles > 0, got {fraction}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(num_obstacles=2, obstacle_zone_start_fraction=fraction)
+        # An empty zone is fine when nothing is placed in it.
+        ScenarioConfig(num_obstacles=0, obstacle_zone_start_fraction=fraction)
+        # Just below the end the zone is short but not empty.
+        build_world(ScenarioConfig(num_obstacles=2, obstacle_zone_start_fraction=0.96))
