@@ -15,85 +15,45 @@ spread episodes over a local pool of N worker processes (``0`` = all CPU
 cores; results are identical to the in-process run) and ``--backend
 {process,batch}`` to pick the execution backend (``batch`` runs
 in-process, the same as ``--jobs 1``, which steps each unit's episodes in
-numpy lockstep).  One :class:`repro.runtime.sweep.SweepRunner` is shared by
-every experiment of an invocation, so even ``all`` constructs at most one
-worker pool.  An invocation changes no process-wide state: runtime kernel
-contracts are switched on for it and its pool workers by setting
-``REPRO_RUNTIME_CONTRACTS=1`` in the environment (see :mod:`repro.contracts`).
+numpy lockstep).  An invocation runs the cells of every artifact it renders
+as one :meth:`repro.runtime.sweep.SweepRunner.run` call, so even ``all``
+runs a shared cell once and constructs at most one worker pool, and renders
+each artifact from its own cells' reports.  An invocation changes no
+process-wide state: runtime kernel contracts are switched on for it and its
+pool workers by setting ``REPRO_RUNTIME_CONTRACTS=1`` in the environment
+(see :mod:`repro.contracts`).
 """
 
 from __future__ import annotations
 
 import argparse
 from collections.abc import Callable, Sequence
+from functools import partial
 from pathlib import Path
+from typing import Any
 
-from repro.analysis.tables import format_table
-from repro.experiments.ablations import run_lookup_ablation, run_safety_awareness_ablation
-from repro.experiments.common import ExperimentSettings
-from repro.experiments.fig1 import run_fig1
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.suite import run_suite
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepRunner
+from repro.experiments import ablations, fig1, fig5, fig6, suite, table1, table2, table3
+from repro.experiments.common import Cells, ExperimentSettings, Reports
+from repro.runtime.sweep import EXECUTOR_BACKENDS, SweepRunner, sweep_jobs
 from repro.sim.scenario import DEFAULT_SUITE
 
+#: An artifact: its cells for the settings, and its result (rendered by
+#: ``to_table()``) from their reports.
+Artifact = tuple[Callable[[ExperimentSettings], Cells], Callable[[Reports], Any]]
 
-def _ablation_safety_table(settings: ExperimentSettings) -> str:
-    result = run_safety_awareness_ablation(settings)
-    return format_table(
-        ["variant", "avg gain [%]", "mean delta_max", "unsafe steps / episode"],
-        [
-            [
-                "safety-aware (SEO)",
-                100.0 * result.aware.average_model_gain,
-                result.aware.mean_delta_max,
-                result.aware_unsafe_steps,
-            ],
-            [
-                "safety-oblivious",
-                100.0 * result.oblivious.average_model_gain,
-                result.oblivious.mean_delta_max,
-                result.oblivious_unsafe_steps,
-            ],
-        ],
-        title="Ablation — safety-aware vs. safety-oblivious scheduling",
-    )
-
-
-def _ablation_lookup_table(settings: ExperimentSettings) -> str:
-    result = run_lookup_ablation(settings)
-    return format_table(
-        ["deadline provider", "avg gain [%]", "mean delta_max"],
-        [
-            [
-                "lookup table T(x, u)",
-                100.0 * result.lookup.average_model_gain,
-                result.lookup.mean_delta_max,
-            ],
-            [
-                "exact phi evaluation",
-                100.0 * result.exact.average_model_gain,
-                result.exact.mean_delta_max,
-            ],
-        ],
-        title="Ablation — deadline lookup table vs. exact evaluation",
-    )
-
-
-#: Experiment name -> callable producing the rendered table.
-EXPERIMENTS: dict[str, Callable[[ExperimentSettings], str]] = {
-    "fig1": lambda settings: run_fig1(settings).to_table(),
-    "fig5": lambda settings: run_fig5(settings).to_table(),
-    "fig6": lambda settings: run_fig6(settings).to_table(),
-    "table1": lambda settings: run_table1(settings).to_table(),
-    "table2": lambda settings: run_table2(settings).to_table(),
-    "table3": lambda settings: run_table3(settings).to_table(),
-    "ablation-safety": _ablation_safety_table,
-    "ablation-lookup": _ablation_lookup_table,
+#: Experiment name -> its artifact.
+EXPERIMENTS: dict[str, Artifact] = {
+    "fig1": (fig1.fig1_cells, fig1.fig1_result),
+    "fig5": (fig5.fig5_cells, fig5.fig5_result),
+    "fig6": (fig6.fig6_cells, fig6.fig6_result),
+    "table1": (table1.table1_cells, table1.table1_result),
+    "table2": (table2.table2_cells, table2.table2_result),
+    "table3": (table3.table3_cells, table3.table3_result),
+    "ablation-safety": (
+        ablations.safety_awareness_ablation_cells,
+        ablations.safety_awareness_ablation_result,
+    ),
+    "ablation-lookup": (ablations.lookup_ablation_cells, ablations.lookup_ablation_result),
 }
 
 
@@ -217,28 +177,36 @@ def run(argv: Sequence[str] | None = None) -> str:
     if args.experiment == "lint":
         return _run_lint(args)
 
-    # One sweep runner — and therefore one worker pool at a time — serves
-    # every experiment of this invocation (the pool is created lazily on the
-    # first parallel batch, so in-process runs never spawn one, and is only
-    # rebuilt to grow).
-    with SweepRunner(jobs=args.jobs, backend=args.backend) as runner:
-        settings = ExperimentSettings(
-            episodes=args.episodes,
-            seed=args.seed,
-            max_steps=args.max_steps,
-            jobs=args.jobs,
-            backend=args.backend,
-            runner=runner,
-        )
-        if args.experiment == "suite":
-            output = run_suite(
-                settings, families=args.family, optimization=args.optimization
-            ).to_table()
-        else:
-            names = (
-                sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    settings = ExperimentSettings(
+        episodes=args.episodes,
+        seed=args.seed,
+        max_steps=args.max_steps,
+        jobs=args.jobs,
+        backend=args.backend,
+    )
+    if args.experiment == "suite":
+        artifacts: dict[str, Artifact] = {
+            "suite": (
+                partial(suite.suite_cells, families=args.family, optimization=args.optimization),
+                partial(suite.suite_result, optimization=args.optimization),
             )
-            output = "\n\n".join(EXPERIMENTS[name](settings) for name in names)
+        }
+    else:
+        names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+        artifacts = {name: EXPERIMENTS[name] for name in names}
+
+    # One sweep over every artifact's cells, labelled (artifact, cell).
+    cells = {name: cells_of(settings) for name, (cells_of, _) in artifacts.items()}
+    union = {
+        (name, label): config for name, named in cells.items() for label, config in named.items()
+    }
+    reports = SweepRunner(jobs=args.jobs, backend=args.backend).run(
+        sweep_jobs(union, settings.episodes)
+    )
+    output = "\n\n".join(
+        result({label: reports[(name, label)] for label in cells[name]}).to_table()
+        for name, (_, result) in artifacts.items()
+    )
 
     print(output)
     if args.output is not None:

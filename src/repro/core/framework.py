@@ -162,8 +162,18 @@ class SEOConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.tau_s <= 0:
             raise ValueError("tau_s must be positive")
+        if self.target_speed_mps <= 0:
+            raise ValueError(f"target_speed_mps must be positive, got {self.target_speed_mps}")
         if not self.detector_period_multiples:
             raise ValueError("at least one detector period is required")
+        for multiple in self.detector_period_multiples:
+            # (1, 2.0) equals and hashes like (1, 2) but names its detector
+            # detector-p2.0tau, so a sweep could not dedupe the two.
+            if isinstance(multiple, bool) or not isinstance(multiple, numbers.Integral):
+                raise ValueError(
+                    "detector_period_multiples must hold integers, got "
+                    f"{self.detector_period_multiples!r}"
+                )
         if any(multiple < 1 for multiple in self.detector_period_multiples):
             raise ValueError("detector periods must be at least one base period")
         if len(set(self.detector_period_multiples)) != len(self.detector_period_multiples):

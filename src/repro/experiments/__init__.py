@@ -2,7 +2,9 @@
 
 Every driver returns a small result dataclass with the same rows/series the
 paper reports plus a ``to_table()`` rendering, and is consumed both by the
-benchmark harness (``benchmarks/``) and by the examples.
+benchmark harness (``benchmarks/``) and by the examples.  Each ``run_*``
+is ``<artifact>_result(run_batch(<artifact>_cells(settings), settings))``;
+the CLI runs the cells of several artifacts as one sweep instead.
 
 | Driver | Paper artifact |
 |---|---|

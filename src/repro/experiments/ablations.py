@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
-from repro.experiments.common import ExperimentSettings, run_batch, standard_config
+from repro.analysis.tables import format_table
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 
 
 @dataclass
@@ -39,6 +40,47 @@ class SafetyAwarenessAblationResult:
         """Extra gain the oblivious variant obtains by ignoring safety."""
         return self.oblivious.average_model_gain - self.aware.average_model_gain
 
+    def to_table(self) -> str:
+        """Render the ablation as text."""
+        variants = [
+            ("safety-aware (SEO)", self.aware, self.aware_unsafe_steps),
+            ("safety-oblivious", self.oblivious, self.oblivious_unsafe_steps),
+        ]
+        return format_table(
+            ["variant", "avg gain [%]", "mean delta_max", "unsafe steps / episode"],
+            [
+                [name, 100.0 * summary.average_model_gain, summary.mean_delta_max, unsafe]
+                for name, summary, unsafe in variants
+            ],
+            title="Ablation — safety-aware vs. safety-oblivious scheduling",
+        )
+
+
+def safety_awareness_ablation_cells(
+    settings: ExperimentSettings,
+    optimization: str = "model_gating",
+    num_obstacles: int = 4,
+) -> Cells:
+    """The safety-aware (``True``) and safety-oblivious (``False``) cells."""
+    base = standard_config(
+        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
+    )
+    return {aware: replace(base, safety_aware=aware) for aware in (True, False)}
+
+
+def safety_awareness_ablation_result(reports_by_label: Reports) -> SafetyAwarenessAblationResult:
+    """The ablation from the reports of :func:`safety_awareness_ablation_cells`."""
+    unsafe = {
+        aware: float(np.mean([report.unsafe_steps for report in reports]))
+        for aware, reports in reports_by_label.items()
+    }
+    return SafetyAwarenessAblationResult(
+        aware=aggregate_reports(reports_by_label[True]),
+        oblivious=aggregate_reports(reports_by_label[False]),
+        aware_unsafe_steps=unsafe[True],
+        oblivious_unsafe_steps=unsafe[False],
+    )
+
 
 def run_safety_awareness_ablation(
     settings: ExperimentSettings = ExperimentSettings(),
@@ -46,23 +88,8 @@ def run_safety_awareness_ablation(
     num_obstacles: int = 4,
 ) -> SafetyAwarenessAblationResult:
     """Run the safety-awareness ablation on a higher-risk scenario."""
-    base = standard_config(
-        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
-    )
-    batch = run_batch(
-        {aware: replace(base, safety_aware=aware) for aware in (True, False)},
-        settings,
-    )
-    unsafe = {
-        aware: float(np.mean([report.unsafe_steps for report in reports]))
-        for aware, reports in batch.items()
-    }
-    return SafetyAwarenessAblationResult(
-        aware=aggregate_reports(batch[True]),
-        oblivious=aggregate_reports(batch[False]),
-        aware_unsafe_steps=unsafe[True],
-        oblivious_unsafe_steps=unsafe[False],
-    )
+    cells = safety_awareness_ablation_cells(settings, optimization, num_obstacles)
+    return safety_awareness_ablation_result(run_batch(cells, settings))
 
 
 @dataclass
@@ -82,6 +109,40 @@ class LookupAblationResult:
         """Exact minus lookup average gain."""
         return self.exact.average_model_gain - self.lookup.average_model_gain
 
+    def to_table(self) -> str:
+        """Render the ablation as text."""
+        providers = [("lookup table T(x, u)", self.lookup), ("exact phi evaluation", self.exact)]
+        return format_table(
+            ["deadline provider", "avg gain [%]", "mean delta_max"],
+            [
+                [name, 100.0 * summary.average_model_gain, summary.mean_delta_max]
+                for name, summary in providers
+            ],
+            title="Ablation — deadline lookup table vs. exact evaluation",
+        )
+
+
+def lookup_ablation_cells(
+    settings: ExperimentSettings,
+    optimization: str = "offload",
+    num_obstacles: int = 3,
+) -> Cells:
+    """The lookup-table (``True``) and exact-phi (``False``) cells."""
+    base = standard_config(
+        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
+    )
+    return {
+        use_lookup: replace(base, use_lookup_table=use_lookup) for use_lookup in (True, False)
+    }
+
+
+def lookup_ablation_result(reports_by_label: Reports) -> LookupAblationResult:
+    """The ablation from the reports of :func:`lookup_ablation_cells`."""
+    return LookupAblationResult(
+        lookup=aggregate_reports(reports_by_label[True]),
+        exact=aggregate_reports(reports_by_label[False]),
+    )
+
 
 def run_lookup_ablation(
     settings: ExperimentSettings = ExperimentSettings(),
@@ -89,16 +150,5 @@ def run_lookup_ablation(
     num_obstacles: int = 3,
 ) -> LookupAblationResult:
     """Run the lookup-table ablation."""
-    base = standard_config(
-        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
-    )
-    batch = run_batch(
-        {
-            use_lookup: replace(base, use_lookup_table=use_lookup)
-            for use_lookup in (True, False)
-        },
-        settings,
-    )
-    return LookupAblationResult(
-        lookup=aggregate_reports(batch[True]), exact=aggregate_reports(batch[False])
-    )
+    cells = lookup_ablation_cells(settings, optimization, num_obstacles)
+    return lookup_ablation_result(run_batch(cells, settings))

@@ -1,17 +1,18 @@
 """Shared configuration builders and sweep plumbing for the experiment drivers.
 
-Every driver declares its artifact as a *batch* of named configurations and
-runs it through :func:`run_batch` / :func:`run_summaries`, which route the
-work into a :class:`repro.runtime.sweep.SweepRunner`.  When
-``settings.runner`` is set (the CLI does this), every driver of an
-invocation shares that runner — and therefore at most one worker pool;
-otherwise each call owns a short-lived runner of its own.  Either way the
-reports are bit-identical to the in-process per-config path.
+Every driver is split in two: ``<artifact>_cells(settings, ...)`` declares
+its artifact as a dict of named configurations, and
+``<artifact>_result(reports_by_label, ...)`` builds the result from their
+reports.  ``run_<artifact>`` composes the two around one :func:`run_batch`
+call, a :class:`repro.runtime.sweep.SweepRunner` sweep of its own.  The CLI
+instead runs the cells of every requested artifact as one sweep and hands
+each ``_result`` its slice (see :mod:`repro.cli`).  Either way the reports
+are bit-identical to the in-process per-config path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Hashable, Mapping
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
@@ -26,6 +27,11 @@ from repro.sim.scenario import ScenarioConfig
 #: state the count; three obstacles gives a comparable mix of open-road and
 #: at-risk driving.
 DEFAULT_NUM_OBSTACLES = 3
+
+#: An artifact's declared cells: label -> configuration.
+Cells = dict[Hashable, SEOConfig]
+#: The reports of an artifact's cells: label -> reports, in episode order.
+Reports = Mapping[Hashable, list[EpisodeReport]]
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,6 @@ class ExperimentSettings:
             ``jobs=1``; ``jobs`` is ignored).  Checked by
             :func:`repro.runtime.sweep.check_backend`, the same rule the
             :class:`~repro.runtime.sweep.SweepRunner` applies.
-        runner: Optional shared :class:`~repro.runtime.sweep.SweepRunner`.
-            When set, every driver batch funnels into it (one pool per
-            invocation); when ``None``, each batch owns a transient runner
-            built from ``jobs``/``backend``.
     """
 
     episodes: int = 10
@@ -59,7 +61,6 @@ class ExperimentSettings:
     target_speed_mps: float = 8.0
     jobs: int = 1
     backend: str = "process"
-    runner: SweepRunner | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.episodes <= 0:
@@ -117,48 +118,28 @@ def standard_config(
     )
 
 
-def run_batch(
-    configs: Mapping[Hashable, SEOConfig], settings: ExperimentSettings
-) -> dict[Hashable, list[EpisodeReport]]:
+def run_batch(configs: Cells, settings: ExperimentSettings) -> dict[Hashable, list[EpisodeReport]]:
     """Run every named config for ``settings.episodes`` episodes in one sweep.
 
     Each named config is lowered to a
     :class:`~repro.runtime.workunit.WorkUnit` covering ``settings.episodes``
     episodes, so the runner runs equal configs once without the driver
-    knowing.  All episodes of all units share one worker pool: the shared
-    ``settings.runner`` when present, otherwise a runner scoped to this
-    call.  Reports come back keyed like ``configs``, in episode order.
+    knowing.  Reports come back keyed like ``configs``, in episode order.
 
     Args:
         configs: Named configurations of the artifact's cells.
         settings: Shared experiment knobs.
     """
-    jobs = sweep_jobs(configs, settings.episodes)
-    if settings.runner is not None:
-        return settings.runner.run(jobs)
-    with SweepRunner(jobs=settings.jobs, backend=settings.backend) as runner:
-        return runner.run(jobs)
-
-
-def run_summaries(
-    configs: Mapping[Hashable, SEOConfig],
-    settings: ExperimentSettings,
-    only_successful: bool = True,
-) -> dict[Hashable, RunSummary]:
-    """Run a config batch through the shared pool and aggregate each job."""
-    return {
-        key: aggregate_reports(reports, only_successful=only_successful)
-        for key, reports in run_batch(configs, settings).items()
-    }
+    runner = SweepRunner(jobs=settings.jobs, backend=settings.backend)
+    return runner.run(sweep_jobs(configs, settings.episodes))
 
 
 def run_configuration(
     config: SEOConfig, settings: ExperimentSettings, only_successful: bool = True
 ) -> RunSummary:
     """Run one configuration for ``settings.episodes`` episodes and aggregate."""
-    return run_summaries(
-        {"configuration": config}, settings, only_successful=only_successful
-    )["configuration"]
+    reports = run_batch({"configuration": config}, settings)["configuration"]
+    return aggregate_reports(reports, only_successful=only_successful)
 
 
 def with_obstacles(config: SEOConfig, num_obstacles: int) -> SEOConfig:

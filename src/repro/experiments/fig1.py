@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 
 FIG1_OBSTACLE_COUNTS = (0, 1, 2, 3, 4)
 
@@ -58,13 +54,13 @@ class Fig1Result:
         )
 
 
-def run_fig1(
-    settings: ExperimentSettings = ExperimentSettings(),
+def fig1_cells(
+    settings: ExperimentSettings,
     tau_s: float = 0.02,
     obstacle_counts: tuple[int, ...] = FIG1_OBSTACLE_COUNTS,
-) -> Fig1Result:
-    """Regenerate the motivational Fig. 1 (model gating, filtered control)."""
-    configs = {
+) -> Cells:
+    """Fig. 1's cells (model gating, filtered control), by obstacle count."""
+    return {
         count: standard_config(
             settings,
             optimization="model_gating",
@@ -74,9 +70,23 @@ def run_fig1(
         )
         for count in obstacle_counts
     }
+
+
+def fig1_result(reports_by_label: Reports, tau_s: float = 0.02) -> Fig1Result:
+    """Fig. 1 from the reports of :func:`fig1_cells`."""
     result = Fig1Result(tau_s=tau_s)
-    for count, summary in run_summaries(configs, settings).items():
-        result.summaries[count] = summary
+    for count, reports in reports_by_label.items():
+        summary = result.summaries[count] = aggregate_reports(reports)
         for name, gain_summary in summary.model_gains.items():
             result.normalized_energy[(name, count)] = 1.0 - gain_summary.mean_gain
     return result
+
+
+def run_fig1(
+    settings: ExperimentSettings = ExperimentSettings(),
+    tau_s: float = 0.02,
+    obstacle_counts: tuple[int, ...] = FIG1_OBSTACLE_COUNTS,
+) -> Fig1Result:
+    """Regenerate the motivational Fig. 1 (model gating, filtered control)."""
+    cells = fig1_cells(settings, tau_s, obstacle_counts)
+    return fig1_result(run_batch(cells, settings), tau_s)

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 
 #: The two optimization methods compared in Fig. 5.
 FIG5_METHODS = ("offload", "model_gating")
@@ -56,22 +52,31 @@ class Fig5Result:
         )
 
 
-def run_fig5(
-    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.02
-) -> Fig5Result:
-    """Regenerate Fig. 5 (both optimization methods, both control cases)."""
-    cells = {
+def fig5_cells(settings: ExperimentSettings, tau_s: float = 0.02) -> Cells:
+    """Fig. 5's cells: both optimization methods, both control cases."""
+    return {
         (method, filtered): standard_config(
             settings, optimization=method, filtered=filtered, tau_s=tau_s
         )
         for method in FIG5_METHODS
         for filtered in (False, True)
     }
+
+
+def fig5_result(reports_by_label: Reports, tau_s: float = 0.02) -> Fig5Result:
+    """Fig. 5 from the reports of :func:`fig5_cells`."""
     result = Fig5Result(tau_s=tau_s)
-    for cell, summary in run_summaries(cells, settings).items():
-        result.summaries[cell] = summary
+    for cell, reports in reports_by_label.items():
+        summary = result.summaries[cell] = aggregate_reports(reports)
         result.gains[cell] = {
             name: gain_summary.mean_gain
             for name, gain_summary in summary.model_gains.items()
         }
     return result
+
+
+def run_fig5(
+    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.02
+) -> Fig5Result:
+    """Regenerate Fig. 5 (both optimization methods, both control cases)."""
+    return fig5_result(run_batch(fig5_cells(settings, tau_s), settings), tau_s)

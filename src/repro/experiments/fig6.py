@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.histograms import DeltaHistogram, delta_histogram
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 
 FIG6_METHODS = ("offload", "model_gating")
 FIG6_OBSTACLE_COUNTS = (0, 2, 4)
@@ -62,13 +58,13 @@ class Fig6Result:
         )
 
 
-def run_fig6(
-    settings: ExperimentSettings = ExperimentSettings(),
+def fig6_cells(
+    settings: ExperimentSettings,
     filtered: bool = False,
     obstacle_counts: tuple[int, ...] = FIG6_OBSTACLE_COUNTS,
-) -> Fig6Result:
-    """Regenerate Fig. 6 (unfiltered by default, as in the paper)."""
-    cells = {
+) -> Cells:
+    """Fig. 6's cells: both methods at each obstacle count."""
+    return {
         (method, count): standard_config(
             settings,
             optimization=method,
@@ -78,9 +74,23 @@ def run_fig6(
         for method in FIG6_METHODS
         for count in obstacle_counts
     }
+
+
+def fig6_result(reports_by_label: Reports, filtered: bool = False) -> Fig6Result:
+    """Fig. 6 from the reports of :func:`fig6_cells`."""
     result = Fig6Result(filtered=filtered)
-    for cell, summary in run_summaries(cells, settings).items():
-        result.summaries[cell] = summary
+    for cell, reports in reports_by_label.items():
+        summary = result.summaries[cell] = aggregate_reports(reports)
         result.histograms[cell] = delta_histogram(summary.delta_max_samples)
         result.average_gains[cell] = summary.average_model_gain
     return result
+
+
+def run_fig6(
+    settings: ExperimentSettings = ExperimentSettings(),
+    filtered: bool = False,
+    obstacle_counts: tuple[int, ...] = FIG6_OBSTACLE_COUNTS,
+) -> Fig6Result:
+    """Regenerate Fig. 6 (unfiltered by default, as in the paper)."""
+    cells = fig6_cells(settings, filtered, obstacle_counts)
+    return fig6_result(run_batch(cells, settings), filtered)

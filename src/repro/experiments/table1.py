@@ -10,15 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
-
-TABLE1_METHODS = ("offload", "model_gating")
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch
+from repro.experiments.fig5 import fig5_cells
 
 
 @dataclass(frozen=True)
@@ -70,20 +65,16 @@ class Table1Result:
         )
 
 
-def run_table1(
-    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.025
-) -> Table1Result:
-    """Regenerate Table I (tau = 25 ms)."""
-    cells = {
-        (method, filtered): standard_config(
-            settings, optimization=method, filtered=filtered, tau_s=tau_s
-        )
-        for method in TABLE1_METHODS
-        for filtered in (False, True)
-    }
+def table1_cells(settings: ExperimentSettings, tau_s: float = 0.025) -> Cells:
+    """Table I's cells: Fig. 5's (both methods, both control cases) at ``tau_s``."""
+    return fig5_cells(settings, tau_s)
+
+
+def table1_result(reports_by_label: Reports, tau_s: float = 0.025) -> Table1Result:
+    """Table I from the reports of :func:`table1_cells`."""
     result = Table1Result(tau_s=tau_s)
-    for (method, filtered), summary in run_summaries(cells, settings).items():
-        result.summaries[(method, filtered)] = summary
+    for (method, filtered), reports in reports_by_label.items():
+        summary = result.summaries[(method, filtered)] = aggregate_reports(reports)
         names = sorted(summary.model_gains)
         result.rows.append(
             Table1Row(
@@ -94,3 +85,10 @@ def run_table1(
             )
         )
     return result
+
+
+def run_table1(
+    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.025
+) -> Table1Result:
+    """Regenerate Table I (tau = 25 ms)."""
+    return table1_result(run_batch(table1_cells(settings, tau_s), settings), tau_s)

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 
 TABLE2_OBSTACLE_COUNTS = (0, 2, 4)
 
@@ -71,14 +67,13 @@ class Table2Result:
         )
 
 
-def run_table2(
-    settings: ExperimentSettings = ExperimentSettings(),
+def table2_cells(
+    settings: ExperimentSettings,
     tau_s: float = 0.02,
     obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
-) -> Table2Result:
-    """Regenerate Table II."""
-    methods = ("offload", "model_gating")
-    cells = {
+) -> Cells:
+    """Table II's cells: both methods, both control cases, each obstacle count."""
+    return {
         (method, filtered, count): standard_config(
             settings,
             optimization=method,
@@ -88,28 +83,42 @@ def run_table2(
         )
         for filtered in (False, True)
         for count in obstacle_counts
-        for method in methods
+        for method in ("offload", "model_gating")
     }
-    summaries = run_summaries(cells, settings)
+
+
+def table2_result(
+    reports_by_label: Reports,
+    tau_s: float = 0.02,
+    obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
+) -> Table2Result:
+    """Table II from the reports of :func:`table2_cells`."""
     result = Table2Result(tau_s=tau_s)
-    result.summaries.update(summaries)
+    for cell, reports in reports_by_label.items():
+        result.summaries[cell] = aggregate_reports(reports)
     for filtered in (False, True):
         for count in obstacle_counts:
+            offload = result.summaries[("offload", filtered, count)]
+            gating = result.summaries[("model_gating", filtered, count)]
             # The reported delta_max column comes from the gating run (the
             # last method of the pre-sweep serial loop, kept for parity).
             result.rows.append(
                 Table2Row(
                     filtered=filtered,
                     num_obstacles=count,
-                    offloading_gain=summaries[
-                        ("offload", filtered, count)
-                    ].average_model_gain,
-                    gating_gain=summaries[
-                        ("model_gating", filtered, count)
-                    ].average_model_gain,
-                    mean_delta_max=summaries[
-                        ("model_gating", filtered, count)
-                    ].mean_delta_max,
+                    offloading_gain=offload.average_model_gain,
+                    gating_gain=gating.average_model_gain,
+                    mean_delta_max=gating.mean_delta_max,
                 )
             )
     return result
+
+
+def run_table2(
+    settings: ExperimentSettings = ExperimentSettings(),
+    tau_s: float = 0.02,
+    obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
+) -> Table2Result:
+    """Regenerate Table II."""
+    cells = table2_cells(settings, tau_s, obstacle_counts)
+    return table2_result(run_batch(cells, settings), tau_s, obstacle_counts)

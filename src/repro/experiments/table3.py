@@ -11,17 +11,13 @@ measurement power benefits more from gating).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.analysis.metrics import RunSummary
+from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
 from repro.core.energy import expected_gating_gain
 from repro.core.models import SensoryModel
-from repro.experiments.common import (
-    ExperimentSettings,
-    run_summaries,
-    standard_config,
-)
+from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
 from repro.platform.presets import (
     DRIVE_PX2_RESNET152,
     NAVTECH_RADAR,
@@ -32,6 +28,8 @@ from repro.platform.sensors import SensorPowerSpec
 
 #: Sensors evaluated in Table III, in the paper's order.
 TABLE3_SENSORS = (ZED_CAMERA, NAVTECH_RADAR, VELODYNE_LIDAR)
+#: Detector periods of Table III's rows, as multiples of tau.
+TABLE3_PERIOD_MULTIPLES = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -82,47 +80,57 @@ class Table3Result:
         )
 
 
-def run_table3(
-    settings: ExperimentSettings = ExperimentSettings(),
-    tau_s: float = 0.02,
-    sensors: tuple = TABLE3_SENSORS,
-) -> Table3Result:
-    """Regenerate Table III (sensor gating, filtered control)."""
-    configs = {
-        sensor.name: standard_config(
-            settings,
-            optimization="sensor_gating",
-            filtered=True,
-            tau_s=tau_s,
-            detector_sensor=sensor,
+def table3_cells(
+    settings: ExperimentSettings, tau_s: float = 0.02, sensors: tuple = TABLE3_SENSORS
+) -> Cells:
+    """Table III's cells: sensor gating, filtered control, one per sensor."""
+    return {
+        sensor.name: replace(
+            standard_config(
+                settings,
+                optimization="sensor_gating",
+                filtered=True,
+                tau_s=tau_s,
+                detector_sensor=sensor,
+            ),
+            detector_period_multiples=TABLE3_PERIOD_MULTIPLES,
         )
         for sensor in sensors
     }
-    summaries = run_summaries(configs, settings)
+
+
+def table3_result(
+    reports_by_label: Reports, tau_s: float = 0.02, sensors: tuple = TABLE3_SENSORS
+) -> Table3Result:
+    """Table III from the reports of :func:`table3_cells`."""
     result = Table3Result(tau_s=tau_s)
     for sensor in sensors:
-        config = configs[sensor.name]
-        summary = summaries[sensor.name]
-        result.summaries[sensor.name] = summary
-        for multiple in config.detector_period_multiples:
-            model_name = config.detector_name(multiple)
-            four_tau = expected_gating_gain(
-                _sensor_model(sensor, multiple, tau_s),
-                tau_s,
-                delta_max=4,
-                gate_sensor=True,
-            ).gain
+        summary = result.summaries[sensor.name] = aggregate_reports(reports_by_label[sensor.name])
+        for multiple in TABLE3_PERIOD_MULTIPLES:
+            model = _sensor_model(sensor, multiple, tau_s)
             result.rows.append(
                 Table3Row(
                     sensor=sensor.name,
                     period_multiple=multiple,
                     measurement_power_w=sensor.measurement_power_w,
                     mechanical_power_w=sensor.mechanical_power_w,
-                    average_gain=summary.gain_for(model_name),
-                    four_tau_gain=four_tau,
+                    average_gain=summary.gain_for(model.name),
+                    four_tau_gain=expected_gating_gain(
+                        model, tau_s, delta_max=4, gate_sensor=True
+                    ).gain,
                 )
             )
     return result
+
+
+def run_table3(
+    settings: ExperimentSettings = ExperimentSettings(),
+    tau_s: float = 0.02,
+    sensors: tuple = TABLE3_SENSORS,
+) -> Table3Result:
+    """Regenerate Table III (sensor gating, filtered control)."""
+    cells = table3_cells(settings, tau_s, sensors)
+    return table3_result(run_batch(cells, settings), tau_s, sensors)
 
 
 def _sensor_model(

@@ -15,9 +15,8 @@ experiment drivers:
   multi-config sweep engine and the one place a backend name
   (:data:`EXECUTOR_BACKENDS`: ``process``, ``batch``) becomes a local
   process pool: the units of a batch run as lockstep groups, each one
-  ``run_cells`` call in-process or cut into one chunk per worker of one
-  shared pool, and one runner (hence one pool at a time, rebuilt only to
-  grow) can serve every batch of a CLI invocation.
+  ``run_cells`` call in-process or cut into one chunk per worker of a
+  pool that lives for that one batch.
 * :mod:`repro.runtime.ledger` — :func:`report_to_jsonable`, the JSON form
   of an episode report that the golden corpus digests.
 * :mod:`repro.runtime.cache` — :class:`LookupTableCache`, memoizing

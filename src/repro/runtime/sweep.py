@@ -1,4 +1,4 @@
-"""Batched multi-config sweeps over one shared process pool.
+"""Batched multi-config sweeps, in-process or over one local process pool.
 
 Every paper artifact (Fig. 1/5/6, Tables I-III, the ablations, the scenario
 suite) is a *sweep*: the same episode loop evaluated over a batch of named
@@ -9,8 +9,8 @@ makes the sweep a first-class object: it accepts a batch of
 and ranges once, groups the units whose configs share a
 :meth:`~repro.core.framework.SEOConfig.lockstep_key`, and runs each
 group's episode ranges in numpy lockstep: in-process as one call, or cut
-into at most one chunk per worker of one shared local process pool.
-Reports are routed back per job in episode order.
+into at most one chunk per worker of a local process pool.  Reports are
+routed back per job in episode order.
 
 Episodes are fully determined by ``(config, episode index)``: the world,
 the scheduler and the detector noise generators are all re-seeded per
@@ -18,9 +18,9 @@ episode.  So neither the grouping nor the cut can change any report.
 
 The runner is the one place that turns a backend name into a pool, and
 :func:`check_backend` is the one statement of which backend names are
-valid.  The pool is created lazily on the first parallel batch and reused
-by every subsequent :meth:`SweepRunner.run` call, so a CLI invocation that
-regenerates every artifact constructs at most one pool.
+valid.  A pool lives for one :meth:`SweepRunner.run` call; the CLI puts
+every artifact of an invocation into that one call (see :mod:`repro.cli`),
+so ``all`` constructs at most one pool.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import warnings
 from collections.abc import Hashable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from types import TracebackType
 from typing import TypeVar
 
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
@@ -65,9 +64,7 @@ def resolve_jobs(jobs: int) -> int:
 def check_backend(backend: str) -> None:
     """Refuse an unknown backend name."""
     if backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"unknown backend: {backend!r} (choose from {EXECUTOR_BACKENDS})"
-        )
+        raise ValueError(f"unknown backend: {backend!r} (choose from {EXECUTOR_BACKENDS})")
 
 
 #: Process-wide count of worker pools constructed by sweep runners.  Tests
@@ -124,12 +121,10 @@ class SweepJob:
     @property
     def unit(self) -> WorkUnit:
         """The work unit this job lowers to."""
-        return WorkUnit.for_sweep(self.config, self.episodes)
+        return WorkUnit(config=self.config, episode_start=0, episode_stop=self.episodes)
 
 
-def sweep_jobs(
-    configs: Mapping[Hashable, SEOConfig], episodes: int
-) -> list[SweepJob]:
+def sweep_jobs(configs: Mapping[Hashable, SEOConfig], episodes: int) -> list[SweepJob]:
     """Build a job batch running every named config for ``episodes`` episodes."""
     return [
         SweepJob(label=label, config=config, episodes=episodes)
@@ -186,17 +181,15 @@ def split_ranges(
 
 
 class SweepRunner:
-    """Run batches of ``(config, episodes)`` jobs over one shared process pool.
+    """Run batches of ``(config, episodes)`` jobs, in-process or over a pool.
 
-    The runner owns at most one live pool: the first parallel :meth:`run`
-    creates it, later calls reuse it, and :meth:`close` (or exiting the
-    context manager) shuts it down — after which the runner refuses further
-    batches instead of silently leaking a fresh pool.  The units whose
-    configs share a :meth:`~repro.core.framework.SEOConfig.lockstep_key`
-    form a group.  With ``jobs == 1`` or the ``"batch"`` backend no pool is
-    ever created and each group is one :func:`run_ranges` call in-process;
-    with a pool each group is cut into at most one chunk per worker, and
-    each chunk is one :func:`run_ranges` task — either way the reports are
+    The units whose configs share a
+    :meth:`~repro.core.framework.SEOConfig.lockstep_key` form a group.
+    With ``jobs == 1`` or the ``"batch"`` backend no pool is ever created
+    and each group is one :func:`run_ranges` call in-process; otherwise
+    each :meth:`run` builds a pool, cuts each group into at most one chunk
+    per worker, submits each chunk as one :func:`run_ranges` task and
+    shuts the pool down before it returns.  Either way the reports are
     bit-identical.
 
     Args:
@@ -219,51 +212,7 @@ class SweepRunner:
         self.backend = backend
         self.workers = resolve_jobs(jobs)
         self.units_executed = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_size = 0
-        self._closed = False
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the shared pool (if any) and refuse further batches."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self._closed = True
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
-    def _ensure_pool(self, tasks: int) -> ProcessPoolExecutor:
-        """The shared pool, ready for a batch of ``tasks`` chunks.
-
-        The pool forks only as many workers as the batch can use,
-        ``min(workers, tasks)``, and is rebuilt larger when a later batch
-        has more chunks than it has workers.
-        """
-        size = min(self.workers, tasks)
-        if self._pool is not None and self._pool_size < size:
-            self._pool.shutdown()
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=size)
-            self._pool_size = size
-            _count_pool_construction()
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(
         self, jobs: Sequence[SweepJob], experiment: str | None = None
     ) -> dict[Hashable, list[EpisodeReport]]:
@@ -272,41 +221,30 @@ class SweepRunner:
         Jobs are lowered to work units and deduplicated by
         :attr:`~repro.runtime.workunit.WorkUnit.key`: two labels naming
         equal configs over equal ranges share one execution.  Every chunk
-        of every group is submitted to the shared pool up front, so the
-        whole batch drains with full parallelism instead of config by
-        config.  Results are bit-identical to the in-process per-config
-        path.  A failing task fails the batch fast: queued tasks are
-        cancelled rather than drained before the error surfaces.
+        of every group is submitted to the pool up front, so the whole
+        batch drains with full parallelism instead of config by config.
+        Results are bit-identical to the in-process per-config path.  A
+        failing task fails the batch fast: queued tasks are cancelled
+        rather than drained before the error surfaces.
 
         Args:
             jobs: The batch to run; labels must be unique within it.
             experiment: Ignored; callers may name the artifact the batch
                 belongs to (e.g. ``"fig5"``).
         """
-        if self._closed:
-            raise RuntimeError("SweepRunner is closed; create a new one")
         labels = [job.label for job in jobs]
         if len(set(labels)) != len(labels):
             raise ValueError("sweep job labels must be unique within a batch")
-
+        if not jobs:
+            return {}
         units: dict[Hashable, WorkUnit] = {}
         key_by_label: dict[Hashable, Hashable] = {}
         for job in jobs:
             unit = job.unit
             units.setdefault(unit.key, unit)
             key_by_label[job.label] = unit.key
-        results = self._execute_units(list(units.values()))
-        self.units_executed += len(units)
-        return {label: results[key] for label, key in key_by_label.items()}
-
-    def _execute_units(
-        self, units: Sequence[WorkUnit]
-    ) -> dict[Hashable, list[EpisodeReport]]:
-        """Execute units on the configured backend, keyed by unit key."""
-        if not units:
-            return {}
         groups: dict[Hashable, list[tuple[WorkUnit, int, int]]] = {}
-        for unit in units:
+        for unit in units.values():
             groups.setdefault(unit.config.lockstep_key(), []).append(
                 (unit, unit.episode_start, unit.episode_stop)
             )
@@ -320,19 +258,20 @@ class SweepRunner:
         if in_process:
             outputs = [run_ranges(task) for task in ranges]
         else:
-            pool = self._ensure_pool(len(ranges))
-            futures = [pool.submit(run_ranges, task) for task in ranges]
+            # The pool forks only as many workers as the batch can use.
+            pool = ProcessPoolExecutor(max_workers=min(self.workers, len(ranges)))
+            _count_pool_construction()
             try:
+                futures = [pool.submit(run_ranges, task) for task in ranges]
                 outputs = [future.result() for future in futures]
-            except BaseException:
-                # Fail fast: drop the queued tasks instead of letting the
-                # pool drain the rest of the sweep before the error
-                # surfaces.  A later run() may lazily build a replacement.
+            finally:
+                # No pool outlives run().  On a failing task, drop the
+                # queued ones instead of letting the pool drain the rest of
+                # the sweep before the error surfaces.
                 pool.shutdown(cancel_futures=True)
-                self._pool = None
-                raise
         results: dict[Hashable, list[EpisodeReport]] = {}
         for task, cells in zip(tasks, outputs, strict=True):
             for (unit, _, _), reports in zip(task, cells, strict=True):
                 results.setdefault(unit.key, []).extend(reports)
-        return results
+        self.units_executed += len(units)
+        return {label: results[key] for label, key in key_by_label.items()}

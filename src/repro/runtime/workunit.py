@@ -40,11 +40,6 @@ class WorkUnit:
         if self.episode_stop <= self.episode_start:
             raise ValueError("episode range must be non-empty")
 
-    @property
-    def episodes(self) -> range:
-        """The episode indices this unit covers."""
-        return range(self.episode_start, self.episode_stop)
-
     @functools.cached_property
     def key(self) -> tuple[SEOConfig, int, int]:
         """The unit's identity: ``(config, episode_start, episode_stop)``.
@@ -53,8 +48,3 @@ class WorkUnit:
         or to the range changes the key.
         """
         return (self.config, self.episode_start, self.episode_stop)
-
-    @classmethod
-    def for_sweep(cls, config: SEOConfig, episodes: int) -> WorkUnit:
-        """The unit covering episodes ``0 .. episodes-1`` of a config."""
-        return cls(config=config, episode_start=0, episode_stop=episodes)

@@ -121,24 +121,60 @@ class TestRun:
         auto = run(base + ["--jobs", "0"])
         assert auto == serial
 
-    def test_all_constructs_at_most_one_pool(self, monkeypatch):
-        """Acceptance: one invocation shares one worker pool across drivers.
-
-        EXPERIMENTS is narrowed to two cheap drivers so the test stays fast;
-        the plumbing under test (one SweepRunner threaded through every
-        driver of the invocation) is exactly the production `all` path.
-        """
-        from repro import cli
+    def test_all_constructs_at_most_one_pool(self):
+        """Acceptance: every artifact of `all` runs in one sweep, so the
+        invocation builds one worker pool."""
         from repro.runtime import sweep
 
-        monkeypatch.setattr(
-            cli,
-            "EXPERIMENTS",
-            {name: cli.EXPERIMENTS[name] for name in ("table3", "fig1")},
-        )
         before = sweep.pool_constructions()
-        run(["all", "--episodes", "2", "--max-steps", "300", "--jobs", "2"])
+        run(["all", "--episodes", "1", "--max-steps", "200", "--jobs", "2"])
         assert sweep.pool_constructions() - before == 1
+
+    def test_all_is_one_sweep_with_one_engine_call_per_lockstep_group(self, monkeypatch):
+        """`all` makes one SweepRunner.run call over every artifact's cells,
+        and so one run_cells call per lockstep_key group of their union."""
+        from repro import cli
+        from repro.experiments.common import ExperimentSettings
+        from repro.runtime import sweep
+
+        batches, engine_calls = [], []
+        run_cells = sweep.run_cells
+
+        class RecordingRunner(sweep.SweepRunner):
+            def run(self, jobs, experiment=None):
+                batches.append([job.label for job in jobs])
+                return super().run(jobs, experiment=experiment)
+
+        def counting_run_cells(cells, timings=None):
+            engine_calls.append(len(cells))
+            return run_cells(cells, timings)
+
+        monkeypatch.setattr(cli, "SweepRunner", RecordingRunner)
+        monkeypatch.setattr(sweep, "run_cells", counting_run_cells)
+        run(["all", "--episodes", "1", "--max-steps", "200"])
+
+        settings = ExperimentSettings(episodes=1, max_steps=200)
+        declared = {
+            (name, label): config
+            for name, (cells_of, _) in EXPERIMENTS.items()
+            for label, config in cells_of(settings).items()
+        }
+        assert len(batches) == 1
+        assert sorted(batches[0], key=repr) == sorted(declared, key=repr)
+        distinct = set(declared.values())
+        groups = {config.lockstep_key() for config in distinct}
+        assert (len(declared), len(distinct), len(groups)) == (38, 26, 2)
+        assert sorted(engine_calls) == sorted(
+            sum(config.lockstep_key() == key for config in distinct) for key in groups
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_all_equals_the_single_artifact_outputs(self, jobs):
+        """Merging every artifact into one sweep changes no byte of any table."""
+        options = ["--episodes", "1", "--max-steps", "200", "--jobs", jobs]
+        merged = run(["all", *options])
+        alone = [run([name, *options]) for name in sorted(EXPERIMENTS)]
+        assert merged == "\n\n".join(alone)
 
     def test_serial_invocation_builds_no_pool(self):
         from repro.runtime import sweep

@@ -124,6 +124,28 @@ class TestSEOConfig:
         with pytest.raises(ValueError, match="detector_period_multiples must not repeat"):
             SEOConfig(detector_period_multiples=(1, 1))
 
+    @pytest.mark.parametrize("multiples", [(1, 2.0), (True, 2), (1, 2.5)])
+    def test_rejects_non_integral_detector_period_multiples(self, multiples):
+        # (1, 2.0) and (True, 2) used to equal and hash like (1, 2), so a
+        # sweep ran them as one unit, yet run alone (1, 2.0) named its
+        # detector detector-p2.0tau: the name a cell got depended on which
+        # equal config the sweep saw first.
+        message = f"detector_period_multiples must hold integers, got {multiples!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SEOConfig(detector_period_multiples=multiples)
+
+    def test_accepts_numpy_integer_detector_period_multiples(self):
+        config = SEOConfig(detector_period_multiples=(np.int64(1), np.int32(2)))
+        assert config == SEOConfig()
+        assert config.detector_name(config.detector_period_multiples[1]) == "detector-p2tau"
+
+    @pytest.mark.parametrize("speed", [0.0, -1.0])
+    def test_rejects_nonpositive_target_speed(self, speed):
+        # target_speed_mps=-1.0 used to run all max_steps, neither colliding
+        # nor completing; ScenarioConfig already refused its own field.
+        with pytest.raises(ValueError, match=f"^target_speed_mps must be positive, got {speed}$"):
+            SEOConfig(target_speed_mps=speed, max_steps=80)
+
     def test_lockstep_key_ignores_only_the_per_row_fields(self):
         config = SEOConfig()
         per_row = dataclasses.replace(

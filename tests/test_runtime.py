@@ -29,8 +29,8 @@ class TestParallelExecutor:
     def test_bit_identical_to_serial(self, fast_seo_config):
         """Same seeds => same energy totals, gains and delta_max samples."""
         serial = run_batch(SEOFramework(fast_seo_config), range(4))
-        with SweepRunner(jobs=2) as runner:
-            parallel = runner.run(sweep_jobs({"cell": fast_seo_config}, 4))["cell"]
+        runner = SweepRunner(jobs=2)
+        parallel = runner.run(sweep_jobs({"cell": fast_seo_config}, 4))["cell"]
         assert [report.episode for report in parallel] == [0, 1, 2, 3]
         for left, right in zip(serial, parallel, strict=True):
             assert left.energy_by_model_j == right.energy_by_model_j
@@ -40,14 +40,14 @@ class TestParallelExecutor:
 
     def test_bit_identical_for_gating(self, fast_seo_config):
         config = dataclasses.replace(fast_seo_config, optimization="model_gating")
-        with SweepRunner(jobs=3) as runner:
-            reports = runner.run(sweep_jobs({"cell": config}, 3))["cell"]
+        runner = SweepRunner(jobs=3)
+        reports = runner.run(sweep_jobs({"cell": config}, 3))["cell"]
         assert reports == run_batch(SEOFramework(config), range(3))
 
     def test_single_job_degrades_to_serial(self, fast_seo_config):
         before = pool_constructions()
-        with SweepRunner(jobs=1) as runner:
-            reports = runner.run(sweep_jobs({"cell": fast_seo_config}, 2))["cell"]
+        runner = SweepRunner(jobs=1)
+        reports = runner.run(sweep_jobs({"cell": fast_seo_config}, 2))["cell"]
         assert pool_constructions() == before
         assert reports == run_batch(SEOFramework(fast_seo_config), range(2))
 

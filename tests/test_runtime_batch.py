@@ -392,26 +392,23 @@ class TestBackendWiring:
         with pytest.warns(UserWarning, match="ignores jobs"):
             runner = SweepRunner(jobs=0, backend="batch")
         assert runner.backend == "batch"
-        runner.close()
 
     def test_default_jobs_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SweepRunner(jobs=1, backend="batch").close()
+            SweepRunner(jobs=1, backend="batch")
 
     def test_sweep_runner_explicit_jobs_warns(self):
         """The CLI routes through SweepRunner, so it must warn there too."""
-        with pytest.warns(UserWarning, match="ignores jobs"), SweepRunner(
-            jobs=4, backend="batch"
-        ):
-            pass
+        with pytest.warns(UserWarning, match="ignores jobs"):
+            SweepRunner(jobs=4, backend="batch")
 
     def test_sweep_runner_no_pool(self, fast_seo_config):
         """A batch-backend sweep is bit-identical and never builds a pool."""
         jobs = [SweepJob(label="cell", config=fast_seo_config, episodes=3)]
         before = pool_constructions()
-        with SweepRunner(backend="batch") as runner:
-            results = runner.run(jobs)
+        runner = SweepRunner(backend="batch")
+        results = runner.run(jobs)
         assert pool_constructions() == before
         assert results["cell"] == alone(SEOFramework(fast_seo_config), range(3))
 

@@ -1,4 +1,4 @@
-"""Tests for the shared-pool sweep engine (`repro.runtime.sweep`)."""
+"""Tests for the sweep engine (`repro.runtime.sweep`)."""
 
 import dataclasses
 import math
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import SEOFramework
-from repro.experiments.common import ExperimentSettings, run_batch, standard_config
+from repro.experiments.common import ExperimentSettings, standard_config
 from repro.experiments.fig5 import FIG5_METHODS
 from repro.runtime import batch as engine
 from repro.runtime.sweep import (
@@ -67,6 +67,23 @@ def _run_config(runner, config, episodes):
     return runner.run(sweep_jobs({"job": config}, episodes))["job"]
 
 
+def _record_pools(monkeypatch):
+    """Make the sweep build pools that record their size and stay referenced,
+    so only ``shutdown()`` can end their workers; returns the pools built."""
+    from repro.runtime import sweep as sweep_module
+
+    pools = []
+
+    class RecordingPool(sweep_module.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.size = max_workers
+            pools.append(self)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 def _variants(fast_seo_config):
     """A small multi-config batch mixing optimization methods and controls."""
     return {
@@ -90,8 +107,8 @@ class TestSweepJob:
 class TestSweepRunnerSerial:
     def test_matches_serial_per_config_path(self, fast_seo_config):
         configs = _variants(fast_seo_config)
-        with SweepRunner(jobs=1) as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(jobs=1)
+        batch = runner.run(sweep_jobs(configs, episodes=2))
         for key, config in configs.items():
             assert batch[key] == _alone(config, 2)
 
@@ -99,20 +116,19 @@ class TestSweepRunnerSerial:
         before = pool_constructions()
         runner = SweepRunner(jobs=1)
         runner.run(sweep_jobs(_variants(fast_seo_config), episodes=1))
-        runner.close()
         assert pool_constructions() == before
 
     def test_empty_batch(self):
-        with SweepRunner(jobs=1) as runner:
-            assert runner.run([]) == {}
+        runner = SweepRunner(jobs=1)
+        assert runner.run([]) == {}
 
     def test_duplicate_labels_rejected(self, fast_seo_config):
         jobs = [
             SweepJob(label="same", config=fast_seo_config, episodes=1),
             SweepJob(label="same", config=fast_seo_config, episodes=1),
         ]
-        with SweepRunner(jobs=1) as runner, pytest.raises(ValueError):
-            runner.run(jobs)
+        with pytest.raises(ValueError):
+            SweepRunner(jobs=1).run(jobs)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -123,67 +139,53 @@ class TestSweepRunnerParallel:
     def test_bit_identical_to_serial_per_config(self, fast_seo_config):
         """Acceptance: a multi-config parallel sweep == the serial path."""
         configs = _variants(fast_seo_config)
-        with SweepRunner(jobs=2) as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=3))
+        runner = SweepRunner(jobs=2)
+        batch = runner.run(sweep_jobs(configs, episodes=3))
         for key, config in configs.items():
             expected = _alone(config, 3)
             assert [report.episode for report in batch[key]] == [0, 1, 2]
             assert batch[key] == expected
 
-    def test_single_pool_across_batches(self, fast_seo_config):
-        """The shared pool is created once and reused by later batches."""
+    def test_each_run_owns_its_pool(self, fast_seo_config, monkeypatch):
+        """A pool lives for one run() call: two batches build two pools,
+        and no worker outlives either call."""
+        pools = _record_pools(monkeypatch)
         before = pool_constructions()
-        with SweepRunner(jobs=2) as runner:
-            runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
-            runner.run(
-                sweep_jobs(
-                    {"b": dataclasses.replace(fast_seo_config, seed=9)}, episodes=2
-                )
-            )
-            assert pool_constructions() == before + 1
+        children = set(multiprocessing.active_children())
+        runner = SweepRunner(jobs=2)
+        for seed in (5, 9):
+            config = dataclasses.replace(fast_seo_config, seed=seed)
+            assert _run_config(runner, config, 2) == _alone(config, 2)
+            assert set(multiprocessing.active_children()) <= children
+        assert len(pools) == 2
+        assert pool_constructions() == before + 2
 
-    def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config):
-        """Two episodes are two chunks: a 4-job pool forks only two workers."""
-        before = set(multiprocessing.active_children())
-        with SweepRunner(jobs=4) as runner:
-            reports = _run_config(runner, fast_seo_config, 2)
-            forked = set(multiprocessing.active_children()) - before
-            assert 1 <= len(forked) <= 2
-        assert reports == _alone(fast_seo_config, 2)
-
-    def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config):
-        before = pool_constructions()
-        with SweepRunner(jobs=3) as runner:
-            _run_config(runner, fast_seo_config, 1)
-            assert pool_constructions() == before + 1
-            config = dataclasses.replace(fast_seo_config, seed=9)
-            reports = _run_config(runner, config, 3)
-            assert pool_constructions() == before + 2
-            # The grown pool serves every later batch that fits in it.
-            _run_config(runner, fast_seo_config, 2)
-            assert pool_constructions() == before + 2
-        assert reports == _alone(config, 3)
+    def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config, monkeypatch):
+        """Each batch's pool gets min(jobs, chunks) workers: two episodes
+        are two chunks, so a 4-job pool forks only two workers."""
+        pools = _record_pools(monkeypatch)
+        runner = SweepRunner(jobs=4)
+        reports = [_run_config(runner, fast_seo_config, episodes) for episodes in (2, 3, 5)]
+        assert [pool.size for pool in pools] == [2, 3, 4]
+        assert reports[1] == _alone(fast_seo_config, 3)
 
     def test_auto_jobs_resolves_to_cpu_count(self):
         assert SweepRunner(jobs=0).workers == resolve_jobs(0)
         assert SweepRunner(jobs=0).workers >= 1
-
-    def test_run_after_close_raises(self, fast_seo_config):
-        runner = SweepRunner(jobs=2)
-        runner.close()
-        with pytest.raises(RuntimeError):
-            runner.run(sweep_jobs({"a": fast_seo_config}, episodes=1))
 
     def test_failing_episode_fails_fast(self, fast_seo_config, monkeypatch):
         """A raising worker task surfaces immediately and tears the pool down."""
         from repro.runtime import sweep as sweep_module
 
         monkeypatch.setattr(sweep_module, "run_ranges", _exploding_task)
-        runner = SweepRunner(jobs=2, backend="process")
+        _record_pools(monkeypatch)
+        children = set(multiprocessing.active_children())
         with pytest.raises(RuntimeError, match="boom"):
-            runner.run(sweep_jobs({"a": fast_seo_config}, episodes=3))
-        assert runner._pool is None  # cancelled and shut down, not drained
-        runner.close()
+            SweepRunner(jobs=2, backend="process").run(
+                sweep_jobs({"a": fast_seo_config}, episodes=3)
+            )
+        # Cancelled and shut down, not drained: no worker outlives run().
+        assert set(multiprocessing.active_children()) <= children
 
     def test_lost_worker_breaks_the_pool_and_a_rerun_rebuilds_it(
         self, fast_seo_config, monkeypatch
@@ -193,19 +195,19 @@ class TestSweepRunnerParallel:
         from repro.runtime import sweep as sweep_module
 
         jobs = sweep_jobs(_variants(fast_seo_config), episodes=2)
-        with SweepRunner(jobs=1) as serial:
-            expected = serial.run(jobs)
+        expected = SweepRunner(jobs=1).run(jobs)
         monkeypatch.setattr(sweep_module, "run_ranges", _dying_task)
         before = pool_constructions()
-        with SweepRunner(jobs=2, backend="process") as runner:
-            started = time.monotonic()
-            with pytest.raises(BrokenProcessPool):
-                runner.run(jobs)
-            assert time.monotonic() - started < 60.0
-            assert runner._pool is None
-            monkeypatch.undo()
-            assert runner.run(jobs) == expected
-            assert pool_constructions() == before + 2
+        children = set(multiprocessing.active_children())
+        runner = SweepRunner(jobs=2, backend="process")
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            runner.run(jobs)
+        assert time.monotonic() - started < 60.0
+        assert set(multiprocessing.active_children()) <= children
+        monkeypatch.undo()
+        assert runner.run(jobs) == expected
+        assert pool_constructions() == before + 2
 
 
 class TestSplitRanges:
@@ -244,21 +246,6 @@ class TestExecutorBackends:
 
 
 class TestExperimentPlumbing:
-    def test_run_batch_uses_shared_runner(self, fast_seo_config):
-        """Drivers funnel their batches into settings.runner when provided."""
-        seen = []
-
-        class RecordingRunner(SweepRunner):
-            def run(self, jobs, experiment=None):
-                seen.append([job.label for job in jobs])
-                return super().run(jobs, experiment=experiment)
-
-        runner = RecordingRunner(jobs=1)
-        settings = ExperimentSettings(episodes=1, max_steps=200, runner=runner)
-        batch = run_batch({"only": fast_seo_config}, settings)
-        assert seen == [["only"]]
-        assert set(batch) == {"only"}
-
     def test_settings_accept_auto_jobs_and_backends(self):
         assert ExperimentSettings(jobs=0).jobs == 0
         assert ExperimentSettings(backend="batch").backend == "batch"
@@ -291,8 +278,8 @@ class TestDerivedKeys:
             SweepJob(label="left", config=fast_seo_config, episodes=1),
             SweepJob(label="right", config=fast_seo_config, episodes=1),
         ]
-        with SweepRunner(jobs=1) as runner:
-            batch = runner.run(jobs)
+        runner = SweepRunner(jobs=1)
+        batch = runner.run(jobs)
         assert runner.units_executed == 1
         assert batch["left"] == batch["right"]
 
@@ -309,8 +296,8 @@ class TestDerivedKeys:
             max_steps=np.int64(fast_seo_config.max_steps),
         )
         assert numpyish == fast_seo_config
-        with SweepRunner(jobs=1) as runner:
-            batch = runner.run(sweep_jobs({"literal": fast_seo_config, "numpy": numpyish}, 2))
+        runner = SweepRunner(jobs=1)
+        batch = runner.run(sweep_jobs({"literal": fast_seo_config, "numpy": numpyish}, 2))
         assert runner.units_executed == 1
         assert batch["literal"] == batch["numpy"] == _alone(fast_seo_config, 2)
 
@@ -321,8 +308,8 @@ class TestDerivedKeys:
                 fast_seo_config.detector_compute, power_w=9.9
             ),
         )
-        with SweepRunner(jobs=1) as runner:
-            batch = runner.run(sweep_jobs({"base": fast_seo_config, "deeper": deeper}, 1))
+        runner = SweepRunner(jobs=1)
+        batch = runner.run(sweep_jobs({"base": fast_seo_config, "deeper": deeper}, 1))
         assert runner.units_executed == 2
         assert batch["deeper"] == _alone(deeper, 1)
 
@@ -331,8 +318,8 @@ class TestPoolConstructionCounter:
     def test_reset_returns_previous_value(self, fast_seo_config):
         from repro.runtime import sweep as sweep_module
 
-        with SweepRunner(jobs=2, backend="process") as runner:
-            runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
+        runner = SweepRunner(jobs=2, backend="process")
+        runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
         before = sweep_module.pool_constructions()
         assert before >= 1
         assert sweep_module.reset_pool_constructions() == before
@@ -394,8 +381,8 @@ class TestLockstepMerging:
         configs = self._fig5_configs()
         alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
-        with SweepRunner(jobs=1) as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(jobs=1)
+        batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [4]
         assert batch == alone
 
@@ -427,8 +414,8 @@ class TestLockstepMerging:
         assert len(keys) == len(configs)
         alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
-        with SweepRunner(backend="batch") as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(backend="batch")
+        batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [1] * len(configs)
         assert batch == alone
 
@@ -447,8 +434,8 @@ class TestLockstepMerging:
         assert len({config.lockstep_key() for config in configs.values()}) == 1
         alone = {label: _alone(config, 2) for label, config in configs.items()}
         calls = self._count_calls(monkeypatch)
-        with SweepRunner(backend="batch") as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(backend="batch")
+        batch = runner.run(sweep_jobs(configs, episodes=2))
         assert calls == [len(configs)]
         assert batch == alone
 
@@ -458,13 +445,13 @@ class TestLockstepMerging:
         from repro.runtime import sweep as sweep_module
 
         configs = self._fig5_configs()
-        with SweepRunner(jobs=1) as runner:
-            expected = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(jobs=1)
+        expected = runner.run(sweep_jobs(configs, episodes=2))
         sweep_spy.calls.clear()
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _InlinePool)
         before = pool_constructions()
-        with SweepRunner(jobs=3) as runner:
-            batch = runner.run(sweep_jobs(configs, episodes=2))
+        runner = SweepRunner(jobs=3)
+        batch = runner.run(sweep_jobs(configs, episodes=2))
         assert pool_constructions() == before + 1
         assert batch == expected
         assert len(sweep_spy.calls) == 3
