@@ -161,13 +161,25 @@ class TestSweepRunnerParallel:
         assert pool_constructions() == before + 2
 
     def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config, monkeypatch):
-        """Each batch's pool gets min(jobs, chunks) workers: two episodes
-        are two chunks, so a 4-job pool forks only two workers."""
+        """Two episodes are two chunks: a 4-job pool forks only two workers."""
         pools = _record_pools(monkeypatch)
-        runner = SweepRunner(jobs=4)
-        reports = [_run_config(runner, fast_seo_config, episodes) for episodes in (2, 3, 5)]
-        assert [pool.size for pool in pools] == [2, 3, 4]
-        assert reports[1] == _alone(fast_seo_config, 3)
+        reports = _run_config(SweepRunner(jobs=4), fast_seo_config, 2)
+        assert [pool.size for pool in pools] == [2]
+        assert reports == _alone(fast_seo_config, 2)
+
+    def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config, monkeypatch):
+        """Each run sizes its own pool to min(jobs, chunks), so a batch with
+        more chunks gets more workers and a smaller later batch gets fewer."""
+        pools = _record_pools(monkeypatch)
+        before = pool_constructions()
+        runner = SweepRunner(jobs=3)
+        _run_config(runner, fast_seo_config, 1)
+        config = dataclasses.replace(fast_seo_config, seed=9)
+        reports = _run_config(runner, config, 3)
+        _run_config(runner, fast_seo_config, 2)
+        assert [pool.size for pool in pools] == [1, 3, 2]
+        assert pool_constructions() == before + 3
+        assert reports == _alone(config, 3)
 
     def test_auto_jobs_resolves_to_cpu_count(self):
         assert SweepRunner(jobs=0).workers == resolve_jobs(0)
