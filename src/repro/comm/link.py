@@ -32,15 +32,6 @@ class WirelessLink:
         if self.overhead_s < 0:
             raise ValueError("overhead_s must be non-negative")
 
-    def transmission_time_s(
-        self, payload_bytes: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Sampled transmission time ``T_tx`` for a payload of ``payload_bytes``."""
-        if payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
-        rate_bps = self.channel.sample_rate_bps(rng)
-        return float(self.transmission_time_at_rate_s(payload_bytes, rate_bps))
-
     def transmission_time_at_rate_s(
         self, payload_bytes: int, rate_bps: ArrayLike
     ) -> np.ndarray:

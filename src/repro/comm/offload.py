@@ -120,25 +120,18 @@ class OffloadPlanner:
         periods = np.maximum(1.0, np.ceil(round_trip / tau_s)).astype(np.int64)
         return transmission_time, round_trip, energy, periods
 
-    def sample(
-        self, tau_s: float, rng: np.random.Generator | None = None
-    ) -> OffloadOutcome:
+    def sample(self, tau_s: float, rng: np.random.Generator) -> OffloadOutcome:
         """Sample one offload round trip (1-element view of :meth:`sample_batch`).
 
         Args:
             tau_s: Base period used to express the round trip in periods.
-            rng: Random generator; when omitted the link / server private
-                generators are used.
+            rng: Random generator; the sample takes its
+                :attr:`draws_per_sample` standard-exponential draws from it.
         """
         if tau_s <= 0:
             raise ValueError("tau_s must be positive")
-        link_rng = rng if rng is not None else self.link.channel.rng
-        draws = [link_rng.standard_exponential()]
-        if self.draws_per_sample == 2:
-            server_rng = rng if rng is not None else self.server.rng
-            draws.append(server_rng.standard_exponential())
         transmission_time, round_trip, energy, periods = self.sample_batch(
-            tau_s, np.array([draws], dtype=float)
+            tau_s, rng.standard_exponential((1, self.draws_per_sample))
         )
         return OffloadOutcome(
             transmission_time_s=float(transmission_time[0]),

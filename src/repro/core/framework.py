@@ -368,11 +368,7 @@ class SEOFramework:
     def _build_offload_planner(self) -> OffloadPlanner:
         config = self.config
         return OffloadPlanner(
-            link=WirelessLink(
-                channel=RayleighChannel(
-                    scale_mbps=config.channel_scale_mbps, seed=config.seed + 7
-                )
-            ),
+            link=WirelessLink(channel=RayleighChannel(scale_mbps=config.channel_scale_mbps)),
             server=EdgeServer(),
             payload_bytes=config.payload_bytes,
         )

@@ -109,7 +109,6 @@ class DeadlineLookupTable:
     values: np.ndarray
     horizon_s: float
     obstacle_radius_m: float = 1.0
-    queries: int = 0
     # The grid axes (distance, bearing, speed, steering, throttle), built
     # once in ``__post_init__`` and read-only: a pure function of ``grid``.
     _axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -142,8 +141,7 @@ class DeadlineLookupTable:
     def __eq__(self, other: object) -> bool:
         """Equal grid, horizon, obstacle radius and values.
 
-        The query counter and the fields derived from ``grid`` and
-        ``values`` are not compared.
+        The fields derived from ``grid`` and ``values`` are not compared.
         """
         if not isinstance(other, DeadlineLookupTable):
             return NotImplemented
@@ -232,10 +230,10 @@ class DeadlineLookupTable:
 
         Element ``i`` of the result equals
         ``query(SafetyInputs(distances_m[i], bearings_rad[i], speeds_mps[i]),
-        ControlAction(steerings[i], throttles[i]))`` bit-for-bit, and the
-        query counter advances by the batch size.  Distances at or beyond
-        ``NO_OBSTACLE_DISTANCE_M`` (no obstacle) or the grid's maximum
-        distance saturate to the estimator horizon, as in the scalar path.
+        ControlAction(steerings[i], throttles[i]))`` bit-for-bit.  Distances
+        at or beyond ``NO_OBSTACLE_DISTANCE_M`` (no obstacle) or the grid's
+        maximum distance saturate to the estimator horizon, as in the scalar
+        path.
         """
         distances_m = np.asarray(distances_m, dtype=float)
         bearings_rad = np.asarray(bearings_rad, dtype=float)
@@ -253,7 +251,6 @@ class DeadlineLookupTable:
             raise ValueError("query_batch expects 1-D arrays of equal length")
 
         count = distances_m.size
-        self.queries += int(count)
         out = np.full(count, self.horizon_s, dtype=float)
         mask = (distances_m < NO_OBSTACLE_DISTANCE_M) & (
             distances_m < self.grid.max_distance_m

@@ -439,7 +439,8 @@ class SafeRuntimeScheduler:
         optimization: str = "none",
         planner: OffloadPlanner | None = None,
         max_deadline_periods: int = 4,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         """Create a scheduler.
 
@@ -454,7 +455,8 @@ class SafeRuntimeScheduler:
                 outcomes); a default planner when omitted.
             max_deadline_periods: Upper clamp on ``delta_max``; the paper's
                 evaluation saturates at four base periods.
-            rng: Random generator driving the wireless outcomes.
+            rng: Random generator driving the wireless outcomes (each
+                issued offload's :meth:`~repro.comm.offload.OffloadPlanner.sample`).
         """
         if tau_s <= 0:
             raise ValueError("tau_s must be positive")
@@ -475,7 +477,7 @@ class SafeRuntimeScheduler:
         self.optimization = optimization
         self.planner = planner if planner is not None else OffloadPlanner()
         self.max_deadline_periods = max_deadline_periods
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
 
         self._delta_hat = (
             self.planner.estimated_response_periods(tau_s)

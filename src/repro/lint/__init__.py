@@ -8,7 +8,9 @@ see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
   ``sim/world.py``, ``sim/observation.py``), public scalar methods must
   be views of their ``*_batch`` kernels;
 * **determinism** (REPRO201–204): no stdlib ``random``, unseeded or
-  legacy numpy RNGs, or wall-clock reads in deterministic layers;
+  legacy numpy RNGs, or wall-clock reads in deterministic layers
+  (``core/``, ``runtime/``, ``sim/``, ``control/``, ``comm/``,
+  ``perception/``, ``streams.py``);
 * **kernel-declarations** (REPRO502–503): in the kernel layer (the
   kernel-parity scope plus ``dynamics/`` and ``runtime/batch.py``), no
   narrowing dtype appears anywhere, and every public ``*_batch`` /
@@ -46,7 +48,8 @@ CHECKERS: tuple[Checker, ...] = (
         codes=determinism.CODES,
         description=(
             "no stdlib random, unseeded/legacy numpy RNGs, or wall-clock "
-            "reads in core/, runtime/, sim/, control/"
+            "reads in core/, runtime/, sim/, control/, comm/, perception/, "
+            "streams.py"
         ),
         file_check=determinism.check_determinism,
         scope=determinism.in_scope,

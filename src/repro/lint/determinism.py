@@ -7,8 +7,9 @@ all depend on it.  The only sanctioned randomness is an explicitly
 seeded ``np.random.default_rng(seed)`` threaded down from the episode
 index, and the only sanctioned clock is simulation time.
 
-Inside ``core/``, ``runtime/``, ``sim/``, and ``control/`` this checker
-forbids:
+Inside ``core/``, ``runtime/``, ``sim/``, ``control/``, ``comm/``,
+``perception/`` and ``streams.py`` (every module that builds or draws from
+a generator on the episode path) this checker forbids:
 
 * ``REPRO201`` — the stdlib :mod:`random` module (process-global state,
   not seedable per episode);
@@ -32,7 +33,8 @@ __all__ = ["CODES", "check_determinism", "in_scope"]
 
 CODES = ("REPRO201", "REPRO202", "REPRO203", "REPRO204")
 
-_SCOPE_PREFIXES = ("core/", "runtime/", "sim/", "control/")
+_SCOPE_PREFIXES = ("core/", "runtime/", "sim/", "control/", "comm/", "perception/")
+_SCOPE_FILES = frozenset({"streams.py"})
 
 #: np.random attributes that are fine to *call*: generator/bit-generator
 #: constructors taking an explicit seed.  Everything else on np.random is
@@ -46,7 +48,7 @@ _WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today", "fromtimestamp
 
 
 def in_scope(relpath: str) -> bool:
-    return relpath.startswith(_SCOPE_PREFIXES)
+    return relpath.startswith(_SCOPE_PREFIXES) or relpath in _SCOPE_FILES
 
 
 def _attr_chain(node: ast.expr) -> list[str]:

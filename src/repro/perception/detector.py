@@ -94,7 +94,8 @@ class DetectorModel:
         bearing_noise_std_rad: Std-dev of additive noise on detected bearings.
         detection_threshold_m: Scan-range margin below the maximum range for
             a beam to count as a hit on an object.
-        seed: Seed of the detector's private noise generator.
+        seed: Seed of the detector's noise generator (see
+            :meth:`noise_source`).
     """
 
     name: str
@@ -114,29 +115,27 @@ class DetectorModel:
             raise ValueError("payload_bytes must be positive")
         if self.range_noise_std_m < 0 or self.bearing_noise_std_rad < 0:
             raise ValueError("noise standard deviations must be non-negative")
-        self._noise = self.noise_source(1)
 
     @property
     def rate_hz(self) -> float:
         """Native processing rate in Hz (e.g. 50 Hz for ``period_s=0.02``)."""
         return 1.0 / self.period_s
 
-    def reset(self) -> None:
-        """Rebuild the private noise source (e.g. between episodes)."""
-        self._noise = self.noise_source(1)
-
     # ------------------------------------------------------------------
     # Functional inference
     # ------------------------------------------------------------------
-    def infer(self, world: World, timestamp_s: float | None = None) -> DetectionSet:
+    def infer(
+        self, world: World, noise: DrawStream, timestamp_s: float | None = None
+    ) -> DetectionSet:
         """Run one inference against the current world state.
 
         The detector casts the scanner's beam fan and groups consecutive
         beams that return less than the maximum range into object detections,
-        reporting the closest point of each group.
+        reporting the closest point of each group, with noise from row 0 of
+        ``noise`` (see :meth:`detect`).
         """
         return DetectionSet(
-            detections=self.detect(self.scanner.scan(world)),
+            detections=self.detect(self.scanner.scan(world), noise),
             source=self.name,
             timestamp_s=world.time_s if timestamp_s is None else timestamp_s,
             stale=False,
@@ -150,14 +149,14 @@ class DetectorModel:
         """
         return DrawStream([self.seed] * rows, "standard_normal")
 
-    def detect(self, scan: np.ndarray) -> list[Detection]:
+    def detect(self, scan: np.ndarray, noise: DrawStream) -> list[Detection]:
         """Detections extracted from one scan row.
 
         1-row view of :meth:`detect_batch` (the kernel), drawing noise from
-        the detector's private noise source (rebuilt by :meth:`reset`).
+        row 0 of ``noise`` (e.g. ``noise_source(1)``).
         """
         counts, distances, bearings, spans = self.detect_batch(
-            np.asarray(scan, dtype=float)[None, :], self._noise
+            np.asarray(scan, dtype=float)[None, :], noise
         )
         return [
             Detection(

@@ -38,8 +38,6 @@ from repro.runtime.sweep import (
     EXECUTOR_BACKENDS,
     SweepJob,
     SweepRunner,
-    pool_constructions,
-    reset_pool_constructions,
     resolve_jobs,
     sweep_jobs,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "WorkUnit",
     "cache_key",
     "default_cache",
-    "pool_constructions",
-    "reset_pool_constructions",
     "resolve_jobs",
     "run_batch",
     "set_default_cache",

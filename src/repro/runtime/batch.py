@@ -412,7 +412,7 @@ class _Lockstep:
         # that needs a fresh output (the scan is a pure function of the
         # pre-step world; every detector holds the same scanner).  Each
         # detector's noise source has one row per episode, every row replaying
-        # the detector seed as ``reset()`` does.
+        # the detector seed from its own cursor.
         self.detectors = framework.detectors
         self.scanner = next(iter(self.detectors.values())).scanner
         self.det_noise = {

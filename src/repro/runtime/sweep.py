@@ -12,9 +12,11 @@ group's episode ranges in numpy lockstep: in-process as one call, or cut
 into at most one chunk per worker of a local process pool.  Reports are
 routed back per job in episode order.
 
-Episodes are fully determined by ``(config, episode index)``: the world,
-the scheduler and the detector noise generators are all re-seeded per
-episode.  So neither the grouping nor the cut can change any report.
+Episodes are fully determined by ``(config, episode index)``: every draw
+an episode makes comes from a generator the engine seeds from the config
+seed and, but for detector noise, the episode index (see
+:mod:`repro.runtime.batch`).  So neither the grouping nor the cut can
+change any report.
 
 The runner is the one place that turns a backend name into a pool, and
 :func:`check_backend` is the one statement of which backend names are
@@ -26,7 +28,6 @@ so ``all`` constructs at most one pool.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from collections.abc import Hashable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -43,8 +44,6 @@ __all__ = [
     "SweepRunner",
     "check_backend",
     "sweep_jobs",
-    "pool_constructions",
-    "reset_pool_constructions",
     "resolve_jobs",
     "split_ranges",
 ]
@@ -65,35 +64,6 @@ def check_backend(backend: str) -> None:
     """Refuse an unknown backend name."""
     if backend not in EXECUTOR_BACKENDS:
         raise ValueError(f"unknown backend: {backend!r} (choose from {EXECUTOR_BACKENDS})")
-
-
-#: Process-wide count of worker pools constructed by sweep runners.  Tests
-#: (and the CLI acceptance criterion "one pool per invocation") assert on
-#: deltas of this counter; guarded by a lock so concurrent runners can't
-#: race the increment.
-_POOL_CONSTRUCTIONS = 0
-_POOL_CONSTRUCTIONS_LOCK = threading.Lock()
-
-
-def pool_constructions() -> int:
-    """Total worker pools constructed by :class:`SweepRunner` in this process."""
-    with _POOL_CONSTRUCTIONS_LOCK:
-        return _POOL_CONSTRUCTIONS
-
-
-def reset_pool_constructions() -> int:
-    """Reset the pool-construction counter to zero; returns the old value."""
-    global _POOL_CONSTRUCTIONS
-    with _POOL_CONSTRUCTIONS_LOCK:
-        previous = _POOL_CONSTRUCTIONS
-        _POOL_CONSTRUCTIONS = 0
-        return previous
-
-
-def _count_pool_construction() -> None:
-    global _POOL_CONSTRUCTIONS
-    with _POOL_CONSTRUCTIONS_LOCK:
-        _POOL_CONSTRUCTIONS += 1
 
 
 @dataclass(frozen=True)
@@ -187,9 +157,10 @@ class SweepRunner:
     :meth:`~repro.core.framework.SEOConfig.lockstep_key` form a group.
     With ``jobs == 1`` or the ``"batch"`` backend no pool is ever created
     and each group is one :func:`run_ranges` call in-process; otherwise
-    each :meth:`run` builds a pool, cuts each group into at most one chunk
-    per worker, submits each chunk as one :func:`run_ranges` task and
-    shuts the pool down before it returns.  Either way the reports are
+    :meth:`run` cuts each group into at most one chunk per worker and, if
+    that makes more than one chunk, builds a pool, submits each chunk as
+    one :func:`run_ranges` task and shuts the pool down before it returns
+    (a batch of one chunk runs in-process).  Either way the reports are
     bit-identical.
 
     Args:
@@ -211,7 +182,6 @@ class SweepRunner:
             )
         self.backend = backend
         self.workers = resolve_jobs(jobs)
-        self.units_executed = 0
 
     def run(
         self, jobs: Sequence[SweepJob], experiment: str | None = None
@@ -250,17 +220,16 @@ class SweepRunner:
             )
         # In-process, a group is one lockstep call.  A pool gets it cut by
         # episode count, so a one-group artifact still keeps every worker
-        # busy.
-        in_process = self.backend == "batch" or self.workers <= 1
-        parts = 1 if in_process else self.workers
+        # busy; a batch that is one chunk runs in-process, where it needs no
+        # fork and no worker-side framework builds.
+        parts = 1 if self.backend == "batch" else self.workers
         tasks = [chunk for group in groups.values() for chunk in split_ranges(group, parts)]
         ranges = [[(unit.config, start, stop) for unit, start, stop in task] for task in tasks]
-        if in_process:
+        if parts == 1 or len(ranges) == 1:
             outputs = [run_ranges(task) for task in ranges]
         else:
             # The pool forks only as many workers as the batch can use.
             pool = ProcessPoolExecutor(max_workers=min(self.workers, len(ranges)))
-            _count_pool_construction()
             try:
                 futures = [pool.submit(run_ranges, task) for task in ranges]
                 outputs = [future.result() for future in futures]
@@ -273,5 +242,4 @@ class SweepRunner:
         for task, cells in zip(tasks, outputs, strict=True):
             for (unit, _, _), reports in zip(task, cells, strict=True):
                 results.setdefault(unit.key, []).extend(reports)
-        self.units_executed += len(units)
         return {label: results[key] for label, key in key_by_label.items()}

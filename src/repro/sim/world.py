@@ -19,7 +19,7 @@ from repro.dynamics.bicycle import KinematicBicycleModel
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState, wrap_angle
 from repro.sim.obstacles import Obstacle
-from repro.sim.road import LanePose, Road
+from repro.sim.road import Road
 
 #: Distance reported when no obstacle is in range (effectively "infinitely far").
 NO_OBSTACLE_DISTANCE_M = 1e6
@@ -64,11 +64,6 @@ class World:
         self._has_moving_obstacles = any(
             obstacle.motion is not None for obstacle in self.obstacles
         )
-        # Lane pose of ``_pose_state``: states are frozen, so a state's
-        # identity keys its one centreline projection (the reference held
-        # here keeps the identity from being reused).
-        self._pose_state: VehicleState | None = None
-        self._pose: LanePose | None = None
 
     @property
     def dynamics(self) -> KinematicBicycleModel:
@@ -93,17 +88,6 @@ class World:
     # ------------------------------------------------------------------
     # Queries used by perception, control and the safety machinery.
     # ------------------------------------------------------------------
-    def lane_pose(self) -> LanePose:
-        """Road-relative (Frenet) pose of the ego vehicle.
-
-        Projected once per vehicle state: :meth:`status` and every caller
-        in the same frame read the same pose.
-        """
-        if self._pose is None or self._pose_state is not self.state:
-            self._pose = self.road.lane_pose(self.state)
-            self._pose_state = self.state
-        return self._pose
-
     @staticmethod
     @kernel_contract(
         xs="(N,) float64",
@@ -215,11 +199,12 @@ class World:
 
     def status(self) -> WorldStatus:
         """Collision / off-road / completion flags: a 1-element view of
-        :meth:`status_batch` (the kernel) on the clamped :meth:`lane_pose`."""
-        pose = self.lane_pose()
+        :meth:`status_batch` (the kernel) on the clamped Frenet coordinates
+        of the vehicle."""
+        s_m, d_m = self.road.to_frenet(self.state.x_m, self.state.y_m)
         flags = self.status_batch(
             np.array([self.state.x_m]), np.array([self.state.y_m]),
-            np.array([pose.arc_length_m]), np.array([pose.lateral_offset_m]),
+            np.array([s_m]), np.array([d_m]),
             np.array([[obstacle.x_m for obstacle in self.obstacles]], dtype=float),
             np.array([[obstacle.y_m for obstacle in self.obstacles]], dtype=float),
             np.array([[obstacle.radius_m for obstacle in self.obstacles]], dtype=float),

@@ -119,6 +119,24 @@ def sweep_spy(monkeypatch) -> SimpleNamespace:
 
 
 @pytest.fixture
+def recorded_pools(monkeypatch) -> list:
+    """Make the sweep build pools that record their size and stay referenced,
+    so only ``shutdown()`` can end their workers; lists the pools built."""
+    from repro.runtime import sweep as sweep_module
+
+    pools = []
+
+    class RecordingPool(sweep_module.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.size = max_workers
+            pools.append(self)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.fixture
 def small_lookup_grid() -> LookupGrid:
     """A coarse grid so lookup-table construction stays fast in tests."""
     return LookupGrid(

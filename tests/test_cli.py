@@ -121,14 +121,11 @@ class TestRun:
         auto = run(base + ["--jobs", "0"])
         assert auto == serial
 
-    def test_all_constructs_at_most_one_pool(self):
+    def test_all_constructs_at_most_one_pool(self, recorded_pools):
         """Acceptance: every artifact of `all` runs in one sweep, so the
         invocation builds one worker pool."""
-        from repro.runtime import sweep
-
-        before = sweep.pool_constructions()
         run(["all", "--episodes", "1", "--max-steps", "200", "--jobs", "2"])
-        assert sweep.pool_constructions() - before == 1
+        assert [pool.size for pool in recorded_pools] == [2]
 
     def test_all_is_one_sweep_with_one_engine_call_per_lockstep_group(self, monkeypatch):
         """`all` makes one SweepRunner.run call over every artifact's cells,
@@ -176,12 +173,9 @@ class TestRun:
         alone = [run([name, *options]) for name in sorted(EXPERIMENTS)]
         assert merged == "\n\n".join(alone)
 
-    def test_serial_invocation_builds_no_pool(self):
-        from repro.runtime import sweep
-
-        before = sweep.pool_constructions()
+    def test_serial_invocation_builds_no_pool(self, recorded_pools):
         run(["table3", "--episodes", "1", "--max-steps", "300"])
-        assert sweep.pool_constructions() == before
+        assert recorded_pools == []
 
     def test_run_writes_output_file(self, tmp_path):
         target = tmp_path / "fig1.txt"

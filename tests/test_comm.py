@@ -11,22 +11,16 @@ from repro.comm.server import EdgeServer
 
 class TestRayleighChannel:
     def test_sampled_rates_are_positive_and_floored(self):
-        channel = RayleighChannel(scale_mbps=20.0, min_rate_mbps=1.0, seed=0)
-        rates = [channel.sample_rate_bps() for _ in range(200)]
-        assert min(rates) >= 1e6
+        channel = RayleighChannel(scale_mbps=20.0, min_rate_mbps=1.0)
+        draws = np.random.default_rng(0).standard_exponential(200)
+        rates = channel.rate_bps_from_exponential(np.concatenate([draws, [0.0]]))
+        assert rates.min() == 1e6
 
     def test_mean_matches_rayleigh_expectation(self):
-        channel = RayleighChannel(scale_mbps=20.0, seed=1)
+        channel = RayleighChannel(scale_mbps=20.0)
         rng = np.random.default_rng(1)
-        rates = [channel.sample_rate_bps(rng) for _ in range(4000)]
+        rates = channel.rate_bps_from_exponential(rng.standard_exponential(4000))
         assert np.mean(rates) == pytest.approx(channel.mean_rate_bps, rel=0.05)
-
-    def test_reset_restores_sequence(self):
-        channel = RayleighChannel(seed=3)
-        first = [channel.sample_rate_bps() for _ in range(5)]
-        channel.reset()
-        second = [channel.sample_rate_bps() for _ in range(5)]
-        assert first == second
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -49,7 +43,7 @@ class TestWirelessLink:
     def test_rejects_invalid_arguments(self):
         link = WirelessLink()
         with pytest.raises(ValueError):
-            link.transmission_time_s(0)
+            link.expected_transmission_time_s(0)
         with pytest.raises(ValueError):
             link.transmission_energy_j(-1.0)
         with pytest.raises(ValueError):
@@ -57,8 +51,10 @@ class TestWirelessLink:
 
     def test_sampled_time_includes_overhead(self):
         link = WirelessLink(overhead_s=0.005)
-        rng = np.random.default_rng(0)
-        assert link.transmission_time_s(10_000, rng) >= 0.005
+        rates = link.channel.rate_bps_from_exponential(
+            np.random.default_rng(0).standard_exponential(50)
+        )
+        assert (link.transmission_time_at_rate_s(10_000, rates) > 0.005).all()
 
 
 class TestEdgeServer:
@@ -71,20 +67,14 @@ class TestEdgeServer:
 
     def test_sampled_time_at_least_deterministic_part(self):
         server = EdgeServer()
-        rng = np.random.default_rng(0)
-        assert server.service_time_s(rng) >= server.profile.latency_s
-
-    def test_unseeded_jitter_varies_and_reset_replays_it(self):
-        server = EdgeServer()
-        first = [server.service_time_s() for _ in range(3)]
-        assert len(set(first)) == 3
-        server.reset()
-        assert [server.service_time_s() for _ in range(3)] == first
+        draws = np.random.default_rng(0).standard_exponential(50)
+        assert (server.service_time_from_exponential_s(draws) >= server.profile.latency_s).all()
 
     def test_zero_jitter_is_deterministic(self):
         server = EdgeServer(queueing_jitter_s=0.0)
-        assert server.service_time_s() == pytest.approx(
-            server.profile.latency_s + server.downlink_time_s
+        draws = np.random.default_rng(0).standard_exponential(3)
+        assert server.service_time_from_exponential_s(draws) == pytest.approx(
+            [server.profile.latency_s + server.downlink_time_s] * 3
         )
 
 
@@ -119,6 +109,6 @@ class TestOffloadPlanner:
             OffloadPlanner(payload_bytes=0)
         planner = OffloadPlanner()
         with pytest.raises(ValueError):
-            planner.sample(0.0)
+            planner.sample(0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             planner.estimated_response_periods(-1.0)

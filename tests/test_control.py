@@ -49,7 +49,7 @@ def _act(
 def _inputs_from_world(world, obstacle_view):
     """``_act`` keyword inputs of a world's ground truth: the lane pose and
     the nearest threat (no distance when the world has no obstacle)."""
-    pose = world.lane_pose()
+    pose = world.road.lane_pose(world.state)
     distance, bearing, index = obstacle_view(world)
     return dict(
         speed_mps=world.state.speed_mps,

@@ -220,6 +220,27 @@ class TestSEOFrameworkConstruction:
         )
         assert without.lookup_table is None
 
+    @pytest.mark.parametrize("use_lookup_table", [True, False])
+    def test_builds_no_generator(self, fast_seo_config, use_lookup_table, monkeypatch):
+        """Every draw comes from the engine's per-episode streams: building a
+        framework (and its lookup table, from an empty cache) makes no
+        generator."""
+        from repro.runtime import cache
+
+        monkeypatch.setattr(cache, "_DEFAULT_CACHE", cache.LookupTableCache())
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        config = dataclasses.replace(fast_seo_config, use_lookup_table=use_lookup_table)
+        framework = SEOFramework(config)
+        assert (framework.lookup_table is not None) == use_lookup_table
+        assert built == []
+
     def test_with_config_creates_variant(self, fast_seo_config):
         framework = SEOFramework(fast_seo_config)
         variant = framework.with_config(optimization="model_gating")

@@ -258,12 +258,6 @@ class TestDeadlineLookupTable:
         )
         assert close <= far
 
-    def test_query_counter_increments(self, fast_estimator, small_lookup_grid):
-        table = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid)
-        table.query(SafetyInputs(distance_m=5.0, bearing_rad=0.0, speed_mps=5.0), ControlAction())
-        table.query(SafetyInputs(distance_m=5.0, bearing_rad=0.0, speed_mps=5.0), ControlAction())
-        assert table.queries == 2
-
     def test_bearing_grid_is_endpoint_exclusive(self, small_lookup_grid):
         bearings = small_lookup_grid.bearing_values()
         assert bearings.size == small_lookup_grid.num_bearings
@@ -368,7 +362,7 @@ class TestDeadlineLookupTable:
         """``==`` answers instead of raising on the ``values`` arrays."""
         values = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid).values
         table = DeadlineLookupTable(small_lookup_grid, values, horizon_s=0.5)
-        same = DeadlineLookupTable(small_lookup_grid, values, horizon_s=0.5, queries=3)
+        same = DeadlineLookupTable(small_lookup_grid, np.array(values), horizon_s=0.5)
         assert table == same
         changed = np.array(values)
         changed[0, 0, 0, 0, 0] += 0.01

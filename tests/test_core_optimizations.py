@@ -301,6 +301,7 @@ class TestStrategyFactory:
             deadline_provider=lambda inputs, control: 0.08,
             optimization="offload",
             planner=shared,
+            rng=np.random.default_rng(0),
         )
         assert scheduler.planner is shared
 

@@ -201,7 +201,7 @@ class TestSteeringShield:
             distance=distance,
             bearing=bearing,
             speed=speed,
-            lateral=small_world.lane_pose().lateral_offset_m,
+            lateral=small_world.road.lane_pose(small_world.state).lateral_offset_m,
             half_width=small_world.road.half_width_m,
             throttle=0.5,
         )

@@ -137,6 +137,7 @@ class TestZeroDeadlinePath:
                 model_set=_model_set(),
                 tau_s=0.0,
                 deadline_provider=lambda i, c: 0.08,
+                rng=np.random.default_rng(0),
             )
         with pytest.raises(ValueError):
             SafeRuntimeScheduler(
@@ -144,6 +145,7 @@ class TestZeroDeadlinePath:
                 tau_s=TAU,
                 deadline_provider=lambda i, c: 0.08,
                 max_deadline_periods=0,
+                rng=np.random.default_rng(0),
             )
         with pytest.raises(ValueError, match="unknown optimization"):
             _scheduler(optimization="quantization")
@@ -152,6 +154,11 @@ class TestZeroDeadlinePath:
         with pytest.raises(ValueError, match="at most 60"):
             _scheduler(optimization="offload", max_deadline=61)
         assert _scheduler(optimization="model_gating", max_deadline=61)
+        # The wireless outcomes' generator is the caller's: there is no default.
+        with pytest.raises(TypeError, match="rng"):
+            SafeRuntimeScheduler(
+                model_set=_model_set(), tau_s=TAU, deadline_provider=lambda i, c: 0.08
+            )
 
 
 class TestDirectives:
@@ -252,6 +259,7 @@ class TestDeadlineProviderInteraction:
             model_set=_model_set(),
             tau_s=TAU,
             deadline_provider=provider,
+            rng=np.random.default_rng(0),
         )
         scheduler.step(SAFE_INPUTS, ControlAction(steering=0.5))
         assert captured["inputs"] is SAFE_INPUTS

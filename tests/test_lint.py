@@ -215,8 +215,12 @@ def test_determinism_scope():
     assert determinism.in_scope("runtime/sweep.py")
     assert determinism.in_scope("sim/world.py")
     assert determinism.in_scope("control/heuristic.py")
+    assert determinism.in_scope("comm/offload.py")
+    assert determinism.in_scope("perception/detector.py")
+    assert determinism.in_scope("streams.py")
     assert not determinism.in_scope("experiments/fig6.py")
     assert not determinism.in_scope("lint/framework.py")
+    assert not determinism.in_scope("contracts.py")
 
 
 def test_determinism_accepts_seeded_rng_and_generator_methods():

@@ -43,7 +43,7 @@ class TestDetectorModel:
     def test_detects_single_obstacle_ahead(self):
         detector = DetectorModel(name="det", range_noise_std_m=0.0, bearing_noise_std_rad=0.0)
         world = _world([Obstacle(x_m=12.0, y_m=0.0, radius_m=1.0)])
-        result = detector.infer(world)
+        result = detector.infer(world, detector.noise_source(1))
         assert len(result) >= 1
         nearest = result.nearest()
         assert nearest.distance_m == pytest.approx(11.0, abs=0.5)
@@ -57,19 +57,19 @@ class TestDetectorModel:
                 Obstacle(x_m=12.0, y_m=5.0, radius_m=1.0),
             ]
         )
-        result = detector.infer(world)
+        result = detector.infer(world, detector.noise_source(1))
         assert len(result) == 2
         bearings = sorted(det.bearing_rad for det in result.detections)
         assert bearings[0] < 0 < bearings[1]
 
     def test_empty_world_yields_no_detections(self):
         detector = DetectorModel(name="det")
-        assert len(detector.infer(_world([]))) == 0
+        assert len(detector.infer(_world([]), detector.noise_source(1))) == 0
 
     def test_obstacle_behind_is_not_detected(self):
         detector = DetectorModel(name="det")
         world = _world([Obstacle(x_m=-10.0, y_m=0.0, radius_m=1.0)])
-        assert len(detector.infer(world)) == 0
+        assert len(detector.infer(world, detector.noise_source(1))) == 0
 
     def test_rate_and_energy_properties(self):
         detector = DetectorModel(name="det", period_s=0.02)
@@ -79,10 +79,13 @@ class TestDetectorModel:
     def test_describe_mentions_rate(self):
         assert "50 Hz" in DetectorModel(name="det", period_s=0.02).describe()
 
-    def test_reset_restores_noise_sequence(self):
+    def test_fresh_noise_source_replays_the_sequence(self):
+        """Each fresh ``noise_source`` replays the detector seed; one source
+        drawn from twice moves on."""
         detector = DetectorModel(name="det", range_noise_std_m=0.3, seed=5)
         world = _world([Obstacle(x_m=12.0, y_m=0.0, radius_m=1.0)])
-        first = detector.infer(world).nearest().distance_m
-        detector.reset()
-        second = detector.infer(world).nearest().distance_m
-        assert first == pytest.approx(second)
+        noise = detector.noise_source(1)
+        first = detector.infer(world, noise).nearest().distance_m
+        again = detector.infer(world, noise).nearest().distance_m
+        replayed = detector.infer(world, detector.noise_source(1)).nearest().distance_m
+        assert replayed == first != again

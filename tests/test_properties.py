@@ -1124,11 +1124,21 @@ class TestLookupNeighbourhoodMinimum:
         v = rng.uniform(-1.0, 8.0, count)
         s = rng.uniform(-1.5, 1.5, count)
         u = rng.uniform(-1.5, 1.5, count)
-        expected = np.array(
-            [_loop_lookup(table, *row) for row in zip(d, b, v, s, u)]
-        )
-        _assert_bitwise_equal(table.query_batch(d, b, v, s, u), expected)
-        assert table.queries == count
+        sizes = []
+        query_batch = DeadlineLookupTable.query_batch
+
+        def spy(self, distances_m, *rest):
+            sizes.append(distances_m.size)
+            return query_batch(self, distances_m, *rest)
+
+        with mock.patch.object(DeadlineLookupTable, "query_batch", spy):
+            expected = np.array(
+                [_loop_lookup(table, *row) for row in zip(d, b, v, s, u)]
+            )
+            got = table.query_batch(d, b, v, s, u)
+        _assert_bitwise_equal(got, expected)
+        # The reference never reaches the kernel: one batch of every query.
+        assert sizes == [count]
 
     def test_values_are_read_only_and_owned_by_the_table(self):
         grid = LookupGrid(max_distance_m=10.0, num_bearings=3)

@@ -11,7 +11,7 @@ from repro.core.intervals import SafeIntervalEstimator
 from repro.runtime.batch import run_batch
 from repro.runtime.cache import LookupTableCache, cache_key, set_default_cache
 from repro.runtime.ledger import report_to_jsonable
-from repro.runtime.sweep import SweepRunner, pool_constructions, sweep_jobs
+from repro.runtime.sweep import SweepRunner, sweep_jobs
 
 
 @pytest.fixture
@@ -44,11 +44,10 @@ class TestParallelExecutor:
         reports = runner.run(sweep_jobs({"cell": config}, 3))["cell"]
         assert reports == run_batch(SEOFramework(config), range(3))
 
-    def test_single_job_degrades_to_serial(self, fast_seo_config):
-        before = pool_constructions()
+    def test_single_job_degrades_to_serial(self, fast_seo_config, recorded_pools):
         runner = SweepRunner(jobs=1)
         reports = runner.run(sweep_jobs({"cell": fast_seo_config}, 2))["cell"]
-        assert pool_constructions() == before
+        assert recorded_pools == []
         assert reports == run_batch(SEOFramework(fast_seo_config), range(2))
 
     def test_nonpositive_jobs_uses_cpu_count(self):

@@ -19,6 +19,7 @@ import pytest
 from repro import streams
 from repro.contracts import ContractViolationError
 from repro.core.framework import MAX_OFFLOAD_DEADLINE_PERIODS, SEOConfig, SEOFramework
+from repro.core.lookup import DeadlineLookupTable
 from repro.core.optimizations import ModeRows
 from repro.core.safety import NO_OBSTACLE_DISTANCE_M, SafetyInputs
 from repro.core.scheduler import EnergyColumns, SchedulerState
@@ -30,7 +31,6 @@ from repro.runtime.sweep import (
     EXECUTOR_BACKENDS,
     SweepJob,
     SweepRunner,
-    pool_constructions,
     run_ranges,
 )
 from repro.runtime.workunit import WorkUnit
@@ -403,13 +403,12 @@ class TestBackendWiring:
         with pytest.warns(UserWarning, match="ignores jobs"):
             SweepRunner(jobs=4, backend="batch")
 
-    def test_sweep_runner_no_pool(self, fast_seo_config):
+    def test_sweep_runner_no_pool(self, fast_seo_config, recorded_pools):
         """A batch-backend sweep is bit-identical and never builds a pool."""
         jobs = [SweepJob(label="cell", config=fast_seo_config, episodes=3)]
-        before = pool_constructions()
         runner = SweepRunner(backend="batch")
         results = runner.run(jobs)
-        assert pool_constructions() == before
+        assert recorded_pools == []
         assert results["cell"] == alone(SEOFramework(fast_seo_config), range(3))
 
     def test_framework_run_routes_through_executor(self, fast_seo_config):
@@ -437,9 +436,7 @@ class TestLookupQueryBatch:
         steerings = rng.uniform(-1.5, 1.5, count)
         throttles = rng.uniform(-1.5, 1.5, count)
 
-        before = table.queries
         batched = table.query_batch(distances, bearings, speeds, steerings, throttles)
-        assert table.queries == before + count
 
         for index in range(count):
             inputs = SafetyInputs(
@@ -451,6 +448,30 @@ class TestLookupQueryBatch:
                 steering=float(steerings[index]), throttle=float(throttles[index])
             )
             assert batched[index] == table.query(inputs, control)
+
+    def test_engine_queries_once_per_lookup_row_starting_an_interval(
+        self, fast_seo_config, monkeypatch
+    ):
+        """One merged call of lookup-table, exact and safety-oblivious rows
+        queries the table for exactly the lookup rows' sampled intervals."""
+        configs = [
+            fast_seo_config,
+            dataclasses.replace(fast_seo_config, use_lookup_table=False),
+            dataclasses.replace(fast_seo_config, safety_aware=False),
+        ]
+        frameworks = [SEOFramework(config) for config in configs]
+        sizes = []
+        query_batch = DeadlineLookupTable.query_batch
+
+        def spy(self, distances_m, *rest):
+            sizes.append(distances_m.size)
+            return query_batch(self, distances_m, *rest)
+
+        monkeypatch.setattr(DeadlineLookupTable, "query_batch", spy)
+        lookup, exact, oblivious = run_cells([(fw, range(3)) for fw in frameworks])
+        assert all(0 < size <= 3 for size in sizes)
+        assert sum(sizes) == sum(len(report.delta_max_samples) for report in lookup) > 3
+        assert all(report.delta_max_samples for report in exact + oblivious)
 
     def test_rejects_mismatched_shapes(self, fast_seo_config):
         table = SEOFramework(fast_seo_config).lookup_table

@@ -19,7 +19,6 @@ from repro.runtime.sweep import (
     EXECUTOR_BACKENDS,
     SweepJob,
     SweepRunner,
-    pool_constructions,
     resolve_jobs,
     split_ranges,
     sweep_jobs,
@@ -67,23 +66,6 @@ def _run_config(runner, config, episodes):
     return runner.run(sweep_jobs({"job": config}, episodes))["job"]
 
 
-def _record_pools(monkeypatch):
-    """Make the sweep build pools that record their size and stay referenced,
-    so only ``shutdown()`` can end their workers; returns the pools built."""
-    from repro.runtime import sweep as sweep_module
-
-    pools = []
-
-    class RecordingPool(sweep_module.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.size = max_workers
-            pools.append(self)
-
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
 def _variants(fast_seo_config):
     """A small multi-config batch mixing optimization methods and controls."""
     return {
@@ -112,11 +94,10 @@ class TestSweepRunnerSerial:
         for key, config in configs.items():
             assert batch[key] == _alone(config, 2)
 
-    def test_serial_runner_never_builds_a_pool(self, fast_seo_config):
-        before = pool_constructions()
+    def test_serial_runner_never_builds_a_pool(self, fast_seo_config, recorded_pools):
         runner = SweepRunner(jobs=1)
         runner.run(sweep_jobs(_variants(fast_seo_config), episodes=1))
-        assert pool_constructions() == before
+        assert recorded_pools == []
 
     def test_empty_batch(self):
         runner = SweepRunner(jobs=1)
@@ -146,61 +127,63 @@ class TestSweepRunnerParallel:
             assert [report.episode for report in batch[key]] == [0, 1, 2]
             assert batch[key] == expected
 
-    def test_each_run_owns_its_pool(self, fast_seo_config, monkeypatch):
+    def test_each_run_owns_its_pool(self, fast_seo_config, recorded_pools):
         """A pool lives for one run() call: two batches build two pools,
         and no worker outlives either call."""
-        pools = _record_pools(monkeypatch)
-        before = pool_constructions()
         children = set(multiprocessing.active_children())
         runner = SweepRunner(jobs=2)
         for seed in (5, 9):
             config = dataclasses.replace(fast_seo_config, seed=seed)
             assert _run_config(runner, config, 2) == _alone(config, 2)
             assert set(multiprocessing.active_children()) <= children
-        assert len(pools) == 2
-        assert pool_constructions() == before + 2
+        assert len(recorded_pools) == 2
 
-    def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config, monkeypatch):
+    def test_pool_forks_no_more_workers_than_chunks(self, fast_seo_config, recorded_pools):
         """Two episodes are two chunks: a 4-job pool forks only two workers."""
-        pools = _record_pools(monkeypatch)
         reports = _run_config(SweepRunner(jobs=4), fast_seo_config, 2)
-        assert [pool.size for pool in pools] == [2]
+        assert [pool.size for pool in recorded_pools] == [2]
         assert reports == _alone(fast_seo_config, 2)
 
-    def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config, monkeypatch):
+    def test_pool_grows_for_a_batch_with_more_chunks(self, fast_seo_config, recorded_pools):
         """Each run sizes its own pool to min(jobs, chunks), so a batch with
-        more chunks gets more workers and a smaller later batch gets fewer."""
-        pools = _record_pools(monkeypatch)
-        before = pool_constructions()
+        more chunks gets more workers and a smaller later batch gets fewer;
+        the first batch, one chunk, builds none."""
         runner = SweepRunner(jobs=3)
         _run_config(runner, fast_seo_config, 1)
         config = dataclasses.replace(fast_seo_config, seed=9)
         reports = _run_config(runner, config, 3)
         _run_config(runner, fast_seo_config, 2)
-        assert [pool.size for pool in pools] == [1, 3, 2]
-        assert pool_constructions() == before + 3
+        assert [pool.size for pool in recorded_pools] == [3, 2]
         assert reports == _alone(config, 3)
+
+    def test_single_chunk_batch_runs_in_process(self, fast_seo_config, recorded_pools):
+        """A 1-episode batch is one chunk at any jobs: it builds no pool and
+        returns the in-process reports."""
+        reports = _run_config(SweepRunner(jobs=2), fast_seo_config, 1)
+        assert recorded_pools == []
+        assert reports == _run_config(SweepRunner(jobs=1), fast_seo_config, 1)
 
     def test_auto_jobs_resolves_to_cpu_count(self):
         assert SweepRunner(jobs=0).workers == resolve_jobs(0)
         assert SweepRunner(jobs=0).workers >= 1
 
-    def test_failing_episode_fails_fast(self, fast_seo_config, monkeypatch):
+    def test_failing_episode_fails_fast(self, fast_seo_config, monkeypatch, recorded_pools):
         """A raising worker task surfaces immediately and tears the pool down."""
         from repro.runtime import sweep as sweep_module
 
         monkeypatch.setattr(sweep_module, "run_ranges", _exploding_task)
-        _record_pools(monkeypatch)
         children = set(multiprocessing.active_children())
         with pytest.raises(RuntimeError, match="boom"):
             SweepRunner(jobs=2, backend="process").run(
                 sweep_jobs({"a": fast_seo_config}, episodes=3)
             )
+        # Three episodes are two chunks, so the task ran in a worker.
+        assert [pool.size for pool in recorded_pools] == [2]
         # Cancelled and shut down, not drained: no worker outlives run().
         assert set(multiprocessing.active_children()) <= children
 
     def test_lost_worker_breaks_the_pool_and_a_rerun_rebuilds_it(
-        self, fast_seo_config, monkeypatch
+        self, fast_seo_config, monkeypatch, recorded_pools
     ):
         """A worker process that dies mid-chunk fails the batch promptly; the
         next batch gets a fresh pool and the in-process reports."""
@@ -208,8 +191,8 @@ class TestSweepRunnerParallel:
 
         jobs = sweep_jobs(_variants(fast_seo_config), episodes=2)
         expected = SweepRunner(jobs=1).run(jobs)
+        run_ranges = sweep_module.run_ranges
         monkeypatch.setattr(sweep_module, "run_ranges", _dying_task)
-        before = pool_constructions()
         children = set(multiprocessing.active_children())
         runner = SweepRunner(jobs=2, backend="process")
         started = time.monotonic()
@@ -217,9 +200,10 @@ class TestSweepRunnerParallel:
             runner.run(jobs)
         assert time.monotonic() - started < 60.0
         assert set(multiprocessing.active_children()) <= children
-        monkeypatch.undo()
+        monkeypatch.setattr(sweep_module, "run_ranges", run_ranges)
         assert runner.run(jobs) == expected
-        assert pool_constructions() == before + 2
+        # Six episodes of one lockstep group are two chunks per batch.
+        assert [pool.size for pool in recorded_pools] == [2, 2]
 
 
 class TestSplitRanges:
@@ -284,7 +268,7 @@ class TestDerivedKeys:
         assert SweepJob(label="x", config=reseeded, episodes=2).unit.key != base.unit.key
         assert SweepJob(label="x", config=fast_seo_config, episodes=3).unit.key != base.unit.key
 
-    def test_identical_units_execute_once(self, fast_seo_config):
+    def test_identical_units_execute_once(self, fast_seo_config, sweep_spy):
         """Two labels naming the same content share one execution."""
         jobs = [
             SweepJob(label="left", config=fast_seo_config, episodes=1),
@@ -292,10 +276,10 @@ class TestDerivedKeys:
         ]
         runner = SweepRunner(jobs=1)
         batch = runner.run(jobs)
-        assert runner.units_executed == 1
+        assert [len(cells) for cells in sweep_spy.calls] == [1]
         assert batch["left"] == batch["right"]
 
-    def test_numpy_scalar_config_executes_once(self, fast_seo_config):
+    def test_numpy_scalar_config_executes_once(self, fast_seo_config, sweep_spy):
         """A config built from numpy scalars equals the literal one: one run."""
         numpyish = dataclasses.replace(
             fast_seo_config,
@@ -310,10 +294,10 @@ class TestDerivedKeys:
         assert numpyish == fast_seo_config
         runner = SweepRunner(jobs=1)
         batch = runner.run(sweep_jobs({"literal": fast_seo_config, "numpy": numpyish}, 2))
-        assert runner.units_executed == 1
+        assert [len(cells) for cells in sweep_spy.calls] == [1]
         assert batch["literal"] == batch["numpy"] == _alone(fast_seo_config, 2)
 
-    def test_nested_field_change_executes_twice(self, fast_seo_config):
+    def test_nested_field_change_executes_twice(self, fast_seo_config, sweep_spy):
         deeper = dataclasses.replace(
             fast_seo_config,
             detector_compute=dataclasses.replace(
@@ -322,42 +306,9 @@ class TestDerivedKeys:
         )
         runner = SweepRunner(jobs=1)
         batch = runner.run(sweep_jobs({"base": fast_seo_config, "deeper": deeper}, 1))
-        assert runner.units_executed == 2
+        # detector_compute is in the lockstep key: two groups, one cell each.
+        assert [len(cells) for cells in sweep_spy.calls] == [1, 1]
         assert batch["deeper"] == _alone(deeper, 1)
-
-
-class TestPoolConstructionCounter:
-    def test_reset_returns_previous_value(self, fast_seo_config):
-        from repro.runtime import sweep as sweep_module
-
-        runner = SweepRunner(jobs=2, backend="process")
-        runner.run(sweep_jobs({"a": fast_seo_config}, episodes=2))
-        before = sweep_module.pool_constructions()
-        assert before >= 1
-        assert sweep_module.reset_pool_constructions() == before
-        assert sweep_module.pool_constructions() == 0
-
-    def test_increments_are_thread_safe(self):
-        import threading
-
-        from repro.runtime import sweep as sweep_module
-
-        sweep_module.reset_pool_constructions()
-        increments = 200
-        threads = [
-            threading.Thread(
-                target=lambda: [
-                    sweep_module._count_pool_construction() for _ in range(increments)
-                ]
-            )
-            for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sweep_module.pool_constructions() == 8 * increments
-        sweep_module.reset_pool_constructions()
 
 
 class TestLockstepMerging:
@@ -460,11 +411,16 @@ class TestLockstepMerging:
         runner = SweepRunner(jobs=1)
         expected = runner.run(sweep_jobs(configs, episodes=2))
         sweep_spy.calls.clear()
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _InlinePool)
-        before = pool_constructions()
+        sizes = []
+
+        def inline_pool(max_workers):
+            sizes.append(max_workers)
+            return _InlinePool(max_workers)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", inline_pool)
         runner = SweepRunner(jobs=3)
         batch = runner.run(sweep_jobs(configs, episodes=2))
-        assert pool_constructions() == before + 1
+        assert sizes == [3]
         assert batch == expected
         assert len(sweep_spy.calls) == 3
         label_of = {config: label for label, config in configs.items()}

@@ -10,7 +10,7 @@ from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState
 from repro.sim.collision import circle_hit, first_collision
 from repro.sim.obstacles import OBSTACLE_ZONE_END_FRACTION, Obstacle, place_obstacles
-from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
+from repro.sim.road import ArcSegment, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
 from repro.sim.world import NO_OBSTACLE_DISTANCE_M, World
 
@@ -198,7 +198,8 @@ class TestWorld:
 
 
 class TestLanePoseMemo:
-    """``World`` projects each vehicle state once; every query reads it."""
+    """``World.status`` reads the vehicle's lane pose on curved roads: the
+    clamped Frenet coordinates of its current state, projected per call."""
 
     ROAD = Road(
         width_m=8.0,
@@ -212,11 +213,10 @@ class TestLanePoseMemo:
 
     @classmethod
     def _assert_matches_road(cls, world):
-        """The memoized queries equal fresh ones, and ``status()`` equals its
-        row of one multi-row ``status_batch`` call on the raw projection."""
+        """``status()`` equals its row of one multi-row ``status_batch``
+        call on the raw projection."""
         road, state = world.road, world.state
         status = world.status()
-        assert world.lane_pose() == road.lane_pose(state)
         # The world's row (it has no obstacles: its one slot is padding)
         # sits between a row past the route end and a row on an obstacle.
         assert not world.obstacles
@@ -286,27 +286,6 @@ class TestLanePoseMemo:
         )
         self._assert_matches_road(world)
         assert world.status().finished
-
-    def test_one_projection_per_state(self, monkeypatch):
-        calls = []
-        project_batch = Centerline.project_batch
-
-        def counting(self, xs, ys):
-            calls.append(xs.size)
-            return project_batch(self, xs, ys)
-
-        monkeypatch.setattr(Centerline, "project_batch", counting)
-        world = World(road=self.ROAD, state=self._state_at(5.0, 0.0))
-        for _ in range(3):
-            world.step(ControlAction(throttle=0.5), 0.05)
-            world.status()
-            world.lane_pose()
-            world.lane_pose()
-        assert calls == [1, 1, 1]
-        world.state = self._state_at(12.0, 0.0)
-        world.status()
-        world.lane_pose()
-        assert calls == [1, 1, 1, 1]
 
 
 class TestScenario:
