@@ -9,13 +9,10 @@ quantization costs.
 from conftest import save_result
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import run_lookup_ablation
 
 
-def test_ablation_lookup_table(benchmark, settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_lookup_ablation(settings, num_obstacles=3), rounds=1, iterations=1
-    )
+def test_ablation_lookup_table(artifacts, results_dir):
+    result = artifacts["ablation-lookup"]
     table = format_table(
         ["deadline provider", "avg gain [%]", "mean delta_max"],
         [

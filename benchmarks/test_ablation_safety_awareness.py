@@ -8,15 +8,10 @@ maximum deadline regardless of the perceived risk.
 from conftest import save_result
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import run_safety_awareness_ablation
 
 
-def test_ablation_safety_awareness(benchmark, settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_safety_awareness_ablation(settings, num_obstacles=4),
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_safety_awareness(artifacts, results_dir):
+    result = artifacts["ablation-safety"]
     table = format_table(
         ["variant", "avg gain [%]", "mean delta_max", "unsafe steps / episode"],
         [

@@ -2,15 +2,9 @@
 
 from conftest import save_result
 
-from repro.experiments.fig1 import run_fig1
 
-
-def test_fig1_motivational(benchmark, settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_fig1(settings, obstacle_counts=(0, 1, 2, 3, 4)),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig1_motivational(artifacts, results_dir):
+    result = artifacts["fig1"]
     table = result.to_table()
     save_result(results_dir, "fig1_motivational", table)
     print("\n" + table)

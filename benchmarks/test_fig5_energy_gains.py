@@ -12,11 +12,12 @@ import dataclasses
 import pytest
 from conftest import save_result
 
-from repro.experiments.fig5 import run_fig5
+from repro.cli import run_artifacts
+from repro.experiments.fig5 import fig5_cells, fig5_result
 
 
-def test_fig5_energy_gains(benchmark, settings, results_dir):
-    result = benchmark.pedantic(lambda: run_fig5(settings), rounds=1, iterations=1)
+def test_fig5_energy_gains(artifacts, results_dir):
+    result = artifacts["fig5"]
     table = result.to_table()
     save_result(results_dir, "fig5_energy_gains", table)
     print("\n" + table)
@@ -46,15 +47,22 @@ def test_fig5_energy_gains(benchmark, settings, results_dir):
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 8: the shield lowers offload's filtered gain below "
-    "the unfiltered one at other seeds (seed 3: 0.516 vs 0.554, seed 6: "
-    "0.503 vs 0.541 at 5 episodes), so the ordering above holds at seed 0 only",
+    "the unfiltered one at other seeds (at 25 episodes, seed 3: 0.512 vs 0.544, "
+    "outside the 0.03 slack; seed 6: 0.518 vs 0.546; at 5 episodes, seed 3: "
+    "0.516 vs 0.554, seed 6: 0.503 vs 0.541), so the ordering above does not hold "
+    "at every seed",
 )
 def test_fig5_filtered_ordering_at_other_seeds(settings):
-    gains = {}
-    for seed in (3, 6):
-        result = run_fig5(dataclasses.replace(settings, seed=seed))
-        gains[seed] = (
+    # Fig. 5 at each seed, as one sweep of its own.
+    seeds = {
+        seed: (lambda s, seed=seed: fig5_cells(dataclasses.replace(s, seed=seed)), fig5_result)
+        for seed in (3, 6)
+    }
+    gains = {
+        seed: (
             result.gain("offload", True, "detector-p1tau"),
             result.gain("offload", False, "detector-p1tau"),
         )
+        for seed, result in run_artifacts(seeds, settings).items()
+    }
     assert all(filtered >= unfiltered - 0.03 for filtered, unfiltered in gains.values()), gains

@@ -8,13 +8,9 @@ efficiency drops accordingly (42.9 % -> 17.5 % -> 11.9 % for gating, 88.6 %
 
 from conftest import save_result
 
-from repro.experiments.fig6 import run_fig6
 
-
-def test_fig6_deadline_histogram(benchmark, settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_fig6(settings, obstacle_counts=(0, 2, 4)), rounds=1, iterations=1
-    )
+def test_fig6_deadline_histogram(artifacts, results_dir):
+    result = artifacts["fig6"]
     table = result.to_table()
     save_result(results_dir, "fig6_deadline_histogram", table)
     print("\n" + table)

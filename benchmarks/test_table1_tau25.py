@@ -7,11 +7,9 @@ those of Fig. 5 at the larger base period.
 
 from conftest import save_result
 
-from repro.experiments.table1 import run_table1
 
-
-def test_table1_tau25(benchmark, settings, results_dir):
-    result = benchmark.pedantic(lambda: run_table1(settings), rounds=1, iterations=1)
+def test_table1_tau25(artifacts, results_dir):
+    result = artifacts["table1"]
     table = result.to_table()
     save_result(results_dir, "table1_tau25", table)
     print("\n" + table)

@@ -8,13 +8,9 @@ enforces a minimum obstacle distance.
 
 from conftest import save_result
 
-from repro.experiments.table2 import run_table2
 
-
-def test_table2_risk_sweep(benchmark, settings, results_dir):
-    result = benchmark.pedantic(
-        lambda: run_table2(settings, obstacle_counts=(0, 2, 4)), rounds=1, iterations=1
-    )
+def test_table2_risk_sweep(artifacts, results_dir):
+    result = artifacts["table2"]
     table = result.to_table()
     save_result(results_dir, "table2_risk_sweep", table)
     print("\n" + table)

@@ -9,11 +9,9 @@ always ahead.
 import pytest
 from conftest import save_result
 
-from repro.experiments.table3 import run_table3
 
-
-def test_table3_sensor_gating(benchmark, settings, results_dir):
-    result = benchmark.pedantic(lambda: run_table3(settings), rounds=1, iterations=1)
+def test_table3_sensor_gating(artifacts, results_dir):
+    result = artifacts["table3"]
     table = result.to_table()
     save_result(results_dir, "table3_sensor_gating", table)
     print("\n" + table)

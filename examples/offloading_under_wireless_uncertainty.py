@@ -13,38 +13,53 @@ from dataclasses import replace
 
 from repro.analysis.metrics import aggregate_reports
 from repro.analysis.tables import format_table
-from repro.core import SEOConfig, SEOFramework
+from repro.cli import run_artifacts
+from repro.core import SEOConfig
+from repro.experiments.common import ExperimentSettings
 from repro.sim import ScenarioConfig
 
 CHANNEL_SCALES_MBPS = (5.0, 10.0, 20.0, 40.0)
 PAYLOADS_BYTES = (14_000, 28_000, 84_000)
-EPISODES = 4
+SETTINGS = ExperimentSettings(episodes=4, max_steps=1200, seed=0)
+
+
+def link_cells(settings):
+    """One offloading cell per (Rayleigh scale, payload size)."""
+    base = SEOConfig(
+        scenario=ScenarioConfig(num_obstacles=3, seed=settings.seed),
+        optimization="offload",
+        filtered=True,
+        max_steps=settings.max_steps,
+        seed=settings.seed,
+    )
+    return {
+        (scale, payload): replace(base, channel_scale_mbps=scale, payload_bytes=payload)
+        for scale in CHANNEL_SCALES_MBPS
+        for payload in PAYLOADS_BYTES
+    }
+
+
+def link_rows(reports_by_label):
+    """One table row per cell, in declaration order."""
+    rows = []
+    for (scale, payload), reports in reports_by_label.items():
+        summary = aggregate_reports(reports)
+        offloads = max(1, summary.offloads_issued)
+        rows.append(
+            [
+                scale,
+                payload // 1000,
+                100.0 * summary.average_model_gain,
+                summary.offloads_issued,
+                100.0 * summary.offload_deadline_misses / offloads,
+            ]
+        )
+    return rows
 
 
 def main() -> None:
-    base = SEOConfig(
-        scenario=ScenarioConfig(num_obstacles=3, seed=0),
-        optimization="offload",
-        filtered=True,
-        max_steps=1200,
-    )
-
-    rows = []
-    for scale in CHANNEL_SCALES_MBPS:
-        for payload in PAYLOADS_BYTES:
-            config = replace(base, channel_scale_mbps=scale, payload_bytes=payload)
-            framework = SEOFramework(config)
-            summary = aggregate_reports(framework.run(EPISODES))
-            offloads = max(1, summary.offloads_issued)
-            rows.append(
-                [
-                    scale,
-                    payload // 1000,
-                    100.0 * summary.average_model_gain,
-                    summary.offloads_issued,
-                    100.0 * summary.offload_deadline_misses / offloads,
-                ]
-            )
+    # Every cell runs in one sweep.
+    rows = run_artifacts({"link": (link_cells, link_rows)}, SETTINGS)["link"]
 
     print(
         format_table(

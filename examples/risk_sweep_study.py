@@ -10,36 +10,57 @@ Run with:  python examples/risk_sweep_study.py
 """
 
 from repro.analysis.histograms import delta_histogram
+from repro.analysis.metrics import aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import ExperimentSettings, run_configuration, standard_config
+from repro.cli import run_artifacts
+from repro.experiments.common import ExperimentSettings, standard_config
 
 OBSTACLE_COUNTS = (0, 2, 4)
+METHODS = ("offload", "model_gating")
 SETTINGS = ExperimentSettings(episodes=5, max_steps=1200, seed=0)
 
 
-def main() -> None:
+def risk_cells(settings):
+    """One cell per (control case, #obstacles, method)."""
+    return {
+        (filtered, count, method): standard_config(
+            settings, optimization=method, filtered=filtered, num_obstacles=count
+        )
+        for filtered in (False, True)
+        for count in OBSTACLE_COUNTS
+        for method in METHODS
+    }
+
+
+def risk_rows(reports_by_label):
+    """One table row per (control case, #obstacles) from the cells' reports."""
+    summaries = {label: aggregate_reports(reports) for label, reports in reports_by_label.items()}
     rows = []
     for filtered in (False, True):
         for count in OBSTACLE_COUNTS:
-            per_method = {}
-            histogram = None
-            for method in ("offload", "model_gating"):
-                config = standard_config(
-                    SETTINGS, optimization=method, filtered=filtered, num_obstacles=count
-                )
-                summary = run_configuration(config, SETTINGS)
-                per_method[method] = summary.average_model_gain
-                histogram = delta_histogram(summary.delta_max_samples)
+            gains = {
+                method: summaries[filtered, count, method].average_model_gain
+                for method in METHODS
+            }
+            # The deadline columns come from the gating run.
+            gating = summaries[filtered, count, "model_gating"]
+            histogram = delta_histogram(gating.delta_max_samples)
             rows.append(
                 [
                     "filtered" if filtered else "unfiltered",
                     count,
-                    100.0 * per_method["offload"],
-                    100.0 * per_method["model_gating"],
+                    100.0 * gains["offload"],
+                    100.0 * gains["model_gating"],
                     histogram.mean(),
                     100.0 * histogram.frequency(4),
                 ]
             )
+    return rows
+
+
+def main() -> None:
+    # Every cell runs in one sweep.
+    rows = run_artifacts({"risk": (risk_cells, risk_rows)}, SETTINGS)["risk"]
 
     print(
         format_table(

@@ -10,27 +10,45 @@ power benefits more from being gated.
 Run with:  python examples/sensor_gating_power_study.py
 """
 
+from repro.analysis.metrics import aggregate_reports
 from repro.analysis.tables import format_table
+from repro.cli import run_artifacts
 from repro.core.energy import expected_gating_gain
 from repro.core.models import SensoryModel
-from repro.experiments.common import ExperimentSettings, run_configuration, standard_config
+from repro.experiments.common import ExperimentSettings, standard_config
 from repro.platform.presets import DRIVE_PX2_RESNET152, NAVTECH_RADAR, VELODYNE_LIDAR, ZED_CAMERA
 
 SETTINGS = ExperimentSettings(episodes=4, max_steps=1200, seed=0)
 TAU_S = 0.02
+SENSORS = (ZED_CAMERA, NAVTECH_RADAR, VELODYNE_LIDAR)
 
 
-def main() -> None:
-    rows = []
-    for sensor in (ZED_CAMERA, NAVTECH_RADAR, VELODYNE_LIDAR):
-        config = standard_config(
-            SETTINGS,
+def sensor_cells(settings):
+    """One sensor-gating cell per sensor front-end, by name."""
+    return {
+        sensor.name: standard_config(
+            settings,
             optimization="sensor_gating",
             filtered=True,
             tau_s=TAU_S,
             detector_sensor=sensor,
         )
-        summary = run_configuration(config, SETTINGS)
+        for sensor in SENSORS
+    }
+
+
+def summarize(reports_by_label):
+    """Each cell's summary (gains averaged over the successful episodes)."""
+    return {label: aggregate_reports(reports) for label, reports in reports_by_label.items()}
+
+
+def main() -> None:
+    # Every sensor's cell runs in one sweep.
+    summaries = run_artifacts({"sensors": (sensor_cells, summarize)}, SETTINGS)["sensors"]
+    cells = sensor_cells(SETTINGS)
+    rows = []
+    for sensor in SENSORS:
+        config, summary = cells[sensor.name], summaries[sensor.name]
         for multiple in config.detector_period_multiples:
             model = SensoryModel(
                 name="analytic",

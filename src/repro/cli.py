@@ -18,7 +18,9 @@ in-process, the same as ``--jobs 1``, which steps each unit's episodes in
 numpy lockstep).  An invocation runs the cells of every artifact it renders
 as one :meth:`repro.runtime.sweep.SweepRunner.run` call, so even ``all``
 runs a shared cell once and constructs at most one worker pool, and renders
-each artifact from its own cells' reports.  An invocation changes no
+each artifact from its own cells' reports.  :func:`run_artifacts` is that
+sweep as a library call, and the one way to run an artifact: the paper
+benchmarks and the examples call it too.  An invocation changes no
 process-wide state: runtime kernel contracts are switched on for it and its
 pool workers by setting ``REPRO_RUNTIME_CONTRACTS=1`` in the environment
 (see :mod:`repro.contracts`).
@@ -27,7 +29,7 @@ pool workers by setting ``REPRO_RUNTIME_CONTRACTS=1`` in the environment
 from __future__ import annotations
 
 import argparse
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -57,6 +59,38 @@ EXPERIMENTS: dict[str, Artifact] = {
 }
 
 
+def suite_artifact(
+    families: Sequence[str] | None = None, optimization: str = "offload"
+) -> Artifact:
+    """The scenario suite over ``families`` (``None``: every family) as an artifact."""
+    return (
+        partial(suite.suite_cells, families=families, optimization=optimization),
+        partial(suite.suite_result, optimization=optimization),
+    )
+
+
+def run_artifacts(
+    artifacts: Mapping[str, Artifact], settings: ExperimentSettings
+) -> dict[str, Any]:
+    """Run the cells of every artifact as one sweep; return each one's result.
+
+    Jobs are labelled ``(artifact, label)``, so a cell that several
+    artifacts declare runs once, and each artifact's result is built from
+    its own slice of the reports, in declaration order.
+    """
+    cells = {name: cells_of(settings) for name, (cells_of, _) in artifacts.items()}
+    union = {
+        (name, label): config for name, named in cells.items() for label, config in named.items()
+    }
+    reports = SweepRunner(jobs=settings.jobs, backend=settings.backend).run(
+        sweep_jobs(union, settings.episodes)
+    )
+    return {
+        name: result_of({label: reports[(name, label)] for label in cells[name]})
+        for name, (_, result_of) in artifacts.items()
+    }
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1 (clean error instead of a traceback)."""
     value = int(text)
@@ -65,13 +99,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _jobs_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 0 (0 = all CPU cores)."""
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (clean error instead of a traceback)."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be non-negative (0 = use all CPU cores), got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -81,12 +113,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--episodes", type=_positive_int, default=10,
         help="episodes per configuration (the paper averages 25 successful runs)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="base random seed")
     parser.add_argument(
         "--max-steps", type=_positive_int, default=1200, help="base periods per episode"
     )
     parser.add_argument(
-        "--jobs", type=_jobs_int, default=1,
+        "--jobs", type=_non_negative_int, default=1,
         help="workers episodes are spread over (0 = all cores; results match --jobs 1)",
     )
     parser.add_argument(
@@ -128,55 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("offload", "model_gating", "sensor_gating", "none"),
         help="energy optimization applied to the detectors",
     )
-
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the repo invariant linter (see docs/static-analysis.md)"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", type=Path, default=[], metavar="PATH",
-        help="files or directories to lint (default: the repro package)",
-    )
-    lint_parser.add_argument(
-        "--select", action="append", metavar="CHECKER", default=None,
-        help="run only this checker (repeatable)",
-    )
-    lint_parser.add_argument(
-        "--ignore", action="append", metavar="CHECKER", default=None,
-        help="skip this checker (repeatable)",
-    )
-    lint_parser.add_argument(
-        "--list-checkers", action="store_true",
-        help="list the available checkers and exit",
-    )
     return parser
-
-
-def _run_lint(args: argparse.Namespace) -> str:
-    """Run the invariant linter; exits non-zero on violations."""
-    import repro
-    from repro import lint
-
-    # Default to the installed package tree so the gate works from any cwd.
-    paths = args.paths or [Path(repro.__file__).parent]
-    argv = [str(path) for path in paths]
-    for name in args.select or []:
-        argv += ["--select", name]
-    for name in args.ignore or []:
-        argv += ["--ignore", name]
-    if args.list_checkers:
-        argv.append("--list-checkers")
-    code = lint.main(argv)
-    if code:
-        raise SystemExit(code)
-    return ""
 
 
 def run(argv: Sequence[str] | None = None) -> str:
     """Run the CLI and return the rendered output (also printed to stdout)."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "lint":
-        return _run_lint(args)
-
     settings = ExperimentSettings(
         episodes=args.episodes,
         seed=args.seed,
@@ -185,28 +174,12 @@ def run(argv: Sequence[str] | None = None) -> str:
         backend=args.backend,
     )
     if args.experiment == "suite":
-        artifacts: dict[str, Artifact] = {
-            "suite": (
-                partial(suite.suite_cells, families=args.family, optimization=args.optimization),
-                partial(suite.suite_result, optimization=args.optimization),
-            )
-        }
+        artifacts = {"suite": suite_artifact(args.family, args.optimization)}
     else:
         names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         artifacts = {name: EXPERIMENTS[name] for name in names}
-
-    # One sweep over every artifact's cells, labelled (artifact, cell).
-    cells = {name: cells_of(settings) for name, (cells_of, _) in artifacts.items()}
-    union = {
-        (name, label): config for name, named in cells.items() for label, config in named.items()
-    }
-    reports = SweepRunner(jobs=args.jobs, backend=args.backend).run(
-        sweep_jobs(union, settings.episodes)
-    )
-    output = "\n\n".join(
-        result({label: reports[(name, label)] for label in cells[name]}).to_table()
-        for name, (_, result) in artifacts.items()
-    )
+    results = run_artifacts(artifacts, settings)
+    output = "\n\n".join(result.to_table() for result in results.values())
 
     print(output)
     if args.output is not None:

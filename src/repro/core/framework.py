@@ -393,27 +393,20 @@ class SEOFramework:
 
         return run_batch(self, [episode])[0]
 
-    def run(self, episodes: int, only_successful: bool = False) -> list[EpisodeReport]:
+    def run(self, episodes: int) -> list[EpisodeReport]:
         """Run episodes ``0 .. episodes-1`` in one lockstep call, in index order.
 
         Episodes differ in obstacle placements and channel draws; each is
-        fully determined by ``(config, episode index)``.
-
-        Args:
-            episodes: Number of episodes to run.
-            only_successful: When True, keep only episodes that completed the
-                route collision-free — the paper averages over 25 such runs.
+        fully determined by ``(config, episode index)``.  Every episode is
+        returned, collided or not: :func:`repro.analysis.metrics.aggregate_reports`
+        applies the paper's average over successful runs.
         """
         if episodes <= 0:
             raise ValueError("episodes must be positive")
         # Imported here: repro.runtime imports this module at load time.
         from repro.runtime.batch import run_batch
 
-        reports = run_batch(self, range(episodes))
-        if only_successful:
-            successful = [report for report in reports if report.success]
-            return successful if successful else reports
-        return reports
+        return run_batch(self, range(episodes))
 
     # ------------------------------------------------------------------
     # Variants

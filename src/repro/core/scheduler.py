@@ -492,11 +492,7 @@ class SafeRuntimeScheduler:
         self._delta_i_opt = self._delta_i[self._first:]
         self._modes = ModeRows.of([optimization])
         self._indices = np.array([0])
-        self.reset()
-
-    def reset(self) -> None:
-        """Reset all run state (energy, deadline samples, interval state)."""
-        self.energy = EnergyColumns.create([(self.model_set, 1)], self.tau_s)
+        self.energy = EnergyColumns.create([(model_set, 1)], tau_s)
         self.delta_max_samples: list[int] = []
         self._global_step = 0
         self._state = SchedulerState.create(1, len(self._delta_i_opt))

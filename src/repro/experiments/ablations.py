@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
+from repro.experiments.common import Cells, ExperimentSettings, Reports, standard_config
 
 
 @dataclass
@@ -56,15 +56,10 @@ class SafetyAwarenessAblationResult:
         )
 
 
-def safety_awareness_ablation_cells(
-    settings: ExperimentSettings,
-    optimization: str = "model_gating",
-    num_obstacles: int = 4,
-) -> Cells:
-    """The safety-aware (``True``) and safety-oblivious (``False``) cells."""
-    base = standard_config(
-        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
-    )
+def safety_awareness_ablation_cells(settings: ExperimentSettings) -> Cells:
+    """The safety-aware (``True``) and safety-oblivious (``False``) cells:
+    model gating on a higher-risk scenario (4 obstacles)."""
+    base = standard_config(settings, optimization="model_gating", filtered=True, num_obstacles=4)
     return {aware: replace(base, safety_aware=aware) for aware in (True, False)}
 
 
@@ -80,16 +75,6 @@ def safety_awareness_ablation_result(reports_by_label: Reports) -> SafetyAwarene
         aware_unsafe_steps=unsafe[True],
         oblivious_unsafe_steps=unsafe[False],
     )
-
-
-def run_safety_awareness_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
-    optimization: str = "model_gating",
-    num_obstacles: int = 4,
-) -> SafetyAwarenessAblationResult:
-    """Run the safety-awareness ablation on a higher-risk scenario."""
-    cells = safety_awareness_ablation_cells(settings, optimization, num_obstacles)
-    return safety_awareness_ablation_result(run_batch(cells, settings))
 
 
 @dataclass
@@ -122,15 +107,10 @@ class LookupAblationResult:
         )
 
 
-def lookup_ablation_cells(
-    settings: ExperimentSettings,
-    optimization: str = "offload",
-    num_obstacles: int = 3,
-) -> Cells:
-    """The lookup-table (``True``) and exact-phi (``False``) cells."""
-    base = standard_config(
-        settings, optimization=optimization, filtered=True, num_obstacles=num_obstacles
-    )
+def lookup_ablation_cells(settings: ExperimentSettings) -> Cells:
+    """The lookup-table (``True``) and exact-phi (``False``) cells: offloading
+    on the default scenario."""
+    base = standard_config(settings, optimization="offload", filtered=True)
     return {
         use_lookup: replace(base, use_lookup_table=use_lookup) for use_lookup in (True, False)
     }
@@ -142,13 +122,3 @@ def lookup_ablation_result(reports_by_label: Reports) -> LookupAblationResult:
         lookup=aggregate_reports(reports_by_label[True]),
         exact=aggregate_reports(reports_by_label[False]),
     )
-
-
-def run_lookup_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
-    optimization: str = "offload",
-    num_obstacles: int = 3,
-) -> LookupAblationResult:
-    """Run the lookup-table ablation."""
-    cells = lookup_ablation_cells(settings, optimization, num_obstacles)
-    return lookup_ablation_result(run_batch(cells, settings))

@@ -1,25 +1,23 @@
-"""Shared configuration builders and sweep plumbing for the experiment drivers.
+"""Shared configuration builders for the experiment drivers.
 
-Every driver is split in two: ``<artifact>_cells(settings, ...)`` declares
-its artifact as a dict of named configurations, and
-``<artifact>_result(reports_by_label, ...)`` builds the result from their
-reports.  ``run_<artifact>`` composes the two around one :func:`run_batch`
-call, a :class:`repro.runtime.sweep.SweepRunner` sweep of its own.  The CLI
-instead runs the cells of every requested artifact as one sweep and hands
-each ``_result`` its slice (see :mod:`repro.cli`).  Either way the reports
-are bit-identical to the in-process per-config path.
+Every driver is split in two: ``<artifact>_cells(settings)`` declares its
+artifact as a dict of named configurations, and
+``<artifact>_result(reports_by_label)`` builds the result from their
+reports.  :func:`repro.cli.run_artifacts` runs the cells of any set of
+artifacts as one :class:`repro.runtime.sweep.SweepRunner` sweep and hands
+each ``_result`` its slice; the reports are bit-identical to the in-process
+per-config path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Hashable, Mapping
 
-from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.core.framework import EpisodeReport, SEOConfig
 from repro.platform.presets import ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
-from repro.runtime.sweep import SweepRunner, check_backend, sweep_jobs
+from repro.runtime.sweep import check_backend
 from repro.sim.scenario import ScenarioConfig
 
 #: Number of obstacles in the "default" evaluation scenario used by Fig. 5 /
@@ -27,6 +25,8 @@ from repro.sim.scenario import ScenarioConfig
 #: state the count; three obstacles gives a comparable mix of open-road and
 #: at-risk driving.
 DEFAULT_NUM_OBSTACLES = 3
+#: The paper's base period ``tau`` (20 ms) of every artifact but Table I.
+DEFAULT_TAU_S = 0.02
 
 #: An artifact's declared cells: label -> configuration.
 Cells = dict[Hashable, SEOConfig]
@@ -40,9 +40,11 @@ class ExperimentSettings:
 
     Attributes:
         episodes: Episodes per configuration.  The paper averages 25
-            successful runs; the default here is smaller so the benchmark
-            suite stays fast — pass ``episodes=25`` to match the paper.
-        seed: Base seed for scenario generation and stochastic strategies.
+            successful runs (the paper benchmarks' default); the default
+            here, the CLI's, is smaller — pass ``episodes=25`` to match
+            the paper.
+        seed: Base seed for scenario generation and stochastic strategies
+            (non-negative).
         max_steps: Cap on base periods per episode.
         target_speed_mps: Controller cruise speed.
         jobs: Workers episodes are spread over (1 = in-process, each unit's
@@ -65,6 +67,8 @@ class ExperimentSettings:
     def __post_init__(self) -> None:
         if self.episodes <= 0:
             raise ValueError("episodes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if self.jobs < 0:
@@ -84,7 +88,7 @@ def standard_config(
     settings: ExperimentSettings,
     optimization: str,
     filtered: bool,
-    tau_s: float = 0.02,
+    tau_s: float = DEFAULT_TAU_S,
     num_obstacles: int = DEFAULT_NUM_OBSTACLES,
     detector_sensor: SensorPowerSpec | None = None,
     safety_aware: bool = True,
@@ -116,32 +120,3 @@ def standard_config(
         max_steps=settings.max_steps,
         seed=settings.seed,
     )
-
-
-def run_batch(configs: Cells, settings: ExperimentSettings) -> dict[Hashable, list[EpisodeReport]]:
-    """Run every named config for ``settings.episodes`` episodes in one sweep.
-
-    Each named config is lowered to a
-    :class:`~repro.runtime.workunit.WorkUnit` covering ``settings.episodes``
-    episodes, so the runner runs equal configs once without the driver
-    knowing.  Reports come back keyed like ``configs``, in episode order.
-
-    Args:
-        configs: Named configurations of the artifact's cells.
-        settings: Shared experiment knobs.
-    """
-    runner = SweepRunner(jobs=settings.jobs, backend=settings.backend)
-    return runner.run(sweep_jobs(configs, settings.episodes))
-
-
-def run_configuration(
-    config: SEOConfig, settings: ExperimentSettings, only_successful: bool = True
-) -> RunSummary:
-    """Run one configuration for ``settings.episodes`` episodes and aggregate."""
-    reports = run_batch({"configuration": config}, settings)["configuration"]
-    return aggregate_reports(reports, only_successful=only_successful)
-
-
-def with_obstacles(config: SEOConfig, num_obstacles: int) -> SEOConfig:
-    """Return a copy of ``config`` with a different obstacle count."""
-    return replace(config, scenario=replace(config.scenario, num_obstacles=num_obstacles))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
+from repro.experiments.common import Cells, ExperimentSettings, Reports, standard_config
 
 FIG1_OBSTACLE_COUNTS = (0, 1, 2, 3, 4)
 
@@ -23,7 +23,6 @@ FIG1_OBSTACLE_COUNTS = (0, 1, 2, 3, 4)
 class Fig1Result:
     """Normalized energy per detector across risk levels."""
 
-    tau_s: float
     #: normalized_energy[(model name, #obstacles)] -> optimized / baseline energy
     normalized_energy: dict[tuple[str, int], float] = field(default_factory=dict)
     summaries: dict[int, RunSummary] = field(default_factory=dict)
@@ -54,39 +53,21 @@ class Fig1Result:
         )
 
 
-def fig1_cells(
-    settings: ExperimentSettings,
-    tau_s: float = 0.02,
-    obstacle_counts: tuple[int, ...] = FIG1_OBSTACLE_COUNTS,
-) -> Cells:
+def fig1_cells(settings: ExperimentSettings) -> Cells:
     """Fig. 1's cells (model gating, filtered control), by obstacle count."""
     return {
         count: standard_config(
-            settings,
-            optimization="model_gating",
-            filtered=True,
-            tau_s=tau_s,
-            num_obstacles=count,
+            settings, optimization="model_gating", filtered=True, num_obstacles=count
         )
-        for count in obstacle_counts
+        for count in FIG1_OBSTACLE_COUNTS
     }
 
 
-def fig1_result(reports_by_label: Reports, tau_s: float = 0.02) -> Fig1Result:
+def fig1_result(reports_by_label: Reports) -> Fig1Result:
     """Fig. 1 from the reports of :func:`fig1_cells`."""
-    result = Fig1Result(tau_s=tau_s)
+    result = Fig1Result()
     for count, reports in reports_by_label.items():
         summary = result.summaries[count] = aggregate_reports(reports)
         for name, gain_summary in summary.model_gains.items():
             result.normalized_energy[(name, count)] = 1.0 - gain_summary.mean_gain
     return result
-
-
-def run_fig1(
-    settings: ExperimentSettings = ExperimentSettings(),
-    tau_s: float = 0.02,
-    obstacle_counts: tuple[int, ...] = FIG1_OBSTACLE_COUNTS,
-) -> Fig1Result:
-    """Regenerate the motivational Fig. 1 (model gating, filtered control)."""
-    cells = fig1_cells(settings, tau_s, obstacle_counts)
-    return fig1_result(run_batch(cells, settings), tau_s)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
+from repro.experiments.common import (
+    DEFAULT_TAU_S,
+    Cells,
+    ExperimentSettings,
+    Reports,
+    standard_config,
+)
 
 #: The two optimization methods compared in Fig. 5.
 FIG5_METHODS = ("offload", "model_gating")
@@ -52,7 +58,7 @@ class Fig5Result:
         )
 
 
-def fig5_cells(settings: ExperimentSettings, tau_s: float = 0.02) -> Cells:
+def fig5_cells(settings: ExperimentSettings, tau_s: float = DEFAULT_TAU_S) -> Cells:
     """Fig. 5's cells: both optimization methods, both control cases."""
     return {
         (method, filtered): standard_config(
@@ -63,9 +69,9 @@ def fig5_cells(settings: ExperimentSettings, tau_s: float = 0.02) -> Cells:
     }
 
 
-def fig5_result(reports_by_label: Reports, tau_s: float = 0.02) -> Fig5Result:
+def fig5_result(reports_by_label: Reports) -> Fig5Result:
     """Fig. 5 from the reports of :func:`fig5_cells`."""
-    result = Fig5Result(tau_s=tau_s)
+    result = Fig5Result(tau_s=DEFAULT_TAU_S)
     for cell, reports in reports_by_label.items():
         summary = result.summaries[cell] = aggregate_reports(reports)
         result.gains[cell] = {
@@ -73,10 +79,3 @@ def fig5_result(reports_by_label: Reports, tau_s: float = 0.02) -> Fig5Result:
             for name, gain_summary in summary.model_gains.items()
         }
     return result
-
-
-def run_fig5(
-    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.02
-) -> Fig5Result:
-    """Regenerate Fig. 5 (both optimization methods, both control cases)."""
-    return fig5_result(run_batch(fig5_cells(settings, tau_s), settings), tau_s)

@@ -19,14 +19,8 @@ from collections.abc import Sequence
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
 from repro.core.framework import SEOConfig
-from repro.experiments.common import (
-    Cells,
-    ExperimentSettings,
-    Reports,
-    default_detector_sensor,
-    run_batch,
-)
-from repro.sim.scenario import DEFAULT_SUITE, ScenarioSuite
+from repro.experiments.common import Cells, ExperimentSettings, Reports, default_detector_sensor
+from repro.sim.scenario import DEFAULT_SUITE
 
 
 @dataclass(frozen=True)
@@ -79,16 +73,15 @@ def suite_cells(
     settings: ExperimentSettings,
     families: Sequence[str] | None = None,
     optimization: str = "offload",
-    suite: ScenarioSuite = DEFAULT_SUITE,
 ) -> Cells:
     """One cell per requested family (``None``: the whole suite), by name."""
-    names = list(families) if families is not None else suite.names()
+    names = list(families) if families is not None else DEFAULT_SUITE.names()
     # Same per-method sensor accounting as the paper-artifact drivers —
     # without it, sensor gating would report meaningless ~0 gains.
     detector_sensor = default_detector_sensor(optimization)
     configs: Cells = {}
     for name in names:
-        scenario = replace(suite.get(name).base, seed=settings.seed)
+        scenario = replace(DEFAULT_SUITE.get(name).base, seed=settings.seed)
         configs[name] = SEOConfig(
             scenario=scenario,
             optimization=optimization,
@@ -101,11 +94,7 @@ def suite_cells(
     return configs
 
 
-def suite_result(
-    reports_by_label: Reports,
-    optimization: str = "offload",
-    suite: ScenarioSuite = DEFAULT_SUITE,
-) -> SuiteResult:
+def suite_result(reports_by_label: Reports, optimization: str = "offload") -> SuiteResult:
     """The suite comparison from the reports of :func:`suite_cells`."""
     result = SuiteResult(optimization=optimization)
     for name, reports in reports_by_label.items():
@@ -113,7 +102,7 @@ def suite_result(
         result.rows.append(
             SuiteRow(
                 family=name,
-                description=suite.get(name).description,
+                description=DEFAULT_SUITE.get(name).description,
                 success_rate=summary.success_rate,
                 average_gain=summary.average_model_gain,
                 mean_delta_max=summary.mean_delta_max,
@@ -121,21 +110,3 @@ def suite_result(
             )
         )
     return result
-
-
-def run_suite(
-    settings: ExperimentSettings = ExperimentSettings(),
-    families: Sequence[str] | None = None,
-    optimization: str = "offload",
-    suite: ScenarioSuite = DEFAULT_SUITE,
-) -> SuiteResult:
-    """Run every requested scenario family for ``settings.episodes`` episodes.
-
-    Args:
-        settings: Shared experiment knobs (episodes, seed, jobs, ...).
-        families: Family names to run; ``None`` runs the whole suite.
-        optimization: Energy optimization applied to the detectors.
-        suite: Registry to resolve family names against.
-    """
-    cells = suite_cells(settings, families, optimization, suite)
-    return suite_result(run_batch(cells, settings), optimization, suite)

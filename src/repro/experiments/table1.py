@@ -12,8 +12,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch
+from repro.experiments.common import Cells, ExperimentSettings, Reports
 from repro.experiments.fig5 import fig5_cells
+
+#: Table I's larger base period (25 ms).
+TABLE1_TAU_S = 0.025
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ class Table1Result:
         )
 
 
-def table1_cells(settings: ExperimentSettings, tau_s: float = 0.025) -> Cells:
-    """Table I's cells: Fig. 5's (both methods, both control cases) at ``tau_s``."""
-    return fig5_cells(settings, tau_s)
+def table1_cells(settings: ExperimentSettings) -> Cells:
+    """Table I's cells: Fig. 5's (both methods, both control cases) at 25 ms."""
+    return fig5_cells(settings, TABLE1_TAU_S)
 
 
-def table1_result(reports_by_label: Reports, tau_s: float = 0.025) -> Table1Result:
+def table1_result(reports_by_label: Reports) -> Table1Result:
     """Table I from the reports of :func:`table1_cells`."""
-    result = Table1Result(tau_s=tau_s)
+    result = Table1Result(tau_s=TABLE1_TAU_S)
     for (method, filtered), reports in reports_by_label.items():
         summary = result.summaries[(method, filtered)] = aggregate_reports(reports)
         names = sorted(summary.model_gains)
@@ -85,10 +88,3 @@ def table1_result(reports_by_label: Reports, tau_s: float = 0.025) -> Table1Resu
             )
         )
     return result
-
-
-def run_table1(
-    settings: ExperimentSettings = ExperimentSettings(), tau_s: float = 0.025
-) -> Table1Result:
-    """Regenerate Table I (tau = 25 ms)."""
-    return table1_result(run_batch(table1_cells(settings, tau_s), settings), tau_s)

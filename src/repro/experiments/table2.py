@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
+from repro.experiments.common import (
+    DEFAULT_TAU_S,
+    Cells,
+    ExperimentSettings,
+    Reports,
+    standard_config,
+)
 
 TABLE2_OBSTACLE_COUNTS = (0, 2, 4)
 
@@ -67,37 +73,25 @@ class Table2Result:
         )
 
 
-def table2_cells(
-    settings: ExperimentSettings,
-    tau_s: float = 0.02,
-    obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
-) -> Cells:
+def table2_cells(settings: ExperimentSettings) -> Cells:
     """Table II's cells: both methods, both control cases, each obstacle count."""
     return {
         (method, filtered, count): standard_config(
-            settings,
-            optimization=method,
-            filtered=filtered,
-            tau_s=tau_s,
-            num_obstacles=count,
+            settings, optimization=method, filtered=filtered, num_obstacles=count
         )
         for filtered in (False, True)
-        for count in obstacle_counts
+        for count in TABLE2_OBSTACLE_COUNTS
         for method in ("offload", "model_gating")
     }
 
 
-def table2_result(
-    reports_by_label: Reports,
-    tau_s: float = 0.02,
-    obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
-) -> Table2Result:
+def table2_result(reports_by_label: Reports) -> Table2Result:
     """Table II from the reports of :func:`table2_cells`."""
-    result = Table2Result(tau_s=tau_s)
+    result = Table2Result(tau_s=DEFAULT_TAU_S)
     for cell, reports in reports_by_label.items():
         result.summaries[cell] = aggregate_reports(reports)
     for filtered in (False, True):
-        for count in obstacle_counts:
+        for count in TABLE2_OBSTACLE_COUNTS:
             offload = result.summaries[("offload", filtered, count)]
             gating = result.summaries[("model_gating", filtered, count)]
             # The reported delta_max column comes from the gating run (the
@@ -112,13 +106,3 @@ def table2_result(
                 )
             )
     return result
-
-
-def run_table2(
-    settings: ExperimentSettings = ExperimentSettings(),
-    tau_s: float = 0.02,
-    obstacle_counts: tuple[int, ...] = TABLE2_OBSTACLE_COUNTS,
-) -> Table2Result:
-    """Regenerate Table II."""
-    cells = table2_cells(settings, tau_s, obstacle_counts)
-    return table2_result(run_batch(cells, settings), tau_s, obstacle_counts)

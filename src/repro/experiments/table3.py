@@ -17,7 +17,13 @@ from repro.analysis.metrics import RunSummary, aggregate_reports
 from repro.analysis.tables import format_table
 from repro.core.energy import expected_gating_gain
 from repro.core.models import SensoryModel
-from repro.experiments.common import Cells, ExperimentSettings, Reports, run_batch, standard_config
+from repro.experiments.common import (
+    DEFAULT_TAU_S,
+    Cells,
+    ExperimentSettings,
+    Reports,
+    standard_config,
+)
 from repro.platform.presets import (
     DRIVE_PX2_RESNET152,
     NAVTECH_RADAR,
@@ -80,34 +86,26 @@ class Table3Result:
         )
 
 
-def table3_cells(
-    settings: ExperimentSettings, tau_s: float = 0.02, sensors: tuple = TABLE3_SENSORS
-) -> Cells:
+def table3_cells(settings: ExperimentSettings) -> Cells:
     """Table III's cells: sensor gating, filtered control, one per sensor."""
     return {
         sensor.name: replace(
             standard_config(
-                settings,
-                optimization="sensor_gating",
-                filtered=True,
-                tau_s=tau_s,
-                detector_sensor=sensor,
+                settings, optimization="sensor_gating", filtered=True, detector_sensor=sensor
             ),
             detector_period_multiples=TABLE3_PERIOD_MULTIPLES,
         )
-        for sensor in sensors
+        for sensor in TABLE3_SENSORS
     }
 
 
-def table3_result(
-    reports_by_label: Reports, tau_s: float = 0.02, sensors: tuple = TABLE3_SENSORS
-) -> Table3Result:
+def table3_result(reports_by_label: Reports) -> Table3Result:
     """Table III from the reports of :func:`table3_cells`."""
-    result = Table3Result(tau_s=tau_s)
-    for sensor in sensors:
+    result = Table3Result(tau_s=DEFAULT_TAU_S)
+    for sensor in TABLE3_SENSORS:
         summary = result.summaries[sensor.name] = aggregate_reports(reports_by_label[sensor.name])
         for multiple in TABLE3_PERIOD_MULTIPLES:
-            model = _sensor_model(sensor, multiple, tau_s)
+            model = _sensor_model(sensor, multiple, DEFAULT_TAU_S)
             result.rows.append(
                 Table3Row(
                     sensor=sensor.name,
@@ -116,21 +114,11 @@ def table3_result(
                     mechanical_power_w=sensor.mechanical_power_w,
                     average_gain=summary.gain_for(model.name),
                     four_tau_gain=expected_gating_gain(
-                        model, tau_s, delta_max=4, gate_sensor=True
+                        model, DEFAULT_TAU_S, delta_max=4, gate_sensor=True
                     ).gain,
                 )
             )
     return result
-
-
-def run_table3(
-    settings: ExperimentSettings = ExperimentSettings(),
-    tau_s: float = 0.02,
-    sensors: tuple = TABLE3_SENSORS,
-) -> Table3Result:
-    """Regenerate Table III (sensor gating, filtered control)."""
-    cells = table3_cells(settings, tau_s, sensors)
-    return table3_result(run_batch(cells, settings), tau_s, sensors)
 
 
 def _sensor_model(

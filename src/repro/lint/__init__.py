@@ -1,7 +1,8 @@
 """repro.lint — AST-based invariant linter for this repository.
 
 Pins the load-bearing structural invariants that ordinary linters cannot
-see, as a CI gate (``python -m repro.lint src`` or ``repro.cli lint``):
+see, as a CI gate (``python -m repro.lint src``; with no path it lints the
+installed ``repro`` package, from any working directory):
 
 * **kernel-parity** (REPRO101): in the decision and perception layers
   (``core/``, ``control/``, ``perception/``, ``sim/road.py``,

@@ -37,6 +37,9 @@ __all__ = [
     "statement_span",
 ]
 
+#: The installed ``repro`` package: what ``python -m repro.lint`` lints by default.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
 #: Inline suppression marker: ``# repro-lint: ignore`` or
 #: ``# repro-lint: ignore[CODE, CODE]`` on the flagged line.
 PRAGMA_PATTERN = re.compile(r"#\s*repro-lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
@@ -218,8 +221,8 @@ def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
         "determinism, kernel declarations).",
     )
     parser.add_argument(
-        "paths", nargs="*", type=Path, default=[Path("src")],
-        help="files or directories to lint (default: src)",
+        "paths", nargs="*", type=Path, default=[PACKAGE_ROOT],
+        help="files or directories to lint (default: the installed repro package)",
     )
     parser.add_argument(
         "--select", action="append", metavar="CHECKER", default=None,

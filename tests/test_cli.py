@@ -42,6 +42,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig5", "--jobs", "-1"])
 
+    def test_negative_seed_rejected_up_front(self, capsys):
+        # Regression: --seed -1 used to die with a ValueError traceback from
+        # SEOConfig once the sweep built its first config.
+        with pytest.raises(SystemExit) as exit_info:
+            run(["fig5", "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+
     def test_suite_subcommand_options(self):
         args = build_parser().parse_args(
             ["suite", "--family", "narrow-road", "--optimization", "model_gating"]

@@ -341,11 +341,13 @@ class TestEpisodes:
             or first.overall_gain != second.overall_gain
         )
 
-    def test_run_filters_successful_episodes(self, fast_seo_config):
+    def test_run_returns_every_episode(self, fast_seo_config):
+        # The paper's success filter belongs to aggregate_reports alone
+        # (tests/test_analysis.py): run() returns collided episodes too.
         framework = SEOFramework(fast_seo_config)
-        reports = framework.run(2, only_successful=True)
-        assert reports
-        assert all(report.success for report in reports) or len(reports) == 2
+        reports = framework.run(2)
+        assert [report.episode for report in reports] == [0, 1]
+        assert reports == run_batch(framework, range(2))
 
     def test_run_rejects_nonpositive_episodes(self, fast_seo_config):
         framework = SEOFramework(fast_seo_config)

@@ -122,11 +122,12 @@ class TestZeroDeadlinePath:
         assert fields["offloads_issued"] == 0
         assert scheduler.delta_max_samples == [0] * 8
 
-    def test_reset_clears_state(self):
-        scheduler = _scheduler()
+    def test_fresh_scheduler_starts_clear(self):
+        used = _scheduler()
         for _ in range(5):
-            scheduler.step(SAFE_INPUTS, CONTROL)
-        scheduler.reset()
+            used.step(SAFE_INPUTS, CONTROL)
+        assert used.energy.used.any()
+        scheduler = _scheduler()
         assert not scheduler.energy.used.any()
         assert scheduler.delta_max_samples == []
         assert scheduler.step(SAFE_INPUTS, CONTROL).new_interval

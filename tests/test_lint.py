@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli
 from repro import lint
 from repro.lint import (
     CHECKERS,
@@ -407,7 +406,7 @@ def test_span_suppression_does_not_leak_past_the_statement():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: module and CLI entry points on the real tree
+# End-to-end: the module and its command-line entry point on the real tree
 # ----------------------------------------------------------------------
 
 def test_lint_module_exits_zero_on_real_tree():
@@ -425,17 +424,18 @@ def test_lint_module_exits_zero_on_real_tree():
     assert proc.stdout.strip() == ""
 
 
-def test_cli_lint_exits_zero_on_real_tree():
-    assert cli.run(["lint"]) == ""
+def test_cli_lint_exits_zero_on_real_tree(tmp_path, monkeypatch, capsys):
+    # With no path, lint.main lints the installed package, from any cwd.
+    monkeypatch.chdir(tmp_path)
+    assert lint.main([]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_lint_fails_on_violating_tree(tmp_path, capsys):
     scoped = tmp_path / "repro" / "core"
     scoped.mkdir(parents=True)
     (scoped / "drift.py").write_text((FIXTURES / "parity_bad.py").read_text())
-    with pytest.raises(SystemExit) as excinfo:
-        cli.run(["lint", str(tmp_path)])
-    assert excinfo.value.code == 1
+    assert lint.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "REPRO101" in out
     assert "drift.py:9:" in out
@@ -450,8 +450,8 @@ def test_lint_main_select_runs_only_named_checker(tmp_path):
 
 
 def test_cli_lint_accepts_explicit_file_and_directory_args():
-    assert cli.run(["lint", str(SRC / "core" / "lookup.py")]) == ""
-    assert cli.run(["lint", str(SRC / "core"), str(SRC / "sim")]) == ""
+    assert lint.main([str(SRC / "core" / "lookup.py")]) == 0
+    assert lint.main([str(SRC / "core"), str(SRC / "sim")]) == 0
 
 
 def test_cli_lint_reports_violations_in_explicit_path(tmp_path, capsys):
@@ -460,9 +460,7 @@ def test_cli_lint_reports_violations_in_explicit_path(tmp_path, capsys):
     (scoped / "declarations_bad.py").write_text(
         (FIXTURES / "declarations_bad.py").read_text()
     )
-    with pytest.raises(SystemExit) as excinfo:
-        cli.run(["lint", str(tmp_path), "--select", "kernel-declarations"])
-    assert excinfo.value.code == 1
+    assert lint.main([str(tmp_path), "--select", "kernel-declarations"]) == 1
     out = capsys.readouterr().out
     assert "declarations_bad.py:13: REPRO502" in out
     assert "declarations_bad.py:21: REPRO503" in out

@@ -7,13 +7,10 @@ import pytest
 
 from repro.core.framework import SEOConfig, SEOFramework
 from repro.dynamics.state import VehicleState
-from repro.experiments.common import (
-    ExperimentSettings,
-    default_detector_sensor,
-    run_batch,
-    standard_config,
-)
+from repro.experiments.common import ExperimentSettings, standard_config
+from repro.experiments.suite import suite_cells
 from repro.runtime.batch import run_cells
+from repro.runtime.sweep import SweepRunner, sweep_jobs
 from repro.sim.obstacles import Obstacle
 from repro.sim.observation import RangeScanner
 from repro.sim.road import Road
@@ -155,26 +152,15 @@ _SHIELD_FAILS_ON = {
 @pytest.fixture(scope="module")
 def family_episodes():
     """Episode reports per ``(family, filtered)``: every ``DEFAULT_SUITE``
-    family under offload with the heuristic controller, 10 episodes of up to
-    1500 steps, one sweep per control case."""
+    family under offload with the heuristic controller (the suite's cells),
+    10 episodes of up to 1500 steps, both control cases in one sweep."""
     settings = ExperimentSettings(episodes=10, max_steps=1500, seed=0)
-    episodes = {}
-    for filtered in (False, True):
-        configs = {}
-        for family in DEFAULT_SUITE.names():
-            scenario = dataclasses.replace(DEFAULT_SUITE.get(family).base, seed=settings.seed)
-            configs[family] = SEOConfig(
-                scenario=scenario,
-                optimization="offload",
-                filtered=filtered,
-                detector_sensor=default_detector_sensor("offload"),
-                target_speed_mps=scenario.target_speed_mps,
-                max_steps=settings.max_steps,
-                seed=settings.seed,
-            )
-        for family, reports in run_batch(configs, settings).items():
-            episodes[family, filtered] = reports
-    return episodes
+    cells = {
+        (family, filtered): dataclasses.replace(config, filtered=filtered)
+        for family, config in suite_cells(settings).items()
+        for filtered in (False, True)
+    }
+    return SweepRunner().run(sweep_jobs(cells, settings.episodes))
 
 
 @pytest.mark.parametrize(
