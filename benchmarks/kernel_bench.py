@@ -207,27 +207,17 @@ def scan_arrays(world: World, max_range_m: float, rows: int) -> dict[str, np.nda
 
 
 def _row_symbol(contract: KernelContract) -> str:
-    declared = {
-        dim for _, spec in contract.params for dim in spec.dims if isinstance(dim, str)
-    }
+    declared = {dim for _, spec in contract.params for dim in spec.dims}
     for symbol in _ROW_SYMBOLS:
         if symbol in declared:
             return symbol
-    first = contract.params[0][1].dims[0]
-    if isinstance(first, tuple):
-        return first[1]
-    return first if isinstance(first, str) else "N"
+    return contract.params[0][1].dims[0]
 
 
 def _array(
     name: str, spec: ArraySpec, symbols: dict[str, int], rng: np.random.Generator
 ) -> np.ndarray:
-    shape = tuple(
-        dim if isinstance(dim, int)
-        else symbols.get(dim, 1) if isinstance(dim, str)
-        else dim[0] * symbols.get(dim[1], 1)
-        for dim in spec.dims
-    )
+    shape = tuple(symbols.get(dim, 1) for dim in spec.dims)
     if spec.dtype == "float64":
         return rng.random(shape)
     if spec.dtype == "bool":

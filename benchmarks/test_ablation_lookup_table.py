@@ -8,27 +8,10 @@ quantization costs.
 
 from conftest import save_result
 
-from repro.analysis.tables import format_table
-
 
 def test_ablation_lookup_table(artifacts, results_dir):
     result = artifacts["ablation-lookup"]
-    table = format_table(
-        ["deadline provider", "avg gain [%]", "mean delta_max"],
-        [
-            [
-                "lookup table T(x, u)",
-                100.0 * result.lookup.average_model_gain,
-                result.lookup.mean_delta_max,
-            ],
-            [
-                "exact phi evaluation",
-                100.0 * result.exact.average_model_gain,
-                result.exact.mean_delta_max,
-            ],
-        ],
-        title="Ablation — deadline lookup table vs. exact evaluation (3 obstacles)",
-    )
+    table = result.to_table()
     save_result(results_dir, "ablation_lookup_table", table)
     print("\n" + table)
 

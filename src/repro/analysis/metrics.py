@@ -32,11 +32,6 @@ class ModelGainSummary:
     mean_energy_j: float
     mean_baseline_j: float
 
-    @property
-    def mean_gain_percent(self) -> float:
-        """Mean gain expressed in percent."""
-        return 100.0 * self.mean_gain
-
 
 @dataclass
 class RunSummary:

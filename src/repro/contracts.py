@@ -28,12 +28,10 @@ runtime check.
 
 Spec grammar
 ------------
-A spec is ``"(dim, dim, ...) dtype"``.  Each ``dim`` is a positive
-integer literal (``3``), a symbolic size (``N``, ``K``), or an integer
-multiple of a symbol (``2*N``).  The dtype suffix defaults to
-``float64``; the vocabulary is the canonical kernel dtypes
-(``float64``/``int64``/``bool``) plus the deliberate ``int8`` used for
-padded masks.  ``"()"`` declares a 0-d scalar.  Symbols are scoped to
+A spec is ``"(dim, dim, ...) dtype"``.  Each ``dim`` is a symbolic size
+(``N``, ``K``).  The dtype suffix defaults to ``float64``; the vocabulary
+is the canonical kernel dtypes (``float64``/``int64``/``bool``).
+``"()"`` declares a 0-d scalar.  Symbols are scoped to
 one kernel signature: every occurrence of ``N`` across the parameters
 and returns of a single call must agree.
 
@@ -62,7 +60,6 @@ import numpy as np
 __all__ = [
     "ArraySpec",
     "ContractViolationError",
-    "DimSpec",
     "KernelContract",
     "contracts_enabled",
     "enforced_contracts",
@@ -71,17 +68,11 @@ __all__ = [
     "set_contracts_enabled",
 ]
 
-#: One dimension of a declared shape: a literal size, a symbol, or
-#: ``(coefficient, symbol)`` for specs like ``2*N``.
-DimSpec = int | str | tuple[int, str]
-
-#: Dtypes a contract may declare.  ``float64``/``int64``/``bool`` are the
-#: kernel-layer discipline; ``int8`` is the sanctioned padded-mask dtype.
-ALLOWED_DTYPES = ("float64", "int64", "bool", "int8")
+#: Dtypes a contract may declare: the kernel-layer discipline.
+ALLOWED_DTYPES = ("float64", "int64", "bool")
 
 _SPEC_PATTERN = re.compile(r"^\(([^()]*)\)(?:\s+(\w+))?$")
 _SYMBOL_PATTERN = re.compile(r"^[A-Z][A-Za-z0-9]*$")
-_SCALED_PATTERN = re.compile(r"^([0-9]+)\*([A-Z][A-Za-z0-9]*)$")
 
 
 class ContractViolationError(TypeError):
@@ -92,17 +83,11 @@ class ContractViolationError(TypeError):
 class ArraySpec:
     """Parsed form of one ``"(dims) dtype"`` spec string."""
 
-    dims: tuple[DimSpec, ...]
+    dims: tuple[str, ...]
     dtype: str
 
     def render(self) -> str:
-        parts = []
-        for dim in self.dims:
-            if isinstance(dim, tuple):
-                parts.append(f"{dim[0]}*{dim[1]}")
-            else:
-                parts.append(str(dim))
-        inner = ", ".join(parts)
+        inner = ", ".join(self.dims)
         if len(self.dims) == 1:
             inner += ","
         return f"({inner}) {self.dtype}"
@@ -131,28 +116,11 @@ def parse_spec(text: str) -> ArraySpec:
         raise ValueError(
             f"bad array spec {text!r}: dtype must be one of {ALLOWED_DTYPES}"
         )
-    dims: list[DimSpec] = []
-    body = body.strip()
-    if body:
-        for token in body.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token.isdigit():
-                if int(token) <= 0:
-                    raise ValueError(f"bad array spec {text!r}: dims are positive")
-                dims.append(int(token))
-            elif _SYMBOL_PATTERN.match(token):
-                dims.append(token)
-            else:
-                scaled = _SCALED_PATTERN.match(token)
-                if scaled is None:
-                    raise ValueError(
-                        f"bad array spec {text!r}: dim {token!r} is not a "
-                        "literal, symbol, or int*symbol"
-                    )
-                dims.append((int(scaled.group(1)), scaled.group(2)))
-    return ArraySpec(dims=tuple(dims), dtype=dtype)
+    dims = tuple(token.strip() for token in body.split(",") if token.strip())
+    for dim in dims:
+        if not _SYMBOL_PATTERN.match(dim):
+            raise ValueError(f"bad array spec {text!r}: dim {dim!r} is not a symbol")
+    return ArraySpec(dims=dims, dtype=dtype)
 
 
 # ----------------------------------------------------------------------
@@ -195,31 +163,13 @@ def enforced_contracts(enabled: bool = True) -> Iterator[None]:
 # Runtime checking
 # ----------------------------------------------------------------------
 def _bind_dim(
-    contract: KernelContract,
-    where: str,
-    dim: DimSpec,
-    actual: int,
-    env: dict[str, int],
+    contract: KernelContract, where: str, dim: str, actual: int, env: dict[str, int]
 ) -> None:
-    if isinstance(dim, int):
-        expected = dim
-    elif isinstance(dim, str):
-        expected = env.setdefault(dim, actual)
-    else:
-        coeff, symbol = dim
-        if symbol not in env:
-            if actual % coeff != 0:
-                raise ContractViolationError(
-                    f"{contract.name}: {where} has size {actual}, not a "
-                    f"multiple of {coeff} as declared ({coeff}*{symbol})"
-                )
-            env[symbol] = actual // coeff
-        expected = coeff * env[symbol]
+    expected = env.setdefault(dim, actual)
     if actual != expected:
-        rendered = f"{dim[0]}*{dim[1]}" if isinstance(dim, tuple) else str(dim)
         raise ContractViolationError(
             f"{contract.name}: {where} has size {actual} where the declared "
-            f"dim {rendered} binds to {expected}"
+            f"dim {dim} binds to {expected}"
         )
 
 

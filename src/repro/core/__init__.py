@@ -10,7 +10,7 @@ This package implements Sections III-V of the paper:
   the discretizations of eqs. (4) and (5);
 * :mod:`repro.core.lookup` — the runtime deadline lookup table ``T(x, u)``;
 * :mod:`repro.core.models` — the Lambda' / Lambda'' model partition;
-* :mod:`repro.core.energy` — analytic energy models (eqs. 7 and 8);
+* :mod:`repro.core.energy` — analytic baseline and gating energy (eq. 8);
 * :mod:`repro.core.optimizations` — the optimization methods Omega
   (offloading and gating) as one per-period kernel;
 * :mod:`repro.core.scheduler` — Algorithm 1, the safe runtime control and
@@ -30,11 +30,9 @@ from repro.core.lookup import DeadlineLookupTable, LookupGrid
 from repro.core.models import ModelSet, SensoryModel
 from repro.core.energy import (
     baseline_interval_energy_j,
-    energy_gain,
     expected_gating_gain,
     gating_interval_energy_j,
     local_inference_energy_j,
-    offload_interval_energy_j,
 )
 from repro.core.optimizations import period_kernel
 from repro.core.scheduler import (
@@ -62,10 +60,8 @@ __all__ = [
     "baseline_interval_energy_j",
     "discretize_deadline",
     "discretize_period",
-    "energy_gain",
     "expected_gating_gain",
     "gating_interval_energy_j",
     "local_inference_energy_j",
-    "offload_interval_energy_j",
     "period_kernel",
 ]

@@ -1,13 +1,12 @@
-"""Analytic energy models (paper equations 7 and 8).
+"""Analytic energy models: local execution and gating (paper equation 8).
 
 The runtime scheduler charges energy step by step (so stochastic offloading
 outcomes are accounted exactly as they happen); the closed-form expressions
-in this module describe the same accounting at the granularity of one safe
-interval and are used for
-
-* baseline ("local execution") reference energies,
-* quick what-if analyses in the examples, and
-* cross-checking the scheduler's step-wise accounting in the test suite.
+in this module describe the local-execution baseline and the gating
+accounting at the granularity of one safe interval.  Table III's 4-tau
+column and the sensor-gating example read them through
+:func:`expected_gating_gain`, and the scheduler and period-kernel tests check
+the step-wise accounting against them.
 
 Per base period ``tau`` and model ``N_i`` the accounting is:
 
@@ -15,9 +14,7 @@ Per base period ``tau`` and model ``N_i`` the accounting is:
   gated, Section V-B);
 * sensor measurement power ``P_meas`` is drawn unless the measurement is
   gated for that period;
-* one local inference costs ``T_N * P_N``;
-* one offloaded inference costs ``T_tx * P_tx`` (plus the local fallback
-  inference if the response misses the deadline, eq. 7).
+* one local inference costs ``T_N * P_N``.
 """
 
 from __future__ import annotations
@@ -86,34 +83,6 @@ def gating_interval_energy_j(
     return sensor + compute
 
 
-def offload_interval_energy_j(
-    model: SensoryModel,
-    tau_s: float,
-    delta_max: int,
-    transmission_energy_j: float,
-    fallback_invoked: bool = False,
-) -> float:
-    """Energy over one interval under offloading (eq. 7, aggregated).
-
-    Every natural invocation slot before the mandatory final slot is replaced
-    by an offload of energy ``transmission_energy_j``; the final slot always
-    runs locally (Algorithm 1), and ``fallback_invoked`` charges one extra
-    local inference when a late response forced an additional local run.
-    When ``delta_i >= delta_max`` offloading does not apply.
-    """
-    delta_i = model.discretized_period(tau_s)
-    if delta_i >= delta_max:
-        return baseline_interval_energy_j(model, tau_s, delta_max)
-
-    offloads = baseline_invocations(delta_max, delta_i) - 1
-    compute = local_inference_energy_j(model)
-    sensor = delta_max * sensor_period_energy_j(model, tau_s, measurement_on=True)
-    energy = sensor + offloads * transmission_energy_j + compute
-    if fallback_invoked:
-        energy += compute
-    return energy
-
-
 @dataclass(frozen=True)
 class IntervalGain:
     """Energy gain of an optimized interval relative to the local baseline."""
@@ -137,14 +106,3 @@ def expected_gating_gain(
         baseline_j=baseline_interval_energy_j(model, tau_s, delta_max),
         optimized_j=gating_interval_energy_j(model, tau_s, delta_max, gate_sensor),
     )
-
-
-def energy_gain(baseline_j: float, optimized_j: float) -> float:
-    """Relative energy gain ``1 - optimized / baseline``.
-
-    Returns 0.0 for a non-positive baseline; the result is negative when the
-    optimized variant actually spent more energy than the baseline.
-    """
-    if baseline_j <= 0.0:
-        return 0.0
-    return 1.0 - optimized_j / baseline_j

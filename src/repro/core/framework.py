@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Hashable
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -407,10 +406,3 @@ class SEOFramework:
         from repro.runtime.batch import run_batch
 
         return run_batch(self, range(episodes))
-
-    # ------------------------------------------------------------------
-    # Variants
-    # ------------------------------------------------------------------
-    def with_config(self, **overrides: Any) -> "SEOFramework":
-        """Return a new framework whose config overrides the given fields."""
-        return SEOFramework(replace(self.config, **overrides))

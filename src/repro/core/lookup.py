@@ -89,17 +89,6 @@ class LookupGrid:
             return np.array([0.0])
         return np.linspace(-1.0, 1.0, self.num_throttle_bins)
 
-    @property
-    def num_entries(self) -> int:
-        """Number of table cells (each physical bearing counted once)."""
-        return (
-            self.distance_values().size
-            * self.bearing_values().size
-            * self.speed_values().size
-            * self.num_steering_bins
-            * self.num_throttle_bins
-        )
-
 
 @dataclass(eq=False)
 class DeadlineLookupTable:

@@ -14,7 +14,7 @@ size for offloading, and whether it belongs to the critical subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 
 from repro.core.intervals import discretize_period
@@ -56,14 +56,6 @@ class SensoryModel:
     def discretized_period(self, tau_s: float) -> int:
         """``delta_i`` of eq. (4) for a base period ``tau``."""
         return discretize_period(self.period_s, tau_s)
-
-    def with_sensor(self, sensor: SensorPowerSpec) -> "SensoryModel":
-        """Return a copy of this model attached to a different sensor."""
-        return replace(self, sensor=sensor)
-
-    def with_period(self, period_s: float) -> "SensoryModel":
-        """Return a copy of this model with a different native period."""
-        return replace(self, period_s=period_s)
 
 
 @dataclass
@@ -115,10 +107,6 @@ class ModelSet:
             raise ValueError(
                 "the pipeline needs at least one optimizable (Lambda') model"
             )
-
-    def discretized_periods(self, tau_s: float) -> dict[str, int]:
-        """``delta_i`` for every model, keyed by model name."""
-        return {model.name: model.discretized_period(tau_s) for model in self.models}
 
     @classmethod
     def from_models(cls, models: Sequence[SensoryModel]) -> "ModelSet":

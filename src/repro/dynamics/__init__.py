@@ -2,23 +2,17 @@
 
 This package provides the closed-loop plant ``x_dot = f(x, u)`` of the paper's
 system model (Section III-A): a kinematic bicycle model of a road vehicle, the
-state and control containers used throughout the repository, and small fixed
-step integrators.
+state and control containers used throughout the repository, and a fixed-step
+RK4 integrator.
 
 The paper evaluates on CARLA; SEO itself only ever consumes the vehicle pose,
 speed, and the relative geometry (distance / bearing) to the nearest obstacle,
-which this kinematic model supplies exactly.
+which the world derives from this model's states.
 """
 
 from repro.dynamics.params import VehicleParams
-from repro.dynamics.state import (
-    ControlAction,
-    VehicleState,
-    relative_bearing,
-    relative_distance,
-    relative_view,
-)
-from repro.dynamics.integrators import euler_step, rk4_step
+from repro.dynamics.state import ControlAction, VehicleState
+from repro.dynamics.integrators import rk4_step
 from repro.dynamics.bicycle import KinematicBicycleModel
 
 __all__ = [
@@ -26,9 +20,5 @@ __all__ = [
     "KinematicBicycleModel",
     "VehicleParams",
     "VehicleState",
-    "euler_step",
-    "relative_bearing",
-    "relative_distance",
-    "relative_view",
     "rk4_step",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.dynamics.integrators import euler_step, rk4_step
+from repro.dynamics.integrators import rk4_step
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState, wrap_angle
 
@@ -146,63 +146,19 @@ class KinematicBicycleModel:
 
         return derivative
 
-    def step(
-        self,
-        state: VehicleState,
-        control: ControlAction,
-        dt: float,
-        method: str = "rk4",
-    ) -> VehicleState:
-        """Advance the vehicle by ``dt`` seconds under a constant control.
+    def step(self, state: VehicleState, control: ControlAction, dt: float) -> VehicleState:
+        """Advance the vehicle by one RK4 step of ``dt`` seconds under a constant control.
 
         Args:
             state: Current vehicle state.
             control: Normalized control action (held constant over the step).
             dt: Step duration in seconds.
-            method: ``"rk4"`` (default) or ``"euler"``.
 
         Returns:
             The state after ``dt`` seconds, with speed clamped to
             ``[0, max_speed]`` and heading wrapped to (-pi, pi].
         """
-        derivative = self._derivative_fn(control)
-        if method == "rk4":
-            nxt = rk4_step(state.as_array(), derivative, dt)
-        elif method == "euler":
-            nxt = euler_step(state.as_array(), derivative, dt)
-        else:
-            raise ValueError(f"unknown integration method: {method!r}")
+        nxt = rk4_step(state.as_array(), self._derivative_fn(control), dt)
         nxt[2] = wrap_angle(float(nxt[2]))
         nxt[3] = float(np.clip(nxt[3], 0.0, self.params.max_speed_mps))
         return VehicleState.from_array(nxt)
-
-    def rollout(
-        self,
-        state: VehicleState,
-        control: ControlAction,
-        dt: float,
-        steps: int,
-        method: str = "rk4",
-    ) -> list[VehicleState]:
-        """Simulate ``steps`` steps under a frozen control.
-
-        This is the numerical evaluation backbone of the safe-interval
-        function ``phi`` (Section III-B): the system is propagated under the
-        *same* applied control and observed until it would become unsafe.
-
-        Returns:
-            A list of ``steps + 1`` states including the initial state.
-        """
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        trajectory = [state]
-        current = state
-        for _ in range(steps):
-            current = self.step(current, control, dt, method=method)
-            trajectory.append(current)
-        return trajectory
-
-    def stopping_distance(self, speed_mps: float) -> float:
-        """Distance needed to stop from ``speed_mps`` at maximum braking."""
-        speed = max(0.0, float(speed_mps))
-        return speed * speed / (2.0 * self.params.max_brake_mps2)

@@ -1,9 +1,4 @@
-"""Fixed-step integrators for the vehicle dynamics.
-
-Both integrators operate on plain NumPy arrays so that they can be reused by
-the safe-interval estimator's forward rollouts (``repro.core.intervals``)
-without any knowledge of the state container classes.
-"""
+"""Fixed-step RK4 integrator for the vehicle dynamics, on plain NumPy arrays."""
 
 from __future__ import annotations
 
@@ -12,14 +7,6 @@ from collections.abc import Callable
 import numpy as np
 
 Derivative = Callable[[np.ndarray], np.ndarray]
-
-
-def euler_step(state: np.ndarray, derivative: Derivative, dt: float) -> np.ndarray:
-    """Advance ``state`` by one explicit-Euler step of size ``dt``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float)
-    return state + dt * np.asarray(derivative(state), dtype=float)
 
 
 def rk4_step(state: np.ndarray, derivative: Derivative, dt: float) -> np.ndarray:

@@ -1,16 +1,9 @@
-"""State and control containers plus relative-geometry helpers.
-
-The safety machinery of the paper (Sections III-B and IV-B) works on the
-*relative* state of the ego vehicle with respect to the nearest obstacle:
-the distance to the obstacle's safety bound and the relative orientation
-angle.  The helpers at the bottom of this module compute exactly those two
-quantities from absolute poses.
-"""
+"""State and control containers, plus the angle wrap shared by every layer."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import overload
 
 import numpy as np
@@ -88,10 +81,6 @@ class VehicleState:
         """Planar position (x, y) in metres."""
         return (self.x_m, self.y_m)
 
-    def with_speed(self, speed_mps: float) -> "VehicleState":
-        """Return a copy of this state with a different speed."""
-        return replace(self, speed_mps=max(0.0, float(speed_mps)))
-
 
 @dataclass(frozen=True)
 class ControlAction:
@@ -123,30 +112,3 @@ class ControlAction:
         if arr.shape != (2,):
             raise ValueError(f"expected a length-2 array, got shape {arr.shape}")
         return cls(steering=float(arr[0]), throttle=float(arr[1]))
-
-
-def relative_distance(state: VehicleState, point: tuple[float, float]) -> float:
-    """Euclidean distance from the vehicle reference point to ``point``."""
-    return math.hypot(point[0] - state.x_m, point[1] - state.y_m)
-
-
-def relative_bearing(state: VehicleState, point: tuple[float, float]) -> float:
-    """Bearing of ``point`` relative to the vehicle heading, in (-pi, pi].
-
-    A bearing of zero means the point lies dead ahead; positive bearings are
-    to the left of the heading direction.
-    """
-    angle_to_point = math.atan2(point[1] - state.y_m, point[0] - state.x_m)
-    return wrap_angle(angle_to_point - state.heading_rad)
-
-
-def relative_view(
-    state: VehicleState, point: tuple[float, float]
-) -> tuple[float, float]:
-    """Return ``(distance, bearing)`` of a point relative to the vehicle.
-
-    This is the (distance to obstacle, relative orientation angle) pair that
-    the paper's safety filter and deadline lookup table consume (Section IV-B
-    and IV-C).
-    """
-    return relative_distance(state, point), relative_bearing(state, point)

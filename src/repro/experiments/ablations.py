@@ -35,11 +35,6 @@ class SafetyAwarenessAblationResult:
     aware_unsafe_steps: float
     oblivious_unsafe_steps: float
 
-    @property
-    def gain_delta(self) -> float:
-        """Extra gain the oblivious variant obtains by ignoring safety."""
-        return self.oblivious.average_model_gain - self.aware.average_model_gain
-
     def to_table(self) -> str:
         """Render the ablation as text."""
         variants = [
@@ -83,16 +78,6 @@ class LookupAblationResult:
 
     lookup: RunSummary
     exact: RunSummary
-
-    @property
-    def mean_delta_max_difference(self) -> float:
-        """Exact minus lookup mean deadline (non-negative when conservative)."""
-        return self.exact.mean_delta_max - self.lookup.mean_delta_max
-
-    @property
-    def gain_difference(self) -> float:
-        """Exact minus lookup average gain."""
-        return self.exact.average_model_gain - self.lookup.average_model_gain
 
     def to_table(self) -> str:
         """Render the ablation as text."""

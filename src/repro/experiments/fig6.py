@@ -18,6 +18,8 @@ from repro.experiments.common import Cells, ExperimentSettings, Reports, standar
 
 FIG6_METHODS = ("offload", "model_gating")
 FIG6_OBSTACLE_COUNTS = (0, 2, 4)
+#: Largest ``delta_max`` bucket of the histograms (larger samples clamp into it).
+FIG6_MAX_DELTA = 4
 
 
 @dataclass
@@ -33,7 +35,7 @@ class Fig6Result:
         """Histogram of sampled ``delta_max`` for one configuration."""
         return self.histograms[(method, num_obstacles)]
 
-    def to_table(self, max_delta: int = 4) -> str:
+    def to_table(self) -> str:
         """Render the figure data (frequencies and gains) as text.
 
         The ``dmax=0`` column (fully unsafe samples, which the paper's
@@ -42,7 +44,7 @@ class Fig6Result:
         rows: list[list[object]] = []
         for (method, count), histogram in sorted(self.histograms.items()):
             frequencies = [
-                100.0 * histogram.frequency(delta) for delta in range(max_delta + 1)
+                100.0 * histogram.frequency(delta) for delta in range(FIG6_MAX_DELTA + 1)
             ]
             rows.append(
                 [method, count]
@@ -50,7 +52,7 @@ class Fig6Result:
                 + [100.0 * self.average_gains[(method, count)]]
             )
         headers = ["method", "#obstacles"] + [
-            f"freq(dmax={delta}) [%]" for delta in range(max_delta + 1)
+            f"freq(dmax={delta}) [%]" for delta in range(FIG6_MAX_DELTA + 1)
         ] + ["avg gain [%]"]
         control = "filtered" if self.filtered else "unfiltered"
         return format_table(
@@ -74,6 +76,6 @@ def fig6_result(reports_by_label: Reports) -> Fig6Result:
     result = Fig6Result(filtered=False)
     for cell, reports in reports_by_label.items():
         summary = result.summaries[cell] = aggregate_reports(reports)
-        result.histograms[cell] = delta_histogram(summary.delta_max_samples)
+        result.histograms[cell] = delta_histogram(summary.delta_max_samples, FIG6_MAX_DELTA)
         result.average_gains[cell] = summary.average_model_gain
     return result

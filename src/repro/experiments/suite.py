@@ -1,7 +1,7 @@
 """Scenario-suite driver: one SEO run per named scenario family.
 
 Not a paper artifact — this driver widens the workload beyond the paper's
-single obstacle course by sweeping the families registered in
+single obstacle course by sweeping the families of
 :data:`repro.sim.scenario.DEFAULT_SUITE` (dense traffic, high-speed highway,
 narrow road, curved roads, moving traffic, sensor dropouts, ...) under one
 optimization method, and reporting energy gains and safety outcomes side by

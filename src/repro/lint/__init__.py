@@ -36,32 +36,18 @@ CHECKERS: tuple[Checker, ...] = (
     Checker(
         name="kernel-parity",
         codes=parity.CODES,
-        description=(
-            "scalar decision methods must share an implementation with "
-            "their *_batch kernel (core/, control/, perception/, "
-            "sim/road.py, sim/world.py, sim/observation.py)"
-        ),
         file_check=parity.check_parity,
         scope=parity.in_scope,
     ),
     Checker(
         name="determinism",
         codes=determinism.CODES,
-        description=(
-            "no stdlib random, unseeded/legacy numpy RNGs, or wall-clock "
-            "reads in core/, runtime/, sim/, control/, comm/, perception/, "
-            "streams.py"
-        ),
         file_check=determinism.check_determinism,
         scope=determinism.in_scope,
     ),
     Checker(
         name="kernel-declarations",
         codes=declarations.CODES,
-        description=(
-            "no narrowing dtypes in the kernel layer, and every public "
-            "*_batch/*_kernel function declares a @kernel_contract"
-        ),
         file_check=declarations.check_declarations,
         scope=declarations.in_scope,
     ),

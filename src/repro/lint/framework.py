@@ -104,7 +104,6 @@ class Checker:
 
     name: str
     codes: tuple[str, ...]
-    description: str
     file_check: Callable[[SourceFile], list[Violation]]
     scope: Callable[[str], bool]
 
@@ -175,35 +174,12 @@ def is_suppressed(violation: Violation, lines: Sequence[str]) -> bool:
     return False
 
 
-def run_lint(
-    paths: Sequence[Path],
-    checkers: Sequence[Checker],
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> list[Violation]:
-    """Run the enabled checkers over the given paths.
-
-    ``select`` keeps only the named checkers; ``ignore`` drops the named
-    ones.  Unknown names raise ``ValueError`` (a typo must not silently
-    disable a gate).
-    """
-    known = {checker.name for checker in checkers}
-    for name in list(select or ()) + list(ignore or ()):
-        if name not in known:
-            raise ValueError(
-                f"unknown checker {name!r} (known: {', '.join(sorted(known))})"
-            )
-    enabled = [
-        checker
-        for checker in checkers
-        if (select is None or checker.name in select)
-        and (ignore is None or checker.name not in ignore)
-    ]
-
+def run_lint(paths: Sequence[Path], checkers: Sequence[Checker]) -> list[Violation]:
+    """Run ``checkers`` over the given paths."""
     violations: list[Violation] = []
     for path in walk_python_files(paths):
         relpath = package_relative(path)
-        applicable = [checker for checker in enabled if checker.scope(relpath)]
+        applicable = [checker for checker in checkers if checker.scope(relpath)]
         if not applicable:
             continue
         source_file = load_source_file(path, relpath)
@@ -214,7 +190,7 @@ def run_lint(
     return sorted(violations)
 
 
-def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Repo-specific invariant linter (kernel parity, "
@@ -224,34 +200,15 @@ def build_parser(checkers: Sequence[Checker]) -> argparse.ArgumentParser:
         "paths", nargs="*", type=Path, default=[PACKAGE_ROOT],
         help="files or directories to lint (default: the installed repro package)",
     )
-    parser.add_argument(
-        "--select", action="append", metavar="CHECKER", default=None,
-        help="run only this checker (repeatable)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", metavar="CHECKER", default=None,
-        help="skip this checker (repeatable)",
-    )
-    parser.add_argument(
-        "--list-checkers", action="store_true",
-        help="list the available checkers and exit",
-    )
     return parser
 
 
 def main(argv: Sequence[str] | None = None, checkers: Sequence[Checker] = ()) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser(checkers).parse_args(argv)
-    if args.list_checkers:
-        for checker in checkers:
-            codes = ", ".join(checker.codes)
-            print(f"{checker.name} ({codes}): {checker.description}")
-        return 0
+    args = build_parser().parse_args(argv)
     try:
-        violations = run_lint(
-            args.paths, checkers, select=args.select, ignore=args.ignore
-        )
-    except (ValueError, FileNotFoundError, SyntaxError) as error:
+        violations = run_lint(args.paths, checkers)
+    except (FileNotFoundError, SyntaxError) as error:
         print(f"repro.lint: {error}", file=sys.stderr)
         return 2
     for violation in violations:

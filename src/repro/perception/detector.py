@@ -116,11 +116,6 @@ class DetectorModel:
         if self.range_noise_std_m < 0 or self.bearing_noise_std_rad < 0:
             raise ValueError("noise standard deviations must be non-negative")
 
-    @property
-    def rate_hz(self) -> float:
-        """Native processing rate in Hz (e.g. 50 Hz for ``period_s=0.02``)."""
-        return 1.0 / self.period_s
-
     # ------------------------------------------------------------------
     # Functional inference
     # ------------------------------------------------------------------
@@ -223,21 +218,3 @@ class DetectorModel:
             if bearing_std > 0.0:
                 bearings += 0.0 + bearing_std * draws[:, per_group - 1]
         return counts, distances, bearings, length
-
-    # ------------------------------------------------------------------
-    # Workload description
-    # ------------------------------------------------------------------
-    def local_inference_energy_j(self) -> float:
-        """Energy of one local inference, ``T_N * P_N``."""
-        return self.compute.energy_per_inference_j
-
-    def describe(self) -> str:
-        """One-line human-readable description of the model."""
-        return (
-            f"{self.name}: {self.rate_hz:.0f} Hz, "
-            f"{self.compute.latency_s * 1e3:.1f} ms @ {self.compute.power_w:.1f} W, "
-            f"payload {self.payload_bytes / 1e3:.0f} kB"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"DetectorModel({self.describe()})"

@@ -33,16 +33,3 @@ class ComputeProfile:
     def energy_per_inference_j(self) -> float:
         """Energy of one local inference: ``T_N * P_N`` (eq. 7/8's ``E_N`` term)."""
         return self.latency_s * self.power_w
-
-    def scaled(self, latency_factor: float = 1.0, power_factor: float = 1.0) -> "ComputeProfile":
-        """Return a derived profile with scaled latency and/or power.
-
-        Useful for modelling faster edge servers or throttled local modes.
-        """
-        if latency_factor <= 0 or power_factor < 0:
-            raise ValueError("scaling factors must be positive (power may be zero)")
-        return ComputeProfile(
-            name=f"{self.name}*{latency_factor:g}x",
-            latency_s=self.latency_s * latency_factor,
-            power_w=self.power_w * power_factor,
-        )

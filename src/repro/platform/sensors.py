@@ -32,11 +32,6 @@ class SensorPowerSpec:
         if self.mechanical_power_w < 0:
             raise ValueError("mechanical_power_w must be non-negative")
 
-    @property
-    def total_power_w(self) -> float:
-        """Power drawn while the sensor is fully on."""
-        return self.measurement_power_w + self.mechanical_power_w
-
     def sensing_energy_j(self, duration_s: float, measurement_on: bool = True) -> float:
         """Energy drawn by the sensor over ``duration_s`` seconds.
 

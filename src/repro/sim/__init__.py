@@ -15,7 +15,7 @@ generalizes it into a scenario-diversity subsystem (see ``docs/scenarios.md``):
   the dynamics (and moving obstacles) and answering the relative-geometry
   queries SEO needs.
 * :mod:`repro.sim.scenario` — scenario configuration, construction and the
-  named scenario-family registry (obstacle count is the paper's "risk
+  named scenario families (obstacle count is the paper's "risk
   level" knob).
 * :mod:`repro.sim.observation` — obstacle-only range scans, the input of
   the detectors (the critical VAE is an energy profile and reads no scan).
@@ -31,7 +31,6 @@ applied by the SEO runtime loop, not a separate sensor model.
 from repro.sim.road import (
     ArcSegment,
     Centerline,
-    LanePose,
     Road,
     RoadSegment,
     StraightSegment,
@@ -39,7 +38,7 @@ from repro.sim.road import (
 from repro.sim.obstacles import (
     ConstantVelocity,
     Obstacle,
-    WaypointLoop,
+    Shuttle,
     attach_motion,
     place_obstacles,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "Centerline",
     "ConstantVelocity",
     "DEFAULT_SUITE",
-    "LanePose",
     "Obstacle",
     "RangeScanner",
     "Road",
@@ -67,8 +65,8 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioFamily",
     "ScenarioSuite",
+    "Shuttle",
     "StraightSegment",
-    "WaypointLoop",
     "World",
     "attach_motion",
     "build_world",

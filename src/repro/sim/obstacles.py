@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from dataclasses import field as dc_field
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,79 +41,45 @@ class ConstantVelocity:
         )
 
 
-#: One leg of a waypoint loop: (start point, end point, length).
-_Leg = tuple[tuple[float, float], tuple[float, float], float]
-
-
 @dataclass(frozen=True)
-class WaypointLoop:
-    """Constant-speed travel around the closed loop origin -> waypoints -> origin.
+class Shuttle:
+    """Constant-speed back-and-forth travel between the origin and ``far``.
 
-    With a single waypoint this degenerates to a back-and-forth oscillation
-    between the obstacle's placement and that waypoint — the "crossing
-    traffic" primitive of the moving-obstacle scenario families.
+    The obstacle leaves its placement, reaches ``far`` and returns, one
+    round trip every ``2 * |far - origin| / speed_mps`` seconds — the
+    "crossing traffic" primitive of the moving-obstacle scenario families.
 
     Attributes:
-        waypoints: Absolute waypoints visited after the placement position.
-        speed_mps: Travel speed along the loop (positive).
+        far: Absolute turning point opposite the placement position.
+        speed_mps: Travel speed (positive).
     """
 
-    waypoints: tuple[tuple[float, float], ...]
+    far: tuple[float, float]
     speed_mps: float
-    # One-slot leg cache, keyed by origin: the loop is queried every
-    # simulation step with the same origin (the obstacle's placement), so
-    # the leg decomposition is computed once, not per step.  Excluded from
-    # equality/hash/repr; written through ``object.__setattr__`` because the
-    # dataclass is frozen.
-    _legs_cache: tuple[tuple[float, float], list[_Leg], float] | None = dc_field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if not self.waypoints:
-            raise ValueError("at least one waypoint is required")
         if self.speed_mps <= 0:
             raise ValueError("speed_mps must be positive")
-
-    def _legs_for(self, origin: tuple[float, float]) -> tuple[list[_Leg], float]:
-        cached = self._legs_cache
-        if cached is not None and cached[0] == origin:
-            return cached[1], cached[2]
-        points = [tuple(origin)] + [tuple(w) for w in self.waypoints]
-        legs = []
-        perimeter = 0.0
-        for index, start in enumerate(points):
-            end = points[(index + 1) % len(points)]
-            length = math.hypot(end[0] - start[0], end[1] - start[1])
-            if length > 1e-12:
-                legs.append((start, end, length))
-                perimeter += length
-        object.__setattr__(self, "_legs_cache", (origin, legs, perimeter))
-        return legs, perimeter
 
     def position_at(
         self, origin: tuple[float, float], time_s: float
     ) -> tuple[float, float]:
-        """Position at ``time_s`` along the loop, starting at ``origin``."""
-        origin = (origin[0], origin[1])
-        legs, perimeter = self._legs_for(origin)
-        if not legs:
-            return origin
-        distance = math.fmod(self.speed_mps * time_s, perimeter)
+        """Position at ``time_s`` along the round trip, starting at ``origin``."""
+        (ox, oy), (fx, fy) = origin, self.far
+        length = math.hypot(fx - ox, fy - oy)
+        if length <= 1e-12:
+            return (ox, oy)
+        distance = math.fmod(self.speed_mps * time_s, length + length)
         if distance < 0.0:
-            distance += perimeter
-        for start, end, length in legs:
-            if distance <= length:
-                fraction = distance / length
-                return (
-                    start[0] + fraction * (end[0] - start[0]),
-                    start[1] + fraction * (end[1] - start[1]),
-                )
-            distance -= length
-        return legs[-1][1]
+            distance += length + length
+        if distance <= length:
+            fraction = distance / length
+            return (ox + fraction * (fx - ox), oy + fraction * (fy - oy))
+        fraction = (distance - length) / length
+        return (fx + fraction * (ox - fx), fy + fraction * (oy - fy))
 
 
-MotionPolicy = ConstantVelocity | WaypointLoop
+MotionPolicy = ConstantVelocity | Shuttle
 
 #: Obstacle-motion modes understood by :func:`attach_motion`.
 MOTION_MODES = ("static", "lateral-loop", "oncoming")
@@ -155,10 +120,6 @@ class Obstacle:
     def distance_to(self, x_m: float, y_m: float) -> float:
         """Distance from a point to the obstacle *centre*."""
         return float(np.hypot(self.x_m - x_m, self.y_m - y_m))
-
-    def surface_distance_to(self, x_m: float, y_m: float) -> float:
-        """Distance from a point to the obstacle *surface* (negative inside)."""
-        return self.distance_to(x_m, y_m) - self.radius_m
 
 
 def place_obstacles(
@@ -265,7 +226,7 @@ def attach_motion(
             fallback_side = 1.0 if index % 2 == 0 else -1.0
             side = math.copysign(1.0, d) if abs(d) > 1e-6 else fallback_side
             far = road.from_frenet(s, -side * span)
-            motion: MotionPolicy = WaypointLoop(waypoints=(far,), speed_mps=speed_mps)
+            motion: MotionPolicy = Shuttle(far=far, speed_mps=speed_mps)
         else:  # oncoming
             heading = road.heading_at(s)
             motion = ConstantVelocity(

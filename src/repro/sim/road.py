@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.contracts import kernel_contract
-from repro.dynamics.state import VehicleState, wrap_angle
+from repro.dynamics.state import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -63,27 +63,6 @@ class ArcSegment:
 
 
 RoadSegment = StraightSegment | ArcSegment
-
-
-@dataclass(frozen=True)
-class LanePose:
-    """Road-relative pose of a vehicle state (the Frenet view).
-
-    Attributes:
-        arc_length_m: Progress ``s`` along the centreline, clamped to the
-            road extent.
-        lateral_offset_m: Signed offset ``d`` from the centreline (positive
-            left of the travel direction).
-        heading_error_rad: Vehicle heading relative to the centreline
-            direction at ``s``, wrapped to (-pi, pi].
-        curvature_per_m: Signed centreline curvature at ``s`` (positive for
-            left turns, zero on straights).
-    """
-
-    arc_length_m: float
-    lateral_offset_m: float
-    heading_error_rad: float
-    curvature_per_m: float
 
 
 @dataclass(frozen=True)
@@ -135,14 +114,6 @@ class _PlacedSegment:
             cx - sigma * radius * (-math.sin(heading)),
             cy - sigma * radius * math.cos(heading),
         )
-
-    def curvature_at(self, s_local: float) -> float:
-        """Signed curvature of the segment (constant per segment)."""
-        segment = self.segment
-        if isinstance(segment, StraightSegment):
-            return 0.0
-        sigma = 1.0 if segment.sweep_rad > 0.0 else -1.0
-        return sigma / segment.radius_m
 
     def project(self, x: float, y: float) -> tuple[float, float]:
         """Project a point onto the segment: ``(s_local_raw, d)``.
@@ -388,16 +359,9 @@ class Centerline:
         )
         return np.where(self._seg_is_arc[seg], arc_heading, h0), self._seg_curv[seg]
 
-    def curvature_at(self, s: float) -> float:
-        """Signed centreline curvature at arc length ``s``.
-
-        1-element view of :meth:`curvature_at_batch` (the kernel).
-        """
-        return float(self.curvature_at_batch(np.array([float(s)], dtype=float))[0])
-
     @kernel_contract(s="(N,) float64", returns="(N,) float64")
     def curvature_at_batch(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`curvature_at` over an ``(N,)`` arc-length array."""
+        """Signed centreline curvature at an ``(N,)`` arc-length array."""
         return self.heading_curvature_at_batch(s)[1]
 
 
@@ -474,21 +438,6 @@ class Road:
     def heading_at(self, s_m: float) -> float:
         """Centreline heading at arc length ``s_m``."""
         return self.centerline.heading_at(s_m)
-
-    def curvature_at(self, s_m: float) -> float:
-        """Signed centreline curvature at arc length ``s_m``."""
-        return self.centerline.curvature_at(s_m)
-
-    def lane_pose(self, state: VehicleState) -> LanePose:
-        """Road-relative pose of a vehicle state."""
-        s, d = self.to_frenet(state.x_m, state.y_m)
-        heading_error = wrap_angle(state.heading_rad - self.heading_at(s))
-        return LanePose(
-            arc_length_m=s,
-            lateral_offset_m=d,
-            heading_error_rad=heading_error,
-            curvature_per_m=self.curvature_at(s),
-        )
 
     # ------------------------------------------------------------------
     # Membership

@@ -1,6 +1,6 @@
 """Scenario configuration: the paper's 100 m obstacle-course use case.
 
-Beyond the paper's single scenario, :class:`ScenarioSuite` keeps a registry
+Beyond the paper's single scenario, :class:`ScenarioSuite` holds a fixed set
 of named scenario *families* (dense traffic, high-speed highway, narrow
 road, ...) so experiment drivers and the CLI can widen workload diversity
 without hand-writing configs.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class ScenarioConfig:
             when ``road_segments`` is given (the arc length of the segments
             defines the route).
         road_width_m: Drivable width.
-        road_segments: Optional centreline segments (straights and arcs).
-            ``None`` keeps the paper's straight road.
+        road_segments: Optional non-empty tuple of centreline segments
+            (straights and arcs).  ``None`` keeps the paper's straight road.
         num_obstacles: Number of obstacles in the obstacle zone; this is the
             risk-level knob swept in Fig. 6 / Table II.
         obstacle_radius_m: Radius of each obstacle's safety disc.
@@ -109,6 +109,15 @@ class ScenarioConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.road_segments is not None and not (
+            isinstance(self.road_segments, tuple)
+            and self.road_segments
+            and all(isinstance(segment, RoadSegment) for segment in self.road_segments)
+        ):
+            raise ValueError(
+                "road_segments must be None or a non-empty tuple of StraightSegment/"
+                f"ArcSegment, got {self.road_segments!r}"
+            )
         if self.road_segments is None and self.road_length_m <= 0:
             raise ValueError(
                 f"road_length_m must be positive on a straight road, got {self.road_length_m}"
@@ -220,26 +229,20 @@ class ScenarioFamily:
 
 
 class ScenarioSuite:
-    """Registry of named scenario families.
+    """A fixed set of named scenario families.
 
     The default suite (:data:`DEFAULT_SUITE`) ships the paper's obstacle
     course plus stress families covering wider roads, curved centrelines,
     moving obstacles and lossy sensing (see ``docs/scenarios.md``);
-    experiments and the CLI resolve scenario names against it, and
-    downstream code can register more::
-
-        DEFAULT_SUITE.register(ScenarioFamily("rush-hour", "...", config))
+    experiments and the CLI resolve scenario names against it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, families: Sequence[ScenarioFamily]) -> None:
         self._families: dict[str, ScenarioFamily] = {}
-
-    def register(self, family: ScenarioFamily) -> ScenarioFamily:
-        """Add a family to the registry (rejects duplicate names)."""
-        if family.name in self._families:
-            raise ValueError(f"scenario family {family.name!r} already registered")
-        self._families[family.name] = family
-        return family
+        for family in families:
+            if family.name in self._families:
+                raise ValueError(f"duplicate scenario family name {family.name!r}")
+            self._families[family.name] = family
 
     def get(self, name: str) -> ScenarioFamily:
         """Look up a family by name."""
@@ -254,131 +257,108 @@ class ScenarioSuite:
         return self.get(name).build(seed=seed)
 
     def names(self) -> list[str]:
-        """Registered family names, sorted."""
+        """Family names, sorted."""
         return sorted(self._families)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def __iter__(self) -> Iterator[ScenarioFamily]:
-        return iter(self._families[name] for name in self.names())
-
-    def __len__(self) -> int:
-        return len(self._families)
 
 
 #: The built-in suite used by the experiment drivers and the CLI.
-DEFAULT_SUITE = ScenarioSuite()
-
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="obstacle-course",
-        description="The paper's 100 m road with obstacles in the final third.",
-        base=ScenarioConfig(),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="dense-traffic",
-        description="A wider, longer road heavily populated with obstacles: sustained at-risk driving.",
-        base=ScenarioConfig(
-            road_length_m=110.0,
-            road_width_m=14.0,
-            num_obstacles=5,
-            initial_speed_mps=6.0,
-            target_speed_mps=6.0,
+DEFAULT_SUITE = ScenarioSuite(
+    (
+        ScenarioFamily(
+            name="obstacle-course",
+            description="The paper's 100 m road with obstacles in the final third.",
+            base=ScenarioConfig(),
         ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="high-speed-highway",
-        description="Long, wide road driven near the vehicle's speed ceiling.",
-        base=ScenarioConfig(
-            road_length_m=250.0,
-            road_width_m=16.0,
-            num_obstacles=2,
-            initial_speed_mps=13.0,
-            target_speed_mps=13.0,
-        ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="narrow-road",
-        description="A narrowed road: little room to steer around obstacles.",
-        base=ScenarioConfig(
-            road_width_m=9.0,
-            num_obstacles=3,
-            initial_speed_mps=6.0,
-            target_speed_mps=6.0,
-        ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="curved-road",
-        description="Left-right curves with obstacles beyond the first bend.",
-        base=ScenarioConfig(
-            road_width_m=12.0,
-            road_segments=(
-                StraightSegment(20.0),
-                ArcSegment(radius_m=50.0, sweep_rad=math.radians(35.0)),
-                StraightSegment(20.0),
-                ArcSegment(radius_m=50.0, sweep_rad=math.radians(-35.0)),
-                StraightSegment(15.0),
+        ScenarioFamily(
+            name="dense-traffic",
+            description="A wider, longer road heavily populated with obstacles: sustained at-risk driving.",
+            base=ScenarioConfig(
+                road_length_m=110.0,
+                road_width_m=14.0,
+                num_obstacles=5,
+                initial_speed_mps=6.0,
+                target_speed_mps=6.0,
             ),
-            num_obstacles=3,
-            obstacle_zone_start_fraction=0.55,
-            initial_speed_mps=7.0,
-            target_speed_mps=7.0,
         ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="s-curve-narrow",
-        description="A narrow S-curve: curvature and obstacles compete for the corridor.",
-        base=ScenarioConfig(
-            road_width_m=10.0,
-            road_segments=(
-                StraightSegment(15.0),
-                ArcSegment(radius_m=35.0, sweep_rad=math.radians(45.0)),
-                ArcSegment(radius_m=35.0, sweep_rad=math.radians(-45.0)),
-                StraightSegment(15.0),
+        ScenarioFamily(
+            name="high-speed-highway",
+            description="Long, wide road driven near the vehicle's speed ceiling.",
+            base=ScenarioConfig(
+                road_length_m=250.0,
+                road_width_m=16.0,
+                num_obstacles=2,
+                initial_speed_mps=13.0,
+                target_speed_mps=13.0,
             ),
-            num_obstacles=2,
-            obstacle_zone_start_fraction=0.5,
-            initial_speed_mps=5.0,
-            target_speed_mps=5.0,
         ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="moving-traffic",
-        description="Crossing traffic: obstacles oscillate laterally through the ego's corridor.",
-        base=ScenarioConfig(
-            road_length_m=110.0,
-            road_width_m=14.0,
-            num_obstacles=4,
-            obstacle_zone_start_fraction=0.45,
-            obstacle_motion="lateral-loop",
-            obstacle_speed_mps=1.0,
-            initial_speed_mps=6.0,
-            target_speed_mps=6.0,
+        ScenarioFamily(
+            name="narrow-road",
+            description="A narrowed road: little room to steer around obstacles.",
+            base=ScenarioConfig(
+                road_width_m=9.0,
+                num_obstacles=3,
+                initial_speed_mps=6.0,
+                target_speed_mps=6.0,
+            ),
         ),
-    )
-)
-DEFAULT_SUITE.register(
-    ScenarioFamily(
-        name="sensor-dropout",
-        description="The paper's course under lossy sensing: due samples drop and go stale.",
-        base=ScenarioConfig(
-            num_obstacles=3,
-            sensor_dropout_probability=0.35,
-            initial_speed_mps=7.0,
-            target_speed_mps=7.0,
+        ScenarioFamily(
+            name="curved-road",
+            description="Left-right curves with obstacles beyond the first bend.",
+            base=ScenarioConfig(
+                road_width_m=12.0,
+                road_segments=(
+                    StraightSegment(20.0),
+                    ArcSegment(radius_m=50.0, sweep_rad=math.radians(35.0)),
+                    StraightSegment(20.0),
+                    ArcSegment(radius_m=50.0, sweep_rad=math.radians(-35.0)),
+                    StraightSegment(15.0),
+                ),
+                num_obstacles=3,
+                obstacle_zone_start_fraction=0.55,
+                initial_speed_mps=7.0,
+                target_speed_mps=7.0,
+            ),
+        ),
+        ScenarioFamily(
+            name="s-curve-narrow",
+            description="A narrow S-curve: curvature and obstacles compete for the corridor.",
+            base=ScenarioConfig(
+                road_width_m=10.0,
+                road_segments=(
+                    StraightSegment(15.0),
+                    ArcSegment(radius_m=35.0, sweep_rad=math.radians(45.0)),
+                    ArcSegment(radius_m=35.0, sweep_rad=math.radians(-45.0)),
+                    StraightSegment(15.0),
+                ),
+                num_obstacles=2,
+                obstacle_zone_start_fraction=0.5,
+                initial_speed_mps=5.0,
+                target_speed_mps=5.0,
+            ),
+        ),
+        ScenarioFamily(
+            name="moving-traffic",
+            description="Crossing traffic: obstacles oscillate laterally through the ego's corridor.",
+            base=ScenarioConfig(
+                road_length_m=110.0,
+                road_width_m=14.0,
+                num_obstacles=4,
+                obstacle_zone_start_fraction=0.45,
+                obstacle_motion="lateral-loop",
+                obstacle_speed_mps=1.0,
+                initial_speed_mps=6.0,
+                target_speed_mps=6.0,
+            ),
+        ),
+        ScenarioFamily(
+            name="sensor-dropout",
+            description="The paper's course under lossy sensing: due samples drop and go stale.",
+            base=ScenarioConfig(
+                num_obstacles=3,
+                sensor_dropout_probability=0.35,
+                initial_speed_mps=7.0,
+                target_speed_mps=7.0,
+            ),
         ),
     )
 )

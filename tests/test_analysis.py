@@ -56,7 +56,7 @@ class TestAggregateReports:
         assert summary.successful_episodes == 2
         assert summary.success_rate == 1.0
         assert summary.gain_for("det-fast") == pytest.approx(0.5)
-        assert summary.model_gains["det-fast"].mean_gain_percent == pytest.approx(50.0)
+        assert summary.model_gains["det-fast"].mean_gain == pytest.approx(0.5)
         assert summary.average_model_gain == pytest.approx(0.5 * (0.5 + 0.3))
         assert summary.offloads_issued == 20
 

@@ -8,7 +8,7 @@ import pytest
 from repro.contracts import ContractViolationError
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
-from repro.dynamics.state import VehicleState
+from repro.dynamics.state import VehicleState, wrap_angle
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import Road
 from repro.sim.world import World
@@ -49,13 +49,14 @@ def _act(
 def _inputs_from_world(world, obstacle_view):
     """``_act`` keyword inputs of a world's ground truth: the lane pose and
     the nearest threat (no distance when the world has no obstacle)."""
-    pose = world.road.lane_pose(world.state)
+    road, state = world.road, world.state
+    s, d = road.to_frenet(state.x_m, state.y_m)
     distance, bearing, index = obstacle_view(world)
     return dict(
-        speed_mps=world.state.speed_mps,
-        lateral_offset_m=pose.lateral_offset_m,
-        heading_rad=pose.heading_error_rad,
-        road_curvature_per_m=pose.curvature_per_m,
+        speed_mps=state.speed_mps,
+        lateral_offset_m=d,
+        heading_rad=wrap_angle(state.heading_rad - road.heading_at(s)),
+        road_curvature_per_m=float(road.centerline.curvature_at_batch(np.array([s]))[0]),
         obstacle_distance_m=None if index < 0 else distance,
         obstacle_bearing_rad=bearing,
     )

@@ -241,12 +241,6 @@ class TestSEOFrameworkConstruction:
         assert (framework.lookup_table is not None) == use_lookup_table
         assert built == []
 
-    def test_with_config_creates_variant(self, fast_seo_config):
-        framework = SEOFramework(fast_seo_config)
-        variant = framework.with_config(optimization="model_gating")
-        assert variant.config.optimization == "model_gating"
-        assert framework.config.optimization == "offload"
-
 
 class TestEpisodes:
     def test_episode_report_structure(self, fast_seo_config):
@@ -365,4 +359,3 @@ class TestEpisodes:
         ).run_episode(0)
         assert oblivious.overall_gain >= aware.overall_gain - 1e-9
         assert oblivious.mean_delta_max >= aware.mean_delta_max
-

@@ -210,8 +210,15 @@ class TestSafeIntervalEstimator:
 
 class TestDeadlineLookupTable:
     def test_build_shape_and_bounds(self, fast_estimator, small_lookup_grid):
-        table = DeadlineLookupTable.build(fast_estimator, grid=small_lookup_grid)
-        assert table.size == small_lookup_grid.num_entries
+        grid = small_lookup_grid
+        table = DeadlineLookupTable.build(fast_estimator, grid=grid)
+        assert table.size == (
+            grid.distance_values().size
+            * grid.bearing_values().size
+            * grid.speed_values().size
+            * grid.num_steering_bins
+            * grid.num_throttle_bins
+        )
         assert np.all(table.values >= 0.0)
         assert np.all(table.values <= fast_estimator.horizon_s + 1e-12)
 

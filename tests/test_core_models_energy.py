@@ -5,11 +5,9 @@ import pytest
 from repro.core.energy import (
     baseline_interval_energy_j,
     baseline_invocations,
-    energy_gain,
     expected_gating_gain,
     gating_interval_energy_j,
     local_inference_energy_j,
-    offload_interval_energy_j,
     sensor_period_energy_j,
 )
 from repro.core.models import ModelSet, SensoryModel
@@ -38,14 +36,6 @@ class TestSensoryModel:
     def test_discretized_period(self):
         assert _model(1).discretized_period(TAU) == 1
         assert _model(2).discretized_period(TAU) == 2
-
-    def test_with_sensor_and_period(self):
-        model = _model(1)
-        radar_model = model.with_sensor(NAVTECH_RADAR)
-        assert radar_model.sensor is NAVTECH_RADAR
-        assert radar_model.name == model.name
-        slower = model.with_period(0.05)
-        assert slower.period_s == pytest.approx(0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,10 +72,6 @@ class TestModelSet:
             model_set.get("missing")
         assert list(model_set) == models
         assert len(model_set) == 2
-
-    def test_discretized_periods(self):
-        model_set = ModelSet.from_models([_model(1, critical=True), _model(2)])
-        assert model_set.discretized_periods(TAU) == {"model-p1": 1, "model-p2": 2}
 
 
 class TestAnalyticEnergyModels:
@@ -143,41 +129,6 @@ class TestAnalyticEnergyModels:
         sensor_gated = gating_interval_energy_j(model, TAU, 4, gate_sensor=True)
         model_gated = gating_interval_energy_j(model, TAU, 4, gate_sensor=False)
         assert sensor_gated < model_gated < baseline_interval_energy_j(model, TAU, 4)
-
-    def test_offload_interval_energy_without_fallback(self):
-        model = _model(1, sensor=ZERO_POWER_SENSOR)
-        energy = offload_interval_energy_j(
-            model, TAU, 4, transmission_energy_j=0.014, fallback_invoked=False
-        )
-        assert energy == pytest.approx(3 * 0.014 + 0.119)
-
-    def test_offload_fallback_adds_one_local_inference(self):
-        model = _model(1, sensor=ZERO_POWER_SENSOR)
-        no_fallback = offload_interval_energy_j(model, TAU, 4, 0.014, fallback_invoked=False)
-        fallback = offload_interval_energy_j(model, TAU, 4, 0.014, fallback_invoked=True)
-        assert fallback - no_fallback == pytest.approx(0.119)
-
-    def test_offload_not_applicable_reduces_to_baseline(self):
-        model = _model(2, sensor=ZERO_POWER_SENSOR)
-        assert offload_interval_energy_j(model, TAU, 2, 0.014) == pytest.approx(
-            baseline_interval_energy_j(model, TAU, 2)
-        )
-
-    def test_offloading_beats_gating_for_compute_only_model(self):
-        model = _model(1, sensor=ZERO_POWER_SENSOR)
-        offload = offload_interval_energy_j(model, TAU, 4, transmission_energy_j=0.014)
-        gating = gating_interval_energy_j(
-            _model(1, sensor=ZED_CAMERA), TAU, 4, gate_sensor=False
-        )
-        baseline_offload = baseline_interval_energy_j(model, TAU, 4)
-        baseline_gating = baseline_interval_energy_j(_model(1, sensor=ZED_CAMERA), TAU, 4)
-        # Fig. 5 ordering: offloading gains exceed model-gating gains.
-        assert energy_gain(baseline_offload, offload) > energy_gain(baseline_gating, gating)
-
-    def test_energy_gain_edge_cases(self):
-        assert energy_gain(0.0, 1.0) == 0.0
-        assert energy_gain(2.0, 1.0) == pytest.approx(0.5)
-        assert energy_gain(1.0, 2.0) == pytest.approx(-1.0)
 
     def test_interval_gain_clamps_at_zero(self):
         gain = expected_gating_gain(_model(2), TAU, delta_max=1, gate_sensor=False).gain

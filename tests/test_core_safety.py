@@ -201,7 +201,7 @@ class TestSteeringShield:
             distance=distance,
             bearing=bearing,
             speed=speed,
-            lateral=small_world.road.lane_pose(small_world.state).lateral_offset_m,
+            lateral=small_world.road.to_frenet(small_world.state.x_m, small_world.state.y_m)[1],
             half_width=small_world.road.half_width_m,
             throttle=0.5,
         )

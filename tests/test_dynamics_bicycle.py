@@ -1,4 +1,4 @@
-"""Tests for the kinematic bicycle model and the integrators."""
+"""Tests for the kinematic bicycle model and the RK4 integrator."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics.bicycle import KinematicBicycleModel
-from repro.dynamics.integrators import euler_step, rk4_step
+from repro.dynamics.integrators import rk4_step
 from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import ControlAction, VehicleState
 
@@ -17,18 +17,10 @@ def model() -> KinematicBicycleModel:
 
 
 class TestIntegrators:
-    def test_euler_constant_derivative(self):
-        result = euler_step(np.array([0.0, 0.0]), lambda s: np.array([1.0, 2.0]), 0.1)
-        assert result == pytest.approx([0.1, 0.2])
-
     def test_rk4_matches_exact_for_linear_system(self):
         # x' = x has exact solution e^t; RK4 should be accurate to ~1e-8 at t=0.1.
         result = rk4_step(np.array([1.0]), lambda s: s, 0.1)
         assert result[0] == pytest.approx(math.exp(0.1), abs=1e-7)
-
-    def test_euler_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            euler_step(np.zeros(1), lambda s: s, 0.0)
 
     def test_rk4_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -89,36 +81,18 @@ class TestStep:
         assert nxt.x_m == pytest.approx(0.0, abs=1e-6)
 
     def test_euler_and_rk4_agree_for_small_steps(self, model):
+        # One explicit-Euler step of the same derivative is a first-order
+        # reference for the RK4 step.
         state = VehicleState(speed_mps=8.0)
         control = ControlAction(steering=0.3, throttle=0.2)
-        rk4 = model.step(state, control, 0.01, method="rk4")
-        euler = model.step(state, control, 0.01, method="euler")
-        assert rk4.x_m == pytest.approx(euler.x_m, abs=1e-3)
-        assert rk4.heading_rad == pytest.approx(euler.heading_rad, abs=1e-3)
-
-    def test_unknown_method_raises(self, model):
-        with pytest.raises(ValueError):
-            model.step(VehicleState(), ControlAction(), 0.1, method="leapfrog")
+        rk4 = model.step(state, control, 0.01)
+        start = state.as_array()
+        euler = start + 0.01 * model._derivative_fn(control)(start)
+        assert rk4.x_m == pytest.approx(euler[0], abs=1e-3)
+        assert rk4.heading_rad == pytest.approx(euler[2], abs=1e-3)
 
 
 class TestRollout:
-    def test_rollout_length(self, model):
-        trajectory = model.rollout(VehicleState(speed_mps=5.0), ControlAction(), 0.1, 10)
-        assert len(trajectory) == 11
-
-    def test_rollout_starts_with_initial_state(self, model):
-        start = VehicleState(speed_mps=5.0)
-        trajectory = model.rollout(start, ControlAction(), 0.1, 3)
-        assert trajectory[0] == start
-
-    def test_rollout_zero_steps(self, model):
-        start = VehicleState()
-        assert model.rollout(start, ControlAction(), 0.1, 0) == [start]
-
-    def test_rollout_rejects_negative_steps(self, model):
-        with pytest.raises(ValueError):
-            model.rollout(VehicleState(), ControlAction(), 0.1, -1)
-
     def test_circular_motion_returns_near_start(self, model):
         # Constant steering at constant speed traces a circle; after one full
         # period the vehicle should be back near its starting point.
@@ -129,21 +103,7 @@ class TestRollout:
         period = 2.0 * math.pi * radius / speed
         steps = 2000
         dt = period / steps
-        trajectory = model.rollout(
-            VehicleState(speed_mps=speed), ControlAction(steering=steer), dt, steps
-        )
-        end = trajectory[-1]
+        end = VehicleState(speed_mps=speed)
+        for _ in range(steps):
+            end = model.step(end, ControlAction(steering=steer), dt)
         assert math.hypot(end.x_m, end.y_m) < 0.2
-
-
-class TestStoppingDistance:
-    def test_zero_speed_zero_distance(self, model):
-        assert model.stopping_distance(0.0) == 0.0
-
-    def test_matches_kinematic_formula(self, model):
-        speed = 10.0
-        expected = speed**2 / (2 * model.params.max_brake_mps2)
-        assert model.stopping_distance(speed) == pytest.approx(expected)
-
-    def test_monotone_in_speed(self, model):
-        assert model.stopping_distance(12.0) > model.stopping_distance(6.0)

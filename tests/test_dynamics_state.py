@@ -9,9 +9,6 @@ from repro.dynamics.params import VehicleParams
 from repro.dynamics.state import (
     ControlAction,
     VehicleState,
-    relative_bearing,
-    relative_distance,
-    relative_view,
     wrap_angle,
 )
 
@@ -55,15 +52,6 @@ class TestVehicleState:
         state = VehicleState(x_m=2.0, y_m=3.0)
         assert state.position == (2.0, 3.0)
 
-    def test_with_speed_returns_new_state(self):
-        state = VehicleState(speed_mps=5.0)
-        faster = state.with_speed(9.0)
-        assert faster.speed_mps == 9.0
-        assert state.speed_mps == 5.0
-
-    def test_with_speed_clamps_negative(self):
-        assert VehicleState().with_speed(-1.0).speed_mps == 0.0
-
 
 class TestControlAction:
     def test_clipped_limits_both_channels(self):
@@ -78,34 +66,6 @@ class TestControlAction:
     def test_from_array_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             ControlAction.from_array(np.zeros(3))
-
-
-class TestRelativeGeometry:
-    def test_distance_is_euclidean(self):
-        state = VehicleState(x_m=1.0, y_m=1.0)
-        assert relative_distance(state, (4.0, 5.0)) == pytest.approx(5.0)
-
-    def test_bearing_dead_ahead_is_zero(self):
-        state = VehicleState(x_m=0.0, y_m=0.0, heading_rad=0.0)
-        assert relative_bearing(state, (10.0, 0.0)) == pytest.approx(0.0)
-
-    def test_bearing_left_is_positive(self):
-        state = VehicleState()
-        assert relative_bearing(state, (10.0, 5.0)) > 0.0
-
-    def test_bearing_right_is_negative(self):
-        state = VehicleState()
-        assert relative_bearing(state, (10.0, -5.0)) < 0.0
-
-    def test_bearing_accounts_for_heading(self):
-        state = VehicleState(heading_rad=math.pi / 2.0)
-        assert relative_bearing(state, (0.0, 10.0)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_relative_view_combines_both(self):
-        state = VehicleState()
-        distance, bearing = relative_view(state, (3.0, 4.0))
-        assert distance == pytest.approx(5.0)
-        assert bearing == pytest.approx(math.atan2(4.0, 3.0))
 
 
 class TestVehicleParams:

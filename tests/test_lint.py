@@ -45,6 +45,11 @@ def codes_by_line(violations) -> list[tuple[int, str]]:
     return sorted((v.line, v.code) for v in violations)
 
 
+def only(name: str) -> list[Checker]:
+    """The one checker of ``CHECKERS`` called ``name``."""
+    return [checker for checker in CHECKERS if checker.name == name]
+
+
 # ----------------------------------------------------------------------
 # Framework
 # ----------------------------------------------------------------------
@@ -62,15 +67,18 @@ def test_package_relative_strips_to_innermost_repro_package():
 
 def test_checker_definition_is_validated():
     with pytest.raises(TypeError, match="file_check"):
-        Checker(name="x", codes=("C1",), description="d")
+        Checker(name="x", codes=("C1",))
     with pytest.raises(TypeError, match="scope"):
-        Checker(name="x", codes=("C1",), description="d", file_check=lambda sf: [])
+        Checker(name="x", codes=("C1",), file_check=lambda sf: [])
 
 
 def test_unknown_checker_name_is_an_error_not_a_silent_skip():
-    with pytest.raises(ValueError, match="unknown checker"):
-        run_lint([FIXTURES], CHECKERS, select=["kernel-paritty"])
-    assert framework_main(["--select", "kernel-paritty", str(FIXTURES)], CHECKERS) == 2
+    # The CLI takes no checker names at all: a misspelt selection is a
+    # usage error (exit 2), never a run that skips the gate.
+    for option in ("--select", "--ignore"):
+        with pytest.raises(SystemExit) as exit_info:
+            framework_main([option, "kernel-paritty", str(FIXTURES)], CHECKERS)
+        assert exit_info.value.code == 2
 
 
 def test_pragma_suppression(tmp_path):
@@ -86,17 +94,17 @@ def test_pragma_suppression(tmp_path):
     bare = flagged.replace("time.time()", "time.time()  # repro-lint: ignore")
 
     (scoped / "clock.py").write_text(flagged)
-    assert [v.code for v in run_lint([tmp_path], CHECKERS, select=["determinism"])] == [
+    assert [v.code for v in run_lint([tmp_path], only("determinism"))] == [
         "REPRO204"
     ]
     (scoped / "clock.py").write_text(suppressed)
-    assert run_lint([tmp_path], CHECKERS, select=["determinism"]) == []
+    assert run_lint([tmp_path], only("determinism")) == []
     (scoped / "clock.py").write_text(wrong_code)
-    assert [v.code for v in run_lint([tmp_path], CHECKERS, select=["determinism"])] == [
+    assert [v.code for v in run_lint([tmp_path], only("determinism"))] == [
         "REPRO204"
     ]
     (scoped / "clock.py").write_text(bare)
-    assert run_lint([tmp_path], CHECKERS, select=["determinism"]) == []
+    assert run_lint([tmp_path], only("determinism")) == []
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +335,7 @@ def test_declarations_out_of_scope_fixture_is_ignored_by_run_lint(tmp_path):
     target.mkdir(parents=True)
     bad = (FIXTURES / "declarations_bad.py").read_text()
     (target / "declarations_bad.py").write_text(bad)
-    assert run_lint([tmp_path], CHECKERS, select=["kernel-declarations"]) == []
+    assert run_lint([tmp_path], only("kernel-declarations")) == []
 
 
 def test_declarations_mutation_real_heuristic_dtype_fires_502():
@@ -372,7 +380,7 @@ def test_declarations_real_tree_presuppression_finding_is_exactly_run_batch():
 
 
 def test_declarations_real_tree_is_clean_after_span_suppression():
-    assert run_lint([SRC], CHECKERS, select=["kernel-declarations"]) == []
+    assert run_lint([SRC], only("kernel-declarations")) == []
 
 
 def test_span_suppression_scans_every_line_of_the_statement():
@@ -441,14 +449,6 @@ def test_cli_lint_fails_on_violating_tree(tmp_path, capsys):
     assert "drift.py:9:" in out
 
 
-def test_lint_main_select_runs_only_named_checker(tmp_path):
-    scoped = tmp_path / "repro" / "core"
-    scoped.mkdir(parents=True)
-    (scoped / "drift.py").write_text((FIXTURES / "parity_bad.py").read_text())
-    assert lint.main([str(tmp_path), "--select", "determinism"]) == 0
-    assert lint.main([str(tmp_path), "--select", "kernel-parity"]) == 1
-
-
 def test_cli_lint_accepts_explicit_file_and_directory_args():
     assert lint.main([str(SRC / "core" / "lookup.py")]) == 0
     assert lint.main([str(SRC / "core"), str(SRC / "sim")]) == 0
@@ -460,7 +460,7 @@ def test_cli_lint_reports_violations_in_explicit_path(tmp_path, capsys):
     (scoped / "declarations_bad.py").write_text(
         (FIXTURES / "declarations_bad.py").read_text()
     )
-    assert lint.main([str(tmp_path), "--select", "kernel-declarations"]) == 1
+    assert lint.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "declarations_bad.py:13: REPRO502" in out
     assert "declarations_bad.py:21: REPRO503" in out

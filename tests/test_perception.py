@@ -71,14 +71,6 @@ class TestDetectorModel:
         world = _world([Obstacle(x_m=-10.0, y_m=0.0, radius_m=1.0)])
         assert len(detector.infer(world, detector.noise_source(1))) == 0
 
-    def test_rate_and_energy_properties(self):
-        detector = DetectorModel(name="det", period_s=0.02)
-        assert detector.rate_hz == pytest.approx(50.0)
-        assert detector.local_inference_energy_j() == pytest.approx(0.017 * 7.0)
-
-    def test_describe_mentions_rate(self):
-        assert "50 Hz" in DetectorModel(name="det", period_s=0.02).describe()
-
     def test_fresh_noise_source_replays_the_sequence(self):
         """Each fresh ``noise_source`` replays the detector seed; one source
         drawn from twice moves on."""

@@ -26,15 +26,6 @@ class TestComputeProfile:
         with pytest.raises(ValueError):
             ComputeProfile(name="bad", latency_s=0.1, power_w=-1.0)
 
-    def test_scaled_profile(self):
-        scaled = DRIVE_PX2_RESNET152.scaled(latency_factor=0.5, power_factor=2.0)
-        assert scaled.latency_s == pytest.approx(0.0085)
-        assert scaled.power_w == pytest.approx(14.0)
-
-    def test_scaled_rejects_bad_factors(self):
-        with pytest.raises(ValueError):
-            DRIVE_PX2_RESNET152.scaled(latency_factor=0.0)
-
 
 class TestSensorPowerSpec:
     def test_paper_table3_specs(self):
@@ -43,7 +34,8 @@ class TestSensorPowerSpec:
         assert NAVTECH_RADAR.measurement_power_w == pytest.approx(21.6)
         assert NAVTECH_RADAR.mechanical_power_w == pytest.approx(2.4)
         assert VELODYNE_LIDAR.measurement_power_w == pytest.approx(9.6)
-        assert ZERO_POWER_SENSOR.total_power_w == 0.0
+        assert ZERO_POWER_SENSOR.measurement_power_w == 0.0
+        assert ZERO_POWER_SENSOR.mechanical_power_w == 0.0
 
     def test_sensing_energy_with_and_without_measurement(self):
         energy_on = NAVTECH_RADAR.sensing_energy_j(0.02, measurement_on=True)

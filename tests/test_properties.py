@@ -20,7 +20,6 @@ from repro.comm.server import EdgeServer
 from repro.core.energy import (
     baseline_interval_energy_j,
     gating_interval_energy_j,
-    offload_interval_energy_j,
 )
 from repro.core.intervals import (
     SafeIntervalEstimator,
@@ -269,34 +268,6 @@ class TestEnergyModelProperties:
         sensor_gated = gating_interval_energy_j(model, TAU, delta_max, gate_sensor=True)
         model_gated = gating_interval_energy_j(model, TAU, delta_max, gate_sensor=False)
         assert sensor_gated <= model_gated + 1e-12
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        delta_max=st.integers(1, 8),
-        period_multiple=st.integers(1, 4),
-        tx_energy=st.floats(0.0, 0.118, allow_nan=False),
-        fallback=st.booleans(),
-    )
-    def test_offloading_cheaper_than_baseline_when_tx_cheaper_than_inference(
-        self, delta_max, period_multiple, tx_energy, fallback
-    ):
-        model = SensoryModel(
-            name="m",
-            period_s=period_multiple * TAU,
-            compute=DRIVE_PX2_RESNET152,
-            sensor=ZERO_POWER_SENSOR,
-        )
-        baseline = baseline_interval_energy_j(model, TAU, delta_max)
-        offloaded = offload_interval_energy_j(
-            model, TAU, delta_max, tx_energy, fallback_invoked=fallback
-        )
-        if model.discretized_period(TAU) < delta_max and not fallback:
-            assert offloaded <= baseline + 1e-12
-        else:
-            # With no optimization window (or a fallback re-invocation) the
-            # optimized energy may equal or slightly exceed the baseline, but
-            # never by more than one extra local inference.
-            assert offloaded <= baseline + model.compute.energy_per_inference_j + 1e-12
 
 
 class TestSchedulerProperties:
@@ -733,9 +704,6 @@ class TestKernelFacadeParity:
         assert s_scalar == s_batch[0]
         assert d_scalar == d_batch[0]
         assert centerline.heading_at(s) == centerline.heading_at_batch(
-            np.array([s], dtype=float)
-        )[0]
-        assert centerline.curvature_at(s) == centerline.curvature_at_batch(
             np.array([s], dtype=float)
         )[0]
         # Round trip: projecting the synthesized point recovers (s, d).

@@ -15,7 +15,7 @@ from repro.dynamics.state import VehicleState, wrap_angle
 from repro.sim.obstacles import (
     ConstantVelocity,
     Obstacle,
-    WaypointLoop,
+    Shuttle,
     attach_motion,
 )
 from repro.sim.observation import RangeScanner
@@ -74,7 +74,7 @@ class TestSegments:
             assert s == x and d == y
             assert road.from_frenet(s, d) == (x, y)
         assert road.heading_at(42.0) == 0.0
-        assert road.curvature_at(42.0) == 0.0
+        assert road.centerline.curvature_at_batch(np.array([42.0]))[0] == 0.0
 
     def test_arc_geometry_quarter_circle(self):
         road = Road(segments=(ArcSegment(radius_m=50.0, sweep_rad=0.5 * math.pi),))
@@ -83,7 +83,9 @@ class TestSegments:
         assert end_x == pytest.approx(50.0, abs=1e-9)
         assert end_y == pytest.approx(50.0, abs=1e-9)
         assert road.heading_at(road.length_m) == pytest.approx(0.5 * math.pi)
-        assert road.curvature_at(1.0) == pytest.approx(1.0 / 50.0)
+        assert road.centerline.curvature_at_batch(np.array([1.0]))[0] == pytest.approx(
+            1.0 / 50.0
+        )
 
     def test_heading_continuous_at_joints(self):
         road = _curved_road()
@@ -107,13 +109,12 @@ class TestSegments:
     def test_lane_pose_on_curve(self):
         road = Road(segments=(ArcSegment(radius_m=50.0, sweep_rad=0.5 * math.pi),))
         x, y = road.from_frenet(30.0, 1.5)
-        pose = road.lane_pose(
-            VehicleState(x_m=x, y_m=y, heading_rad=wrap_angle(30.0 / 50.0))
-        )
-        assert pose.arc_length_m == pytest.approx(30.0, abs=1e-6)
-        assert pose.lateral_offset_m == pytest.approx(1.5, abs=1e-6)
-        assert pose.heading_error_rad == pytest.approx(0.0, abs=1e-9)
-        assert pose.curvature_per_m == pytest.approx(0.02)
+        s, d = road.to_frenet(x, y)
+        assert s == pytest.approx(30.0, abs=1e-6)
+        assert d == pytest.approx(1.5, abs=1e-6)
+        heading_error = wrap_angle(wrap_angle(30.0 / 50.0) - road.heading_at(s))
+        assert heading_error == pytest.approx(0.0, abs=1e-9)
+        assert road.centerline.curvature_at_batch(np.array([s]))[0] == pytest.approx(0.02)
 
 
 segment_lists = st.lists(
@@ -282,23 +283,27 @@ class TestObstacleMotion:
         obstacle = Obstacle(x_m=10.0, y_m=0.0)
         assert obstacle.at_time(5.0) is obstacle
 
-    def test_waypoint_loop_oscillates(self):
-        # Loop origin -> (10, 4) -> origin: perimeter 8, so at speed 2 the
+    def test_shuttle_oscillates(self):
+        # Round trip origin -> (10, 4) -> origin: 8 m, so at speed 2 the
         # full cycle takes 4 s.
-        obstacle = Obstacle(
-            x_m=10.0, y_m=0.0, motion=WaypointLoop(waypoints=((10.0, 4.0),), speed_mps=2.0)
-        )
+        obstacle = Obstacle(x_m=10.0, y_m=0.0, motion=Shuttle(far=(10.0, 4.0), speed_mps=2.0))
         assert obstacle.at_time(1.0).y_m == pytest.approx(2.0)
         assert obstacle.at_time(2.0).y_m == pytest.approx(4.0)
         assert obstacle.at_time(3.0).y_m == pytest.approx(2.0)
         assert obstacle.at_time(4.0).y_m == pytest.approx(0.0)
         assert obstacle.at_time(5.0).y_m == pytest.approx(2.0)
 
-    def test_waypoint_loop_validation(self):
+    def test_shuttle_validation(self):
         with pytest.raises(ValueError):
-            WaypointLoop(waypoints=(), speed_mps=1.0)
-        with pytest.raises(ValueError):
-            WaypointLoop(waypoints=((1.0, 1.0),), speed_mps=0.0)
+            Shuttle(far=(1.0, 1.0), speed_mps=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 9e-13, -9e-13])
+    def test_degenerate_shuttle_stays_at_origin(self, offset):
+        # A far point within 1e-12 m of the origin leaves no trip to make.
+        origin = (41.25, -1.5)
+        shuttle = Shuttle(far=(origin[0], origin[1] + offset), speed_mps=3.0)
+        for time_s in (0.0, 0.02, 1.0, 17.3, 1e6):
+            assert shuttle.position_at(origin, time_s) == origin
 
     def test_world_step_moves_obstacles_and_reset_restores(self):
         obstacle = Obstacle(x_m=30.0, y_m=0.0, motion=ConstantVelocity(0.0, 1.0))
@@ -361,9 +366,7 @@ class TestObstacleMotion:
         joint_s = 20.0
         x0, y0 = road.from_frenet(joint_s, 2.0)
         far = road.from_frenet(joint_s, -2.0)
-        obstacle = Obstacle(
-            x_m=x0, y_m=y0, motion=WaypointLoop(waypoints=(far,), speed_mps=speed)
-        )
+        obstacle = Obstacle(x_m=x0, y_m=y0, motion=Shuttle(far=far, speed_mps=speed))
         eps = 0.01
         a = obstacle.at_time(time)
         b = obstacle.at_time(time + eps)
@@ -397,7 +400,7 @@ class TestObstacleMotion:
             x_m=start[0],
             y_m=start[1],
             radius_m=1.0,
-            motion=WaypointLoop(waypoints=(far,), speed_mps=speed),
+            motion=Shuttle(far=far, speed_mps=speed),
         )
         ego_x, ego_y = road.from_frenet(joint_s, 0.0)
         world = World(
@@ -428,7 +431,7 @@ class TestObstacleMotion:
 class TestScenarioFamilies:
     def test_new_families_registered(self):
         for name in ("curved-road", "s-curve-narrow", "moving-traffic", "sensor-dropout"):
-            assert name in DEFAULT_SUITE
+            assert name in DEFAULT_SUITE.names()
 
     def test_config_validates_motion_mode(self):
         with pytest.raises(ValueError):
@@ -439,7 +442,7 @@ class TestScenarioFamilies:
             ScenarioConfig(sensor_dropout_probability=1.0)
 
     def test_every_family_builds_a_world(self):
-        for family in DEFAULT_SUITE:
+        for family in map(DEFAULT_SUITE.get, DEFAULT_SUITE.names()):
             world = build_world(family.build(seed=3))
             assert world.road.length_m > 0
             assert len(world.obstacles) == family.base.num_obstacles

@@ -51,10 +51,6 @@ class TestObstacles:
         with pytest.raises(ValueError):
             Obstacle(x_m=0.0, y_m=0.0, radius_m=0.0)
 
-    def test_surface_distance(self):
-        obstacle = Obstacle(x_m=3.0, y_m=4.0, radius_m=1.0)
-        assert obstacle.surface_distance_to(0.0, 0.0) == pytest.approx(4.0)
-
     def test_placement_count_and_zone(self, rng):
         road = Road(length_m=100.0)
         obstacles = place_obstacles(road, 4, rng)
@@ -322,6 +318,15 @@ class TestScenario:
             ScenarioConfig(road_length_m=length)
         # A curved road takes its length from its segments.
         ScenarioConfig(road_length_m=length, road_segments=(StraightSegment(50.0),))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [(), (1.0,), [StraightSegment(50.0)]],
+        ids=["empty", "float", "list"],
+    )
+    def test_config_rejects_bad_road_segments(self, segments):
+        with pytest.raises(ValueError, match="road_segments must be"):
+            ScenarioConfig(road_segments=segments)
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
     def test_config_rejects_nonpositive_road_width(self, width):
