@@ -76,8 +76,8 @@ class SafeIntervalEstimator:
 
     Attributes:
         dynamics: Vehicle model used for the rollout.
-        safety_function: Barrier ``h`` (the lookup-table cache key reads its
-            parameters).
+        safety_function: Barrier ``h`` whose required clearance the rollout
+            checks (the lookup-table cache key reads its parameters).
         horizon_s: Cap on the reported safe interval.  Experiments set this to
             ``max_deadline_periods * tau`` so that ``delta_max`` saturates at
             the paper's maximum of four base periods.
@@ -138,7 +138,6 @@ class SafeIntervalEstimator:
 
         count = distances_m.size
         params = self.dynamics.params
-        barrier = self.safety_function
 
         # Canonical scene: vehicle at origin heading 0; obstacle centre at
         # surface distance + radius along the bearing.
@@ -169,11 +168,7 @@ class SafeIntervalEstimator:
             distance = np.maximum(0.0, np.hypot(dx, dy) - obstacle_radius_m)
             bearing = np.arctan2(dy, dx) - heading
             bearing = np.arctan2(np.sin(bearing), np.cos(bearing))
-            heading_weight = np.maximum(0.0, np.cos(bearing))
-            required = barrier.clearance_m + heading_weight * (
-                speed * barrier.reaction_time_s
-                + speed**2 / (2.0 * barrier.max_brake_mps2)
-            )
+            required = self.safety_function.required_clearance_batch(bearing, speed)
             unsafe = (distance - required) < 0.0
             newly = unsafe & ~resolved
             result[newly] = step_index * self.step_s
