@@ -32,24 +32,17 @@ class DeltaHistogram:
         return sum(delta * count for delta, count in self.counts.items()) / total
 
 
-def delta_histogram(
-    samples: Sequence[int], max_delta: int = 4, include_zero: bool = True
-) -> DeltaHistogram:
+def delta_histogram(samples: Sequence[int], max_delta: int = 4) -> DeltaHistogram:
     """Build the Fig. 6 histogram from raw ``delta_max`` samples.
 
     Args:
         samples: Discretized deadline samples collected by the scheduler.
         max_delta: Largest bucket (larger samples are clamped into it).
-        include_zero: Whether to keep a bucket for ``delta_max = 0`` (the
-            fully unsafe samples); the paper's histogram starts at 1.
     """
     if max_delta < 1:
         raise ValueError("max_delta must be at least 1")
-    lowest = 0 if include_zero else 1
-    counts = {delta: 0 for delta in range(lowest, max_delta + 1)}
-    for sample in samples:
-        clamped = int(np.clip(sample, lowest, max_delta))
-        counts[clamped] += 1
+    clamped = np.clip(np.asarray(samples, dtype=np.int64), 0, max_delta)
+    counts = dict(enumerate(np.bincount(clamped, minlength=max_delta + 1).tolist()))
     total = sum(counts.values())
     frequencies = {
         delta: (count / total if total else 0.0) for delta, count in counts.items()

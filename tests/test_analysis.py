@@ -1,5 +1,6 @@
 """Tests for the analysis layer (metrics, histograms, tables)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.histograms import delta_histogram
@@ -87,18 +88,23 @@ class TestAggregateReports:
 class TestDeltaHistogram:
     def test_counts_and_frequencies(self):
         histogram = delta_histogram([1, 2, 2, 4, 4, 4], max_delta=4)
-        assert histogram.counts[4] == 3
+        assert histogram.counts == {0: 0, 1: 1, 2: 2, 3: 0, 4: 3}
+        assert all(type(count) is int for count in histogram.counts.values())
         assert histogram.frequency(2) == pytest.approx(2 / 6)
         assert sum(histogram.frequencies.values()) == pytest.approx(1.0)
+
+    def test_matches_a_per_sample_reference(self):
+        samples = np.random.default_rng(7).integers(-2, 8, size=500).tolist()
+        counts = dict.fromkeys(range(5), 0)
+        for sample in samples:
+            counts[min(max(sample, 0), 4)] += 1
+        histogram = delta_histogram(samples, max_delta=4)
+        assert histogram.counts == counts
+        assert histogram.frequencies == {delta: count / 500 for delta, count in counts.items()}
 
     def test_values_above_max_are_clamped(self):
         histogram = delta_histogram([7, 8], max_delta=4)
         assert histogram.counts[4] == 2
-
-    def test_zero_bucket_optional(self):
-        histogram = delta_histogram([0, 1], max_delta=4, include_zero=False)
-        assert 0 not in histogram.counts
-        assert histogram.counts[1] == 2  # zero clamped up into the first bucket
 
     def test_mean(self):
         histogram = delta_histogram([2, 4], max_delta=4)
