@@ -73,8 +73,6 @@ _ROW_SYMBOLS = ("N", "I", "R")
 def iter_kernels() -> Iterator[tuple[str, Callable[..., Any], type | None]]:
     """``(qualified name, kernel, owner class or None)`` of every declared kernel."""
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.startswith("repro.lint") or info.name.endswith("__main__"):
-            continue
         module = importlib.import_module(info.name)
         for name, value in vars(module).items():
             if getattr(value, "__module__", None) != module.__name__:

@@ -22,8 +22,8 @@ Pool workers inherit it either way, a forked worker through the parent's
 state and a spawned one by importing this module under the same
 environment.  Tests scope it with :func:`enforced_contracts` or
 :func:`set_contracts_enabled`.  The
-``kernel-declarations`` check of :mod:`repro.lint` (REPRO502–503) makes
-sure every public kernel carries a declaration, so none escapes the
+kernel-declarations rule of ``tests/test_invariants.py`` (REPRO502–503)
+makes sure every public kernel carries a declaration, so none escapes the
 runtime check.
 
 Spec grammar

@@ -140,7 +140,7 @@ _STAGES = ("scan_view", "decision", "scheduler", "scan_raycast", "scan_group", "
 _PHASES = (*_STAGES, "scan")
 
 
-def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
+def run_batch(
     framework: SEOFramework,
     episodes: Iterable[int],
     timings: dict[str, float] | None = None,

@@ -1,7 +1,7 @@
-"""Violating fixture for the kernel-declarations checker.
+"""Violating fixture for the kernel-declarations rule (REPRO502–503).
 
-Exercised with relpath ``core/declarations_bad.py``; each marked line
-trips one code, so the tests can pin (line, code) pairs.
+Each marked line trips one code, so the tests can pin (line, code)
+pairs; the tree-walk test also places it in and out of scope.
 """
 
 from __future__ import annotations

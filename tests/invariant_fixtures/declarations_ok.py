@@ -1,8 +1,7 @@
-"""Clean fixture for the kernel-declarations checker (REPRO502–503).
+"""Clean fixture for the kernel-declarations rule (REPRO502–503).
 
-Exercised with relpath ``core/declarations_ok.py`` so the scope predicate
-matches: every public kernel declares its contract, and only the kernel
-dtypes appear.
+Every public kernel declares its contract, and only the kernel dtypes
+appear.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Determinism fixture: only sanctioned entropy and clocks."""
+"""Determinism fixture: only sanctioned entropy."""
 
 from __future__ import annotations
 
@@ -14,10 +14,3 @@ def generator_methods(rng: np.random.Generator) -> float:
     # Methods on an explicit generator are fine, including one literally
     # named ``random``.
     return float(rng.random())
-
-
-def monotonic_report() -> float:
-    import time
-
-    # Wall-clock read sanctioned for *reporting* via the pragma.
-    return time.time()  # repro-lint: ignore[REPRO204]
